@@ -56,6 +56,11 @@ if cargo metadata --format-version 1 >/dev/null 2>&1; then
     # index maintenance, and pin the result byte-identical to a cold
     # rebuild (plus TINDUC kill/resume and the TINDRR report).
     devtools/update-smoke.sh target/release/tind target
+    # Benchmark gate: load-generator self-test, then every workload at
+    # 1 000 attributes with the harness's oracles on (numbers not
+    # recorded). The offline branch runs the same two from run.sh.
+    benchmark/run.sh --self-test
+    benchmark/run.sh --smoke
     echo "ci: full cargo gate passed"
 else
     echo "ci: cargo cannot reach a registry (offline, nothing vendored);"

@@ -1,12 +1,11 @@
 //! All-pairs discovery thread scaling (§4.2.2: parallelize across
-//! queries) and incremental-index maintenance costs.
+//! queries).
 
 use std::hint::black_box;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tind_bench::bench_dataset;
-use tind_core::incremental::IncrementalIndex;
 use tind_core::{discover_all_pairs, AllPairsOptions, IndexConfig, TindIndex, TindParams};
 
 fn bench_allpairs_threads(c: &mut Criterion) {
@@ -32,34 +31,5 @@ fn bench_allpairs_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_incremental(c: &mut Criterion) {
-    let dataset = bench_dataset(1500, 33);
-    let params = TindParams::paper_default();
-
-    let mut group = c.benchmark_group("incremental");
-    group.measurement_time(Duration::from_secs(3)).sample_size(10);
-
-    group.bench_function("full_rebuild", |bench| {
-        bench.iter(|| {
-            black_box(TindIndex::build(dataset.clone(), IndexConfig::default()).bloom_bytes())
-        })
-    });
-
-    group.bench_function("upsert_and_search", |bench| {
-        let mut inc = IncrementalIndex::build(dataset.clone(), IndexConfig::default());
-        inc.set_compact_threshold(usize::MAX / 2);
-        let red = inc.intern("bench-value");
-        let mut i = 0u32;
-        bench.iter(|| {
-            i += 1;
-            let mut hb = tind_model::HistoryBuilder::new(format!("bench-attr-{i}"));
-            hb.push(0, vec![red]);
-            inc.upsert(hb.finish(dataset.timeline().last()));
-            black_box(inc.search("bench-attr-1", &params).expect("exists").results.len())
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_allpairs_threads, bench_incremental);
+criterion_group!(benches, bench_allpairs_threads);
 criterion_main!(benches);

@@ -18,7 +18,7 @@
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, TryLockError, Weak};
 
 use tind_model::{Charge, MemoryBudget};
 
@@ -260,12 +260,22 @@ impl WindowPool {
 
     /// Bytes currently resident across all live windows.
     pub fn resident_bytes(&self) -> usize {
-        lock(&self.slots)
+        self.live_slots()
             .iter()
-            .filter_map(Weak::upgrade)
             .filter(|s| lock(&s.resident).is_some())
             .map(|s| s.len_words * 8)
             .sum()
+    }
+
+    /// Snapshot of the live slots, taken under the registry lock and
+    /// returned with it released. Lock order: a thread may hold one slot's
+    /// `resident` lock (a loader holds its own) and then take `slots`, so
+    /// nothing may *block* on a `resident` lock while holding `slots` —
+    /// callers lock slots only after this returns.
+    fn live_slots(&self) -> Vec<Arc<WindowSlot>> {
+        let mut slots = lock(&self.slots);
+        slots.retain(|w| w.strong_count() > 0);
+        slots.iter().filter_map(Weak::upgrade).collect()
     }
 
     fn next_tick(&self) -> u64 {
@@ -291,26 +301,31 @@ impl WindowPool {
 
     /// Drops the least-recently-used resident window except `requester`;
     /// false when nothing is evictable.
+    ///
+    /// The caller is a loader holding its own slot's `resident` lock, so
+    /// victims are only ever `try_lock`ed: a slot whose lock is taken is
+    /// mid-load (or being read) — not cold — and two loaders each waiting
+    /// for the other's slot would deadlock.
     fn evict_coldest(&self, requester: *const WindowSlot) -> bool {
-        let mut slots = lock(&self.slots);
-        slots.retain(|w| w.strong_count() > 0);
-        let victim = slots
-            .iter()
-            .filter_map(Weak::upgrade)
-            .filter(|s| Arc::as_ptr(s) != requester && lock(&s.resident).is_some())
-            .min_by_key(|s| s.last_used.load(Ordering::Relaxed));
-        drop(slots);
-        match victim {
-            Some(slot) => {
-                // Dropping the Resident releases its Charge; a RegionGuard
-                // still reading the old Arc keeps the words alive until it
-                // finishes.
-                *lock(&slot.resident) = None;
+        let mut candidates = self.live_slots();
+        // Cached: other loaders bump `last_used` while this sorts, and a
+        // key that moves mid-sort is not a total order.
+        candidates.sort_by_cached_key(|s| s.last_used.load(Ordering::Relaxed));
+        for slot in candidates.iter().filter(|s| Arc::as_ptr(s) != requester) {
+            let mut resident = match slot.resident.try_lock() {
+                Ok(guard) => guard,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                Err(TryLockError::WouldBlock) => continue,
+            };
+            // Dropping the Resident releases its Charge; a RegionGuard
+            // still reading the old Arc keeps the words alive until it
+            // finishes.
+            if resident.take().is_some() {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                true
+                return true;
             }
-            None => false,
         }
+        false
     }
 }
 
@@ -570,6 +585,49 @@ mod tests {
         assert!(slots.iter().all(|s| s.is_resident()));
         assert_eq!(pool.stats().evictions, 0);
         assert_eq!(pool.resident_bytes(), 3 * 32 * 8);
+    }
+
+    #[test]
+    fn concurrent_loaders_under_a_one_slot_budget_never_deadlock() {
+        // 8 loaders over 4 windows with room for one: every load evicts.
+        // A loader holds its own slot's lock while it looks for a victim;
+        // if it ever waits on another slot's lock, two loaders wait on
+        // each other (ABBA) and this test dies by the watchdog.
+        let path = word_file("window-stress.bin", 4 * 32, 0);
+        let pool = WindowPool::new(Some(MemoryBudget::new(32 * 8)));
+        let file = Arc::new(WindowFile::open(&path).expect("open"));
+        let slots: Vec<_> =
+            (0..4).map(|i| pool.slot(Arc::clone(&file), i * 32 * 8, 32)).collect();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let workers: Vec<_> = (0..8usize)
+            .map(|t| {
+                let (slots, pool, done) = (slots.clone(), Arc::clone(&pool), done_tx.clone());
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..4000usize {
+                        let s = (i * 7 + t * 3) % 4;
+                        let words = slots[s].load().expect("load");
+                        assert_eq!(words[1], (s as u64 * 32 + 1) * 10, "window {s} contents");
+                        if i % 64 == 0 {
+                            assert!(pool.resident_bytes() <= 4 * 32 * 8);
+                        }
+                    }
+                    done.send(()).expect("watchdog alive");
+                })
+            })
+            .collect();
+        for _ in 0..workers.len() {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("window loaders deadlocked");
+        }
+        for w in workers {
+            w.join().expect("loader panicked");
+        }
+        let stats = pool.stats();
+        assert!(stats.evictions > 0, "the budget must have forced evictions: {stats:?}");
     }
 
     #[test]

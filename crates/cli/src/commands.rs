@@ -7,9 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tind_core::{
-    discover_all_pairs, migrate_store, open_store, pack_store, repair_store, verify_store,
+    discover_all_pairs, open_store, pack_store, repair_store, verify_store,
     AllPairsError, AllPairsOptions, BatchOptions, BuildOptions, CancelToken, Checkpoint,
-    CheckpointPolicy, IndexConfig, OpenOptions, PackOptions, RepairOptions, ShardFormat,
+    CheckpointPolicy, IndexConfig, OpenOptions, PackOptions, RepairOptions,
     SliceConfig, StoreBacking, StoreError, TindIndex, TindParams,
 };
 use tind_datagen::{generate, GeneratorConfig};
@@ -876,17 +876,13 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
              run `tind store verify` on its directory to check shard digests"
         )
     } else if kind == &tind_core::store::SHARD_MAGIC[..7] {
-        // v1 and v2 share the 7-byte prefix; the version byte picks the
-        // layout. Either way the streaming CRC pins the failing byte
-        // offset on mismatch (surfaced through BinIoError::Checksum).
-        let layout = if bytes.get(7) == Some(&tind_core::store::SHARD_MAGIC_V2[7]) {
-            "arena (zero-copy mmap)"
-        } else {
-            "legacy"
-        };
+        // The version byte must be the arena's (a v1 shard is refused by
+        // name); then the streaming CRC pins the failing byte offset on
+        // mismatch (surfaced through BinIoError::Checksum).
+        tind_core::store::check_shard_magic(&bytes).map_err(store_error)?;
         let payload = tind_model::checksum::stream_verify_file(&path)?;
         format!(
-            "store shard: {layout} layout, container intact ({payload} payload bytes); \
+            "store shard: arena layout, container intact ({payload} payload bytes); \
              run `tind store verify` on its directory to check it against the manifest"
         )
     } else if kind == &tind_wiki::ingest::INGEST_CHECKPOINT_MAGIC[..7] {
@@ -1400,43 +1396,24 @@ fn cmd_store(args: &Args) -> Result<String, CliError> {
         "pack" => cmd_store_pack(args),
         "verify" => verify_store_dir(&store_dir(args)?),
         "repair" => cmd_store_repair(args),
-        "migrate" => cmd_store_migrate(args),
         "" => Err(CliError::Message(
-            "store requires a verb: tind store <pack|verify|repair|migrate>".into(),
+            "store requires a verb: tind store <pack|verify|repair>".into(),
         )),
         other => Err(CliError::Message(format!(
-            "unknown store verb '{other}' (expected pack, verify, repair, or migrate)"
+            "unknown store verb '{other}' (expected pack, verify, or repair)"
         ))),
     }
 }
 
-/// Parses `--format legacy|arena` (default: the workspace default layout).
-fn shard_format(args: &Args) -> Result<ShardFormat, CliError> {
-    match args.get("format") {
-        None => Ok(ShardFormat::default()),
-        Some("legacy") => Ok(ShardFormat::Legacy),
-        Some("arena") => Ok(ShardFormat::Arena),
-        Some(other) => Err(ArgError::BadValue {
-            option: "format".into(),
-            value: other.into(),
-            expected: "legacy|arena",
-        }
-        .into()),
-    }
-}
-
-/// Parses `--store-backing auto|heap|mmap|windowed` (default auto).
+/// Parses `--store-backing mmap|windowed` (default mmap).
 fn store_backing(args: &Args) -> Result<StoreBacking, CliError> {
     match args.get("store-backing") {
-        None => Ok(StoreBacking::Auto),
-        Some("auto") => Ok(StoreBacking::Auto),
-        Some("heap") => Ok(StoreBacking::Heap),
-        Some("mmap") => Ok(StoreBacking::Mmap),
+        None | Some("mmap") => Ok(StoreBacking::Mmap),
         Some("windowed") => Ok(StoreBacking::Windowed),
         Some(other) => Err(ArgError::BadValue {
             option: "store-backing".into(),
             value: other.into(),
-            expected: "auto|heap|mmap|windowed",
+            expected: "mmap|windowed",
         }
         .into()),
     }
@@ -1503,12 +1480,22 @@ fn cmd_store_pack(args: &Args) -> Result<String, CliError> {
     record_index_gauges(&index);
     let _phase = tind_obs::span("phase.store_pack");
     let shards = args.opt_or("shards", 0usize)?;
-    let format = shard_format(args)?;
-    let options = PackOptions { shards, format, ..PackOptions::default() };
+    // `--format arena` names the one layout there is; it parses only
+    // because the benchmark harness passes it — remove with the next
+    // benchmark PR.
+    if let Some(other) = args.get("format").filter(|&f| f != "arena") {
+        return Err(ArgError::BadValue {
+            option: "format".into(),
+            value: other.into(),
+            expected: "arena",
+        }
+        .into());
+    }
+    let options = PackOptions { shards, ..PackOptions::default() };
     let (res, took) = tind_eval::stats::time_it(|| pack_store(&index, &out, &options));
     let report = res.map_err(store_error)?;
     Ok(format!(
-        "packed generation {} ({format} layout) into {} — {} shard(s), {} bytes, in {} (index build {}){}\n",
+        "packed generation {} into {} — {} shard(s), {} bytes, in {} (index build {}){}\n",
         report.generation,
         out.display(),
         report.shards,
@@ -1549,34 +1536,6 @@ fn cmd_store_repair(args: &Args) -> Result<String, CliError> {
         report.generation,
         report.rebuilt,
         report.intact,
-        tind_eval::report::fmt_duration(took),
-    ))
-}
-
-/// `tind store migrate`: rewrite an intact store's shards in another
-/// on-disk layout (arena by default) as a new generation, through the
-/// same atomic manifest-rename commit point as `pack`.
-fn cmd_store_migrate(args: &Args) -> Result<String, CliError> {
-    let dataset = load_dataset(args)?;
-    let dir = store_dir(args)?;
-    // Unlike pack, migrate exists to move *to* the zero-copy layout, so
-    // an absent --format means arena rather than the workspace default.
-    let format = match args.get("format") {
-        None => ShardFormat::Arena,
-        Some(_) => shard_format(args)?,
-    };
-    let shards = args.opt_or("shards", 0usize)?;
-    let _phase = tind_obs::span("phase.store_migrate");
-    let options = PackOptions { shards, format, ..PackOptions::default() };
-    let (res, took) =
-        tind_eval::stats::time_it(|| migrate_store(&dir, dataset, format, &options));
-    let report = res.map_err(store_error)?;
-    Ok(format!(
-        "migrated store at {} to the {format} layout — generation {}, {} shard(s), {} bytes, in {}\n",
-        dir.display(),
-        report.generation,
-        report.shards,
-        report.bytes_written,
         tind_eval::report::fmt_duration(took),
     ))
 }
@@ -2531,6 +2490,27 @@ mod tests {
             run(&["store", "repair", "--store", dir_str, "--data", data_str]).expect("repairs");
         assert!(repaired.contains("rebuilt shard(s)"), "{repaired}");
         run(&["store", "verify", dir_str]).expect("verifies after repair");
+
+        // A shard carrying the retired v1 magic is refused by name, and
+        // the knobs that chose a layout are gone.
+        let v1 = temp_file("cli-store-v1.shard");
+        let mut raw = std::fs::read(&shard).expect("read shard");
+        raw[7] = 0x01;
+        std::fs::write(&v1, &raw).expect("write v1 shard");
+        let err = run(&["verify", v1.to_str().expect("utf8")]).expect_err("v1 refused");
+        assert!(
+            err.to_string()
+                .contains("TINDSH v1 is no longer supported; re-pack with `tind store pack`"),
+            "{err}"
+        );
+        std::fs::remove_file(&v1).ok();
+        assert!(matches!(
+            run(&["store", "pack", "--data", data_str, "--out", dir_str, "--format", "legacy"]),
+            Err(CliError::Args(ArgError::BadValue { .. }))
+        ));
+        let err = run(&["store", "migrate", "--store", dir_str, "--data", data_str])
+            .expect_err("migrate is gone");
+        assert!(err.to_string().contains("unknown store verb"), "{err}");
 
         // --index with --store is ambiguous and must be rejected.
         assert!(matches!(

@@ -91,18 +91,14 @@ COMMANDS:
                       [--reverse true] [--build-threads T=0] [--report FILE]
                     (search/reverse-search/top-k/explore accept --index FILE)
   store             crash-safe sharded index store (atomic commits, CRC-bound
-                    shards, corrupt-shard quarantine and repair)
+                    arena shards that open zero-copy, corrupt-shard quarantine
+                    and repair); a cache of the dataset — re-pack to regenerate
                       pack    --data FILE --out DIR [--shards N=auto] [--m M=4096]
                               [--eps E=3] [--delta D=7] [--reverse true]
-                              [--format legacy|arena]  on-disk shard layout;
-                              arena opens zero-copy via mmap (instant start)
                               [--index FILE]  re-shard a monolithic index file
                       verify  <DIR> (or --store DIR) — manifest + shard digests
                       repair  --store DIR --data FILE — rebuild quarantined
                               shards byte-identical to the manifest digests
-                      migrate --store DIR --data FILE [--format arena]
-                              rewrite an intact store in another layout as a
-                              new generation (same atomic commit point)
                     (search/reverse-search/serve accept --store DIR; a store
                     with quarantined shards opens degraded: live attributes
                     stay exact, masked ones are excluded until repair)
@@ -129,10 +125,10 @@ COMMANDS:
                       [--plan-cache N=0]   validation-plan LRU keyed by
                                            (attribute, eps, delta, weights); delta
                                            ingestion evicts touched entries
-                      [--store-backing auto|heap|mmap|windowed]
+                      [--store-backing mmap|windowed]
                                            how --store shards back the index:
-                                           mmap borrows zero-copy, windowed preads
-                                           sections on demand under --memory-limit
+                                           mmap (default) borrows zero-copy, windowed
+                                           preads sections on demand under --memory-limit
                       [--trace-last N=4]   tail-sample N slowest + N most recent
                                            request traces for GET /debug/trace
                                            (0 = retain none)

@@ -6,11 +6,9 @@
 //! only the dependency pairs the delta can have changed — the semi-naive
 //! pattern of Datalog evaluation applied to tIND discovery.
 //!
-//! It differs from [`crate::incremental`] (the earlier main+delta
-//! side-buffer, which answers queries by consulting a base index plus a
-//! brute-forced overlay): here the delta is folded *into* the matrices, so
-//! post-update searches run the full four-stage pipeline at full speed and
-//! the updated index can be re-persisted.
+//! The delta is folded *into* the matrices — there is no side buffer to
+//! consult or compact — so post-update searches run the full four-stage
+//! pipeline at full speed and the updated index can be re-persisted.
 //!
 //! # Why replace, not OR
 //!

@@ -49,7 +49,6 @@ pub mod checkpoint;
 pub mod delta;
 pub mod explain;
 pub mod fault;
-pub mod incremental;
 pub mod index;
 pub mod nary;
 pub mod params;
@@ -75,7 +74,7 @@ pub use params::TindParams;
 pub use search::{BatchOptions, BatchOutcome, SearchOptions, SearchOutcome, SearchStats};
 pub use slices::{SliceConfig, SliceStrategy};
 pub use store::{
-    migrate_store, open_store, open_store_with, pack_store, repair_store, verify_store,
+    open_store, open_store_with, pack_store, repair_store, verify_store,
     LoadReport, OpenOptions, PackOptions, PackReport, RepairOptions, RepairReport, ShardFault,
     ShardFormat, StoreBacking, StoreError, VerifyReport,
 };

@@ -19,9 +19,16 @@
 //! * opening a store sweeps orphan `*.tmp` files and shards of stale
 //!   generations, so a crashed pack leaves no debris behind.
 //!
-//! On the read side the store degrades instead of dying: a missing or
-//! corrupt shard is **quarantined** (typed [`StoreError::ShardCorrupt`]
-//! with the expected/actual CRC), its attribute range is recorded in a
+//! There is one shard layout — an offset-table arena whose matrix
+//! sections are borrowed as `&[u64]` without decoding — and two backings
+//! for it ([`StoreBacking`]): zero-copy `mmap`, or budget-charged `pread`
+//! windows. An open checks each shard's header CRC, section bounds and
+//! manifest binding only; [`verify_store`] and [`repair_store`] run the
+//! deep check (manifest digest, file trailer, header, universes).
+//!
+//! On the read side the store degrades instead of dying: a shard that is
+//! missing or fails its checks is **quarantined** with a typed
+//! [`StoreError`], its attribute range is recorded in a
 //! [`crate::index::ShardMask`] on the returned [`TindIndex`], and every
 //! other shard keeps serving. [`repair_store`] rebuilds quarantined shards
 //! from the dataset and proves byte-identity against the manifest digest
@@ -54,13 +61,13 @@ use crate::required::required_values;
 /// Magic bytes of the store manifest, including a format version.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TINDIS\x00\x01";
 
-/// Magic bytes of one store shard, including a format version.
-pub const SHARD_MAGIC: &[u8; 8] = b"TINDSH\x00\x01";
+/// Magic bytes of one store shard, including a format version: the arena
+/// layout, the only one written or read.
+pub const SHARD_MAGIC: &[u8; 8] = b"TINDSH\x00\x02";
 
-/// Magic bytes of an arena-layout (v2) store shard. The first seven bytes
-/// match [`SHARD_MAGIC`] so format sniffers match both; the version byte
-/// distinguishes them.
-pub const SHARD_MAGIC_V2: &[u8; 8] = b"TINDSH\x00\x02";
+/// Magic of the retired v1 (varint strip stream) layout, kept only so
+/// [`check_shard_magic`] can refuse it by name.
+const SHARD_MAGIC_V1: &[u8; 8] = b"TINDSH\x00\x01";
 
 /// Section alignment of the arena layout: every matrix section starts on
 /// a 64-byte boundary so mapped word views are cache-line aligned.
@@ -74,51 +81,40 @@ const ARENA_FIXED_HEADER: usize = 48;
 /// One section-table entry: byte offset (u64) + byte length (u64).
 const ARENA_SECTION_ENTRY: usize = 16;
 
-/// On-disk layout of one shard.
+/// On-disk layout of one shard. One variant: the type survives only
+/// because the benchmark harness names `ShardFormat::Arena` — remove with
+/// the next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardFormat {
-    /// v1: varint-headed column-strip stream, fully decoded at open.
+    /// Offset-table arena with 64-byte-aligned row-major matrix sections,
+    /// borrowable straight from an mmap — open validates the header CRC
+    /// and section bounds only, never decoding the words.
     #[default]
-    Legacy,
-    /// v2: offset-table arena with 64-byte-aligned row-major matrix
-    /// sections, borrowable straight from an mmap — open validates the
-    /// header CRC and section bounds only, never decoding the words.
     Arena,
 }
 
 impl std::fmt::Display for ShardFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardFormat::Legacy => write!(f, "legacy"),
-            ShardFormat::Arena => write!(f, "arena"),
-        }
+        write!(f, "arena")
     }
 }
 
-/// How matrix words of an opened store are backed in memory.
+/// How matrix words of an opened store are backed in memory. A
+/// big-endian host always opens [`StoreBacking::Windowed`], whose loader
+/// byte-swaps; zero-copy word views are only sound little-endian.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreBacking {
-    /// Arena shards mmap on little-endian unix; everything else decodes
-    /// to the heap.
-    #[default]
-    Auto,
-    /// Copy into owned heap words (full read + digest verification, the
-    /// pre-arena behavior).
-    Heap,
     /// Borrow matrix sections zero-copy from an mmap'd shard file.
-    /// Legacy shards fall back to heap decode.
+    #[default]
     Mmap,
     /// `pread` each matrix section on demand, charged to the open's
-    /// [`MemoryBudget`] and evicted LRU under pressure. Legacy shards
-    /// fall back to heap decode.
+    /// [`MemoryBudget`] and evicted LRU under pressure.
     Windowed,
 }
 
 impl std::fmt::Display for StoreBacking {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreBacking::Auto => write!(f, "auto"),
-            StoreBacking::Heap => write!(f, "heap"),
             StoreBacking::Mmap => write!(f, "mmap"),
             StoreBacking::Windowed => write!(f, "windowed"),
         }
@@ -156,6 +152,9 @@ pub enum StoreError {
         /// CRC-32 the shard file actually hashes to.
         actual: u32,
     },
+    /// A shard in the retired TINDSH v1 layout. A store is a cache of the
+    /// dataset, so there is no reader to fall back to — re-pack.
+    LegacyShard,
     /// The store and the caller disagree on identity: wrong dataset
     /// fingerprint, wrong attribute count, inconsistent shard geometry, or
     /// an operation that is not meaningful in the current state.
@@ -178,6 +177,10 @@ impl std::fmt::Display for StoreError {
                 f,
                 "shard {shard} corrupt: manifest digest {expected:#010x} but file hashes to \
                  {actual:#010x}"
+            ),
+            StoreError::LegacyShard => write!(
+                f,
+                "TINDSH v1 is no longer supported; re-pack with `tind store pack`"
             ),
             StoreError::Mismatch(msg) => write!(f, "store mismatch: {msg}"),
             StoreError::Killed { ops } => {
@@ -243,7 +246,9 @@ pub struct PackOptions {
     /// Desired shard count; clamped to `[1, column blocks]`. `0` picks
     /// `min(8, blocks)`.
     pub shards: usize,
-    /// On-disk shard layout to write; both layouts are always readable.
+    /// On-disk shard layout to write. One value; the field survives only
+    /// because the benchmark harness sets it — remove with the next
+    /// benchmark PR.
     pub format: ShardFormat,
     /// Fault injection: stop (with [`StoreError::Killed`]) after this many
     /// write/fsync/rename steps, leaving the directory as a SIGKILL at
@@ -287,11 +292,8 @@ pub struct LoadReport {
     pub swept_temps: usize,
     /// Stale-generation shard files swept during recovery.
     pub swept_stale: usize,
-    /// On-disk format of the loaded shards ([`ShardFormat::Arena`] only
-    /// when every non-quarantined shard used the arena layout).
-    pub format: ShardFormat,
-    /// Backing actually used for matrix words (requested backing resolved
-    /// against the on-disk format and platform).
+    /// Backing actually used for matrix words (the requested one, except
+    /// on a big-endian host).
     pub backing: StoreBacking,
     /// The window pool managing `pread` windows, when the windowed
     /// backing was used — exposes load/eviction/overcommit counters.
@@ -355,6 +357,18 @@ impl ShardEntry {
         let start = (self.block_start * 64).min(num_attrs) as u32;
         let end = ((self.block_start + self.block_count) * 64).min(num_attrs) as u32;
         (start, end)
+    }
+
+    /// A file of any other length than the manifest committed is refused
+    /// before a byte of it is trusted.
+    fn check_len(&self, file_len: u64) -> Result<(), StoreError> {
+        if file_len != self.byte_len {
+            return Err(mismatch(format!(
+                "shard {} is {file_len} bytes but the manifest committed {}",
+                self.id, self.byte_len
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -529,52 +543,6 @@ fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
     decode_manifest(Bytes::from(raw))
 }
 
-/// Encodes one shard's payload. `strip_words` is called once per
-/// `(target, block)` in ascending target-major order and must yield the
-/// strip's `m` row words; `universe` once per attribute in the shard's
-/// range. Shared by pack (strips extracted from built matrices) and repair
-/// (strips re-rendered from the dataset) so the two paths are byte-equal
-/// by construction.
-fn encode_shard_with<FS, FU>(
-    manifest: &Manifest,
-    entry_id: usize,
-    block_start: usize,
-    block_count: usize,
-    mut strip_words: FS,
-    mut universe: FU,
-) -> Bytes
-where
-    FS: FnMut(usize, usize) -> Vec<u64>,
-    FU: FnMut(usize, &mut BytesMut),
-{
-    let m = manifest.config.m as usize;
-    let estimated =
-        manifest.num_targets() * block_count * m * 8 + block_count * 64 * 16 + (1 << 10);
-    let mut buf = BytesMut::with_capacity(estimated);
-    buf.put_slice(SHARD_MAGIC);
-    put_varint(&mut buf, manifest.generation);
-    put_varint(&mut buf, entry_id as u64);
-    put_varint(&mut buf, block_start as u64);
-    put_varint(&mut buf, block_count as u64);
-    buf.put_u64_le(manifest.fingerprint);
-    for target in 0..manifest.num_targets() {
-        for block in block_start..block_start + block_count {
-            let words = strip_words(target, block);
-            debug_assert_eq!(words.len(), m, "one lane word per matrix row");
-            for &w in &words {
-                buf.put_u64_le(w);
-            }
-        }
-    }
-    let attr_lo = block_start * 64;
-    let attr_hi = ((block_start + block_count) * 64).min(manifest.num_attrs);
-    for attr in attr_lo..attr_hi {
-        universe(attr, &mut buf);
-    }
-    checksum::append_trailer(&mut buf);
-    buf.freeze()
-}
-
 /// Content digest of an encoded shard: CRC-32 over the payload *excluding*
 /// its own integrity trailer. The trailer must stay outside the hash — the
 /// CRC of any message with its own CRC appended is the fixed residue
@@ -584,99 +552,20 @@ fn shard_digest(payload: &[u8]) -> u32 {
     crc32(&payload[..payload.len().saturating_sub(checksum::TRAILER_LEN)])
 }
 
-/// Decoded shard contents: `strips[target][i]` holds the row words of
-/// block `block_start + i`, plus the exact universes of the shard's
-/// attribute range.
-struct ShardPayload {
-    strips: Vec<Vec<Vec<u64>>>,
-    universes: Vec<ValueSet>,
-}
-
-/// Reads and fully validates one shard file against its manifest entry.
-fn load_shard(dir: &Path, manifest: &Manifest, entry: &ShardEntry) -> Result<ShardPayload, StoreError> {
-    let path = dir.join(shard_name(manifest.generation, entry.id));
-    let raw = std::fs::read(&path)?;
-    if raw.len() as u64 != entry.byte_len {
-        return Err(mismatch(format!(
-            "shard {} is {} bytes but the manifest committed {}",
-            entry.id,
-            raw.len(),
-            entry.byte_len
-        )));
-    }
-    // The manifest digest is a true content hash (payload minus trailer):
-    // it catches a structurally-valid shard copied in from another store
-    // as well as plain corruption, independently of the file's own trailer.
-    let actual = shard_digest(&raw);
-    if actual != entry.digest {
-        return Err(StoreError::ShardCorrupt { shard: entry.id, expected: entry.digest, actual });
-    }
-    check_magic(&raw, SHARD_MAGIC, "store shard")?;
-    let mut buf = checksum::verify_and_strip(Bytes::from(raw)).map_err(|e| match e {
-        BinIoError::Checksum { stored, computed, .. } => {
-            StoreError::ShardCorrupt { shard: entry.id, expected: stored, actual: computed }
-        }
-        other => StoreError::Bin(other),
-    })?;
-    buf.advance(SHARD_MAGIC.len());
-    let generation = get_varint(&mut buf)?;
-    let id = get_varint(&mut buf)? as usize;
-    let block_start = get_varint(&mut buf)? as usize;
-    let block_count = get_varint(&mut buf)? as usize;
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated shard fingerprint").into());
-    }
-    let fingerprint = buf.get_u64_le();
-    if generation != manifest.generation
-        || id != entry.id
-        || block_start != entry.block_start
-        || block_count != entry.block_count
-        || fingerprint != manifest.fingerprint
-    {
-        return Err(mismatch(format!(
-            "shard {} header disagrees with the manifest entry",
-            entry.id
-        )));
-    }
-    let m = manifest.config.m as usize;
-    let mut strips = Vec::with_capacity(manifest.num_targets());
-    for _ in 0..manifest.num_targets() {
-        let mut blocks = Vec::with_capacity(block_count);
-        for _ in 0..block_count {
-            if buf.remaining() < m * 8 {
-                return Err(corrupt("truncated shard strip words").into());
-            }
-            let mut words = Vec::with_capacity(m);
-            for _ in 0..m {
-                words.push(buf.get_u64_le());
-            }
-            blocks.push(words);
-        }
-        strips.push(blocks);
-    }
-    let (attr_lo, attr_hi) = entry.attr_range(manifest.num_attrs);
-    let mut universes = Vec::with_capacity((attr_hi - attr_lo) as usize);
-    for _ in attr_lo..attr_hi {
-        universes.push(get_value_set(&mut buf)?);
-    }
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes after shard").into());
-    }
-    Ok(ShardPayload { strips, universes })
-}
-
 /// Byte length of the arena header region before alignment padding:
 /// fixed fields, the section table, and the header CRC.
 fn arena_header_len(num_targets: usize) -> usize {
     ARENA_FIXED_HEADER + (num_targets + 1) * ARENA_SECTION_ENTRY + 4
 }
 
-/// Encodes one shard in the arena (v2) layout. Takes the exact same
-/// `strip_words` / `universe` closures as [`encode_shard_with`] — pack and
-/// repair stay byte-equal by construction across both formats — but lays
-/// the words out row-major per target in 64-byte-aligned sections behind
-/// an offset table, so an open can borrow each section as `&[u64]`
-/// without decoding.
+/// Encodes one shard in the arena layout. `strip_words` is called once
+/// per `(target, block)` in ascending target-major order and must yield
+/// the strip's `m` row words; `universe` once per attribute in the shard's
+/// range. Shared by pack (strips extracted from built matrices) and repair
+/// (strips re-rendered from the dataset) so the two paths are byte-equal
+/// by construction. The words are laid out row-major per target in
+/// 64-byte-aligned sections behind an offset table, so an open can borrow
+/// each section as `&[u64]` without decoding.
 fn encode_shard_arena_with<FS, FU>(
     manifest: &Manifest,
     entry_id: usize,
@@ -712,7 +601,7 @@ where
     sections.push((off as u64, ublob.len() as u64));
 
     let mut buf = BytesMut::with_capacity(off + ublob.len() + checksum::TRAILER_LEN);
-    buf.put_slice(SHARD_MAGIC_V2);
+    buf.put_slice(SHARD_MAGIC);
     buf.put_u64_le(manifest.generation);
     buf.put_u32_le(entry_id as u32);
     buf.put_u32_le(block_start as u32);
@@ -752,6 +641,18 @@ where
     buf.freeze()
 }
 
+/// Checks the first eight bytes of a shard file: the arena magic passes,
+/// the retired v1 magic is refused by name ([`StoreError::LegacyShard`]),
+/// anything else is corrupt. Every open / verify / repair path and
+/// `tind verify FILE` come through here.
+pub fn check_shard_magic(raw: &[u8]) -> Result<(), StoreError> {
+    match raw.get(..8) {
+        Some(magic) if magic == SHARD_MAGIC => Ok(()),
+        Some(magic) if magic == SHARD_MAGIC_V1 => Err(StoreError::LegacyShard),
+        _ => Err(corrupt("bad arena shard magic").into()),
+    }
+}
+
 /// Parsed and bounds-checked arena shard header.
 struct ArenaHeader {
     generation: u64,
@@ -774,9 +675,7 @@ fn parse_arena_header(raw: &[u8], file_len: u64) -> Result<ArenaHeader, StoreErr
     if raw.len() < ARENA_FIXED_HEADER + 4 {
         return Err(corrupt("truncated arena shard header").into());
     }
-    if &raw[..8] != SHARD_MAGIC_V2 {
-        return Err(corrupt("bad arena shard magic").into());
-    }
+    check_shard_magic(raw)?;
     let u32_at = |o: usize| u32::from_le_bytes(raw[o..o + 4].try_into().expect("4 bytes"));
     let u64_at = |o: usize| u64::from_le_bytes(raw[o..o + 8].try_into().expect("8 bytes"));
     let generation = u64_at(8);
@@ -884,52 +783,25 @@ fn arena_universes(
     Ok(universes)
 }
 
-/// One loaded shard, normalized to per-target word regions: `targets[t]`
-/// holds the shard's `m × block_count` row-major words, regardless of
-/// on-disk format or backing.
+/// One loaded shard: `targets[t]` holds the shard's `m × block_count`
+/// row-major words, regardless of backing.
 struct ShardRegions {
     targets: Vec<WordRegion>,
     universes: Vec<ValueSet>,
 }
 
-/// Converts a fully-decoded legacy payload into row-major heap regions.
-fn legacy_regions(payload: ShardPayload, m: usize, block_count: usize) -> ShardRegions {
-    let targets = payload
-        .strips
-        .into_iter()
-        .map(|blocks| {
-            debug_assert_eq!(blocks.len(), block_count);
-            let mut words = vec![0u64; m * block_count];
-            for (i, strip) in blocks.iter().enumerate() {
-                for (row, &w) in strip.iter().enumerate() {
-                    words[row * block_count + i] = w;
-                }
-            }
-            WordRegion::Heap(Arc::new(words))
-        })
-        .collect();
-    ShardRegions { targets, universes: payload.universes }
-}
-
-/// Loads an arena shard onto the heap: full read, manifest-digest and
-/// trailer verification, then a word-by-word copy out of the sections.
-/// This is the deep path — `verify_store` uses it, and it doubles as the
-/// slow baseline the cold-start bench compares mapped opens against.
-fn arena_load_heap(
+/// Deep verification of one shard — what `verify_store` and
+/// `repair_store` run, never an open: full read, committed length,
+/// manifest digest, file trailer, header CRC + section bounds + manifest
+/// binding, and a decode of the universes.
+fn deep_check_shard(
     dir: &Path,
     manifest: &Manifest,
     entry: &ShardEntry,
-) -> Result<ShardRegions, StoreError> {
+) -> Result<(), StoreError> {
     let path = dir.join(shard_name(manifest.generation, entry.id));
     let raw = std::fs::read(&path)?;
-    if raw.len() as u64 != entry.byte_len {
-        return Err(mismatch(format!(
-            "shard {} is {} bytes but the manifest committed {}",
-            entry.id,
-            raw.len(),
-            entry.byte_len
-        )));
-    }
+    entry.check_len(raw.len() as u64)?;
     let actual = shard_digest(&raw);
     if actual != entry.digest {
         return Err(StoreError::ShardCorrupt { shard: entry.id, expected: entry.digest, actual });
@@ -948,19 +820,8 @@ fn arena_load_heap(
     }
     let h = parse_arena_header(&raw, raw.len() as u64)?;
     check_arena_binding(&h, manifest, entry)?;
-    let targets = h.sections[..h.num_targets]
-        .iter()
-        .map(|&(off, len)| {
-            let mut words = vec![0u64; len / 8];
-            for (w, chunk) in words.iter_mut().zip(raw[off..off + len].chunks_exact(8)) {
-                *w = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-            }
-            WordRegion::Heap(Arc::new(words))
-        })
-        .collect();
     let (uoff, ulen) = h.sections[h.num_targets];
-    let universes = arena_universes(&raw[uoff..uoff + ulen], manifest, entry)?;
-    Ok(ShardRegions { targets, universes })
+    arena_universes(&raw[uoff..uoff + ulen], manifest, entry).map(|_| ())
 }
 
 /// Opens an arena shard zero-copy: maps the file, validates header CRC +
@@ -973,14 +834,7 @@ fn arena_load_mmap(
 ) -> Result<ShardRegions, StoreError> {
     let path = dir.join(shard_name(manifest.generation, entry.id));
     let file = Arc::new(MmapFile::map(&path)?);
-    if file.len() as u64 != entry.byte_len {
-        return Err(mismatch(format!(
-            "shard {} is {} bytes but the manifest committed {}",
-            entry.id,
-            file.len(),
-            entry.byte_len
-        )));
-    }
+    entry.check_len(file.len() as u64)?;
     let bytes = file.bytes();
     let h = parse_arena_header(bytes, file.len() as u64)?;
     check_arena_binding(&h, manifest, entry)?;
@@ -1012,12 +866,7 @@ fn arena_load_windowed(
 ) -> Result<ShardRegions, StoreError> {
     let path = dir.join(shard_name(manifest.generation, entry.id));
     let file_len = std::fs::metadata(&path)?.len();
-    if file_len != entry.byte_len {
-        return Err(mismatch(format!(
-            "shard {} is {file_len} bytes but the manifest committed {}",
-            entry.id, entry.byte_len
-        )));
-    }
+    entry.check_len(file_len)?;
     let file = Arc::new(WindowFile::open(&path)?);
     let hlen = arena_header_len(manifest.num_targets()).min(file_len as usize);
     let mut header = vec![0u8; hlen];
@@ -1033,56 +882,6 @@ fn arena_load_windowed(
     file.read_exact_at(&mut ublob, uoff as u64)?;
     let universes = arena_universes(&ublob, manifest, entry)?;
     Ok(ShardRegions { targets, universes })
-}
-
-/// Sniffs a shard file's on-disk format from its magic bytes.
-fn shard_format_of(path: &Path) -> Result<ShardFormat, StoreError> {
-    use std::io::Read;
-    let mut magic = [0u8; 8];
-    std::fs::File::open(path)?.read_exact(&mut magic)?;
-    if &magic == SHARD_MAGIC {
-        Ok(ShardFormat::Legacy)
-    } else if &magic == SHARD_MAGIC_V2 {
-        Ok(ShardFormat::Arena)
-    } else {
-        Err(corrupt("unknown shard magic").into())
-    }
-}
-
-/// Resolves a requested backing against a shard's on-disk format. Legacy
-/// shards always decode to the heap; `Auto` maps arenas where zero-copy
-/// word views are sound (little-endian unix) and copies elsewhere.
-fn effective_backing(requested: StoreBacking, format: ShardFormat) -> StoreBacking {
-    if format == ShardFormat::Legacy || cfg!(target_endian = "big") {
-        return StoreBacking::Heap;
-    }
-    match requested {
-        StoreBacking::Auto => {
-            if cfg!(unix) {
-                StoreBacking::Mmap
-            } else {
-                StoreBacking::Heap
-            }
-        }
-        other => other,
-    }
-}
-
-/// Full deep verification of one shard in either format: digest, trailer,
-/// structure, universes.
-fn deep_check_shard(
-    dir: &Path,
-    manifest: &Manifest,
-    entry: &ShardEntry,
-) -> Result<(), StoreError> {
-    let path = dir.join(shard_name(manifest.generation, entry.id));
-    match shard_format_of(&path)? {
-        ShardFormat::Legacy => load_shard(dir, manifest, entry).map(|_| ()),
-        ShardFormat::Arena => {
-            checksum::stream_verify_file(&path)?;
-            arena_load_heap(dir, manifest, entry).map(|_| ())
-        }
-    }
 }
 
 /// Splits `blocks` column blocks into `shards` near-equal contiguous
@@ -1170,14 +969,8 @@ pub fn pack_store(
         };
         let universes =
             |attr: usize, buf: &mut BytesMut| put_value_set(buf, index.universe(attr as AttrId));
-        let payload = match options.format {
-            ShardFormat::Legacy => {
-                encode_shard_with(&manifest, id, block_start, block_count, strips, universes)
-            }
-            ShardFormat::Arena => {
-                encode_shard_arena_with(&manifest, id, block_start, block_count, strips, universes)
-            }
-        };
+        let payload =
+            encode_shard_arena_with(&manifest, id, block_start, block_count, strips, universes);
         let digest = shard_digest(&payload);
         write_atomic(&dir.join(shard_name(generation, id)), &payload, &mut budget)?;
         bytes_written += payload.len() as u64;
@@ -1227,10 +1020,10 @@ pub fn open_store(
 
 /// [`open_store`] with an explicit [`StoreBacking`] and memory budget.
 ///
-/// Arena shards opened `Mmap` or `Windowed` validate only the header CRC,
-/// section bounds, and manifest binding — matrix words are borrowed, not
-/// decoded, so open time is independent of index size. `Heap` (and every
-/// legacy shard) keeps the deep read-and-verify path.
+/// An open validates only each shard's header CRC, section bounds, and
+/// manifest binding — matrix words are borrowed, not decoded, so open time
+/// is independent of index size. Digest and trailer checks are
+/// [`verify_store`]'s job.
 pub fn open_store_with(
     dir: &Path,
     dataset: Arc<Dataset>,
@@ -1255,32 +1048,17 @@ pub fn open_store_with(
     let mut target_segments: Vec<Vec<Segment>> = vec![Vec::new(); num_targets];
     let mut universes = vec![ValueSet::new(); num_attrs];
     let mut quarantined = Vec::new();
-    let mut arena_shards = 0usize;
-    let mut backing_used = StoreBacking::Heap;
+    let backing =
+        if cfg!(target_endian = "big") { StoreBacking::Windowed } else { options.backing };
 
     for entry in &manifest.shards {
         let started = Instant::now();
-        let path = dir.join(shard_name(manifest.generation, entry.id));
-        let loaded = shard_format_of(&path).and_then(|format| {
-            let regions = match (format, effective_backing(options.backing, format)) {
-                (ShardFormat::Legacy, _) => load_shard(dir, &manifest, entry)
-                    .map(|p| legacy_regions(p, m as usize, entry.block_count))?,
-                (ShardFormat::Arena, StoreBacking::Mmap) => {
-                    arena_load_mmap(dir, &manifest, entry)?
-                }
-                (ShardFormat::Arena, StoreBacking::Windowed) => {
-                    arena_load_windowed(dir, &manifest, entry, &pool)?
-                }
-                (ShardFormat::Arena, _) => arena_load_heap(dir, &manifest, entry)?,
-            };
-            Ok((format, regions))
-        });
+        let loaded = match backing {
+            StoreBacking::Mmap => arena_load_mmap(dir, &manifest, entry),
+            StoreBacking::Windowed => arena_load_windowed(dir, &manifest, entry, &pool),
+        };
         match loaded {
-            Ok((format, regions)) => {
-                if format == ShardFormat::Arena {
-                    arena_shards += 1;
-                    backing_used = effective_backing(options.backing, format);
-                }
+            Ok(regions) => {
                 for (target, words) in regions.targets.into_iter().enumerate() {
                     target_segments[target].push(Segment {
                         word_start: entry.block_start,
@@ -1351,17 +1129,14 @@ pub fn open_store_with(
         m_r,
         masked,
     };
-    let all_arena = arena_shards == manifest.shards.len() && arena_shards > 0;
     let report = LoadReport {
         generation: manifest.generation,
         shards_total: manifest.shards.len(),
         quarantined,
         swept_temps,
         swept_stale,
-        format: if all_arena { ShardFormat::Arena } else { ShardFormat::Legacy },
-        backing: if arena_shards > 0 { backing_used } else { StoreBacking::Heap },
-        window_pool: (arena_shards > 0 && backing_used == StoreBacking::Windowed)
-            .then_some(pool),
+        backing,
+        window_pool: (backing == StoreBacking::Windowed).then_some(pool),
     };
     Ok((index, report))
 }
@@ -1425,71 +1200,58 @@ pub fn repair_store(
     let mut rebuilt = Vec::new();
     let mut intact = 0;
     for entry in &manifest.shards {
-        if deep_check_shard(dir, &manifest, entry).is_ok() {
-            intact += 1;
-            continue;
+        match deep_check_shard(dir, &manifest, entry) {
+            Ok(()) => {
+                intact += 1;
+                continue;
+            }
+            // A v1 shard's committed digest describes v1 bytes, which no
+            // render reproduces any more: refuse by name, not as "drift".
+            Err(e @ StoreError::LegacyShard) => return Err(e),
+            Err(_) => {}
         }
         // Re-render the shard with the exact per-lane fill of the parallel
         // builder: M_T from value universes, each slice from its persisted
         // expanded window, M_R from required values under the manifest's
-        // sizing parameters. The render is format-independent; the digest
-        // committed at pack time picks which encoding reproduces the file.
-        let attempt = |format: ShardFormat| -> Bytes {
-            let mut strip = BloomColumnStrip::new(m, k_hashes);
-            let strip_fn = |target: usize, block: usize| -> Vec<u64> {
-                strip.clear();
-                let lo = block * 64;
-                let hi = (lo + 64).min(manifest.num_attrs);
-                for id in lo..hi {
-                    let hist = dataset.attribute(id as AttrId);
-                    let lane = id - lo;
-                    if target == 0 {
-                        strip.insert_lane(lane, &hist.value_universe());
-                    } else if target <= num_slices {
-                        let values = hist.values_in(manifest.slices[target - 1].1);
-                        if !values.is_empty() {
-                            strip.insert_lane(lane, &values);
-                        }
-                    } else {
-                        let req =
-                            required_values(hist, sizing.as_ref().expect("m_r sizing"), timeline);
-                        if !req.is_empty() {
-                            strip.insert_lane(lane, &req);
-                        }
+        // sizing parameters.
+        let mut strip = BloomColumnStrip::new(m, k_hashes);
+        let strip_fn = |target: usize, block: usize| -> Vec<u64> {
+            strip.clear();
+            let lo = block * 64;
+            let hi = (lo + 64).min(manifest.num_attrs);
+            for id in lo..hi {
+                let hist = dataset.attribute(id as AttrId);
+                let lane = id - lo;
+                if target == 0 {
+                    strip.insert_lane(lane, &hist.value_universe());
+                } else if target <= num_slices {
+                    let values = hist.values_in(manifest.slices[target - 1].1);
+                    if !values.is_empty() {
+                        strip.insert_lane(lane, &values);
+                    }
+                } else {
+                    let req =
+                        required_values(hist, sizing.as_ref().expect("m_r sizing"), timeline);
+                    if !req.is_empty() {
+                        strip.insert_lane(lane, &req);
                     }
                 }
-                strip.words().to_vec()
-            };
-            let universe_fn = |attr: usize, buf: &mut BytesMut| {
-                put_value_set(buf, &dataset.attribute(attr as AttrId).value_universe())
-            };
-            match format {
-                ShardFormat::Legacy => encode_shard_with(
-                    &manifest,
-                    entry.id,
-                    entry.block_start,
-                    entry.block_count,
-                    strip_fn,
-                    universe_fn,
-                ),
-                ShardFormat::Arena => encode_shard_arena_with(
-                    &manifest,
-                    entry.id,
-                    entry.block_start,
-                    entry.block_count,
-                    strip_fn,
-                    universe_fn,
-                ),
             }
+            strip.words().to_vec()
         };
-        let matches_entry =
-            |p: &Bytes| shard_digest(p) == entry.digest && p.len() as u64 == entry.byte_len;
-        let mut payload = attempt(ShardFormat::Legacy);
-        if !matches_entry(&payload) {
-            payload = attempt(ShardFormat::Arena);
-        }
-        if !matches_entry(&payload) {
-            let digest = shard_digest(&payload);
+        let universe_fn = |attr: usize, buf: &mut BytesMut| {
+            put_value_set(buf, &dataset.attribute(attr as AttrId).value_universe())
+        };
+        let payload = encode_shard_arena_with(
+            &manifest,
+            entry.id,
+            entry.block_start,
+            entry.block_count,
+            strip_fn,
+            universe_fn,
+        );
+        let digest = shard_digest(&payload);
+        if digest != entry.digest || payload.len() as u64 != entry.byte_len {
             return Err(mismatch(format!(
                 "rebuilt shard {} hashes to {digest:#010x} but the manifest committed \
                  {:#010x} — dataset or config drift; re-pack instead of repairing",
@@ -1504,40 +1266,6 @@ pub fn repair_store(
         let _ = d.sync_all();
     }
     Ok(RepairReport { generation: manifest.generation, rebuilt, intact })
-}
-
-/// Converts the store at `dir` to `format` in place.
-///
-/// The conversion is a full open (heap-backed, deep-verified) followed by
-/// a pack of the new generation through the same atomic-rename commit
-/// point: the old generation stays fully servable until the new manifest
-/// lands, and a crash at any step leaves one generation or the other
-/// intact. Refuses a degraded store — repair it first, since packing
-/// would persist the quarantined ranges as zeros.
-pub fn migrate_store(
-    dir: &Path,
-    dataset: Arc<Dataset>,
-    format: ShardFormat,
-    options: &PackOptions,
-) -> Result<PackReport, StoreError> {
-    let _span = tind_obs::span("core.store.migrate");
-    let (index, report) = open_store_with(
-        dir,
-        dataset,
-        &OpenOptions { backing: StoreBacking::Heap, memory_budget: None },
-    )?;
-    if !report.is_clean() {
-        return Err(mismatch(
-            "refusing to migrate a degraded store (quarantined shards would be persisted as \
-             zeros); repair it first",
-        ));
-    }
-    let shards = if options.shards == 0 { report.shards_total } else { options.shards };
-    pack_store(
-        &index,
-        dir,
-        &PackOptions { shards, format, kill_after_ops: options.kill_after_ops },
-    )
 }
 
 #[cfg(test)]
@@ -1559,25 +1287,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("mkdir");
         dir
-    }
-
-    #[test]
-    fn pack_open_roundtrip_is_byte_identical() {
-        let d = dataset();
-        let index =
-            TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
-        let dir = store_dir("roundtrip");
-        let report = pack_store(&index, &dir, &PackOptions::default()).expect("pack");
-        assert_eq!(report.generation, 1);
-        let (loaded, load) = open_store(&dir, d.clone()).expect("open");
-        assert!(load.is_clean());
-        assert!(loaded.shard_mask().is_none());
-        assert_eq!(
-            crate::persist::encode_index(&loaded),
-            crate::persist::encode_index(&index),
-            "store round-trip must be byte-identical"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1637,32 +1346,45 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_shard_reports_expected_and_actual_crc() {
+    fn v1_shard_is_refused_by_name_at_open_verify_and_repair() {
         let d = dataset();
         let index =
             TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
-        let dir = store_dir("corrupt-shard");
+        let dir = store_dir("v1-refusal");
         pack_store(&index, &dir, &PackOptions::default()).expect("pack");
-        let shard_path = dir.join(shard_name(1, 0));
-        crate::fault::flip_file_byte(&shard_path, 40).expect("flip");
-        let (_, load) = open_store(&dir, d.clone()).expect("open degraded");
-        assert_eq!(load.quarantined.len(), 1);
-        match &load.quarantined[0].error {
-            StoreError::ShardCorrupt { shard, expected, actual } => {
-                assert_eq!(*shard, 0);
-                assert_ne!(expected, actual);
-            }
-            other => panic!("expected ShardCorrupt, got {other}"),
+        // Dress the shard as a leftover of a pre-arena store: v1 magic,
+        // its own trailer re-signed, and the manifest committed to exactly
+        // these bytes — every check before the magic passes.
+        let path = dir.join(shard_name(1, 0));
+        let mut raw = std::fs::read(&path).expect("read shard");
+        raw[..8].copy_from_slice(SHARD_MAGIC_V1);
+        let body = raw.len() - checksum::TRAILER_LEN;
+        let resigned = crc32(&raw[..body]).to_le_bytes();
+        raw[body..].copy_from_slice(&resigned);
+        std::fs::write(&path, &raw).expect("write v1 shard");
+        let mut manifest = read_manifest(&dir).expect("manifest");
+        manifest.shards[0].digest = shard_digest(&raw);
+        std::fs::write(dir.join(MANIFEST_NAME), encode_manifest(&manifest)).expect("manifest");
+
+        let refused = |e: &StoreError| {
+            assert!(matches!(e, StoreError::LegacyShard), "typed refusal, got {e}");
+            assert_eq!(
+                e.to_string(),
+                "TINDSH v1 is no longer supported; re-pack with `tind store pack`"
+            );
+        };
+        for backing in [StoreBacking::Mmap, StoreBacking::Windowed] {
+            let (_, load) =
+                open_store_with(&dir, d.clone(), &OpenOptions { backing, memory_budget: None })
+                    .expect("open degraded");
+            assert_eq!(load.quarantined.len(), 1, "{backing}: v1 shard quarantined");
+            refused(&load.quarantined[0].error);
         }
-        // Repair restores byte-identity.
-        let repair = repair_store(&dir, &d, &RepairOptions::default()).expect("repair");
-        assert_eq!(repair.rebuilt, vec![0]);
-        let (loaded, load) = open_store(&dir, d.clone()).expect("open clean");
-        assert!(load.is_clean());
-        assert_eq!(
-            crate::persist::encode_index(&loaded),
-            crate::persist::encode_index(&index)
-        );
+        let verify = verify_store(&dir).expect("verify runs");
+        assert_eq!(verify.faults.len(), 1);
+        refused(&verify.faults[0].error);
+        refused(&repair_store(&dir, &d, &RepairOptions::default()).expect_err("repair refuses"));
+        assert_eq!(std::fs::read(&path).expect("reread"), raw, "refusal rewrites nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1748,29 +1470,16 @@ mod tests {
         }
     }
 
-    fn arena_pack(index: &TindIndex, dir: &Path) -> PackReport {
-        pack_store(
-            index,
-            dir,
-            &PackOptions { format: ShardFormat::Arena, ..PackOptions::default() },
-        )
-        .expect("arena pack")
-    }
-
     #[test]
-    fn arena_pack_open_is_byte_identical_across_backings() {
+    fn pack_open_is_byte_identical_across_backings() {
         let d = dataset();
         let index =
             TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
         let dir = store_dir("arena-roundtrip");
-        arena_pack(&index, &dir);
+        let report = pack_store(&index, &dir, &PackOptions::default()).expect("pack");
+        assert_eq!(report.generation, 1);
         let golden = crate::persist::encode_index(&index);
-        for backing in [
-            StoreBacking::Auto,
-            StoreBacking::Heap,
-            StoreBacking::Mmap,
-            StoreBacking::Windowed,
-        ] {
+        for backing in [StoreBacking::Mmap, StoreBacking::Windowed] {
             let (loaded, load) = open_store_with(
                 &dir,
                 d.clone(),
@@ -1778,7 +1487,8 @@ mod tests {
             )
             .expect("open");
             assert!(load.is_clean(), "{backing}: clean load");
-            assert_eq!(load.format, ShardFormat::Arena);
+            assert_eq!(load.backing, backing);
+            assert!(loaded.shard_mask().is_none());
             assert_eq!(
                 crate::persist::encode_index(&loaded),
                 golden,
@@ -1789,39 +1499,12 @@ mod tests {
     }
 
     #[test]
-    fn migrate_converts_between_formats_preserving_bytes() {
-        let d = dataset();
-        let index =
-            TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
-        let dir = store_dir("migrate");
-        pack_store(&index, &dir, &PackOptions::default()).expect("legacy pack");
-        let golden = crate::persist::encode_index(&index);
-
-        let report = migrate_store(&dir, d.clone(), ShardFormat::Arena, &PackOptions::default())
-            .expect("migrate to arena");
-        assert_eq!(report.generation, 2);
-        let (loaded, load) = open_store(&dir, d.clone()).expect("open arena");
-        assert!(load.is_clean());
-        assert_eq!(load.format, ShardFormat::Arena);
-        assert_eq!(crate::persist::encode_index(&loaded), golden);
-
-        let report = migrate_store(&dir, d.clone(), ShardFormat::Legacy, &PackOptions::default())
-            .expect("migrate back");
-        assert_eq!(report.generation, 3);
-        let (loaded, load) = open_store(&dir, d.clone()).expect("open legacy");
-        assert!(load.is_clean());
-        assert_eq!(load.format, ShardFormat::Legacy);
-        assert_eq!(crate::persist::encode_index(&loaded), golden);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn arena_header_corruption_quarantines_with_checksum_offset() {
         let d = dataset();
         let index =
             TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
         let dir = store_dir("arena-head-corrupt");
-        arena_pack(&index, &dir);
+        pack_store(&index, &dir, &PackOptions::default()).expect("pack");
         // Flip a generation byte: the header CRC must catch it at open,
         // before any word is trusted.
         crate::fault::flip_file_byte(&dir.join(shard_name(1, 0)), 9).expect("flip");
@@ -1834,6 +1517,15 @@ mod tests {
             other => panic!("expected header checksum error, got {other}"),
         }
         assert!(loaded.shard_mask().is_some());
+        // Deep verification names the shard with expected vs actual CRC.
+        let verify = verify_store(&dir).expect("verify runs");
+        match &verify.faults[0].error {
+            StoreError::ShardCorrupt { shard, expected, actual } => {
+                assert_eq!(*shard, 0);
+                assert_ne!(expected, actual);
+            }
+            other => panic!("expected ShardCorrupt, got {other}"),
+        }
         // Repair re-renders the arena shard byte-identically.
         let repair = repair_store(&dir, &d, &RepairOptions::default()).expect("repair");
         assert_eq!(repair.rebuilt, vec![0]);
@@ -1852,7 +1544,7 @@ mod tests {
         let index =
             TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
         let dir = store_dir("arena-misaligned");
-        arena_pack(&index, &dir);
+        pack_store(&index, &dir, &PackOptions::default()).expect("pack");
         // Doctor section 0's offset to a non-64-multiple and re-sign the
         // header CRC so only the alignment check can refuse it.
         let path = dir.join(shard_name(1, 0));
@@ -1885,11 +1577,11 @@ mod tests {
         let index =
             TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
         let dir = store_dir("arena-truncated");
-        arena_pack(&index, &dir);
+        pack_store(&index, &dir, &PackOptions::default()).expect("pack");
         let path = dir.join(shard_name(1, 0));
         let raw = std::fs::read(&path).expect("read");
         std::fs::write(&path, &raw[..raw.len() / 2]).expect("truncate");
-        for backing in [StoreBacking::Mmap, StoreBacking::Windowed, StoreBacking::Heap] {
+        for backing in [StoreBacking::Mmap, StoreBacking::Windowed] {
             let (_, load) = open_store_with(
                 &dir,
                 d.clone(),
@@ -1907,7 +1599,7 @@ mod tests {
         let index =
             TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
         let dir = store_dir("arena-windowed-budget");
-        arena_pack(&index, &dir);
+        pack_store(&index, &dir, &PackOptions::default()).expect("pack");
         // Budget far below the index's word footprint: windows must load,
         // evict, and reload rather than fail.
         let budget = MemoryBudget::new(128 * 8 + 1);

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use tind_core::{
     open_store_with, pack_store, verify_store, BatchOptions, BuildOptions, CancelReason,
     CancelToken, DatasetDelta, DeltaReport, IndexConfig, LoadReport, OpenOptions, PackOptions,
-    PlanArtifacts, PlanSource, SearchOutcome, ShardFormat, ShardMask, SliceConfig, StoreBacking,
+    PlanArtifacts, PlanSource, SearchOutcome, ShardMask, SliceConfig, StoreBacking,
     TindIndex, TindParams,
 };
 use tind_model::hash::FastMap;
@@ -114,9 +114,8 @@ pub struct ServeConfig {
     /// plans whose query a delta touched.
     pub plan_cache: usize,
     /// How store shards are backed when the engine loads from a store:
-    /// `Auto` (the default) memory-maps arena shards and heap-decodes
-    /// legacy ones; `Windowed` serves beyond-RAM indices through
-    /// budget-charged pread windows.
+    /// `Mmap` (the default) borrows them zero-copy; `Windowed` serves
+    /// beyond-RAM indices through budget-charged pread windows.
     pub store_backing: StoreBacking,
     /// Tail-sample capacity for `GET /debug/trace`: the K slowest and the
     /// K most recent completed request traces are retained (`0` disables
@@ -153,7 +152,7 @@ impl Default for ServeConfig {
             reverify_interval: Duration::from_millis(500),
             cache: 0,
             plan_cache: 0,
-            store_backing: StoreBacking::Auto,
+            store_backing: StoreBacking::default(),
             trace_last: 4,
             metrics_tick: Duration::from_secs(1),
             fault_hook: None,
@@ -221,11 +220,8 @@ pub struct Engine {
     store_dir: Option<PathBuf>,
     /// Shard count the store was packed with, preserved across flips.
     store_shards: usize,
-    /// Shard payload format the store was loaded with; delta flips repack
-    /// in the same format so a migration survives live updates.
-    store_format: ShardFormat,
-    /// Backing/budget the store was opened with, reused verbatim by
-    /// [`Engine::try_promote`]'s reopen.
+    /// Backing/budget the store was opened with, reused verbatim when
+    /// [`Engine::try_promote`] or [`Engine::apply_delta`] reopens it.
     open_options: OpenOptions,
     default_eps: f64,
     default_delta: u32,
@@ -283,7 +279,6 @@ impl Engine {
             }),
             store_dir: None,
             store_shards: 0,
-            store_format: ShardFormat::default(),
             open_options: OpenOptions::default(),
             default_eps: eps,
             default_delta: delta,
@@ -353,11 +348,10 @@ impl Engine {
     }
 
     /// [`Engine::from_store`] with explicit [`OpenOptions`]: choose the
-    /// shard backing (heap decode, zero-copy mmap, or budget-charged
-    /// pread windows) and the budget windowed sections are charged to.
-    /// The loaded format and options are remembered — delta flips repack
-    /// in the same shard format, and [`Engine::try_promote`] reopens with
-    /// the same backing.
+    /// shard backing (zero-copy mmap or budget-charged pread windows) and
+    /// the budget windowed sections are charged to. The options are
+    /// remembered — [`Engine::try_promote`] and [`Engine::apply_delta`]
+    /// reopen the store with the same backing.
     #[allow(clippy::too_many_arguments)]
     pub fn from_store_with(
         dir: &Path,
@@ -388,7 +382,6 @@ impl Engine {
             }),
             store_dir: Some(dir.to_path_buf()),
             store_shards: report.shards_total,
-            store_format: report.format,
             open_options: open.clone(),
             default_eps: eps,
             default_delta: delta,
@@ -499,8 +492,9 @@ impl Engine {
     /// via [`tind_core::DatasetDelta`], the sharded store (when the
     /// engine is store-backed) is flipped to a new generation through
     /// the same atomic-commit-and-sweep machinery that quarantine→repair
-    /// rides, and only the result-cache entries the delta could have
-    /// affected are invalidated.
+    /// rides and reopened with the backing the engine was opened with, and
+    /// only the result-cache entries the delta could have affected are
+    /// invalidated.
     ///
     /// In-flight waves keep answering from the pre-delta snapshot they
     /// pinned; waves admitted after the swap see the merged dataset.
@@ -510,7 +504,8 @@ impl Engine {
     /// shards — updating around the hole would diverge from the manifest
     /// digests — and when `new_dataset` is not a valid successor of the
     /// served dataset. A refused delta leaves engine, store, and cache
-    /// untouched.
+    /// untouched. A committed generation that does not reopen clean is an
+    /// error too: the engine and cache keep the previous snapshot.
     pub fn apply_delta(&self, new_dataset: Arc<Dataset>) -> Result<EngineDeltaReport, String> {
         let _span = tind_obs::span("serve.apply_delta");
         let snap = self.snapshot();
@@ -549,22 +544,31 @@ impl Engine {
         // Persist before swapping: pack_store commits the new generation
         // atomically (manifest rename is the commit point), so a crash
         // leaves either the old store or the new one — and a pack error
-        // leaves the engine serving the old snapshot untouched. The flip
-        // repacks in the same shard format the store was loaded with, so
-        // an arena migration survives live updates.
+        // leaves the engine serving the old snapshot untouched.
         let mut store_generation = None;
         if let Some(dir) = &self.store_dir {
             let packed = pack_store(
                 &forward,
                 dir,
-                &PackOptions {
-                    shards: self.store_shards,
-                    format: self.store_format,
-                    ..PackOptions::default()
-                },
+                &PackOptions { shards: self.store_shards, ..PackOptions::default() },
             )
             .map_err(|e| format!("store flip at {} failed: {e}", dir.display()))?;
             store_generation = Some(packed.generation);
+            // The delta was rendered on a heap copy (`replace_strip`
+            // materializes every borrowed segment). Serve the committed
+            // generation through the engine's own backing instead, so a
+            // windowed engine stays bounded by its budget after a delta.
+            let (reopened, report) = open_store_with(dir, new_dataset.clone(), &self.open_options)
+                .map_err(|e| format!("store flip at {}: reopen failed: {e}", dir.display()))?;
+            if let Some(fault) = report.quarantined.first() {
+                return Err(format!(
+                    "store flip at {}: generation {} reopened degraded ({fault}); still \
+                     serving the previous snapshot",
+                    dir.display(),
+                    packed.generation
+                ));
+            }
+            forward = reopened;
         }
 
         let (cache_evicted, cache_retained) = self.cache.invalidate(&new_dataset, delta.touched());
@@ -577,14 +581,15 @@ impl Engine {
         }
         if self.budget.is_some() {
             let mut held = lock(&self.index_charge);
-            if new_bytes >= old_bytes {
+            if store_generation.is_none() && new_bytes >= old_bytes {
                 if let Some(c) = overlap {
                     held.charges.push(c);
                 }
                 held.bytes = new_bytes;
             } else {
-                // The new generation shrank: release everything and
-                // charge the smaller footprint fresh.
+                // The new generation shrank, or was reopened through the
+                // store backing (whose footprint is not the heap copy's):
+                // release everything and charge what is resident now.
                 drop(held);
                 drop(overlap);
                 self.settle_index_charge();

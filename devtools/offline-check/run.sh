@@ -160,13 +160,6 @@ if [ "$CHECK_ONLY" = 0 ]; then
         "$OUT/bench_obs_overhead"
     "$OUT/tind" verify "$OUT/BENCH_obs.json" \
         --schema devtools/report-schema.json
-    # One reduced-scale pass of the cold-start bench: pins backing
-    # equality and the zero-resident mmap open; the >=10x speedup bound
-    # only applies to optimized full-scale runs (see BENCH_coldstart.json).
-    echo "smoke bench_cold_start (TIND_BENCH_ATTRS=200)"
-    TIND_BENCH_ATTRS=200 TIND_BENCH_COLDSTART_OUT="$OUT/BENCH_coldstart.json" \
-        "$OUT/bench_cold_start"
-
     # Run-report smoke: an all-pairs run must emit a TINDRR report that
     # passes checksum + schema verification end to end through the CLI.
     echo "smoke run report (all-pairs --report)"
@@ -199,6 +192,13 @@ if [ "$CHECK_ONLY" = 0 ]; then
     # resume (see devtools/update-smoke.sh).
     echo "smoke live updates (delta ingest, maintained index vs cold rebuild)"
     devtools/update-smoke.sh "$OUT/tind" "$OUT"
+
+    # Benchmark gate: the load generator's self-test, then every workload
+    # at 1 000 attributes with all of the harness's oracles on (numbers
+    # not recorded). Builds its own binaries under target/benchmark.
+    echo "smoke benchmark (loadgen self-test, all workloads at 1000 attributes)"
+    benchmark/run.sh --self-test
+    benchmark/run.sh --smoke
 fi
 
 echo "offline check passed"

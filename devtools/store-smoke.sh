@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # End-to-end smoke for the crash-safe sharded index store: pack a store,
 # simulate a pack killed mid-commit (orphan temp + uncommitted
-# generation), prove reopening sweeps and recovers, corrupt a shard,
-# boot `tind serve --store` degraded over raw TCP, repair the store
-# out-of-band, watch the daemon promote back to serving, and drain.
+# generation), prove reopening sweeps and recovers, corrupt a shard's
+# header, boot `tind serve --store` degraded (zero-copy from mmap, plan
+# cache on) over raw TCP, repair the store out-of-band, watch the daemon
+# promote back to serving, and drain.
 #
 # Usage: devtools/store-smoke.sh path/to/tind [scratch-dir]
 
@@ -41,10 +42,13 @@ cp "$STORE/g1-s0.shard" "$STORE/g2-s0.shard"
 [ ! -e "$STORE/g2-s0.shard.tmp" ] || fail "orphan temp survived the sweep"
 [ ! -e "$STORE/g2-s0.shard" ] || fail "uncommitted generation survived the sweep"
 
-# --- Corrupt shard 1 (two adjacent bytes, so at least one changes) and
+# --- Corrupt shard 1's header (two adjacent bytes, so at least one
+# changes; an open checks the header CRC, never the matrix words) and
 # confirm quarantine: verify names the shard, a masked query is refused.
 SHARD="$STORE/g1-s1.shard"
-printf '\xff\x00' | dd of="$SHARD" bs=1 seek=100 conv=notrunc 2>/dev/null
+"$TIND" verify "$SHARD" | grep -q 'store shard: .* container intact' \
+    || fail "verify did not recognise a pristine shard file"
+printf '\xff\x00' | dd of="$SHARD" bs=1 seek=12 conv=notrunc 2>/dev/null
 "$TIND" store verify "$STORE" >/dev/null 2>&1 \
     && fail "verification passed on a corrupt shard"
 "$TIND" search --data "$DATA" --store "$STORE" --query 70 >/dev/null 2>&1 \
@@ -52,8 +56,8 @@ printf '\xff\x00' | dd of="$SHARD" bs=1 seek=100 conv=notrunc 2>/dev/null
 
 # --- Serve degraded: the daemon still boots, flags itself, answers live
 # attributes, and 503s the lost range with a typed code.
-"$TIND" serve --data "$DATA" --store "$STORE" --port 0 \
-    --port-file "$PORT_FILE" --reverify-ms 100 --quiet &
+"$TIND" serve --data "$DATA" --store "$STORE" --store-backing mmap \
+    --plan-cache 8 --port 0 --port-file "$PORT_FILE" --reverify-ms 100 --quiet &
 PID=$!
 trap 'kill -9 "$PID" 2>/dev/null || true' EXIT
 
@@ -101,64 +105,6 @@ done
 http GET /healthz | grep -q '"serving"' || fail "repair never promoted to serving"
 http POST /search '{"query":"70","limit":3}' | grep -q '"results"' \
     || fail "restored attribute must answer after promotion"
-
-kill -INT "$PID"
-EXIT=0
-wait "$PID" || EXIT=$?
-trap - EXIT
-[ "$EXIT" = 130 ] || fail "expected exit 130 after SIGINT, got $EXIT"
-
-"$TIND" verify "$STORE" | grep -q 'OK' || fail "repaired store failed final verify"
-
-# --- Arena layout: migrate the repaired legacy store in place (a new
-# generation through the same atomic commit point), confirm `tind
-# verify` sniffs the layout, corrupt an arena shard, boot the daemon
-# zero-copy from mmap — degraded, with the plan cache on — repair
-# out-of-band, and watch it promote exactly like the legacy flow.
-"$TIND" store migrate --store "$STORE" --data "$DATA" --format arena \
-    | grep -q 'arena layout — generation 2' \
-    || fail "migrate did not commit an arena generation 2"
-"$TIND" store verify "$STORE" | grep -q '4 shard(s) verified' \
-    || fail "migrated arena store failed verification"
-"$TIND" verify "$STORE/g2-s1.shard" | grep -q 'arena (zero-copy mmap)' \
-    || fail "verify did not sniff the arena shard layout"
-
-printf '\xff\x00' | dd of="$STORE/g2-s1.shard" bs=1 seek=200 conv=notrunc 2>/dev/null
-rm -f "$PORT_FILE"
-"$TIND" serve --data "$DATA" --store "$STORE" --store-backing mmap \
-    --plan-cache 8 --port 0 --port-file "$PORT_FILE" --reverify-ms 100 --quiet &
-PID=$!
-trap 'kill -9 "$PID" 2>/dev/null || true' EXIT
-
-PORT=""
-for _ in $(seq 1 200); do
-    kill -0 "$PID" 2>/dev/null || fail "mmap daemon died during startup"
-    if [ -s "$PORT_FILE" ]; then
-        PORT=$(tr -d '[:space:]' <"$PORT_FILE")
-        [ -n "$PORT" ] && break
-    fi
-    sleep 0.05
-done
-[ -n "$PORT" ] || fail "mmap daemon published no port within 10s"
-
-for _ in $(seq 1 200); do
-    http GET /healthz | grep -q '"degraded"' && break
-    sleep 0.05
-done
-http GET /healthz | grep -q '"degraded"' \
-    || fail "mmap daemon never reported degraded on the corrupt arena shard"
-http POST /search '{"query":"70"}' | grep -q '"shard_unavailable"' \
-    || fail "lost arena range must 503 with shard_unavailable"
-
-"$TIND" store repair --store "$STORE" --data "$DATA" \
-    | grep -q 'rebuilt shard(s) \[1\]' || fail "arena repair did not rebuild shard 1"
-for _ in $(seq 1 200); do
-    http GET /healthz | grep -q '"serving"' && break
-    sleep 0.05
-done
-http GET /healthz | grep -q '"serving"' || fail "arena repair never promoted to serving"
-http POST /search '{"query":"70","limit":3}' | grep -q '"results"' \
-    || fail "restored attribute must answer zero-copy after promotion"
 http POST /search '{"query":"70","limit":3}' | grep -q '"results"' \
     || fail "repeat query failed"
 http GET /metrics | grep -q '"name":"serve.plans.hits","total":[1-9]' \
@@ -170,6 +116,6 @@ wait "$PID" || EXIT=$?
 trap - EXIT
 [ "$EXIT" = 130 ] || fail "expected exit 130 after SIGINT, got $EXIT"
 
-"$TIND" verify "$STORE" | grep -q 'OK' || fail "repaired arena store failed final verify"
+"$TIND" verify "$STORE" | grep -q 'OK' || fail "repaired store failed final verify"
 
-echo "store-smoke: passed (port $PORT, legacy + arena: quarantined, repaired, promoted)"
+echo "store-smoke: passed (port $PORT, quarantined, repaired, promoted)"

@@ -42,10 +42,10 @@ fn main() {
     );
 
     // --- Corrupt shard 1 with a single flipped byte, the way bit rot or
-    // a torn write would.
+    // a torn write would. The byte sits in the shard header, which an open
+    // checks; rot inside the matrix words is `verify_store`'s to find.
     let victim = dir.join(format!("g{}-s1.shard", packed.generation));
-    let len = std::fs::metadata(&victim).expect("stat shard").len() as usize;
-    flip_file_byte(&victim, len / 2).expect("flip");
+    flip_file_byte(&victim, 12).expect("flip");
 
     let report = verify_store(&dir).expect("manifest still readable");
     for fault in &report.faults {

@@ -1,10 +1,9 @@
-//! Differential oracle for the zero-copy arena shard layout
-//! (`tind_core::store`, `TINDSH` v2).
+//! Differential oracle for the store's two backings
+//! (`tind_core::store`, arena shards).
 //!
-//! The arena's contract extends the store's byte-identity guarantee
-//! across *backings*: an index packed in the arena layout and opened
-//! onto the heap, borrowed from an mmap, or served through `pread`
-//! windows must encode to exactly the bytes of the in-memory build and
+//! The store's byte-identity guarantee holds across *backings*: a packed
+//! index borrowed from an mmap or served through `pread` windows must
+//! encode to exactly the bytes of the in-memory build (the oracle) and
 //! answer `search`, `search_batch`, `reverse_search`, and all-pairs
 //! discovery identically at every worker count. The windowed backing is
 //! additionally pinned under a memory budget *below* the index size:
@@ -15,9 +14,8 @@ mod common;
 use std::sync::Arc;
 
 use tind_core::{
-    discover_all_pairs, migrate_store, open_store_with, pack_store, verify_store,
-    AllPairsOptions, BatchOptions, IndexConfig, OpenOptions, PackOptions, ShardFormat,
-    StoreBacking, TindIndex, TindParams,
+    discover_all_pairs, open_store_with, pack_store, AllPairsOptions, BatchOptions, IndexConfig,
+    OpenOptions, PackOptions, StoreBacking, TindIndex, TindParams,
 };
 use tind_datagen::{generate, GeneratorConfig};
 use tind_model::{Dataset, MemoryBudget};
@@ -35,8 +33,7 @@ fn reverse_world(seed: u64) -> (Arc<Dataset>, TindIndex, TindParams) {
     (dataset, index, TindParams::paper_default())
 }
 
-const BACKINGS: [StoreBacking; 3] =
-    [StoreBacking::Heap, StoreBacking::Mmap, StoreBacking::Windowed];
+const BACKINGS: [StoreBacking; 2] = [StoreBacking::Mmap, StoreBacking::Windowed];
 
 fn open_options(backing: StoreBacking) -> OpenOptions {
     OpenOptions {
@@ -57,17 +54,13 @@ fn arena_roundtrip_is_byte_identical_across_backings_and_shard_counts() {
     // 0 = the store's own default split.
     for shards in [1usize, 2, 4, 0] {
         let dir = store_dir(&format!("roundtrip-{shards}"));
-        let report = pack_store(
-            &index,
-            &dir,
-            &PackOptions { shards, format: ShardFormat::Arena, ..Default::default() },
-        )
-        .expect("pack");
+        let report =
+            pack_store(&index, &dir, &PackOptions { shards, ..Default::default() }).expect("pack");
         for backing in BACKINGS {
             let (loaded, load) =
                 open_store_with(&dir, dataset.clone(), &open_options(backing)).expect("open");
             assert!(load.is_clean(), "{backing:?}: clean arena store loads clean: {load:?}");
-            assert_eq!(load.format, ShardFormat::Arena);
+            assert_eq!(load.backing, backing);
             assert_eq!(load.shards_total, report.shards);
             assert_eq!(
                 tind_core::persist::encode_index(&loaded),
@@ -83,12 +76,7 @@ fn arena_roundtrip_is_byte_identical_across_backings_and_shard_counts() {
 fn searches_are_identical_across_backings_at_multiple_worker_counts() {
     let (dataset, index, params) = reverse_world(23);
     let dir = store_dir("differential");
-    pack_store(
-        &index,
-        &dir,
-        &PackOptions { shards: 4, format: ShardFormat::Arena, ..Default::default() },
-    )
-    .expect("pack");
+    pack_store(&index, &dir, &PackOptions { shards: 4, ..Default::default() }).expect("pack");
 
     let queries: Vec<u32> = (0..dataset.len() as u32).step_by(11).collect();
     let expected_single: Vec<Vec<u32>> =
@@ -144,12 +132,7 @@ fn searches_are_identical_across_backings_at_multiple_worker_counts() {
 fn windowed_backing_below_index_size_still_answers_exactly() {
     let (dataset, index, params) = reverse_world(25);
     let dir = store_dir("tiny-budget");
-    pack_store(
-        &index,
-        &dir,
-        &PackOptions { shards: 4, format: ShardFormat::Arena, ..Default::default() },
-    )
-    .expect("pack");
+    pack_store(&index, &dir, &PackOptions { shards: 4, ..Default::default() }).expect("pack");
 
     let full_bytes = index.bloom_bytes();
     assert!(full_bytes > 0);
@@ -192,48 +175,5 @@ fn windowed_backing_below_index_size_still_answers_exactly() {
         stats.evictions > 0 || stats.overcommits > 0,
         "a budget below the index size must have exercised eviction pressure: {stats:?}"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `migrate` converts a legacy store in place (new generation, same
-/// atomic commit point) and the result is byte-identical in both
-/// directions: legacy → arena → legacy.
-#[test]
-fn migrate_roundtrips_between_layouts_byte_identically() {
-    let (dataset, index, params) = reverse_world(27);
-    let baseline = tind_core::persist::encode_index(&index);
-    let dir = store_dir("migrate");
-    pack_store(&index, &dir, &PackOptions { shards: 2, ..Default::default() }).expect("pack legacy");
-
-    let to_arena = migrate_store(&dir, dataset.clone(), ShardFormat::Arena, &PackOptions {
-        shards: 2,
-        ..Default::default()
-    })
-    .expect("migrate to arena");
-    assert_eq!(to_arena.generation, 2);
-    verify_store(&dir).expect("arena store verifies deep");
-    let (arena, load) = open_store_with(
-        &dir,
-        dataset.clone(),
-        &open_options(StoreBacking::Mmap),
-    )
-    .expect("open migrated");
-    assert!(load.is_clean());
-    assert_eq!(load.format, ShardFormat::Arena);
-    assert_eq!(tind_core::persist::encode_index(&arena), baseline);
-    let probe = 17u32;
-    assert_eq!(arena.search(probe, &params).results, index.search(probe, &params).results);
-
-    let back = migrate_store(&dir, dataset.clone(), ShardFormat::Legacy, &PackOptions {
-        shards: 2,
-        ..Default::default()
-    })
-    .expect("migrate back to legacy");
-    assert_eq!(back.generation, 3);
-    let (legacy, load) =
-        open_store_with(&dir, dataset, &OpenOptions::default()).expect("open legacy again");
-    assert!(load.is_clean());
-    assert_eq!(load.format, ShardFormat::Legacy);
-    assert_eq!(tind_core::persist::encode_index(&legacy), baseline);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -224,9 +224,8 @@ fn degraded_engine_refuses_deltas_until_repaired() {
     let (base, index, _) = world(35);
     let dir = common::strategies::store_dir("delta-equivalence", "degraded-refusal");
     pack_store(&index, &dir, &PackOptions { shards: 4, ..Default::default() }).expect("pack");
-    let shard = &shard_files(&dir)[2];
-    let len = std::fs::metadata(shard).expect("len").len() as usize;
-    tind_core::fault::flip_file_byte(shard, len / 2).expect("flip");
+    // A header byte, so the open itself (header CRC) quarantines it.
+    tind_core::fault::flip_file_byte(&shard_files(&dir)[2], 12).expect("flip");
 
     let (engine, report) =
         Engine::from_store(&dir, base.clone(), 3.0, 7, None, 0).expect("degraded open");

@@ -432,6 +432,8 @@ fn every_persisted_format_detects_single_byte_corruption() {
         store_dir.join("index.manifest"),
         store_detector(store_dir.clone()),
     ));
+    // A store open is header-CRC-only, so deep verification is what must
+    // catch head, body, and trailer flips of a shard.
     formats.push((
         "store shard (TINDSH)",
         store_dir.join("g1-s0.shard"),
@@ -441,31 +443,6 @@ fn every_persisted_format_detects_single_byte_corruption() {
         "store shard (TINDSH, second)",
         store_dir.join("g1-s1.shard"),
         store_detector(store_dir.clone()),
-    ));
-
-    // The arena layout (TINDSH v2) gets its own rows: its open path is
-    // header-CRC-only, so deep verification must still catch head, body,
-    // and trailer flips.
-    let arena_dir = dir.join("arena.store");
-    pack_store(
-        &index,
-        &arena_dir,
-        &PackOptions {
-            shards: 2,
-            format: tind::core::store::ShardFormat::Arena,
-            ..Default::default()
-        },
-    )
-    .expect("pack arena store");
-    formats.push((
-        "arena shard (TINDSH v2)",
-        arena_dir.join("g1-s0.shard"),
-        store_detector(arena_dir.clone()),
-    ));
-    formats.push((
-        "arena shard (TINDSH v2, second)",
-        arena_dir.join("g1-s1.shard"),
-        store_detector(arena_dir.clone()),
     ));
 
     for (name, path, detects) in &formats {
@@ -518,20 +495,15 @@ fn corrupt_trace_refusal_names_the_byte_offset() {
 fn arena_corruption_is_typed_with_offsets_and_bad_maps_are_refused() {
     use tind::core::fault::flip_file_byte;
     use tind::core::store::{
-        open_store_with, pack_store, verify_store, OpenOptions, PackOptions, ShardFormat,
-        StoreBacking, StoreError,
+        open_store_with, pack_store, verify_store, OpenOptions, PackOptions, StoreBacking,
+        StoreError,
     };
     use tind::model::checksum::{crc32, TRAILER_LEN};
 
     let (dataset, index, _params) = small_world(80, 11);
     let dir = std::env::temp_dir().join("tind-fault-tolerance-arena");
     let _ = std::fs::remove_dir_all(&dir);
-    pack_store(
-        &index,
-        &dir,
-        &PackOptions { shards: 2, format: ShardFormat::Arena, ..Default::default() },
-    )
-    .expect("pack arena");
+    pack_store(&index, &dir, &PackOptions { shards: 2, ..Default::default() }).expect("pack");
     let shard = dir.join("g1-s0.shard");
     let pristine = std::fs::read(&shard).expect("read shard");
     let len = pristine.len();

@@ -517,6 +517,70 @@ fn live_delta_updates_answers_and_prunes_cache_selectively() {
     handle.join().expect("thread").expect("outcome");
 }
 
+/// A delta must not drop the store backing. The delta itself is rendered
+/// on a heap copy (`replace_strip` materializes every borrowed segment);
+/// what the engine then serves has to be the committed generation reopened
+/// through the backing it was opened with — otherwise a windowed engine
+/// holds the whole index on the heap after its first delta and its budget
+/// bounds nothing.
+#[test]
+fn windowed_engine_keeps_its_backing_across_a_delta() {
+    use tind_core::persist::encode_index;
+    use tind_core::{pack_store, OpenOptions, PackOptions, StoreBacking, TindParams};
+    use tind_model::HistoryBuilder;
+
+    let base = Arc::new(generate(&GeneratorConfig::small(200, 23)).dataset);
+    let dir = std::env::temp_dir().join("tind-serve-faults-windowed-delta.store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let index_bytes = {
+        let built = Engine::build(base.clone(), 3.0, 7, None, 0);
+        pack_store(&built.forward(), &dir, &PackOptions { shards: 4, ..Default::default() })
+            .expect("pack");
+        built.forward().bloom_bytes()
+    };
+    let open = OpenOptions {
+        backing: StoreBacking::Windowed,
+        memory_budget: Some(MemoryBudget::new(index_bytes / 8)),
+    };
+    let (engine, report) =
+        Engine::from_store_with(&dir, base.clone(), 3.0, 7, None, 0, &open).expect("from_store");
+    assert!(report.is_clean());
+    assert!(!engine.forward().m_t().is_owned());
+
+    // Successor: one history rewritten, one attribute appended.
+    let end = base.timeline().last();
+    let mut b = (*base).clone().into_builder();
+    let value = b.dictionary_mut().intern("windowed-delta-value");
+    let mut rewritten = HistoryBuilder::new(base.attribute(5).name());
+    rewritten.push(0, vec![value]);
+    b.upsert_history(rewritten.finish(end));
+    let mut appended = HistoryBuilder::new("windowed-delta-mirror");
+    appended.push(3, base.attribute(0).value_universe());
+    b.upsert_history(appended.finish(end));
+    let merged = Arc::new(b.build());
+
+    let outcome = engine.apply_delta(merged.clone()).expect("delta applies");
+    assert_eq!(outcome.store_generation, Some(2));
+    let forward = engine.forward();
+    assert!(!forward.m_t().is_owned(), "the delta must not leave a heap clone serving");
+
+    let cold = Engine::build(merged.clone(), 3.0, 7, None, 0);
+    let params = TindParams::paper_default();
+    for q in (0..merged.len() as u32).step_by(7) {
+        assert_eq!(
+            forward.search(q, &params).results,
+            cold.forward().search(q, &params).results,
+            "query {q}"
+        );
+    }
+    assert!(
+        forward.bloom_bytes() < index_bytes / 2,
+        "resident windows stay bounded by the budget, not the index size"
+    );
+    assert_eq!(encode_index(&forward), encode_index(&cold.forward()));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Degraded serving: a store with one quarantined shard still comes up,
 /// answers everything outside the lost attribute range, returns typed
 /// `shard_unavailable` 503s inside it, and the background re-verify
@@ -536,10 +600,9 @@ fn quarantined_shard_serves_degraded_and_repair_promotes() {
         pack_store(&eng.forward(), &dir, &PackOptions { shards: 4, ..Default::default() })
             .expect("pack");
     }
-    // Corrupt shard 1 → attributes 64..128 are lost.
-    let victim = dir.join("g1-s1.shard");
-    let len = std::fs::metadata(&victim).expect("shard exists").len() as usize;
-    tind_core::fault::flip_file_byte(&victim, len / 2).expect("flip");
+    // Corrupt shard 1's header (what an open checks) → attributes
+    // 64..128 are lost.
+    tind_core::fault::flip_file_byte(&dir.join("g1-s1.shard"), 12).expect("flip");
 
     let config = ServeConfig {
         reverify_interval: Duration::from_millis(50),

@@ -136,7 +136,9 @@ fn every_shard_corruption_is_quarantined_and_repair_restores_byte_identity() {
 
     for (id, shard) in shards.iter().enumerate() {
         let pristine = std::fs::read(shard).expect("read shard");
-        tind_core::fault::flip_file_byte(shard, pristine.len() / 2).expect("flip");
+        // A header byte: an open checks the header CRC (never the matrix
+        // words), deep verification hashes the whole payload.
+        tind_core::fault::flip_file_byte(shard, 12).expect("flip");
 
         // Load side: the bad shard is quarantined, not fatal, and the
         // mask names it.
