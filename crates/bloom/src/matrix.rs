@@ -595,6 +595,38 @@ impl BloomMatrix {
         f
     }
 
+    /// Set bits over all `m × num_cols` cells — equal to
+    /// `Σ_c column_filter(c).count_ones()`, computed as one popcount pass
+    /// over the row words instead of a gather per column. Lanes of a
+    /// ragged final word past `num_cols` are excluded, so stray padding
+    /// bits in a borrowed backing never count.
+    pub fn count_ones(&self) -> usize {
+        let ones = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+        let padding = match self.num_cols % 64 {
+            0 => 0,
+            lanes => u64::MAX << lanes,
+        };
+        // Padding bits set in row-major `words` whose rows (of `width`
+        // words) end on the matrix's final word column.
+        let stray = |words: &[u64], width: usize| -> usize {
+            if padding == 0 {
+                return 0;
+            }
+            words.chunks_exact(width).map(|r| (r[width - 1] & padding).count_ones() as usize).sum()
+        };
+        match &self.storage {
+            MatrixStorage::Owned(rows) => ones(rows) - stray(rows, self.words_per_row),
+            MatrixStorage::Segmented(segments) => segments
+                .iter()
+                .map(|seg| {
+                    let guard = seg.words.load();
+                    let ends_row = seg.word_start + seg.width == self.words_per_row;
+                    ones(&guard) - if ends_row { stray(&guard, seg.width) } else { 0 }
+                })
+                .sum(),
+        }
+    }
+
     /// Heap bytes *resident* for the row storage — the `(k+1)·|D|·m / 8`
     /// of the paper's memory-tradeoff discussion (Section 4.2.2) when
     /// owned. Borrowed segments report only what is currently on our heap:
@@ -1206,6 +1238,51 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn count_ones_equals_the_sum_of_column_popcounts() {
+        let by_columns = |m: &BloomMatrix| -> usize {
+            (0..m.num_cols()).map(|c| m.column_filter(c).count_ones()).sum()
+        };
+        // Widths on both sides of a word boundary, and a multi-word ragged tail.
+        for n in [1usize, 63, 64, 65, 130] {
+            let mut b = BloomMatrixBuilder::new(96, n, 2);
+            for col in 0..n {
+                // At least one value per column, so even n = 1 sets bits.
+                b.insert_column(col, &[col as ValueId, (col * 13 + 1) as ValueId]);
+            }
+            let owned = b.build();
+            let expected = by_columns(&owned);
+            assert!(expected > 0);
+            assert_eq!(owned.count_ones(), expected, "owned, {n} columns");
+            for cuts in [vec![], vec![1], vec![1, 2]] {
+                let seg = segmented_copy(&owned, &cuts);
+                assert_eq!(seg.count_ones(), expected, "{n} columns cut at {cuts:?}");
+            }
+
+            // Set padding lanes in a borrowed copy (an owned matrix cannot
+            // hold any): they belong to no column and must not count.
+            let wpr = owned.words_per_row;
+            let mut words: Vec<u64> = (0..owned.m as usize)
+                .flat_map(|row| (0..wpr).map(move |block| (row, block)))
+                .map(|(row, block)| owned.extract_strip(block).words()[row])
+                .collect();
+            if n % 64 != 0 {
+                for row in words.chunks_exact_mut(wpr) {
+                    row[wpr - 1] |= u64::MAX << (n % 64);
+                }
+            }
+            let dirty = BloomMatrix::from_segments(
+                owned.m,
+                n,
+                owned.k_hashes,
+                vec![Segment { word_start: 0, width: wpr, words: WordRegion::Heap(words.into()) }],
+            );
+            assert_eq!(by_columns(&dirty), expected);
+            assert_eq!(dirty.count_ones(), expected, "{n} columns with padding bits set");
+        }
+        assert_eq!(BloomMatrixBuilder::new(8, 0, 1).build().count_ones(), 0, "no columns");
     }
 
     #[test]

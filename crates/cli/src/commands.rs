@@ -323,16 +323,24 @@ fn store_error(e: StoreError) -> CliError {
 /// `--index FILE` or `--store DIR` is given (the fingerprint must match
 /// the data either way). A degraded store open succeeds with a warning:
 /// searches over live attributes stay exact, masked ones are excluded.
+///
+/// A fresh build always mirrors its structure into the `index.*` gauges.
+/// A loaded index does so only under `--report`, the one reader of those
+/// gauges here: the load sweep reads every matrix word, which for a
+/// one-shot query over an mmap'd store would fault the whole store in to
+/// answer from a few rows of it.
 fn obtain_index(
     args: &Args,
     dataset: &Arc<Dataset>,
     config: IndexConfig,
 ) -> Result<(TindIndex, std::time::Duration), CliError> {
     let _phase = tind_obs::span("phase.index_build");
-    if args.opt::<String>("index")?.is_some() && args.opt::<String>("store")?.is_some() {
+    let (index_path, store_dir) = (args.opt::<String>("index")?, args.opt::<String>("store")?);
+    if index_path.is_some() && store_dir.is_some() {
         return Err(CliError::Args(ArgError::Conflict { a: "index", b: "store" }));
     }
-    let obtained = match (args.opt::<String>("index")?, args.opt::<String>("store")?) {
+    let loaded = index_path.is_some() || store_dir.is_some();
+    let obtained = match (index_path, store_dir) {
         (Some(path), _) => {
             let path: PathBuf = path.into();
             Ok(tind_eval::stats::time_it(|| {
@@ -365,7 +373,9 @@ fn obtain_index(
             }))
         }
     }?;
-    record_index_gauges(&obtained.0);
+    if !loaded || args.opt::<String>("report")?.is_some() {
+        record_index_gauges(&obtained.0);
+    }
     Ok(obtained)
 }
 
@@ -378,8 +388,10 @@ const SLICE_SAMPLE_CAP: usize = 256;
 /// pruning power `p(I)` — the fraction of (sampled) attributes that are
 /// live inside each slice's δ-expanded window, averaged over slices. A
 /// slice only prunes pairs whose LHS is live in it, so a low live
-/// fraction means stage 2 has little to work with.
-fn record_index_gauges(index: &TindIndex) {
+/// fraction means stage 2 has little to work with. Returns the
+/// diagnostics it published so a caller that prints them does not sweep
+/// the matrices a second time.
+fn record_index_gauges(index: &TindIndex) -> tind_core::index::IndexDiagnostics {
     let d = index.diagnostics();
     let k = index.config().k_hashes as i32;
     tind_obs::gauge("index.m").set(f64::from(d.m));
@@ -395,7 +407,7 @@ fn record_index_gauges(index: &TindIndex) {
     let n = dataset.len();
     let slices = index.time_slices();
     if n == 0 || slices.is_empty() {
-        return;
+        return d;
     }
     let step = (n / SLICE_SAMPLE_CAP.min(n)).max(1);
     let mut live_fraction_sum = 0.0;
@@ -412,6 +424,7 @@ fn record_index_gauges(index: &TindIndex) {
     }
     tind_obs::gauge("index.slices.mean_live_fraction")
         .set(live_fraction_sum / slices.len() as f64);
+    d
 }
 
 /// A query over an attribute whose index columns live in a quarantined
@@ -1373,7 +1386,7 @@ fn cmd_index(args: &Args) -> Result<String, CliError> {
     let build_phase = tind_obs::span("phase.index_build");
     let (index, build) =
         tind_eval::stats::time_it(|| TindIndex::build_with(dataset.clone(), config, &options));
-    record_index_gauges(&index);
+    let diagnostics = record_index_gauges(&index);
     drop(build_phase);
     {
         let _phase = tind_obs::span("phase.write_output");
@@ -1384,7 +1397,7 @@ fn cmd_index(args: &Args) -> Result<String, CliError> {
         dataset.len(),
         tind_eval::report::fmt_duration(build),
         out.display(),
-        index.diagnostics(),
+        diagnostics,
     ))
 }
 

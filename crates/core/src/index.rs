@@ -516,8 +516,7 @@ impl TindIndex {
             if total_bits == 0 {
                 return 0.0;
             }
-            let set: usize = (0..m.num_cols()).map(|c| m.column_filter(c).count_ones()).sum();
-            set as f64 / total_bits as f64
+            m.count_ones() as f64 / total_bits as f64
         };
         let timeline = self.dataset.timeline();
         let covered: u32 = self.time_slices.iter().map(|s| s.interval.len()).sum();

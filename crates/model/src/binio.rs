@@ -131,12 +131,21 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
 
 /// Decodes a length-prefixed UTF-8 string.
 pub fn get_str(buf: &mut Bytes) -> Result<String, BinIoError> {
-    let len = get_varint(buf)? as usize;
+    with_str(buf, str::to_owned)
+}
+
+/// Validates a length-prefixed UTF-8 string where it lies in `buf` and
+/// hands it to `f` before stepping over it, so the only copy made is the
+/// one `f` makes.
+fn with_str<T>(buf: &mut Bytes, f: impl FnOnce(&str) -> T) -> Result<T, BinIoError> {
+    let len = usize::try_from(get_varint(buf)?).map_err(|_| corrupt("string length overflow"))?;
     if buf.remaining() < len {
         return Err(corrupt("truncated string"));
     }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| corrupt("invalid utf-8 in string"))
+    let s = std::str::from_utf8(&buf[..len]).map_err(|_| corrupt("invalid utf-8 in string"))?;
+    let out = f(s);
+    buf.advance(len);
+    Ok(out)
 }
 
 /// Serializes `dataset` into a byte buffer.
@@ -183,11 +192,16 @@ pub fn decode_dataset(bytes: Bytes) -> Result<Dataset, BinIoError> {
     }
     let mut builder = DatasetBuilder::new(Timeline::new(timeline_len));
     let dict_len = get_varint(&mut buf)? as usize;
+    // Every entry takes at least its length byte, so the bytes left bound
+    // the count: a hostile `dict_len` cannot out-allocate its own file.
+    builder.dictionary_mut().reserve(dict_len.min(buf.remaining()));
     for expected_id in 0..dict_len {
-        let s = get_str(&mut buf)?;
-        let id = builder.dictionary_mut().intern(&s);
+        let dictionary = builder.dictionary_mut();
+        // A repeated string interns to the id of its first occurrence.
+        let id = with_str(&mut buf, |s| dictionary.intern(s))?;
         if id as usize != expected_id {
-            return Err(corrupt(format!("duplicate dictionary entry '{s}'")));
+            let first = dictionary.resolve(id);
+            return Err(corrupt(format!("duplicate dictionary entry '{first}'")));
         }
     }
     let num_attrs = get_varint(&mut buf)? as usize;
@@ -209,7 +223,8 @@ pub fn decode_dataset(bytes: Bytes) -> Result<Dataset, BinIoError> {
             }
             start += delta;
             let card = get_varint(&mut buf)? as usize;
-            let mut values: Vec<ValueId> = Vec::with_capacity(card);
+            // At least one byte per value id: same bound as the dictionary.
+            let mut values: Vec<ValueId> = Vec::with_capacity(card.min(buf.remaining()));
             let mut val: u64 = 0;
             for ci in 0..card {
                 let d = get_varint(&mut buf)?;
@@ -399,6 +414,78 @@ mod tests {
         let mut raw = encode_dataset(&sample()).to_vec();
         raw.push(0x42);
         assert!(decode_dataset(Bytes::from(raw)).is_err());
+    }
+
+    /// A CRC-valid dataset file: `body` between the magic and the trailer.
+    fn sealed(body: impl FnOnce(&mut BytesMut)) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        put_varint(&mut buf, 100); // timeline
+        body(&mut buf);
+        crate::checksum::append_trailer(&mut buf);
+        buf.freeze()
+    }
+
+    #[test]
+    fn hostile_counts_cannot_out_allocate_the_file() {
+        // 40 bytes in all, claiming 2^40 dictionary entries. Sizing
+        // anything by the claim would ask the allocator for terabytes and
+        // abort the process; the claim must instead run into the end of
+        // the file (here: a second empty string is a duplicate entry).
+        let file = sealed(|buf| {
+            put_varint(buf, 1 << 40);
+            buf.put_slice(&[0u8; 21]);
+        });
+        assert_eq!(file.len(), 40);
+        assert!(matches!(decode_dataset(file), Err(BinIoError::Corrupt(_))));
+
+        // Same for a version claiming 2^40 values.
+        let file = sealed(|buf| {
+            put_varint(buf, 1); // dictionary: one entry
+            put_str(buf, "a");
+            put_varint(buf, 1); // attributes: one
+            put_str(buf, "x");
+            put_varint(buf, 5); // last_observed
+            put_varint(buf, 1); // versions: one
+            put_varint(buf, 0); // start
+            put_varint(buf, 1 << 40); // cardinality
+        });
+        assert!(matches!(decode_dataset(file), Err(BinIoError::Corrupt(_))));
+    }
+
+    #[test]
+    fn rejects_duplicate_dictionary_entry_and_bad_utf8() {
+        let dup = sealed(|buf| {
+            put_varint(buf, 2);
+            put_str(buf, "red");
+            put_str(buf, "red");
+            put_varint(buf, 0);
+        });
+        let err = decode_dataset(dup).expect_err("duplicate entry");
+        assert!(err.to_string().contains("duplicate dictionary entry 'red'"), "{err}");
+
+        let bad = sealed(|buf| {
+            put_varint(buf, 1);
+            put_varint(buf, 2);
+            buf.put_slice(&[0xff, 0xfe]);
+            put_varint(buf, 0);
+        });
+        let err = decode_dataset(bad).expect_err("invalid utf-8");
+        assert!(err.to_string().contains("invalid utf-8"), "{err}");
+    }
+
+    #[test]
+    fn decoded_dictionary_keeps_its_ids_through_clone_and_into_builder() {
+        let d = decode_dataset(encode_dataset(&sample())).expect("decodes");
+        assert_eq!(dataset_fingerprint(&d), dataset_fingerprint(&sample()));
+        let mut b = d.clone().into_builder();
+        for (id, s) in d.dictionary().iter() {
+            assert_eq!(b.dictionary_mut().intern(s), id, "'{s}' re-interns to its id");
+        }
+        assert_eq!(dataset_fingerprint(&b.build()), dataset_fingerprint(&d));
+        let mut b = d.clone().into_builder();
+        assert_eq!(b.dictionary_mut().intern("brand-new") as usize, d.dictionary().len());
+        assert_eq!(d.dictionary().get("brand-new"), None, "the clone interned, not the source");
     }
 
     #[test]

@@ -5,6 +5,8 @@
 //! store compact sorted `u32` slices, set containment is a merge over sorted
 //! ids, and Bloom filters hash the stable id instead of the string.
 
+use std::sync::Arc;
+
 use crate::hash::FastMap;
 
 /// Identifier of an interned value. Dense: the `i`-th distinct interned
@@ -94,10 +96,12 @@ pub fn intersection(a: &[ValueId], b: &[ValueId]) -> ValueSet {
 }
 
 /// String interner mapping each distinct value string to a dense [`ValueId`].
+/// Each string is stored once and shared by both directions of the
+/// mapping — and by every clone of the dictionary.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    by_string: FastMap<Box<str>, ValueId>,
-    strings: Vec<Box<str>>,
+    by_string: FastMap<Arc<str>, ValueId>,
+    strings: Vec<Arc<str>>,
 }
 
 impl Dictionary {
@@ -112,10 +116,17 @@ impl Dictionary {
             return id;
         }
         let id = u32::try_from(self.strings.len()).expect("more than u32::MAX distinct values");
-        let boxed: Box<str> = s.into();
-        self.strings.push(boxed.clone());
-        self.by_string.insert(boxed, id);
+        let shared: Arc<str> = s.into();
+        self.strings.push(Arc::clone(&shared));
+        self.by_string.insert(shared, id);
         id
+    }
+
+    /// Makes room for `additional` more distinct values, so a bulk load of
+    /// known size does not regrow the table as it goes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.by_string.reserve(additional);
+        self.strings.reserve(additional);
     }
 
     /// Looks up the id of `s` without interning.
@@ -180,6 +191,20 @@ mod tests {
         assert_eq!(d.get("beta"), Some(b));
         assert_eq!(d.get("gamma"), None);
         assert_eq!(d.try_resolve(99), None);
+    }
+
+    #[test]
+    fn clones_intern_to_the_same_ids_and_then_diverge() {
+        let mut d = Dictionary::new();
+        d.reserve(2);
+        let (a, b) = (d.intern("alpha"), d.intern("beta"));
+        let mut c = d.clone();
+        assert_eq!((c.intern("alpha"), c.intern("beta")), (a, b));
+        let g = c.intern("gamma");
+        assert_eq!((g, c.resolve(g)), (2, "gamma"));
+        assert_eq!(d.get("gamma"), None, "a clone's new values stay its own");
+        assert_eq!(d.intern("delta"), 2);
+        assert_eq!(c.get("delta"), None);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * the head and the declared body size are capped, and an oversized
 //!   `Content-Length` is rejected *before* any body byte is read;
 //! * responses always carry `Content-Length` and `Connection: close`,
-//!   so a client never waits on a socket the server has finished with.
+//!   so a client never waits on a socket the server has finished with,
+//!   and head and body leave in **one** `write_all`: the sockets are
+//!   `TCP_NODELAY`, so two writes would be two segments and a client
+//!   could wake for the head before the body exists.
 //!
 //! Only what the serve router needs is implemented: a request line,
 //! headers (of which just `Content-Length` is interpreted), an optional
@@ -159,20 +162,11 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Writes a complete response and flushes. The body is always JSON; the
-/// connection is always announced as closing.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    write_response_with(stream, status, reason, body, &[])
-}
-
-/// [`write_response`] plus extra response headers (e.g. the
-/// `X-Tind-Trace-Id` echo on force-sampled requests). Header names and
-/// values are caller-controlled constants, never client input.
+/// Writes a complete response — head and body assembled into one buffer
+/// and handed to the socket in a single `write_all` — and flushes. The
+/// body is always JSON; the connection is always announced as closing.
+/// `extra_headers` (e.g. the `X-Tind-Trace-Id` echo on force-sampled
+/// requests) are caller-controlled constants, never client input.
 pub fn write_response_with(
     stream: &mut TcpStream,
     status: u16,
@@ -180,16 +174,20 @@ pub fn write_response_with(
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {status} {reason}\r\n");
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(128 + body.len());
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "HTTP/1.1 {status} {reason}\r\n");
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str(&format!(
+    let _ = write!(
+        out,
         "Content-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    ));
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    );
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -331,7 +329,8 @@ mod tests {
             out
         });
         let (mut server, _) = listener.accept().expect("accept");
-        write_response(&mut server, 429, "Too Many Requests", "{\"x\":1}").expect("write");
+        write_response_with(&mut server, 429, "Too Many Requests", "{\"x\":1}", &[])
+            .expect("write");
         drop(server);
         let out = handle.join().expect("client");
         assert!(out.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));

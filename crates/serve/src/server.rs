@@ -3,11 +3,15 @@
 //!
 //! ```text
 //!   accept loop ──► conns queue ──► readers (parse + route)
-//!                     (bounded)       │  healthz/metrics answered inline
-//!                                     ▼
+//!   (blocks in        (bounded)       │  healthz/metrics answered inline
+//!    `accept`)                        ▼
 //!                                  jobs queue ──► workers (coalesce +
 //!                                    (bounded)     execute + respond)
 //! ```
+//!
+//! Nothing on the request path waits on a timer: the accept loop sleeps
+//! in the kernel until a connection exists, and a drain wakes it with one
+//! loopback connection to its own listener (see the shutdown bullet).
 //!
 //! Every stage is fault-contained:
 //!
@@ -25,13 +29,20 @@
 //! * compatible concurrent searches coalesce into one `search_batch`
 //!   wave (identical per-query results — batch equivalence is pinned by
 //!   core tests), so a burst is served at batch throughput;
-//! * shutdown (SIGINT/SIGTERM → the shutdown token) drains: the
-//!   acceptor stops, queued requests finish or are deadline-cancelled,
-//!   and past `drain_grace` the watchdog force-cancels in-flight waves
-//!   with reason `Drain` and sheds the rest.
+//! * the acceptor **blocks** in `accept` — a connection is picked up
+//!   when the kernel has it, with no poll interval on the request path;
+//! * shutdown (SIGINT/SIGTERM → the shutdown token) drains: the state
+//!   flips to draining and [`Server::run`] makes one loopback connection
+//!   to its own listener, which is what returns the acceptor from
+//!   `accept`. The acceptor hands whatever it got to the readers and
+//!   stops (a client that raced the wake gets the typed `draining` 503,
+//!   the wake socket reads as closed-before-request and is dropped
+//!   uncounted); queued requests finish or are deadline-cancelled, and
+//!   past `drain_grace` the watchdog force-cancels in-flight waves with
+//!   reason `Drain` and sheds the rest.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -939,6 +950,13 @@ const STATE_DRAINING: u8 = 2;
 /// promotes back to [`STATE_SERVING`] once the store is repaired.
 const STATE_DEGRADED: u8 = 3;
 
+/// An accepted connection waiting for a reader, stamped (obs epoch) when
+/// `accept` returned it.
+struct Conn {
+    stream: TcpStream,
+    accepted_ns: u64,
+}
+
 /// One admitted request waiting for (or undergoing) execution.
 struct Job {
     call: ApiCall,
@@ -1088,7 +1106,7 @@ struct Runtime {
     config: ServeConfig,
     engine: OnceLock<Arc<Engine>>,
     state: AtomicU8,
-    conns: Admission<TcpStream>,
+    conns: Admission<Conn>,
     jobs: Admission<Job>,
     shutdown: CancelToken,
     /// Per-worker slot holding the cancel token of the wave in flight,
@@ -1100,6 +1118,12 @@ struct Runtime {
     /// Tail-sampled completed request traces served at `/debug/trace`.
     traces: TraceStore,
     c: Counters,
+    /// `serve.latency.conn_ns` (accept → request parsed: `conns` wait +
+    /// read) and `serve.latency.write_ns` (response write): the server's
+    /// own view of the time no request span covers. Resolved once — every
+    /// request records into both.
+    conn_ns: &'static tind_obs::Histogram,
+    write_ns: &'static tind_obs::Histogram,
 }
 
 impl Runtime {
@@ -1115,25 +1139,34 @@ impl Runtime {
         self.config.retry_unit.as_millis() as u64 * (depth as u64 + 1)
     }
 
+    /// Writes one response and records how long the write took. A failed
+    /// write is the client's loss only: the peer is gone or stalled past
+    /// `write_timeout`, and there is nobody left to tell.
+    fn write(&self, stream: &mut TcpStream, status: u16, body: &str, extra: &[(&str, &str)]) {
+        let start_ns = trace::now_ns();
+        let _ = http::write_response_with(stream, status, reason_phrase(status), body, extra);
+        self.write_ns.record(trace::now_ns().saturating_sub(start_ns));
+    }
+
     /// Writes a typed error response and counts it.
     fn respond_error(&self, stream: &mut TcpStream, err: &ServeError) {
         self.c.errors.fetch_add(1, Ordering::Relaxed);
         tind_obs::counter("serve.responses_error").incr();
-        let body = err.to_value().to_json();
-        let _ = http::write_response(stream, err.status, reason_phrase(err.status), &body);
+        self.write(stream, err.status, &err.to_value().to_json(), &[]);
     }
 
     /// Writes a 200 response and counts it.
     fn respond_ok(&self, stream: &mut TcpStream, body: &Value) {
-        self.respond_ok_text(stream, &body.to_json());
+        self.respond_ok_with(stream, &body.to_json(), &[]);
     }
 
     /// [`Runtime::respond_ok`] for pre-rendered bodies (the newline-
-    /// delimited `TINDTF` export of `/debug/trace?format=tindtf`).
-    fn respond_ok_text(&self, stream: &mut TcpStream, body: &str) {
+    /// delimited `TINDTF` export of `/debug/trace?format=tindtf`) and
+    /// extra response headers (the `X-Tind-Trace-Id` echo).
+    fn respond_ok_with(&self, stream: &mut TcpStream, body: &str, extra: &[(&str, &str)]) {
         self.c.ok.fetch_add(1, Ordering::Relaxed);
         tind_obs::counter("serve.responses_ok").incr();
-        let _ = http::write_response(stream, 200, reason_phrase(200), body);
+        self.write(stream, 200, body, extra);
     }
 
     fn shed(&self, stream: &mut TcpStream, err: &ServeError, counter: &'static str) {
@@ -1194,10 +1227,9 @@ impl Server {
             forced_drain: AtomicBool::new(false),
             started: Instant::now(),
             c: Counters::default(),
+            conn_ns: tind_obs::histogram("serve.latency.conn_ns"),
+            write_ns: tind_obs::histogram("serve.latency.write_ns"),
         };
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("listener nonblocking mode failed: {e}"))?;
 
         let mut load_error: Option<String> = None;
         let rt = &rt;
@@ -1260,8 +1292,11 @@ impl Server {
             }
 
             // Drain: stop accepting, let readers reject queued
-            // connections, let workers finish queued jobs.
+            // connections, let workers finish queued jobs. The acceptor
+            // is blocked in `accept`, so it learns of the new state from
+            // a connection we make ourselves.
             rt.set_state(STATE_DRAINING);
+            wake_acceptor(self.addr);
             let _ = acceptor.join();
             rt.conns.close();
             for h in reader_handles {
@@ -1291,27 +1326,46 @@ impl Server {
     }
 }
 
+/// Blocks in `accept` until the state is `draining`. The state is
+/// re-read only after `accept` returns, so whatever connection ended the
+/// wait — a client that raced the drain, or [`wake_acceptor`]'s — still
+/// goes to the readers, which answer it by state.
 fn acceptor_loop(rt: &Runtime, listener: &TcpListener) {
-    loop {
-        if rt.state() == STATE_DRAINING || rt.shutdown.is_cancelled() {
-            return;
-        }
+    while rt.state() != STATE_DRAINING {
         match listener.accept() {
             Ok((stream, _)) => {
+                let accepted_ns = trace::now_ns();
                 tind_obs::counter("serve.connections").incr();
                 let _ = stream.set_write_timeout(Some(rt.config.write_timeout));
                 let _ = stream.set_nodelay(true);
-                if let Err(mut stream) = rt.conns.try_push(stream) {
+                if let Err(mut conn) = rt.conns.try_push(Conn { stream, accepted_ns }) {
                     let hint = rt.retry_hint_ms(rt.conns.depth());
-                    rt.shed(&mut stream, &ServeError::overloaded(hint), "serve.shed_queue");
+                    rt.shed(&mut conn.stream, &ServeError::overloaded(hint), "serve.shed_queue");
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // `accept` failed for real (EMFILE, ENOBUFS, an aborted
+            // handshake): back off briefly so a persistent failure
+            // cannot spin the thread.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
+}
+
+/// Returns a draining acceptor from its blocking `accept` by connecting
+/// to the listener once — dependency-free, and the socket is dropped
+/// unwritten, so a reader sees `HttpError::Closed` and counts nothing.
+/// A listener bound to an unspecified address is reached over loopback
+/// of the same family. The connect can only fail while the acceptor has
+/// other connections to return from `accept` with (a full backlog), and
+/// then it reads the new state without our help.
+fn wake_acceptor(bound: SocketAddr) {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let wake = SocketAddr::new(ip, bound.port());
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_millis(250));
 }
 
 fn reader_loop(rt: &Runtime) {
@@ -1320,7 +1374,7 @@ fn reader_loop(rt: &Runtime) {
         max_body_bytes: rt.config.max_body_bytes,
         read_budget: rt.config.read_timeout,
     };
-    while let Some(mut stream) = rt.conns.pop_wait() {
+    while let Some(Conn { mut stream, accepted_ns }) = rt.conns.pop_wait() {
         let req = match http::read_request(&mut stream, &limits) {
             Ok(req) => req,
             Err(HttpError::Closed) => continue,
@@ -1348,6 +1402,7 @@ fn reader_loop(rt: &Runtime) {
                 continue;
             }
         };
+        rt.conn_ns.record(trace::now_ns().saturating_sub(accepted_ns));
         rt.c.requests.fetch_add(1, Ordering::Relaxed);
         tind_obs::counter("serve.requests").incr();
         match router::route(&req) {
@@ -1503,7 +1558,7 @@ fn respond_debug_trace(rt: &Runtime, stream: &mut TcpStream, spec: &TraceSpec) {
             for payload in &traces {
                 body.push_str(&trace::trace_envelope(payload));
             }
-            rt.respond_ok_text(stream, &body);
+            rt.respond_ok_with(stream, &body, &[]);
         }
     }
 }
@@ -2018,15 +2073,7 @@ fn finish_ok(rt: &Runtime, job: &mut Job, body: &Value) -> Option<PendingTrace> 
         }
         if job.force_trace {
             let id = format!("0x{:032x}", t.trace_id);
-            rt.c.ok.fetch_add(1, Ordering::Relaxed);
-            tind_obs::counter("serve.responses_ok").incr();
-            let _ = http::write_response_with(
-                &mut job.stream,
-                200,
-                reason_phrase(200),
-                &body.to_json(),
-                &[("X-Tind-Trace-Id", &id)],
-            );
+            rt.respond_ok_with(&mut job.stream, &body.to_json(), &[("X-Tind-Trace-Id", &id)]);
             return pending;
         }
     }

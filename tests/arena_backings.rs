@@ -125,6 +125,43 @@ fn searches_are_identical_across_backings_at_multiple_worker_counts() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The load diagnostics are a popcount over whatever backs the matrices:
+/// an mmap'd or windowed store must report bit-for-bit what the build
+/// reports, and both must equal the per-column gather they replaced.
+#[test]
+fn popcount_diagnostics_are_identical_across_backings() {
+    let (dataset, index, _params) = reverse_world(27);
+    let dir = store_dir("diagnostics");
+    pack_store(&index, &dir, &PackOptions { shards: 4, ..Default::default() }).expect("pack");
+    let by_columns = |m: &tind_bloom::BloomMatrix| {
+        (0..m.num_cols()).map(|c| m.column_filter(c).count_ones()).sum::<usize>()
+    };
+    let built = index.diagnostics();
+    assert!(built.m_t_load > 0.0 && built.mean_slice_load > 0.0);
+    assert_eq!(index.m_t().count_ones(), by_columns(index.m_t()));
+
+    for backing in BACKINGS {
+        let (loaded, _) =
+            open_store_with(&dir, dataset.clone(), &open_options(backing)).expect("open");
+        let matrices = std::iter::once(loaded.m_t())
+            .chain(loaded.time_slices().iter().map(|s| &s.matrix))
+            .chain(loaded.m_r());
+        for (i, matrix) in matrices.enumerate() {
+            assert!(!matrix.is_owned(), "{backing:?}: matrix {i} is borrowed from the store");
+            assert_eq!(matrix.count_ones(), by_columns(matrix), "{backing:?} matrix {i}");
+        }
+        // `bloom_bytes` is residency, which a borrowed backing does not
+        // share with a build; every structural field must match exactly.
+        let opened = loaded.diagnostics();
+        assert_eq!(
+            tind_core::index::IndexDiagnostics { bloom_bytes: built.bloom_bytes, ..opened },
+            built,
+            "{backing:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The beyond-RAM acceptance pin: a memory budget well below the index's
 /// resident size must still answer every query exactly — windows evict
 /// and reload (or overcommit) under pressure, never degrade results.

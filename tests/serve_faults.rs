@@ -313,6 +313,128 @@ fn idle_drain_is_clean_and_new_requests_get_draining_503() {
 }
 
 #[test]
+fn sequential_requests_are_not_paced_by_an_accept_poll() {
+    // Back-to-back requests each arrive just after the previous accept.
+    // An acceptor that polls (the 5 ms sleep this replaced) leaves every
+    // one of them waiting out most of a period, so the median sits near
+    // 5 ms whatever the engine does; a blocking accept leaves connect +
+    // parse + a 60-attribute search. The median, not the max: one stall of
+    // the shared test host must not fail this.
+    let h = Harness::start(ServeConfig::default());
+    let mut ms: Vec<f64> = (0..200)
+        .map(|_| {
+            let sent = Instant::now();
+            let (status, _) = request(h.addr, "POST", "/search", "{\"query\":\"source-1\"}");
+            assert_eq!(status, 200);
+            sent.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    assert!(median < 2.5, "median of 200 sequential requests is {median:.2} ms");
+    h.stop();
+}
+
+#[test]
+fn idle_server_is_woken_out_of_accept_to_stop() {
+    // No client ever connects, so the acceptor sits in a blocking `accept`
+    // and only the server's own wake connection can end it. The engine
+    // hook says when loading is over without sending a byte.
+    let (loaded_tx, loaded_rx) = std::sync::mpsc::channel();
+    let config = ServeConfig {
+        engine_hook: Some(Arc::new(move |_engine| {
+            let _ = loaded_tx.send(());
+        })),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let shutdown = CancelToken::new();
+    let handle = {
+        let shutdown = shutdown.clone();
+        std::thread::spawn(move || server.run(|| Ok(engine()), shutdown))
+    };
+    loaded_rx.recv_timeout(Duration::from_secs(30)).expect("engine never loaded");
+    let cancelled = Instant::now();
+    shutdown.cancel();
+    let outcome = handle.join().expect("server thread").expect("serve outcome");
+    let took = cancelled.elapsed();
+    assert!(took < Duration::from_millis(500), "idle stop took {took:?}");
+    assert!(outcome.drained_clean);
+    assert_eq!(outcome.requests, 0, "the wake connection is not a request");
+    assert_eq!(outcome.ok + outcome.errors + outcome.shed, 0);
+
+    // Same wake on the other way out of `run`: a loader that fails.
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let started = Instant::now();
+    let err = server
+        .run(|| Err("dataset error: file vanished".to_string()), CancelToken::new())
+        .expect_err("load failure must surface");
+    let took = started.elapsed();
+    assert!(err.contains("file vanished"));
+    assert!(took < Duration::from_millis(500), "failed load took {took:?} to tear down");
+}
+
+#[test]
+fn connecting_during_a_drain_is_answered_or_closed_never_hung() {
+    // One request is stuck in the only worker, so the drain lasts the
+    // whole grace period. Clients that connect meanwhile either raced the
+    // acceptor's wake-up (a reader answers by state: 200 before the flip,
+    // typed `draining` 503 after) or arrive once it has stopped and are
+    // closed with the listener. None may sit out its 2 s timeout.
+    let config = ServeConfig {
+        workers: 1,
+        drain_grace: Duration::from_millis(300),
+        fault_hook: Some(Arc::new(|call: &ApiCall| {
+            if matches!(call, ApiCall::Search(spec) if spec.query == "source-1") {
+                std::thread::sleep(Duration::from_millis(800));
+            }
+        })),
+        ..ServeConfig::default()
+    };
+    let h = Harness::start(config);
+    let addr = h.addr;
+    let stuck = std::thread::spawn(move || {
+        request(addr, "POST", "/search", "{\"query\":\"source-1\",\"timeout_ms\":30000}")
+    });
+    std::thread::sleep(Duration::from_millis(50));
+    h.shutdown.cancel();
+    let late: Vec<_> = (0..12)
+        .map(|i| {
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5 * i));
+                let sent = Instant::now();
+                let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(2))
+                else {
+                    return (None, sent.elapsed()); // listener already gone
+                };
+                stream.set_read_timeout(Some(Duration::from_secs(2))).expect("read timeout");
+                stream.set_write_timeout(Some(Duration::from_secs(2))).expect("write timeout");
+                let body = "{\"query\":\"source-2\"}";
+                let len = body.len();
+                let head = format!("POST /search HTTP/1.1\r\nContent-Length: {len}\r\n\r\n{body}");
+                let mut raw = String::new();
+                let answered = stream.write_all(head.as_bytes()).is_ok()
+                    && stream.read_to_string(&mut raw).is_ok()
+                    && !raw.is_empty();
+                (answered.then_some(raw), sent.elapsed())
+            })
+        })
+        .collect();
+    for client in late {
+        let (response, took) = client.join().expect("late client");
+        assert!(took < Duration::from_millis(1900), "late client hung for {took:?}");
+        if let Some(raw) = response {
+            let ok = raw.starts_with("HTTP/1.1 200 ");
+            let draining = raw.starts_with("HTTP/1.1 503 ") && raw.contains("\"draining\"");
+            assert!(ok || draining, "unexpected answer during drain: {raw}");
+        }
+    }
+    let (status, body) = stuck.join().expect("stuck client");
+    assert_eq!(status, 503, "{body}");
+    h.handle.join().expect("server thread").expect("serve outcome");
+}
+
+#[test]
 fn healthz_reports_loading_before_the_engine_is_up() {
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
     let addr = server.local_addr();
