@@ -12,9 +12,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use tind_model::rng::Rng;
 use tind_bloom::{BitVec, BloomMatrix, BloomMatrixBuilder};
 use tind_core::search::{SearchOutcome, SearchStats};
 use tind_core::{validate, TindParams};
@@ -73,9 +71,9 @@ impl KManyIndex {
     ) -> Self {
         let _span = tind_obs::span("baseline.kmany.build");
         let timeline = dataset.timeline();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut all: Vec<Timestamp> = timeline.iter().collect();
-        all.shuffle(&mut rng);
+        rng.shuffle(&mut all);
         let mut chosen: Vec<Timestamp> = all.into_iter().take(k).collect();
         chosen.sort_unstable();
 

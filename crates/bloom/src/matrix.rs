@@ -724,8 +724,7 @@ impl BloomMatrix {
     /// Serializes the matrix (for index persistence). Byte-identical
     /// across backings: a segmented matrix encodes exactly as its owned
     /// materialization would.
-    pub fn encode(&self, buf: &mut bytes::BytesMut) {
-        use bytes::BufMut;
+    pub fn encode(&self, buf: &mut Vec<u8>) {
         use tind_model::binio::put_varint;
         put_varint(buf, u64::from(self.m));
         put_varint(buf, self.num_cols as u64);
@@ -733,7 +732,7 @@ impl BloomMatrix {
         match &self.storage {
             MatrixStorage::Owned(rows) => {
                 for &w in rows {
-                    buf.put_u64_le(w);
+                    buf.extend_from_slice(&w.to_le_bytes());
                 }
             }
             MatrixStorage::Segmented(segments) => {
@@ -741,7 +740,7 @@ impl BloomMatrix {
                 for row in 0..self.m as usize {
                     for (seg, guard) in segments.iter().zip(&guards) {
                         for &w in &guard[row * seg.width..][..seg.width] {
-                            buf.put_u64_le(w);
+                            buf.extend_from_slice(&w.to_le_bytes());
                         }
                     }
                 }
@@ -750,28 +749,28 @@ impl BloomMatrix {
     }
 
     /// Deserializes a matrix written by [`BloomMatrix::encode`].
-    pub fn decode(buf: &mut bytes::Bytes) -> Result<Self, tind_model::binio::BinIoError> {
-        use bytes::Buf;
-        use tind_model::binio::{get_varint, BinIoError};
-        let m = u32::try_from(get_varint(buf)?)
+    pub fn decode(
+        buf: &mut tind_model::binio::Reader<'_>,
+    ) -> Result<Self, tind_model::binio::BinIoError> {
+        use tind_model::binio::BinIoError;
+        let m = u32::try_from(buf.varint()?)
             .map_err(|_| BinIoError::Corrupt("matrix m overflow".into()))?;
-        let num_cols = get_varint(buf)? as usize;
-        let k_hashes = u32::try_from(get_varint(buf)?)
+        let num_cols = buf.varint()? as usize;
+        let k_hashes = u32::try_from(buf.varint()?)
             .map_err(|_| BinIoError::Corrupt("matrix k overflow".into()))?;
         if m == 0 || k_hashes == 0 {
             return Err(BinIoError::Corrupt("degenerate matrix dimensions".into()));
         }
         let words_per_row = num_cols.div_ceil(64);
-        let total_words = (m as usize)
+        let total_bytes = (m as usize)
             .checked_mul(words_per_row)
+            .and_then(|words| words.checked_mul(8))
             .ok_or_else(|| BinIoError::Corrupt("matrix size overflow".into()))?;
-        if buf.remaining() < total_words * 8 {
-            return Err(BinIoError::Corrupt("truncated matrix rows".into()));
-        }
-        let mut rows = Vec::with_capacity(total_words);
-        for _ in 0..total_words {
-            rows.push(buf.get_u64_le());
-        }
+        let rows = buf
+            .bytes(total_bytes, "matrix rows")?
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+            .collect();
         Ok(BloomMatrix { m, num_cols, k_hashes, words_per_row, storage: MatrixStorage::Owned(rows) })
     }
 }
@@ -911,9 +910,9 @@ mod tests {
     #[test]
     fn matrix_encode_decode_roundtrip() {
         let m = sample_matrix(512);
-        let mut buf = bytes::BytesMut::new();
+        let mut buf = Vec::new();
         m.encode(&mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = tind_model::binio::Reader::new(&buf);
         let m2 = BloomMatrix::decode(&mut bytes).expect("decodes");
         assert_eq!(m2.m(), m.m());
         assert_eq!(m2.num_cols(), m.num_cols());
@@ -921,16 +920,15 @@ mod tests {
         for col in 0..3 {
             assert_eq!(m2.column_filter(col), m.column_filter(col));
         }
-        assert!(!bytes::Buf::has_remaining(&bytes));
+        bytes.finish("matrix").expect("all read");
     }
 
     #[test]
     fn matrix_decode_rejects_truncation() {
         let m = sample_matrix(128);
-        let mut buf = bytes::BytesMut::new();
-        m.encode(&mut buf);
-        let full = buf.freeze();
-        let mut truncated = full.slice(0..full.len() / 2);
+        let mut full = Vec::new();
+        m.encode(&mut full);
+        let mut truncated = tind_model::binio::Reader::new(&full[..full.len() / 2]);
         assert!(BloomMatrix::decode(&mut truncated).is_err());
     }
 
@@ -970,7 +968,7 @@ mod tests {
             assert_eq!(merged.column_filter(col), sequential.column_filter(col), "column {col}");
         }
         // Byte-identical, not merely filter-equivalent.
-        let (mut a, mut b) = (bytes::BytesMut::new(), bytes::BytesMut::new());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         sequential.encode(&mut a);
         merged.encode(&mut b);
         assert_eq!(a, b);
@@ -1011,7 +1009,7 @@ mod tests {
             rebuilt.merge_strip(block, &original.extract_strip(block));
         }
         let rebuilt = rebuilt.build();
-        let (mut a, mut c) = (bytes::BytesMut::new(), bytes::BytesMut::new());
+        let (mut a, mut c) = (Vec::new(), Vec::new());
         original.encode(&mut a);
         rebuilt.encode(&mut c);
         assert_eq!(a, c, "extract → merge must reproduce the matrix bit-for-bit");
@@ -1043,7 +1041,7 @@ mod tests {
             }
             updated.replace_strip(block, &strip);
         }
-        let (mut a, mut b) = (bytes::BytesMut::new(), bytes::BytesMut::new());
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         updated.encode(&mut a);
         fresh.encode(&mut b);
         assert_eq!(a, b, "replace_strip must leave the block as a cold build would");
@@ -1087,7 +1085,7 @@ mod tests {
             cold.insert_column(col, &strip_test_values(col));
         }
         let cold = cold.build();
-        let (mut a, mut c) = (bytes::BytesMut::new(), bytes::BytesMut::new());
+        let (mut a, mut c) = (Vec::new(), Vec::new());
         grown.encode(&mut a);
         cold.encode(&mut c);
         assert_eq!(a, c, "grown matrix must equal a cold build with zero new columns");
@@ -1138,7 +1136,7 @@ mod tests {
         m.narrow_batch_to_supersets(&[], &mut []);
         let qf = m.query_filter(&[1, 2]);
         let mut empty = vec![BitVec::zeros(3)];
-        m.narrow_batch_to_supersets(&[qf.clone()], &mut empty);
+        m.narrow_batch_to_supersets(std::slice::from_ref(&qf), &mut empty);
         assert!(empty[0].is_zero(), "an empty candidate set stays empty");
         let mut empty = vec![BitVec::zeros(3)];
         m.narrow_batch_to_subsets(&[qf], &mut empty);
@@ -1183,7 +1181,7 @@ mod tests {
             assert!(!seg.is_owned());
 
             // Encode byte-identity across backings.
-            let (mut a, mut c) = (bytes::BytesMut::new(), bytes::BytesMut::new());
+            let (mut a, mut c) = (Vec::new(), Vec::new());
             owned.encode(&mut a);
             seg.encode(&mut c);
             assert_eq!(a, c, "encode differs for cuts {cuts:?}");
@@ -1296,7 +1294,7 @@ mod tests {
         let mut seg = segmented_copy(&owned, &[1, 2]);
         seg.ensure_owned();
         assert!(seg.is_owned());
-        let (mut a, mut c) = (bytes::BytesMut::new(), bytes::BytesMut::new());
+        let (mut a, mut c) = (Vec::new(), Vec::new());
         owned.encode(&mut a);
         seg.encode(&mut c);
         assert_eq!(a, c);
@@ -1311,7 +1309,7 @@ mod tests {
         owned_mut.replace_strip(1, &strip);
         seg.grow_cols(200);
         owned_mut.grow_cols(200);
-        let (mut a, mut c) = (bytes::BytesMut::new(), bytes::BytesMut::new());
+        let (mut a, mut c) = (Vec::new(), Vec::new());
         owned_mut.encode(&mut a);
         seg.encode(&mut c);
         assert_eq!(a, c, "mutations over a materialized segmented matrix diverged");

@@ -132,7 +132,7 @@ impl MmapFile {
     pub fn words_at(&self, byte_off: usize, len_words: usize) -> Option<&[u64]> {
         let byte_len = len_words.checked_mul(8)?;
         let end = byte_off.checked_add(byte_len)?;
-        if end > self.len || byte_off % 8 != 0 {
+        if end > self.len || !byte_off.is_multiple_of(8) {
             return None;
         }
         let ptr = unsafe { self.ptr.add(byte_off) } as *const u64;

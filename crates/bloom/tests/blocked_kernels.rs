@@ -2,13 +2,12 @@
 //! operations and the batched matrix narrowing must agree bit-for-bit with
 //! their word-at-a-time / per-query references on arbitrary inputs.
 //!
-//! Property tests drive randomized shapes (ragged tails, empty query sets,
+//! Property loops drive randomized shapes (ragged tails, empty query sets,
 //! empty candidate sets); the plain `#[test]`s below pin the same
-//! equivalences on fixed awkward shapes so the offline harness (where
-//! `proptest!` expands to nothing) keeps the coverage.
+//! equivalences on fixed awkward shapes.
 
-use proptest::prelude::*;
 use tind_bloom::{BitVec, BloomFilter, BloomMatrix, BloomMatrixBuilder};
+use tind_model::rng::cases;
 
 /// Small deterministic generator so both the property tests and the fixed
 /// tests can derive arbitrary-looking data from one seed.
@@ -130,30 +129,25 @@ fn assert_strip_ops_match(len: usize, seed: u64) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn batch_narrowing_matches_per_query_reference(
-        num_cols in 1usize..300,
-        mexp in 5u32..9,
-        batch in 0usize..12,
-        seed in any::<u64>(),
-    ) {
-        assert_batch_matches(num_cols, 1u32 << mexp, batch, seed);
-    }
-
-    #[test]
-    fn strip_ops_match_full_width_reference(
-        len in 1usize..500,
-        seed in any::<u64>(),
-    ) {
-        assert_strip_ops_match(len, seed);
-    }
+#[test]
+fn batch_narrowing_matches_per_query_reference() {
+    cases("batch_narrowing_matches_per_query_reference", 64, |rng| {
+        let num_cols = rng.range(1..300usize);
+        let m = 1u32 << rng.range(5..9u32);
+        let batch = rng.range(0..12usize);
+        assert_batch_matches(num_cols, m, batch, rng.next_u64());
+    });
 }
 
-// Fixed-shape pins of the same properties, exercised even where proptest
-// is unavailable.
+#[test]
+fn strip_ops_match_full_width_reference() {
+    cases("strip_ops_match_full_width_reference", 64, |rng| {
+        let len = rng.range(1..500usize);
+        assert_strip_ops_match(len, rng.next_u64());
+    });
+}
+
+// Fixed-shape pins of the same properties.
 
 #[test]
 fn batch_narrowing_matches_on_ragged_column_counts() {

@@ -819,10 +819,9 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
     if path.is_dir() {
         return verify_store_dir(&path);
     }
-    let raw = std::fs::read(&path)?;
-    let size = raw.len();
-    let bytes = bytes::Bytes::from(raw);
-    if bytes.len() < 8 {
+    let bytes = std::fs::read(&path)?;
+    let size = bytes.len();
+    if size < 8 {
         return Err(CliError::Data(BinIoError::Corrupt(
             "file too short to hold a magic header".into(),
         )));
@@ -835,7 +834,7 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
     }
     let kind = &bytes[..7];
     let detail = if kind == &tind_model::binio::MAGIC[..7] {
-        let dataset = tind_model::binio::decode_dataset(bytes)?;
+        let dataset = tind_model::binio::decode_dataset(&bytes)?;
         format!(
             "dataset: {} attributes over a {}-day timeline, {} dictionary entries",
             dataset.len(),
@@ -847,7 +846,7 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
         match args.opt::<String>("data")? {
             Some(data_path) => {
                 let dataset = Arc::new(read_dataset_file(std::path::Path::new(&data_path))?);
-                let index = tind_core::persist::decode_index(bytes, dataset)?;
+                let index = tind_core::persist::decode_index(&bytes, dataset)?;
                 format!(
                     "index: bound to dataset {data_path} (fingerprint {fingerprint:#018x}), {} time slices",
                     index.time_slices().len(),
@@ -859,7 +858,7 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
             ),
         }
     } else if kind == &tind_core::checkpoint::CHECKPOINT_MAGIC[..7] {
-        let cp = Checkpoint::decode(bytes)?;
+        let cp = Checkpoint::decode(&bytes)?;
         format!(
             "checkpoint: {}/{} queries completed, {} pairs, {} poisoned, dataset fingerprint {:#018x}{}",
             cp.completed.len(),
@@ -870,7 +869,7 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
             if cp.is_complete() { " (run complete)" } else { "" },
         )
     } else if kind == &tind_model::quarantine::QUARANTINE_MAGIC[..7] {
-        let q = tind_model::QuarantineReport::decode(bytes)?;
+        let q = tind_model::QuarantineReport::decode(&bytes)?;
         format!(
             "quarantine report: {}/{} pages quarantined ({} sampled), {} of {} revisions dropped, source fingerprint {:#018x}",
             q.pages_quarantined,
@@ -899,10 +898,10 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
              run `tind store verify` on its directory to check it against the manifest"
         )
     } else if kind == &tind_wiki::ingest::INGEST_CHECKPOINT_MAGIC[..7] {
-        let cp = tind_wiki::IngestCheckpoint::decode(bytes)?;
+        let cp = tind_wiki::IngestCheckpoint::decode(&bytes)?;
         // The embedded dataset blob is opaque to checkpoint decoding;
         // verify digs all the way in.
-        let partial = tind_model::binio::decode_dataset(cp.dataset_bytes.clone())?;
+        let partial = tind_model::binio::decode_dataset(&cp.dataset_bytes)?;
         format!(
             "ingest checkpoint: resume offset {}, {} pages seen ({} quarantined), \
              partial dataset {} attributes, source fingerprint {:#018x}",
@@ -913,10 +912,10 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
             cp.source_fingerprint,
         )
     } else if kind == &tind_wiki::delta::UPDATE_CHECKPOINT_MAGIC[..7] {
-        let cp = tind_wiki::UpdateCheckpoint::decode(bytes)?;
+        let cp = tind_wiki::UpdateCheckpoint::decode(&bytes)?;
         // Like the ingest arm: the embedded dataset blob is opaque to
         // checkpoint decoding, so verify digs all the way in.
-        let partial = tind_model::binio::decode_dataset(cp.dataset_bytes.clone())?;
+        let partial = tind_model::binio::decode_dataset(&cp.dataset_bytes)?;
         format!(
             "update checkpoint: resume offset {}, {} delta pages seen ({} quarantined), \
              {} attribute(s) touched, partial dataset {} attributes, \
@@ -1023,8 +1022,7 @@ fn verify_run_report(
     }
 
     if let Some(q_path) = args.opt::<String>("quarantine")? {
-        let q_bytes = bytes::Bytes::from(std::fs::read(&q_path)?);
-        let q = tind_model::QuarantineReport::decode(q_bytes)?;
+        let q = tind_model::QuarantineReport::decode(&std::fs::read(&q_path)?)?;
         let gauge = report_gauge(&payload, "ingest.quarantined_total").ok_or_else(|| {
             CliError::Message(
                 "report carries no ingest.quarantined_total gauge — was it produced by \
@@ -1714,7 +1712,7 @@ fn cmd_pipeline(args: &Args) -> Result<String, CliError> {
 /// quarantine with an error budget, page-granular checkpoint/resume, and
 /// graceful Ctrl-C/deadline handling (exit 130, like all-pairs).
 fn cmd_ingest(args: &Args) -> Result<String, CliError> {
-    use tind_wiki::ingest::{IngestCheckpointPolicy, IngestProgress, StopSignal};
+    use tind_wiki::ingest::{IngestCheckpointPolicy, IngestProgress, ProgressFn, StopSignal};
     use tind_wiki::{ingest_stream, IngestConfig, IngestError, IngestOptions, IngestStatus};
 
     let dump_path: PathBuf = args.required::<String>("dump")?.into();
@@ -1774,7 +1772,7 @@ fn cmd_ingest(args: &Args) -> Result<String, CliError> {
     };
     let reporter =
         tind_obs::Reporter::new(args.switch("quiet"), args.opt_or("progress", 1000usize)?);
-    let progress: Option<Box<dyn FnMut(&IngestProgress)>> = if reporter.every() == 0 {
+    let progress: Option<ProgressFn> = if reporter.every() == 0 {
         None
     } else {
         Some(Box::new(move |p: &IngestProgress| {
@@ -1892,7 +1890,7 @@ fn cmd_ingest(args: &Args) -> Result<String, CliError> {
 /// model: quarantine, error budget, page-granular `TINDUC` checkpoints,
 /// Ctrl-C exits 130 with progress preserved.
 fn cmd_update(args: &Args) -> Result<String, CliError> {
-    use tind_wiki::ingest::{IngestCheckpointPolicy, IngestProgress, StopSignal};
+    use tind_wiki::ingest::{IngestCheckpointPolicy, IngestProgress, ProgressFn, StopSignal};
     use tind_wiki::{update_stream, IngestConfig, IngestError, IngestOptions, IngestStatus};
 
     let dump_path: PathBuf = args.required::<String>("dump")?.into();
@@ -1969,7 +1967,7 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
     };
     let reporter =
         tind_obs::Reporter::new(args.switch("quiet"), args.opt_or("progress", 1000usize)?);
-    let progress: Option<Box<dyn FnMut(&IngestProgress)>> = if reporter.every() == 0 {
+    let progress: Option<ProgressFn> = if reporter.every() == 0 {
         None
     } else {
         Some(Box::new(move |p: &IngestProgress| {

@@ -2,35 +2,21 @@
 //! graceful drain → exit 130) and the `--report` flush can only be
 //! observed against the real binary, so these tests spawn it.
 //!
-//! The binary is located via `CARGO_BIN_EXE_tind` (cargo) or the
-//! `TIND_BIN` env var (the offline-check harness). When neither is
-//! present the tests skip rather than fail.
+//! Cargo builds the binary for this test target and names it in
+//! `CARGO_BIN_EXE_tind`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-fn tind_bin() -> Option<PathBuf> {
-    if let Some(path) = option_env!("CARGO_BIN_EXE_tind") {
-        return Some(path.into());
-    }
-    std::env::var_os("TIND_BIN").map(Into::into)
+fn tind_bin() -> PathBuf {
+    env!("CARGO_BIN_EXE_tind").into()
 }
 
-/// The report schema ships in-repo; its location depends on the test
-/// runner's working directory (crate dir under cargo, repo root under
-/// the offline harness).
-fn schema_path() -> Option<PathBuf> {
-    if let Some(path) = std::env::var_os("TIND_SCHEMA") {
-        return Some(path.into());
-    }
-    ["devtools/report-schema.json", "../../devtools/report-schema.json"]
-        .iter()
-        .map(PathBuf::from)
-        .find(|p| p.is_file())
-}
+/// The report schema ships in-repo.
+const SCHEMA: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../devtools/report-schema.json");
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tind-serve-cli-{tag}-{}", std::process::id()));
@@ -53,7 +39,7 @@ fn request(port: u16, method: &str, path: &str, body: &str) -> (u16, String) {
 }
 
 /// Generates a small dataset file with the binary itself.
-fn generate_dataset(bin: &PathBuf, dir: &PathBuf) -> PathBuf {
+fn generate_dataset(bin: &Path, dir: &Path) -> PathBuf {
     let data = dir.join("world.tind");
     let status = Command::new(bin)
         .args(["generate", "--attributes", "80", "--seed", "7", "--preset", "small", "--out"])
@@ -109,10 +95,7 @@ fn signal(child: &Child, sig: &str) {
 
 #[test]
 fn sigint_drains_flushes_the_report_and_exits_130() {
-    let Some(bin) = tind_bin() else {
-        eprintln!("skipped: no tind binary (set TIND_BIN)");
-        return;
-    };
+    let bin = tind_bin();
     let dir = scratch("sigint");
     let data = generate_dataset(&bin, &dir);
     let port_file = dir.join("port.txt");
@@ -141,29 +124,23 @@ fn sigint_drains_flushes_the_report_and_exits_130() {
 
     let written = std::fs::metadata(&report).expect("report written").len();
     assert!(written > 0, "report is empty");
-    if let Some(schema) = schema_path() {
-        let verify = Command::new(&bin)
-            .arg("verify")
-            .arg(&report)
-            .arg("--schema")
-            .arg(schema)
-            .output()
-            .expect("run verify");
-        assert!(
-            verify.status.success(),
-            "report failed schema verification: {}",
-            String::from_utf8_lossy(&verify.stdout)
-        );
-    }
+    let verify = Command::new(&bin)
+        .arg("verify")
+        .arg(&report)
+        .args(["--schema", SCHEMA])
+        .output()
+        .expect("run verify");
+    assert!(
+        verify.status.success(),
+        "report failed schema verification: {}",
+        String::from_utf8_lossy(&verify.stdout)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn sigterm_is_honoured_like_sigint() {
-    let Some(bin) = tind_bin() else {
-        eprintln!("skipped: no tind binary (set TIND_BIN)");
-        return;
-    };
+    let bin = tind_bin();
     let dir = scratch("sigterm");
     let data = generate_dataset(&bin, &dir);
     let port_file = dir.join("port.txt");
@@ -193,10 +170,7 @@ fn sigterm_is_honoured_like_sigint() {
 /// full story across process boundaries.
 #[test]
 fn search_trace_roundtrips_through_verify_and_render() {
-    let Some(bin) = tind_bin() else {
-        eprintln!("skipped: no tind binary (set TIND_BIN)");
-        return;
-    };
+    let bin = tind_bin();
     let dir = scratch("trace");
     let data = generate_dataset(&bin, &dir);
     let trace = dir.join("query.tindtf");

@@ -29,9 +29,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use tind_model::binio::BinIoError;
 use tind_model::{AttrId, Charge, MemoryBudget};
 
@@ -41,6 +41,7 @@ use crate::fault::FaultHook;
 use crate::index::TindIndex;
 use crate::params::TindParams;
 use crate::search::SearchOptions;
+use crate::sync::{into_inner, lock};
 use crate::validate::ValidationScratch;
 
 /// Estimated per-candidate scratch bytes a worker needs while validating
@@ -355,85 +356,90 @@ pub fn discover_all_pairs(
     let pairs_found = tind_obs::counter("allpairs.pairs");
     let poisoned = tind_obs::counter("allpairs.poisoned");
     let queries_completed = tind_obs::counter("allpairs.queries_completed");
-    let scope_result = crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                // One validation scratch per worker for the whole drain:
-                // the dense window union and cached weight table are
-                // reused across every query this worker claims.
-                let mut scratch = ValidationScratch::new();
-                let search_options = SearchOptions::default();
-                loop {
-                    if effective_cancel.is_cancelled() {
-                        stopped_early.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    let q = cursor.fetch_add(1, Ordering::Relaxed);
-                    if q >= num_attrs {
-                        break;
-                    }
-                    if done[q] {
-                        continue;
-                    }
-                    // Quarantine: a panicking query must not take down the
-                    // scope — record it and keep draining the cursor. A
-                    // scratch abandoned mid-pair is safe to reuse: the next
-                    // pair's generation bump hides any stale counts.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(hook) = &options.fault_hook {
-                            hook(q as AttrId);
-                        }
-                        crate::search::run_search_scratch(
-                            index,
-                            index.dataset().attribute(q as AttrId),
-                            Some(q as AttrId),
-                            params,
-                            &search_options,
-                            &mut scratch,
-                            options.trace,
-                        )
-                    }));
-
-                    let mut s = shared.lock();
-                    match result {
-                        Ok(outcome) => {
-                            s.state.validations_run += outcome.stats.validations_run;
-                            s.early_valid_exits += outcome.stats.early_valid_exits;
-                            s.early_invalid_exits += outcome.stats.early_invalid_exits;
-                            s.validate_nanos += outcome.stats.validate_nanos;
-                            pairs_found.add(outcome.results.len() as u64);
-                            s.state
-                                .pairs
-                                .extend(outcome.results.into_iter().map(|rhs| (q as AttrId, rhs)));
-                        }
-                        Err(_) => {
-                            poisoned.incr();
-                            s.state.poisoned.push(q as AttrId);
-                        }
-                    }
-                    queries_completed.incr();
-                    s.state.completed.push(q as AttrId);
-                    s.fresh_completed += 1;
-                    s.since_checkpoint += 1;
-                    s.since_progress += 1;
-                    if let Some(policy) = &options.checkpoint {
-                        if s.since_checkpoint >= policy.every && s.checkpoint_error.is_none() {
-                            s.write_checkpoint(policy);
-                        }
-                    }
-                    if options.progress_every > 0 && s.since_progress >= options.progress_every {
-                        s.since_progress = 0;
-                        eprintln!("{}", s.progress_line(start));
-                    }
+    let run_worker = || {
+        // One validation scratch per worker for the whole drain:
+        // the dense window union and cached weight table are
+        // reused across every query this worker claims.
+        let mut scratch = ValidationScratch::new();
+        let search_options = SearchOptions::default();
+        loop {
+            if effective_cancel.is_cancelled() {
+                stopped_early.store(true, Ordering::Relaxed);
+                break;
+            }
+            let q = cursor.fetch_add(1, Ordering::Relaxed);
+            if q >= num_attrs {
+                break;
+            }
+            if done[q] {
+                continue;
+            }
+            // Quarantine: a panicking query must not take down the
+            // scope — record it and keep draining the cursor. A
+            // scratch abandoned mid-pair is safe to reuse: the next
+            // pair's generation bump hides any stale counts.
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(hook) = &options.fault_hook {
+                    hook(q as AttrId);
                 }
-            });
+                crate::search::run_search_scratch(
+                    index,
+                    index.dataset().attribute(q as AttrId),
+                    Some(q as AttrId),
+                    params,
+                    &search_options,
+                    &mut scratch,
+                    options.trace,
+                )
+            }));
+
+            let mut s = lock(&shared);
+            match result {
+                Ok(outcome) => {
+                    s.state.validations_run += outcome.stats.validations_run;
+                    s.early_valid_exits += outcome.stats.early_valid_exits;
+                    s.early_invalid_exits += outcome.stats.early_invalid_exits;
+                    s.validate_nanos += outcome.stats.validate_nanos;
+                    pairs_found.add(outcome.results.len() as u64);
+                    s.state
+                        .pairs
+                        .extend(outcome.results.into_iter().map(|rhs| (q as AttrId, rhs)));
+                }
+                Err(_) => {
+                    poisoned.incr();
+                    s.state.poisoned.push(q as AttrId);
+                }
+            }
+            queries_completed.incr();
+            s.state.completed.push(q as AttrId);
+            s.fresh_completed += 1;
+            s.since_checkpoint += 1;
+            s.since_progress += 1;
+            if let Some(policy) = &options.checkpoint {
+                if s.since_checkpoint >= policy.every && s.checkpoint_error.is_none() {
+                    s.write_checkpoint(policy);
+                }
+            }
+            if options.progress_every > 0 && s.since_progress >= options.progress_every {
+                s.since_progress = 0;
+                eprintln!("{}", s.progress_line(start));
+            }
         }
+    };
+    // Handles are joined by hand so a worker that panics outside the
+    // quarantine becomes a typed error instead of the scope re-panicking.
+    let worker_panicked = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(run_worker)).collect();
+        // Join every worker before judging: one left unjoined would
+        // re-panic the scope.
+        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        joined.iter().any(Result::is_err)
     });
-    if scope_result.is_err() {
+    if worker_panicked {
         return Err(AllPairsError::Internal("all-pairs worker panicked outside quarantine"));
     }
 
-    let mut s = shared.into_inner();
+    let mut s = into_inner(shared);
     if let Some(e) = s.checkpoint_error.take() {
         return Err(AllPairsError::CheckpointWrite(e));
     }

@@ -20,10 +20,7 @@
 
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tind_model::binio::{
-    check_magic, dataset_fingerprint, get_varint, put_varint, put_weight_fn, BinIoError,
-};
+use tind_model::binio::{self, dataset_fingerprint, put_varint, put_weight_fn, BinIoError, Reader};
 use tind_model::checksum;
 use tind_model::{AttrId, Dataset};
 
@@ -41,8 +38,7 @@ fn corrupt(msg: impl Into<String>) -> BinIoError {
 /// requires identical parameters; otherwise completed and pending queries
 /// would be answered under different definitions.
 pub fn params_digest(params: &TindParams) -> u64 {
-    let mut buf = BytesMut::new();
-    buf.put_f64(params.eps);
+    let mut buf = params.eps.to_be_bytes().to_vec();
     put_varint(&mut buf, u64::from(params.delta));
     put_weight_fn(&mut buf, &params.weights);
     tind_model::hash::hash_bytes(&buf)
@@ -113,11 +109,11 @@ impl Checkpoint {
     }
 
     /// Serializes the checkpoint.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + 4 * self.completed.len() + 8 * self.pairs.len());
-        buf.put_slice(CHECKPOINT_MAGIC);
-        buf.put_u64_le(self.dataset_fingerprint);
-        buf.put_u64_le(self.params_digest);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64 + 4 * self.completed.len() + 8 * self.pairs.len());
+        buf.extend_from_slice(CHECKPOINT_MAGIC);
+        buf.extend_from_slice(&self.dataset_fingerprint.to_le_bytes());
+        buf.extend_from_slice(&self.params_digest.to_le_bytes());
         put_varint(&mut buf, self.total_queries as u64);
         put_varint(&mut buf, self.validations_run as u64);
         put_id_set(&mut buf, &self.completed);
@@ -130,30 +126,25 @@ impl Checkpoint {
             put_varint(&mut buf, u64::from(rhs));
         }
         checksum::append_trailer(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a checkpoint written by [`Checkpoint::encode`],
     /// verifying magic, version, and checksum trailer.
-    pub fn decode(bytes: Bytes) -> Result<Checkpoint, BinIoError> {
-        check_magic(&bytes, CHECKPOINT_MAGIC, "checkpoint")?;
-        let mut buf = checksum::verify_and_strip(bytes)?;
-        buf.advance(CHECKPOINT_MAGIC.len());
-        if buf.remaining() < 16 {
-            return Err(corrupt("truncated checkpoint header"));
-        }
-        let dataset_fingerprint = buf.get_u64_le();
-        let params_digest = buf.get_u64_le();
-        let total_queries = get_varint(&mut buf)? as usize;
-        let validations_run = get_varint(&mut buf)? as usize;
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, BinIoError> {
+        let mut buf = binio::open(bytes, CHECKPOINT_MAGIC, "checkpoint")?;
+        let dataset_fingerprint = buf.u64_le("checkpoint header")?;
+        let params_digest = buf.u64_le("checkpoint header")?;
+        let total_queries = buf.varint()? as usize;
+        let validations_run = buf.varint()? as usize;
         let completed = get_id_set(&mut buf, total_queries)?;
         let poisoned = get_id_set(&mut buf, total_queries)?;
-        let num_pairs = get_varint(&mut buf)? as usize;
+        let num_pairs = buf.varint()? as usize;
         let mut pairs = Vec::with_capacity(num_pairs.min(1 << 20));
         let mut prev = (0u64, 0u64);
         for _ in 0..num_pairs {
-            let lhs = prev.0 + get_varint(&mut buf)?;
-            let rhs = get_varint(&mut buf)?;
+            let lhs = prev.0 + buf.varint()?;
+            let rhs = buf.varint()?;
             if (lhs, rhs) <= prev && !pairs.is_empty() {
                 return Err(corrupt("checkpoint pairs out of order"));
             }
@@ -163,9 +154,7 @@ impl Checkpoint {
             prev = (lhs, rhs);
             pairs.push((lhs as AttrId, rhs as AttrId));
         }
-        if buf.has_remaining() {
-            return Err(corrupt("trailing bytes after checkpoint"));
-        }
+        buf.finish("checkpoint")?;
         for &p in &poisoned {
             if completed.binary_search(&p).is_err() {
                 return Err(corrupt("poisoned query not marked completed"));
@@ -193,13 +182,12 @@ impl Checkpoint {
 
     /// Reads a checkpoint from `path`.
     pub fn read_file(path: &Path) -> Result<Checkpoint, BinIoError> {
-        let raw = std::fs::read(path)?;
-        Checkpoint::decode(Bytes::from(raw))
+        Checkpoint::decode(&std::fs::read(path)?)
     }
 }
 
 /// Encodes a sorted, duplicate-free id set (count + delta varints).
-fn put_id_set(buf: &mut BytesMut, ids: &[AttrId]) {
+fn put_id_set(buf: &mut Vec<u8>, ids: &[AttrId]) {
     put_varint(buf, ids.len() as u64);
     let mut prev = 0u64;
     for &id in ids {
@@ -209,15 +197,15 @@ fn put_id_set(buf: &mut BytesMut, ids: &[AttrId]) {
 }
 
 /// Decodes a sorted id set, rejecting duplicates and out-of-range ids.
-fn get_id_set(buf: &mut Bytes, total: usize) -> Result<Vec<AttrId>, BinIoError> {
-    let len = get_varint(buf)? as usize;
+fn get_id_set(buf: &mut Reader<'_>, total: usize) -> Result<Vec<AttrId>, BinIoError> {
+    let len = buf.varint()? as usize;
     if len > total {
         return Err(corrupt("id set larger than dataset"));
     }
-    let mut out = Vec::with_capacity(len);
+    let mut out = Vec::with_capacity(len.min(buf.remaining()));
     let mut acc = 0u64;
     for i in 0..len {
-        let d = get_varint(buf)?;
+        let d = buf.varint()?;
         if i > 0 && d == 0 {
             return Err(corrupt("duplicate id in checkpoint set"));
         }
@@ -257,7 +245,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let cp = sample_checkpoint();
-        let decoded = Checkpoint::decode(cp.encode()).expect("decodes");
+        let decoded = Checkpoint::decode(&cp.encode()).expect("decodes");
         assert_eq!(decoded, cp);
     }
 
@@ -277,13 +265,12 @@ mod tests {
     fn truncation_and_bit_flips_are_rejected() {
         let bytes = sample_checkpoint().encode();
         for cut in [0usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(Checkpoint::decode(bytes.slice(0..cut)).is_err(), "cut at {cut}");
+            assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        let clean = bytes.to_vec();
-        for bit in (0..clean.len() * 8).step_by(7) {
-            let mut bad = clean.clone();
+        for bit in (0..bytes.len() * 8).step_by(7) {
+            let mut bad = bytes.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(Checkpoint::decode(Bytes::from(bad)).is_err(), "bit {bit}");
+            assert!(Checkpoint::decode(&bad).is_err(), "bit {bit}");
         }
     }
 
@@ -324,10 +311,10 @@ mod tests {
         // Poisoned id not in completed.
         let mut cp = sample_checkpoint();
         cp.poisoned = vec![1];
-        assert!(Checkpoint::decode(cp.encode()).is_err());
+        assert!(Checkpoint::decode(&cp.encode()).is_err());
         // Pair id outside the dataset.
         let mut cp = sample_checkpoint();
         cp.pairs = vec![(0, 9)];
-        assert!(Checkpoint::decode(cp.encode()).is_err());
+        assert!(Checkpoint::decode(&cp.encode()).is_err());
     }
 }

@@ -48,9 +48,8 @@
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use tind_bloom::{BitVec, BloomColumnStrip};
 use tind_model::{AttrId, Dataset, ValueSet};
 
@@ -58,6 +57,7 @@ use crate::index::TindIndex;
 use crate::params::TindParams;
 use crate::required::required_values;
 use crate::search::{finish_search, initial_candidates, record_search_metrics, SearchOptions};
+use crate::sync::{into_inner, lock};
 use crate::validate::ValidationScratch;
 
 /// Errors from computing or applying a dataset delta.
@@ -492,21 +492,20 @@ pub fn refresh_pairs(
                 local.push((q, results));
             }
         }
-        found.lock().extend(local);
+        lock(&found).extend(local);
     };
     if threads_used <= 1 {
         run_worker();
     } else {
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads_used {
-                scope.spawn(|_| run_worker());
+                scope.spawn(run_worker);
             }
-        })
-        .expect("delta refresh worker panicked");
+        });
     }
 
     let mut pairs_added = 0usize;
-    for (q, results) in found.into_inner() {
+    for (q, results) in into_inner(found) {
         for a in results {
             if pairs.insert((q, a)) {
                 pairs_added += 1;

@@ -17,11 +17,9 @@
 //! false positives before full validation (Algorithm 1, line 16).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use tind_model::rng::Rng;
 use tind_bloom::{BitVec, BloomColumnStrip, BloomMatrix, BloomMatrixBuilder};
 use tind_model::{
     AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, ValueSet, WeightFn,
@@ -31,6 +29,7 @@ use crate::params::TindParams;
 use crate::required::required_values;
 use crate::search::{self, SearchOutcome};
 use crate::slices::{select_slices, SliceConfig};
+use crate::sync::{into_inner, lock};
 
 /// Construction-time configuration of a [`TindIndex`].
 #[derive(Debug, Clone)]
@@ -256,7 +255,7 @@ impl TindIndex {
         drop(mt_span);
 
         let slices_span = tind_obs::span("core.index.slices");
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let intervals = select_slices(&dataset, &config.slices, &mut rng);
         let time_slices = intervals
             .into_iter()
@@ -309,7 +308,7 @@ impl TindIndex {
         // Slice selection consumes the seeded RNG on the calling thread
         // before any worker exists — the interval sequence, the only
         // randomized part of construction, cannot depend on thread count.
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         let intervals = select_slices(&dataset, &config.slices, &mut rng);
         let num_slices = intervals.len();
         let expanded: Vec<Interval> =
@@ -399,7 +398,7 @@ impl TindIndex {
                         }
                     }
                     {
-                        let mut m = merge.lock();
+                        let mut m = lock(&merge);
                         if let Some(unis) = unis {
                             m.mt.merge_strip(block, &strip);
                             for (offset, u) in unis.into_iter().enumerate() {
@@ -416,7 +415,7 @@ impl TindIndex {
                     }
                     strips_rendered.incr();
                     let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                    if options.progress_every > 0 && done % options.progress_every == 0 {
+                    if options.progress_every > 0 && done.is_multiple_of(options.progress_every) {
                         eprintln!("index build: {done}/{total_units} column blocks");
                     }
                 }
@@ -424,16 +423,15 @@ impl TindIndex {
             if threads <= 1 {
                 run_worker();
             } else {
-                crossbeam::scope(|scope| {
+                std::thread::scope(|scope| {
                     for _ in 0..threads {
-                        scope.spawn(|_| run_worker());
+                        scope.spawn(run_worker);
                     }
-                })
-                .expect("index build worker panicked");
+                });
             }
         }
 
-        let MergeState { mt, slices, mr, universes } = merge.into_inner();
+        let MergeState { mt, slices, mr, universes } = into_inner(merge);
         let m_t = mt.build();
         let time_slices = intervals
             .into_iter()

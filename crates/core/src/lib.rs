@@ -58,6 +58,7 @@ pub mod reverse;
 pub mod search;
 pub mod slices;
 pub mod store;
+mod sync;
 pub mod topk;
 pub mod validate;
 

@@ -8,11 +8,9 @@
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tind_bloom::BloomMatrix;
 use tind_model::binio::{
-    check_magic, dataset_fingerprint, get_varint, get_weight_fn, put_varint, put_weight_fn,
-    BinIoError,
+    self, dataset_fingerprint, get_weight_fn, put_varint, put_weight_fn, BinIoError, Reader,
 };
 use tind_model::checksum;
 use tind_model::{Dataset, Interval, ValueId, ValueSet};
@@ -29,18 +27,18 @@ pub(crate) fn corrupt(msg: impl Into<String>) -> BinIoError {
     BinIoError::Corrupt(msg.into())
 }
 
-pub(crate) fn put_interval(buf: &mut BytesMut, i: Interval) {
+pub(crate) fn put_interval(buf: &mut Vec<u8>, i: Interval) {
     put_varint(buf, u64::from(i.start));
     put_varint(buf, u64::from(i.end - i.start));
 }
 
-pub(crate) fn get_interval(buf: &mut Bytes) -> Result<Interval, BinIoError> {
-    let start = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("interval start overflow"))?;
-    let len = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("interval length overflow"))?;
+pub(crate) fn get_interval(buf: &mut Reader<'_>) -> Result<Interval, BinIoError> {
+    let start = u32::try_from(buf.varint()?).map_err(|_| corrupt("interval start overflow"))?;
+    let len = u32::try_from(buf.varint()?).map_err(|_| corrupt("interval length overflow"))?;
     Ok(Interval::new(start, start + len))
 }
 
-pub(crate) fn put_value_set(buf: &mut BytesMut, set: &[ValueId]) {
+pub(crate) fn put_value_set(buf: &mut Vec<u8>, set: &[ValueId]) {
     put_varint(buf, set.len() as u64);
     let mut prev = 0u64;
     for &v in set {
@@ -49,12 +47,13 @@ pub(crate) fn put_value_set(buf: &mut BytesMut, set: &[ValueId]) {
     }
 }
 
-pub(crate) fn get_value_set(buf: &mut Bytes) -> Result<ValueSet, BinIoError> {
-    let len = get_varint(buf)? as usize;
-    let mut out = Vec::with_capacity(len);
+pub(crate) fn get_value_set(buf: &mut Reader<'_>) -> Result<ValueSet, BinIoError> {
+    let len = buf.varint()? as usize;
+    // At least one byte per value: a hostile count cannot out-allocate its file.
+    let mut out = Vec::with_capacity(len.min(buf.remaining()));
     let mut acc = 0u64;
     for i in 0..len {
-        let d = get_varint(buf)?;
+        let d = buf.varint()?;
         if i > 0 && d == 0 {
             return Err(corrupt("duplicate value in set"));
         }
@@ -67,55 +66,43 @@ pub(crate) fn get_value_set(buf: &mut Bytes) -> Result<ValueSet, BinIoError> {
 /// Encodes an [`IndexConfig`] in the exact byte layout the monolithic index
 /// file uses; shared with the sharded store manifest (`core::store`) so the
 /// two formats stay byte-compatible on the config section.
-pub(crate) fn put_config(buf: &mut BytesMut, cfg: &IndexConfig) {
+pub(crate) fn put_config(buf: &mut Vec<u8>, cfg: &IndexConfig) {
     put_varint(buf, u64::from(cfg.m));
     put_varint(buf, u64::from(cfg.k_hashes));
     put_varint(buf, cfg.seed);
-    buf.put_u8(u8::from(cfg.build_reverse));
+    buf.push(u8::from(cfg.build_reverse));
     let s = &cfg.slices;
     put_varint(buf, s.k as u64);
-    buf.put_u8(match s.strategy {
+    buf.push(match s.strategy {
         SliceStrategy::Random => 0,
         SliceStrategy::WeightedRandom => 1,
     });
-    buf.put_f64(s.sizing_eps);
+    buf.extend_from_slice(&s.sizing_eps.to_be_bytes());
     put_weight_fn(buf, &s.sizing_weights);
     put_varint(buf, u64::from(s.max_delta));
-    buf.put_u8(u8::from(s.expanded_disjoint));
+    buf.push(u8::from(s.expanded_disjoint));
     put_varint(buf, u64::from(s.start_stride));
     put_varint(buf, s.attr_sample as u64);
 }
 
 /// Decodes an [`IndexConfig`] written by [`put_config`].
-pub(crate) fn get_config(buf: &mut Bytes) -> Result<IndexConfig, BinIoError> {
-    let m = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("m overflow"))?;
-    let k_hashes = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("k overflow"))?;
-    let seed = get_varint(buf)?;
-    if !buf.has_remaining() {
-        return Err(corrupt("truncated config"));
-    }
-    let build_reverse = buf.get_u8() != 0;
-    let k = get_varint(buf)? as usize;
-    if !buf.has_remaining() {
-        return Err(corrupt("truncated strategy"));
-    }
-    let strategy = match buf.get_u8() {
+pub(crate) fn get_config(buf: &mut Reader<'_>) -> Result<IndexConfig, BinIoError> {
+    let m = u32::try_from(buf.varint()?).map_err(|_| corrupt("m overflow"))?;
+    let k_hashes = u32::try_from(buf.varint()?).map_err(|_| corrupt("k overflow"))?;
+    let seed = buf.varint()?;
+    let build_reverse = buf.u8("config")? != 0;
+    let k = buf.varint()? as usize;
+    let strategy = match buf.u8("strategy")? {
         0 => SliceStrategy::Random,
         1 => SliceStrategy::WeightedRandom,
         other => return Err(corrupt(format!("unknown slice strategy {other}"))),
     };
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated sizing eps"));
-    }
-    let sizing_eps = buf.get_f64();
+    let sizing_eps = buf.f64("sizing eps")?;
     let sizing_weights = get_weight_fn(buf)?;
-    let max_delta = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("δ overflow"))?;
-    if !buf.has_remaining() {
-        return Err(corrupt("truncated disjoint flag"));
-    }
-    let expanded_disjoint = buf.get_u8() != 0;
-    let start_stride = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("stride overflow"))?;
-    let attr_sample = get_varint(buf)? as usize;
+    let max_delta = u32::try_from(buf.varint()?).map_err(|_| corrupt("δ overflow"))?;
+    let expanded_disjoint = buf.u8("disjoint flag")? != 0;
+    let start_stride = u32::try_from(buf.varint()?).map_err(|_| corrupt("stride overflow"))?;
+    let attr_sample = buf.varint()? as usize;
     Ok(IndexConfig {
         m,
         k_hashes,
@@ -135,10 +122,10 @@ pub(crate) fn get_config(buf: &mut Bytes) -> Result<IndexConfig, BinIoError> {
 }
 
 /// Serializes `index` into a byte buffer.
-pub fn encode_index(index: &TindIndex) -> Bytes {
-    let mut buf = BytesMut::with_capacity(index.bloom_bytes() + (1 << 16));
-    buf.put_slice(INDEX_MAGIC);
-    buf.put_u64_le(dataset_fingerprint(index.dataset()));
+pub fn encode_index(index: &TindIndex) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(index.bloom_bytes() + (1 << 16));
+    buf.extend_from_slice(INDEX_MAGIC);
+    buf.extend_from_slice(&dataset_fingerprint(index.dataset()).to_le_bytes());
     put_config(&mut buf, index.config());
 
     // Structures.
@@ -155,39 +142,28 @@ pub fn encode_index(index: &TindIndex) -> Bytes {
     }
     match &index.m_r {
         Some(m) => {
-            buf.put_u8(1);
+            buf.push(1);
             m.encode(&mut buf);
         }
-        None => buf.put_u8(0),
+        None => buf.push(0),
     }
     checksum::append_trailer(&mut buf);
-    buf.freeze()
+    buf
 }
 
 /// Verifies the container integrity of a serialized index — magic header,
 /// format version, and CRC-32 trailer — without binding it to a dataset.
 /// Returns the embedded dataset fingerprint. Used by `tind verify`, which
 /// has the file but not necessarily the dataset it was built over.
-pub fn verify_index_container(bytes: &Bytes) -> Result<u64, BinIoError> {
-    check_magic(bytes, INDEX_MAGIC, "index")?;
-    let mut buf = checksum::verify_and_strip(bytes.clone())?;
-    buf.advance(INDEX_MAGIC.len());
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated fingerprint"));
-    }
-    Ok(buf.get_u64_le())
+pub fn verify_index_container(bytes: &[u8]) -> Result<u64, BinIoError> {
+    binio::open(bytes, INDEX_MAGIC, "index")?.u64_le("fingerprint")
 }
 
 /// Deserializes an index and re-binds it to `dataset`, verifying the
 /// embedded fingerprint.
-pub fn decode_index(bytes: Bytes, dataset: Arc<Dataset>) -> Result<TindIndex, BinIoError> {
-    check_magic(&bytes, INDEX_MAGIC, "index")?;
-    let mut buf = checksum::verify_and_strip(bytes)?;
-    buf.advance(INDEX_MAGIC.len());
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated fingerprint"));
-    }
-    let fingerprint = buf.get_u64_le();
+pub fn decode_index(bytes: &[u8], dataset: Arc<Dataset>) -> Result<TindIndex, BinIoError> {
+    let mut buf = binio::open(bytes, INDEX_MAGIC, "index")?;
+    let fingerprint = buf.u64_le("fingerprint")?;
     if fingerprint != dataset_fingerprint(&dataset) {
         return Err(corrupt(
             "index fingerprint does not match the dataset (stale or mismatched files)",
@@ -197,7 +173,7 @@ pub fn decode_index(bytes: Bytes, dataset: Arc<Dataset>) -> Result<TindIndex, Bi
     let config = get_config(&mut buf)?;
 
     let m_t = BloomMatrix::decode(&mut buf)?;
-    let num_slices = get_varint(&mut buf)? as usize;
+    let num_slices = buf.varint()? as usize;
     let mut time_slices = Vec::with_capacity(num_slices);
     for _ in 0..num_slices {
         let interval = get_interval(&mut buf)?;
@@ -205,7 +181,7 @@ pub fn decode_index(bytes: Bytes, dataset: Arc<Dataset>) -> Result<TindIndex, Bi
         let matrix = BloomMatrix::decode(&mut buf)?;
         time_slices.push(TimeSlice { interval, expanded, matrix });
     }
-    let num_universes = get_varint(&mut buf)? as usize;
+    let num_universes = buf.varint()? as usize;
     if num_universes != dataset.len() {
         return Err(corrupt("universe count does not match dataset"));
     }
@@ -213,17 +189,12 @@ pub fn decode_index(bytes: Bytes, dataset: Arc<Dataset>) -> Result<TindIndex, Bi
     for _ in 0..num_universes {
         universes.push(get_value_set(&mut buf)?);
     }
-    if !buf.has_remaining() {
-        return Err(corrupt("truncated m_r flag"));
-    }
-    let m_r = match buf.get_u8() {
+    let m_r = match buf.u8("m_r flag")? {
         0 => None,
         1 => Some(BloomMatrix::decode(&mut buf)?),
         other => return Err(corrupt(format!("bad m_r flag {other}"))),
     };
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes after index"));
-    }
+    buf.finish("index")?;
     if m_t.num_cols() != dataset.len() {
         return Err(corrupt("matrix width does not match dataset"));
     }
@@ -248,8 +219,7 @@ pub fn read_index_file(
     dataset: Arc<Dataset>,
 ) -> Result<TindIndex, BinIoError> {
     checksum::stream_verify_file(path)?;
-    let raw = std::fs::read(path)?;
-    decode_index(Bytes::from(raw), dataset)
+    decode_index(&std::fs::read(path)?, dataset)
 }
 
 #[cfg(test)]
@@ -272,7 +242,7 @@ mod tests {
         for config in [IndexConfig::default(), IndexConfig::reverse_default()] {
             let index = TindIndex::build(d.clone(), config);
             let bytes = encode_index(&index);
-            let loaded = decode_index(bytes, d.clone()).expect("decodes");
+            let loaded = decode_index(&bytes, d.clone()).expect("decodes");
             assert_eq!(loaded.m_t().m(), index.m_t().m());
             assert_eq!(loaded.time_slices().len(), index.time_slices().len());
             assert_eq!(loaded.m_r().is_some(), index.m_r().is_some());
@@ -295,7 +265,7 @@ mod tests {
         let mut b2 = DatasetBuilder::new(Timeline::new(80));
         b2.add_attribute("different", &[(0, vec!["z"])], 79);
         let other = Arc::new(b2.build());
-        let err = decode_index(bytes, other).expect_err("must reject");
+        let err = decode_index(&bytes, other).expect_err("must reject");
         assert!(err.to_string().contains("fingerprint"));
     }
 
@@ -305,8 +275,7 @@ mod tests {
         let index = TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
         let bytes = encode_index(&index);
         for cut in [4usize, 16, bytes.len() / 2, bytes.len() - 1] {
-            let t = bytes.slice(0..cut);
-            assert!(decode_index(t, d.clone()).is_err(), "cut at {cut} must fail");
+            assert!(decode_index(&bytes[..cut], d.clone()).is_err(), "cut at {cut} must fail");
         }
     }
 

@@ -20,9 +20,8 @@
 //! only at `VIO[c] > ε` to guarantee zero false negatives.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use tind_bloom::{BitVec, BloomFilter};
 use tind_model::hash::FastMap;
 use tind_model::{AttrId, AttributeHistory, MemoryBudget, ValueId, ValueSet};
@@ -32,6 +31,7 @@ use crate::cancel::CancelToken;
 use crate::index::TindIndex;
 use crate::params::TindParams;
 use crate::required::required_values;
+use crate::sync::{into_inner, lock};
 use crate::validate;
 use crate::validate::{PlanSource, QueryPlan, ValidationScratch};
 
@@ -386,7 +386,7 @@ pub(crate) fn finish_search(
         let _t3 = tind_obs::TraceSpan::start(trace, "core.search.stage3");
         let survivors: Vec<usize> = candidates.iter_ones().collect();
         for c in survivors {
-            if !tind_model::value::is_subset(&required, index.universe(c as u32)) {
+            if !tind_model::value::is_subset(required, index.universe(c as u32)) {
                 candidates.clear(c);
             }
         }
@@ -516,7 +516,7 @@ pub(crate) fn run_search_batch(
                 break;
             }
             let (required, candidates) =
-                slots[i].lock().input.take().expect("each slot is claimed exactly once");
+                lock(&slots[i]).input.take().expect("each slot is claimed exactly once");
             let query_trace =
                 tind_obs::TraceSpan::start(options.trace, "core.search.query");
             let outcome = finish_search(
@@ -532,22 +532,21 @@ pub(crate) fn run_search_batch(
                 query_trace.child_ctx(),
             );
             drop(query_trace);
-            slots[i].lock().outcome = Some(outcome);
+            lock(&slots[i]).outcome = Some(outcome);
         }
     };
     if threads <= 1 {
         drain();
     } else {
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| drain());
+                scope.spawn(drain);
             }
-        })
-        .expect("batch search worker panicked");
+        });
     }
 
     let outcomes: Vec<Option<SearchOutcome>> =
-        slots.into_iter().map(|s| s.into_inner().outcome).collect();
+        slots.into_iter().map(|s| into_inner(s).outcome).collect();
     let cancelled =
         stopped.load(Ordering::Relaxed) && outcomes.iter().any(Option::is_none);
     BatchOutcome { outcomes, cancelled, threads_used: threads }
@@ -575,7 +574,6 @@ pub fn brute_force_search(
 mod tests {
     use super::*;
     use crate::index::IndexConfig;
-    use std::sync::Arc;
     use tind_model::{Dataset, DatasetBuilder, Timeline, WeightFn};
 
     fn pokemonish() -> Arc<Dataset> {

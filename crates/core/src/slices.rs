@@ -9,7 +9,7 @@
 //! disjoint; optionally their δ-expansions are kept disjoint too, which the
 //! reverse search requires (§4.5).
 
-use rand::{Rng, RngExt};
+use tind_model::rng::Rng;
 use tind_model::{Dataset, Interval, Timeline, Timestamp, WeightFn};
 
 /// How slice starting times are chosen (§4.4.2).
@@ -124,14 +124,14 @@ pub fn pruning_power(dataset: &Dataset, interval: Interval, attr_sample: usize) 
 /// Returns fewer than `k` slices when the timeline cannot fit more disjoint
 /// intervals of the required length; an empty vector means the index will
 /// consist of `M_T` alone.
-pub fn select_slices<R: Rng>(dataset: &Dataset, cfg: &SliceConfig, rng: &mut R) -> Vec<Interval> {
+pub fn select_slices(dataset: &Dataset, cfg: &SliceConfig, rng: &mut Rng) -> Vec<Interval> {
     match cfg.strategy {
         SliceStrategy::Random => select_random(dataset.timeline(), cfg, rng),
         SliceStrategy::WeightedRandom => select_weighted(dataset, cfg, rng),
     }
 }
 
-fn select_random<R: Rng>(timeline: Timeline, cfg: &SliceConfig, rng: &mut R) -> Vec<Interval> {
+fn select_random(timeline: Timeline, cfg: &SliceConfig, rng: &mut Rng) -> Vec<Interval> {
     let mut chosen: Vec<Interval> = Vec::with_capacity(cfg.k);
     if cfg.k == 0 {
         return chosen;
@@ -140,7 +140,7 @@ fn select_random<R: Rng>(timeline: Timeline, cfg: &SliceConfig, rng: &mut R) -> 
     let mut attempts = 0;
     while chosen.len() < cfg.k && attempts < max_attempts {
         attempts += 1;
-        let start = rng.random_range(0..timeline.len());
+        let start = rng.range(0..timeline.len());
         let Some(candidate) = slice_at(start, cfg, timeline) else { continue };
         if is_compatible(candidate, &chosen, cfg, timeline) {
             chosen.push(candidate);
@@ -150,7 +150,7 @@ fn select_random<R: Rng>(timeline: Timeline, cfg: &SliceConfig, rng: &mut R) -> 
     chosen
 }
 
-fn select_weighted<R: Rng>(dataset: &Dataset, cfg: &SliceConfig, rng: &mut R) -> Vec<Interval> {
+fn select_weighted(dataset: &Dataset, cfg: &SliceConfig, rng: &mut Rng) -> Vec<Interval> {
     let timeline = dataset.timeline();
     let mut chosen: Vec<Interval> = Vec::with_capacity(cfg.k);
     if cfg.k == 0 {
@@ -174,7 +174,7 @@ fn select_weighted<R: Rng>(dataset: &Dataset, cfg: &SliceConfig, rng: &mut R) ->
     // are zeroed out and sampling continues.
     let mut total: f64 = candidates.iter().map(|&(_, p)| p).sum();
     while chosen.len() < cfg.k && total > 0.0 {
-        let mut r = rng.random::<f64>() * total;
+        let mut r = rng.f64() * total;
         let mut picked = None;
         for (idx, &(interval, p)) in candidates.iter().enumerate() {
             if p <= 0.0 {
@@ -208,8 +208,6 @@ fn select_weighted<R: Rng>(dataset: &Dataset, cfg: &SliceConfig, rng: &mut R) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use tind_model::DatasetBuilder;
 
     fn dataset(n: u32) -> Dataset {
@@ -241,7 +239,7 @@ mod tests {
     #[test]
     fn random_slices_are_disjoint_and_sized() {
         let d = dataset(200);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let c = cfg(8, SliceStrategy::Random);
         let slices = select_slices(&d, &c, &mut rng);
         assert_eq!(slices.len(), 8);
@@ -263,13 +261,13 @@ mod tests {
         let random = cfg(1, SliceStrategy::Random);
         let (mut w_hits, mut r_hits) = (0, 0);
         for seed in 0..30 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let s = select_slices(&d, &weighted, &mut rng);
             assert_eq!(s.len(), 1);
             if s[0].start <= 33 {
                 w_hits += 1;
             }
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let s = select_slices(&d, &random, &mut rng);
             if s[0].start <= 33 {
                 r_hits += 1;
@@ -287,7 +285,7 @@ mod tests {
         let mut c = cfg(6, SliceStrategy::Random);
         c.expanded_disjoint = true;
         c.max_delta = 5;
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let slices = select_slices(&d, &c, &mut rng);
         let tl = d.timeline();
         for w in slices.windows(2) {
@@ -303,7 +301,7 @@ mod tests {
         // Timeline of 10, sizing needs w(I) > 3 → intervals of 4; at most 2
         // disjoint ones fit.
         let d = dataset(10);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let slices = select_slices(&d, &cfg(16, SliceStrategy::Random), &mut rng);
         assert!(slices.len() <= 2, "got {}", slices.len());
     }
@@ -311,7 +309,7 @@ mod tests {
     #[test]
     fn zero_k_yields_no_slices() {
         let d = dataset(50);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         assert!(select_slices(&d, &cfg(0, SliceStrategy::Random), &mut rng).is_empty());
         assert!(select_slices(&d, &cfg(0, SliceStrategy::WeightedRandom), &mut rng).is_empty());
     }
@@ -319,7 +317,7 @@ mod tests {
     #[test]
     fn weighted_exhausts_gracefully() {
         let d = dataset(12);
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         // Ask for far more slices than fit; must terminate with what fits.
         let slices = select_slices(&d, &cfg(50, SliceStrategy::WeightedRandom), &mut rng);
         assert!(!slices.is_empty());
@@ -341,7 +339,7 @@ mod tests {
         let mut c = cfg(4, SliceStrategy::Random);
         c.sizing_weights = WeightFn::exponential(0.995, tl);
         c.sizing_eps = 0.5;
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let slices = select_slices(&d, &c, &mut rng);
         assert!(!slices.is_empty());
         for s in &slices {

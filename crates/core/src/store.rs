@@ -42,11 +42,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tind_bloom::{
     BloomColumnStrip, BloomMatrix, MmapFile, Segment, WindowFile, WindowPool, WordRegion,
 };
-use tind_model::binio::{check_magic, dataset_fingerprint, get_varint, put_varint, BinIoError};
+use tind_model::binio::{self, dataset_fingerprint, put_varint, BinIoError, Reader};
 use tind_model::checksum::{self, crc32};
 use tind_model::{AttrId, Dataset, Interval, MemoryBudget, ValueSet};
 
@@ -73,8 +72,8 @@ const SHARD_MAGIC_V1: &[u8; 8] = b"TINDSH\x00\x01";
 /// a 64-byte boundary so mapped word views are cache-line aligned.
 pub const ARENA_ALIGN: usize = 64;
 
-/// Fixed arena header: magic(8) + generation(8) + id(4) + block_start(4)
-/// + block_count(4) + num_targets(4) + fingerprint(8) + m(4) +
+/// Fixed arena header: magic(8) + generation(8) + id(4) + block_start(4) +
+/// block_count(4) + num_targets(4) + fingerprint(8) + m(4) +
 /// section_count(4).
 const ARENA_FIXED_HEADER: usize = 48;
 
@@ -446,11 +445,11 @@ fn sweep(dir: &Path, live_gen: u64) -> Result<(usize, usize), StoreError> {
     Ok((temps, stale))
 }
 
-fn encode_manifest(m: &Manifest) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 12);
-    buf.put_slice(MANIFEST_MAGIC);
+fn encode_manifest(m: &Manifest) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 << 12);
+    buf.extend_from_slice(MANIFEST_MAGIC);
     put_varint(&mut buf, m.generation);
-    buf.put_u64_le(m.fingerprint);
+    buf.extend_from_slice(&m.fingerprint.to_le_bytes());
     put_config(&mut buf, &m.config);
     put_varint(&mut buf, m.num_attrs as u64);
     put_varint(&mut buf, m.slices.len() as u64);
@@ -458,64 +457,51 @@ fn encode_manifest(m: &Manifest) -> Bytes {
         put_interval(&mut buf, interval);
         put_interval(&mut buf, expanded);
     }
-    buf.put_u8(u8::from(m.has_m_r));
+    buf.push(u8::from(m.has_m_r));
     put_varint(&mut buf, m.shards.len() as u64);
     for s in &m.shards {
         put_varint(&mut buf, s.id as u64);
         put_varint(&mut buf, s.block_start as u64);
         put_varint(&mut buf, s.block_count as u64);
         put_varint(&mut buf, s.byte_len);
-        buf.put_u32_le(s.digest);
+        buf.extend_from_slice(&s.digest.to_le_bytes());
     }
     checksum::append_trailer(&mut buf);
-    buf.freeze()
+    buf
 }
 
-fn decode_manifest(bytes: Bytes) -> Result<Manifest, StoreError> {
-    check_magic(&bytes, MANIFEST_MAGIC, "store manifest")?;
-    let mut buf = checksum::verify_and_strip(bytes)?;
-    buf.advance(MANIFEST_MAGIC.len());
-    let generation = get_varint(&mut buf)?;
-    if buf.remaining() < 8 {
-        return Err(corrupt("truncated manifest fingerprint").into());
-    }
-    let fingerprint = buf.get_u64_le();
+fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
+    let mut buf = binio::open(bytes, MANIFEST_MAGIC, "store manifest")?;
+    let generation = buf.varint()?;
+    let fingerprint = buf.u64_le("manifest fingerprint")?;
     let config = get_config(&mut buf)?;
-    let num_attrs = get_varint(&mut buf)? as usize;
+    let num_attrs = buf.varint()? as usize;
     if num_attrs == 0 {
         return Err(corrupt("manifest over zero attributes").into());
     }
-    let num_slices = get_varint(&mut buf)? as usize;
+    let num_slices = buf.varint()? as usize;
     let mut slices = Vec::with_capacity(num_slices);
     for _ in 0..num_slices {
         let interval = get_interval(&mut buf)?;
         let expanded = get_interval(&mut buf)?;
         slices.push((interval, expanded));
     }
-    if !buf.has_remaining() {
-        return Err(corrupt("truncated m_r flag").into());
-    }
-    let has_m_r = match buf.get_u8() {
+    let has_m_r = match buf.u8("m_r flag")? {
         0 => false,
         1 => true,
         other => return Err(corrupt(format!("bad m_r flag {other}")).into()),
     };
-    let shard_count = get_varint(&mut buf)? as usize;
+    let shard_count = buf.varint()? as usize;
     let mut shards = Vec::with_capacity(shard_count);
     for _ in 0..shard_count {
-        let id = get_varint(&mut buf)? as usize;
-        let block_start = get_varint(&mut buf)? as usize;
-        let block_count = get_varint(&mut buf)? as usize;
-        let byte_len = get_varint(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(corrupt("truncated shard digest").into());
-        }
-        let digest = buf.get_u32_le();
+        let id = buf.varint()? as usize;
+        let block_start = buf.varint()? as usize;
+        let block_count = buf.varint()? as usize;
+        let byte_len = buf.varint()?;
+        let digest = buf.u32_le("shard digest")?;
         shards.push(ShardEntry { id, block_start, block_count, byte_len, digest });
     }
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes after manifest").into());
-    }
+    buf.finish("manifest")?;
     let manifest =
         Manifest { generation, fingerprint, config, num_attrs, slices, has_m_r, shards };
     // Shards must partition the column blocks: ids 0..n in order, each
@@ -539,8 +525,7 @@ fn decode_manifest(bytes: Bytes) -> Result<Manifest, StoreError> {
 }
 
 fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    let raw = std::fs::read(dir.join(MANIFEST_NAME))?;
-    decode_manifest(Bytes::from(raw))
+    decode_manifest(&std::fs::read(dir.join(MANIFEST_NAME))?)
 }
 
 /// Content digest of an encoded shard: CRC-32 over the payload *excluding*
@@ -573,10 +558,10 @@ fn encode_shard_arena_with<FS, FU>(
     block_count: usize,
     mut strip_words: FS,
     mut universe: FU,
-) -> Bytes
+) -> Vec<u8>
 where
     FS: FnMut(usize, usize) -> Vec<u64>,
-    FU: FnMut(usize, &mut BytesMut),
+    FU: FnMut(usize, &mut Vec<u8>),
 {
     let m = manifest.config.m as usize;
     let num_targets = manifest.num_targets();
@@ -585,7 +570,7 @@ where
 
     // Universes are rendered first so the section table can commit their
     // exact byte length.
-    let mut ublob = BytesMut::new();
+    let mut ublob = Vec::new();
     let attr_lo = block_start * 64;
     let attr_hi = ((block_start + block_count) * 64).min(manifest.num_attrs);
     for attr in attr_lo..attr_hi {
@@ -600,22 +585,22 @@ where
     }
     sections.push((off as u64, ublob.len() as u64));
 
-    let mut buf = BytesMut::with_capacity(off + ublob.len() + checksum::TRAILER_LEN);
-    buf.put_slice(SHARD_MAGIC);
-    buf.put_u64_le(manifest.generation);
-    buf.put_u32_le(entry_id as u32);
-    buf.put_u32_le(block_start as u32);
-    buf.put_u32_le(block_count as u32);
-    buf.put_u32_le(num_targets as u32);
-    buf.put_u64_le(manifest.fingerprint);
-    buf.put_u32_le(manifest.config.m);
-    buf.put_u32_le(sections.len() as u32);
+    let mut buf = Vec::with_capacity(off + ublob.len() + checksum::TRAILER_LEN);
+    buf.extend_from_slice(SHARD_MAGIC);
+    buf.extend_from_slice(&manifest.generation.to_le_bytes());
+    buf.extend_from_slice(&(entry_id as u32).to_le_bytes());
+    buf.extend_from_slice(&(block_start as u32).to_le_bytes());
+    buf.extend_from_slice(&(block_count as u32).to_le_bytes());
+    buf.extend_from_slice(&(num_targets as u32).to_le_bytes());
+    buf.extend_from_slice(&manifest.fingerprint.to_le_bytes());
+    buf.extend_from_slice(&manifest.config.m.to_le_bytes());
+    buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     for &(o, l) in &sections {
-        buf.put_u64_le(o);
-        buf.put_u64_le(l);
+        buf.extend_from_slice(&o.to_le_bytes());
+        buf.extend_from_slice(&l.to_le_bytes());
     }
     let header_crc = crc32(&buf);
-    buf.put_u32_le(header_crc);
+    buf.extend_from_slice(&header_crc.to_le_bytes());
     buf.resize(header_end, 0);
 
     for target in 0..num_targets {
@@ -630,7 +615,7 @@ where
         // search kernels sweep: word (row, block) at row·width + block.
         for row in 0..m {
             for s in &strips {
-                buf.put_u64_le(s[row]);
+                buf.extend_from_slice(&s[row].to_le_bytes());
             }
         }
         buf.resize(buf.len().next_multiple_of(ARENA_ALIGN), 0);
@@ -638,7 +623,7 @@ where
     debug_assert_eq!(buf.len(), off, "sections laid out exactly as the table commits");
     buf.extend_from_slice(&ublob);
     checksum::append_trailer(&mut buf);
-    buf.freeze()
+    buf
 }
 
 /// Checks the first eight bytes of a shard file: the arena magic passes,
@@ -710,12 +695,12 @@ fn parse_arena_header(raw: &[u8], file_len: u64) -> Result<ArenaHeader, StoreErr
     for s in 0..section_count {
         let off = u64_at(ARENA_FIXED_HEADER + s * ARENA_SECTION_ENTRY) as usize;
         let len = u64_at(ARENA_FIXED_HEADER + s * ARENA_SECTION_ENTRY + 8) as usize;
-        if off % ARENA_ALIGN != 0 {
+        if !off.is_multiple_of(ARENA_ALIGN) {
             return Err(mismatch(format!(
                 "arena section {s} at byte offset {off} is not {ARENA_ALIGN}-byte aligned"
             )));
         }
-        if off < prev_end || off.checked_add(len).map_or(true, |end| end > payload_end) {
+        if off < prev_end || off.checked_add(len).is_none_or(|end| end > payload_end) {
             return Err(corrupt(format!(
                 "arena section {s} (offset {off}, {len} bytes) overruns the file"
             ))
@@ -772,14 +757,12 @@ fn arena_universes(
     entry: &ShardEntry,
 ) -> Result<Vec<ValueSet>, StoreError> {
     let (attr_lo, attr_hi) = entry.attr_range(manifest.num_attrs);
-    let mut buf = Bytes::copy_from_slice(blob);
+    let mut buf = Reader::new(blob);
     let mut universes = Vec::with_capacity((attr_hi - attr_lo) as usize);
     for _ in attr_lo..attr_hi {
         universes.push(get_value_set(&mut buf)?);
     }
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes after arena universes").into());
-    }
+    buf.finish("arena universes")?;
     Ok(universes)
 }
 
@@ -968,7 +951,7 @@ pub fn pack_store(
             matrices[target].extract_strip(block).words().to_vec()
         };
         let universes =
-            |attr: usize, buf: &mut BytesMut| put_value_set(buf, index.universe(attr as AttrId));
+            |attr: usize, buf: &mut Vec<u8>| put_value_set(buf, index.universe(attr as AttrId));
         let payload =
             encode_shard_arena_with(&manifest, id, block_start, block_count, strips, universes);
         let digest = shard_digest(&payload);
@@ -1239,7 +1222,7 @@ pub fn repair_store(
             }
             strip.words().to_vec()
         };
-        let universe_fn = |attr: usize, buf: &mut BytesMut| {
+        let universe_fn = |attr: usize, buf: &mut Vec<u8>| {
             put_value_set(buf, &dataset.attribute(attr as AttrId).value_universe())
         };
         let payload = encode_shard_arena_with(

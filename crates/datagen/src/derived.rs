@@ -18,7 +18,7 @@
 //! an owned value, re-add it days later) when they would otherwise fall
 //! under the paper's ≥5-version filter.
 
-use rand::{Rng, RngExt};
+use tind_model::rng::Rng;
 use tind_model::{HistoryBuilder, Timestamp, ValueId};
 
 use crate::config::GeneratorConfig;
@@ -48,14 +48,14 @@ pub enum Dirtiness {
 /// When `rename_value` is given, one adopted source value is permanently
 /// replaced by it mid-life — the entity-rename dirt of §3.3 that makes
 /// the (still genuine) pair undiscoverable without σ-partial containment.
-pub fn simulate_derived<R: Rng>(
+pub fn simulate_derived(
     source: &SourceSim,
     pool: &DomainPool,
     cfg: &GeneratorConfig,
     dirtiness: Dirtiness,
     rename_value: Option<tind_model::ValueId>,
     name: &str,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> tind_model::AttributeHistory {
     let (delay_max, error_days) = match dirtiness {
         Dirtiness::Clean => (cfg.clean_delay_max, cfg.clean_error_days),
@@ -66,23 +66,23 @@ pub fn simulate_derived<R: Rng>(
     // its source would trail permanent violations and stop being genuine).
     let latest_birth = source.death.saturating_sub(30).max(source.birth);
     let birth = if latest_birth > source.birth {
-        rng.random_range(source.birth..=latest_birth)
+        rng.range(source.birth..=latest_birth)
     } else {
         source.birth
     };
     let death = source.death;
 
-    let adopt_rate: f64 = rng.random_range(0.55..0.95);
+    let adopt_rate = 0.55 + (0.95 - 0.55) * rng.f64();
     // One characteristic lag per derived attribute (its maintainer's
     // responsiveness). A constant lag keeps propagated events in source
     // order — independent per-change delays could propagate a *removal*
     // before an earlier insertion, leaving a permanently leaked value.
-    let delay: u32 = rng.random_range(0..=delay_max);
+    let delay: u32 = rng.range(0..=delay_max);
 
     // Initial set: an adopted subset of the source at birth.
     let source_at_birth = source.set_at(birth).expect("birth within source life");
     let mut initial: Vec<ValueId> =
-        source_at_birth.iter().copied().filter(|_| rng.random::<f64>() < adopt_rate).collect();
+        source_at_birth.iter().copied().filter(|_| rng.f64() < adopt_rate).collect();
     // Honor the ≥5 cardinality floor.
     for &v in &source_at_birth {
         if initial.len() >= 5 {
@@ -103,7 +103,7 @@ pub fn simulate_derived<R: Rng>(
         }
         let te = ch.t.saturating_add(delay).min(death);
         for &v in &ch.added {
-            if rng.random::<f64>() < adopt_rate && owned.insert(v) {
+            if rng.f64() < adopt_rate && owned.insert(v) {
                 events.push((te, Op::Insert(v)));
             }
         }
@@ -113,8 +113,8 @@ pub fn simulate_derived<R: Rng>(
             }
         }
         // Transient erroneous insertion of a foreign value.
-        if rng.random::<f64>() < cfg.error_rate {
-            let dur = rng.random_range(error_days.0..=error_days.1);
+        if rng.f64() < cfg.error_rate {
+            let dur = rng.range(error_days.0..=error_days.1);
             if te + dur <= death {
                 let foreign = pool.sample_foreign(source.domain, rng);
                 if !owned.contains(&foreign) {
@@ -132,7 +132,7 @@ pub fn simulate_derived<R: Rng>(
             // Early in life, so the wrong name dominates the history (real
             // renames stick; a late rename would leave only a short
             // violation tail that ε could absorb).
-            let tr = rng.random_range(birth + 1..=birth + (death - birth) / 4);
+            let tr = rng.range(birth + 1..=birth + (death - birth) / 4);
             if let Some(&victim) = owned.iter().next() {
                 owned.remove(&victim);
                 events.push((tr, Op::Remove(victim)));
@@ -150,7 +150,7 @@ pub fn simulate_derived<R: Rng>(
         if death - birth < 4 {
             break;
         }
-        let t = rng.random_range(birth + 1..death);
+        let t = rng.range(birth + 1..death);
         let owned_now: Vec<ValueId> = history.values_at(t).to_vec();
         if owned_now.len() <= 5 {
             continue;
@@ -211,13 +211,11 @@ fn materialize(
 mod tests {
     use super::*;
     use crate::source::simulate_source;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use tind_core::validate::{naive_violation_weight, validate};
     use tind_core::TindParams;
     use tind_model::{Timeline, WeightFn};
 
-    fn setup(seed: u64) -> (DomainPool, GeneratorConfig, StdRng) {
+    fn setup(seed: u64) -> (DomainPool, GeneratorConfig, Rng) {
         let mut dict = tind_model::Dictionary::new();
         let cfg = GeneratorConfig::small(50, seed);
         let pool = DomainPool::generate(
@@ -226,7 +224,7 @@ mod tests {
             cfg.entities_per_domain,
             cfg.zipf_exponent,
         );
-        (pool, cfg, StdRng::seed_from_u64(seed))
+        (pool, cfg, Rng::seed_from_u64(seed))
     }
 
     #[test]

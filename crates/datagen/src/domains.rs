@@ -6,7 +6,7 @@
 //! realistic value overlap between related attributes and occasional
 //! chance overlap between unrelated ones.
 
-use rand::{Rng, RngExt};
+use tind_model::rng::Rng;
 use tind_model::{Dictionary, ValueId, ValueSet};
 
 /// Pre-interned entity pools, one per domain, with cumulative Zipf weights.
@@ -61,16 +61,16 @@ impl DomainPool {
     }
 
     /// Samples one entity from domain `d` with Zipf skew.
-    pub fn sample_entity<R: Rng>(&self, d: usize, rng: &mut R) -> ValueId {
+    pub fn sample_entity(&self, d: usize, rng: &mut Rng) -> ValueId {
         let total = *self.zipf_cum.last().expect("non-empty domain");
-        let r = rng.random::<f64>() * total;
+        let r = rng.f64() * total;
         let idx = self.zipf_cum.partition_point(|&c| c < r);
         self.entities[d][idx.min(self.domain_size() - 1)]
     }
 
     /// Samples `count` *distinct* entities from domain `d` (canonical set).
     /// Saturates at the domain size.
-    pub fn sample_distinct<R: Rng>(&self, d: usize, count: usize, rng: &mut R) -> ValueSet {
+    pub fn sample_distinct(&self, d: usize, count: usize, rng: &mut Rng) -> ValueSet {
         let count = count.min(self.domain_size());
         let mut set = std::collections::BTreeSet::new();
         // Zipf rejection first; top up uniformly if skew keeps colliding.
@@ -80,7 +80,7 @@ impl DomainPool {
             attempts += 1;
         }
         while set.len() < count {
-            let idx = rng.random_range(0..self.domain_size());
+            let idx = rng.range(0..self.domain_size());
             set.insert(self.entities[d][idx]);
         }
         set.into_iter().collect()
@@ -88,14 +88,14 @@ impl DomainPool {
 
     /// Samples an entity from any *other* domain — a foreign (erroneous)
     /// value relative to `own_domain`.
-    pub fn sample_foreign<R: Rng>(&self, own_domain: usize, rng: &mut R) -> ValueId {
+    pub fn sample_foreign(&self, own_domain: usize, rng: &mut Rng) -> ValueId {
         if self.num_domains() == 1 {
             // Degenerate case: fall back to an unpopular same-domain entity,
             // which is at least unlikely to be in any given attribute.
-            let idx = rng.random_range(self.domain_size() / 2..self.domain_size());
+            let idx = rng.range(self.domain_size() / 2..self.domain_size());
             return self.entities[0][idx];
         }
-        let mut d = rng.random_range(0..self.num_domains() - 1);
+        let mut d = rng.range(0..self.num_domains() - 1);
         if d >= own_domain {
             d += 1;
         }
@@ -105,13 +105,13 @@ impl DomainPool {
 
 /// Samples from a Poisson distribution (Knuth's method; fine for the small
 /// λ used for change counts).
-pub fn poisson<R: Rng>(lambda: f64, rng: &mut R) -> usize {
+pub fn poisson(lambda: f64, rng: &mut Rng) -> usize {
     debug_assert!(lambda > 0.0 && lambda < 200.0, "Knuth sampling needs small λ");
     let l = (-lambda).exp();
     let mut k = 0usize;
     let mut p = 1.0;
     loop {
-        p *= rng.random::<f64>();
+        p *= rng.f64();
         if p <= l {
             return k;
         }
@@ -120,17 +120,15 @@ pub fn poisson<R: Rng>(lambda: f64, rng: &mut R) -> usize {
 }
 
 /// Samples from an exponential distribution with the given mean.
-pub fn exponential<R: Rng>(mean: f64, rng: &mut R) -> f64 {
+pub fn exponential(mean: f64, rng: &mut Rng) -> f64 {
     debug_assert!(mean > 0.0);
-    let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+    let u: f64 = rng.f64().max(f64::MIN_POSITIVE);
     -mean * u.ln()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn pool() -> (Dictionary, DomainPool) {
         let mut dict = Dictionary::new();
@@ -150,7 +148,7 @@ mod tests {
     #[test]
     fn zipf_sampling_prefers_popular_entities() {
         let (_, pool) = pool();
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let mut top10 = 0;
         let trials = 5000;
         for _ in 0..trials {
@@ -168,7 +166,7 @@ mod tests {
     #[test]
     fn sample_distinct_returns_canonical_sets() {
         let (_, pool) = pool();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let set = pool.sample_distinct(1, 30, &mut rng);
         assert_eq!(set.len(), 30);
         assert!(set.windows(2).all(|w| w[0] < w[1]));
@@ -180,7 +178,7 @@ mod tests {
     #[test]
     fn foreign_values_come_from_other_domains() {
         let (dict, pool) = pool();
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         for _ in 0..200 {
             let v = pool.sample_foreign(2, &mut rng);
             let name = dict.resolve(v);
@@ -190,7 +188,7 @@ mod tests {
 
     #[test]
     fn poisson_mean_is_roughly_lambda() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let n = 3000;
         let sum: usize = (0..n).map(|_| poisson(13.0, &mut rng)).sum();
         let mean = sum as f64 / n as f64;
@@ -199,7 +197,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_is_roughly_mean() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let n = 5000;
         let sum: f64 = (0..n).map(|_| exponential(500.0, &mut rng)).sum();
         let mean = sum / n as f64;

@@ -1,7 +1,6 @@
 //! Orchestrates full dataset generation.
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use tind_model::rng::Rng;
 use tind_model::{Dataset, DatasetBuilder, Timeline};
 
 use crate::config::GeneratorConfig;
@@ -38,7 +37,7 @@ pub struct GeneratedDataset {
 /// ```
 pub fn generate(config: &GeneratorConfig) -> GeneratedDataset {
     config.validate();
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::seed_from_u64(config.seed);
     let timeline = Timeline::new(config.timeline_days);
     let mut builder = DatasetBuilder::new(timeline);
     let pool = DomainPool::generate(
@@ -62,9 +61,9 @@ pub fn generate(config: &GeneratorConfig) -> GeneratedDataset {
     // Derived: spread round-robin over sources so every source gets some.
     for i in 0..config.num_derived {
         let source_idx = i % sources.len();
-        let dirty = rng.random::<f64>() < config.dirty_fraction;
+        let dirty = rng.f64() < config.dirty_fraction;
         let dirtiness = if dirty { Dirtiness::Dirty } else { Dirtiness::Clean };
-        let renamed = rng.random::<f64>() < config.rename_fraction;
+        let renamed = rng.f64() < config.rename_fraction;
         let name = format!("derived-{i}-of-{source_idx}");
         let rename_value = renamed
             .then(|| builder.dictionary_mut().intern(&format!("renamed-entity:{name}")));
@@ -99,7 +98,7 @@ pub fn generate(config: &GeneratorConfig) -> GeneratedDataset {
         })
         .collect();
     for i in 0..config.num_noise {
-        let roll: f64 = rng.random();
+        let roll = rng.f64();
         let flavor = if roll < config.stable_noise_fraction {
             crate::noise::NoiseFlavor::StableSmall
         } else if roll < config.stable_noise_fraction + config.small_noise_fraction {

@@ -17,7 +17,7 @@
 //!   that even strict tIND discovery reports (why the paper's strict
 //!   precision is only 25%, not 100%).
 
-use rand::{Rng, RngExt};
+use tind_model::rng::Rng;
 use tind_model::{HistoryBuilder, Timestamp, ValueId};
 
 use crate::config::GeneratorConfig;
@@ -40,17 +40,17 @@ pub enum NoiseFlavor {
 /// of those domains (and noise of *other* communities only where domains
 /// are shared). The first [`GeneratorConfig::stable_core_size`] entries
 /// play the role of the stable core.
-pub fn build_noise_pool<R: Rng>(
+pub fn build_noise_pool(
     pool: &DomainPool,
     cfg: &GeneratorConfig,
     domains: &[usize],
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> Vec<ValueId> {
     assert!(!domains.is_empty(), "community needs at least one domain");
     let mut values = std::collections::BTreeSet::new();
     let mut attempts = 0;
     while values.len() < cfg.noise_pool_size && attempts < cfg.noise_pool_size * 30 {
-        let d = domains[rng.random_range(0..domains.len())];
+        let d = domains[rng.range(0..domains.len())];
         values.insert(pool.sample_entity(d, rng));
         attempts += 1;
     }
@@ -60,19 +60,19 @@ pub fn build_noise_pool<R: Rng>(
 /// Samples a value from a slice with Zipf skew over positions: popular
 /// entries recur across many noise attributes, which is what produces the
 /// chance containments behind spurious static INDs.
-fn sample_skewed<R: Rng>(values: &[ValueId], exponent: f64, rng: &mut R) -> ValueId {
+fn sample_skewed(values: &[ValueId], exponent: f64, rng: &mut Rng) -> ValueId {
     // Inverse-CDF approximation of a Zipf-like skew: u^(1+s) concentrates
     // mass near index 0; exact Zipf is unnecessary for workload shaping.
-    let u: f64 = rng.random();
+    let u = rng.f64();
     let idx = ((values.len() as f64) * u.powf(1.0 + exponent)) as usize;
     values[idx.min(values.len() - 1)]
 }
 
 /// Samples birth/death honoring the survivor fraction.
-fn life<R: Rng>(cfg: &GeneratorConfig, rng: &mut R) -> (Timestamp, Timestamp) {
+fn life(cfg: &GeneratorConfig, rng: &mut Rng) -> (Timestamp, Timestamp) {
     let n = cfg.timeline_days;
-    let birth = rng.random_range(0..n.saturating_sub(60).max(1));
-    let death = if rng.random::<f64>() < cfg.survivor_fraction {
+    let birth = rng.range(0..n.saturating_sub(60).max(1));
+    let death = if rng.f64() < cfg.survivor_fraction {
         n - 1
     } else {
         let lifespan = exponential(cfg.mean_lifespan_days, rng).max(60.0) as u32;
@@ -82,12 +82,12 @@ fn life<R: Rng>(cfg: &GeneratorConfig, rng: &mut R) -> (Timestamp, Timestamp) {
 }
 
 /// Simulates one noise attribute over the shared pool.
-pub fn simulate_noise<R: Rng>(
+pub fn simulate_noise(
     noise_pool: &[ValueId],
     cfg: &GeneratorConfig,
     flavor: NoiseFlavor,
     name: &str,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> tind_model::AttributeHistory {
     match flavor {
         NoiseFlavor::StableSmall => simulate_stable_small(noise_pool, cfg, name, rng),
@@ -99,17 +99,17 @@ pub fn simulate_noise<R: Rng>(
 /// Stable-core-only attribute with toggle churn: remove an owned value,
 /// re-add it at the next change. Its value universe never grows, so any
 /// containment it enjoys persists through all of time.
-fn simulate_stable_small<R: Rng>(
+fn simulate_stable_small(
     noise_pool: &[ValueId],
     cfg: &GeneratorConfig,
     name: &str,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> tind_model::AttributeHistory {
     let (birth, death) = life(cfg, rng);
     let stable_core = &noise_pool[..cfg.stable_core_size.min(noise_pool.len())];
     // Cardinality ≥ 6 so the toggled-down versions still pass the
     // median-cardinality ≥ 5 filter.
-    let card = rng.random_range(6..=8).min(stable_core.len());
+    let card = rng.range(6..=8).min(stable_core.len());
     let mut owned = std::collections::BTreeSet::new();
     let mut guard = 0;
     while owned.len() < card && guard < card * 50 {
@@ -134,7 +134,7 @@ fn simulate_stable_small<R: Rng>(
                 owned.insert(v);
             }
             None => {
-                let idx = rng.random_range(0..owned.len());
+                let idx = rng.range(0..owned.len());
                 let v = *owned.iter().nth(idx).expect("non-empty");
                 owned.remove(&v);
                 removed = Some(v);
@@ -147,12 +147,12 @@ fn simulate_stable_small<R: Rng>(
 
 /// Small (core) or large (core + tail, with a permanent stable subset)
 /// churning attribute.
-fn simulate_churning<R: Rng>(
+fn simulate_churning(
     noise_pool: &[ValueId],
     cfg: &GeneratorConfig,
     small: bool,
     name: &str,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> tind_model::AttributeHistory {
     let (birth, death) = life(cfg, rng);
     let zipf = cfg.noise_zipf_exponent;
@@ -163,7 +163,7 @@ fn simulate_churning<R: Rng>(
     let mut current: std::collections::BTreeSet<ValueId> = std::collections::BTreeSet::new();
     if small {
         let card = rng
-            .random_range(cfg.noise_cardinality.0..=(cfg.noise_cardinality.0 + 4))
+            .range(cfg.noise_cardinality.0..=(cfg.noise_cardinality.0 + 4))
             .min(core.len());
         let mut guard = 0;
         while current.len() < card && guard < card * 50 {
@@ -179,18 +179,18 @@ fn simulate_churning<R: Rng>(
     } else {
         // Permanently kept stable-core values.
         for &v in stable_core {
-            if rng.random::<f64>() < cfg.stable_keep_prob {
+            if rng.f64() < cfg.stable_keep_prob {
                 permanent.insert(v);
                 current.insert(v);
             }
         }
         for &v in core {
-            if rng.random::<f64>() < cfg.core_inclusion_prob {
+            if rng.f64() < cfg.core_inclusion_prob {
                 current.insert(v);
             }
         }
         let target = rng
-            .random_range(
+            .range(
                 (cfg.noise_cardinality.0 + cfg.noise_cardinality.1) / 2..=cfg.noise_cardinality.1,
             )
             .max(current.len());
@@ -210,18 +210,18 @@ fn simulate_churning<R: Rng>(
     // A removable (non-permanent) member, if any.
     let pick_removable = |current: &std::collections::BTreeSet<ValueId>,
                           permanent: &std::collections::BTreeSet<ValueId>,
-                          rng: &mut R| {
+                          rng: &mut Rng| {
         let removable: Vec<ValueId> =
             current.iter().copied().filter(|v| !permanent.contains(v)).collect();
         if removable.is_empty() {
             None
         } else {
-            Some(removable[rng.random_range(0..removable.len())])
+            Some(removable[rng.range(0..removable.len())])
         }
     };
     // Inserts a value that is genuinely new (bounded resampling), so every
     // change produces a distinct version and the ≥5-version filter holds.
-    let insert_fresh = |current: &mut std::collections::BTreeSet<ValueId>, rng: &mut R| {
+    let insert_fresh = |current: &mut std::collections::BTreeSet<ValueId>, rng: &mut Rng| {
         for _ in 0..64 {
             if current.insert(sample_skewed(replacement_pool, zipf, rng)) {
                 return true;
@@ -232,7 +232,7 @@ fn simulate_churning<R: Rng>(
     for t in days {
         // Random churn: replace, add, or remove a value (never a permanent
         // one).
-        let roll: f64 = rng.random();
+        let roll = rng.f64();
         if roll < 0.5 && current.len() > cfg.noise_cardinality.0 {
             // Replace: removal alone already changes the set; the insert
             // keeps cardinality stable. Re-inserting the removed value
@@ -271,10 +271,8 @@ fn simulate_churning<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn setup(seed: u64) -> (Vec<ValueId>, GeneratorConfig, StdRng) {
+    fn setup(seed: u64) -> (Vec<ValueId>, GeneratorConfig, Rng) {
         let mut dict = tind_model::Dictionary::new();
         let cfg = GeneratorConfig::small(50, seed);
         let pool = DomainPool::generate(
@@ -283,7 +281,7 @@ mod tests {
             cfg.entities_per_domain,
             cfg.zipf_exponent,
         );
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let noise_pool = build_noise_pool(&pool, &cfg, &[0, 1], &mut rng);
         (noise_pool, cfg, rng)
     }

@@ -6,7 +6,7 @@
 //! Poisson number of changes — mostly insertions (entity lists grow), with
 //! occasional removals.
 
-use rand::{Rng, RngExt};
+use tind_model::rng::Rng;
 use tind_model::{HistoryBuilder, Timestamp, ValueId, ValueSet};
 
 use crate::config::GeneratorConfig;
@@ -79,35 +79,35 @@ impl SourceSim {
 }
 
 /// Samples `count` distinct change days in `(birth, death]`.
-pub(crate) fn sample_change_days<R: Rng>(
+pub(crate) fn sample_change_days(
     birth: Timestamp,
     death: Timestamp,
     count: usize,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> Vec<Timestamp> {
     let span = (death - birth) as usize;
     let count = count.min(span);
     let mut days = std::collections::BTreeSet::new();
     while days.len() < count {
-        days.insert(rng.random_range(birth + 1..=death));
+        days.insert(rng.range(birth + 1..=death));
     }
     days.into_iter().collect()
 }
 
 /// Simulates one source attribute.
-pub fn simulate_source<R: Rng>(pool: &DomainPool, cfg: &GeneratorConfig, rng: &mut R) -> SourceSim {
+pub fn simulate_source(pool: &DomainPool, cfg: &GeneratorConfig, rng: &mut Rng) -> SourceSim {
     let n = cfg.timeline_days;
-    let domain = rng.random_range(0..pool.num_domains());
+    let domain = rng.range(0..pool.num_domains());
     // Leave room for at least a 60-day life.
-    let birth = rng.random_range(0..n.saturating_sub(60).max(1));
-    let death = if rng.random::<f64>() < cfg.survivor_fraction {
+    let birth = rng.range(0..n.saturating_sub(60).max(1));
+    let death = if rng.f64() < cfg.survivor_fraction {
         n - 1 // persists to the end of the observation period
     } else {
         let lifespan = exponential(cfg.mean_lifespan_days, rng).max(60.0) as u32;
         birth.saturating_add(lifespan).min(n - 1)
     };
 
-    let card = rng.random_range(cfg.initial_cardinality.0..=cfg.initial_cardinality.1);
+    let card = rng.range(cfg.initial_cardinality.0..=cfg.initial_cardinality.1);
     let initial = pool.sample_distinct(domain, card, rng);
 
     let change_count = poisson(cfg.mean_changes * cfg.source_change_factor, rng).max(4);
@@ -118,9 +118,9 @@ pub fn simulate_source<R: Rng>(pool: &DomainPool, cfg: &GeneratorConfig, rng: &m
     for t in days {
         let mut added = ValueSet::new();
         let mut removed = ValueSet::new();
-        if rng.random::<f64>() < 0.75 || current.len() <= 5 {
+        if rng.f64() < 0.75 || current.len() <= 5 {
             // Growth: insert 1..=3 fresh entities.
-            let how_many = rng.random_range(1..=3);
+            let how_many = rng.range(1..=3u32);
             for _ in 0..how_many {
                 let v = pool.sample_entity(domain, rng);
                 if current.insert(v) {
@@ -136,7 +136,7 @@ pub fn simulate_source<R: Rng>(pool: &DomainPool, cfg: &GeneratorConfig, rng: &m
             }
         } else {
             // Shrink: remove one value (keeping the ≥5 floor).
-            let idx = rng.random_range(0..current.len());
+            let idx = rng.range(0..current.len());
             let v = *current.iter().nth(idx).expect("non-empty");
             current.remove(&v);
             removed.push(v);
@@ -153,8 +153,6 @@ pub fn simulate_source<R: Rng>(pool: &DomainPool, cfg: &GeneratorConfig, rng: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn setup() -> (DomainPool, GeneratorConfig) {
         let mut dict = tind_model::Dictionary::new();
@@ -167,7 +165,7 @@ mod tests {
     #[test]
     fn source_respects_structural_invariants() {
         let (pool, cfg) = setup();
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         for _ in 0..50 {
             let s = simulate_source(&pool, &cfg, &mut rng);
             assert!(s.birth < s.death);
@@ -182,7 +180,7 @@ mod tests {
     #[test]
     fn history_matches_diff_replay() {
         let (pool, cfg) = setup();
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let s = simulate_source(&pool, &cfg, &mut rng);
         let h = s.into_history("src");
         assert_eq!(h.first_observed(), s.birth);
@@ -197,7 +195,7 @@ mod tests {
     #[test]
     fn set_at_outside_life_is_none() {
         let (pool, cfg) = setup();
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let s = simulate_source(&pool, &cfg, &mut rng);
         if s.birth > 0 {
             assert!(s.set_at(s.birth - 1).is_none());
@@ -208,7 +206,7 @@ mod tests {
     #[test]
     fn cardinality_never_drops_below_five() {
         let (pool, cfg) = setup();
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         for _ in 0..20 {
             let s = simulate_source(&pool, &cfg, &mut rng);
             let h = s.into_history("src");
@@ -220,7 +218,7 @@ mod tests {
 
     #[test]
     fn sample_change_days_handles_tight_spans() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let days = sample_change_days(10, 13, 10, &mut rng);
         assert_eq!(days.len(), 3, "span of 3 caps the count");
         assert!(days.windows(2).all(|w| w[0] < w[1]));

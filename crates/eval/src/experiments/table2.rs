@@ -6,9 +6,7 @@
 //! ground truth. Paper expectation: genuineness density rises with change
 //! frequency on both sides, peaking at [16,∞) ⊆ [16,∞) (24% in the paper).
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use tind_model::rng::Rng;
 use tind_baseline::ManyIndex;
 use tind_model::AttrId;
 
@@ -48,12 +46,12 @@ pub fn run(ctx: &ExpContext) -> Report {
         }
     }
 
-    let mut rng = StdRng::seed_from_u64(ctx.seed + 2);
+    let mut rng = Rng::seed_from_u64(ctx.seed + 2);
     let mut table = TextTable::new(["bucket", "static INDs", "sampled", "TP [%]"]);
     for (bl, &lb) in BUCKETS.iter().enumerate() {
         for (br, &rb) in BUCKETS.iter().enumerate() {
             let pairs = &mut buckets[bl * BUCKETS.len() + br];
-            pairs.shuffle(&mut rng);
+            rng.shuffle(pairs);
             let sample: Vec<(AttrId, AttrId)> = pairs.iter().copied().take(100).collect();
             let tp = sample.iter().filter(|&&(l, r)| generated.truth.is_genuine(l, r)).count();
             let tp_pct = if sample.is_empty() {

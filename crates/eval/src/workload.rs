@@ -2,8 +2,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use tind_model::rng::Rng;
 use tind_datagen::{generate, GeneratedDataset, GeneratorConfig};
 use tind_model::AttrId;
 
@@ -22,13 +21,13 @@ pub fn build_dataset(ctx: &ExpContext, num_attributes: Option<usize>) -> Generat
 
 /// Samples `count` distinct query attribute ids (or all ids if fewer).
 pub fn sample_queries(num_attributes: usize, count: usize, seed: u64) -> Vec<AttrId> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     if count >= num_attributes {
         return (0..num_attributes as AttrId).collect();
     }
     let mut chosen = std::collections::BTreeSet::new();
     while chosen.len() < count {
-        chosen.insert(rng.random_range(0..num_attributes as AttrId));
+        chosen.insert(rng.range(0..num_attributes as AttrId));
     }
     chosen.into_iter().collect()
 }

@@ -5,8 +5,6 @@
 //! files small and loading fast without pulling in a serialization
 //! framework. The format is versioned via a magic header.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::history::HistoryBuilder;
 use crate::time::Timeline;
@@ -75,7 +73,7 @@ fn corrupt(msg: impl Into<String>) -> BinIoError {
 /// Validates an 8-byte magic header (7-byte identifier + version byte),
 /// distinguishing "not this kind of file" from "right file, wrong
 /// version" so operators see an actionable message.
-pub fn check_magic(bytes: &[u8], magic: &[u8; 8], what: &str) -> Result<(), BinIoError> {
+fn check_magic(bytes: &[u8], magic: &[u8; 8], what: &str) -> Result<(), BinIoError> {
     if bytes.len() < magic.len() || bytes[..magic.len() - 1] != magic[..magic.len() - 1] {
         return Err(corrupt(format!("bad {what} magic header")));
     }
@@ -90,68 +88,128 @@ pub fn check_magic(bytes: &[u8], magic: &[u8; 8], what: &str) -> Result<(), BinI
     Ok(())
 }
 
+/// Opens a checksummed container: checks the magic header, verifies and
+/// strips the CRC-32 trailer, and returns a reader positioned just after
+/// the magic. Every on-disk container starts its decode here.
+pub fn open<'a>(bytes: &'a [u8], magic: &[u8; 8], what: &str) -> Result<Reader<'a>, BinIoError> {
+    check_magic(bytes, magic, what)?;
+    let payload = crate::checksum::verify_and_strip(bytes)?;
+    Ok(Reader::new(&payload[magic.len()..]))
+}
+
+/// Checked read cursor over a byte slice: every accessor returns
+/// `Corrupt("truncated {what}")` instead of reading past the end, so no
+/// decoder needs a length check of its own.
+#[derive(Debug, Clone)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    /// A reader over all of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf }
+    }
+
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The next `n` bytes, borrowed from the underlying buffer.
+    pub fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], BinIoError> {
+        if self.buf.len() < n {
+            return Err(corrupt(format!("truncated {what}")));
+        }
+        let (head, tail) = self.buf.split_at(n);
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], BinIoError> {
+        Ok(self.bytes(N, what)?.try_into().expect("N-byte slice"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self, what: &str) -> Result<u8, BinIoError> {
+        Ok(self.array::<1>(what)?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32_le(&mut self, what: &str) -> Result<u32, BinIoError> {
+        Ok(u32::from_le_bytes(self.array(what)?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64_le(&mut self, what: &str) -> Result<u64, BinIoError> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    /// A big-endian `f64` (the byte order the formats have always used).
+    pub fn f64(&mut self, what: &str) -> Result<f64, BinIoError> {
+        Ok(f64::from_be_bytes(self.array(what)?))
+    }
+
+    /// Decodes a varint, failing on truncation and on encodings that do
+    /// not fit a `u64` (more than 10 bytes, or a 10th byte carrying more
+    /// than the one bit that is left).
+    pub fn varint(&mut self) -> Result<u64, BinIoError> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let byte = self.u8("varint")?;
+            if shift >= 64 || (shift == 63 && byte & 0x7f > 1) {
+                return Err(corrupt("varint overflows u64"));
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// Decodes a length-prefixed UTF-8 string, validated where it lies.
+    pub fn str(&mut self) -> Result<&'a str, BinIoError> {
+        let len = usize::try_from(self.varint()?).map_err(|_| corrupt("string length overflow"))?;
+        std::str::from_utf8(self.bytes(len, "string")?)
+            .map_err(|_| corrupt("invalid utf-8 in string"))
+    }
+
+    /// Fails with `Corrupt("trailing bytes after {what}")` unless every
+    /// byte was read.
+    pub fn finish(self, what: &str) -> Result<(), BinIoError> {
+        if self.buf.is_empty() {
+            Ok(())
+        } else {
+            Err(corrupt(format!("trailing bytes after {what}")))
+        }
+    }
+}
+
 /// LEB128-style unsigned varint encoding.
-pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-/// Decodes a varint, failing on truncation or overlong (>10 byte) encodings.
-pub fn get_varint(buf: &mut Bytes) -> Result<u64, BinIoError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(corrupt("truncated varint"));
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 {
-            return Err(corrupt("varint overflows u64"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
+        buf.push(byte | 0x80);
     }
 }
 
 /// Encodes a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
-}
-
-/// Decodes a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut Bytes) -> Result<String, BinIoError> {
-    with_str(buf, str::to_owned)
-}
-
-/// Validates a length-prefixed UTF-8 string where it lies in `buf` and
-/// hands it to `f` before stepping over it, so the only copy made is the
-/// one `f` makes.
-fn with_str<T>(buf: &mut Bytes, f: impl FnOnce(&str) -> T) -> Result<T, BinIoError> {
-    let len = usize::try_from(get_varint(buf)?).map_err(|_| corrupt("string length overflow"))?;
-    if buf.remaining() < len {
-        return Err(corrupt("truncated string"));
-    }
-    let s = std::str::from_utf8(&buf[..len]).map_err(|_| corrupt("invalid utf-8 in string"))?;
-    let out = f(s);
-    buf.advance(len);
-    Ok(out)
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Serializes `dataset` into a byte buffer.
-pub fn encode_dataset(dataset: &Dataset) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 20);
-    buf.put_slice(MAGIC);
+pub fn encode_dataset(dataset: &Dataset) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1 << 20);
+    buf.extend_from_slice(MAGIC);
     put_varint(&mut buf, u64::from(dataset.timeline().len()));
     // Dictionary, in id order so ids are implicit.
     put_varint(&mut buf, dataset.dictionary().len() as u64);
@@ -177,57 +235,55 @@ pub fn encode_dataset(dataset: &Dataset) -> Bytes {
         }
     }
     crate::checksum::append_trailer(&mut buf);
-    buf.freeze()
+    buf
 }
 
 /// Deserializes a dataset from bytes produced by [`encode_dataset`].
-pub fn decode_dataset(bytes: Bytes) -> Result<Dataset, BinIoError> {
-    check_magic(&bytes, MAGIC, "dataset")?;
-    let mut buf = crate::checksum::verify_and_strip(bytes)?;
-    buf.advance(MAGIC.len());
+pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
+    let mut buf = open(bytes, MAGIC, "dataset")?;
     let timeline_len =
-        u32::try_from(get_varint(&mut buf)?).map_err(|_| corrupt("timeline length overflow"))?;
+        u32::try_from(buf.varint()?).map_err(|_| corrupt("timeline length overflow"))?;
     if timeline_len == 0 {
         return Err(corrupt("zero-length timeline"));
     }
     let mut builder = DatasetBuilder::new(Timeline::new(timeline_len));
-    let dict_len = get_varint(&mut buf)? as usize;
+    let dict_len = buf.varint()? as usize;
     // Every entry takes at least its length byte, so the bytes left bound
     // the count: a hostile `dict_len` cannot out-allocate its own file.
     builder.dictionary_mut().reserve(dict_len.min(buf.remaining()));
     for expected_id in 0..dict_len {
         let dictionary = builder.dictionary_mut();
         // A repeated string interns to the id of its first occurrence.
-        let id = with_str(&mut buf, |s| dictionary.intern(s))?;
+        let id = dictionary.intern(buf.str()?);
         if id as usize != expected_id {
             let first = dictionary.resolve(id);
             return Err(corrupt(format!("duplicate dictionary entry '{first}'")));
         }
     }
-    let num_attrs = get_varint(&mut buf)? as usize;
+    let num_attrs = buf.varint()? as usize;
     for _ in 0..num_attrs {
-        let name = get_str(&mut buf)?;
+        let name = buf.str()?;
         let last_observed =
-            u32::try_from(get_varint(&mut buf)?).map_err(|_| corrupt("last_observed overflow"))?;
-        let num_versions = get_varint(&mut buf)? as usize;
+            u32::try_from(buf.varint()?).map_err(|_| corrupt("last_observed overflow"))?;
+        let num_versions = buf.varint()? as usize;
         if num_versions == 0 {
             return Err(corrupt(format!("attribute '{name}' has no versions")));
         }
-        let mut hb = HistoryBuilder::new(&name);
+        let mut hb = HistoryBuilder::new(name);
         let mut start = 0u32;
         for vi in 0..num_versions {
             let delta =
-                u32::try_from(get_varint(&mut buf)?).map_err(|_| corrupt("start delta overflow"))?;
+                u32::try_from(buf.varint()?).map_err(|_| corrupt("start delta overflow"))?;
             if vi > 0 && delta == 0 {
                 return Err(corrupt(format!("attribute '{name}': non-increasing version start")));
             }
             start += delta;
-            let card = get_varint(&mut buf)? as usize;
+            let card = buf.varint()? as usize;
             // At least one byte per value id: same bound as the dictionary.
             let mut values: Vec<ValueId> = Vec::with_capacity(card.min(buf.remaining()));
             let mut val: u64 = 0;
             for ci in 0..card {
-                let d = get_varint(&mut buf)?;
+                let d = buf.varint()?;
                 if ci > 0 && d == 0 {
                     return Err(corrupt("duplicate value id in version"));
                 }
@@ -245,78 +301,63 @@ pub fn decode_dataset(bytes: Bytes) -> Result<Dataset, BinIoError> {
         }
         builder.add_history(hb.finish(last_observed));
     }
-    if buf.has_remaining() {
-        return Err(corrupt("trailing bytes after dataset"));
-    }
+    buf.finish("dataset")?;
     Ok(builder.build())
 }
 
 /// Serializes a weight function (tag byte + payload).
-pub fn put_weight_fn(buf: &mut BytesMut, w: &crate::WeightFn) {
+pub fn put_weight_fn(buf: &mut Vec<u8>, w: &crate::WeightFn) {
     use crate::WeightFn;
     match w {
         WeightFn::Constant { per_timestamp } => {
-            buf.put_u8(0);
-            buf.put_f64(*per_timestamp);
+            buf.push(0);
+            buf.extend_from_slice(&per_timestamp.to_be_bytes());
         }
         WeightFn::ExponentialDecay { a, n } => {
-            buf.put_u8(1);
-            buf.put_f64(*a);
+            buf.push(1);
+            buf.extend_from_slice(&a.to_be_bytes());
             put_varint(buf, u64::from(*n));
         }
         WeightFn::LinearDecay { n } => {
-            buf.put_u8(2);
+            buf.push(2);
             put_varint(buf, u64::from(*n));
         }
         WeightFn::Piecewise { prefix } => {
-            buf.put_u8(3);
+            buf.push(3);
             put_varint(buf, prefix.len() as u64);
             for &p in prefix.iter() {
-                buf.put_f64(p);
+                buf.extend_from_slice(&p.to_be_bytes());
             }
         }
     }
 }
 
 /// Deserializes a weight function written by [`put_weight_fn`].
-pub fn get_weight_fn(buf: &mut Bytes) -> Result<crate::WeightFn, BinIoError> {
+pub fn get_weight_fn(buf: &mut Reader<'_>) -> Result<crate::WeightFn, BinIoError> {
     use crate::WeightFn;
-    if !buf.has_remaining() {
-        return Err(corrupt("truncated weight function"));
-    }
-    let tag = buf.get_u8();
-    let need = |buf: &Bytes, n: usize| {
-        if buf.remaining() < n {
-            Err(corrupt("truncated weight function payload"))
-        } else {
-            Ok(())
-        }
-    };
-    match tag {
-        0 => {
-            need(buf, 8)?;
-            Ok(WeightFn::Constant { per_timestamp: buf.get_f64() })
-        }
+    const PAYLOAD: &str = "weight function payload";
+    match buf.u8("weight function")? {
+        0 => Ok(WeightFn::Constant { per_timestamp: buf.f64(PAYLOAD)? }),
         1 => {
-            need(buf, 8)?;
-            let a = buf.get_f64();
-            let n = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("n overflow"))?;
+            let a = buf.f64(PAYLOAD)?;
+            let n = u32::try_from(buf.varint()?).map_err(|_| corrupt("n overflow"))?;
             if !(a > 0.0 && a < 1.0) {
                 return Err(corrupt("decay base out of range"));
             }
             Ok(WeightFn::ExponentialDecay { a, n })
         }
         2 => {
-            let n = u32::try_from(get_varint(buf)?).map_err(|_| corrupt("n overflow"))?;
+            let n = u32::try_from(buf.varint()?).map_err(|_| corrupt("n overflow"))?;
             Ok(WeightFn::LinearDecay { n })
         }
         3 => {
-            let len = get_varint(buf)? as usize;
-            need(buf, len.checked_mul(8).ok_or_else(|| corrupt("prefix overflow"))?)?;
-            let mut prefix = Vec::with_capacity(len);
-            for _ in 0..len {
-                prefix.push(buf.get_f64());
-            }
+            let len = buf.varint()? as usize;
+            let bytes = len.checked_mul(8).ok_or_else(|| corrupt("prefix overflow"))?;
+            let prefix: Vec<f64> = buf
+                .bytes(bytes, PAYLOAD)?
+                .chunks_exact(8)
+                .map(|c| f64::from_be_bytes(c.try_into().expect("8-byte chunk")))
+                .collect();
             if prefix.windows(2).any(|w| w[1] < w[0]) || prefix.first() != Some(&0.0) {
                 return Err(corrupt("invalid weight prefix sums"));
             }
@@ -341,8 +382,7 @@ pub fn write_dataset_file(dataset: &Dataset, path: &std::path::Path) -> Result<(
 
 /// Reads a dataset from the file at `path`.
 pub fn read_dataset_file(path: &std::path::Path) -> Result<Dataset, BinIoError> {
-    let raw = std::fs::read(path)?;
-    decode_dataset(Bytes::from(raw))
+    decode_dataset(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -365,8 +405,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let d = sample();
-        let bytes = encode_dataset(&d);
-        let d2 = decode_dataset(bytes).expect("decodes");
+        let d2 = decode_dataset(&encode_dataset(&d)).expect("decodes");
         assert_eq!(d2.timeline(), d.timeline());
         assert_eq!(d2.len(), d.len());
         assert_eq!(d2.dictionary().len(), d.dictionary().len());
@@ -382,21 +421,40 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
         for &v in &values {
             put_varint(&mut buf, v);
         }
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         for &v in &values {
-            assert_eq!(get_varint(&mut bytes).expect("decodes"), v);
+            assert_eq!(bytes.varint().expect("decodes"), v);
         }
-        assert!(!bytes.has_remaining());
+        bytes.finish("varints").expect("all read");
+    }
+
+    /// Regression: the 10th byte has one payload bit left (bit 63). A
+    /// larger payload used to be shifted out silently, so a non-canonical
+    /// encoding decoded as a different number.
+    #[test]
+    fn varint_tenth_byte_overflow_is_rejected() {
+        let mut max = [0xffu8; 10];
+        max[9] = 0x01;
+        assert_eq!(Reader::new(&max).varint().expect("u64::MAX"), u64::MAX);
+        let mut over = max;
+        over[9] = 0x02;
+        let err = Reader::new(&over).varint().expect_err("bit 64 does not exist");
+        assert!(err.to_string().contains("varint overflows u64"), "{err}");
+        // An 11th byte is still refused, and a cut-off run is a truncation.
+        let err = Reader::new(&[0xff; 11]).varint().expect_err("overlong");
+        assert!(err.to_string().contains("varint overflows u64"), "{err}");
+        let err = Reader::new(&[0xff; 9]).varint().expect_err("cut");
+        assert!(err.to_string().contains("truncated varint"), "{err}");
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let err = decode_dataset(Bytes::from_static(b"NOTADATASET")).expect_err("must fail");
+        let err = decode_dataset(b"NOTADATASET").expect_err("must fail");
         assert!(matches!(err, BinIoError::Corrupt(_)));
     }
 
@@ -404,26 +462,25 @@ mod tests {
     fn rejects_truncation() {
         let bytes = encode_dataset(&sample());
         for cut in [MAGIC.len(), bytes.len() / 2, bytes.len() - 1] {
-            let truncated = bytes.slice(0..cut);
-            assert!(decode_dataset(truncated).is_err(), "truncation at {cut} must fail");
+            assert!(decode_dataset(&bytes[..cut]).is_err(), "truncation at {cut} must fail");
         }
     }
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut raw = encode_dataset(&sample()).to_vec();
+        let mut raw = encode_dataset(&sample());
         raw.push(0x42);
-        assert!(decode_dataset(Bytes::from(raw)).is_err());
+        assert!(decode_dataset(&raw).is_err());
     }
 
     /// A CRC-valid dataset file: `body` between the magic and the trailer.
-    fn sealed(body: impl FnOnce(&mut BytesMut)) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
+    fn sealed(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
         put_varint(&mut buf, 100); // timeline
         body(&mut buf);
         crate::checksum::append_trailer(&mut buf);
-        buf.freeze()
+        buf
     }
 
     #[test]
@@ -434,10 +491,10 @@ mod tests {
         // the file (here: a second empty string is a duplicate entry).
         let file = sealed(|buf| {
             put_varint(buf, 1 << 40);
-            buf.put_slice(&[0u8; 21]);
+            buf.extend_from_slice(&[0u8; 21]);
         });
         assert_eq!(file.len(), 40);
-        assert!(matches!(decode_dataset(file), Err(BinIoError::Corrupt(_))));
+        assert!(matches!(decode_dataset(&file), Err(BinIoError::Corrupt(_))));
 
         // Same for a version claiming 2^40 values.
         let file = sealed(|buf| {
@@ -450,7 +507,7 @@ mod tests {
             put_varint(buf, 0); // start
             put_varint(buf, 1 << 40); // cardinality
         });
-        assert!(matches!(decode_dataset(file), Err(BinIoError::Corrupt(_))));
+        assert!(matches!(decode_dataset(&file), Err(BinIoError::Corrupt(_))));
     }
 
     #[test]
@@ -461,22 +518,22 @@ mod tests {
             put_str(buf, "red");
             put_varint(buf, 0);
         });
-        let err = decode_dataset(dup).expect_err("duplicate entry");
+        let err = decode_dataset(&dup).expect_err("duplicate entry");
         assert!(err.to_string().contains("duplicate dictionary entry 'red'"), "{err}");
 
         let bad = sealed(|buf| {
             put_varint(buf, 1);
             put_varint(buf, 2);
-            buf.put_slice(&[0xff, 0xfe]);
+            buf.extend_from_slice(&[0xff, 0xfe]);
             put_varint(buf, 0);
         });
-        let err = decode_dataset(bad).expect_err("invalid utf-8");
+        let err = decode_dataset(&bad).expect_err("invalid utf-8");
         assert!(err.to_string().contains("invalid utf-8"), "{err}");
     }
 
     #[test]
     fn decoded_dictionary_keeps_its_ids_through_clone_and_into_builder() {
-        let d = decode_dataset(encode_dataset(&sample())).expect("decodes");
+        let d = decode_dataset(&encode_dataset(&sample())).expect("decodes");
         assert_eq!(dataset_fingerprint(&d), dataset_fingerprint(&sample()));
         let mut b = d.clone().into_builder();
         for (id, s) in d.dictionary().iter() {
@@ -511,20 +568,20 @@ mod tests {
             crate::WeightFn::piecewise(&[1.0, 0.5, 0.0, 2.0]),
         ];
         for w in fns {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_weight_fn(&mut buf, &w);
-            let mut bytes = buf.freeze();
+            let mut bytes = Reader::new(&buf);
             let w2 = get_weight_fn(&mut bytes).expect("roundtrip decodes");
             assert_eq!(w, w2);
-            assert!(!bytes.has_remaining());
+            bytes.finish("weight function").expect("all read");
         }
     }
 
     #[test]
     fn weight_fn_rejects_garbage() {
-        assert!(get_weight_fn(&mut Bytes::from_static(&[9])).is_err());
-        assert!(get_weight_fn(&mut Bytes::new()).is_err());
-        assert!(get_weight_fn(&mut Bytes::from_static(&[1, 0, 0])).is_err());
+        assert!(get_weight_fn(&mut Reader::new(&[9])).is_err());
+        assert!(get_weight_fn(&mut Reader::new(&[])).is_err());
+        assert!(get_weight_fn(&mut Reader::new(&[1, 0, 0])).is_err());
     }
 
     #[test]

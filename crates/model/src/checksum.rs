@@ -10,8 +10,6 @@
 //! The implementation is table-driven and dependency-free per the
 //! workspace policy (see DESIGN.md).
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use crate::binio::BinIoError;
 
 /// Size in bytes of the checksum trailer appended to persisted files.
@@ -79,9 +77,9 @@ impl Default for Crc32 {
 
 /// Appends the CRC-32 of everything currently in `buf` as a 4-byte
 /// little-endian trailer.
-pub fn append_trailer(buf: &mut BytesMut) {
-    let crc = crc32(&buf[..]);
-    buf.put_u32_le(crc);
+pub fn append_trailer(buf: &mut Vec<u8>) {
+    let crc = crc32(buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Verifies the trailing CRC-32 of `bytes` and returns the payload with
@@ -91,7 +89,7 @@ pub fn append_trailer(buf: &mut BytesMut) {
 /// trailer at all, and with [`BinIoError::Checksum`] if the stored and
 /// recomputed values disagree (truncation, bit rot, or concatenated
 /// garbage).
-pub fn verify_and_strip(bytes: Bytes) -> Result<Bytes, BinIoError> {
+pub fn verify_and_strip(bytes: &[u8]) -> Result<&[u8], BinIoError> {
     if bytes.len() < TRAILER_LEN {
         return Err(BinIoError::Corrupt("file too short for checksum trailer".into()));
     }
@@ -101,7 +99,7 @@ pub fn verify_and_strip(bytes: Bytes) -> Result<Bytes, BinIoError> {
     if stored != computed {
         return Err(BinIoError::Checksum { stored, computed, offset: split as u64 });
     }
-    Ok(bytes.slice(0..split))
+    Ok(&bytes[..split])
 }
 
 /// Streams the file at `path` through a fixed-size buffer and verifies its
@@ -163,24 +161,20 @@ mod tests {
 
     #[test]
     fn trailer_roundtrip() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"payload bytes");
+        let mut buf = b"payload bytes".to_vec();
         append_trailer(&mut buf);
-        let stripped = verify_and_strip(buf.freeze()).expect("valid trailer");
-        assert_eq!(&stripped[..], b"payload bytes");
+        let stripped = verify_and_strip(&buf).expect("valid trailer");
+        assert_eq!(stripped, b"payload bytes");
     }
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"some serialized structure follows here");
-        append_trailer(&mut buf);
-        let clean = buf.freeze().to_vec();
+        let mut clean = b"some serialized structure follows here".to_vec();
+        append_trailer(&mut clean);
         for bit in 0..clean.len() * 8 {
             let mut corrupted = clean.clone();
             corrupted[bit / 8] ^= 1 << (bit % 8);
-            let err = verify_and_strip(Bytes::from(corrupted))
-                .expect_err("flipped bit must be detected");
+            let err = verify_and_strip(&corrupted).expect_err("flipped bit must be detected");
             assert!(matches!(err, BinIoError::Checksum { .. }), "bit {bit}: {err}");
         }
     }
@@ -192,11 +186,8 @@ mod tests {
         let path = dir.join("streamed.bin");
         // Payload bigger than the 64 KiB scratch so the loop takes
         // multiple passes.
-        let mut buf = BytesMut::new();
-        let payload: Vec<u8> = (0..200_000u32).map(|i| (i * 7 + 3) as u8).collect();
-        buf.put_slice(&payload);
-        append_trailer(&mut buf);
-        let clean = buf.freeze();
+        let mut clean: Vec<u8> = (0..200_000u32).map(|i| (i * 7 + 3) as u8).collect();
+        append_trailer(&mut clean);
         std::fs::write(&path, &clean).expect("write");
         assert_eq!(stream_verify_file(&path).expect("clean file verifies"), 200_000);
 
@@ -211,7 +202,7 @@ mod tests {
             other => panic!("expected checksum error, got {other}"),
         }
         // Single flipped byte mid-payload.
-        let mut flipped = clean.to_vec();
+        let mut flipped = clean.clone();
         flipped[1234] ^= 0xFF;
         std::fs::write(&path, &flipped).expect("write flipped");
         assert!(matches!(
@@ -223,12 +214,10 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(b"0123456789abcdef");
-        append_trailer(&mut buf);
-        let clean = buf.freeze();
+        let mut clean = b"0123456789abcdef".to_vec();
+        append_trailer(&mut clean);
         for cut in 0..clean.len() {
-            assert!(verify_and_strip(clean.slice(0..cut)).is_err(), "cut at {cut}");
+            assert!(verify_and_strip(&clean[..cut]).is_err(), "cut at {cut}");
         }
     }
 }

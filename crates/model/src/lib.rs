@@ -34,6 +34,7 @@ pub mod hash;
 pub mod history;
 pub mod memory;
 pub mod quarantine;
+pub mod rng;
 pub mod snapshot;
 pub mod stats;
 pub mod table;

@@ -11,9 +11,7 @@
 
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
-use crate::binio::{check_magic, get_str, get_varint, put_str, put_varint, BinIoError};
+use crate::binio::{self, put_str, put_varint, BinIoError};
 use crate::checksum;
 
 /// Magic bytes identifying a serialized quarantine report, including a
@@ -104,10 +102,10 @@ impl QuarantineReport {
     }
 
     /// Serializes the report.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + 64 * self.entries.len());
-        buf.put_slice(QUARANTINE_MAGIC);
-        buf.put_u64_le(self.source_fingerprint);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(64 + 64 * self.entries.len());
+        buf.extend_from_slice(QUARANTINE_MAGIC);
+        buf.extend_from_slice(&self.source_fingerprint.to_le_bytes());
         put_varint(&mut buf, self.pages_seen);
         put_varint(&mut buf, self.pages_kept);
         put_varint(&mut buf, self.pages_quarantined);
@@ -121,26 +119,21 @@ impl QuarantineReport {
             put_str(&mut buf, &e.error);
         }
         checksum::append_trailer(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a report written by [`QuarantineReport::encode`],
     /// verifying magic, version, checksum trailer, and count invariants.
-    pub fn decode(bytes: Bytes) -> Result<QuarantineReport, BinIoError> {
-        check_magic(&bytes, QUARANTINE_MAGIC, "quarantine report")?;
-        let mut buf = checksum::verify_and_strip(bytes)?;
-        buf.advance(QUARANTINE_MAGIC.len());
-        if buf.remaining() < 8 {
-            return Err(corrupt("truncated quarantine header"));
-        }
-        let source_fingerprint = buf.get_u64_le();
-        let pages_seen = get_varint(&mut buf)?;
-        let pages_kept = get_varint(&mut buf)?;
-        let pages_quarantined = get_varint(&mut buf)?;
-        let revisions_kept = get_varint(&mut buf)?;
-        let revisions_dropped = get_varint(&mut buf)?;
-        let sample_cap = get_varint(&mut buf)? as usize;
-        let num_entries = get_varint(&mut buf)? as usize;
+    pub fn decode(bytes: &[u8]) -> Result<QuarantineReport, BinIoError> {
+        let mut buf = binio::open(bytes, QUARANTINE_MAGIC, "quarantine report")?;
+        let source_fingerprint = buf.u64_le("quarantine header")?;
+        let pages_seen = buf.varint()?;
+        let pages_kept = buf.varint()?;
+        let pages_quarantined = buf.varint()?;
+        let revisions_kept = buf.varint()?;
+        let revisions_dropped = buf.varint()?;
+        let sample_cap = buf.varint()? as usize;
+        let num_entries = buf.varint()? as usize;
         if pages_kept + pages_quarantined != pages_seen {
             return Err(corrupt("quarantine counts do not reconcile (kept + quarantined != seen)"));
         }
@@ -149,14 +142,12 @@ impl QuarantineReport {
         }
         let mut entries = Vec::with_capacity(num_entries.min(1 << 16));
         for _ in 0..num_entries {
-            let byte_offset = get_varint(&mut buf)?;
-            let page = get_str(&mut buf)?;
-            let error = get_str(&mut buf)?;
+            let byte_offset = buf.varint()?;
+            let page = buf.str()?.to_owned();
+            let error = buf.str()?.to_owned();
             entries.push(QuarantineEntry { byte_offset, page, error });
         }
-        if buf.has_remaining() {
-            return Err(corrupt("trailing bytes after quarantine report"));
-        }
+        buf.finish("quarantine report")?;
         Ok(QuarantineReport {
             source_fingerprint,
             pages_seen,
@@ -179,8 +170,7 @@ impl QuarantineReport {
 
     /// Reads a report from `path`.
     pub fn read_file(path: &Path) -> Result<QuarantineReport, BinIoError> {
-        let raw = std::fs::read(path)?;
-        QuarantineReport::decode(Bytes::from(raw))
+        QuarantineReport::decode(&std::fs::read(path)?)
     }
 }
 
@@ -203,7 +193,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let r = sample_report();
-        let decoded = QuarantineReport::decode(r.encode()).expect("decodes");
+        let decoded = QuarantineReport::decode(&r.encode()).expect("decodes");
         assert_eq!(decoded, r);
     }
 
@@ -217,7 +207,7 @@ mod tests {
         assert_eq!(r.pages_quarantined, 5);
         assert_eq!(r.entries.len(), 2, "entries bounded by sample_cap");
         assert_eq!(r.error_rate(), 1.0);
-        let decoded = QuarantineReport::decode(r.encode()).expect("decodes");
+        let decoded = QuarantineReport::decode(&r.encode()).expect("decodes");
         assert_eq!(decoded, r);
     }
 
@@ -237,13 +227,12 @@ mod tests {
     fn truncation_and_bit_flips_are_rejected() {
         let bytes = sample_report().encode();
         for cut in [0usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(QuarantineReport::decode(bytes.slice(0..cut)).is_err(), "cut at {cut}");
+            assert!(QuarantineReport::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
-        let clean = bytes.to_vec();
-        for bit in (0..clean.len() * 8).step_by(5) {
-            let mut bad = clean.clone();
+        for bit in (0..bytes.len() * 8).step_by(5) {
+            let mut bad = bytes.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(QuarantineReport::decode(Bytes::from(bad)).is_err(), "bit {bit}");
+            assert!(QuarantineReport::decode(&bad).is_err(), "bit {bit}");
         }
     }
 
@@ -251,11 +240,11 @@ mod tests {
     fn unreconciled_counts_are_rejected() {
         let mut r = sample_report();
         r.pages_kept = 99; // kept + quarantined != seen
-        assert!(QuarantineReport::decode(r.encode()).is_err());
+        assert!(QuarantineReport::decode(&r.encode()).is_err());
         let mut r = sample_report();
         r.pages_quarantined = 1; // fewer quarantines than sampled entries
         r.pages_kept = 9;
-        assert!(QuarantineReport::decode(r.encode()).is_err());
+        assert!(QuarantineReport::decode(&r.encode()).is_err());
     }
 
     #[test]

@@ -457,22 +457,18 @@ mod disabled {
 
 // Property pin for the report invariant: a counter's total is exactly the
 // sum of its per-worker shards, for any interleaving of adds across any
-// number of threads. (The offline harness expands `proptest!` to nothing;
-// `counter_totals_equal_shard_sums_across_threads` below is the fixed-shape
-// pin of the same property that still runs there.)
+// number of threads (`counter_totals_equal_shard_sums_across_threads`
+// below is the fixed-shape pin of the same property).
 #[cfg(all(test, not(feature = "obs-off")))]
-#[allow(unused_imports)] // the offline shim expands `proptest!` to nothing
 mod prop_tests {
     use super::*;
-    use proptest::prelude::*;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn counter_total_equals_shard_sum(
-            amounts in proptest::collection::vec(0u64..1_000, 1..64),
-            threads in 1usize..8,
-        ) {
+    #[test]
+    fn counter_total_equals_shard_sum() {
+        tind_model::rng::cases("counter_total_equals_shard_sum", 32, |rng| {
+            let amounts: Vec<u64> =
+                (0..rng.range(1..64usize)).map(|_| rng.range(0..1_000u64)).collect();
+            let threads = rng.range(1..8usize);
             let _g = crate::test_guard();
             let c = counter("test.metrics.prop_shard_sum");
             let before = c.value();
@@ -491,12 +487,9 @@ mod prop_tests {
                 h.join().unwrap();
             }
             let shards = c.shard_values();
-            prop_assert_eq!(c.value(), shards.iter().sum::<u64>());
-            prop_assert_eq!(
-                c.value() - before,
-                amounts.iter().sum::<u64>() * threads as u64
-            );
-        }
+            assert_eq!(c.value(), shards.iter().sum::<u64>());
+            assert_eq!(c.value() - before, amounts.iter().sum::<u64>() * threads as u64);
+        });
     }
 }
 

@@ -40,7 +40,7 @@ impl Reporter {
     /// Should a progress line fire after finishing item number `done`?
     pub fn tick(&self, done: usize) -> bool {
         let every = self.every();
-        every != 0 && done % every == 0
+        every != 0 && done.is_multiple_of(every)
     }
 
     /// Progress lines go to stderr so piped stdout stays machine-readable.

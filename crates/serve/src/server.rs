@@ -1670,7 +1670,7 @@ fn execute_wave(rt: &Runtime, engine: &Engine, slot: usize, mut wave: Vec<Job>) 
     // deadline, and the drain watchdog can cancel it with reason
     // `Drain`. Work already finished is still answered normally.
     let max_deadline =
-        pending.iter().map(|j| j.deadline).max().unwrap_or_else(|| Instant::now());
+        pending.iter().map(|j| j.deadline).max().unwrap_or_else(Instant::now);
     let wave_token = CancelToken::new().with_deadline(max_deadline);
     *lock(&rt.active[slot]) = Some(wave_token.clone());
 

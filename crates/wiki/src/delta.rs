@@ -42,10 +42,8 @@ use std::collections::BTreeSet;
 use std::io::Read;
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tind_model::binio::{
-    check_magic, dataset_fingerprint, decode_dataset, encode_dataset, get_varint, put_varint,
-    BinIoError,
+    self, dataset_fingerprint, decode_dataset, encode_dataset, put_str, put_varint, BinIoError,
 };
 use tind_model::checksum;
 use tind_model::hash::FastMap;
@@ -54,8 +52,8 @@ use tind_model::{Dataset, DatasetBuilder, QuarantineReport, Timeline};
 use crate::aggregate::build_history;
 use crate::dump::{DumpItem, DumpReader};
 use crate::ingest::{
-    fingerprint_source, IngestCheckpointPolicy, IngestConfig, IngestError, IngestOptions,
-    IngestProgress, IngestStatus,
+    fingerprint_source, get_blob, get_report, put_report, IngestCheckpointPolicy, IngestConfig,
+    IngestError, IngestOptions, IngestProgress, IngestStatus,
 };
 use crate::pipeline::{panic_message, stage_page, PipelineConfig, PipelineReport, StagedPage};
 use crate::revision::PageRevision;
@@ -237,46 +235,7 @@ pub struct UpdateCheckpoint {
     /// Attribute names touched so far, sorted.
     pub touched: BTreeSet<String>,
     /// The partial merged dataset, encoded with [`encode_dataset`].
-    pub dataset_bytes: Bytes,
-}
-
-fn put_report(buf: &mut BytesMut, r: &PipelineReport) {
-    for v in [
-        r.pages,
-        r.revisions,
-        r.vandalism_dropped,
-        r.out_of_range_dropped,
-        r.duplicate_dropped,
-        r.tables_tracked,
-        r.columns_tracked,
-        r.attributes_before_filters,
-        r.attributes_kept,
-    ] {
-        put_varint(buf, v as u64);
-    }
-}
-
-fn get_report(buf: &mut Bytes) -> Result<PipelineReport, BinIoError> {
-    let mut next = || -> Result<usize, BinIoError> { Ok(get_varint(buf)? as usize) };
-    Ok(PipelineReport {
-        pages: next()?,
-        revisions: next()?,
-        vandalism_dropped: next()?,
-        out_of_range_dropped: next()?,
-        duplicate_dropped: next()?,
-        tables_tracked: next()?,
-        columns_tracked: next()?,
-        attributes_before_filters: next()?,
-        attributes_kept: next()?,
-    })
-}
-
-fn get_blob(buf: &mut Bytes, what: &str) -> Result<Bytes, BinIoError> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(corrupt(format!("truncated {what} blob")));
-    }
-    Ok(buf.copy_to_bytes(len))
+    pub dataset_bytes: Vec<u8>,
 }
 
 impl UpdateCheckpoint {
@@ -309,61 +268,52 @@ impl UpdateCheckpoint {
     }
 
     /// Serializes the checkpoint.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let q = self.quarantine.encode();
-        let mut buf = BytesMut::with_capacity(96 + q.len() + self.dataset_bytes.len());
-        buf.put_slice(UPDATE_CHECKPOINT_MAGIC);
-        buf.put_u64_le(self.source_fingerprint);
-        buf.put_u64_le(self.config_digest);
-        buf.put_u64_le(self.base_fingerprint);
+        let mut buf = Vec::with_capacity(96 + q.len() + self.dataset_bytes.len());
+        buf.extend_from_slice(UPDATE_CHECKPOINT_MAGIC);
+        buf.extend_from_slice(&self.source_fingerprint.to_le_bytes());
+        buf.extend_from_slice(&self.config_digest.to_le_bytes());
+        buf.extend_from_slice(&self.base_fingerprint.to_le_bytes());
         put_varint(&mut buf, self.resume_offset);
         put_varint(&mut buf, u64::from(self.next_fallback_page_id));
         put_varint(&mut buf, self.filter_downgrades);
         put_varint(&mut buf, q.len() as u64);
-        buf.put_slice(&q);
+        buf.extend_from_slice(&q);
         put_report(&mut buf, &self.pipeline);
         put_varint(&mut buf, self.touched.len() as u64);
         for name in &self.touched {
-            put_varint(&mut buf, name.len() as u64);
-            buf.put_slice(name.as_bytes());
+            put_str(&mut buf, name);
         }
         put_varint(&mut buf, self.dataset_bytes.len() as u64);
-        buf.put_slice(&self.dataset_bytes);
+        buf.extend_from_slice(&self.dataset_bytes);
         checksum::append_trailer(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a checkpoint written by [`UpdateCheckpoint::encode`],
     /// verifying magic, version, and checksum trailer.
-    pub fn decode(bytes: Bytes) -> Result<UpdateCheckpoint, BinIoError> {
-        check_magic(&bytes, UPDATE_CHECKPOINT_MAGIC, "update checkpoint")?;
-        let mut buf = checksum::verify_and_strip(bytes)?;
-        buf.advance(UPDATE_CHECKPOINT_MAGIC.len());
-        if buf.remaining() < 24 {
-            return Err(corrupt("truncated update checkpoint header"));
-        }
-        let source_fingerprint = buf.get_u64_le();
-        let config_digest = buf.get_u64_le();
-        let base_fingerprint = buf.get_u64_le();
-        let resume_offset = get_varint(&mut buf)?;
-        let next_fallback_page_id = u32::try_from(get_varint(&mut buf)?)
+    pub fn decode(bytes: &[u8]) -> Result<UpdateCheckpoint, BinIoError> {
+        let mut buf = binio::open(bytes, UPDATE_CHECKPOINT_MAGIC, "update checkpoint")?;
+        let source_fingerprint = buf.u64_le("update checkpoint header")?;
+        let config_digest = buf.u64_le("update checkpoint header")?;
+        let base_fingerprint = buf.u64_le("update checkpoint header")?;
+        let resume_offset = buf.varint()?;
+        let next_fallback_page_id = u32::try_from(buf.varint()?)
             .map_err(|_| corrupt("fallback page id overflows u32"))?;
-        let filter_downgrades = get_varint(&mut buf)?;
+        let filter_downgrades = buf.varint()?;
         let quarantine = QuarantineReport::decode(get_blob(&mut buf, "quarantine")?)?;
         let pipeline = get_report(&mut buf)?;
-        let touched_len = get_varint(&mut buf)? as usize;
+        let touched_len = buf.varint()? as usize;
         let mut touched = BTreeSet::new();
         for _ in 0..touched_len {
             let name = get_blob(&mut buf, "touched name")?;
-            let name = std::str::from_utf8(&name)
-                .map_err(|_| corrupt("touched name is not UTF-8"))?
-                .to_owned();
-            touched.insert(name);
+            let name =
+                std::str::from_utf8(name).map_err(|_| corrupt("touched name is not UTF-8"))?;
+            touched.insert(name.to_owned());
         }
-        let dataset_bytes = get_blob(&mut buf, "dataset")?;
-        if buf.has_remaining() {
-            return Err(corrupt("trailing bytes after update checkpoint"));
-        }
+        let dataset_bytes = get_blob(&mut buf, "dataset")?.to_vec();
+        buf.finish("update checkpoint")?;
         Ok(UpdateCheckpoint {
             source_fingerprint,
             config_digest,
@@ -388,8 +338,7 @@ impl UpdateCheckpoint {
 
     /// Reads a checkpoint from `path`.
     pub fn read_file(path: &Path) -> Result<UpdateCheckpoint, BinIoError> {
-        let raw = std::fs::read(path)?;
-        UpdateCheckpoint::decode(Bytes::from(raw))
+        UpdateCheckpoint::decode(&std::fs::read(path)?)
     }
 }
 
@@ -468,7 +417,7 @@ pub fn update_stream<R: Read>(
         let cp = UpdateCheckpoint::read_file(&policy.path).map_err(IngestError::Checkpoint)?;
         cp.verify_matches(source_fingerprint, config_digest, base_fingerprint)
             .map_err(IngestError::Checkpoint)?;
-        let partial = decode_dataset(cp.dataset_bytes.clone()).map_err(IngestError::Checkpoint)?;
+        let partial = decode_dataset(&cp.dataset_bytes).map_err(IngestError::Checkpoint)?;
         base_offset = cp.resume_offset;
         fallback_page_id = cp.next_fallback_page_id;
         resumed_from = Some(base_offset);
@@ -788,7 +737,7 @@ mod tests {
         };
         let bytes = cp.encode();
         assert_eq!(&bytes[..8], UPDATE_CHECKPOINT_MAGIC);
-        let decoded = UpdateCheckpoint::decode(bytes.clone()).expect("roundtrips");
+        let decoded = UpdateCheckpoint::decode(&bytes).expect("roundtrips");
         assert_eq!(decoded, cp);
 
         // Guards.
@@ -800,17 +749,16 @@ mod tests {
 
         // Truncation at every prefix is refused.
         for cut in [0usize, 4, 8, 24, bytes.len() / 2, bytes.len() - 1] {
-            assert!(UpdateCheckpoint::decode(bytes.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(UpdateCheckpoint::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
         // Any body byte flipped → refused, and checksum failures carry
         // the failing byte offset (the trailer boundary).
-        let clean = bytes.to_vec();
-        for byte in (8..clean.len()).step_by(13) {
-            let mut bad = clean.clone();
+        for byte in (8..bytes.len()).step_by(13) {
+            let mut bad = bytes.clone();
             bad[byte] ^= 0xFF;
-            let err = UpdateCheckpoint::decode(Bytes::from(bad)).expect_err("refused");
+            let err = UpdateCheckpoint::decode(&bad).expect_err("refused");
             if let BinIoError::Checksum { offset, .. } = err {
-                assert_eq!(offset, (clean.len() - 4) as u64, "byte {byte}");
+                assert_eq!(offset, (bytes.len() - 4) as u64, "byte {byte}");
             }
         }
     }

@@ -33,9 +33,8 @@ use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use tind_model::binio::{
-    check_magic, decode_dataset, encode_dataset, get_varint, put_varint, BinIoError,
+    self, decode_dataset, encode_dataset, put_varint, BinIoError, Reader,
 };
 use tind_model::checksum;
 use tind_model::quarantine::DEFAULT_SAMPLE_CAP;
@@ -92,13 +91,12 @@ impl IngestConfig {
 
     /// Digest of the result-determining parameters (see type docs).
     pub fn digest(&self) -> u64 {
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(self.dump.epoch.0 as u64);
+        let mut buf = (self.dump.epoch.0 as u64).to_le_bytes().to_vec();
         put_varint(&mut buf, u64::from(self.dump.epoch.1));
         put_varint(&mut buf, u64::from(self.dump.epoch.2));
         put_varint(&mut buf, u64::from(self.pipeline.timeline_days));
-        buf.put_u8(u8::from(self.pipeline.drop_vandalism));
-        buf.put_f64(self.pipeline.filters.max_numeric_fraction);
+        buf.push(u8::from(self.pipeline.drop_vandalism));
+        buf.extend_from_slice(&self.pipeline.filters.max_numeric_fraction.to_be_bytes());
         put_varint(&mut buf, self.pipeline.filters.min_versions as u64);
         put_varint(&mut buf, self.pipeline.filters.min_median_cardinality as u64);
         put_varint(&mut buf, self.max_page_bytes as u64);
@@ -123,6 +121,9 @@ pub type StopSignal = Arc<dyn Fn() -> bool + Send + Sync>;
 /// pipeline panic (mirrors `core::fault` hooks).
 pub type PageFaultHook = Arc<dyn Fn(u64) + Send + Sync>;
 
+/// Per-page progress callback.
+pub type ProgressFn = Box<dyn FnMut(&IngestProgress)>;
+
 /// Progress snapshot handed to [`IngestOptions::progress`] per page.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestProgress {
@@ -146,7 +147,7 @@ pub struct IngestOptions {
     /// Polled once per page; `true` checkpoints and stops.
     pub should_stop: Option<StopSignal>,
     /// Per-page progress callback.
-    pub progress: Option<Box<dyn FnMut(&IngestProgress)>>,
+    pub progress: Option<ProgressFn>,
     /// Fault injection for tests.
     pub fault_hook: Option<PageFaultHook>,
 }
@@ -245,10 +246,10 @@ pub struct IngestCheckpoint {
     /// Pipeline counters as of the checkpoint.
     pub pipeline: PipelineReport,
     /// The partial dataset, encoded with [`encode_dataset`].
-    pub dataset_bytes: Bytes,
+    pub dataset_bytes: Vec<u8>,
 }
 
-fn put_report(buf: &mut BytesMut, r: &PipelineReport) {
+pub(crate) fn put_report(buf: &mut Vec<u8>, r: &PipelineReport) {
     for v in [
         r.pages,
         r.revisions,
@@ -264,8 +265,8 @@ fn put_report(buf: &mut BytesMut, r: &PipelineReport) {
     }
 }
 
-fn get_report(buf: &mut Bytes) -> Result<PipelineReport, BinIoError> {
-    let mut next = || -> Result<usize, BinIoError> { Ok(get_varint(buf)? as usize) };
+pub(crate) fn get_report(buf: &mut Reader<'_>) -> Result<PipelineReport, BinIoError> {
+    let mut next = || -> Result<usize, BinIoError> { Ok(buf.varint()? as usize) };
     Ok(PipelineReport {
         pages: next()?,
         revisions: next()?,
@@ -279,12 +280,10 @@ fn get_report(buf: &mut Bytes) -> Result<PipelineReport, BinIoError> {
     })
 }
 
-fn get_blob(buf: &mut Bytes, what: &str) -> Result<Bytes, BinIoError> {
-    let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(corrupt(format!("truncated {what} blob")));
-    }
-    Ok(buf.copy_to_bytes(len))
+/// A varint-length-prefixed byte run.
+pub(crate) fn get_blob<'a>(buf: &mut Reader<'a>, what: &str) -> Result<&'a [u8], BinIoError> {
+    let len = buf.varint()? as usize;
+    buf.bytes(len, &format!("{what} blob"))
 }
 
 impl IngestCheckpoint {
@@ -310,45 +309,38 @@ impl IngestCheckpoint {
     }
 
     /// Serializes the checkpoint.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let q = self.quarantine.encode();
-        let mut buf = BytesMut::with_capacity(64 + q.len() + self.dataset_bytes.len());
-        buf.put_slice(INGEST_CHECKPOINT_MAGIC);
-        buf.put_u64_le(self.source_fingerprint);
-        buf.put_u64_le(self.config_digest);
+        let mut buf = Vec::with_capacity(64 + q.len() + self.dataset_bytes.len());
+        buf.extend_from_slice(INGEST_CHECKPOINT_MAGIC);
+        buf.extend_from_slice(&self.source_fingerprint.to_le_bytes());
+        buf.extend_from_slice(&self.config_digest.to_le_bytes());
         put_varint(&mut buf, self.resume_offset);
         put_varint(&mut buf, u64::from(self.next_fallback_page_id));
         put_varint(&mut buf, q.len() as u64);
-        buf.put_slice(&q);
+        buf.extend_from_slice(&q);
         put_report(&mut buf, &self.pipeline);
         put_varint(&mut buf, self.dataset_bytes.len() as u64);
-        buf.put_slice(&self.dataset_bytes);
+        buf.extend_from_slice(&self.dataset_bytes);
         checksum::append_trailer(&mut buf);
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a checkpoint written by [`IngestCheckpoint::encode`],
     /// verifying magic, version, and checksum trailer (the embedded
     /// quarantine report is fully validated; the dataset blob is decoded
     /// by the resume path).
-    pub fn decode(bytes: Bytes) -> Result<IngestCheckpoint, BinIoError> {
-        check_magic(&bytes, INGEST_CHECKPOINT_MAGIC, "ingest checkpoint")?;
-        let mut buf = checksum::verify_and_strip(bytes)?;
-        buf.advance(INGEST_CHECKPOINT_MAGIC.len());
-        if buf.remaining() < 16 {
-            return Err(corrupt("truncated ingest checkpoint header"));
-        }
-        let source_fingerprint = buf.get_u64_le();
-        let config_digest = buf.get_u64_le();
-        let resume_offset = get_varint(&mut buf)?;
-        let next_fallback_page_id = u32::try_from(get_varint(&mut buf)?)
+    pub fn decode(bytes: &[u8]) -> Result<IngestCheckpoint, BinIoError> {
+        let mut buf = binio::open(bytes, INGEST_CHECKPOINT_MAGIC, "ingest checkpoint")?;
+        let source_fingerprint = buf.u64_le("ingest checkpoint header")?;
+        let config_digest = buf.u64_le("ingest checkpoint header")?;
+        let resume_offset = buf.varint()?;
+        let next_fallback_page_id = u32::try_from(buf.varint()?)
             .map_err(|_| corrupt("fallback page id overflows u32"))?;
         let quarantine = QuarantineReport::decode(get_blob(&mut buf, "quarantine")?)?;
         let pipeline = get_report(&mut buf)?;
-        let dataset_bytes = get_blob(&mut buf, "dataset")?;
-        if buf.has_remaining() {
-            return Err(corrupt("trailing bytes after ingest checkpoint"));
-        }
+        let dataset_bytes = get_blob(&mut buf, "dataset")?.to_vec();
+        buf.finish("ingest checkpoint")?;
         Ok(IngestCheckpoint {
             source_fingerprint,
             config_digest,
@@ -370,8 +362,7 @@ impl IngestCheckpoint {
 
     /// Reads a checkpoint from `path`.
     pub fn read_file(path: &Path) -> Result<IngestCheckpoint, BinIoError> {
-        let raw = std::fs::read(path)?;
-        IngestCheckpoint::decode(Bytes::from(raw))
+        IngestCheckpoint::decode(&std::fs::read(path)?)
     }
 }
 
@@ -394,9 +385,9 @@ pub fn fingerprint_source(path: &Path) -> std::io::Result<u64> {
             break;
         }
     }
-    let mut buf = BytesMut::with_capacity(8 + filled);
-    buf.put_u64_le(len);
-    buf.put_slice(&head[..filled]);
+    let mut buf = Vec::with_capacity(8 + filled);
+    buf.extend_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(&head[..filled]);
     Ok(tind_model::hash::hash_bytes(&buf))
 }
 
@@ -449,7 +440,7 @@ pub fn ingest_stream<R: Read>(
         })?;
         let cp = IngestCheckpoint::read_file(&policy.path).map_err(IngestError::Checkpoint)?;
         cp.verify_matches(source_fingerprint, config_digest).map_err(IngestError::Checkpoint)?;
-        let partial = decode_dataset(cp.dataset_bytes.clone()).map_err(IngestError::Checkpoint)?;
+        let partial = decode_dataset(&cp.dataset_bytes).map_err(IngestError::Checkpoint)?;
         base_offset = cp.resume_offset;
         fallback_page_id = cp.next_fallback_page_id;
         resumed_from = Some(base_offset);
@@ -716,7 +707,7 @@ mod tests {
         let cp = IngestCheckpoint::read_file(&path).expect("reads");
         assert_eq!(cp.source_fingerprint, 7);
         assert_eq!(cp.quarantine.pages_seen, 3);
-        let decoded = IngestCheckpoint::decode(cp.encode()).expect("roundtrips");
+        let decoded = IngestCheckpoint::decode(&cp.encode()).expect("roundtrips");
         assert_eq!(decoded, cp);
         // Guards.
         assert!(cp.verify_matches(7, config.digest()).is_ok());
@@ -725,13 +716,12 @@ mod tests {
         // Corruption.
         let bytes = cp.encode();
         for cut in [0usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {
-            assert!(IngestCheckpoint::decode(bytes.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(IngestCheckpoint::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
-        let clean = bytes.to_vec();
-        for bit in (0..clean.len() * 8).step_by(97) {
-            let mut bad = clean.clone();
+        for bit in (0..bytes.len() * 8).step_by(97) {
+            let mut bad = bytes.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
-            assert!(IngestCheckpoint::decode(Bytes::from(bad)).is_err(), "bit {bit}");
+            assert!(IngestCheckpoint::decode(&bad).is_err(), "bit {bit}");
         }
         std::fs::remove_file(&path).ok();
     }

@@ -8,8 +8,8 @@ use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use tind_model::binio::encode_dataset;
+use tind_model::rng::cases;
 use tind_model::MemoryBudget;
 use tind_wiki::ingest::IngestCheckpointPolicy;
 use tind_wiki::{
@@ -123,14 +123,12 @@ fn adversarial_corpus_never_panics_and_counts_reconcile() {
         ),
         (
             "epoch-boundary and pre-epoch timestamps drop revisions, not pages",
-            wrap(&[format!(
-                "<page><title>Edge</title><id>1</id>\
+            wrap(&["<page><title>Edge</title><id>1</id>\
                  <revision><timestamp>1970-01-01T00:00:00Z</timestamp><text>a</text></revision>\
                  <revision><timestamp>2001-01-15T00:00:00Z</timestamp><text>b</text></revision>\
                  <revision><timestamp>9999-12-31T23:59:59Z</timestamp><text>c</text></revision>\
                  <revision><timestamp>not-a-date</timestamp><text>d</text></revision>\
-                 </page>"
-            )]),
+                 </page>".to_string()]),
             1,
             0,
         ),
@@ -164,13 +162,11 @@ fn adversarial_corpus_never_panics_and_counts_reconcile() {
 /// the revision counters, not vanish silently.
 #[test]
 fn dropped_revisions_are_counted() {
-    let xml = wrap(&[format!(
-        "<page><title>Edge</title><id>1</id>\
+    let xml = wrap(&["<page><title>Edge</title><id>1</id>\
          <revision><timestamp>1999-01-01T00:00:00Z</timestamp><text>a</text></revision>\
          <revision><timestamp>garbage</timestamp><text>b</text></revision>\
          <revision><timestamp>2001-02-01T00:00:00Z</timestamp><text>c</text></revision>\
-         </page>"
-    )]);
+         </page>".to_string()]);
     let outcome =
         ingest_stream(Cursor::new(xml), 1, &permissive(6148), IngestOptions::default())
             .expect("ingests");
@@ -438,33 +434,36 @@ fn corrupt_or_mismatched_checkpoints_are_rejected() {
     std::fs::remove_file(&path).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Arbitrary bytes fed to the full ingestion stack: whatever they
-    /// contain, ingestion neither panics nor loses count of a page.
-    #[test]
-    fn arbitrary_bytes_never_panic(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
+/// Arbitrary bytes fed to the full ingestion stack: whatever they
+/// contain, ingestion neither panics nor loses count of a page.
+#[test]
+fn arbitrary_bytes_never_panic() {
+    cases("arbitrary_bytes_never_panic", 48, |rng| {
+        let data: Vec<u8> = (0..rng.range(0..4096usize)).map(|_| rng.range(0..=255u8)).collect();
         let config = permissive(6148);
         let outcome = ingest_stream(Cursor::new(data), 1, &config, IngestOptions::default())
             .expect("in-memory streams cannot abort");
-        prop_assert_eq!(
+        assert_eq!(
             outcome.quarantine.pages_seen,
             outcome.quarantine.pages_kept + outcome.quarantine.pages_quarantined
         );
-    }
+    });
+}
 
-    /// Valid pages survive arbitrary garbage interleaved between them.
-    #[test]
-    fn good_pages_survive_interleaved_garbage(
-        garbage in proptest::collection::vec(
-            proptest::string::string_regex("[a-zA-Z0-9 <>/&;\n]{0,64}").expect("valid regex"),
-            0..4,
-        ),
-    ) {
+/// Valid pages survive arbitrary garbage interleaved between them.
+#[test]
+fn good_pages_survive_interleaved_garbage() {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 <>/&;\n";
+    cases("good_pages_survive_interleaved_garbage", 48, |rng| {
         // Keep the garbage out of page boundaries so it stays preamble.
-        let garbage: Vec<String> =
-            garbage.into_iter().map(|g| g.replace("<page", "(page").replace("</page>", "(/page)")).collect();
+        let garbage: Vec<String> = (0..rng.range(0..4usize))
+            .map(|_| {
+                let g: String = (0..rng.range(0..=64usize))
+                    .map(|_| ALPHABET[rng.range(0..ALPHABET.len())] as char)
+                    .collect();
+                g.replace("<page", "(page").replace("</page>", "(/page)")
+            })
+            .collect();
         let mut xml = String::from("<mediawiki>");
         for (i, g) in garbage.iter().enumerate() {
             xml.push_str(g);
@@ -479,7 +478,7 @@ proptest! {
             IngestOptions::default(),
         )
         .expect("ingests");
-        prop_assert_eq!(outcome.quarantine.pages_seen, n);
-        prop_assert_eq!(outcome.quarantine.pages_kept, n);
-    }
+        assert_eq!(outcome.quarantine.pages_seen, n);
+        assert_eq!(outcome.quarantine.pages_kept, n);
+    });
 }

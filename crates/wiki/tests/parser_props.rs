@@ -1,28 +1,30 @@
 //! Property tests for the wikitext table parser: rendering an arbitrary
 //! table and parsing it back must round-trip.
 
-use proptest::prelude::*;
+use tind_model::rng::{cases, Rng};
 use tind_wiki::{parse_tables, RawTable};
 
-/// A safe cell string: non-empty after trimming, no wikitext control
-/// characters.
-fn cell_strategy() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-zA-Z0-9][a-zA-Z0-9 _.-]{0,14}")
-        .expect("valid regex")
-        .prop_map(|s| s.trim().to_string())
-        .prop_filter("non-empty after trim", |s| !s.is_empty())
+const ALNUM: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+
+fn string_of(rng: &mut Rng, alphabet: &[u8], len: usize) -> String {
+    (0..len).map(|_| alphabet[rng.range(0..alphabet.len())] as char).collect()
 }
 
-fn table_strategy() -> impl Strategy<Value = (Vec<String>, Vec<Vec<String>>)> {
-    (1usize..5, 1usize..8).prop_flat_map(|(width, height)| {
-        (
-            proptest::collection::vec(cell_strategy(), width..=width),
-            proptest::collection::vec(
-                proptest::collection::vec(cell_strategy(), width..=width),
-                height..=height,
-            ),
-        )
-    })
+/// A safe cell string: starts alphanumeric (so it is non-empty after
+/// trimming), no wikitext control characters, at most 15 characters.
+fn cell(rng: &mut Rng) -> String {
+    let tail_alphabet = [ALNUM, b" _.-"].concat();
+    let tail_len = rng.range(0..=14usize);
+    let s = string_of(rng, ALNUM, 1) + &string_of(rng, &tail_alphabet, tail_len);
+    s.trim().to_string()
+}
+
+/// Headers and rows of a 1–4 column, 1–7 row table.
+fn table(rng: &mut Rng) -> (Vec<String>, Vec<Vec<String>>) {
+    let (width, height) = (rng.range(1..5usize), rng.range(1..8usize));
+    let headers = (0..width).map(|_| cell(rng)).collect();
+    let rows = (0..height).map(|_| (0..width).map(|_| cell(rng)).collect()).collect();
+    (headers, rows)
 }
 
 fn render(headers: &[String], rows: &[Vec<String>], multi_cell_lines: bool) -> String {
@@ -48,42 +50,43 @@ fn render(headers: &[String], rows: &[Vec<String>], multi_cell_lines: bool) -> S
     text
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn render_parse_roundtrip((headers, rows) in table_strategy(), multi in any::<bool>()) {
-        let text = render(&headers, &rows, multi);
+#[test]
+fn render_parse_roundtrip() {
+    cases("render_parse_roundtrip", 128, |rng| {
+        let (headers, rows) = table(rng);
+        let text = render(&headers, &rows, rng.bool());
         let parsed = parse_tables(&text);
-        prop_assert_eq!(parsed.len(), 1, "exactly one table in:\n{}", text);
+        assert_eq!(parsed.len(), 1, "exactly one table in:\n{text}");
         let t: &RawTable = &parsed[0];
-        prop_assert_eq!(&t.headers, &headers);
-        prop_assert_eq!(&t.rows, &rows);
-    }
+        assert_eq!(t.headers, headers);
+        assert_eq!(t.rows, rows);
+    });
+}
 
-    #[test]
-    fn surrounding_prose_is_ignored(
-        (headers, rows) in table_strategy(),
-        prose in proptest::string::string_regex("[a-zA-Z0-9 .,\n]{0,80}").expect("valid regex"),
-    ) {
-        // Prose must not contain table markers to stay out of the grammar.
-        let prose = prose.replace("{|", "(|").replace("|}", "|)");
+#[test]
+fn surrounding_prose_is_ignored() {
+    cases("surrounding_prose_is_ignored", 128, |rng| {
+        let (headers, rows) = table(rng);
+        // Prose has no table markers, so it stays out of the grammar.
+        let prose_len = rng.range(0..=80usize);
+        let prose = string_of(rng, &[ALNUM, b" .,\n"].concat(), prose_len);
         let text = format!("{prose}\n{}\n{prose}", render(&headers, &rows, true));
         let parsed = parse_tables(&text);
-        prop_assert_eq!(parsed.len(), 1);
-        prop_assert_eq!(&parsed[0].headers, &headers);
-    }
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].headers, headers);
+    });
+}
 
-    #[test]
-    fn concatenated_tables_parse_independently(
-        (h1, r1) in table_strategy(),
-        (h2, r2) in table_strategy(),
-    ) {
+#[test]
+fn concatenated_tables_parse_independently() {
+    cases("concatenated_tables_parse_independently", 128, |rng| {
+        let (h1, r1) = table(rng);
+        let (h2, r2) = table(rng);
         let text = format!("{}\n{}", render(&h1, &r1, true), render(&h2, &r2, false));
         let parsed = parse_tables(&text);
-        prop_assert_eq!(parsed.len(), 2);
-        prop_assert_eq!(&parsed[0].headers, &h1);
-        prop_assert_eq!(&parsed[1].headers, &h2);
-        prop_assert_eq!(&parsed[1].rows, &r2);
-    }
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].headers, h1);
+        assert_eq!(parsed[1].headers, h2);
+        assert_eq!(parsed[1].rows, r2);
+    });
 }

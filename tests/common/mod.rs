@@ -1,12 +1,9 @@
 //! Helpers shared by the workspace integration suites.
 //!
 //! Each file in `tests/` is its own crate root; this directory module is
-//! pulled in with `mod common;` and is NOT itself a test target (both
-//! cargo and the offline harness only treat `tests/*.rs` files as
-//! roots). Every suite uses a different subset of the helpers — and the
-//! offline harness's proptest shim discards `proptest!` blocks, taking
-//! the `history_strategy!` expansions with them — so the module-wide
-//! unused allows are deliberate.
-#![allow(dead_code, unused_imports, unused_macros)]
+//! pulled in with `mod common;` and is NOT itself a test target (cargo
+//! only treats `tests/*.rs` files as roots). Every suite uses a different
+//! subset of the helpers, so the module-wide unused allow is deliberate.
+#![allow(dead_code)]
 
 pub mod strategies;

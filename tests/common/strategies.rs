@@ -1,25 +1,20 @@
 //! Corpus and parameter generators shared by the workspace test suites
 //! (`proptests`, `validation_kernel`, `store_roundtrip`,
-//! `delta_equivalence`).
+//! `delta_equivalence`, `parallel_equivalence`).
 //!
-//! Two tiers:
-//!
-//! * Plain constructors (`dataset_of`, `world`, `weight_grid`, ...)
-//!   callable from any `#[test]`, including under the offline rustc
-//!   harness.
-//! * [`history_strategy!`] — the raw proptest combinator for arbitrary
-//!   version structures. It is a *macro*, not a `fn`, so suites that
-//!   only invoke it inside `proptest!` blocks still compile against the
-//!   offline proptest shim (which discards those blocks unexpanded);
-//!   a module-level `impl Strategy` return type would not.
+//! Two tiers: plain constructors (`dataset_of`, `world`, `weight_grid`,
+//! ...) and the seeded generators the property loops
+//! (`tind::model::rng::cases`) draw raw version structures from
+//! ([`history`], [`histories`]).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tind::core::{IndexConfig, TindIndex, TindParams};
 use tind::datagen::{generate, GeneratorConfig};
+use tind::model::rng::Rng;
 use tind::model::{
-    AttributeHistory, Dataset, DatasetBuilder, HistoryBuilder, Timeline, ValueId, WeightFn,
+    AttrId, AttributeHistory, Dataset, DatasetBuilder, HistoryBuilder, Timeline, ValueId, WeightFn,
 };
 
 /// The fixed small timeline every random-history suite runs on.
@@ -29,31 +24,30 @@ pub const TIMELINE: u32 = 60;
 pub type Versions = Vec<(u32, Vec<ValueId>)>;
 
 /// Canonicalizes raw generated runs: chronological order, one version
-/// per timestamp. `history_strategy!` applies this via `prop_map`.
+/// per timestamp.
 pub fn canon(mut versions: Versions) -> Versions {
     versions.sort_by_key(|(t, _)| *t);
     versions.dedup_by_key(|(t, _)| *t);
     versions
 }
 
-/// The raw proptest combinator behind every random-history suite:
-/// between 1 and 6 versions, starts in `0..TIMELINE-5`, values from the
-/// 12-id universe `dataset_of` interns. Yields canonicalized
-/// [`Versions`]. Usable both at module level (`q in history_strategy!()`)
-/// and nested (`proptest::collection::vec(history_strategy!(), 2..8)`).
-macro_rules! history_strategy {
-    () => {
-        proptest::collection::vec(
-            (
-                0u32..$crate::common::strategies::TIMELINE - 5,
-                proptest::collection::vec(0u32..12, 0..6),
-            ),
-            1..6,
-        )
-        .prop_map($crate::common::strategies::canon)
-    };
+/// One arbitrary history behind every random-history suite: between 1
+/// and 5 versions, starts in `0..TIMELINE-5`, up to 5 values each from
+/// the 12-id universe `dataset_of` interns. Canonicalized.
+pub fn history(rng: &mut Rng) -> Versions {
+    let versions = (0..rng.range(1..6usize))
+        .map(|_| {
+            let start = rng.range(0..TIMELINE - 5);
+            (start, (0..rng.range(0..6usize)).map(|_| rng.range(0..12u32)).collect())
+        })
+        .collect();
+    canon(versions)
 }
-pub(crate) use history_strategy;
+
+/// Between `min` and `max - 1` arbitrary histories.
+pub fn histories(rng: &mut Rng, min: usize, max: usize) -> Vec<Versions> {
+    (0..rng.range(min..max)).map(|_| history(rng)).collect()
+}
 
 /// Builds one history; the attribute stays observed through `last` (or
 /// its final version's start, whichever is later).
@@ -90,6 +84,31 @@ pub fn weight_grid(tl: Timeline) -> Vec<WeightFn> {
         WeightFn::linear(tl),
         WeightFn::piecewise(&custom),
     ]
+}
+
+/// A paper-shaped dataset on a shortened timeline (the former bench
+/// fixture; `parallel_equivalence` pins byte-identity on it).
+pub fn bench_dataset(num_attributes: usize, seed: u64) -> Arc<Dataset> {
+    let mut cfg = GeneratorConfig::paper_shaped(num_attributes, seed);
+    cfg.timeline_days = 1000;
+    cfg.mean_lifespan_days = 400.0;
+    Arc::new(generate(&cfg).dataset)
+}
+
+/// Deterministic query batches for the batch/per-query differential
+/// tests. Strided so batches overlap but are not identical; duplicate ids
+/// within a batch are allowed (the batch API must handle them).
+pub fn bench_query_batches(
+    num_attributes: usize,
+    batch_size: usize,
+    batches: usize,
+) -> Vec<Vec<AttrId>> {
+    assert!(num_attributes > 0, "need a non-empty dataset");
+    (0..batches)
+        .map(|b| {
+            (0..batch_size).map(|i| ((b * 131 + i * 17) % num_attributes) as AttrId).collect()
+        })
+        .collect()
 }
 
 /// A generated 200-attribute world with a built index: four 64-column

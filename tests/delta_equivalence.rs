@@ -23,27 +23,9 @@ use tind_core::{
     discover_all_pairs, open_store, pack_store, refresh_pairs, repair_store, AllPairsOptions,
     BatchOptions, DatasetDelta, IndexConfig, PackOptions, RepairOptions, TindIndex,
 };
+use tind_model::rng::Rng;
 use tind_model::{Dataset, HistoryBuilder, ValueId};
 use tind_serve::Engine;
-
-/// Deterministic split-mix style generator: the schedule must be
-/// reproducible everywhere (no `rand` dependency, identical under the
-/// offline harness and cargo).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// One page-granular update batch: rewrites `rewrites` randomly chosen
 /// existing attributes with fresh version runs and appends `appends` new
@@ -55,27 +37,27 @@ fn evolve(base: &Dataset, rng: &mut Rng, rewrites: usize, appends: usize, step: 
     let mut b = base.clone().into_builder();
     let mut chosen: BTreeSet<u32> = BTreeSet::new();
     while chosen.len() < rewrites {
-        chosen.insert(rng.below(base.len() as u64) as u32);
+        chosen.insert(rng.range(0..base.len() as u32));
     }
     let names: Vec<String> =
         chosen.iter().map(|&id| base.attribute(id).name().to_owned()).collect();
     for (i, name) in names.iter().enumerate() {
         let mut h = HistoryBuilder::new(name.as_str());
-        let mut day = rng.below(u64::from(tl.len()) / 2) as u32;
-        for _ in 0..=rng.below(3) {
-            let width = rng.below(5) as usize;
+        let mut day = rng.range(0..tl.len() / 2);
+        for _ in 0..=rng.range(0..3u32) {
+            let width = rng.range(0..5usize);
             let values: Vec<ValueId> = (0..width)
                 .map(|_| {
-                    if rng.below(2) == 0 {
+                    if rng.bool() {
                         // An id the base dictionary already interned.
-                        rng.below(10) as ValueId
+                        rng.range(0..10)
                     } else {
-                        b.dictionary_mut().intern(&format!("delta-{step}-{i}-{}", rng.below(24)))
+                        b.dictionary_mut().intern(&format!("delta-{step}-{i}-{}", rng.range(0..24u32)))
                     }
                 })
                 .collect();
             h.push(day, values);
-            day += 1 + rng.below(8) as u32;
+            day += rng.range(1..=8u32);
             if day > tl.last() {
                 break;
             }
@@ -85,7 +67,7 @@ fn evolve(base: &Dataset, rng: &mut Rng, rewrites: usize, appends: usize, step: 
     for n in 0..appends {
         let mut h = HistoryBuilder::new(format!("delta-attr-{step}-{n}"));
         let v = b.dictionary_mut().intern(&format!("delta-{step}-new-{n}"));
-        h.push(rng.below(u64::from(tl.len())) as u32, vec![v, rng.below(10) as ValueId]);
+        h.push(rng.range(0..tl.len()), vec![v, rng.range(0..10)]);
         b.upsert_history(h.finish(tl.last()));
     }
     Arc::new(b.build())
@@ -109,11 +91,11 @@ fn randomized_delta_schedules_match_cold_rebuilds() {
         let mut reverse = TindIndex::build(base.clone(), IndexConfig::reverse_default());
         let mut pairs = pair_set(&forward, &params);
         let mut current = base;
-        let mut rng = Rng(seed ^ 0xde17a);
+        let mut rng = Rng::seed_from_u64(seed ^ 0xde17a);
 
         for step in 0..3usize {
-            let rewrites = 1 + rng.below(4) as usize;
-            let appends = rng.below(3) as usize;
+            let rewrites = rng.range(1..=4usize);
+            let appends = rng.range(0..3usize);
             let next = evolve(&current, &mut rng, rewrites, appends, step);
             let delta = DatasetDelta::diff(&current, next.clone()).expect("valid successor");
             assert_eq!(delta.touched().len(), rewrites + appends, "seed {seed} step {step}");
@@ -198,7 +180,7 @@ fn engine_apply_delta_flips_the_store_generation_atomically() {
         Engine::from_store(&dir, base.clone(), 3.0, 7, None, 0).expect("from_store");
     assert!(report.is_clean());
 
-    let merged = evolve(&base, &mut Rng(0xfeed), 3, 2, 0);
+    let merged = evolve(&base, &mut Rng::seed_from_u64(0xfeed), 3, 2, 0);
     let outcome = engine.apply_delta(merged.clone()).expect("delta applies");
     assert_eq!(outcome.index.touched_attrs, 5);
     assert_eq!(outcome.index.new_attrs, 2);
@@ -232,7 +214,7 @@ fn degraded_engine_refuses_deltas_until_repaired() {
     assert_eq!(report.quarantined.len(), 1);
     assert!(engine.is_degraded());
 
-    let merged = evolve(&base, &mut Rng(0xbeef), 2, 1, 0);
+    let merged = evolve(&base, &mut Rng::seed_from_u64(0xbeef), 2, 1, 0);
     let err = engine.apply_delta(merged.clone()).expect_err("degraded engine must refuse");
     assert!(err.contains("quarantined"), "{err}");
     assert!(err.contains("repair"), "refusal must carry the repair hint: {err}");

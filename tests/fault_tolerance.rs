@@ -2,15 +2,13 @@
 //! panic quarantine, and checksummed-persistence corruption rejection.
 //!
 //! The deterministic tests below enumerate *every* kill point
-//! exhaustively; the `proptest!` block at the bottom re-covers the same
+//! exhaustively; the property loops at the bottom re-cover the same
 //! invariants under randomized datasets, thread counts, and corruption
-//! offsets (it is skipped by the offline harness, which stubs out
-//! proptest — see `devtools/offline-check/run.sh`).
+//! offsets.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use tind::core::checkpoint::Checkpoint;
 use tind::core::fault::{flip_bit, poison_hook, truncated, FaultHook};
 use tind::core::{
@@ -19,6 +17,7 @@ use tind::core::{
 };
 use tind::datagen::{generate, GeneratorConfig};
 use tind::model::binio::{decode_dataset, encode_dataset, BinIoError};
+use tind::model::rng::cases;
 use tind::model::Dataset;
 
 fn small_world(attributes: usize, seed: u64) -> (Arc<Dataset>, TindIndex, TindParams) {
@@ -215,13 +214,13 @@ fn poisoned_queries_are_quarantined_and_rest_matches_brute_force() {
 fn corrupted_dataset_files_are_rejected_with_typed_errors() {
     let (dataset, _index, _params) = small_world(12, 4);
     let clean = encode_dataset(&dataset);
-    decode_dataset(clean.clone()).expect("clean bytes decode");
+    decode_dataset(&clean).expect("clean bytes decode");
 
     // Truncation at every length short of the full file.
     for keep in 0..clean.len() {
         let cut = truncated(&clean, keep);
         assert!(
-            decode_dataset(cut.into()).is_err(),
+            decode_dataset(&cut).is_err(),
             "truncation to {keep}/{} bytes must fail",
             clean.len()
         );
@@ -230,9 +229,9 @@ fn corrupted_dataset_files_are_rejected_with_typed_errors() {
     // typed checksum error — never a silent wrong decode.
     let total_bits = clean.len() * 8;
     for bit in (0..total_bits).step_by(97) {
-        let mut rotten = clean.to_vec();
+        let mut rotten = clean.clone();
         flip_bit(&mut rotten, bit);
-        match decode_dataset(rotten.into()) {
+        match decode_dataset(&rotten) {
             Err(BinIoError::Checksum { .. }) => {}
             // Flips inside the magic header are reported as the more
             // specific wrong-magic/wrong-version corruption.
@@ -247,7 +246,7 @@ fn corrupted_index_and_checkpoint_files_are_rejected() {
     let (dataset, index, params) = small_world(12, 6);
 
     let index_bytes = tind::core::persist::encode_index(&index);
-    tind::core::persist::decode_index(index_bytes.clone(), dataset.clone())
+    tind::core::persist::decode_index(&index_bytes, dataset.clone())
         .expect("clean index decodes");
     // Each rejected flip still costs a full-file CRC scan, so sample a
     // fixed number of (deterministically spread) bit positions rather
@@ -255,17 +254,17 @@ fn corrupted_index_and_checkpoint_files_are_rejected() {
     let total_bits = index_bytes.len() * 8;
     let stride = (total_bits / 24).max(1) | 1;
     for bit in (0..total_bits).step_by(stride) {
-        let mut rotten = index_bytes.to_vec();
+        let mut rotten = index_bytes.clone();
         flip_bit(&mut rotten, bit);
         assert!(
-            tind::core::persist::decode_index(rotten.into(), dataset.clone()).is_err(),
+            tind::core::persist::decode_index(&rotten, dataset.clone()).is_err(),
             "index bit {bit}"
         );
     }
     for keep in [0, 7, 8, index_bytes.len() / 2, index_bytes.len() - 1] {
         let cut = truncated(&index_bytes, keep);
         assert!(
-            tind::core::persist::decode_index(cut.into(), dataset.clone()).is_err(),
+            tind::core::persist::decode_index(&cut, dataset.clone()).is_err(),
             "index truncated to {keep}"
         );
     }
@@ -274,15 +273,15 @@ fn corrupted_index_and_checkpoint_files_are_rejected() {
     cp.completed = vec![0, 2, 5];
     cp.pairs = vec![(0, 1), (2, 4)];
     let cp_bytes = cp.encode();
-    assert_eq!(Checkpoint::decode(cp_bytes.clone()).expect("clean checkpoint"), cp);
+    assert_eq!(Checkpoint::decode(&cp_bytes).expect("clean checkpoint"), cp);
     for bit in 0..cp_bytes.len() * 8 {
-        let mut rotten = cp_bytes.to_vec();
+        let mut rotten = cp_bytes.clone();
         flip_bit(&mut rotten, bit);
-        assert!(Checkpoint::decode(rotten.into()).is_err(), "checkpoint bit {bit}");
+        assert!(Checkpoint::decode(&rotten).is_err(), "checkpoint bit {bit}");
     }
     for keep in 0..cp_bytes.len() {
         let cut = truncated(&cp_bytes, keep);
-        assert!(Checkpoint::decode(cut.into()).is_err(), "checkpoint truncated to {keep}");
+        assert!(Checkpoint::decode(&cut).is_err(), "checkpoint truncated to {keep}");
     }
 }
 
@@ -311,7 +310,7 @@ fn every_persisted_format_detects_single_byte_corruption() {
     formats.push((
         "dataset (TINDDS)",
         ds_path.clone(),
-        Box::new(move || decode_dataset(std::fs::read(&p).expect("read").into()).is_err()),
+        Box::new(move || decode_dataset(&std::fs::read(&p).expect("read")).is_err()),
     ));
 
     let idx_path = dir.join("index.idx");
@@ -584,19 +583,16 @@ fn arena_corruption_is_typed_with_offsets_and_bad_maps_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Randomized re-statement of the exhaustive boundary test: any seed,
-    /// any kill point, any resume thread count — resuming yields exactly
-    /// the uninterrupted pairs.
-    #[test]
-    fn prop_kill_anywhere_resume_identical(
-        seed in 0u64..1000,
-        kill_after in 0usize..30,
-        resume_threads in 1usize..5,
-    ) {
-        let (_dataset, index, params) = small_world(22, seed);
+/// Randomized re-statement of the exhaustive boundary test: any seed,
+/// any kill point, any resume thread count — resuming yields exactly
+/// the uninterrupted pairs.
+#[test]
+fn prop_kill_anywhere_resume_identical() {
+    cases("prop_kill_anywhere_resume_identical", 16, |rng| {
+        let seed = rng.range(0..1000u64);
+        let kill_after = rng.range(0..30usize);
+        let resume_threads = rng.range(1..5usize);
+        let (dataset, index, params) = small_world(22, seed);
         let full = discover_all_pairs(&index, &params, &AllPairsOptions::default())
             .expect("uninterrupted run");
         let path = ckpt_path(&format!("prop-{seed}-{kill_after}-{resume_threads}.tcp"));
@@ -613,36 +609,39 @@ proptest! {
                 }
             })
         };
-        discover_all_pairs(&index, &params, &AllPairsOptions {
+        let interrupted = AllPairsOptions {
             threads: 1,
             cancel: Some(token),
             checkpoint: Some(CheckpointPolicy::new(&path).every(1)),
             fault_hook: Some(hook),
             ..Default::default()
-        }).expect("interrupted run");
+        };
+        discover_all_pairs(&index, &params, &interrupted).expect("interrupted run");
 
         let cp = Checkpoint::read_file(&path).expect("checkpoint readable");
-        prop_assert!(cp.verify_matches(&_dataset, &params).is_ok());
-        let resumed = discover_all_pairs(&index, &params, &AllPairsOptions {
+        assert!(cp.verify_matches(&dataset, &params).is_ok());
+        let resume = AllPairsOptions {
             threads: resume_threads,
             resume_from: Some(cp),
             ..Default::default()
-        }).expect("resumed run");
-        prop_assert_eq!(resumed.pairs, full.pairs);
+        };
+        let resumed = discover_all_pairs(&index, &params, &resume).expect("resumed run");
+        assert_eq!(resumed.pairs, full.pairs);
         let _ = std::fs::remove_file(&path);
-    }
+    });
+}
 
-    /// Any single bit flip in an encoded checkpoint is rejected.
-    #[test]
-    fn prop_checkpoint_bit_flips_rejected(bit_seed in 0usize..10_000) {
-        let (dataset, _index, params) = small_world(10, 8);
-        let mut cp = Checkpoint::fresh(&dataset, &params);
-        cp.completed = vec![1, 3, 4];
-        cp.pairs = vec![(1, 2)];
-        let bytes = cp.encode();
-        let bit = bit_seed % (bytes.len() * 8);
-        let mut rotten = bytes.to_vec();
-        flip_bit(&mut rotten, bit);
-        prop_assert!(Checkpoint::decode(rotten.into()).is_err());
-    }
+/// Any single bit flip in an encoded checkpoint is rejected.
+#[test]
+fn prop_checkpoint_bit_flips_rejected() {
+    let (dataset, _index, params) = small_world(10, 8);
+    let mut cp = Checkpoint::fresh(&dataset, &params);
+    cp.completed = vec![1, 3, 4];
+    cp.pairs = vec![(1, 2)];
+    let bytes = cp.encode();
+    cases("prop_checkpoint_bit_flips_rejected", 16, |rng| {
+        let mut rotten = bytes.clone();
+        flip_bit(&mut rotten, rng.range(0..bytes.len() * 8));
+        assert!(Checkpoint::decode(&rotten).is_err());
+    });
 }

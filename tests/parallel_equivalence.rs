@@ -12,11 +12,13 @@
 //!   per-query `search` outcomes (results *and* stage statistics), which in
 //!   turn must agree with the `naive_validate` ground truth.
 
+mod common;
+
+use common::strategies::{bench_dataset, bench_query_batches};
 use tind::core::persist::encode_index;
 use tind::core::validate::naive_validate;
 use tind::core::{BatchOptions, BuildOptions, CancelToken, IndexConfig, TindIndex, TindParams};
 use tind::model::{MemoryBudget, WeightFn};
-use tind_bench::{bench_dataset, bench_query_batches};
 
 fn thread_counts() -> Vec<usize> {
     let cpus = std::thread::available_parallelism().map_or(4, |n| n.get());

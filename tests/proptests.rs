@@ -1,31 +1,36 @@
 //! Property-based tests over the core invariants, driven by randomly
 //! generated attribute histories (not the workload generator — raw
 //! arbitrary version structures, to hit edge cases the simulator avoids).
+//! Each property runs 64 seeded cases (`tind::model::rng::cases`).
 
 mod common;
 
-use proptest::prelude::*;
+use std::collections::BTreeSet;
 
-use common::strategies::{build_history, dataset_of, history_strategy, TIMELINE};
+use common::strategies::{build_history, dataset_of, histories, history, TIMELINE};
 use tind::bloom::{BitVec, BloomFilter};
 use tind::core::search::brute_force_search;
 use tind::core::validate::{naive_violation_weight, validate, violation_weight};
 use tind::core::{IndexConfig, SliceConfig, TindIndex, TindParams};
+use tind::model::rng::{cases, Rng};
 use tind::model::{binio, Interval, Timeline, ValueId, WeightFn};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u32 = 64;
 
-    /// Algorithm 2 must agree with the per-timestamp reference validator
-    /// on arbitrary history pairs and parameters.
-    #[test]
-    fn algorithm2_equals_naive(
-        q in history_strategy!(),
-        a in history_strategy!(),
-        delta in 0u32..20,
-        eps in 0.0f64..10.0,
-        decay in proptest::option::of(0.5f64..0.99),
-    ) {
+/// Up to `max_len - 1` draws from `0..bound`, as a set.
+fn small_set(rng: &mut Rng, bound: u32, max_len: usize) -> BTreeSet<u32> {
+    (0..rng.range(0..max_len)).map(|_| rng.range(0..bound)).collect()
+}
+
+/// Algorithm 2 must agree with the per-timestamp reference validator
+/// on arbitrary history pairs and parameters.
+#[test]
+fn algorithm2_equals_naive() {
+    cases("algorithm2_equals_naive", CASES, |rng| {
+        let (q, a) = (history(rng), history(rng));
+        let delta = rng.range(0..20u32);
+        let eps = 10.0 * rng.f64();
+        let decay = rng.bool().then(|| 0.5 + 0.49 * rng.f64());
         let d = dataset_of(vec![q, a]);
         let tl = d.timeline();
         let weights = match decay {
@@ -35,44 +40,53 @@ proptest! {
         let params = TindParams::weighted(eps, delta, weights);
         let fast = violation_weight(d.attribute(0), d.attribute(1), &params, tl, false);
         let naive = naive_violation_weight(d.attribute(0), d.attribute(1), &params, tl);
-        prop_assert!((fast - naive).abs() < 1e-9, "fast {fast} vs naive {naive}");
-        prop_assert_eq!(
+        assert!((fast - naive).abs() < 1e-9, "fast {fast} vs naive {naive}");
+        assert_eq!(
             validate(d.attribute(0), d.attribute(1), &params, tl),
             params.within_budget(naive)
         );
-    }
+    });
+}
 
-    /// Reflexivity (Section 3.4): every attribute is included in itself
-    /// under every parameter setting.
-    #[test]
-    fn reflexivity(q in history_strategy!(), delta in 0u32..10, eps in 0.0f64..5.0) {
+/// Reflexivity (Section 3.4): every attribute is included in itself
+/// under every parameter setting.
+#[test]
+fn reflexivity() {
+    cases("reflexivity", CASES, |rng| {
+        let q = history(rng);
+        let delta = rng.range(0..10u32);
+        let eps = 5.0 * rng.f64();
         let d = dataset_of(vec![q]);
         let params = TindParams::weighted(eps, delta, WeightFn::constant_one());
-        prop_assert!(validate(d.attribute(0), d.attribute(0), &params, d.timeline()));
-    }
+        assert!(validate(d.attribute(0), d.attribute(0), &params, d.timeline()));
+    });
+}
 
-    /// Violation weight is monotone: growing δ never increases it.
-    #[test]
-    fn delta_monotonicity(q in history_strategy!(), a in history_strategy!()) {
+/// Violation weight is monotone: growing δ never increases it.
+#[test]
+fn delta_monotonicity() {
+    cases("delta_monotonicity", CASES, |rng| {
+        let (q, a) = (history(rng), history(rng));
         let d = dataset_of(vec![q, a]);
         let tl = d.timeline();
         let mut prev = f64::INFINITY;
         for delta in [0u32, 1, 2, 4, 8, 16] {
             let params = TindParams::weighted(0.0, delta, WeightFn::constant_one());
             let w = violation_weight(d.attribute(0), d.attribute(1), &params, tl, false);
-            prop_assert!(w <= prev + 1e-9, "violation grew from {prev} to {w} at δ={delta}");
+            assert!(w <= prev + 1e-9, "violation grew from {prev} to {w} at δ={delta}");
             prev = w;
         }
-    }
+    });
+}
 
-    /// Index search with arbitrary small datasets must equal brute force —
-    /// the index may prune only provably invalid candidates.
-    #[test]
-    fn index_search_equals_brute_force(
-        histories in proptest::collection::vec(history_strategy!(), 2..8),
-        delta in 0u32..8,
-        eps in 0.0f64..6.0,
-    ) {
+/// Index search with arbitrary small datasets must equal brute force —
+/// the index may prune only provably invalid candidates.
+#[test]
+fn index_search_equals_brute_force() {
+    cases("index_search_equals_brute_force", CASES, |rng| {
+        let histories = histories(rng, 2, 8);
+        let delta = rng.range(0..8u32);
+        let eps = 6.0 * rng.f64();
         let d = dataset_of(histories);
         let index = TindIndex::build(
             d.clone(),
@@ -86,18 +100,19 @@ proptest! {
         for qid in 0..d.len() as u32 {
             let fast = index.search(qid, &params).results;
             let brute = brute_force_search(&index, d.attribute(qid), Some(qid), &params);
-            prop_assert_eq!(&fast, &brute, "query {} differs", qid);
+            assert_eq!(&fast, &brute, "query {} differs", qid);
         }
-    }
+    });
+}
 
-    /// Bloom filters preserve subsets for arbitrary value sets and sizes.
-    #[test]
-    fn bloom_subset_preservation(
-        small in proptest::collection::btree_set(0u32..500, 0..30),
-        extra in proptest::collection::btree_set(0u32..500, 0..30),
-        m in 8u32..512,
-        k in 1u32..4,
-    ) {
+/// Bloom filters preserve subsets for arbitrary value sets and sizes.
+#[test]
+fn bloom_subset_preservation() {
+    cases("bloom_subset_preservation", CASES, |rng| {
+        let small = small_set(rng, 500, 30);
+        let extra = small_set(rng, 500, 30);
+        let m = rng.range(8..512u32);
+        let k = rng.range(1..4u32);
         let small: Vec<ValueId> = small.into_iter().collect();
         let mut big = small.clone();
         big.extend(extra);
@@ -105,38 +120,44 @@ proptest! {
         big.dedup();
         let fs = BloomFilter::from_values(&small, m, k);
         let fb = BloomFilter::from_values(&big, m, k);
-        prop_assert!(fs.may_be_subset_of(&fb));
+        assert!(fs.may_be_subset_of(&fb));
         for &v in &small {
-            prop_assert!(fs.may_contain(v));
+            assert!(fs.may_contain(v));
         }
-    }
+    });
+}
 
-    /// BitVec boolean algebra sanity: AND is intersection of one-sets.
-    #[test]
-    fn bitvec_and_is_intersection(
-        xs in proptest::collection::btree_set(0usize..300, 0..60),
-        ys in proptest::collection::btree_set(0usize..300, 0..60),
-    ) {
+/// BitVec boolean algebra sanity: AND is intersection of one-sets.
+#[test]
+fn bitvec_and_is_intersection() {
+    cases("bitvec_and_is_intersection", CASES, |rng| {
+        let xs: BTreeSet<usize> = small_set(rng, 300, 60).into_iter().map(|x| x as usize).collect();
+        let ys: BTreeSet<usize> = small_set(rng, 300, 60).into_iter().map(|y| y as usize).collect();
         let mut a = BitVec::zeros(300);
         let mut b = BitVec::zeros(300);
-        for &x in &xs { a.set(x); }
-        for &y in &ys { b.set(y); }
+        for &x in &xs {
+            a.set(x);
+        }
+        for &y in &ys {
+            b.set(y);
+        }
         let mut and = a.clone();
         and.and_assign(&b);
         let expected: Vec<usize> = xs.intersection(&ys).copied().collect();
-        prop_assert_eq!(and.iter_ones().collect::<Vec<_>>(), expected);
+        assert_eq!(and.iter_ones().collect::<Vec<_>>(), expected);
         // Subset relation matches set inclusion.
-        prop_assert_eq!(and.is_subset_of(&a), true);
-        prop_assert_eq!(and.is_subset_of(&b), true);
-    }
+        assert!(and.is_subset_of(&a));
+        assert!(and.is_subset_of(&b));
+    });
+}
 
-    /// Weight functions: closed-form interval sums equal naive sums.
-    #[test]
-    fn weight_interval_sums(
-        start in 0u32..TIMELINE,
-        len in 1u32..TIMELINE,
-        a in 0.5f64..0.999,
-    ) {
+/// Weight functions: closed-form interval sums equal naive sums.
+#[test]
+fn weight_interval_sums() {
+    cases("weight_interval_sums", CASES, |rng| {
+        let start = rng.range(0..TIMELINE);
+        let len = rng.range(1..TIMELINE);
+        let a = 0.5 + 0.499 * rng.f64();
         let tl = Timeline::new(TIMELINE);
         let end = (start + len - 1).min(tl.last());
         let interval = Interval::new(start, end);
@@ -148,13 +169,16 @@ proptest! {
         ] {
             let closed = w.interval_weight(interval);
             let naive: f64 = interval.iter().map(|t| w.weight(t)).sum();
-            prop_assert!((closed - naive).abs() < 1e-9, "{w:?} on {interval}");
+            assert!((closed - naive).abs() < 1e-9, "{w:?} on {interval}");
         }
-    }
+    });
+}
 
-    /// History ↔ delta-stream conversion round-trips arbitrary histories.
-    #[test]
-    fn diff_roundtrip(q in history_strategy!()) {
+/// History ↔ delta-stream conversion round-trips arbitrary histories.
+#[test]
+fn diff_roundtrip() {
+    cases("diff_roundtrip", CASES, |rng| {
+        let q = history(rng);
         let h = build_history("h", &q, TIMELINE - 1);
         let (initial, deltas) = tind::model::diff::to_deltas(&h);
         let back = tind::model::diff::from_deltas(
@@ -164,23 +188,23 @@ proptest! {
             &deltas,
             h.last_observed(),
         );
-        prop_assert_eq!(back.versions(), h.versions());
+        assert_eq!(back.versions(), h.versions());
         // Churn accounting is consistent with the deltas.
         let stats = tind::model::diff::churn_stats(&h);
-        prop_assert_eq!(stats.changes, deltas.len());
-        prop_assert_eq!(
+        assert_eq!(stats.changes, deltas.len());
+        assert_eq!(
             stats.total_added + stats.total_removed,
             deltas.iter().map(|d| d.churn()).sum::<usize>()
         );
-    }
+    });
+}
 
-    /// σ-partial validity is monotone in σ: lowering σ never invalidates.
-    #[test]
-    fn partial_sigma_monotone(
-        q in history_strategy!(),
-        a in history_strategy!(),
-        delta in 0u32..6,
-    ) {
+/// σ-partial validity is monotone in σ: lowering σ never invalidates.
+#[test]
+fn partial_sigma_monotone() {
+    cases("partial_sigma_monotone", CASES, |rng| {
+        let (q, a) = (history(rng), history(rng));
+        let delta = rng.range(0..6u32);
         use tind::core::partial::{partial_validate, PartialParams};
         let d = dataset_of(vec![q, a]);
         let tl = d.timeline();
@@ -189,22 +213,24 @@ proptest! {
         for sigma in [1.0, 0.8, 0.6, 0.4, 0.2] {
             let p = PartialParams::new(base.clone(), sigma);
             let valid = partial_validate(d.attribute(0), d.attribute(1), &p, tl);
-            prop_assert!(!prev_valid || valid, "σ={sigma} invalidated a previously valid pair");
+            assert!(!prev_valid || valid, "σ={sigma} invalidated a previously valid pair");
             prev_valid = valid;
         }
-    }
+    });
+}
 
-    /// Binary serialization round-trips arbitrary datasets.
-    #[test]
-    fn binio_roundtrip(histories in proptest::collection::vec(history_strategy!(), 1..6)) {
+/// Binary serialization round-trips arbitrary datasets.
+#[test]
+fn binio_roundtrip() {
+    cases("binio_roundtrip", CASES, |rng| {
+        let histories = histories(rng, 1, 6);
         let d = dataset_of(histories);
-        let bytes = binio::encode_dataset(&d);
-        let d2 = binio::decode_dataset(bytes).expect("roundtrip decodes");
-        prop_assert_eq!(d2.len(), d.len());
-        prop_assert_eq!(d2.timeline(), d.timeline());
+        let d2 = binio::decode_dataset(&binio::encode_dataset(&d)).expect("roundtrip decodes");
+        assert_eq!(d2.len(), d.len());
+        assert_eq!(d2.timeline(), d.timeline());
         for (id, h) in d.iter() {
-            prop_assert_eq!(d2.attribute(id).versions(), h.versions());
-            prop_assert_eq!(d2.attribute(id).last_observed(), h.last_observed());
+            assert_eq!(d2.attribute(id).versions(), h.versions());
+            assert_eq!(d2.attribute(id).last_observed(), h.last_observed());
         }
-    }
+    });
 }

@@ -61,11 +61,10 @@ fn read_report(path: &str) -> Value {
 /// design; totals are checked separately).
 fn normalize(value: &mut Value, key: &str) {
     match value {
-        Value::Num(n) => {
-            if key != "schema_version" {
+        Value::Num(n)
+            if key != "schema_version" => {
                 *n = 0.0;
             }
-        }
         Value::Arr(items) => {
             if key == "args" || key == "shards" {
                 items.clear();

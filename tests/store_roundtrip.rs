@@ -14,16 +14,14 @@ mod common;
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
 use tind_core::{
     discover_all_pairs, open_store, pack_store, repair_store, verify_store, AllPairsOptions,
     BatchOptions, DatasetDelta, DeltaError, IndexConfig, PackOptions, RepairOptions, StoreError,
     TindIndex,
 };
-use tind_model::Dataset;
-// Only used inside `proptest!` blocks, which the offline shim discards.
-#[allow(unused_imports)]
 use tind_datagen::{generate, GeneratorConfig};
+use tind_model::rng::cases;
+use tind_model::Dataset;
 
 use common::strategies::{shard_files, world};
 
@@ -376,35 +374,31 @@ fn degraded_index_refuses_masked_deltas_but_applies_live_ones() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Randomized restatement of the kill sweep: any seed, any shard
-    /// count, any kill point — a killed pack leaves a store that opens
-    /// clean and byte-identical to the committed generation.
-    #[test]
-    fn prop_killed_pack_never_tears_the_store(
-        seed in 0u64..500,
-        shards in 1usize..5,
-        kill_after in 0u64..40,
-    ) {
+/// Randomized restatement of the kill sweep: any seed, any shard
+/// count, any kill point — a killed pack leaves a store that opens
+/// clean and byte-identical to the committed generation.
+#[test]
+fn prop_killed_pack_never_tears_the_store() {
+    cases("prop_killed_pack_never_tears_the_store", 12, |rng| {
+        let seed = rng.range(0..500u64);
+        let shards = rng.range(1..5usize);
+        let kill_after = rng.range(0..40u64);
         let dataset = Arc::new(generate(&GeneratorConfig::small(120, seed)).dataset);
         let config = IndexConfig { m: 128, ..IndexConfig::default() };
         let index = TindIndex::build(dataset.clone(), config);
         let dir = store_dir(&format!("prop-{seed}-{shards}-{kill_after}"));
-        pack_store(&index, &dir, &PackOptions { shards, ..Default::default() })
-            .expect("gen 1");
+        pack_store(&index, &dir, &PackOptions { shards, ..Default::default() }).expect("gen 1");
         let baseline = tind_core::persist::encode_index(&index);
 
         let options =
             PackOptions { shards, kill_after_ops: Some(kill_after), ..Default::default() };
         match pack_store(&index, &dir, &options) {
             Err(StoreError::Killed { .. }) | Ok(_) => {}
-            Err(other) => prop_assert!(false, "unexpected error {other}"),
+            Err(other) => panic!("unexpected error {other}"),
         }
         let (recovered, report) = open_store(&dir, dataset).expect("recoverable");
-        prop_assert!(report.is_clean());
-        prop_assert_eq!(tind_core::persist::encode_index(&recovered), baseline);
+        assert!(report.is_clean());
+        assert_eq!(tind_core::persist::encode_index(&recovered), baseline);
         std::fs::remove_dir_all(&dir).ok();
-    }
+    });
 }

@@ -4,25 +4,21 @@
 //! `naive_violation_weight`) across {δ, ε, weight-fn} grids — including
 //! when the two-sided early exit fires.
 //!
-//! Plain `#[test]`s run everywhere (cargo and the offline harness); the
-//! `proptest!` block additionally fuzzes raw version structures under real
-//! `cargo test`.
+//! The two property loops at the bottom additionally fuzz raw version
+//! structures (96 seeded cases each).
 
 mod common;
 
-use proptest::prelude::*;
 use std::sync::Arc;
 
-use common::strategies::{dataset_of, weight_grid};
-// Only expanded inside `proptest!` blocks, which the offline shim discards.
-#[allow(unused_imports)]
-use common::strategies::history_strategy;
+use common::strategies::{dataset_of, history, weight_grid};
 use tind::core::validate::{
     naive_validate, naive_violation_weight, validate, violation_weight, QueryPlan,
     ValidationScratch,
 };
 use tind::core::TindParams;
 use tind::datagen::{generate, GeneratorConfig};
+use tind::model::rng::cases;
 use tind::model::{Timeline, WeightFn};
 
 /// Asserts the kernel agrees with both reference tiers on one pair under
@@ -171,51 +167,42 @@ fn handcrafted_edge_histories_agree_across_all_tiers() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The kernel must agree with both references on arbitrary version
-    /// structures × {δ, ε, weight-fn}, exact weights and verdicts alike.
-    #[test]
-    fn kernel_equals_references_on_random_histories(
-        q in history_strategy!(),
-        a in history_strategy!(),
-        delta in 0u32..20,
-        eps in 0.0f64..10.0,
-        weight_sel in 0usize..5,
-    ) {
-        let d = dataset_of(vec![q, a]);
+/// The kernel must agree with both references on arbitrary version
+/// structures × {δ, ε, weight-fn}, exact weights and verdicts alike.
+#[test]
+fn kernel_equals_references_on_random_histories() {
+    cases("kernel_equals_references_on_random_histories", 96, |rng| {
+        let d = dataset_of(vec![history(rng), history(rng)]);
+        let delta = rng.range(0..20u32);
+        let eps = 10.0 * rng.f64();
         let tl = d.timeline();
-        let weights = weight_grid(tl).swap_remove(weight_sel);
+        let weights = weight_grid(tl).swap_remove(rng.range(0..5usize));
         let params = TindParams::weighted(eps, delta, weights);
         let mut scratch = ValidationScratch::new();
         let plan = QueryPlan::new(d.attribute(0), &params, tl);
 
         let exact = plan.violation_weight(d.attribute(1), &mut scratch);
         let naive = naive_violation_weight(d.attribute(0), d.attribute(1), &params, tl);
-        prop_assert!((exact - naive).abs() < 1e-9, "plan {exact} vs naive {naive}");
+        assert!((exact - naive).abs() < 1e-9, "plan {exact} vs naive {naive}");
 
         // Verdict with early exits enabled equals the exhaustive verdict.
-        prop_assert_eq!(
-            plan.validate(d.attribute(1), &mut scratch),
-            params.within_budget(naive)
-        );
-        prop_assert_eq!(scratch.counters().invariant_breaches, 0);
-    }
+        assert_eq!(plan.validate(d.attribute(1), &mut scratch), params.within_budget(naive));
+        assert_eq!(scratch.counters().invariant_breaches, 0);
+    });
+}
 
-    /// Reflexivity survives the kernel under every weight family.
-    #[test]
-    fn kernel_reflexivity(
-        q in history_strategy!(),
-        delta in 0u32..10,
-        eps in 0.0f64..5.0,
-        weight_sel in 0usize..5,
-    ) {
-        let d = dataset_of(vec![q]);
+/// Reflexivity survives the kernel under every weight family.
+#[test]
+fn kernel_reflexivity() {
+    cases("kernel_reflexivity", 96, |rng| {
+        let d = dataset_of(vec![history(rng)]);
+        let delta = rng.range(0..10u32);
+        let eps = 5.0 * rng.f64();
         let tl = d.timeline();
-        let params = TindParams::weighted(eps, delta, weight_grid(tl).swap_remove(weight_sel));
+        let weights = weight_grid(tl).swap_remove(rng.range(0..5usize));
+        let params = TindParams::weighted(eps, delta, weights);
         let plan = QueryPlan::new(d.attribute(0), &params, tl);
         let mut scratch = ValidationScratch::new();
-        prop_assert!(plan.validate(d.attribute(0), &mut scratch));
-    }
+        assert!(plan.validate(d.attribute(0), &mut scratch));
+    });
 }
