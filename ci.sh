@@ -13,6 +13,8 @@ cargo check --features obs-off
 # The obs overhead gate: asserts span/metric/trace cost <2% of the
 # validate kernel.
 cargo run --release --example obs_overhead
+# The delta walkthrough asserts maintained index == cold rebuild.
+cargo run --release --example evolving_dataset >/dev/null
 # Run-report smoke: emit a TINDRR report through the real CLI and
 # validate it against the checked-in schema.
 target/release/tind generate --attributes 120 --preset small --seed 5 \

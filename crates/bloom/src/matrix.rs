@@ -17,7 +17,7 @@
 //! ([`Segment`]), each backed by a [`WordRegion`] — owned words, an
 //! mmap'd arena window, or a `pread`-on-demand window. Every search
 //! kernel runs unchanged over either backing and produces bit-identical
-//! candidate sets; mutating operations ([`BloomMatrix::replace_strip`],
+//! candidate sets; mutating operations ([`BloomMatrix::retarget_column`],
 //! [`BloomMatrix::grow_cols`]) first materialize borrowed segments into
 //! owned words via [`BloomMatrix::ensure_owned`].
 
@@ -273,7 +273,7 @@ impl BloomMatrix {
 
     /// Materializes borrowed segments into owned words; a no-op on an
     /// already-owned matrix. Mutating operations call this first, which is
-    /// what keeps `apply_delta`'s exact strip replacement sound over
+    /// what keeps `apply_delta`'s exact column retargeting sound over
     /// zero-copy backings: the mutation happens on a private copy, never
     /// on the shared (possibly mmap'd) arena bytes.
     pub fn ensure_owned(&mut self) {
@@ -667,29 +667,50 @@ impl BloomMatrix {
         BloomColumnStrip { m: self.m, k_hashes: self.k_hashes, words }
     }
 
-    /// Overwrites word-block `block` (columns `64·block .. 64·block + 64`)
-    /// with a freshly rendered strip — the in-place update primitive of the
-    /// delta path. Unlike [`BloomMatrixBuilder::merge_strip`]'s OR, bits set
-    /// by superseded column contents are cleared too, so the block ends up
-    /// exactly as if the matrix had been built cold from the strip's
-    /// current contents. Lanes past `num_cols` (a ragged final block) are
-    /// masked off. On a borrowed (segmented) matrix the words are first
+    /// Retargets column `col` from the filter it holds (`old`) to `new` —
+    /// the in-place update primitive of the delta path. Only the rows where
+    /// the two filters differ are flipped, so the cost is the size of the
+    /// change, not of the column, and bits the superseded contents set are
+    /// cleared as well as new ones set: the column ends up exactly as a
+    /// cold build from `new`'s value set would leave it. `old == new`
+    /// writes nothing (a borrowed matrix is not even materialized).
+    ///
+    /// The caller vouches that the column currently equals `old` — true
+    /// whenever a column is a pure function of data the caller still holds
+    /// (see `tind_core::delta`); a debug build asserts it for every flipped
+    /// bit. On a borrowed (segmented) matrix the words are first
     /// materialized into a private owned copy — arena bytes are never
     /// written through.
     ///
     /// # Panics
-    /// Panics if `block` is past the matrix's word width or the strip's
-    /// `(m, k_hashes)` disagree with the matrix.
-    pub fn replace_strip(&mut self, block: usize, strip: &BloomColumnStrip) {
-        assert!(block < self.words_per_row, "block {block} out of range");
-        assert_eq!(strip.m, self.m, "strip row count must match matrix");
-        assert_eq!(strip.k_hashes, self.k_hashes, "strip probe count must match matrix");
-        let lanes = self.num_cols - block * 64;
-        let mask = if lanes >= 64 { u64::MAX } else { (1u64 << lanes) - 1 };
+    /// Panics if `col` is out of range or a filter's `(m, k_hashes)`
+    /// disagree with the matrix.
+    pub fn retarget_column(&mut self, col: usize, old: &BloomFilter, new: &BloomFilter) {
+        assert!(col < self.num_cols, "column {col} out of range");
+        for f in [old, new] {
+            assert_eq!(f.m(), self.m, "filter size must match matrix rows");
+            assert_eq!(f.k_hashes(), self.k_hashes, "filter probe count must match matrix");
+        }
+        if old == new {
+            return;
+        }
+        let (word, lane) = (col / 64, 1u64 << (col % 64));
         let words_per_row = self.words_per_row;
         let rows = self.owned_rows_mut();
-        for (row, &w) in strip.words.iter().enumerate() {
-            rows[row * words_per_row + block] = w & mask;
+        for (i, (&o, &n)) in old.bits().words().iter().zip(new.bits().words()).enumerate() {
+            let mut flips = o ^ n;
+            while flips != 0 {
+                let bit = flips.trailing_zeros() as usize;
+                flips &= flips - 1;
+                let cell = &mut rows[(i * 64 + bit) * words_per_row + word];
+                debug_assert_eq!(
+                    *cell & lane != 0,
+                    o >> bit & 1 == 1,
+                    "column {col} row {} did not hold the old filter",
+                    i * 64 + bit
+                );
+                *cell ^= lane;
+            }
         }
     }
 
@@ -1019,52 +1040,85 @@ mod tests {
         assert_eq!(strip.words(), copy.words());
     }
 
-    #[test]
-    fn replace_strip_equals_cold_rebuild_of_the_block() {
-        // 150 columns: two full blocks plus a ragged 22-lane block. Start
-        // from stale contents everywhere, replace each block with its
-        // current strip, and demand byte-identity with a cold build — the
-        // exact contract the delta path relies on (stale bits cleared).
-        let (m, n, k) = (512u32, 150usize, 2u32);
-        let mut stale = BloomMatrixBuilder::new(m, n, k);
-        let mut fresh = BloomMatrixBuilder::new(m, n, k);
-        for col in 0..n {
-            stale.insert_column(col, &[(col * 31 + 5) as ValueId]);
-            fresh.insert_column(col, &strip_test_values(col));
-        }
-        let mut updated = stale.build();
-        let fresh = fresh.build();
-        for block in 0..n.div_ceil(64) {
-            let mut strip = BloomColumnStrip::new(m, k);
-            for col in block * 64..((block + 1) * 64).min(n) {
-                strip.insert_lane(col - block * 64, &strip_test_values(col));
-            }
-            updated.replace_strip(block, &strip);
-        }
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        updated.encode(&mut a);
-        fresh.encode(&mut b);
-        assert_eq!(a, b, "replace_strip must leave the block as a cold build would");
+    fn encoded(m: &BloomMatrix) -> Vec<u8> {
+        let mut buf = Vec::new();
+        m.encode(&mut buf);
+        buf
     }
 
     #[test]
-    fn replace_strip_masks_ragged_lanes() {
-        let b = BloomMatrixBuilder::new(64, 70, 2);
-        let mut strip = BloomColumnStrip::new(64, 2);
-        for lane in 0..64 {
-            strip.insert_lane(lane, &[lane as ValueId]);
+    fn retarget_column_equals_cold_build_of_the_column() {
+        // 150 columns: two full blocks plus a ragged 22-lane block. Every
+        // column moves from its old value set to a new one — grown, shrunk
+        // (stale bits must clear), disjoint, emptied, or appended (old
+        // empty) — and the result must be byte-identical to a cold build,
+        // the exact contract the delta path relies on.
+        let (m, n, k) = (512u32, 150usize, 2u32);
+        let new_values = |col: usize| -> Vec<ValueId> {
+            let old = strip_test_values(col);
+            match col % 5 {
+                0 => old.iter().copied().chain([(col * 31 + 5) as ValueId]).collect(),
+                1 => old[..old.len() / 2].to_vec(),
+                2 => (0..3).map(|i| (10_000 + col * 3 + i) as ValueId).collect(),
+                3 => Vec::new(),
+                _ => old,
+            }
+        };
+        // Columns 140.. start empty, as freshly grown columns do.
+        let old_values =
+            |col: usize| if col < 140 { strip_test_values(col) } else { Vec::new() };
+        let mut stale = BloomMatrixBuilder::new(m, n, k);
+        let mut fresh = BloomMatrixBuilder::new(m, n, k);
+        for col in 0..n {
+            stale.insert_column(col, &old_values(col));
+            fresh.insert_column(col, &new_values(col));
         }
-        let mut m = b.build();
-        m.replace_strip(1, &strip);
-        for col in 64..70 {
-            assert!(m.column_filter(col).count_ones() > 0, "column {col} populated");
+        let (stale, fresh) = (stale.build(), fresh.build());
+        let mut updated = stale.clone();
+        for col in 0..n {
+            let old = updated.query_filter(&old_values(col));
+            let new = updated.query_filter(&new_values(col));
+            updated.retarget_column(col, &old, &new);
+            assert_eq!(updated.column_filter(col), new, "column {col}");
         }
-        // Lanes 6..64 of block 1 must have been masked off: the block's
-        // word carries no bits past lane 5 in any row.
-        let masked = m.extract_strip(1);
-        for &w in masked.words() {
-            assert_eq!(w & !((1u64 << 6) - 1), 0, "masked lanes leaked");
+        assert_eq!(encoded(&updated), encoded(&fresh), "retargeted ≠ cold build");
+        // Padding lanes of the ragged block stay clear.
+        for &w in updated.extract_strip(2).words() {
+            assert_eq!(w >> (n - 128), 0, "padding lanes written");
         }
+
+        // And back again: a column touched repeatedly stays exact.
+        for col in 0..n {
+            let old = updated.query_filter(&new_values(col));
+            let new = updated.query_filter(&old_values(col));
+            updated.retarget_column(col, &old, &new);
+        }
+        assert_eq!(encoded(&updated), encoded(&stale));
+    }
+
+    #[test]
+    fn retarget_column_with_equal_filters_writes_nothing() {
+        let n = 150;
+        let mut b = BloomMatrixBuilder::new(128, n, 2);
+        for col in 0..n {
+            b.insert_column(col, &strip_test_values(col));
+        }
+        let owned = b.build();
+        let mut seg = segmented_copy(&owned, &[1]);
+        let same = seg.column_filter(70);
+        seg.retarget_column(70, &same, &same);
+        assert!(!seg.is_owned(), "an unchanged column must not materialize a borrowed matrix");
+        assert_eq!(encoded(&seg), encoded(&owned));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "did not hold the old filter")]
+    fn retarget_column_checks_the_old_filter_in_debug_builds() {
+        let mut m = sample_matrix(256);
+        let wrong_old = m.query_filter(&[100, 101]);
+        let new = m.query_filter(&[1]);
+        m.retarget_column(1, &wrong_old, &new);
     }
 
     #[test]
@@ -1303,16 +1357,21 @@ mod tests {
         // and match the same mutation on the owned twin.
         let mut seg = segmented_copy(&owned, &[2]);
         let mut owned_mut = owned.clone();
-        let mut strip = BloomColumnStrip::new(128, 2);
-        strip.insert_lane(3, &[999]);
-        seg.replace_strip(1, &strip);
-        owned_mut.replace_strip(1, &strip);
-        seg.grow_cols(200);
-        owned_mut.grow_cols(200);
-        let (mut a, mut c) = (Vec::new(), Vec::new());
-        owned_mut.encode(&mut a);
-        seg.encode(&mut c);
-        assert_eq!(a, c, "mutations over a materialized segmented matrix diverged");
+        let old = owned.column_filter(67);
+        let new = owned.query_filter(&[999]);
+        for m in [&mut seg, &mut owned_mut] {
+            m.retarget_column(67, &old, &new);
+            m.grow_cols(200);
+            // Fill an appended column past the old word width.
+            m.retarget_column(199, &BloomFilter::new(128, 2), &new);
+        }
+        assert!(seg.is_owned());
+        assert_eq!(seg.column_filter(67), new);
+        assert_eq!(
+            encoded(&seg),
+            encoded(&owned_mut),
+            "mutations over a materialized segmented matrix diverged"
+        );
     }
 
     #[test]

@@ -2082,7 +2082,7 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
                     let index_out = index_out.as_ref().expect("derived from --index");
                     tind_core::persist::write_index_file(&index, index_out)?;
                     Some(format!(
-                        "index: {} column(s) updated ({} new), {} block(s) rewritten across \
+                        "index: {} column(s) updated ({} new), {} block(s) dirtied across \
                          {} matrice(s){}{}; written to {}",
                         report.touched_attrs,
                         report.new_attrs,

@@ -10,22 +10,39 @@
 //! consult or compact — so post-update searches run the full four-stage
 //! pipeline at full speed and the updated index can be re-persisted.
 //!
-//! # Why replace, not OR
+//! # Why an exact column retarget, not an OR
 //!
 //! Bloom inserts are monotone, which suggests OR-ing new values into the
-//! touched columns. That is sound for `M_T` (value universes only grow)
-//! but **unsound** for the slice matrices and `M_R`: appending a version
-//! truncates the validity of its predecessor, so `A[I^δ]` can *shrink* for
-//! a touched attribute, and `R_{ε,w}(A)` can change arbitrarily. A stale
-//! extra bit in a slice column hides a genuine violation only until stage
-//! 3/4 re-checks it (slow, not wrong) — but a stale bit in `M_R` wrongly
+//! touched columns. That is sound only while value sets grow, and they do
+//! not: a revision may drop values, appending a version truncates the
+//! validity of its predecessor, so `A[I^δ]` can *shrink* for a touched
+//! attribute, and `R_{ε,w}(A)` can change arbitrarily. A stale extra bit
+//! in a slice column hides a genuine violation only until stage 3/4
+//! re-checks it (slow, not wrong) — but a stale bit in `M_R` wrongly
 //! *keeps* reverse candidates, and a missing recompute wrongly *prunes*
-//! forward ones. So [`TindIndex::apply_delta`] recomputes every touched
-//! 64-column block **exactly** from the new histories and swaps it in with
-//! [`tind_bloom::BloomMatrix::replace_strip`]; untouched blocks are never
-//! read or written.
+//! forward ones.
 //!
-//! Because strip contents are a pure function of `(config, history)` and
+//! A column of `M_T`, of a slice matrix or of `M_R` is a pure function of
+//! `(config, one attribute's history)`, so one changed history changes one
+//! column per matrix. [`TindIndex::apply_delta`] therefore loops over the
+//! touched attributes, and for each matrix derives the value set the
+//! column was built from — the cached universe, or `values_in` /
+//! `required_values` of the old history the index still holds, or nothing
+//! for an appended attribute — and the set a cold build would use now;
+//! [`tind_bloom::BloomMatrix::retarget_column`] flips exactly the rows in
+//! which the two filters differ. The cost follows the number of touched
+//! attributes, not `|D|`; untouched columns are never read or written.
+//!
+//! The invariant this leans on: **every column equals the Bloom filter of
+//! the set derived from that attribute's history in `index.dataset`**. A
+//! build and a store open establish it, `apply_delta` preserves it (the
+//! dataset is swapped last, after every column moved), and a debug build
+//! asserts it for each flipped bit. Were a column ever off, XOR-ing the
+//! filter difference would carry the error forward instead of healing it —
+//! which is why the delta oracles re-check byte-identity after *every*
+//! step of a schedule, not only at its end.
+//!
+//! Because column contents are a pure function of `(config, history)` and
 //! the forward-default slice selection consumes only the timeline and the
 //! seeded RNG (never the data), the incrementally maintained index is
 //! **byte-identical** (`persist::encode_index`) to a cold build over the
@@ -44,17 +61,20 @@
 //! search, untouched queries by a search whose candidate set is restricted
 //! to the touched attributes ([`refresh_pairs`]). Both reuse the standard
 //! pipeline, so the refreshed set equals a cold all-pairs run (the
-//! CALM-style argument is spelled out in DESIGN.md).
+//! CALM-style argument is spelled out in DESIGN.md). The restricted half
+//! is `|D|` queries against a few columns; each first probes `M_T` with the
+//! values of its heaviest version (all required whenever that version
+//! alone outweighs ε), and almost none survive to pay for more.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tind_bloom::{BitVec, BloomColumnStrip};
-use tind_model::{AttrId, Dataset, ValueSet};
+use tind_bloom::{BitVec, BloomFilter, BloomMatrix};
+use tind_model::{AttrId, AttributeHistory, Dataset, Timestamp, ValueId, ValueSet};
 
 use crate::index::TindIndex;
-use crate::params::TindParams;
+use crate::params::{TindParams, EPS_TOLERANCE};
 use crate::required::required_values;
 use crate::search::{finish_search, initial_candidates, record_search_metrics, SearchOptions};
 use crate::sync::{into_inner, lock};
@@ -142,14 +162,13 @@ impl DatasetDelta {
                 nd.len()
             )));
         }
-        for (id, s) in od.iter() {
-            if nd.resolve(id) != s {
-                return Err(incompatible(format!(
-                    "value id {id} changed from '{s}' to '{}'; the dictionary may only be \
-                     extended, never re-interned",
-                    nd.resolve(id)
-                )));
-            }
+        if let Some(id) = od.first_divergence(nd) {
+            return Err(incompatible(format!(
+                "value id {id} changed from '{}' to '{}'; the dictionary may only be \
+                 extended, never re-interned",
+                od.resolve(id),
+                nd.resolve(id)
+            )));
         }
         let mut touched = Vec::new();
         for (id, hist) in old.iter() {
@@ -196,6 +215,19 @@ impl DatasetDelta {
     }
 }
 
+/// A lower bound on the first timestamp at which two histories of one
+/// attribute disagree: at every earlier `t` both hold the same value set,
+/// so an interval ending before it reads the same from either.
+fn first_difference(old: &AttributeHistory, new: &AttributeHistory) -> Timestamp {
+    let shared = old.versions().iter().zip(new.versions()).take_while(|(o, n)| o == n).count();
+    // Past the shared prefix a history either starts its next version or,
+    // having none, falls empty after its last observed timestamp.
+    let diverges = |h: &AttributeHistory| {
+        h.versions().get(shared).map_or(h.last_observed() + 1, |v| v.start)
+    };
+    diverges(old).min(diverges(new))
+}
+
 /// What [`TindIndex::apply_delta`] did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DeltaReport {
@@ -203,20 +235,20 @@ pub struct DeltaReport {
     pub touched_attrs: usize,
     /// Attributes appended by the delta.
     pub new_attrs: usize,
-    /// 64-column blocks recomputed and replaced, per matrix.
+    /// Distinct 64-column blocks holding a touched column.
     pub blocks_rewritten: usize,
-    /// Matrices updated per rewritten block (`M_T` + slices + `M_R`).
+    /// Matrices maintained (`M_T` + slices + `M_R`).
     pub matrices_updated: usize,
     /// Whether the matrices grew new columns.
     pub grew: bool,
 }
 
 impl TindIndex {
-    /// Folds `delta` into the index in place: touched 64-column blocks of
-    /// `M_T`, every slice matrix, and `M_R` (when present) are recomputed
-    /// exactly from the new histories and swapped in; value universes are
-    /// replaced; matrices grow columns for appended attributes. Untouched
-    /// blocks are not read or written.
+    /// Folds `delta` into the index in place: the column of every touched
+    /// attribute in `M_T`, each slice matrix, and `M_R` (when present) is
+    /// retargeted from its old value set to the one a cold build would
+    /// use; value universes are replaced; matrices grow columns for
+    /// appended attributes. Untouched columns are not read or written.
     ///
     /// Slice intervals are **kept** — see the module docs for when that
     /// preserves byte-identity with a cold rebuild and when
@@ -294,11 +326,6 @@ impl TindIndex {
             self.universes.resize(new_len, ValueSet::new());
         }
 
-        let mut touched_bits = BitVec::zeros(new_len);
-        for &id in delta.touched() {
-            touched_bits.set(id as usize);
-        }
-        let blocks: BTreeSet<usize> = delta.touched().iter().map(|&id| id as usize / 64).collect();
         let sizing = self.m_r.is_some().then(|| {
             TindParams::weighted(
                 self.config.slices.sizing_eps,
@@ -306,54 +333,49 @@ impl TindIndex {
                 self.config.slices.sizing_weights.clone(),
             )
         });
-
-        // One strip buffer reused across every (matrix, block) pair — the
-        // same work unit as the parallel builder, replayed sequentially
-        // (delta batches touch few blocks; rendering is the cheap part).
-        let mut strip = BloomColumnStrip::new(self.config.m, self.config.k_hashes);
-        for &block in &blocks {
-            let lo = block * 64;
-            let hi = (lo + 64).min(new_len);
-
-            strip.clear();
-            for id in lo..hi {
-                // Untouched lanes reuse the cached exact universe (equal
-                // by construction); touched lanes recompute it.
-                let universe = if touched_bits.get(id) {
-                    new.attribute(id as AttrId).value_universe()
-                } else {
-                    std::mem::take(&mut self.universes[id])
-                };
-                strip.insert_lane(id - lo, &universe);
-                self.universes[id] = universe;
+        let (m, k) = (self.config.m, self.config.k_hashes);
+        // Moves one column from the value set it was built from to the one
+        // a cold build would give it now; an unchanged set costs a compare.
+        let retarget = |matrix: &mut BloomMatrix, col: usize, old: &[ValueId], new: &[ValueId]| {
+            if old != new {
+                matrix.retarget_column(
+                    col,
+                    &BloomFilter::from_values(old, m, k),
+                    &BloomFilter::from_values(new, m, k),
+                );
             }
-            self.m_t.replace_strip(block, &strip);
+        };
 
+        for &id in delta.touched() {
+            let col = id as usize;
+            // `None` for an appended attribute: its columns are all-zero.
+            let old_hist = (col < old_len).then(|| self.dataset.attribute(id));
+            let new_hist = new.attribute(id);
+
+            let universe = new_hist.value_universe();
+            retarget(&mut self.m_t, col, &self.universes[col], &universe);
+            self.universes[col] = universe;
+
+            let changed_from = old_hist.map_or(0, |old| first_difference(old, new_hist));
             for slice in &mut self.time_slices {
-                strip.clear();
-                for id in lo..hi {
-                    let values = new.attribute(id as AttrId).values_in(slice.expanded);
-                    if !values.is_empty() {
-                        strip.insert_lane(id - lo, &values);
-                    }
+                if slice.expanded.end < changed_from {
+                    continue; // both histories agree on the whole slice
                 }
-                slice.matrix.replace_strip(block, &strip);
+                let old = old_hist.map_or_else(ValueSet::new, |h| h.values_in(slice.expanded));
+                retarget(&mut slice.matrix, col, &old, &new_hist.values_in(slice.expanded));
             }
 
-            if let Some(mr) = self.m_r.as_mut() {
-                let sizing = sizing.as_ref().expect("M_R implies sizing params");
-                strip.clear();
-                for id in lo..hi {
-                    let req = required_values(new.attribute(id as AttrId), sizing, timeline);
-                    if !req.is_empty() {
-                        strip.insert_lane(id - lo, &req);
-                    }
-                }
-                mr.replace_strip(block, &strip);
+            if let (Some(mr), Some(sizing)) = (self.m_r.as_mut(), sizing.as_ref()) {
+                let old = old_hist
+                    .map_or_else(ValueSet::new, |h| required_values(h, sizing, timeline));
+                retarget(mr, col, &old, &required_values(new_hist, sizing, timeline));
             }
         }
         self.dataset = new;
 
+        // `touched` is ascending, so equal blocks are adjacent.
+        let mut blocks: Vec<usize> = delta.touched().iter().map(|&id| id as usize / 64).collect();
+        blocks.dedup();
         let matrices_updated = 1 + self.time_slices.len() + usize::from(self.m_r.is_some());
         tind_obs::counter("delta.applied").incr();
         tind_obs::counter("delta.touched_attrs").add(delta.touched().len() as u64);
@@ -396,8 +418,29 @@ pub struct RefreshReport {
     pub threads_used: usize,
 }
 
-/// One search with an optional candidate restriction — the standard
-/// four-stage pipeline, seeded with `initial ∧ restrict`.
+/// The value set of `q`'s heaviest version, when that version's validity
+/// alone outweighs ε. Every such value is required (`w_v(Q)` sums
+/// non-negative version weights, so it is at least this one), which makes
+/// the set a sound stage-1 probe that needs no per-value weight map. `None`
+/// when no single version is heavy enough — the caller must then fall back
+/// to [`required_values`], never guess.
+fn heaviest_version_values<'a>(
+    q: &'a AttributeHistory,
+    params: &TindParams,
+) -> Option<&'a [ValueId]> {
+    let weight = |i: usize| params.weights.interval_weight(q.version_validity(i));
+    let (heaviest, w) = (0..q.versions().len())
+        .map(|i| (i, weight(i)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("histories are non-empty");
+    (w > params.eps + EPS_TOLERANCE).then(|| q.versions()[heaviest].values.as_slice())
+}
+
+/// One search of the standard four-stage pipeline. A touched query
+/// (`restrict` = `None`) runs against every candidate; an untouched one is
+/// seeded with `restrict`, the live touched attributes, and first probes
+/// them with [`heaviest_version_values`] — almost every untouched query
+/// shares nothing with the few touched columns and stops there.
 fn run_restricted(
     index: &TindIndex,
     q: AttrId,
@@ -406,13 +449,19 @@ fn run_restricted(
     scratch: &mut ValidationScratch,
 ) -> Vec<AttrId> {
     let hist = index.dataset().attribute(q);
-    let mut candidates = initial_candidates(index, Some(q));
-    if let Some(r) = restrict {
-        candidates.and_assign(r);
-        if candidates.is_zero() {
-            return Vec::new();
+    let mut candidates = match restrict {
+        None => initial_candidates(index, Some(q)),
+        Some(touched) => {
+            let mut candidates = touched.clone();
+            if let Some(probe) = heaviest_version_values(hist, params) {
+                index.m_t().narrow_to_supersets(&index.m_t().query_filter(probe), &mut candidates);
+            }
+            if candidates.is_zero() {
+                return Vec::new();
+            }
+            candidates
         }
-    }
+    };
     let required = required_values(hist, params, index.dataset().timeline());
     if !required.is_empty() {
         let qf = index.m_t().query_filter(&required);
@@ -460,11 +509,17 @@ pub fn refresh_pairs(
     threads: usize,
 ) -> RefreshReport {
     let _span = tind_obs::span("core.delta.refresh");
+    if touched.is_empty() {
+        return RefreshReport::default(); // nothing can have changed
+    }
     let num_attrs = index.dataset().len();
     let mut touched_bits = BitVec::zeros(num_attrs);
     for &id in touched {
         touched_bits.set(id as usize);
     }
+    // The candidate seed of every untouched query: touched and not masked.
+    let mut touched_live = initial_candidates(index, None);
+    touched_live.and_assign(&touched_bits);
 
     let before = pairs.len();
     pairs.retain(|&(q, a)| !touched_bits.get(q as usize) && !touched_bits.get(a as usize));
@@ -486,7 +541,7 @@ pub fn refresh_pairs(
                 break;
             }
             let q = queries[i];
-            let restrict = (!touched_bits.get(q as usize)).then_some(&touched_bits);
+            let restrict = (!touched_bits.get(q as usize)).then_some(&touched_live);
             let results = run_restricted(index, q, restrict, params, &mut scratch);
             if !results.is_empty() {
                 local.push((q, results));
@@ -592,6 +647,18 @@ mod tests {
         shrunk.retain(|h| h.name() != "attr-0");
         let err = DatasetDelta::diff(&base, Arc::new(shrunk)).unwrap_err();
         assert!(err.to_string().contains("ids must stay stable"), "{err}");
+
+        // Same histories over a dictionary interned in another order.
+        let mut b = DatasetBuilder::new(base.timeline());
+        b.dictionary_mut().intern("zzz-first");
+        for id in 0..base.dictionary().len() {
+            b.dictionary_mut().intern(base.dictionary().resolve(id as ValueId));
+        }
+        for (_, hist) in base.iter() {
+            b.add_history(hist.clone());
+        }
+        let err = DatasetDelta::diff(&base, Arc::new(b.build())).unwrap_err();
+        assert!(err.to_string().contains("value id 0 changed from"), "{err}");
     }
 
     #[test]
@@ -696,5 +763,10 @@ mod tests {
         }
         pairs = expected;
         assert!(!pairs.is_empty(), "oracle should not be vacuous");
+
+        // An empty delta changes no pair and does no work.
+        let before = pairs.clone();
+        assert_eq!(refresh_pairs(&index, &mut pairs, &[], &params, 4), RefreshReport::default());
+        assert_eq!(pairs, before);
     }
 }

@@ -162,6 +162,17 @@ impl Dictionary {
         self.strings.iter().enumerate().map(|(i, s)| (i as ValueId, s.as_ref()))
     }
 
+    /// The first id this dictionary and `successor` disagree on — an id
+    /// `successor` lacks or spells differently — or `None` when `successor`
+    /// extends this dictionary. A successor derived from this one
+    /// ([`Clone`], `Dataset::into_builder`) shares the strings themselves,
+    /// so the usual check is a pointer compare per id, not a byte compare.
+    pub fn first_divergence(&self, successor: &Dictionary) -> Option<ValueId> {
+        let shared = self.strings.iter().zip(&successor.strings);
+        let agreeing = shared.take_while(|(a, b)| Arc::ptr_eq(a, b) || a == b).count();
+        (agreeing < self.strings.len()).then_some(agreeing as ValueId)
+    }
+
     /// Interns every string of `values` and returns the canonical set.
     pub fn intern_set<I, S>(&mut self, values: I) -> ValueSet
     where
@@ -205,6 +216,27 @@ mod tests {
         assert_eq!(d.get("gamma"), None, "a clone's new values stay its own");
         assert_eq!(d.intern("delta"), 2);
         assert_eq!(c.get("delta"), None);
+    }
+
+    #[test]
+    fn first_divergence_accepts_extensions_and_names_the_first_bad_id() {
+        let mut d = Dictionary::new();
+        d.intern_set(["alpha", "beta", "gamma"]);
+        // A clone (shared strings) and an independent re-intern (equal
+        // bytes, different allocations) both extend `d`.
+        let mut clone = d.clone();
+        clone.intern("delta");
+        let mut rebuilt = Dictionary::new();
+        rebuilt.intern_set(["alpha", "beta", "gamma", "delta"]);
+        for successor in [&d, &clone, &rebuilt] {
+            assert_eq!(d.first_divergence(successor), None);
+        }
+        // The longer one is not extended by the shorter: id 3 is missing.
+        assert_eq!(clone.first_divergence(&d), Some(3));
+        let mut reordered = Dictionary::new();
+        reordered.intern_set(["alpha", "gamma", "beta"]);
+        assert_eq!(d.first_divergence(&reordered), Some(1));
+        assert_eq!(Dictionary::new().first_divergence(&d), None);
     }
 
     #[test]

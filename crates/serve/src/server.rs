@@ -565,7 +565,7 @@ impl Engine {
             )
             .map_err(|e| format!("store flip at {} failed: {e}", dir.display()))?;
             store_generation = Some(packed.generation);
-            // The delta was rendered on a heap copy (`replace_strip`
+            // The delta was applied to a heap copy (`retarget_column`
             // materializes every borrowed segment). Serve the committed
             // generation through the engine's own backing instead, so a
             // windowed engine stays bounded by its budget after a delta.

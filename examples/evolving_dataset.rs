@@ -4,8 +4,8 @@
 //! Wikipedia never stops changing: new tables appear and existing columns
 //! gain versions. Instead of rebuilding the whole Bloom-matrix index per
 //! edit, the successor dataset is diffed against the one the index was
-//! built on and only the touched 64-column blocks are re-rendered, in
-//! place — byte-identical to a cold rebuild.
+//! built on and only the columns of the touched attributes are updated,
+//! in place — byte-identical to a cold rebuild.
 //!
 //! ```sh
 //! cargo run --release --example evolving_dataset
@@ -55,7 +55,7 @@ fn main() {
     let delta = DatasetDelta::diff(&base, merged.clone()).expect("valid successor");
     let report = index.apply_delta(&delta).expect("delta applies");
     println!(
-        "\napplied the delta in {:.2?}: {} attribute(s) touched ({} new), {} block(s) re-rendered",
+        "\napplied the delta in {:.2?}: {} column(s) updated ({} new), {} block(s) dirtied",
         start.elapsed(),
         report.touched_attrs,
         report.new_attrs,

@@ -639,8 +639,8 @@ fn live_delta_updates_answers_and_prunes_cache_selectively() {
     handle.join().expect("thread").expect("outcome");
 }
 
-/// A delta must not drop the store backing. The delta itself is rendered
-/// on a heap copy (`replace_strip` materializes every borrowed segment);
+/// A delta must not drop the store backing. The delta itself is applied
+/// to a heap copy (`retarget_column` materializes every borrowed segment);
 /// what the engine then serves has to be the committed generation reopened
 /// through the backing it was opened with — otherwise a windowed engine
 /// holds the whole index on the heap after its first delta and its budget
