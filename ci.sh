@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 
 cargo build --release
 cargo test -q
+# The model's decoders once failed differently with overflow checks (debug)
+# and with wrapping arithmetic (release); their tests run under both.
+cargo test --release -q -p tind-model
 cargo clippy --workspace --all-targets -- -D warnings
 # The obs-off feature must keep every instrumented crate compiling.
 cargo check --features obs-off

@@ -348,6 +348,13 @@ struct ShardEntry {
     block_start: usize,
     block_count: usize,
     byte_len: u64,
+    /// Content digest: CRC-32 over the shard's bytes *excluding* its own
+    /// integrity trailer, i.e. the value that trailer stores, so writing or
+    /// deep-checking a shard computes it once. The trailer must stay
+    /// outside the hash — the CRC of any message with its own CRC appended
+    /// is the fixed residue `0x2144df1c`, so hashing the whole file would
+    /// give every valid shard the same "digest" and bind nothing beyond
+    /// what the trailer already checks.
     digest: u32,
 }
 
@@ -528,15 +535,6 @@ fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
     decode_manifest(&std::fs::read(dir.join(MANIFEST_NAME))?)
 }
 
-/// Content digest of an encoded shard: CRC-32 over the payload *excluding*
-/// its own integrity trailer. The trailer must stay outside the hash — the
-/// CRC of any message with its own CRC appended is the fixed residue
-/// `0x2144df1c`, so hashing the whole file would give every valid shard the
-/// same "digest" and bind nothing beyond what the trailer already checks.
-fn shard_digest(payload: &[u8]) -> u32 {
-    crc32(&payload[..payload.len().saturating_sub(checksum::TRAILER_LEN)])
-}
-
 /// Byte length of the arena header region before alignment padding:
 /// fixed fields, the section table, and the header CRC.
 fn arena_header_len(num_targets: usize) -> usize {
@@ -550,7 +548,8 @@ fn arena_header_len(num_targets: usize) -> usize {
 /// (strips re-rendered from the dataset) so the two paths are byte-equal
 /// by construction. The words are laid out row-major per target in
 /// 64-byte-aligned sections behind an offset table, so an open can borrow
-/// each section as `&[u64]` without decoding.
+/// each section as `&[u64]` without decoding. Returns the bytes and their
+/// digest (the CRC-32 the trailer carries, see [`ShardEntry::digest`]).
 fn encode_shard_arena_with<FS, FU>(
     manifest: &Manifest,
     entry_id: usize,
@@ -558,7 +557,7 @@ fn encode_shard_arena_with<FS, FU>(
     block_count: usize,
     mut strip_words: FS,
     mut universe: FU,
-) -> Vec<u8>
+) -> (Vec<u8>, u32)
 where
     FS: FnMut(usize, usize) -> Vec<u64>,
     FU: FnMut(usize, &mut Vec<u8>),
@@ -622,8 +621,8 @@ where
     }
     debug_assert_eq!(buf.len(), off, "sections laid out exactly as the table commits");
     buf.extend_from_slice(&ublob);
-    checksum::append_trailer(&mut buf);
-    buf
+    let digest = checksum::append_trailer(&mut buf);
+    (buf, digest)
 }
 
 /// Checks the first eight bytes of a shard file: the arena magic passes,
@@ -785,7 +784,10 @@ fn deep_check_shard(
     let path = dir.join(shard_name(manifest.generation, entry.id));
     let raw = std::fs::read(&path)?;
     entry.check_len(raw.len() as u64)?;
-    let actual = shard_digest(&raw);
+    // One CRC pass serves both checks: the digest covers exactly the bytes
+    // the trailer does.
+    let split = raw.len().saturating_sub(checksum::TRAILER_LEN);
+    let actual = crc32(&raw[..split]);
     if actual != entry.digest {
         return Err(StoreError::ShardCorrupt { shard: entry.id, expected: entry.digest, actual });
     }
@@ -795,11 +797,9 @@ fn deep_check_shard(
     // The digest excludes the trailer, so check the file's own integrity
     // trailer too — a rotted trailer is corruption even when the payload
     // is intact.
-    let split = raw.len() - checksum::TRAILER_LEN;
     let stored = u32::from_le_bytes(raw[split..].try_into().expect("4-byte trailer"));
-    let computed = crc32(&raw[..split]);
-    if stored != computed {
-        return Err(BinIoError::Checksum { stored, computed, offset: split as u64 }.into());
+    if stored != actual {
+        return Err(BinIoError::Checksum { stored, computed: actual, offset: split as u64 }.into());
     }
     let h = parse_arena_header(&raw, raw.len() as u64)?;
     check_arena_binding(&h, manifest, entry)?;
@@ -952,9 +952,8 @@ pub fn pack_store(
         };
         let universes =
             |attr: usize, buf: &mut Vec<u8>| put_value_set(buf, index.universe(attr as AttrId));
-        let payload =
+        let (payload, digest) =
             encode_shard_arena_with(&manifest, id, block_start, block_count, strips, universes);
-        let digest = shard_digest(&payload);
         write_atomic(&dir.join(shard_name(generation, id)), &payload, &mut budget)?;
         bytes_written += payload.len() as u64;
         manifest.shards.push(ShardEntry {
@@ -1225,7 +1224,7 @@ pub fn repair_store(
         let universe_fn = |attr: usize, buf: &mut Vec<u8>| {
             put_value_set(buf, &dataset.attribute(attr as AttrId).value_universe())
         };
-        let payload = encode_shard_arena_with(
+        let (payload, digest) = encode_shard_arena_with(
             &manifest,
             entry.id,
             entry.block_start,
@@ -1233,7 +1232,6 @@ pub fn repair_store(
             strip_fn,
             universe_fn,
         );
-        let digest = shard_digest(&payload);
         if digest != entry.digest || payload.len() as u64 != entry.byte_len {
             return Err(mismatch(format!(
                 "rebuilt shard {} hashes to {digest:#010x} but the manifest committed \
@@ -1342,11 +1340,11 @@ mod tests {
         let mut raw = std::fs::read(&path).expect("read shard");
         raw[..8].copy_from_slice(SHARD_MAGIC_V1);
         let body = raw.len() - checksum::TRAILER_LEN;
-        let resigned = crc32(&raw[..body]).to_le_bytes();
-        raw[body..].copy_from_slice(&resigned);
+        let resigned = crc32(&raw[..body]);
+        raw[body..].copy_from_slice(&resigned.to_le_bytes());
         std::fs::write(&path, &raw).expect("write v1 shard");
         let mut manifest = read_manifest(&dir).expect("manifest");
-        manifest.shards[0].digest = shard_digest(&raw);
+        manifest.shards[0].digest = resigned;
         std::fs::write(dir.join(MANIFEST_NAME), encode_manifest(&manifest)).expect("manifest");
 
         let refused = |e: &StoreError| {

@@ -4,6 +4,11 @@
 //! binary format (varints, delta-encoded timestamps and value ids) keeps
 //! files small and loading fast without pulling in a serialization
 //! framework. The format is versioned via a magic header.
+//!
+//! The dataset encoding is canonical: [`decode_dataset`] accepts only what
+//! [`encode_dataset`] produces, so a verified file's bytes *are* the
+//! dataset's encoding and [`dataset_fingerprint`] (the hash of that
+//! encoding) is read off them once, at load, instead of re-encoding.
 
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::history::HistoryBuilder;
@@ -150,9 +155,11 @@ impl<'a> Reader<'a> {
         Ok(f64::from_be_bytes(self.array(what)?))
     }
 
-    /// Decodes a varint, failing on truncation and on encodings that do
-    /// not fit a `u64` (more than 10 bytes, or a 10th byte carrying more
-    /// than the one bit that is left).
+    /// Decodes a varint, failing on truncation, on encodings that do not
+    /// fit a `u64` (more than 10 bytes, or a 10th byte carrying more than
+    /// the one bit that is left), and on overlong encodings (a final zero
+    /// byte after the first): every accepted varint is the one
+    /// [`put_varint`] writes for its value.
     pub fn varint(&mut self) -> Result<u64, BinIoError> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
@@ -163,6 +170,9 @@ impl<'a> Reader<'a> {
             }
             v |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(corrupt("overlong varint"));
+                }
                 return Ok(v);
             }
             shift += 7;
@@ -239,6 +249,14 @@ pub fn encode_dataset(dataset: &Dataset) -> Vec<u8> {
 }
 
 /// Deserializes a dataset from bytes produced by [`encode_dataset`].
+///
+/// The decode is canonical: it accepts exactly the byte strings
+/// [`encode_dataset`] can produce, so re-encoding an accepted file gives
+/// back the same bytes. Everything else — overlong varints, a version
+/// equal to its predecessor (which [`HistoryBuilder::push`] would merge
+/// away), start or value-id delta sums that overflow — is `Corrupt`. That
+/// is what lets the returned dataset carry `hash_bytes(bytes)` as its
+/// [`dataset_fingerprint`] without re-encoding anything.
 pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
     let mut buf = open(bytes, MAGIC, "dataset")?;
     let timeline_len =
@@ -277,7 +295,9 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
             if vi > 0 && delta == 0 {
                 return Err(corrupt(format!("attribute '{name}': non-increasing version start")));
             }
-            start += delta;
+            start = start
+                .checked_add(delta)
+                .ok_or_else(|| corrupt(format!("attribute '{name}': version start overflow")))?;
             let card = buf.varint()? as usize;
             // At least one byte per value id: same bound as the dictionary.
             let mut values: Vec<ValueId> = Vec::with_capacity(card.min(buf.remaining()));
@@ -287,14 +307,18 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
                 if ci > 0 && d == 0 {
                     return Err(corrupt("duplicate value id in version"));
                 }
-                val += d;
+                val = val.checked_add(d).ok_or_else(|| corrupt("value id overflow"))?;
                 let id = u32::try_from(val).map_err(|_| corrupt("value id overflow"))?;
                 if id as usize >= dict_len {
                     return Err(corrupt(format!("value id {id} outside dictionary")));
                 }
                 values.push(id);
             }
-            hb.push(start, values);
+            // `push` merges a version equal to its predecessor; the encoder
+            // never writes one, so a merge means a non-canonical file.
+            if hb.push(start, values).len() == vi {
+                return Err(corrupt(format!("attribute '{name}': repeated version")));
+            }
         }
         if last_observed < start || last_observed >= timeline_len {
             return Err(corrupt(format!("attribute '{name}': invalid last_observed")));
@@ -302,7 +326,9 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
         builder.add_history(hb.finish(last_observed));
     }
     buf.finish("dataset")?;
-    Ok(builder.build())
+    let dataset = builder.build();
+    dataset.fingerprint_cell().get_or_init(|| crate::hash::hash_bytes(bytes));
+    Ok(dataset)
 }
 
 /// Serializes a weight function (tag byte + payload).
@@ -367,11 +393,16 @@ pub fn get_weight_fn(buf: &mut Reader<'_>) -> Result<crate::WeightFn, BinIoError
     }
 }
 
-/// A 64-bit fingerprint of a dataset's serialized form; persisted indexes
-/// store it so a stale index cannot silently be used with a different
-/// dataset.
+/// A 64-bit fingerprint of a dataset's serialized form —
+/// `hash_bytes(encode_dataset(dataset))`, trailer included; persisted
+/// indexes store it so a stale index cannot silently be used with a
+/// different dataset.
+///
+/// Computed at most once per dataset value: [`decode_dataset`] records the
+/// hash of the file bytes it verified (the canonical encoding, so the same
+/// number), and a built dataset encodes itself on the first call.
 pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
-    crate::hash::hash_bytes(&encode_dataset(dataset))
+    *dataset.fingerprint_cell().get_or_init(|| crate::hash::hash_bytes(&encode_dataset(dataset)))
 }
 
 /// Writes `dataset` to the file at `path`.
@@ -508,6 +539,98 @@ mod tests {
             put_varint(buf, 1 << 40); // cardinality
         });
         assert!(matches!(decode_dataset(&file), Err(BinIoError::Corrupt(_))));
+    }
+
+    /// One attribute "x" over a two-entry dictionary, observed through 5,
+    /// whose version list is `versions` (count included).
+    fn sealed_versions(versions: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        sealed(|buf| {
+            put_varint(buf, 2);
+            put_str(buf, "a");
+            put_str(buf, "b");
+            put_varint(buf, 1);
+            put_str(buf, "x");
+            put_varint(buf, 5); // last_observed
+            versions(buf);
+        })
+    }
+
+    fn assert_corrupt(file: &[u8], needle: &str) {
+        match decode_dataset(file) {
+            Err(BinIoError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected Corrupt({needle}), got {other:?}"),
+        }
+    }
+
+    /// Regression: start deltas summing past `u32::MAX` overflowed (debug)
+    /// or wrapped into `HistoryBuilder::push`'s ordering assert (release).
+    #[test]
+    fn version_start_overflow_is_corrupt() {
+        let file = sealed_versions(|buf| {
+            put_varint(buf, 2);
+            put_varint(buf, u64::from(u32::MAX)); // start u32::MAX
+            put_varint(buf, 0);
+            put_varint(buf, 1); // start u32::MAX + 1
+            put_varint(buf, 1);
+            put_varint(buf, 0);
+        });
+        assert_corrupt(&file, "version start overflow");
+    }
+
+    /// Regression: value-id deltas summing past `u64::MAX` overflowed
+    /// (debug) or wrapped to id 0 and decoded as `{0, 1}` (release).
+    #[test]
+    fn value_id_delta_overflow_is_corrupt() {
+        let file = sealed_versions(|buf| {
+            put_varint(buf, 1);
+            put_varint(buf, 0);
+            put_varint(buf, 2); // cardinality
+            put_varint(buf, 1); // id 1
+            put_varint(buf, u64::MAX); // 1 + u64::MAX
+        });
+        assert_corrupt(&file, "value id overflow");
+    }
+
+    /// Regression: a varint with a redundant zero continuation byte
+    /// decoded like the short form, so the file re-encoded differently.
+    #[test]
+    fn overlong_varint_is_corrupt() {
+        let file = sealed_versions(|buf| {
+            put_varint(buf, 1);
+            put_varint(buf, 0);
+            buf.extend_from_slice(&[0x81, 0x00]); // cardinality 1, overlong
+            put_varint(buf, 0);
+        });
+        assert_corrupt(&file, "overlong varint");
+        assert_eq!(Reader::new(&[0x80, 0x01]).varint().expect("128"), 128);
+        assert!(Reader::new(&[0x80, 0x80, 0x00]).varint().is_err());
+    }
+
+    /// Regression: a version repeating its predecessor's set was merged
+    /// away by `HistoryBuilder::push`, so the file re-encoded differently.
+    #[test]
+    fn repeated_version_is_corrupt() {
+        let file = sealed_versions(|buf| {
+            put_varint(buf, 2);
+            for start_delta in [0, 3] {
+                put_varint(buf, start_delta);
+                put_varint(buf, 1);
+                put_varint(buf, 1);
+            }
+        });
+        assert_corrupt(&file, "repeated version");
+    }
+
+    #[test]
+    fn fingerprint_is_the_file_hash_and_retain_resets_it() {
+        let bytes = encode_dataset(&sample());
+        let mut d = decode_dataset(&bytes).expect("decodes");
+        assert_eq!(dataset_fingerprint(&d), crate::hash::hash_bytes(&bytes));
+        assert_eq!(dataset_fingerprint(&d.clone()), crate::hash::hash_bytes(&bytes));
+        d.retain(|h| h.name() != "devs");
+        let fp = dataset_fingerprint(&d);
+        assert_ne!(fp, crate::hash::hash_bytes(&bytes), "retain must drop the cached value");
+        assert_eq!(fp, crate::hash::hash_bytes(&encode_dataset(&d)));
     }
 
     #[test]

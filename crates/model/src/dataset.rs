@@ -1,5 +1,7 @@
 //! Datasets: the attribute collection `D` of the discovery problem.
 
+use std::sync::OnceLock;
+
 use crate::hash::FastMap;
 use crate::history::AttributeHistory;
 use crate::time::{Timeline, Timestamp};
@@ -17,6 +19,10 @@ pub struct Dataset {
     dictionary: Dictionary,
     attributes: Vec<AttributeHistory>,
     by_name: FastMap<String, AttrId>,
+    /// [`crate::binio::dataset_fingerprint`]'s cache: filled by the decoder
+    /// from the verified file bytes, or on first use by encoding. Every
+    /// `&mut self` method that changes the content must reset it.
+    fingerprint: OnceLock<u64>,
 }
 
 impl Dataset {
@@ -82,6 +88,10 @@ impl Dataset {
         }
     }
 
+    pub(crate) fn fingerprint_cell(&self) -> &OnceLock<u64> {
+        &self.fingerprint
+    }
+
     /// Keeps only attributes satisfying `keep`, renumbering ids densely.
     /// Returns the mapping `old AttrId -> new AttrId`.
     pub fn retain<F>(&mut self, mut keep: F) -> FastMap<AttrId, AttrId>
@@ -97,6 +107,7 @@ impl Dataset {
             }
         }
         self.attributes = kept;
+        self.fingerprint = OnceLock::new();
         self.by_name = self
             .attributes
             .iter()
@@ -224,6 +235,7 @@ impl DatasetBuilder {
             dictionary: self.dictionary,
             attributes: self.attributes,
             by_name,
+            fingerprint: OnceLock::new(),
         }
     }
 }

@@ -40,18 +40,9 @@ pub const PHASE_PREFIX: &str = "phase.";
 /// way it sniffs the binary artifact magics.
 pub const REPORT_PREFIX: &str = "{\"magic\":\"TINDRR";
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) — bit-serial; reports are
-/// small and this keeps the crate table-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = (crc >> 1) ^ (0xEDB8_8320 & 0u32.wrapping_sub(crc & 1));
-        }
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320): the workspace's one
+/// implementation, the same function that signs the binary artifacts.
+pub use tind_model::checksum::crc32;
 
 /// Snapshot the whole metric registry as the canonical `metrics` JSON
 /// object: `{"counters":[...],"gauges":[...],"histograms":[...]}`.

@@ -645,3 +645,19 @@ fn prop_checkpoint_bit_flips_rejected() {
         assert!(Checkpoint::decode(&rotten).is_err());
     });
 }
+
+/// The bytes every artifact is built from, pinned: a seeded `generate`
+/// dataset and its default index. A change to the encoders, the CRC
+/// kernel or the fingerprint shows up here as a changed constant.
+#[test]
+fn seeded_dataset_and_index_bytes_are_pinned() {
+    use tind::core::persist::encode_index;
+    use tind::model::binio::dataset_fingerprint;
+    use tind::model::hash::hash_bytes;
+    let trailer = |b: &[u8]| u32::from_le_bytes(b[b.len() - 4..].try_into().expect("4 bytes"));
+    let bytes = encode_dataset(&generate(&GeneratorConfig::small(150, 26)).dataset);
+    let dataset = Arc::new(decode_dataset(&bytes).expect("decodes"));
+    let index = encode_index(&TindIndex::build(dataset.clone(), IndexConfig::default()));
+    let got = (trailer(&bytes), dataset_fingerprint(&dataset), trailer(&index), hash_bytes(&index));
+    assert_eq!(got, (0x0cac_0de7, 0x080d_4bf2_07ad_b271, 0xde9d_083f, 0x01ca_dba5_aa6d_bf29));
+}

@@ -12,8 +12,9 @@ use tind::bloom::{BitVec, BloomFilter};
 use tind::core::search::brute_force_search;
 use tind::core::validate::{naive_violation_weight, validate, violation_weight};
 use tind::core::{IndexConfig, SliceConfig, TindIndex, TindParams};
+use tind::model::hash::hash_bytes;
 use tind::model::rng::{cases, Rng};
-use tind::model::{binio, Interval, Timeline, ValueId, WeightFn};
+use tind::model::{binio, checksum, Interval, Timeline, ValueId, WeightFn};
 
 const CASES: u32 = 64;
 
@@ -225,12 +226,44 @@ fn binio_roundtrip() {
     cases("binio_roundtrip", CASES, |rng| {
         let histories = histories(rng, 1, 6);
         let d = dataset_of(histories);
-        let d2 = binio::decode_dataset(&binio::encode_dataset(&d)).expect("roundtrip decodes");
+        let bytes = binio::encode_dataset(&d);
+        let d2 = binio::decode_dataset(&bytes).expect("roundtrip decodes");
+        assert_eq!(binio::dataset_fingerprint(&d2), hash_bytes(&bytes));
+        assert_eq!(binio::dataset_fingerprint(&d2), binio::dataset_fingerprint(&d));
         assert_eq!(d2.len(), d.len());
         assert_eq!(d2.timeline(), d.timeline());
         for (id, h) in d.iter() {
             assert_eq!(d2.attribute(id).versions(), h.versions());
             assert_eq!(d2.attribute(id).last_observed(), h.last_observed());
+        }
+    });
+}
+
+/// The dataset decode is canonical: flip any one byte of an encoding,
+/// re-sign the trailer so the CRC passes, and the decoder either refuses
+/// the file or returns a dataset that re-encodes to exactly those bytes —
+/// whose fingerprint is then the hash of those bytes.
+#[test]
+fn binio_mutations_are_refused_or_canonical() {
+    cases("binio_mutations_are_refused_or_canonical", CASES, |rng| {
+        let bytes = binio::encode_dataset(&dataset_of(histories(rng, 1, 6)));
+        let payload = bytes.len() - checksum::TRAILER_LEN;
+        for _ in 0..256 {
+            let mut mutated = bytes.clone();
+            let at = rng.range(0..payload);
+            // A single bit flip, or a small value: the bytes that turn a
+            // varint overlong or a version into a copy of its predecessor.
+            if rng.bool() {
+                mutated[at] ^= 1 << rng.range(0..8u32);
+            } else {
+                mutated[at] = rng.range(0..16u8);
+            }
+            let crc = checksum::crc32(&mutated[..payload]);
+            mutated[payload..].copy_from_slice(&crc.to_le_bytes());
+            if let Ok(d) = binio::decode_dataset(&mutated) {
+                assert!(binio::encode_dataset(&d) == mutated, "accepted a non-canonical file");
+                assert_eq!(binio::dataset_fingerprint(&d), hash_bytes(&mutated));
+            }
         }
     });
 }
