@@ -18,6 +18,11 @@ cargo check --features obs-off
 cargo run --release --example obs_overhead
 # The delta walkthrough asserts maintained index == cold rebuild.
 cargo run --release --example evolving_dataset >/dev/null
+# Every other example must keep running to completion (exit 0).
+for example in quickstart pokemon_tables wiki_pipeline interactive_exploration \
+    genuine_inds nary_discovery store_degraded; do
+    cargo run --release --example "$example" >/dev/null
+done
 # Run-report smoke: emit a TINDRR report through the real CLI and
 # validate it against the checked-in schema.
 target/release/tind generate --attributes 120 --preset small --seed 5 \

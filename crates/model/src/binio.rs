@@ -160,23 +160,33 @@ impl<'a> Reader<'a> {
     /// the one bit that is left), and on overlong encodings (a final zero
     /// byte after the first): every accepted varint is the one
     /// [`put_varint`] writes for its value.
+    ///
+    /// On failure the reader has consumed the bytes up to and including
+    /// the one that failed (all of them, for a truncation).
     pub fn varint(&mut self) -> Result<u64, BinIoError> {
+        let buf = self.buf;
+        if let Some(&byte) = buf.first().filter(|&&b| b < 0x80) {
+            self.buf = &buf[1..];
+            return Ok(u64::from(byte));
+        }
         let mut v: u64 = 0;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.u8("varint")?;
+        for (i, &byte) in buf.iter().enumerate() {
+            let shift = 7 * i as u32;
             if shift >= 64 || (shift == 63 && byte & 0x7f > 1) {
+                self.buf = &buf[i + 1..];
                 return Err(corrupt("varint overflows u64"));
             }
             v |= u64::from(byte & 0x7f) << shift;
             if byte & 0x80 == 0 {
-                if byte == 0 && shift > 0 {
+                self.buf = &buf[i + 1..];
+                if byte == 0 && i > 0 {
                     return Err(corrupt("overlong varint"));
                 }
                 return Ok(v);
             }
-            shift += 7;
         }
+        self.buf = &[];
+        Err(corrupt("truncated varint"))
     }
 
     /// Decodes a length-prefixed UTF-8 string, validated where it lies.
@@ -462,6 +472,76 @@ mod tests {
             assert_eq!(bytes.varint().expect("decodes"), v);
         }
         bytes.finish("varints").expect("all read");
+    }
+
+    /// The byte-at-a-time decoder `Reader::varint` replaced: the oracle.
+    fn reference_varint(r: &mut Reader<'_>) -> Result<u64, BinIoError> {
+        let mut v: u64 = 0;
+        let mut shift = 0u32;
+        loop {
+            let byte = r.u8("varint")?;
+            if shift >= 64 || (shift == 63 && byte & 0x7f > 1) {
+                return Err(corrupt("varint overflows u64"));
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(corrupt("overlong varint"));
+                }
+                return Ok(v);
+            }
+            shift += 7;
+        }
+    }
+
+    /// Same value or same error text, and the same bytes consumed.
+    fn assert_varint_agrees(bytes: &[u8]) {
+        let (mut fast, mut slow) = (Reader::new(bytes), Reader::new(bytes));
+        let got = fast.varint().map_err(|e| e.to_string());
+        let want = reference_varint(&mut slow).map_err(|e| e.to_string());
+        assert_eq!(got, want, "{bytes:02x?}");
+        assert_eq!(fast.remaining(), slow.remaining(), "{bytes:02x?}");
+    }
+
+    #[test]
+    fn varint_matches_the_byte_loop_reference() {
+        let mut values = vec![0u64, 127, 128, u64::MAX];
+        for k in 0..64 {
+            let p = 1u64 << k;
+            values.extend([p - 1, p, p + 1]);
+        }
+        let mut inputs = Vec::new();
+        for v in values {
+            let mut enc = Vec::new();
+            put_varint(&mut enc, v);
+            // Overlong forms: the last byte continued, then zero or more
+            // empty continuation bytes and a final zero, up to 11 bytes.
+            for pad in 0..=11usize.saturating_sub(enc.len() + 1) {
+                let mut long = enc.clone();
+                *long.last_mut().expect("non-empty") |= 0x80;
+                long.resize(long.len() + pad, 0x80);
+                long.push(0x00);
+                inputs.push(long);
+            }
+            inputs.push(enc);
+        }
+        for input in &inputs {
+            for cut in 0..=input.len() {
+                assert_varint_agrees(&input[..cut]);
+            }
+            let mut followed = input.clone();
+            followed.push(0x2a);
+            assert_varint_agrees(&followed);
+        }
+        crate::rng::cases("varint_matches_the_byte_loop_reference", 4096, |rng| {
+            let len = rng.range(0..=12usize);
+            // Mostly continuation bytes, so long runs and the 10th-byte
+            // limit come up often.
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| rng.range(0..=255u8) | if rng.range(0..4u32) == 0 { 0 } else { 0x80 })
+                .collect();
+            assert_varint_agrees(&bytes);
+        });
     }
 
     /// Regression: the 10th byte has one payload bit left (bit 63). A

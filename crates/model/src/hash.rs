@@ -99,6 +99,13 @@ impl std::hash::Hasher for MixHasher {
         self.state = self.state.rotate_left(7) ^ hash_bytes(bytes);
     }
 
+    /// `str` keys end with `write_u8(0xff)`: without this the terminator
+    /// would run a second `hash_bytes`.
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.state = self.state.rotate_left(7) ^ u64::from(i);
+    }
+
     #[inline]
     fn write_u32(&mut self, i: u32) {
         self.state = self.state.rotate_left(7) ^ u64::from(i);
@@ -176,5 +183,15 @@ mod tests {
         let mut h2 = b.build_hasher();
         h2.write_u32(6);
         assert_ne!(h1.finish(), h2.finish());
+    }
+
+    /// `str`'s terminator byte is still mixed in, so adjacent string keys
+    /// cannot trade bytes.
+    #[test]
+    fn mix_hasher_separates_string_boundaries() {
+        let b = MixBuildHasher;
+        assert_ne!(b.hash_one(("ab", "c")), b.hash_one(("a", "bc")));
+        assert_ne!(b.hash_one(("", "x")), b.hash_one(("x", "")));
+        assert_eq!(b.hash_one("key"), b.hash_one(String::from("key")));
     }
 }

@@ -4,10 +4,13 @@
 //! every distinct string into a dense [`ValueId`] so that version histories
 //! store compact sorted `u32` slices, set containment is a merge over sorted
 //! ids, and Bloom filters hash the stable id instead of the string.
+//!
+//! The [`Dictionary`] is one string arena: every string back to back in id
+//! order, a table of end offsets, and an open-addressing index of ids. A
+//! dictionary of any size is three allocations, so decoding one costs about
+//! what parsing its bytes costs, and freeing it is three `free`s.
 
-use std::sync::Arc;
-
-use crate::hash::FastMap;
+use crate::hash::hash_bytes;
 
 /// Identifier of an interned value. Dense: the `i`-th distinct interned
 /// string receives id `i`.
@@ -18,7 +21,12 @@ pub type ValueId = u32;
 pub type ValueSet = Vec<ValueId>;
 
 /// Sorts and deduplicates ids in place, producing a canonical [`ValueSet`].
+/// Input that is already strictly increasing (every set the dataset
+/// decoder produces) costs one pass and no sort.
 pub fn canonicalize(mut ids: Vec<ValueId>) -> ValueSet {
+    if ids.windows(2).all(|w| w[0] < w[1]) {
+        return ids;
+    }
     ids.sort_unstable();
     ids.dedup();
     ids
@@ -95,13 +103,28 @@ pub fn intersection(a: &[ValueId], b: &[ValueId]) -> ValueSet {
     out
 }
 
+/// Marks an unused slot of [`Dictionary`]'s index; never a valid id.
+const EMPTY: ValueId = ValueId::MAX;
+
 /// String interner mapping each distinct value string to a dense [`ValueId`].
-/// Each string is stored once and shared by both directions of the
-/// mapping — and by every clone of the dictionary.
+///
+/// One string arena in three buffers:
+/// - `bytes` holds every string back to back in id order;
+/// - `ends[id]` is where string `id` ends in `bytes` (it starts where
+///   string `id - 1` ends, or at 0);
+/// - `slots` is an open-addressing index of ids keyed by
+///   [`hash_bytes`] of the string: power-of-two size, at most half full,
+///   linear probing, [`EMPTY`] marking a free slot.
+///
+/// A clone copies the three buffers rather than sharing strings with its
+/// source: that is three `memcpy`s, no per-string reference count to
+/// touch on clone or drop, and still fewer bytes than a pointer per id in
+/// each direction would take.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    by_string: FastMap<Arc<str>, ValueId>,
-    strings: Vec<Arc<str>>,
+    bytes: String,
+    ends: Vec<usize>,
+    slots: Vec<ValueId>,
 }
 
 impl Dictionary {
@@ -112,26 +135,61 @@ impl Dictionary {
 
     /// Interns `s`, returning its id (allocating a new one if unseen).
     pub fn intern(&mut self, s: &str) -> ValueId {
-        if let Some(&id) = self.by_string.get(s) {
-            return id;
-        }
-        let id = u32::try_from(self.strings.len()).expect("more than u32::MAX distinct values");
-        let shared: Arc<str> = s.into();
-        self.strings.push(Arc::clone(&shared));
-        self.by_string.insert(shared, id);
+        let hash = hash_bytes(s.as_bytes());
+        let slot = match self.probe(hash, s) {
+            Ok(id) => return id,
+            Err(_) if 2 * (self.len() + 1) > self.slots.len() => {
+                self.reserve(1);
+                self.probe(hash, s).expect_err("a new string is absent")
+            }
+            Err(slot) => slot,
+        };
+        let id = ValueId::try_from(self.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("more than u32::MAX - 1 distinct values");
+        self.bytes.push_str(s);
+        self.ends.push(self.bytes.len());
+        self.slots[slot] = id;
         id
     }
 
     /// Makes room for `additional` more distinct values, so a bulk load of
     /// known size does not regrow the table as it goes.
     pub fn reserve(&mut self, additional: usize) {
-        self.by_string.reserve(additional);
-        self.strings.reserve(additional);
+        self.ends.reserve(additional);
+        let wanted = 2 * (self.len() + additional);
+        if wanted <= self.slots.len() {
+            return;
+        }
+        self.slots = vec![EMPTY; wanted.next_power_of_two()];
+        for id in 0..self.len() as ValueId {
+            let s = self.resolve(id);
+            let slot = self.probe(hash_bytes(s.as_bytes()), s).expect_err("ids are distinct");
+            self.slots[slot] = id;
+        }
+    }
+
+    /// The id of `s` (`Ok`), or the free slot where it belongs (`Err`; 0
+    /// for a table not yet allocated).
+    fn probe(&self, hash: u64, s: &str) -> Result<ValueId, usize> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut slot = hash as usize & mask;
+        while let Some(&id) = self.slots.get(slot) {
+            if id == EMPTY {
+                return Err(slot);
+            }
+            if self.resolve(id) == s {
+                return Ok(id);
+            }
+            slot = (slot + 1) & mask;
+        }
+        Err(0)
     }
 
     /// Looks up the id of `s` without interning.
     pub fn get(&self, s: &str) -> Option<ValueId> {
-        self.by_string.get(s).copied()
+        self.probe(hash_bytes(s.as_bytes()), s).ok()
     }
 
     /// Resolves an id back to its string.
@@ -139,38 +197,46 @@ impl Dictionary {
     /// # Panics
     /// Panics if `id` was not produced by this dictionary.
     pub fn resolve(&self, id: ValueId) -> &str {
-        &self.strings[id as usize]
+        self.try_resolve(id).expect("value id not produced by this dictionary")
     }
 
     /// Resolves an id if it is in range.
     pub fn try_resolve(&self, id: ValueId) -> Option<&str> {
-        self.strings.get(id as usize).map(AsRef::as_ref)
+        let i = id as usize;
+        let end = *self.ends.get(i)?;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        Some(&self.bytes[start..end])
     }
 
     /// Number of distinct interned values.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether no value has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates over `(id, string)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ValueId, &str)> {
-        self.strings.iter().enumerate().map(|(i, s)| (i as ValueId, s.as_ref()))
+        (0..self.len() as ValueId).map(|id| (id, self.resolve(id)))
     }
 
     /// The first id this dictionary and `successor` disagree on — an id
     /// `successor` lacks or spells differently — or `None` when `successor`
-    /// extends this dictionary. A successor derived from this one
-    /// ([`Clone`], `Dataset::into_builder`) shares the strings themselves,
-    /// so the usual check is a pointer compare per id, not a byte compare.
+    /// extends this dictionary. Equal offset and byte prefixes prove an
+    /// extension with two slice compares; only a divergent successor is
+    /// scanned id by id.
     pub fn first_divergence(&self, successor: &Dictionary) -> Option<ValueId> {
-        let shared = self.strings.iter().zip(&successor.strings);
-        let agreeing = shared.take_while(|(a, b)| Arc::ptr_eq(a, b) || a == b).count();
-        (agreeing < self.strings.len()).then_some(agreeing as ValueId)
+        let n = self.len();
+        if successor.ends.get(..n) == Some(&self.ends[..])
+            && successor.bytes.as_bytes().get(..self.bytes.len()) == Some(self.bytes.as_bytes())
+        {
+            return None;
+        }
+        let agreeing = self.iter().take_while(|&(id, s)| successor.try_resolve(id) == Some(s));
+        Some(agreeing.count() as ValueId)
     }
 
     /// Interns every string of `values` and returns the canonical set.
@@ -186,6 +252,7 @@ impl Dictionary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng;
 
     #[test]
     fn intern_is_idempotent_and_dense() {
@@ -273,5 +340,130 @@ mod tests {
     fn canonicalize_sorts_and_dedups() {
         assert_eq!(canonicalize(vec![5, 1, 5, 3, 1]), vec![1, 3, 5]);
         assert_eq!(canonicalize(vec![]), Vec::<ValueId>::new());
+        assert_eq!(canonicalize(vec![1, 3, 5]), vec![1, 3, 5]);
+        assert_eq!(canonicalize(vec![1, 3, 3]), vec![1, 3]);
+        assert_eq!(canonicalize(vec![7]), vec![7]);
+    }
+
+    /// The reference a [`Dictionary`] must behave like.
+    #[derive(Clone, Default)]
+    struct Model {
+        strings: Vec<String>,
+        ids: std::collections::HashMap<String, ValueId>,
+    }
+
+    impl Model {
+        fn divergence(&self, successor: &Model) -> Option<ValueId> {
+            let pairs = self.strings.iter().zip(&successor.strings);
+            let agreeing = pairs.take_while(|(a, b)| a == b).count();
+            (agreeing < self.strings.len()).then_some(agreeing as ValueId)
+        }
+    }
+
+    fn intern_both(d: &mut Dictionary, m: &mut Model, s: &str) {
+        let next = m.strings.len() as ValueId;
+        let expected = *m.ids.entry(s.to_owned()).or_insert(next);
+        if expected == next {
+            m.strings.push(s.to_owned());
+        }
+        assert_eq!(d.intern(s), expected, "intern {s:?}");
+        assert_eq!(d.len(), m.strings.len());
+    }
+
+    fn assert_matches(d: &Dictionary, m: &Model) {
+        assert_eq!(d.len(), m.strings.len());
+        assert_eq!(d.is_empty(), m.strings.is_empty());
+        for (id, s) in m.strings.iter().enumerate() {
+            assert_eq!(d.resolve(id as ValueId), s);
+            assert_eq!(d.get(s), Some(id as ValueId), "get {s:?}");
+        }
+        assert_eq!(d.try_resolve(m.strings.len() as ValueId), None);
+        assert!(d.iter().map(|(_, s)| s).eq(m.strings.iter().map(String::as_str)));
+    }
+
+    /// Empty, ASCII, multi-byte UTF-8, and prefixes or extensions of
+    /// strings already interned.
+    fn random_string(rng: &mut Rng, m: &Model) -> String {
+        const CHARS: [char; 8] = ['a', 'b', 'z', '0', 'é', 'ß', '€', '𝄞'];
+        let fresh = |rng: &mut Rng, len: usize| -> String {
+            (0..len).map(|_| CHARS[rng.range(0..CHARS.len())]).collect()
+        };
+        match rng.range(0..6u32) {
+            0 => String::new(),
+            1 | 2 if !m.strings.is_empty() => {
+                let base = &m.strings[rng.range(0..m.strings.len())];
+                let keep = rng.range(0..=base.chars().count());
+                let mut s: String = base.chars().take(keep).collect();
+                if rng.bool() {
+                    s.push_str(&fresh(rng, 1));
+                }
+                s
+            }
+            _ => {
+                let len = rng.range(1..=6usize);
+                fresh(rng, len)
+            }
+        }
+    }
+
+    /// Sizes at which the index has just grown or is about to.
+    fn at_growth_boundary(len: usize) -> bool {
+        [len.saturating_sub(1), len, len + 1].iter().any(|n| n.is_power_of_two())
+    }
+
+    #[test]
+    fn dictionary_matches_a_map_model() {
+        crate::rng::cases("dictionary_matches_a_map_model", 48, |rng| {
+            let target = rng.range(300..=600usize);
+            let (mut d, mut m) = (Dictionary::new(), Model::default());
+            let mut clones: Vec<(Dictionary, Model)> = Vec::new();
+            while m.strings.len() < target {
+                let before = m.strings.len();
+                match rng.range(0..10u32) {
+                    0..=3 => {
+                        let s = random_string(rng, &m);
+                        intern_both(&mut d, &mut m, &s);
+                    }
+                    4 if before > 0 => {
+                        let s = m.strings[rng.range(0..before)].clone();
+                        intern_both(&mut d, &mut m, &s);
+                    }
+                    5 => {
+                        let s = random_string(rng, &m);
+                        assert_eq!(d.get(&s), m.ids.get(&s).copied(), "get {s:?}");
+                    }
+                    6 => {
+                        let id = rng.range(0..=before) as ValueId;
+                        let want = m.strings.get(id as usize).map(String::as_str);
+                        assert_eq!(d.try_resolve(id), want);
+                    }
+                    7 if clones.len() < 3 => clones.push((d.clone(), m.clone())),
+                    _ if !clones.is_empty() => {
+                        let pick = rng.range(0..clones.len());
+                        let (c, cm) = &mut clones[pick];
+                        let s = random_string(rng, cm);
+                        intern_both(c, cm, &s);
+                        assert_eq!(d.get(&s), m.ids.get(&s).copied(), "the clone's, not ours");
+                        assert_eq!(d.first_divergence(c), m.divergence(cm));
+                        assert_eq!(c.first_divergence(&d), cm.divergence(&m));
+                    }
+                    _ => {}
+                }
+                if m.strings.len() != before && at_growth_boundary(m.strings.len()) {
+                    assert_matches(&d, &m);
+                }
+            }
+            assert_matches(&d, &m);
+            let mut rebuilt = Dictionary::new();
+            for s in &m.strings {
+                rebuilt.intern(s);
+            }
+            assert_eq!(d.first_divergence(&rebuilt), None, "equal bytes, separate arenas");
+            for (c, cm) in &clones {
+                assert_matches(c, cm);
+                assert_eq!(d.first_divergence(c), m.divergence(cm));
+                assert_eq!(c.first_divergence(&d), cm.divergence(&m));
+            }
+        });
     }
 }

@@ -46,7 +46,7 @@ use tind_model::binio::{
     self, dataset_fingerprint, decode_dataset, encode_dataset, put_str, put_varint, BinIoError,
 };
 use tind_model::checksum;
-use tind_model::hash::FastMap;
+use tind_model::hash::FastSet;
 use tind_model::{Dataset, DatasetBuilder, QuarantineReport, Timeline};
 
 use crate::aggregate::build_history;
@@ -75,7 +75,7 @@ pub struct DeltaExtractor {
     report: PipelineReport,
     /// Names present in the builder (base + upserts so far); saves a
     /// linear scan per staged column.
-    names: FastMap<String, ()>,
+    names: FastSet<String>,
     touched: BTreeSet<String>,
     filter_downgrades: usize,
 }
@@ -92,7 +92,7 @@ impl DeltaExtractor {
             Timeline::new(config.timeline_days),
             "delta timeline must match the base dataset's"
         );
-        let names = base.attributes().iter().map(|h| (h.name().to_owned(), ())).collect();
+        let names = base.attributes().iter().map(|h| h.name().to_owned()).collect();
         DeltaExtractor {
             config,
             builder: base.into_builder(),
@@ -112,7 +112,7 @@ impl DeltaExtractor {
         touched: BTreeSet<String>,
         filter_downgrades: usize,
     ) -> Self {
-        let names = partial.attributes().iter().map(|h| (h.name().to_owned(), ())).collect();
+        let names = partial.attributes().iter().map(|h| h.name().to_owned()).collect();
         DeltaExtractor {
             config,
             builder: partial.into_builder(),
@@ -183,7 +183,7 @@ impl DeltaExtractor {
                 let dict = self.builder.dictionary();
                 self.config.filters.keep(&history, |v| dict.resolve(v).to_string())
             };
-            let exists = self.names.contains_key(history.name());
+            let exists = self.names.contains(history.name());
             if !keep && !exists {
                 continue;
             }
@@ -193,7 +193,7 @@ impl DeltaExtractor {
             let name = history.name().to_owned();
             self.builder.upsert_history(history);
             self.report.attributes_kept += usize::from(!exists);
-            self.names.insert(name.clone(), ());
+            self.names.insert(name.clone());
             self.touched.insert(name);
         }
     }
