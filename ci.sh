@@ -10,6 +10,9 @@ cargo test -q
 # The model's decoders once failed differently with overflow checks (debug)
 # and with wrapping arithmetic (release); their tests run under both.
 cargo test --release -q -p tind-model
+# The Bloom kernels' tiling-equivalence tests, with debug_assert! compiled
+# out as in production.
+cargo test --release -q -p tind-bloom
 cargo clippy --workspace --all-targets -- -D warnings
 # The obs-off feature must keep every instrumented crate compiling.
 cargo check --features obs-off

@@ -12,24 +12,27 @@
 //!
 //! ## Storage backings
 //!
-//! A matrix owns its words (`MatrixStorage::Owned`, the classic heap
-//! layout) or borrows them as a sequence of column-range **segments**
-//! ([`Segment`]), each backed by a [`WordRegion`] — owned words, an
-//! mmap'd arena window, or a `pread`-on-demand window. Every search
-//! kernel runs unchanged over either backing and produces bit-identical
-//! candidate sets; mutating operations ([`BloomMatrix::retarget_column`],
-//! [`BloomMatrix::grow_cols`]) first materialize borrowed segments into
-//! owned words via [`BloomMatrix::ensure_owned`].
+//! A matrix is always a tiling of its row width by column-range
+//! **segments** ([`Segment`]), each holding the row-major words of its
+//! columns in a [`WordRegion`]: owned heap words, an mmap'd arena window,
+//! or a `pread`-on-demand window. A built or decoded matrix is one
+//! full-width heap segment; the arena store opens one segment per shard.
+//! Every kernel has one body over that tiling and produces bit-identical
+//! candidate sets on any of them. Writes copy only what they touch:
+//! [`BloomMatrix::retarget_column`] turns the one segment holding its
+//! column into heap words and flips bits there, while
+//! [`BloomMatrix::grow_cols`] re-lays the whole matrix out as one heap
+//! segment.
 
 use crate::bitvec::BitVec;
 use crate::filter::BloomFilter;
-use crate::region::WordRegion;
+use crate::region::{RegionGuard, WordRegion};
 use tind_model::hash::Hash128;
 use tind_model::ValueId;
 
-/// One column-range slice of a segmented matrix: `width` words of every
-/// row (columns `64·word_start .. 64·(word_start+width)`), stored
-/// row-major inside a [`WordRegion`] of exactly `m × width` words.
+/// One column-range slice of a matrix: `width` words of every row
+/// (columns `64·word_start .. 64·(word_start+width)`), stored row-major
+/// inside a [`WordRegion`] of exactly `m × width` words.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// First word column this segment covers.
@@ -38,12 +41,6 @@ pub struct Segment {
     pub width: usize,
     /// The segment's `m × width` row-major words.
     pub words: WordRegion,
-}
-
-#[derive(Debug, Clone)]
-enum MatrixStorage {
-    Owned(Vec<u64>),
-    Segmented(Vec<Segment>),
 }
 
 /// An immutable `m × num_cols` Bloom filter matrix.
@@ -71,13 +68,18 @@ pub struct BloomMatrix {
     num_cols: usize,
     k_hashes: u32,
     words_per_row: usize,
-    storage: MatrixStorage,
+    /// Sorted by `word_start`, tiling `0..words_per_row` contiguously.
+    segments: Vec<Segment>,
 }
 
-/// Mutable assembly stage for a [`BloomMatrix`].
+/// Mutable assembly stage for a [`BloomMatrix`]: plain row-major words.
 #[derive(Debug)]
 pub struct BloomMatrixBuilder {
-    matrix: BloomMatrix,
+    m: u32,
+    num_cols: usize,
+    k_hashes: u32,
+    words_per_row: usize,
+    rows: Vec<u64>,
 }
 
 impl BloomMatrixBuilder {
@@ -90,37 +92,32 @@ impl BloomMatrixBuilder {
         assert!(k_hashes > 0, "need at least one hash probe");
         let words_per_row = num_cols.div_ceil(64);
         BloomMatrixBuilder {
-            matrix: BloomMatrix {
-                m,
-                num_cols,
-                k_hashes,
-                words_per_row,
-                storage: MatrixStorage::Owned(vec![0u64; m as usize * words_per_row]),
-            },
+            m,
+            num_cols,
+            k_hashes,
+            words_per_row,
+            rows: vec![0u64; m as usize * words_per_row],
         }
     }
 
     /// Inserts `values` into column `col` (the attribute's Bloom filter).
     /// May be called repeatedly for the same column; bits accumulate.
     pub fn insert_column(&mut self, col: usize, values: &[ValueId]) {
-        assert!(col < self.matrix.num_cols, "column {col} out of range");
-        let m = self.matrix.m;
-        let k = self.matrix.k_hashes;
-        let words_per_row = self.matrix.words_per_row;
+        assert!(col < self.num_cols, "column {col} out of range");
+        let (m, k, words_per_row) = (self.m, self.k_hashes, self.words_per_row);
         let (word, bit) = (col / 64, col % 64);
-        let rows = self.matrix.owned_rows_mut();
         for &v in values {
             let h = Hash128::of_key(u64::from(v));
             for i in 0..k {
                 let row = h.probe(i, m) as usize;
-                rows[row * words_per_row + word] |= 1u64 << bit;
+                self.rows[row * words_per_row + word] |= 1u64 << bit;
             }
         }
     }
 
-    /// Finalizes the matrix.
+    /// Finalizes the matrix as one full-width heap segment.
     pub fn build(self) -> BloomMatrix {
-        self.matrix
+        BloomMatrix::from_rows(self.m, self.num_cols, self.k_hashes, self.rows)
     }
 
     /// ORs a pre-built 64-column strip into word-block `block` (columns
@@ -134,16 +131,14 @@ impl BloomMatrixBuilder {
     /// Lanes that would fall past `num_cols` (a ragged final block) are
     /// masked off.
     pub fn merge_strip(&mut self, block: usize, strip: &BloomColumnStrip) {
-        let m = &mut self.matrix;
-        assert!(block < m.words_per_row, "block {block} out of range");
-        assert_eq!(strip.m, m.m, "strip row count must match matrix");
-        assert_eq!(strip.k_hashes, m.k_hashes, "strip probe count must match matrix");
-        let lanes = m.num_cols - block * 64;
+        assert!(block < self.words_per_row, "block {block} out of range");
+        assert_eq!(strip.m, self.m, "strip row count must match matrix");
+        assert_eq!(strip.k_hashes, self.k_hashes, "strip probe count must match matrix");
+        let lanes = self.num_cols - block * 64;
         let mask = if lanes >= 64 { u64::MAX } else { (1u64 << lanes) - 1 };
-        let words_per_row = m.words_per_row;
-        let rows = m.owned_rows_mut();
+        let words_per_row = self.words_per_row;
         for (row, &w) in strip.words.iter().enumerate() {
-            rows[row * words_per_row + block] |= w & mask;
+            self.rows[row * words_per_row + block] |= w & mask;
         }
     }
 }
@@ -232,11 +227,20 @@ impl BloomMatrix {
         self.k_hashes
     }
 
-    /// Assembles a matrix whose words are borrowed from `segments` instead
-    /// of owned — the zero-copy open path of the arena store. Segments may
-    /// arrive in any order but must tile the row width exactly: sorted by
-    /// `word_start` they must be contiguous from word 0 through
-    /// `num_cols.div_ceil(64)`, and each must hold `m × width` words.
+    /// The one-segment heap tiling of row-major `rows`.
+    fn from_rows(m: u32, num_cols: usize, k_hashes: u32, rows: Vec<u64>) -> Self {
+        let words_per_row = num_cols.div_ceil(64);
+        debug_assert_eq!(rows.len(), m as usize * words_per_row);
+        let segments =
+            vec![Segment { word_start: 0, width: words_per_row, words: WordRegion::Heap(rows) }];
+        BloomMatrix { m, num_cols, k_hashes, words_per_row, segments }
+    }
+
+    /// Assembles a matrix from column-range segments — the zero-copy open
+    /// path of the arena store. Segments may arrive in any order but must
+    /// tile the row width exactly: sorted by `word_start` they must be
+    /// contiguous from word 0 through `num_cols.div_ceil(64)`, and each
+    /// must hold `m × width` words.
     ///
     /// # Panics
     /// Panics on degenerate dimensions or a gap / overlap / length
@@ -263,49 +267,51 @@ impl BloomMatrix {
             expect += seg.width;
         }
         assert_eq!(expect, words_per_row, "segments must cover the full row width");
-        BloomMatrix { m, num_cols, k_hashes, words_per_row, storage: MatrixStorage::Segmented(segments) }
+        BloomMatrix { m, num_cols, k_hashes, words_per_row, segments }
     }
 
-    /// Whether the matrix owns its words (vs. borrowing segments).
+    /// Whether the matrix owns all its words (every segment is heap).
     pub fn is_owned(&self) -> bool {
-        matches!(self.storage, MatrixStorage::Owned(_))
+        self.segments.iter().all(|s| s.words.is_heap())
     }
 
-    /// Materializes borrowed segments into owned words; a no-op on an
-    /// already-owned matrix. Mutating operations call this first, which is
-    /// what keeps `apply_delta`'s exact column retargeting sound over
-    /// zero-copy backings: the mutation happens on a private copy, never
-    /// on the shared (possibly mmap'd) arena bytes.
+    /// Materializes borrowed segments into one owned heap segment; a no-op
+    /// when every segment already owns its words.
     pub fn ensure_owned(&mut self) {
-        if let MatrixStorage::Segmented(segments) = &self.storage {
-            let mut rows = vec![0u64; self.m as usize * self.words_per_row];
-            for seg in segments {
-                let guard = seg.words.load();
-                for row in 0..self.m as usize {
-                    rows[row * self.words_per_row + seg.word_start..][..seg.width]
-                        .copy_from_slice(&guard[row * seg.width..][..seg.width]);
-                }
+        if !self.is_owned() {
+            self.relayout(self.num_cols);
+        }
+    }
+
+    /// Copies every segment into one heap segment of `num_cols` columns
+    /// (at least the current count; appended columns are zero).
+    fn relayout(&mut self, num_cols: usize) {
+        let words_per_row = num_cols.div_ceil(64);
+        let mut rows = vec![0u64; self.m as usize * words_per_row];
+        for seg in &self.segments {
+            let guard = seg.words.load();
+            for row in 0..self.m as usize {
+                rows[row * words_per_row + seg.word_start..][..seg.width]
+                    .copy_from_slice(&guard[row * seg.width..][..seg.width]);
             }
-            self.storage = MatrixStorage::Owned(rows);
         }
+        *self = BloomMatrix::from_rows(self.m, num_cols, self.k_hashes, rows);
     }
 
+    /// Index of the segment covering word column `word`.
     #[inline]
-    fn owned_rows_mut(&mut self) -> &mut Vec<u64> {
-        self.ensure_owned();
-        match &mut self.storage {
-            MatrixStorage::Owned(rows) => rows,
-            MatrixStorage::Segmented(_) => unreachable!("ensure_owned materialized"),
-        }
+    fn segment_index(&self, word: usize) -> usize {
+        let idx = self.segments.partition_point(|s| s.word_start + s.width <= word);
+        debug_assert!(word >= self.segments[idx].word_start);
+        idx
     }
 
-    /// The segment covering word column `word` (segmented storage only).
+    /// The segment holding word column `word`: its pinned words, its
+    /// width, and `word`'s position within each of its rows.
     #[inline]
-    fn segment_for(segments: &[Segment], word: usize) -> &Segment {
-        let idx = segments.partition_point(|s| s.word_start + s.width <= word);
-        let seg = &segments[idx];
-        debug_assert!(word >= seg.word_start && word < seg.word_start + seg.width);
-        seg
+    fn column_words(&self, word: usize) -> (RegionGuard<'_>, usize, usize) {
+        let seg = &self.segments[self.segment_index(word)];
+        (seg.words.load(), seg.width, word - seg.word_start)
     }
 
     /// Hashes a value set into a query filter compatible with this matrix.
@@ -320,63 +326,39 @@ impl BloomMatrix {
     /// set is never cleared.
     pub fn narrow_to_supersets(&self, query: &BloomFilter, candidates: &mut BitVec) {
         self.check_query(query, candidates);
-        match &self.storage {
-            MatrixStorage::Owned(rows) => {
-                for row in query.set_rows() {
-                    candidates
-                        .and_assign_words(&rows[row * self.words_per_row..][..self.words_per_row]);
-                    if candidates.is_zero() {
-                        return;
-                    }
-                }
-            }
-            MatrixStorage::Segmented(segments) => {
-                // AND is commutative, so sweeping segment-major instead of
-                // row-major yields the identical candidate set while
-                // touching each segment's backing exactly once.
-                for seg in segments {
-                    let guard = seg.words.load();
-                    for row in query.set_rows() {
-                        candidates.and_assign_words_at(
-                            seg.word_start,
-                            &guard[row * seg.width..][..seg.width],
-                        );
-                    }
-                    if candidates.is_zero() {
-                        return;
-                    }
-                }
-            }
-        }
+        self.narrow(|| query.set_rows(), candidates, BitVec::and_assign_words_at);
     }
 
     /// Narrows `candidates` to columns that may be **subsets** of the
     /// queried value set: `candidates &= ⋀_{r: h(Q)[r]=0} ¬M[r]`.
     pub fn narrow_to_subsets(&self, query: &BloomFilter, candidates: &mut BitVec) {
         self.check_query(query, candidates);
-        match &self.storage {
-            MatrixStorage::Owned(rows) => {
-                for row in query.zero_rows() {
-                    candidates.andnot_assign_words(
-                        &rows[row * self.words_per_row..][..self.words_per_row],
-                    );
-                    if candidates.is_zero() {
-                        return;
-                    }
-                }
+        self.narrow(|| query.zero_rows(), candidates, BitVec::andnot_assign_words_at);
+    }
+
+    /// The single-query sweep: for each segment, combine the query's `rows`
+    /// into the candidate words it covers. AND and AND-NOT keep zero words
+    /// zero, so a segment whose candidate words are all zero is skipped
+    /// before its backing is pinned, and its row loop stops once they
+    /// become zero — on a one-segment matrix exactly the classic per-row
+    /// early exit.
+    fn narrow<R: Iterator<Item = usize>>(
+        &self,
+        rows: impl Fn() -> R,
+        candidates: &mut BitVec,
+        combine: impl Fn(&mut BitVec, usize, &[u64]),
+    ) {
+        for seg in &self.segments {
+            let (start, width) = (seg.word_start, seg.width);
+            if !live(candidates, start, width) {
+                continue;
             }
-            MatrixStorage::Segmented(segments) => {
-                for seg in segments {
-                    let guard = seg.words.load();
-                    for row in query.zero_rows() {
-                        candidates.andnot_assign_words_at(
-                            seg.word_start,
-                            &guard[row * seg.width..][..seg.width],
-                        );
-                    }
-                    if candidates.is_zero() {
-                        return;
-                    }
+            let guard = seg.words.load();
+            let words = &*guard;
+            for row in rows() {
+                combine(candidates, start, &words[row * width..][..width]);
+                if !live(candidates, start, width) {
+                    break;
                 }
             }
         }
@@ -411,82 +393,46 @@ impl BloomMatrix {
         }
         // Strip width: 8 words = one 64-byte cache line of candidate bits.
         const STRIP_WORDS: usize = 8;
-        let strip_live = |c: &BitVec, lo: usize, hi: usize| -> bool {
-            c.words()[lo..hi].iter().any(|&w| w != 0)
-        };
-        match &self.storage {
-            MatrixStorage::Owned(rows) => {
-                let mut strip_start = 0;
-                while strip_start < self.words_per_row {
-                    let strip_end = (strip_start + STRIP_WORDS).min(self.words_per_row);
-                    for (query, c) in queries.iter().zip(candidates.iter_mut()) {
-                        // Candidate words that are all zero in this strip can
-                        // never come back under AND / AND-NOT — skip or stop
-                        // early, the blocked analogue of the single-query
-                        // early exit on an emptied candidate set.
-                        if !strip_live(c, strip_start, strip_end) {
-                            continue;
-                        }
-                        if complement {
-                            for row in query.zero_rows() {
-                                let base = row * self.words_per_row;
-                                let words = &rows[base + strip_start..base + strip_end];
-                                c.andnot_assign_words_at(strip_start, words);
-                                if !strip_live(c, strip_start, strip_end) {
-                                    break;
-                                }
-                            }
-                        } else {
-                            for row in query.set_rows() {
-                                let base = row * self.words_per_row;
-                                let words = &rows[base + strip_start..base + strip_end];
-                                c.and_assign_words_at(strip_start, words);
-                                if !strip_live(c, strip_start, strip_end) {
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                    strip_start = strip_end;
-                }
+        // Strips never straddle a segment, so each backing is pinned at
+        // most once per batch — and not at all when no query has a live
+        // candidate word in it.
+        for seg in &self.segments {
+            let (start, width) = (seg.word_start, seg.width);
+            if !candidates.iter().any(|c| live(c, start, width)) {
+                continue;
             }
-            MatrixStorage::Segmented(segments) => {
-                // Same blocked sweep, with strips confined to one segment at
-                // a time so each backing is pinned once per batch.
-                for seg in segments {
-                    let guard = seg.words.load();
-                    let mut local_start = 0;
-                    while local_start < seg.width {
-                        let local_end = (local_start + STRIP_WORDS).min(seg.width);
-                        let off = seg.word_start + local_start;
-                        let len = local_end - local_start;
-                        for (query, c) in queries.iter().zip(candidates.iter_mut()) {
-                            if !strip_live(c, off, off + len) {
-                                continue;
-                            }
-                            if complement {
-                                for row in query.zero_rows() {
-                                    let base = row * seg.width;
-                                    let words = &guard[base + local_start..base + local_end];
-                                    c.andnot_assign_words_at(off, words);
-                                    if !strip_live(c, off, off + len) {
-                                        break;
-                                    }
-                                }
-                            } else {
-                                for row in query.set_rows() {
-                                    let base = row * seg.width;
-                                    let words = &guard[base + local_start..base + local_end];
-                                    c.and_assign_words_at(off, words);
-                                    if !strip_live(c, off, off + len) {
-                                        break;
-                                    }
-                                }
+            let guard = seg.words.load();
+            let words = &*guard;
+            let mut local_start = 0;
+            while local_start < width {
+                let local_end = (local_start + STRIP_WORDS).min(width);
+                let off = start + local_start;
+                let len = local_end - local_start;
+                for (query, c) in queries.iter().zip(candidates.iter_mut()) {
+                    // The blocked analogue of the single-query early exit:
+                    // skip a dead strip, stop once the strip dies.
+                    if !live(c, off, len) {
+                        continue;
+                    }
+                    let strip_row =
+                        |row: usize| &words[row * width + local_start..row * width + local_end];
+                    if complement {
+                        for row in query.zero_rows() {
+                            c.andnot_assign_words_at(off, strip_row(row));
+                            if !live(c, off, len) {
+                                break;
                             }
                         }
-                        local_start = local_end;
+                    } else {
+                        for row in query.set_rows() {
+                            c.and_assign_words_at(off, strip_row(row));
+                            if !live(c, off, len) {
+                                break;
+                            }
+                        }
                     }
                 }
+                local_start = local_end;
             }
         }
     }
@@ -502,36 +448,18 @@ impl BloomMatrix {
     /// (per-candidate check without materializing the column).
     pub fn column_may_contain_all(&self, col: usize, values: &[ValueId]) -> bool {
         debug_assert!(col < self.num_cols);
-        let (word, bit) = (col / 64, col % 64);
-        match &self.storage {
-            MatrixStorage::Owned(rows) => {
-                for &v in values {
-                    let h = Hash128::of_key(u64::from(v));
-                    for i in 0..self.k_hashes {
-                        let row = h.probe(i, self.m) as usize;
-                        if rows[row * self.words_per_row + word] >> bit & 1 == 0 {
-                            return false;
-                        }
-                    }
+        let (guard, width, local) = self.column_words(col / 64);
+        let (words, bit) = (&*guard, col % 64);
+        for &v in values {
+            let h = Hash128::of_key(u64::from(v));
+            for i in 0..self.k_hashes {
+                let row = h.probe(i, self.m) as usize;
+                if words[row * width + local] >> bit & 1 == 0 {
+                    return false;
                 }
-                true
-            }
-            MatrixStorage::Segmented(segments) => {
-                let seg = Self::segment_for(segments, word);
-                let guard = seg.words.load();
-                let local = word - seg.word_start;
-                for &v in values {
-                    let h = Hash128::of_key(u64::from(v));
-                    for i in 0..self.k_hashes {
-                        let row = h.probe(i, self.m) as usize;
-                        if guard[row * seg.width + local] >> bit & 1 == 0 {
-                            return false;
-                        }
-                    }
-                }
-                true
             }
         }
+        true
     }
 
     /// Whether every set bit of column `col` lies within `filter` — the
@@ -541,55 +469,22 @@ impl BloomMatrix {
     pub fn column_within_filter(&self, col: usize, filter: &BloomFilter) -> bool {
         debug_assert!(col < self.num_cols);
         debug_assert_eq!(filter.m(), self.m);
-        let (word, bit) = (col / 64, col % 64);
-        match &self.storage {
-            MatrixStorage::Owned(rows) => {
-                for row in 0..self.m as usize {
-                    if rows[row * self.words_per_row + word] >> bit & 1 == 1
-                        && !filter.bits().get(row)
-                    {
-                        return false;
-                    }
-                }
-                true
-            }
-            MatrixStorage::Segmented(segments) => {
-                let seg = Self::segment_for(segments, word);
-                let guard = seg.words.load();
-                let local = word - seg.word_start;
-                for row in 0..self.m as usize {
-                    if guard[row * seg.width + local] >> bit & 1 == 1 && !filter.bits().get(row) {
-                        return false;
-                    }
-                }
-                true
-            }
-        }
+        let (guard, width, local) = self.column_words(col / 64);
+        let (words, bit) = (&*guard, col % 64);
+        (0..self.m as usize)
+            .all(|row| words[row * width + local] >> bit & 1 == 0 || filter.bits().get(row))
     }
 
     /// Extracts column `col` as a standalone Bloom filter (diagnostics and
     /// reverse-search violation checks).
     pub fn column_filter(&self, col: usize) -> BloomFilter {
         debug_assert!(col < self.num_cols);
-        let (word, bit) = (col / 64, col % 64);
+        let (guard, width, local) = self.column_words(col / 64);
+        let (words, bit) = (&*guard, col % 64);
         let mut f = BloomFilter::new(self.m, self.k_hashes);
-        match &self.storage {
-            MatrixStorage::Owned(rows) => {
-                for row in 0..self.m as usize {
-                    if rows[row * self.words_per_row + word] >> bit & 1 == 1 {
-                        f.set_raw_bit(row);
-                    }
-                }
-            }
-            MatrixStorage::Segmented(segments) => {
-                let seg = Self::segment_for(segments, word);
-                let guard = seg.words.load();
-                let local = word - seg.word_start;
-                for row in 0..self.m as usize {
-                    if guard[row * seg.width + local] >> bit & 1 == 1 {
-                        f.set_raw_bit(row);
-                    }
-                }
+        for row in 0..self.m as usize {
+            if words[row * width + local] >> bit & 1 == 1 {
+                f.set_raw_bit(row);
             }
         }
         f
@@ -601,45 +496,32 @@ impl BloomMatrix {
     /// ragged final word past `num_cols` are excluded, so stray padding
     /// bits in a borrowed backing never count.
     pub fn count_ones(&self) -> usize {
-        let ones = |words: &[u64]| words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
         let padding = match self.num_cols % 64 {
             0 => 0,
             lanes => u64::MAX << lanes,
         };
-        // Padding bits set in row-major `words` whose rows (of `width`
-        // words) end on the matrix's final word column.
-        let stray = |words: &[u64], width: usize| -> usize {
-            if padding == 0 {
-                return 0;
+        let mut ones = 0;
+        for seg in &self.segments {
+            let words = seg.words.load();
+            ones += words.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+            // Minus padding bits set in the rows of the segment that ends
+            // on the matrix's final word column.
+            if padding != 0 && seg.word_start + seg.width == self.words_per_row {
+                let stray = words.chunks_exact(seg.width).map(|r| r[seg.width - 1] & padding);
+                ones -= stray.map(|w| w.count_ones() as usize).sum::<usize>();
             }
-            words.chunks_exact(width).map(|r| (r[width - 1] & padding).count_ones() as usize).sum()
-        };
-        match &self.storage {
-            MatrixStorage::Owned(rows) => ones(rows) - stray(rows, self.words_per_row),
-            MatrixStorage::Segmented(segments) => segments
-                .iter()
-                .map(|seg| {
-                    let guard = seg.words.load();
-                    let ends_row = seg.word_start + seg.width == self.words_per_row;
-                    ones(&guard) - if ends_row { stray(&guard, seg.width) } else { 0 }
-                })
-                .sum(),
         }
+        ones
     }
 
     /// Heap bytes *resident* for the row storage — the `(k+1)·|D|·m / 8`
-    /// of the paper's memory-tradeoff discussion (Section 4.2.2) when
-    /// owned. Borrowed segments report only what is currently on our heap:
-    /// mmap'd windows are the kernel's pages (0 here) and `pread` windows
-    /// count only while resident — those bytes are charged to the
+    /// of the paper's memory-tradeoff discussion (Section 4.2.2) for an
+    /// owned matrix. Borrowed segments report only what is currently on
+    /// our heap: mmap'd windows are the kernel's pages (0 here) and `pread`
+    /// windows count only while resident — those bytes are charged to the
     /// `MemoryBudget` by the window pool itself.
     pub fn heap_bytes(&self) -> usize {
-        match &self.storage {
-            MatrixStorage::Owned(rows) => rows.len() * std::mem::size_of::<u64>(),
-            MatrixStorage::Segmented(segments) => {
-                segments.iter().map(|s| s.words.resident_bytes()).sum()
-            }
-        }
+        self.segments.iter().map(|s| s.words.resident_bytes()).sum()
     }
 
     /// Extracts word-block `block` (columns `64·block .. 64·block + 64`) as
@@ -653,18 +535,10 @@ impl BloomMatrix {
     /// Panics if `block` is past the matrix's word width.
     pub fn extract_strip(&self, block: usize) -> BloomColumnStrip {
         assert!(block < self.words_per_row, "block {block} out of range");
-        let words = match &self.storage {
-            MatrixStorage::Owned(rows) => (0..self.m as usize)
-                .map(|row| rows[row * self.words_per_row + block])
-                .collect(),
-            MatrixStorage::Segmented(segments) => {
-                let seg = Self::segment_for(segments, block);
-                let guard = seg.words.load();
-                let local = block - seg.word_start;
-                (0..self.m as usize).map(|row| guard[row * seg.width + local]).collect()
-            }
-        };
-        BloomColumnStrip { m: self.m, k_hashes: self.k_hashes, words }
+        let (guard, width, local) = self.column_words(block);
+        let words = &*guard;
+        let lanes = (0..self.m as usize).map(|row| words[row * width + local]).collect();
+        BloomColumnStrip { m: self.m, k_hashes: self.k_hashes, words: lanes }
     }
 
     /// Retargets column `col` from the filter it holds (`old`) to `new` —
@@ -673,14 +547,14 @@ impl BloomMatrix {
     /// change, not of the column, and bits the superseded contents set are
     /// cleared as well as new ones set: the column ends up exactly as a
     /// cold build from `new`'s value set would leave it. `old == new`
-    /// writes nothing (a borrowed matrix is not even materialized).
+    /// writes nothing (a borrowed segment is not even materialized).
     ///
     /// The caller vouches that the column currently equals `old` — true
     /// whenever a column is a pure function of data the caller still holds
     /// (see `tind_core::delta`); a debug build asserts it for every flipped
-    /// bit. On a borrowed (segmented) matrix the words are first
-    /// materialized into a private owned copy — arena bytes are never
-    /// written through.
+    /// bit. Only the segment holding the column is written: a borrowed one
+    /// is first copied into heap words of its own, so arena bytes are never
+    /// written through and every other segment stays as it was.
     ///
     /// # Panics
     /// Panics if `col` is out of range or a filter's `(m, k_hashes)`
@@ -694,15 +568,17 @@ impl BloomMatrix {
         if old == new {
             return;
         }
-        let (word, lane) = (col / 64, 1u64 << (col % 64));
-        let words_per_row = self.words_per_row;
-        let rows = self.owned_rows_mut();
+        let lane = 1u64 << (col % 64);
+        let idx = self.segment_index(col / 64);
+        let seg = &mut self.segments[idx];
+        let (width, local) = (seg.width, col / 64 - seg.word_start);
+        let words = seg.words.to_mut();
         for (i, (&o, &n)) in old.bits().words().iter().zip(new.bits().words()).enumerate() {
             let mut flips = o ^ n;
             while flips != 0 {
                 let bit = flips.trailing_zeros() as usize;
                 flips &= flips - 1;
-                let cell = &mut rows[(i * 64 + bit) * words_per_row + word];
+                let cell = &mut words[(i * 64 + bit) * width + local];
                 debug_assert_eq!(
                     *cell & lane != 0,
                     o >> bit & 1 == 1,
@@ -716,54 +592,35 @@ impl BloomMatrix {
 
     /// Widens the matrix to `new_num_cols` columns; appended columns start
     /// all-zero and existing column bits are preserved row by row. Used by
-    /// the delta path when a revision batch introduces new attributes.
-    /// Materializes borrowed segments first.
+    /// the delta path when a revision batch introduces new attributes. The
+    /// result is one heap segment: a matrix of any other tiling, or one
+    /// whose word width grows, is re-laid out first.
     ///
     /// # Panics
     /// Panics if `new_num_cols < num_cols` (matrices only grow).
     pub fn grow_cols(&mut self, new_num_cols: usize) {
         assert!(new_num_cols >= self.num_cols, "matrices only grow");
-        self.ensure_owned();
-        let new_words_per_row = new_num_cols.div_ceil(64);
-        if new_words_per_row != self.words_per_row {
-            let old_words_per_row = self.words_per_row;
-            let m = self.m as usize;
-            let rows = self.owned_rows_mut();
-            let mut new_rows = vec![0u64; m * new_words_per_row];
-            for row in 0..m {
-                let src = row * old_words_per_row;
-                let dst = row * new_words_per_row;
-                new_rows[dst..dst + old_words_per_row]
-                    .copy_from_slice(&rows[src..src + old_words_per_row]);
-            }
-            *rows = new_rows;
-            self.words_per_row = new_words_per_row;
+        if new_num_cols.div_ceil(64) != self.words_per_row
+            || self.segments.len() != 1
+            || !self.is_owned()
+        {
+            self.relayout(new_num_cols);
         }
         self.num_cols = new_num_cols;
     }
 
     /// Serializes the matrix (for index persistence). Byte-identical
-    /// across backings: a segmented matrix encodes exactly as its owned
-    /// materialization would.
+    /// across tilings: the words go out row by row, left to right.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         use tind_model::binio::put_varint;
         put_varint(buf, u64::from(self.m));
         put_varint(buf, self.num_cols as u64);
         put_varint(buf, u64::from(self.k_hashes));
-        match &self.storage {
-            MatrixStorage::Owned(rows) => {
-                for &w in rows {
+        let guards: Vec<_> = self.segments.iter().map(|s| (s.words.load(), s.width)).collect();
+        for row in 0..self.m as usize {
+            for (guard, width) in &guards {
+                for &w in &guard[row * width..][..*width] {
                     buf.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-            MatrixStorage::Segmented(segments) => {
-                let guards: Vec<_> = segments.iter().map(|s| s.words.load()).collect();
-                for row in 0..self.m as usize {
-                    for (seg, guard) in segments.iter().zip(&guards) {
-                        for &w in &guard[row * seg.width..][..seg.width] {
-                            buf.extend_from_slice(&w.to_le_bytes());
-                        }
-                    }
                 }
             }
         }
@@ -792,13 +649,21 @@ impl BloomMatrix {
             .chunks_exact(8)
             .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
             .collect();
-        Ok(BloomMatrix { m, num_cols, k_hashes, words_per_row, storage: MatrixStorage::Owned(rows) })
+        Ok(BloomMatrix::from_rows(m, num_cols, k_hashes, rows))
     }
+}
+
+/// Whether any of `c`'s words `start .. start + len` is nonzero.
+#[inline]
+fn live(c: &BitVec, start: usize, len: usize) -> bool {
+    c.words()[start..start + len].iter().any(|&w| w != 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::region::tests::words_file;
+    use crate::region::{MmapFile, WindowFile, WindowPool};
     use std::sync::Arc;
 
     /// Three attributes: 0 = {0..10}, 1 = {0..5}, 2 = {100..110}.
@@ -1104,11 +969,71 @@ mod tests {
             b.insert_column(col, &strip_test_values(col));
         }
         let owned = b.build();
-        let mut seg = segmented_copy(&owned, &[1]);
+        let mut seg = tiling(&owned, &[1], |i, words| mapped(&format!("equal-{i}.bin"), &words));
         let same = seg.column_filter(70);
         seg.retarget_column(70, &same, &same);
-        assert!(!seg.is_owned(), "an unchanged column must not materialize a borrowed matrix");
+        assert_eq!(seg.heap_bytes(), 0, "an unchanged column must not materialize a segment");
         assert_eq!(encoded(&seg), encoded(&owned));
+    }
+
+    #[test]
+    fn retarget_column_materializes_only_the_segment_it_writes() {
+        // Four word blocks mapped as three segments: words 0, 1..3, 3.
+        let (m, n, k) = (128u32, 200usize, 2u32);
+        let col = 130; // word 2, inside the two-word middle segment
+        let moved = |c: usize| if c == col { vec![999, 1000] } else { strip_test_values(c) };
+        let (mut before, mut after) =
+            (BloomMatrixBuilder::new(m, n, k), BloomMatrixBuilder::new(m, n, k));
+        for c in 0..n {
+            before.insert_column(c, &strip_test_values(c));
+            after.insert_column(c, &moved(c));
+        }
+        let (before, after) = (before.build(), after.build());
+        let mut tiled =
+            tiling(&before, &[1, 3], |i, words| mapped(&format!("retarget-one-{i}.bin"), &words));
+        assert_eq!(tiled.heap_bytes(), 0);
+
+        tiled.retarget_column(col, &before.column_filter(col), &after.column_filter(col));
+        assert_eq!(tiled.heap_bytes(), m as usize * 2 * 8, "exactly the written segment");
+        assert!(!tiled.is_owned(), "the other segments stay mapped");
+        assert_eq!(encoded(&tiled), encoded(&after), "retargeted tiling ≠ cold build");
+    }
+
+    #[test]
+    fn narrowing_never_loads_a_window_with_no_live_candidates() {
+        let n = 200; // 4 word blocks, one windowed segment each
+        let mut b = BloomMatrixBuilder::new(256, n, 2);
+        for col in 0..n {
+            b.insert_column(col, &strip_test_values(col));
+        }
+        let built = b.build();
+        let pool = WindowPool::new(None);
+        let tiled = tiling(&built, &[1, 2, 3], |i, words| {
+            windowed(&pool, &format!("live-{i}.bin"), &words)
+        });
+        // Candidates only in segment 0 (columns 0..64).
+        let mut only_first = BitVec::zeros(n);
+        for col in 0..64 {
+            only_first.set(col);
+        }
+        let qf = built.query_filter(&[13, 14]);
+        for subsets in [false, true] {
+            let (mut single, mut reference) = (only_first.clone(), only_first.clone());
+            let mut batch = vec![only_first.clone(), only_first.clone()];
+            let filters = [qf.clone(), built.query_filter(&[])];
+            if subsets {
+                tiled.narrow_to_subsets(&qf, &mut single);
+                built.narrow_to_subsets(&qf, &mut reference);
+                tiled.narrow_batch_to_subsets(&filters, &mut batch);
+            } else {
+                tiled.narrow_to_supersets(&qf, &mut single);
+                built.narrow_to_supersets(&qf, &mut reference);
+                tiled.narrow_batch_to_supersets(&filters, &mut batch);
+            }
+            assert_eq!(single, reference, "subsets={subsets}");
+            assert_eq!(batch[0], reference, "batch, subsets={subsets}");
+        }
+        assert_eq!(pool.stats().loads, 1, "only segment 0's window is ever read");
     }
 
     #[test]
@@ -1197,9 +1122,13 @@ mod tests {
         assert!(empty[0].is_zero());
     }
 
-    /// Rebuilds `owned` as a segmented matrix whose row width is split into
-    /// heap-backed segments at the given word boundaries.
-    fn segmented_copy(owned: &BloomMatrix, cuts: &[usize]) -> BloomMatrix {
+    /// Re-tiles `owned` into segments cut at the given word boundaries,
+    /// handing segment `i`'s row-major words to `region(i, words)`.
+    fn tiling(
+        owned: &BloomMatrix,
+        cuts: &[usize],
+        mut region: impl FnMut(usize, Vec<u64>) -> WordRegion,
+    ) -> BloomMatrix {
         let wpr = owned.words_per_row;
         let mut bounds = vec![0usize];
         bounds.extend(cuts.iter().copied().filter(|&c| c > 0 && c < wpr));
@@ -1207,32 +1136,54 @@ mod tests {
         bounds.dedup();
         let segments = bounds
             .windows(2)
-            .map(|w| {
+            .enumerate()
+            .map(|(i, w)| {
                 let (start, end) = (w[0], w[1]);
-                let width = end - start;
-                let mut words = Vec::with_capacity(owned.m as usize * width);
+                let mut words = Vec::with_capacity(owned.m as usize * (end - start));
                 for row in 0..owned.m as usize {
                     for block in start..end {
                         words.push(owned.extract_strip(block).words()[row]);
                     }
                 }
-                Segment { word_start: start, width, words: WordRegion::Heap(Arc::new(words)) }
+                Segment { word_start: start, width: end - start, words: region(i, words) }
             })
             .collect();
         BloomMatrix::from_segments(owned.m, owned.num_cols, owned.k_hashes, segments)
     }
 
+    /// `words` written to a file and mapped back.
+    fn mapped(name: &str, words: &[u64]) -> WordRegion {
+        let file = Arc::new(MmapFile::map(&words_file(name, words, 0)).expect("map"));
+        WordRegion::Mapped { file, byte_off: 0, len_words: words.len() }
+    }
+
+    /// `words` written to a file and read back through `pool` on demand.
+    fn windowed(pool: &Arc<WindowPool>, name: &str, words: &[u64]) -> WordRegion {
+        let file = Arc::new(WindowFile::open(&words_file(name, words, 0)).expect("open"));
+        WordRegion::Windowed(pool.slot(file, 0, words.len()))
+    }
+
     #[test]
-    fn segmented_matrix_matches_owned_on_every_kernel() {
+    fn every_tiling_matches_the_built_matrix_on_every_kernel() {
         let n = 200; // 4 word blocks, ragged tail
         let mut b = BloomMatrixBuilder::new(256, n, 2);
         for col in 0..n {
             b.insert_column(col, &strip_test_values(col));
         }
         let owned = b.build();
-        for cuts in [vec![], vec![1], vec![2, 3], vec![1, 2, 3]] {
-            let seg = segmented_copy(&owned, &cuts);
-            assert!(!seg.is_owned());
+        let pool = WindowPool::new(None);
+        let cut_sets = [vec![], vec![1], vec![2, 3], vec![1, 2, 3]];
+        let tilings = cut_sets.iter().enumerate().flat_map(|(t, cuts)| {
+            let name = move |i: usize| format!("tiling-{t}-{i}.bin");
+            let in_windows = |i: usize, words: Vec<u64>| windowed(&pool, &name(i), &words);
+            [
+                (cuts, "heap", tiling(&owned, cuts, |_, words| WordRegion::Heap(words))),
+                (cuts, "mapped", tiling(&owned, cuts, |i, words| mapped(&name(i), &words))),
+                (cuts, "windowed", tiling(&owned, cuts, in_windows)),
+            ]
+        });
+        for (cuts, backing, seg) in tilings {
+            let cuts = format!("{backing} {cuts:?}");
 
             // Encode byte-identity across backings.
             let (mut a, mut c) = (Vec::new(), Vec::new());
@@ -1309,7 +1260,7 @@ mod tests {
             assert!(expected > 0);
             assert_eq!(owned.count_ones(), expected, "owned, {n} columns");
             for cuts in [vec![], vec![1], vec![1, 2]] {
-                let seg = segmented_copy(&owned, &cuts);
+                let seg = tiling(&owned, &cuts, |_, words| WordRegion::Heap(words));
                 assert_eq!(seg.count_ones(), expected, "{n} columns cut at {cuts:?}");
             }
 
@@ -1329,7 +1280,7 @@ mod tests {
                 owned.m,
                 n,
                 owned.k_hashes,
-                vec![Segment { word_start: 0, width: wpr, words: WordRegion::Heap(words.into()) }],
+                vec![Segment { word_start: 0, width: wpr, words: WordRegion::Heap(words) }],
             );
             assert_eq!(by_columns(&dirty), expected);
             assert_eq!(dirty.count_ones(), expected, "{n} columns with padding bits set");
@@ -1345,7 +1296,8 @@ mod tests {
             b.insert_column(col, &strip_test_values(col));
         }
         let owned = b.build();
-        let mut seg = segmented_copy(&owned, &[1, 2]);
+        let mut seg = tiling(&owned, &[1, 2], |i, words| mapped(&format!("owned-{i}.bin"), &words));
+        assert!(!seg.is_owned());
         seg.ensure_owned();
         assert!(seg.is_owned());
         let (mut a, mut c) = (Vec::new(), Vec::new());
@@ -1353,9 +1305,9 @@ mod tests {
         seg.encode(&mut c);
         assert_eq!(a, c);
 
-        // A mutation on a segmented matrix must transparently materialize
+        // A mutation on a mapped matrix must transparently materialize
         // and match the same mutation on the owned twin.
-        let mut seg = segmented_copy(&owned, &[2]);
+        let mut seg = tiling(&owned, &[2], |i, words| mapped(&format!("mutate-{i}.bin"), &words));
         let mut owned_mut = owned.clone();
         let old = owned.column_filter(67);
         let new = owned.query_filter(&[999]);
@@ -1381,7 +1333,7 @@ mod tests {
         let seg = |start: usize, width: usize| Segment {
             word_start: start,
             width,
-            words: WordRegion::Heap(Arc::new(vec![0u64; m as usize * width])),
+            words: WordRegion::Heap(vec![0u64; m as usize * width]),
         };
         // Words 0 and 2 present, word 1 missing.
         BloomMatrix::from_segments(m, 192, 2, vec![seg(0, 1), seg(2, 1)]);

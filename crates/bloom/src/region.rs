@@ -1,19 +1,24 @@
-//! Word-region backings for zero-copy Bloom matrices.
+//! Word-region backings for Bloom matrix segments.
 //!
-//! A [`WordRegion`] is a read-only run of `u64` words that a
-//! [`crate::BloomMatrix`] segment can borrow instead of own:
+//! A [`WordRegion`] is a run of `u64` words that one [`crate::Segment`]
+//! of a [`crate::BloomMatrix`] reads its rows from:
 //!
-//! * `Heap` — an owned, resident word buffer (the classic backing);
+//! * `Heap` — words the segment owns. Built and decoded matrices are one
+//!   heap segment; cloning a heap region copies its words, so two clones
+//!   never share (or contend on) a buffer.
 //! * `Mapped` — a window into an `mmap`'d arena file, borrowed with no
 //!   decode and no copy;
 //! * `Windowed` — a `pread`-on-demand window managed by a [`WindowPool`],
 //!   charged against a [`MemoryBudget`] and evicted LRU under pressure,
 //!   so an index larger than RAM still serves every query.
 //!
-//! Kernels access a region through a [`RegionGuard`], which pins the
-//! backing (the mmap, or the loaded window's `Arc`) for the duration of
-//! the operation — a concurrent eviction can drop the *pool's* reference
-//! but never the words a guard is reading.
+//! Kernels read a region through a [`RegionGuard`]. Heap and mapped
+//! regions lend their words as a plain borrow of the region (the mapping
+//! lives as long as the region's `Arc`); only a windowed region hands out
+//! the loaded window's `Arc`, so a concurrent eviction can drop the
+//! *pool's* reference but never the words a guard is reading. Writes go
+//! through [`WordRegion::to_mut`], which first copies a mapped or windowed
+//! region into an owned `Heap` buffer — arena bytes are never written.
 
 use std::io;
 use std::path::Path;
@@ -387,11 +392,11 @@ impl WindowSlot {
     }
 }
 
-/// A read-only run of `u64` words with one of three backings.
+/// A run of `u64` words with one of three backings.
 #[derive(Debug, Clone)]
 pub enum WordRegion {
-    /// Owned, resident words.
-    Heap(Arc<Vec<u64>>),
+    /// Owned, resident words; a clone is a deep copy.
+    Heap(Vec<u64>),
     /// A window into an mmap'd file (`byte_off` must be 8-byte aligned).
     Mapped {
         /// The mapping the window borrows from.
@@ -413,6 +418,11 @@ impl WordRegion {
             WordRegion::Mapped { len_words, .. } => *len_words,
             WordRegion::Windowed(slot) => slot.len_words(),
         }
+    }
+
+    /// Whether the region owns its words.
+    pub fn is_heap(&self) -> bool {
+        matches!(self, WordRegion::Heap(_))
     }
 
     /// Bytes of this region resident on the heap right now (mmap windows
@@ -438,53 +448,53 @@ impl WordRegion {
     /// window is out of the mapping's bounds — search kernels have no
     /// error channel, and the serve layer quarantines the panic into a
     /// typed 500 rather than returning silently wrong results.
-    pub fn load(&self) -> RegionGuard {
+    pub fn load(&self) -> RegionGuard<'_> {
         match self {
-            WordRegion::Heap(v) => RegionGuard(GuardInner::Resident(Arc::clone(v))),
-            WordRegion::Mapped { file, byte_off, len_words } => {
-                let words = file
-                    .words_at(*byte_off, *len_words)
-                    .expect("mapped window must lie inside its validated arena");
-                RegionGuard(GuardInner::Mapped {
-                    ptr: words.as_ptr(),
-                    len: words.len(),
-                    _file: Arc::clone(file),
-                })
-            }
-            WordRegion::Windowed(slot) => {
-                let words = slot
-                    .load()
-                    .unwrap_or_else(|e| panic!("window read failed: {e}"));
-                RegionGuard(GuardInner::Resident(words))
-            }
+            WordRegion::Heap(v) => RegionGuard(GuardInner::Borrowed(v)),
+            WordRegion::Mapped { file, byte_off, len_words } => RegionGuard(GuardInner::Borrowed(
+                file.words_at(*byte_off, *len_words)
+                    .expect("mapped window must lie inside its validated arena"),
+            )),
+            WordRegion::Windowed(slot) => RegionGuard(GuardInner::Window(
+                slot.load().unwrap_or_else(|e| panic!("window read failed: {e}")),
+            )),
         }
+    }
+
+    /// The region's words for writing. A mapped or windowed region is
+    /// first replaced by an owned `Heap` copy of its words, so the write
+    /// lands in private memory, never in the file it was read from.
+    ///
+    /// # Panics
+    /// As [`WordRegion::load`], when the copy's read fails.
+    pub fn to_mut(&mut self) -> &mut [u64] {
+        if !self.is_heap() {
+            *self = WordRegion::Heap(self.load().to_vec());
+        }
+        let WordRegion::Heap(words) = self else { unreachable!("materialized above") };
+        words
     }
 }
 
 #[derive(Debug)]
-enum GuardInner {
-    Resident(Arc<Vec<u64>>),
-    Mapped { ptr: *const u64, len: usize, _file: Arc<MmapFile> },
+enum GuardInner<'a> {
+    Borrowed(&'a [u64]),
+    Window(Arc<Vec<u64>>),
 }
 
-/// Pins a [`WordRegion`]'s words (`Deref<Target = [u64]>`): holds the
-/// backing `Arc`, so eviction or drops elsewhere never invalidate it.
+/// Pins a [`WordRegion`]'s words (`Deref<Target = [u64]>`): a borrow of a
+/// heap or mapped region, or the loaded window's `Arc`, so eviction or
+/// drops elsewhere never invalidate it.
 #[derive(Debug)]
-pub struct RegionGuard(GuardInner);
+pub struct RegionGuard<'a>(GuardInner<'a>);
 
-// Guards only expose shared reads of immutable data.
-unsafe impl Send for RegionGuard {}
-unsafe impl Sync for RegionGuard {}
-
-impl std::ops::Deref for RegionGuard {
+impl std::ops::Deref for RegionGuard<'_> {
     type Target = [u64];
 
     fn deref(&self) -> &[u64] {
         match &self.0 {
-            GuardInner::Resident(v) => v,
-            GuardInner::Mapped { ptr, len, .. } => unsafe {
-                std::slice::from_raw_parts(*ptr, *len)
-            },
+            GuardInner::Borrowed(words) => words,
+            GuardInner::Window(words) => words,
         }
     }
 }
@@ -494,7 +504,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Write;
 
@@ -507,11 +517,17 @@ mod tests {
     /// A file of `n` little-endian words `0, 10, 20, ...` with `pad`
     /// leading bytes of zeros.
     fn word_file(name: &str, n: usize, pad: usize) -> std::path::PathBuf {
+        let words: Vec<u64> = (0..n as u64).map(|i| i * 10).collect();
+        words_file(name, &words, pad)
+    }
+
+    /// A file of `words` in little-endian order after `pad` zero bytes.
+    pub(crate) fn words_file(name: &str, words: &[u64], pad: usize) -> std::path::PathBuf {
         let path = scratch(name);
         let mut f = std::fs::File::create(&path).expect("create");
         f.write_all(&vec![0u8; pad]).expect("pad");
-        for i in 0..n {
-            f.write_all(&(i as u64 * 10).to_le_bytes()).expect("word");
+        for w in words {
+            f.write_all(&w.to_le_bytes()).expect("word");
         }
         f.sync_all().expect("sync");
         path
@@ -632,9 +648,14 @@ mod tests {
 
     #[test]
     fn heap_region_roundtrip() {
-        let region = WordRegion::Heap(Arc::new(vec![7, 8, 9]));
+        let region = WordRegion::Heap(vec![7, 8, 9]);
         assert_eq!(region.len_words(), 3);
         assert_eq!(region.resident_bytes(), 24);
         assert_eq!(&*region.load(), &[7, 8, 9]);
+        // A clone owns its own words: writing one leaves the other alone.
+        let mut copy = region.clone();
+        copy.to_mut()[0] = 70;
+        assert_eq!(&*region.load(), &[7, 8, 9]);
+        assert_eq!(&*copy.load(), &[70, 8, 9]);
     }
 }

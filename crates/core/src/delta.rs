@@ -73,7 +73,7 @@ use std::sync::{Arc, Mutex};
 use tind_bloom::{BitVec, BloomFilter, BloomMatrix};
 use tind_model::{AttrId, AttributeHistory, Dataset, Timestamp, ValueId, ValueSet};
 
-use crate::index::TindIndex;
+use crate::index::{ColumnContents, TindIndex};
 use crate::params::{TindParams, EPS_TOLERANCE};
 use crate::required::required_values;
 use crate::search::{finish_search, initial_candidates, record_search_metrics, SearchOptions};
@@ -326,13 +326,12 @@ impl TindIndex {
             self.universes.resize(new_len, ValueSet::new());
         }
 
-        let sizing = self.m_r.is_some().then(|| {
-            TindParams::weighted(
-                self.config.slices.sizing_eps,
-                0,
-                self.config.slices.sizing_weights.clone(),
-            )
-        });
+        let columns = ColumnContents::new(
+            &self.config,
+            timeline,
+            self.time_slices.iter().map(|s| s.expanded).collect(),
+            self.m_r.is_some(),
+        );
         let (m, k) = (self.config.m, self.config.k_hashes);
         // Moves one column from the value set it was built from to the one
         // a cold build would give it now; an unchanged set costs a compare.
@@ -351,24 +350,26 @@ impl TindIndex {
             // `None` for an appended attribute: its columns are all-zero.
             let old_hist = (col < old_len).then(|| self.dataset.attribute(id));
             let new_hist = new.attribute(id);
+            let old_values =
+                |target: usize| old_hist.map_or_else(ValueSet::new, |h| columns.values(target, h));
 
-            let universe = new_hist.value_universe();
+            // M_T's old column is the cached universe (empty when appended).
+            let universe = columns.values(0, new_hist);
             retarget(&mut self.m_t, col, &self.universes[col], &universe);
             self.universes[col] = universe;
 
             let changed_from = old_hist.map_or(0, |old| first_difference(old, new_hist));
-            for slice in &mut self.time_slices {
+            for (i, slice) in self.time_slices.iter_mut().enumerate() {
                 if slice.expanded.end < changed_from {
                     continue; // both histories agree on the whole slice
                 }
-                let old = old_hist.map_or_else(ValueSet::new, |h| h.values_in(slice.expanded));
-                retarget(&mut slice.matrix, col, &old, &new_hist.values_in(slice.expanded));
+                let (before, after) = (old_values(i + 1), columns.values(i + 1, new_hist));
+                retarget(&mut slice.matrix, col, &before, &after);
             }
 
-            if let (Some(mr), Some(sizing)) = (self.m_r.as_mut(), sizing.as_ref()) {
-                let old = old_hist
-                    .map_or_else(ValueSet::new, |h| required_values(h, sizing, timeline));
-                retarget(mr, col, &old, &required_values(new_hist, sizing, timeline));
+            if let Some(mr) = self.m_r.as_mut() {
+                let target = columns.num_targets() - 1;
+                retarget(mr, col, &old_values(target), &columns.values(target, new_hist));
             }
         }
         self.dataset = new;

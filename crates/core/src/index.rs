@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use tind_model::rng::Rng;
 use tind_bloom::{BitVec, BloomColumnStrip, BloomMatrix, BloomMatrixBuilder};
 use tind_model::{
-    AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, ValueSet, WeightFn,
+    AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, Timeline, ValueSet, WeightFn,
 };
 
 use crate::params::TindParams;
@@ -236,61 +236,97 @@ pub struct TindIndex {
     pub(crate) masked: Option<Arc<ShardMask>>,
 }
 
+/// What column `j` of each index matrix holds — the one definition that
+/// build, delta maintenance and store repair all render from. Targets are
+/// numbered `M_T` (0), the slices `M_{I_1..I_k}` (`1..=k`), then `M_R`:
+///
+/// * `M_T`: attribute `j`'s full-history value universe `A_j[T]`;
+/// * slice `i`: `A_j[I_i^δ]`, its values within the expanded window;
+/// * `M_R`: its required values under the index-time sizing (ε, w).
+#[derive(Debug)]
+pub(crate) struct ColumnContents {
+    timeline: Timeline,
+    /// `I_i^δ` of each slice target.
+    expanded: Vec<Interval>,
+    /// The sizing parameters `M_R` is rendered with; `None` without `M_R`.
+    sizing: Option<TindParams>,
+}
+
+impl ColumnContents {
+    pub(crate) fn new(
+        config: &IndexConfig,
+        timeline: Timeline,
+        expanded: Vec<Interval>,
+        with_m_r: bool,
+    ) -> Self {
+        let sizing = with_m_r.then(|| {
+            TindParams::weighted(config.slices.sizing_eps, 0, config.slices.sizing_weights.clone())
+        });
+        ColumnContents { timeline, expanded, sizing }
+    }
+
+    /// `M_T`, the slices, and `M_R` if present.
+    pub(crate) fn num_targets(&self) -> usize {
+        1 + self.expanded.len() + usize::from(self.sizing.is_some())
+    }
+
+    /// The value set `hist`'s column holds in `target`.
+    pub(crate) fn values(&self, target: usize, hist: &AttributeHistory) -> ValueSet {
+        match (target, &self.sizing) {
+            (0, _) => hist.value_universe(),
+            (t, _) if t <= self.expanded.len() => hist.values_in(self.expanded[t - 1]),
+            (_, Some(sizing)) => required_values(hist, sizing, self.timeline),
+            (t, None) => panic!("target {t} is past the slices of an index without M_R"),
+        }
+    }
+
+    /// Renders word-block `block` of `target` — columns `64·block ..` of
+    /// `dataset` — into `strip`, clearing it first, and hands each lane's
+    /// value set to `keep` in column order once it is inserted.
+    pub(crate) fn render_strip(
+        &self,
+        dataset: &Dataset,
+        target: usize,
+        block: usize,
+        strip: &mut BloomColumnStrip,
+        mut keep: impl FnMut(ValueSet),
+    ) {
+        strip.clear();
+        let lo = block * 64;
+        for id in lo..(lo + 64).min(dataset.len()) {
+            let values = self.values(target, dataset.attribute(id as AttrId));
+            strip.insert_lane(id - lo, &values);
+            keep(values);
+        }
+    }
+}
+
 impl TindIndex {
     /// Builds the index; deterministic given `config.seed`.
     pub fn build(dataset: Arc<Dataset>, config: IndexConfig) -> Self {
         let _build_span = tind_obs::span("core.index.build");
-        let num_attrs = dataset.len();
-        let timeline = dataset.timeline();
-
-        let mt_span = tind_obs::span("core.index.m_t");
-        let mut universes: Vec<ValueSet> = Vec::with_capacity(num_attrs);
-        let mut mt_builder = BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes);
-        for (id, hist) in dataset.iter() {
-            let universe = hist.value_universe();
-            mt_builder.insert_column(id as usize, &universe);
-            universes.push(universe);
-        }
-        let m_t = mt_builder.build();
-        drop(mt_span);
-
-        let slices_span = tind_obs::span("core.index.slices");
-        let mut rng = Rng::seed_from_u64(config.seed);
-        let intervals = select_slices(&dataset, &config.slices, &mut rng);
-        let time_slices = intervals
-            .into_iter()
-            .map(|interval| {
-                let expanded = interval.expand(config.slices.max_delta, timeline);
-                let mut b = BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes);
+        let (intervals, columns) = Self::plan(&dataset, &config);
+        let num_slices = intervals.len();
+        let mut universes: Vec<ValueSet> = Vec::with_capacity(dataset.len());
+        let matrices = (0..columns.num_targets())
+            .map(|target| {
+                let _span = tind_obs::span(match target {
+                    0 => "core.index.m_t",
+                    t if t <= num_slices => "core.index.slices",
+                    _ => "core.index.m_r",
+                });
+                let mut b = BloomMatrixBuilder::new(config.m, dataset.len(), config.k_hashes);
                 for (id, hist) in dataset.iter() {
-                    let values = hist.values_in(expanded);
-                    if !values.is_empty() {
-                        b.insert_column(id as usize, &values);
+                    let values = columns.values(target, hist);
+                    b.insert_column(id as usize, &values);
+                    if target == 0 {
+                        universes.push(values);
                     }
                 }
-                TimeSlice { interval, expanded, matrix: b.build() }
+                b.build()
             })
             .collect();
-        drop(slices_span);
-
-        let _mr_span = tind_obs::span("core.index.m_r");
-        let m_r = config.build_reverse.then(|| {
-            let sizing = TindParams::weighted(
-                config.slices.sizing_eps,
-                0,
-                config.slices.sizing_weights.clone(),
-            );
-            let mut b = BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes);
-            for (id, hist) in dataset.iter() {
-                let req = required_values(hist, &sizing, timeline);
-                if !req.is_empty() {
-                    b.insert_column(id as usize, &req);
-                }
-            }
-            b.build()
-        });
-
-        TindIndex { dataset, config, m_t, time_slices, universes, m_r, masked: None }
+        Self::assemble(dataset, config, intervals, columns, matrices, universes)
     }
 
     /// Builds the index over a worker pool; output is bit-identical to
@@ -303,24 +339,11 @@ impl TindIndex {
     pub fn build_with(dataset: Arc<Dataset>, config: IndexConfig, options: &BuildOptions) -> Self {
         let _build_span = tind_obs::span("core.index.build");
         let num_attrs = dataset.len();
-        let timeline = dataset.timeline();
+        let (intervals, columns) = Self::plan(&dataset, &config);
 
-        // Slice selection consumes the seeded RNG on the calling thread
-        // before any worker exists — the interval sequence, the only
-        // randomized part of construction, cannot depend on thread count.
-        let mut rng = Rng::seed_from_u64(config.seed);
-        let intervals = select_slices(&dataset, &config.slices, &mut rng);
-        let num_slices = intervals.len();
-        let expanded: Vec<Interval> =
-            intervals.iter().map(|i| i.expand(config.slices.max_delta, timeline)).collect();
-        let sizing = config.build_reverse.then(|| {
-            TindParams::weighted(config.slices.sizing_eps, 0, config.slices.sizing_weights.clone())
-        });
-
-        // A work unit is one 64-column strip of one target matrix; targets
-        // are M_T (0), the slices (1..=num_slices), then M_R.
+        // A work unit is one 64-column strip of one target matrix.
         let blocks = num_attrs.div_ceil(64);
-        let num_targets = 1 + num_slices + usize::from(config.build_reverse);
+        let num_targets = columns.num_targets();
         let total_units = num_targets * blocks;
 
         let requested = if options.threads == 0 {
@@ -340,19 +363,13 @@ impl TindIndex {
         // the order in which workers land their strips cannot change a
         // single bit of the result.
         struct MergeState {
-            mt: BloomMatrixBuilder,
-            slices: Vec<BloomMatrixBuilder>,
-            mr: Option<BloomMatrixBuilder>,
+            builders: Vec<BloomMatrixBuilder>,
             universes: Vec<ValueSet>,
         }
         let merge = Mutex::new(MergeState {
-            mt: BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes),
-            slices: (0..num_slices)
+            builders: (0..num_targets)
                 .map(|_| BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes))
                 .collect(),
-            mr: config
-                .build_reverse
-                .then(|| BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes)),
             universes: vec![ValueSet::new(); num_attrs],
         });
 
@@ -371,48 +388,19 @@ impl TindIndex {
                         break;
                     }
                     let _strip_span = tind_obs::span("core.index.strip");
-                    let target = unit / blocks;
-                    let block = unit % blocks;
+                    let (target, block) = (unit / blocks, unit % blocks);
+                    // M_T's columns are the value universes; keep those.
+                    let mut unis = Vec::new();
+                    columns.render_strip(&dataset, target, block, &mut strip, |values| {
+                        if target == 0 {
+                            unis.push(values);
+                        }
+                    });
+                    let mut m = lock(&merge);
+                    m.builders[target].merge_strip(block, &strip);
                     let lo = block * 64;
-                    let hi = (lo + 64).min(num_attrs);
-                    strip.clear();
-                    let mut unis = (target == 0).then(|| Vec::with_capacity(hi - lo));
-                    for id in lo..hi {
-                        let hist = dataset.attribute(id as AttrId);
-                        let lane = id - lo;
-                        if let Some(unis) = unis.as_mut() {
-                            let universe = hist.value_universe();
-                            strip.insert_lane(lane, &universe);
-                            unis.push(universe);
-                        } else if target <= num_slices {
-                            let values = hist.values_in(expanded[target - 1]);
-                            if !values.is_empty() {
-                                strip.insert_lane(lane, &values);
-                            }
-                        } else {
-                            let sizing = sizing.as_ref().expect("M_R unit implies reverse sizing");
-                            let req = required_values(hist, sizing, timeline);
-                            if !req.is_empty() {
-                                strip.insert_lane(lane, &req);
-                            }
-                        }
-                    }
-                    {
-                        let mut m = lock(&merge);
-                        if let Some(unis) = unis {
-                            m.mt.merge_strip(block, &strip);
-                            for (offset, u) in unis.into_iter().enumerate() {
-                                m.universes[lo + offset] = u;
-                            }
-                        } else if target <= num_slices {
-                            m.slices[target - 1].merge_strip(block, &strip);
-                        } else {
-                            m.mr
-                                .as_mut()
-                                .expect("M_R strip implies builder")
-                                .merge_strip(block, &strip);
-                        }
-                    }
+                    m.universes.splice(lo..lo + unis.len(), unis);
+                    drop(m);
                     strips_rendered.incr();
                     let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
                     if options.progress_every > 0 && done.is_multiple_of(options.progress_every) {
@@ -431,16 +419,43 @@ impl TindIndex {
             }
         }
 
-        let MergeState { mt, slices, mr, universes } = into_inner(merge);
-        let m_t = mt.build();
+        let MergeState { builders, universes } = into_inner(merge);
+        let matrices = builders.into_iter().map(BloomMatrixBuilder::build).collect();
+        Self::assemble(dataset, config, intervals, columns, matrices, universes)
+    }
+
+    /// Selects the time slices and the column definition over them. Slice
+    /// selection consumes the seeded RNG on the calling thread before any
+    /// worker exists — the interval sequence, the only randomized part of
+    /// construction, cannot depend on thread count.
+    fn plan(dataset: &Dataset, config: &IndexConfig) -> (Vec<Interval>, ColumnContents) {
+        let mut rng = Rng::seed_from_u64(config.seed);
+        let intervals = select_slices(dataset, &config.slices, &mut rng);
+        let timeline = dataset.timeline();
+        let expanded =
+            intervals.iter().map(|i| i.expand(config.slices.max_delta, timeline)).collect();
+        let columns = ColumnContents::new(config, timeline, expanded, config.build_reverse);
+        (intervals, columns)
+    }
+
+    /// Assembles an index from one built matrix per target, in target order.
+    fn assemble(
+        dataset: Arc<Dataset>,
+        config: IndexConfig,
+        intervals: Vec<Interval>,
+        columns: ColumnContents,
+        matrices: Vec<BloomMatrix>,
+        universes: Vec<ValueSet>,
+    ) -> Self {
+        let mut matrices = matrices.into_iter();
+        let m_t = matrices.next().expect("M_T is target 0");
         let time_slices = intervals
             .into_iter()
-            .zip(expanded)
-            .zip(slices)
-            .map(|((interval, expanded), b)| TimeSlice { interval, expanded, matrix: b.build() })
+            .zip(columns.expanded)
+            .zip(matrices.by_ref())
+            .map(|((interval, expanded), matrix)| TimeSlice { interval, expanded, matrix })
             .collect();
-        let m_r = mr.map(BloomMatrixBuilder::build);
-
+        let m_r = matrices.next();
         TindIndex { dataset, config, m_t, time_slices, universes, m_r, masked: None }
     }
 
@@ -602,7 +617,7 @@ impl TindIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tind_model::{DatasetBuilder, Timeline};
+    use tind_model::{DatasetBuilder, ValueId};
 
     fn dataset() -> Arc<Dataset> {
         let mut b = DatasetBuilder::new(Timeline::new(60));
@@ -694,6 +709,41 @@ mod tests {
         };
         let par = TindIndex::build_with(d.clone(), cfg, &opts);
         assert!(baseline == crate::persist::encode_index(&par));
+    }
+
+    #[test]
+    fn every_column_holds_its_paper_value_set() {
+        // Column j of M_T is A_j[T], of slice i is A_j[I_i^δ], and of M_R
+        // is R_{ε,w}(A_j) under the index's sizing (ε, w) — computed here
+        // straight from those definitions, not through `ColumnContents`.
+        // "late" is valid for exactly 4 days: required at ε = 3, not at 4.
+        let mut b = DatasetBuilder::new(Timeline::new(60));
+        b.add_attribute("sub", &[(0, vec!["a", "b"])], 59);
+        b.add_attribute("late", &[(0, vec!["a", "b"]), (56, vec!["a", "c"])], 59);
+        b.add_attribute("moving", &[(0, vec!["x"]), (20, vec!["y"]), (41, vec!["z"])], 59);
+        let d = Arc::new(b.build());
+        let tl = d.timeline();
+        let cfg = IndexConfig::reverse_default();
+        let sizing =
+            TindParams::weighted(cfg.slices.sizing_eps, 0, cfg.slices.sizing_weights.clone());
+        let c = d.dictionary().get("c").unwrap();
+        assert!(required_values(d.attribute(1), &sizing, tl).contains(&c));
+        let opts = BuildOptions { threads: 2, ..BuildOptions::default() };
+        let parallel = TindIndex::build_with(d.clone(), cfg.clone(), &opts);
+        for idx in [TindIndex::build(d.clone(), cfg.clone()), parallel] {
+            let m_r = idx.m_r().expect("reverse config builds M_R");
+            for (id, hist) in d.iter() {
+                let col = id as usize;
+                let filter = |values: &[ValueId]| idx.m_t().query_filter(values);
+                assert_eq!(idx.m_t().column_filter(col), filter(&hist.value_universe()));
+                for s in idx.time_slices() {
+                    let window = s.interval.expand(cfg.slices.max_delta, tl);
+                    assert_eq!(s.matrix.column_filter(col), filter(&hist.values_in(window)));
+                }
+                let required = required_values(hist, &sizing, tl);
+                assert_eq!(m_r.column_filter(col), filter(&required), "M_R column {col}");
+            }
+        }
     }
 
     #[test]

@@ -50,12 +50,10 @@ use tind_model::checksum::{self, crc32};
 use tind_model::{AttrId, Dataset, Interval, MemoryBudget, ValueSet};
 
 use crate::fault::OpBudget;
-use crate::index::{MaskedShard, ShardMask, TimeSlice, TindIndex};
-use crate::params::TindParams;
+use crate::index::{ColumnContents, MaskedShard, ShardMask, TimeSlice, TindIndex};
 use crate::persist::{
     corrupt, get_config, get_interval, get_value_set, put_config, put_interval, put_value_set,
 };
-use crate::required::required_values;
 
 /// Magic bytes of the store manifest, including a format version.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TINDIS\x00\x01";
@@ -1058,13 +1056,11 @@ pub fn open_store_with(
                 quarantined.push(ShardFault { shard: entry.id, attr_start, attr_end, error });
                 // A quarantined shard's range serves as zeros (masked on
                 // the index) so the segment tiling stays complete.
-                let zeros =
-                    Arc::new(vec![0u64; m as usize * entry.block_count]);
                 for segments in &mut target_segments {
                     segments.push(Segment {
                         word_start: entry.block_start,
                         width: entry.block_count,
-                        words: WordRegion::Heap(Arc::clone(&zeros)),
+                        words: WordRegion::Heap(vec![0u64; m as usize * entry.block_count]),
                     });
                 }
             }
@@ -1168,16 +1164,13 @@ pub fn repair_store(
         return Err(mismatch("store attribute count does not match the dataset"));
     }
     sweep(dir, manifest.generation)?;
-    let timeline = dataset.timeline();
-    let sizing = manifest.has_m_r.then(|| {
-        TindParams::weighted(
-            manifest.config.slices.sizing_eps,
-            0,
-            manifest.config.slices.sizing_weights.clone(),
-        )
-    });
+    let columns = ColumnContents::new(
+        &manifest.config,
+        dataset.timeline(),
+        manifest.slices.iter().map(|&(_, expanded)| expanded).collect(),
+        manifest.has_m_r,
+    );
     let (m, k_hashes) = (manifest.config.m, manifest.config.k_hashes);
-    let num_slices = manifest.slices.len();
     let mut budget = OpBudget::new(options.kill_after_ops);
     let mut rebuilt = Vec::new();
     let mut intact = 0;
@@ -1192,33 +1185,11 @@ pub fn repair_store(
             Err(e @ StoreError::LegacyShard) => return Err(e),
             Err(_) => {}
         }
-        // Re-render the shard with the exact per-lane fill of the parallel
-        // builder: M_T from value universes, each slice from its persisted
-        // expanded window, M_R from required values under the manifest's
-        // sizing parameters.
+        // Re-render the shard with the parallel builder's strip renderer,
+        // over the manifest's persisted slice windows and config.
         let mut strip = BloomColumnStrip::new(m, k_hashes);
         let strip_fn = |target: usize, block: usize| -> Vec<u64> {
-            strip.clear();
-            let lo = block * 64;
-            let hi = (lo + 64).min(manifest.num_attrs);
-            for id in lo..hi {
-                let hist = dataset.attribute(id as AttrId);
-                let lane = id - lo;
-                if target == 0 {
-                    strip.insert_lane(lane, &hist.value_universe());
-                } else if target <= num_slices {
-                    let values = hist.values_in(manifest.slices[target - 1].1);
-                    if !values.is_empty() {
-                        strip.insert_lane(lane, &values);
-                    }
-                } else {
-                    let req =
-                        required_values(hist, sizing.as_ref().expect("m_r sizing"), timeline);
-                    if !req.is_empty() {
-                        strip.insert_lane(lane, &req);
-                    }
-                }
-            }
+            columns.render_strip(dataset, target, block, &mut strip, drop);
             strip.words().to_vec()
         };
         let universe_fn = |attr: usize, buf: &mut Vec<u8>| {

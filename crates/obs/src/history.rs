@@ -102,7 +102,7 @@ mod enabled {
     /// Capture the registry now and append a delta-encoded tick.
     pub fn history_tick() {
         let snap = metrics_snapshot();
-        let t_ns = crate::span::epoch_elapsed_ns();
+        let t_ns = crate::trace::now_ns();
         let mut h = lock();
         if h.capacity == 0 {
             return;

@@ -1,11 +1,11 @@
 //! # tind-obs — hand-rolled observability for the tIND workspace
 //!
 //! Spans, a metrics registry, and checksummed `TINDRR` run reports, built
-//! on `std` alone so the offline rustc harness (and the air-gapped CI
-//! path) keeps working — no `tracing`, no `metrics`, no serde.
+//! on `std` alone like the rest of the workspace — no `tracing`, no
+//! `metrics`, no serde.
 //!
-//! * [`span`] — hierarchical wall-time spans with allocation-free
-//!   enter/exit; per-thread ring buffers + aggregates, merged at run end.
+//! * [`span`] — wall-time spans with allocation-free enter/exit;
+//!   per-thread per-name aggregates, merged at run end.
 //! * [`trace`] — request-scoped tracing: explicit-parent interval events
 //!   under a propagated [`TraceContext`], per-thread bounded rings, and
 //!   the checksummed `TINDTF` / Chrome `trace_event` exporters.
@@ -38,16 +38,16 @@
 //! per-endpoint attribution split
 //! `serve.latency.{search,reverse_search,explain}.{queued,coalesced,exec}_ns`
 //! (histograms). The observability layer reports on itself through
-//! `obs.spans.dropped_total`, counting events lost to span- or
-//! trace-ring overflow. [`metrics_value`] snapshots the registry in the
+//! `obs.spans.dropped_total`, counting trace events lost to ring
+//! overflow. [`metrics_value`] snapshots the registry in the
 //! exact JSON shape the `TINDRR` report embeds, which is also what
 //! `/metrics` serves.
 //!
 //! Building with the `obs-off` feature compiles spans and metrics down to
 //! no-ops (zero-sized guards, inert shared metric handles); reports can
-//! still be emitted but carry only wall time. A bench
-//! (`crates/bench/benches/obs_overhead.rs`) asserts the enabled layer
-//! stays under 2% of stage-4 validation cost.
+//! still be emitted but carry only wall time. An example
+//! (`examples/obs_overhead.rs`) asserts the enabled layer stays under 2%
+//! of stage-4 validation cost.
 
 pub mod history;
 pub mod json;
@@ -65,7 +65,7 @@ pub use report::{crc32, metrics_value, validate_schema, verify_report, RunReport
     REPORT_PREFIX, SCHEMA_VERSION};
 pub use reporter::{fmt_duration_ns, fmt_eta_secs, fmt_pipeline, fmt_rate,
     fmt_validation_summary, Reporter};
-pub use span::{recent_spans, span, span_snapshot, SpanEvent, SpanGuard, SpanStats};
+pub use span::{span, span_snapshot, SpanGuard, SpanStats};
 pub use trace::{collect_trace, verify_trace, ParsedEvent, ParsedTrace, TraceContext,
     TraceEvent, TraceEventKind, TraceSnapshot, TraceSpan, TRACE_MAGIC, TRACE_PREFIX};
 

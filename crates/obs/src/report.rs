@@ -54,7 +54,7 @@ pub fn metrics_value() -> Value {
     // Intern the ring-overflow drop counter up front so scrapes and
     // reports always list it — a 0 reading is the "no data was lost"
     // signal, which matters as much as a nonzero one.
-    crate::metrics::counter(crate::span::DROPPED_COUNTER);
+    crate::metrics::counter(crate::trace::DROPPED_COUNTER);
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
     let mut histograms = Vec::new();

@@ -1,51 +1,21 @@
-//! Lightweight hierarchical wall-time spans.
+//! Lightweight wall-time span aggregates.
 //!
-//! `span("core.search.stage4")` returns a guard; dropping it records the
-//! elapsed time into the calling thread's state: a bounded ring buffer of
-//! recent raw events plus per-name aggregates (count / total / max).
-//! Thread states register themselves in a global list on first use, so
-//! the enter/exit path touches only the thread's own mutex — uncontended
-//! except while a snapshot or reset is walking the registry — and
-//! allocates nothing (names are `&'static str`, aggregate slots are
-//! reused, the ring is preallocated).
-//!
-//! Ring overflow is counted, never silent: each overwritten event bumps
-//! the owning thread's drop count and the shared
-//! `obs.spans.dropped_total` counter (also fed by the trace-event rings
-//! in [`crate::trace`]), so `/metrics` and TINDRR reports reveal when
-//! recent-event data is incomplete.
+//! `span("core.search.stage4")` returns a guard; dropping it adds the
+//! elapsed time to the calling thread's per-name aggregates (count /
+//! total / max). Thread states register themselves in a global list on
+//! first use, so a span touches only the thread's own mutex, once, on
+//! exit — uncontended except while a snapshot or reset is walking the
+//! registry — and allocates nothing (names are `&'static str`, aggregate
+//! slots are reused). Per-request timelines are [`crate::trace`]'s job.
 //!
 //! With the `obs-off` feature the guard is a zero-sized no-op and every
 //! query function returns empty data.
 
 #[cfg(not(feature = "obs-off"))]
-pub use enabled::{
-    recent_spans, reset_spans, span, span_drops_total, span_snapshot, SpanGuard,
-};
-
-#[cfg(not(feature = "obs-off"))]
-pub(crate) use enabled::{drop_counter, epoch_elapsed_ns};
+pub use enabled::{reset_spans, span, span_snapshot, SpanGuard};
 
 #[cfg(feature = "obs-off")]
-pub use disabled::{recent_spans, reset_spans, span, span_drops_total, span_snapshot, SpanGuard};
-
-/// Name of the counter tracking ring-overflow event drops across both
-/// the span rings and the trace-event rings.
-pub const DROPPED_COUNTER: &str = "obs.spans.dropped_total";
-
-/// Capacity of each thread's ring buffer of raw span events.
-pub const RING_CAPACITY: usize = 1024;
-
-/// One completed span occurrence, relative to the process-wide epoch
-/// (the instant the span layer was first touched).
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpanEvent {
-    pub name: &'static str,
-    /// Nesting depth at entry on the recording thread (0 = thread-top-level).
-    pub depth: u32,
-    pub start_ns: u64,
-    pub dur_ns: u64,
-}
+pub use disabled::{reset_spans, span, span_snapshot, SpanGuard};
 
 /// Per-name aggregate merged across all threads.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,94 +28,15 @@ pub struct SpanStats {
 
 #[cfg(not(feature = "obs-off"))]
 mod enabled {
-    use super::{SpanEvent, SpanStats, RING_CAPACITY};
+    use super::SpanStats;
     use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
     use std::time::Instant;
 
-    struct Agg {
-        name: &'static str,
-        count: u64,
-        total_ns: u64,
-        max_ns: u64,
-    }
-
-    struct ThreadSpans {
-        depth: u32,
-        ring: Vec<SpanEvent>,
-        /// Next ring slot to overwrite once the ring is full.
-        ring_next: usize,
-        /// Raw events overwritten before any snapshot saw them.
-        dropped: u64,
-        aggs: Vec<Agg>,
-    }
-
-    impl ThreadSpans {
-        fn new() -> Self {
-            ThreadSpans {
-                depth: 0,
-                ring: Vec::new(),
-                ring_next: 0,
-                dropped: 0,
-                aggs: Vec::new(),
-            }
-        }
-
-        fn record(&mut self, event: SpanEvent) {
-            // Linear scan: a run touches a few dozen distinct span names,
-            // and pointer equality short-circuits the common case.
-            let name = event.name;
-            match self
-                .aggs
-                .iter_mut()
-                .find(|a| std::ptr::eq(a.name, name) || a.name == name)
-            {
-                Some(agg) => {
-                    agg.count += 1;
-                    agg.total_ns += event.dur_ns;
-                    agg.max_ns = agg.max_ns.max(event.dur_ns);
-                }
-                None => self.aggs.push(Agg {
-                    name,
-                    count: 1,
-                    total_ns: event.dur_ns,
-                    max_ns: event.dur_ns,
-                }),
-            }
-            if self.ring.len() < RING_CAPACITY {
-                self.ring.push(event);
-            } else {
-                self.ring[self.ring_next] = event;
-                self.ring_next = (self.ring_next + 1) % RING_CAPACITY;
-                self.dropped += 1;
-                drop_counter().incr();
-            }
-        }
-    }
-
-    /// Cached handle to the shared overflow counter (also bumped by the
-    /// trace-event rings). Interned once so the overflow path stays
-    /// allocation-free after the first drop.
-    pub(crate) fn drop_counter() -> &'static crate::metrics::Counter {
-        static HANDLE: OnceLock<&'static crate::metrics::Counter> = OnceLock::new();
-        HANDLE.get_or_init(|| crate::metrics::counter(super::DROPPED_COUNTER))
-    }
-
-    type Shared = Arc<Mutex<ThreadSpans>>;
+    type Shared = Arc<Mutex<Vec<SpanStats>>>;
 
     fn registry() -> &'static Mutex<Vec<Shared>> {
         static REGISTRY: OnceLock<Mutex<Vec<Shared>>> = OnceLock::new();
         REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    fn epoch() -> Instant {
-        static EPOCH: OnceLock<Instant> = OnceLock::new();
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    /// Nanoseconds elapsed since the shared epoch — the same timebase
-    /// span events use, exposed so trace events land on the same clock.
-    pub(crate) fn epoch_elapsed_ns() -> u64 {
-        Instant::now().saturating_duration_since(epoch()).as_nanos() as u64
     }
 
     /// A poisoned lock only means a panic elsewhere while holding it; the
@@ -156,7 +47,7 @@ mod enabled {
 
     thread_local! {
         static STATE: Shared = {
-            let state = Arc::new(Mutex::new(ThreadSpans::new()));
+            let state = Arc::new(Mutex::new(Vec::new()));
             lock(registry()).push(state.clone());
             state
         };
@@ -165,34 +56,36 @@ mod enabled {
     /// RAII guard: records the span on drop.
     pub struct SpanGuard {
         name: &'static str,
-        depth: u32,
         start: Instant,
     }
 
-    /// Open a span. Cheap (two thread-local mutex ops + two clock reads);
-    /// safe to call on any thread, including inside worker pools.
+    /// Open a span. Cheap (a clock read here, a clock read and one
+    /// thread-local mutex op on drop); safe to call on any thread,
+    /// including inside worker pools.
     #[inline]
     pub fn span(name: &'static str) -> SpanGuard {
-        epoch(); // pin the epoch before taking `start`
-        let depth = STATE.with(|s| {
-            let mut t = lock(s);
-            t.depth += 1;
-            t.depth - 1
-        });
-        SpanGuard { name, depth, start: Instant::now() }
+        SpanGuard { name, start: Instant::now() }
     }
 
     impl Drop for SpanGuard {
         fn drop(&mut self) {
             let dur_ns = self.start.elapsed().as_nanos() as u64;
-            let start_ns =
-                self.start.saturating_duration_since(epoch()).as_nanos() as u64;
-            let event =
-                SpanEvent { name: self.name, depth: self.depth, start_ns, dur_ns };
+            let name = self.name;
             STATE.with(|s| {
-                let mut t = lock(s);
-                t.depth = t.depth.saturating_sub(1);
-                t.record(event);
+                let mut aggs = lock(s);
+                // Linear scan: a run touches a few dozen distinct span
+                // names, and pointer equality short-circuits the common
+                // case.
+                match aggs.iter_mut().find(|a| std::ptr::eq(a.name, name) || a.name == name) {
+                    Some(agg) => {
+                        agg.count += 1;
+                        agg.total_ns += dur_ns;
+                        agg.max_ns = agg.max_ns.max(dur_ns);
+                    }
+                    None => {
+                        aggs.push(SpanStats { name, count: 1, total_ns: dur_ns, max_ns: dur_ns })
+                    }
+                }
             });
         }
     }
@@ -202,20 +95,14 @@ mod enabled {
     pub fn span_snapshot() -> Vec<SpanStats> {
         let mut merged: Vec<SpanStats> = Vec::new();
         for shared in lock(registry()).iter() {
-            let state = lock(shared);
-            for agg in &state.aggs {
+            for agg in lock(shared).iter() {
                 match merged.iter_mut().find(|s| s.name == agg.name) {
                     Some(s) => {
                         s.count += agg.count;
                         s.total_ns += agg.total_ns;
                         s.max_ns = s.max_ns.max(agg.max_ns);
                     }
-                    None => merged.push(SpanStats {
-                        name: agg.name,
-                        count: agg.count,
-                        total_ns: agg.total_ns,
-                        max_ns: agg.max_ns,
-                    }),
+                    None => merged.push(agg.clone()),
                 }
             }
         }
@@ -223,46 +110,22 @@ mod enabled {
         merged
     }
 
-    /// The most recent raw events across all threads (ring buffers merged,
-    /// ordered by start time, truncated to the last `limit`).
-    pub fn recent_spans(limit: usize) -> Vec<SpanEvent> {
-        let mut events: Vec<SpanEvent> = Vec::new();
-        for shared in lock(registry()).iter() {
-            events.extend(lock(shared).ring.iter().cloned());
-        }
-        events.sort_by_key(|e| e.start_ns);
-        if events.len() > limit {
-            events.drain(..events.len() - limit);
-        }
-        events
-    }
-
-    /// Total raw span events lost to ring overflow across all threads
-    /// since the last reset (aggregates keep counting regardless).
-    pub fn span_drops_total() -> u64 {
-        lock(registry()).iter().map(|s| lock(s).dropped).sum()
-    }
-
     /// Clear all recorded spans and drop state for threads that have
-    /// exited. Call at the start of a run; active depth on live threads is
-    /// preserved so in-flight guards stay balanced.
+    /// exited. Call at the start of a run; guards still open finish into
+    /// the cleared aggregates.
     pub fn reset_spans() {
         let mut reg = lock(registry());
         // strong_count == 1 means the owning thread's TLS slot is gone.
         reg.retain(|shared| Arc::strong_count(shared) > 1);
         for shared in reg.iter() {
-            let mut state = lock(shared);
-            state.ring.clear();
-            state.ring_next = 0;
-            state.dropped = 0;
-            state.aggs.clear();
+            lock(shared).clear();
         }
     }
 }
 
 #[cfg(feature = "obs-off")]
 mod disabled {
-    use super::{SpanEvent, SpanStats};
+    use super::SpanStats;
 
     /// Zero-sized no-op guard.
     pub struct SpanGuard;
@@ -276,14 +139,6 @@ mod disabled {
         Vec::new()
     }
 
-    pub fn recent_spans(_limit: usize) -> Vec<SpanEvent> {
-        Vec::new()
-    }
-
-    pub fn span_drops_total() -> u64 {
-        0
-    }
-
     pub fn reset_spans() {}
 }
 
@@ -295,7 +150,7 @@ mod tests {
     use crate::test_guard as guard;
 
     #[test]
-    fn records_nested_spans_with_depth() {
+    fn records_nested_spans() {
         let _g = guard();
         reset_spans();
         {
@@ -309,12 +164,6 @@ mod tests {
         assert_eq!(inner.count, 1);
         // Inner closes before outer, so it can never exceed it.
         assert!(inner.total_ns <= outer.total_ns);
-
-        let events = recent_spans(16);
-        let outer_ev = events.iter().find(|e| e.name == "test.outer").unwrap();
-        let inner_ev = events.iter().find(|e| e.name == "test.inner").unwrap();
-        assert_eq!(outer_ev.depth, 0);
-        assert_eq!(inner_ev.depth, 1);
     }
 
     #[test]
@@ -352,34 +201,18 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded() {
-        let _g = guard();
-        reset_spans();
-        for _ in 0..(RING_CAPACITY + 50) {
-            let _s = span("test.flood");
-        }
-        assert!(recent_spans(usize::MAX).len() <= RING_CAPACITY + 64);
-        let stats = span_snapshot();
-        let s = stats.iter().find(|s| s.name == "test.flood").unwrap();
-        // Aggregates keep counting even after the ring wraps.
-        assert_eq!(s.count, (RING_CAPACITY + 50) as u64);
-    }
-
-    #[test]
-    fn ring_overflow_is_counted_not_silent() {
+    fn spans_never_count_as_dropped() {
+        // Spans keep aggregates only, so no number of them loses data:
+        // the drop counter is the trace rings' alone.
         let _g = guard();
         reset_spans();
         crate::metrics::reset_metrics();
-        assert_eq!(span_drops_total(), 0);
-        for _ in 0..(RING_CAPACITY + 50) {
-            let _s = span("test.drop_count");
+        for _ in 0..3 * 1024 {
+            let _s = span("test.flood");
         }
-        // This thread's ring overflowed exactly 50 times (other live
-        // threads may add more if their rings wrap concurrently).
-        assert!(span_drops_total() >= 50);
-        assert!(crate::metrics::counter(crate::span::DROPPED_COUNTER).value() >= 50);
-        reset_spans();
-        assert_eq!(span_drops_total(), 0, "reset clears per-thread drop counts");
+        let stats = span_snapshot();
+        assert_eq!(stats.iter().find(|s| s.name == "test.flood").unwrap().count, 3 * 1024);
+        assert_eq!(crate::metrics::counter(crate::trace::DROPPED_COUNTER).value(), 0);
     }
 
     #[test]
@@ -390,6 +223,5 @@ mod tests {
         }
         reset_spans();
         assert!(span_snapshot().iter().all(|s| s.name != "test.cleared"));
-        assert!(recent_spans(usize::MAX).iter().all(|e| e.name != "test.cleared"));
     }
 }

@@ -52,6 +52,9 @@ use crate::report::crc32;
 /// Capacity of each thread's ring buffer of trace events.
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
+/// Name of the counter of trace events lost to trace-ring overflow.
+pub const DROPPED_COUNTER: &str = "obs.spans.dropped_total";
+
 /// Magic string identifying a trace file ("TINDTF" + format version).
 pub const TRACE_MAGIC: &str = "TINDTF1";
 
@@ -133,6 +136,7 @@ mod enabled {
     use super::{TraceContext, TraceEvent, TraceEventKind, TraceSnapshot, TRACE_RING_CAPACITY};
     use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+    use std::time::Instant;
 
     struct ThreadTraces {
         tid: u32,
@@ -151,9 +155,16 @@ mod enabled {
                 self.ring[self.ring_next] = event;
                 self.ring_next = (self.ring_next + 1) % TRACE_RING_CAPACITY;
                 self.dropped += 1;
-                crate::span::drop_counter().incr();
+                drop_counter().incr();
             }
         }
+    }
+
+    /// Cached handle to the ring-overflow counter, interned once so the
+    /// overflow path stays allocation-free after the first drop.
+    fn drop_counter() -> &'static crate::metrics::Counter {
+        static HANDLE: OnceLock<&'static crate::metrics::Counter> = OnceLock::new();
+        HANDLE.get_or_init(|| crate::metrics::counter(super::DROPPED_COUNTER))
     }
 
     type Shared = Arc<Mutex<ThreadTraces>>;
@@ -185,7 +196,9 @@ mod enabled {
     /// every trace event is stamped with, so intervals recorded on
     /// different threads are directly comparable.
     pub fn now_ns() -> u64 {
-        crate::span::epoch_elapsed_ns()
+        static EPOCH: OnceLock<Instant> = OnceLock::new();
+        let epoch = *EPOCH.get_or_init(Instant::now);
+        Instant::now().saturating_duration_since(epoch).as_nanos() as u64
     }
 
     /// Allocate a fresh trace identity (128-bit trace id + root span id).

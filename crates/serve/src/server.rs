@@ -565,8 +565,8 @@ impl Engine {
             )
             .map_err(|e| format!("store flip at {} failed: {e}", dir.display()))?;
             store_generation = Some(packed.generation);
-            // The delta was applied to a heap copy (`retarget_column`
-            // materializes every borrowed segment). Serve the committed
+            // The delta was applied to a clone whose touched segments
+            // `retarget_column` copied onto the heap. Serve the committed
             // generation through the engine's own backing instead, so a
             // windowed engine stays bounded by its budget after a delta.
             let (reopened, report) = open_store_with(dir, new_dataset.clone(), &self.open_options)
