@@ -13,6 +13,10 @@ cargo test --release -q -p tind-model
 # The Bloom kernels' tiling-equivalence tests, with debug_assert! compiled
 # out as in production.
 cargo test --release -q -p tind-bloom
+# Delta maintenance (the touched-column refresh probe, column retargets)
+# and its cold-rebuild oracle, with debug_assert! compiled out too.
+cargo test --release -q -p tind-core
+cargo test --release -q --test delta_equivalence
 cargo clippy --workspace --all-targets -- -D warnings
 # The obs-off feature must keep every instrumented crate compiling.
 cargo check --features obs-off

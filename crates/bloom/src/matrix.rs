@@ -329,6 +329,24 @@ impl BloomMatrix {
         self.narrow(|| query.set_rows(), candidates, BitVec::and_assign_words_at);
     }
 
+    /// [`BloomMatrix::narrow_to_supersets`] of `query_filter(values)`,
+    /// without building the filter: the same rows in value order, each
+    /// value hashed only while candidates remain. A probe whose candidates
+    /// die after the first few values never pays for the rest — and
+    /// allocates nothing. Each segment hashes afresh, so this suits a
+    /// one-segment (built) matrix best.
+    pub fn narrow_to_supersets_of_values(&self, values: &[ValueId], candidates: &mut BitVec) {
+        assert_eq!(candidates.len(), self.num_cols, "candidate set must cover all columns");
+        let (m, k) = (self.m, self.k_hashes);
+        let rows = || {
+            values.iter().flat_map(move |&v| {
+                let h = Hash128::of_key(u64::from(v));
+                (0..k).map(move |i| h.probe(i, m) as usize)
+            })
+        };
+        self.narrow(rows, candidates, BitVec::and_assign_words_at);
+    }
+
     /// Narrows `candidates` to columns that may be **subsets** of the
     /// queried value set: `candidates &= ⋀_{r: h(Q)[r]=0} ¬M[r]`.
     pub fn narrow_to_subsets(&self, query: &BloomFilter, candidates: &mut BitVec) {
@@ -1195,7 +1213,12 @@ mod tests {
             let queries: Vec<Vec<ValueId>> =
                 vec![(0..5).collect(), vec![], (100..120).collect(), (13..26).collect()];
             let filters: Vec<BloomFilter> = queries.iter().map(|q| owned.query_filter(q)).collect();
-            for qf in &filters {
+            for (values, qf) in queries.iter().zip(&filters) {
+                let mut by_values = BitVec::ones(n);
+                seg.narrow_to_supersets_of_values(values, &mut by_values);
+                let mut by_filter = BitVec::ones(n);
+                owned.narrow_to_supersets(qf, &mut by_filter);
+                assert_eq!(by_values, by_filter, "cuts {cuts:?} values {values:?}");
                 for subsets in [false, true] {
                     let mut co = BitVec::ones(n);
                     let mut cs = BitVec::ones(n);

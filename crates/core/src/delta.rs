@@ -61,17 +61,28 @@
 //! search, untouched queries by a search whose candidate set is restricted
 //! to the touched attributes ([`refresh_pairs`]). Both reuse the standard
 //! pipeline, so the refreshed set equals a cold all-pairs run (the
-//! CALM-style argument is spelled out in DESIGN.md). The restricted half
-//! is `|D|` queries against a few columns; each first probes `M_T` with the
-//! values of its heaviest version (all required whenever that version
-//! alone outweighs ε), and almost none survive to pay for more.
+//! CALM-style argument is spelled out in DESIGN.md).
+//!
+//! The restricted half is `|D|` queries against `T` touched columns, so it
+//! is costed in `T`, not `|D|`. Once per refresh the live touched columns
+//! of `M_T` are gathered into a `T`-column matrix, rendered from the
+//! cached universes — by the invariant above, bit-identical to the columns
+//! they stand for. Each untouched query probes that matrix with the values
+//! of its heaviest version (all required whenever that version alone
+//! outweighs ε), hashing each only while candidates remain, then with its
+//! required values; only a query with a touched candidate left widens it
+//! to a `|D|`-wide set for stages 2–4. The survivors are exactly the
+//! candidates a `|D|`-wide pass over `M_T` would leave, so pairs and
+//! [`crate::SearchStats`] are the same; a query the probe empties returns
+//! before stage 2 and records no search metrics. Almost none survive
+//! ([`RefreshReport::probe_survivors`]), and the rest allocate nothing.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use tind_bloom::{BitVec, BloomFilter, BloomMatrix};
-use tind_model::{AttrId, AttributeHistory, Dataset, Timestamp, ValueId, ValueSet};
+use tind_bloom::{BitVec, BloomFilter, BloomMatrix, BloomMatrixBuilder};
+use tind_model::{AttrId, AttributeHistory, Dataset, Timeline, Timestamp, ValueId, ValueSet};
 
 use crate::index::{ColumnContents, TindIndex};
 use crate::params::{TindParams, EPS_TOLERANCE};
@@ -138,7 +149,17 @@ impl DatasetDelta {
     ///
     /// # Errors
     /// [`DeltaError::Incompatible`] if `new` is not a successor of `old`.
+    ///
+    /// A successor built from `old` with [`Dataset::into_builder`] shares
+    /// every history it did not replace, so an untouched attribute costs
+    /// one pointer compare; histories that are not shared (a successor
+    /// decoded separately) are compared by name and value, so the result
+    /// is exact either way. `new` being the very snapshot `old` refers to
+    /// is an empty delta at once.
     pub fn diff(old: &Dataset, new: Arc<Dataset>) -> Result<Self, DeltaError> {
+        if std::ptr::eq(old, &*new) {
+            return Ok(DatasetDelta { old_len: old.len(), new_dataset: new, touched: Vec::new() });
+        }
         if old.timeline() != new.timeline() {
             return Err(incompatible(format!(
                 "timeline changed from {} to {} timestamps; deltas may only add revisions \
@@ -171,8 +192,10 @@ impl DatasetDelta {
             )));
         }
         let mut touched = Vec::new();
-        for (id, hist) in old.iter() {
-            let new_hist = new.attribute(id);
+        for (id, (hist, new_hist)) in (0..).zip(old.attributes().iter().zip(new.attributes())) {
+            if Arc::ptr_eq(hist, new_hist) {
+                continue; // shared, hence unchanged
+            }
             if new_hist.name() != hist.name() {
                 return Err(incompatible(format!(
                     "attribute id {id} renamed from '{}' to '{}'; ids must keep their names",
@@ -415,6 +438,9 @@ pub struct RefreshReport {
     /// Untouched queries searched with candidates restricted to the
     /// touched attributes.
     pub restricted_queries: usize,
+    /// Restricted queries with a candidate left after the touched-column
+    /// probe — the only ones that go on to stages 2–4.
+    pub probe_survivors: usize,
     /// Worker threads used.
     pub threads_used: usize,
 }
@@ -437,44 +463,81 @@ fn heaviest_version_values<'a>(
     (w > params.eps + EPS_TOLERANCE).then(|| q.versions()[heaviest].values.as_slice())
 }
 
-/// One search of the standard four-stage pipeline. A touched query
-/// (`restrict` = `None`) runs against every candidate; an untouched one is
-/// seeded with `restrict`, the live touched attributes, and first probes
-/// them with [`heaviest_version_values`] — almost every untouched query
-/// shares nothing with the few touched columns and stops there.
-fn run_restricted(
+/// The live touched columns of `M_T`, gathered into a `T`-column matrix
+/// that the untouched queries of a refresh probe instead of `M_T`: column
+/// `j` is attribute `ids[j]`'s.
+struct TouchedColumns {
+    /// Live touched attributes, ascending.
+    ids: Vec<AttrId>,
+    matrix: BloomMatrix,
+}
+
+impl TouchedColumns {
+    /// Renders each column from the cached universe with `M_T`'s `m` and
+    /// `k` — by the module invariant, bit-identical to the column of `M_T`
+    /// it stands for.
+    fn new(index: &TindIndex, ids: Vec<AttrId>) -> Self {
+        let m_t = index.m_t();
+        let mut builder = BloomMatrixBuilder::new(m_t.m(), ids.len(), m_t.k_hashes());
+        for (col, &id) in ids.iter().enumerate() {
+            builder.insert_column(col, index.universe(id));
+        }
+        TouchedColumns { ids, matrix: builder.build() }
+    }
+
+    /// Stage 1 of an untouched query against the touched columns only:
+    /// `probe` (one bit per column, reset here) ends up holding exactly the
+    /// touched candidates a `|D|`-wide pass over `M_T` would leave. Returns
+    /// the required values when a candidate survives, `None` when none do.
+    fn probe(
+        &self,
+        q: &AttributeHistory,
+        params: &TindParams,
+        timeline: Timeline,
+        probe: &mut BitVec,
+    ) -> Option<ValueSet> {
+        probe.set_all();
+        // The heaviest version first: it needs no weight map, and almost
+        // every untouched query shares nothing with the touched columns.
+        if let Some(values) = heaviest_version_values(q, params) {
+            self.matrix.narrow_to_supersets_of_values(values, probe);
+        }
+        if probe.is_zero() {
+            return None;
+        }
+        let required = required_values(q, params, timeline);
+        self.matrix.narrow_to_supersets_of_values(&required, probe);
+        (!probe.is_zero()).then_some(required)
+    }
+
+    /// `probe`'s surviving columns as a `|D|`-wide candidate set.
+    fn expand(&self, probe: &BitVec, num_attrs: usize) -> BitVec {
+        let mut candidates = BitVec::zeros(num_attrs);
+        for col in probe.iter_ones() {
+            candidates.set(self.ids[col] as usize);
+        }
+        candidates
+    }
+}
+
+/// Stages 2–4 of the standard pipeline for query `q`, from candidates
+/// already narrowed by `required`.
+fn finish(
     index: &TindIndex,
     q: AttrId,
-    restrict: Option<&BitVec>,
     params: &TindParams,
+    required: &[ValueId],
+    candidates: BitVec,
     scratch: &mut ValidationScratch,
 ) -> Vec<AttrId> {
     let hist = index.dataset().attribute(q);
-    let mut candidates = match restrict {
-        None => initial_candidates(index, Some(q)),
-        Some(touched) => {
-            let mut candidates = touched.clone();
-            if let Some(probe) = heaviest_version_values(hist, params) {
-                index.m_t().narrow_to_supersets(&index.m_t().query_filter(probe), &mut candidates);
-            }
-            if candidates.is_zero() {
-                return Vec::new();
-            }
-            candidates
-        }
-    };
-    let required = required_values(hist, params, index.dataset().timeline());
-    if !required.is_empty() {
-        let qf = index.m_t().query_filter(&required);
-        index.m_t().narrow_to_supersets(&qf, &mut candidates);
-    }
     let outcome = finish_search(
         index,
         hist,
         Some(q),
         params,
         &SearchOptions::default(),
-        &required,
+        required,
         candidates,
         scratch,
         None,
@@ -514,13 +577,18 @@ pub fn refresh_pairs(
         return RefreshReport::default(); // nothing can have changed
     }
     let num_attrs = index.dataset().len();
+    let timeline = index.dataset().timeline();
     let mut touched_bits = BitVec::zeros(num_attrs);
     for &id in touched {
         touched_bits.set(id as usize);
     }
     // The candidate seed of every untouched query: touched and not masked.
-    let mut touched_live = initial_candidates(index, None);
-    touched_live.and_assign(&touched_bits);
+    let live: Vec<AttrId> = touched_bits
+        .iter_ones()
+        .map(|id| id as AttrId)
+        .filter(|&id| !index.is_masked(id))
+        .collect();
+    let touched_columns = TouchedColumns::new(index, live);
 
     let before = pairs.len();
     pairs.retain(|&(q, a)| !touched_bits.get(q as usize) && !touched_bits.get(a as usize));
@@ -532,9 +600,12 @@ pub fn refresh_pairs(
     let threads_used = threads.max(1).min(queries.len().max(1));
 
     let cursor = AtomicUsize::new(0);
+    let survivors = AtomicUsize::new(0);
     let found: Mutex<Vec<(AttrId, Vec<AttrId>)>> = Mutex::new(Vec::new());
     let run_worker = || {
         let mut scratch = ValidationScratch::new();
+        let mut probe = BitVec::zeros(touched_columns.ids.len());
+        let mut local_survivors = 0usize;
         let mut local: Vec<(AttrId, Vec<AttrId>)> = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -542,12 +613,29 @@ pub fn refresh_pairs(
                 break;
             }
             let q = queries[i];
-            let restrict = (!touched_bits.get(q as usize)).then_some(&touched_live);
-            let results = run_restricted(index, q, restrict, params, &mut scratch);
+            let hist = index.dataset().attribute(q);
+            let results = if touched_bits.get(q as usize) {
+                let required = required_values(hist, params, timeline);
+                let mut candidates = initial_candidates(index, Some(q));
+                if !required.is_empty() {
+                    let qf = index.m_t().query_filter(&required);
+                    index.m_t().narrow_to_supersets(&qf, &mut candidates);
+                }
+                finish(index, q, params, &required, candidates, &mut scratch)
+            } else {
+                let Some(required) = touched_columns.probe(hist, params, timeline, &mut probe)
+                else {
+                    continue;
+                };
+                local_survivors += 1;
+                let candidates = touched_columns.expand(&probe, num_attrs);
+                finish(index, q, params, &required, candidates, &mut scratch)
+            };
             if !results.is_empty() {
                 local.push((q, results));
             }
         }
+        survivors.fetch_add(local_survivors, Ordering::Relaxed);
         lock(&found).extend(local);
     };
     if threads_used <= 1 {
@@ -568,9 +656,18 @@ pub fn refresh_pairs(
             }
         }
     }
+    let probe_survivors = survivors.into_inner();
     tind_obs::counter("delta.pairs_dropped").add(pairs_dropped as u64);
     tind_obs::counter("delta.pairs_added").add(pairs_added as u64);
-    RefreshReport { pairs_dropped, pairs_added, full_queries, restricted_queries, threads_used }
+    tind_obs::counter("delta.refresh_probe_survivors").add(probe_survivors as u64);
+    RefreshReport {
+        pairs_dropped,
+        pairs_added,
+        full_queries,
+        restricted_queries,
+        probe_survivors,
+        threads_used,
+    }
 }
 
 #[cfg(test)]
@@ -579,13 +676,20 @@ mod tests {
     use crate::allpairs::{discover_all_pairs, AllPairsOptions};
     use crate::index::{IndexConfig, MaskedShard, ShardMask};
     use crate::persist::encode_index;
-    use tind_model::{DatasetBuilder, Timeline};
+    use tind_model::binio::{decode_dataset, encode_dataset};
+    use tind_model::DatasetBuilder;
 
     /// Base dataset: 70 attributes (crosses a 64-column block boundary)
     /// over interned ids with overlapping value sets.
     fn base_dataset() -> Dataset {
+        base_dataset_of(70)
+    }
+
+    /// `n` attributes over values `v0`..`v8`: a first version of up to
+    /// five values, then from `10 + i % 7` on a prefix of it.
+    fn base_dataset_of(n: u32) -> Dataset {
         let mut b = DatasetBuilder::new(Timeline::new(40));
-        for i in 0..70u32 {
+        for i in 0..n {
             let vals: Vec<String> = (0..=(i % 5)).map(|v| format!("v{}", (i + v) % 9)).collect();
             let later: Vec<String> = vals.iter().take(1 + (i as usize) % 3).cloned().collect();
             b.add_attribute(
@@ -620,21 +724,54 @@ mod tests {
         b.build()
     }
 
+    /// `base` with each of `ids` rewritten to one version, valid
+    /// throughout, of the three values after `v{id % 9}`: a superset of
+    /// some untouched attributes, so untouched queries keep touched
+    /// candidates in every column word of the probe, but not of all.
+    fn widened_dataset(base: &Dataset, ids: &[u32], appended: usize) -> Dataset {
+        let mut b = updated_dataset(base, &[], appended).into_builder();
+        for &id in ids {
+            let values: Vec<ValueId> = (0..3)
+                .map(|k| b.dictionary_mut().intern(&format!("v{}", (id + 1 + k) % 9)))
+                .collect();
+            let mut h = tind_model::HistoryBuilder::new(base.attribute(id).name());
+            h.push(0, values);
+            b.upsert_history(h.finish(39));
+        }
+        b.build()
+    }
+
     fn config() -> IndexConfig {
         IndexConfig { m: 256, ..IndexConfig::default() }
     }
 
     #[test]
     fn diff_finds_touched_and_appended_attributes() {
-        let base = base_dataset();
+        let base = Arc::new(base_dataset());
         let new = Arc::new(updated_dataset(&base, &[3, 65], 2));
+        let unshared = (0..base.len())
+            .filter(|&i| !Arc::ptr_eq(&base.attributes()[i], &new.attributes()[i]))
+            .collect::<Vec<_>>();
+        assert_eq!(unshared, [3, 65], "a successor owns only its upserted slots");
         let delta = DatasetDelta::diff(&base, Arc::clone(&new)).expect("valid successor");
         assert_eq!(delta.touched(), &[3, 65, 70, 71]);
         assert_eq!(delta.new_attrs(), 2);
         assert!(!delta.is_empty());
 
-        let noop = DatasetDelta::diff(&base, Arc::new(base.clone())).expect("identity");
+        let noop = DatasetDelta::diff(&base, Arc::new((*base).clone())).expect("identity");
         assert!(noop.is_empty());
+        let idle = DatasetDelta::diff(&base, Arc::clone(&base)).expect("the very snapshot");
+        assert!(idle.is_empty());
+        assert_eq!(idle.old_len(), base.len());
+
+        // Decoded separately, nothing is shared: equal content still diffs
+        // empty, and a change is still found, by comparing values.
+        let decode = |d: &Dataset| Arc::new(decode_dataset(&encode_dataset(d)).expect("decodes"));
+        let (copy, changed) = (decode(&base), decode(&new));
+        assert!(!Arc::ptr_eq(&base.attributes()[0], &copy.attributes()[0]));
+        assert!(DatasetDelta::diff(&base, copy).expect("equal content").is_empty());
+        let delta = DatasetDelta::diff(&base, changed).expect("valid successor");
+        assert_eq!(delta.touched(), &[3, 65, 70, 71]);
     }
 
     #[test]
@@ -660,6 +797,22 @@ mod tests {
         }
         let err = DatasetDelta::diff(&base, Arc::new(b.build())).unwrap_err();
         assert!(err.to_string().contains("value id 0 changed from"), "{err}");
+
+        // A renamed attribute, the rest equal but not shared.
+        let mut b = DatasetBuilder::new(base.timeline());
+        for id in 0..base.dictionary().len() {
+            b.dictionary_mut().intern(base.dictionary().resolve(id as ValueId));
+        }
+        for (id, hist) in base.iter() {
+            let name = if id == 5 { "renamed" } else { hist.name() };
+            let mut h = tind_model::HistoryBuilder::new(name);
+            for v in hist.versions() {
+                h.push(v.start, v.values.clone());
+            }
+            b.add_history(h.finish(hist.last_observed()));
+        }
+        let err = DatasetDelta::diff(&base, Arc::new(b.build())).unwrap_err();
+        assert!(err.to_string().contains("renamed from 'attr-5' to 'renamed'"), "{err}");
     }
 
     #[test]
@@ -769,5 +922,98 @@ mod tests {
         let before = pairs.clone();
         assert_eq!(refresh_pairs(&index, &mut pairs, &[], &params, 4), RefreshReport::default());
         assert_eq!(pairs, before);
+    }
+
+    /// Cold all-pairs over the live queries of `index` (a masked query is
+    /// answered `shard_unavailable`, never refreshed).
+    fn live_pairs(index: &TindIndex, params: &TindParams) -> BTreeSet<(AttrId, AttrId)> {
+        discover_all_pairs(index, params, &AllPairsOptions::default())
+            .expect("all-pairs discovery")
+            .pairs
+            .into_iter()
+            .filter(|&(q, _)| !index.is_masked(q))
+            .collect()
+    }
+
+    /// 67 touched attributes (the probe spans two words) over 200, none in
+    /// `128..192` so that range can be masked as a quarantined shard.
+    fn wide_touched() -> Vec<u32> {
+        (0..128).step_by(2).chain([193, 195, 197]).collect()
+    }
+
+    #[test]
+    fn refresh_pairs_matches_cold_all_pairs_across_probe_words_eps_and_masks() {
+        let base = Arc::new(base_dataset_of(200));
+        let ids = wide_touched();
+        // ε = 25 is large enough that no single version outweighs it for
+        // some untouched queries, which then probe with their required
+        // values alone.
+        let wide_eps = TindParams { eps: 25.0, ..TindParams::paper_default() };
+        for (params, wide) in [(TindParams::paper_default(), false), (wide_eps, true)] {
+            if wide {
+                let untouched = (0..200).filter(|q| ids.binary_search(q).is_err());
+                let probed: BTreeSet<bool> = untouched
+                    .map(|q| heaviest_version_values(base.attribute(q), &params).is_some())
+                    .collect();
+                assert_eq!(probed.len(), 2, "ε = 25 must split probed and unprobed queries");
+            }
+            for masked in [false, true] {
+                let mut base_index = TindIndex::build(Arc::clone(&base), config());
+                if masked {
+                    let shard = MaskedShard { shard: 2, attr_start: 128, attr_end: 192 };
+                    let mask = ShardMask::new(base.len(), 4, vec![shard]);
+                    base_index.masked = Some(Arc::new(mask));
+                }
+                // A degraded index may not grow.
+                let new = Arc::new(widened_dataset(&base, &ids, if masked { 0 } else { 2 }));
+                let delta = DatasetDelta::diff(&base, Arc::clone(&new)).expect("diff");
+                assert!(delta.touched().len() > 64);
+                let pairs = live_pairs(&base_index, &params);
+                let mut index = base_index.clone();
+                index.apply_delta(&delta).expect("applies");
+                let expected = live_pairs(&index, &params);
+                let label = format!("eps={} masked={masked}", params.eps);
+                for threads in [1usize, 4] {
+                    let mut refreshed = pairs.clone();
+                    let report =
+                        refresh_pairs(&index, &mut refreshed, delta.touched(), &params, threads);
+                    assert_eq!(refreshed, expected, "{label} threads={threads}");
+                    assert!(report.probe_survivors > 0, "{label}: the probe must keep some");
+                    if !wide {
+                        assert!(report.probe_survivors < report.restricted_queries, "{label}");
+                    }
+                }
+                let untouched_to_touched = expected.iter().filter(|&&(q, a)| {
+                    ids.binary_search(&q).is_err() && a == *ids.last().expect("touched")
+                });
+                assert!(untouched_to_touched.count() > 0, "{label}: last column unused");
+            }
+        }
+    }
+
+    #[test]
+    fn touched_columns_equal_the_columns_of_m_t() {
+        let base = Arc::new(base_dataset_of(200));
+        // Histories valid unchanged throughout, and ones that change
+        // mid-timeline (a column is not any one slice's values).
+        for new in [
+            widened_dataset(&base, &wide_touched(), 2),
+            updated_dataset(&base, &wide_touched(), 2),
+        ] {
+            let delta = DatasetDelta::diff(&base, Arc::new(new)).expect("diff");
+            for cfg in [config(), IndexConfig { build_reverse: true, ..config() }] {
+                let mut index = TindIndex::build(Arc::clone(&base), cfg);
+                index.apply_delta(&delta).expect("applies");
+                let touched = TouchedColumns::new(&index, delta.touched().to_vec());
+                assert_eq!(touched.matrix.num_cols(), delta.touched().len());
+                for (col, &id) in delta.touched().iter().enumerate() {
+                    assert_eq!(
+                        touched.matrix.column_filter(col),
+                        index.m_t().column_filter(id as usize),
+                        "column {col} (attribute {id})"
+                    );
+                }
+            }
+        }
     }
 }

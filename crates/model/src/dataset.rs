@@ -1,6 +1,6 @@
 //! Datasets: the attribute collection `D` of the discovery problem.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::hash::FastMap;
 use crate::history::AttributeHistory;
@@ -13,11 +13,19 @@ pub type AttrId = u32;
 
 /// A collection of attribute histories over a shared timeline and value
 /// dictionary — the input `D` of tIND search and discovery.
+///
+/// Histories are immutable once built and held behind an [`Arc`], so a
+/// clone is shallow: it shares every history with the original, and a
+/// successor made by [`Dataset::into_builder`] plus
+/// [`DatasetBuilder::upsert_history`] owns only the slots it replaced.
+/// Unchanged history is shared between snapshots, never copied — which is
+/// what lets a delta diff skip an untouched attribute with one pointer
+/// compare.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     timeline: Timeline,
     dictionary: Dictionary,
-    attributes: Vec<AttributeHistory>,
+    attributes: Vec<Arc<AttributeHistory>>,
     by_name: FastMap<String, AttrId>,
     /// [`crate::binio::dataset_fingerprint`]'s cache: filled by the decoder
     /// from the verified file bytes, or on first use by encoding. Every
@@ -36,8 +44,9 @@ impl Dataset {
         &self.dictionary
     }
 
-    /// All attribute histories, indexed by [`AttrId`].
-    pub fn attributes(&self) -> &[AttributeHistory] {
+    /// All attribute histories, indexed by [`AttrId`]. Each is shared with
+    /// every clone and successor of the dataset that did not replace it.
+    pub fn attributes(&self) -> &[Arc<AttributeHistory>] {
         &self.attributes
     }
 
@@ -58,12 +67,12 @@ impl Dataset {
 
     /// Looks an attribute up by name.
     pub fn attribute_by_name(&self, name: &str) -> Option<(AttrId, &AttributeHistory)> {
-        self.by_name.get(name).map(|&id| (id, &self.attributes[id as usize]))
+        self.by_name.get(name).map(|&id| (id, self.attribute(id)))
     }
 
     /// Iterates `(id, history)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (AttrId, &AttributeHistory)> {
-        self.attributes.iter().enumerate().map(|(i, h)| (i as AttrId, h))
+        self.attributes.iter().enumerate().map(|(i, h)| (i as AttrId, &**h))
     }
 
     /// `A[t]` for every attribute: the dataset state at one timestamp.
@@ -80,6 +89,7 @@ impl Dataset {
     /// appended. Used by checkpointed ingestion: a partial dataset decoded
     /// from a checkpoint resumes exactly where it left off, preserving the
     /// dictionary's intern order so the final encoding stays byte-identical.
+    /// Every history stays shared with the dataset's other clones.
     pub fn into_builder(self) -> DatasetBuilder {
         DatasetBuilder {
             timeline: self.timeline,
@@ -92,8 +102,9 @@ impl Dataset {
         &self.fingerprint
     }
 
-    /// Keeps only attributes satisfying `keep`, renumbering ids densely.
-    /// Returns the mapping `old AttrId -> new AttrId`.
+    /// Keeps only attributes satisfying `keep`, renumbering ids densely;
+    /// kept histories stay shared. Returns the mapping
+    /// `old AttrId -> new AttrId`.
     pub fn retain<F>(&mut self, mut keep: F) -> FastMap<AttrId, AttrId>
     where
         F: FnMut(&AttributeHistory) -> bool,
@@ -121,12 +132,13 @@ impl Dataset {
 /// Builder assembling a [`Dataset`] from interned histories.
 ///
 /// `Clone` so long-running ingestion can snapshot the partial build into a
-/// checkpoint without disturbing the in-progress state.
+/// checkpoint without disturbing the in-progress state; like a
+/// [`Dataset`] clone, it shares the histories added so far.
 #[derive(Debug, Clone)]
 pub struct DatasetBuilder {
     timeline: Timeline,
     dictionary: Dictionary,
-    attributes: Vec<AttributeHistory>,
+    attributes: Vec<Arc<AttributeHistory>>,
 }
 
 impl DatasetBuilder {
@@ -163,12 +175,13 @@ impl DatasetBuilder {
             self.timeline.len()
         );
         let id = self.attributes.len() as AttrId;
-        self.attributes.push(history);
+        self.attributes.push(Arc::new(history));
         id
     }
 
     /// Adds `history`, or replaces the existing history of the same name
-    /// in place, keeping its [`AttrId`]. Returns `(id, replaced)`.
+    /// in place, keeping its [`AttrId`]. Returns `(id, replaced)`. Only the
+    /// upserted slot gets a new history; every other slot stays shared.
     ///
     /// This is the delta-ingestion primitive: a page re-staged with newer
     /// revisions yields fresh histories for columns that already have ids,
@@ -189,7 +202,7 @@ impl DatasetBuilder {
                 history.last_observed(),
                 self.timeline.len()
             );
-            self.attributes[pos] = history;
+            self.attributes[pos] = Arc::new(history);
             (pos as AttrId, true)
         } else {
             (self.add_history(history), false)
@@ -282,7 +295,8 @@ mod tests {
 
     #[test]
     fn upsert_replaces_in_place_and_appends_new() {
-        let mut b = small_dataset().into_builder();
+        let base = small_dataset();
+        let mut b = base.clone().into_builder();
         let mut fresh = crate::history::HistoryBuilder::new("games");
         fresh.push(0, vec![0, 1]);
         fresh.push(6, vec![0, 1, 2]);
@@ -299,6 +313,25 @@ mod tests {
         assert_eq!(d.attribute(0).change_count(), 1);
         assert_eq!(d.attribute(0).versions().len(), 2);
         assert_eq!(d.attribute_by_name("brand-new").map(|(i, _)| i), Some(2));
+        // Exactly the upserted slot is new; the original is unchanged.
+        assert!(!Arc::ptr_eq(&base.attributes()[0], &d.attributes()[0]));
+        assert!(Arc::ptr_eq(&base.attributes()[1], &d.attributes()[1]));
+        assert_eq!(base.attribute(0).versions()[1].start, 4);
+    }
+
+    #[test]
+    fn clones_builders_and_retain_share_histories() {
+        let d = small_dataset();
+        let shared = |a: &Dataset, b: &Dataset, ia: usize, ib: usize| {
+            Arc::ptr_eq(&a.attributes()[ia], &b.attributes()[ib])
+        };
+        let clone = d.clone();
+        assert!((0..d.len()).all(|i| shared(&d, &clone, i, i)), "clone is shallow");
+        let rebuilt = d.clone().into_builder().build();
+        assert!((0..d.len()).all(|i| shared(&d, &rebuilt, i, i)), "into_builder shares");
+        let mut kept = d.clone();
+        kept.retain(|h| h.name() == "all");
+        assert!(shared(&d, &kept, 1, 0), "retain keeps the shared history");
     }
 
     #[test]

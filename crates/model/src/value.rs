@@ -226,9 +226,12 @@ impl Dictionary {
     /// The first id this dictionary and `successor` disagree on — an id
     /// `successor` lacks or spells differently — or `None` when `successor`
     /// extends this dictionary. Equal offset and byte prefixes prove an
-    /// extension with two slice compares; only a divergent successor is
-    /// scanned id by id.
+    /// extension with two slice compares, and the very same dictionary
+    /// with none; only a divergent successor is scanned id by id.
     pub fn first_divergence(&self, successor: &Dictionary) -> Option<ValueId> {
+        if std::ptr::eq(self, successor) {
+            return None;
+        }
         let n = self.len();
         if successor.ends.get(..n) == Some(&self.ends[..])
             && successor.bytes.as_bytes().get(..self.bytes.len()) == Some(self.bytes.as_bytes())
