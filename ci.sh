@@ -10,6 +10,10 @@ cargo test -q
 # The model's decoders once failed differently with overflow checks (debug)
 # and with wrapping arithmetic (release); their tests run under both.
 cargo test --release -q -p tind-model
+# The dataset decoder splits its work over two threads; run the model's
+# tests again with both on one core. A missing taskset fails the gate.
+command -v taskset >/dev/null || { echo "ci: taskset not found" >&2; exit 1; }
+taskset -c 0 cargo test --release -q -p tind-model
 # The Bloom kernels' tiling-equivalence tests, with debug_assert! compiled
 # out as in production.
 cargo test --release -q -p tind-bloom

@@ -236,7 +236,19 @@ fn run_command(command: &str, args: &Args) -> Result<String, CliError> {
 fn load_dataset(args: &Args) -> Result<Arc<Dataset>, CliError> {
     let _phase = tind_obs::span("phase.load");
     let path: PathBuf = args.required::<String>("data")?.into();
-    Ok(Arc::new(read_dataset_file(&path)?))
+    Ok(Arc::new(read_dataset(&path)?))
+}
+
+/// Reads and decodes the dataset file at `path`, each step in its own
+/// span under the caller's `phase.load`, so a report says which of the
+/// two a slow load spent its time on.
+fn read_dataset(path: &std::path::Path) -> Result<Dataset, BinIoError> {
+    let bytes = {
+        let _read = tind_obs::span("cli.load.read");
+        std::fs::read(path)?
+    };
+    let _decode = tind_obs::span("cli.load.decode");
+    tind_model::binio::decode_dataset(&bytes)
 }
 
 fn parse_params(args: &Args, dataset: &Dataset) -> Result<TindParams, CliError> {
@@ -1913,7 +1925,7 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
 
     let base = {
         let _phase = tind_obs::span("phase.load");
-        read_dataset_file(&data_path)?
+        read_dataset(&data_path)?
     };
     // The delta rides the base's timeline: it may only add revisions
     // within the indexed window, so there is no --timeline knob here.
@@ -2180,7 +2192,7 @@ fn cmd_serve(args: &Args) -> Result<String, CliError> {
             || {
                 let load = tind_obs::span("phase.load");
                 let dataset =
-                    Arc::new(read_dataset_file(&data).map_err(|e| format!("dataset error: {e}"))?);
+                    Arc::new(read_dataset(&data).map_err(|e| format!("dataset error: {e}"))?);
                 drop(load);
                 let _build = tind_obs::span("phase.build");
                 match &store {

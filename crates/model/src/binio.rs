@@ -9,11 +9,24 @@
 //! [`encode_dataset`] produces, so a verified file's bytes *are* the
 //! dataset's encoding and [`dataset_fingerprint`] (the hash of that
 //! encoding) is read off them once, at load, instead of re-encoding.
+//!
+//! [`decode_dataset`] runs on two threads. The caller checks the magic
+//! and CRC, then scans the dictionary's string lengths to find where the
+//! histories begin. One scoped worker checks the dictionary's UTF-8,
+//! interns it, rejects duplicates and hashes the file for the
+//! fingerprint; meanwhile the caller decodes the histories straight into
+//! place, which needs only the dictionary's stated length, then joins the
+//! worker. A worker panic resumes on the caller. Errors are reported in
+//! byte order — the one a sequential decode meets first — and a failed
+//! spawn runs the worker's closure inline, so there is one decode path,
+//! not two.
+
+use std::sync::Arc;
 
 use crate::dataset::{Dataset, DatasetBuilder};
-use crate::history::HistoryBuilder;
+use crate::history::{AttributeHistory, Version};
 use crate::time::Timeline;
-use crate::value::ValueId;
+use crate::value::{Dictionary, ValueId};
 
 /// Magic bytes identifying a serialized dataset, including a format version.
 /// Version 2 appended the CRC-32 integrity trailer (see [`crate::checksum`]).
@@ -267,6 +280,14 @@ pub fn encode_dataset(dataset: &Dataset) -> Vec<u8> {
 /// away), start or value-id delta sums that overflow — is `Corrupt`. That
 /// is what lets the returned dataset carry `hash_bytes(bytes)` as its
 /// [`dataset_fingerprint`] without re-encoding anything.
+///
+/// The dictionary and the histories decode on two threads (see the module
+/// docs). The error reported is still the one a sequential decode meets
+/// first: magic and checksum, then the dictionary (if the length scan
+/// stops at a truncated entry, an invalid or duplicate entry before it
+/// still wins), then the histories, then trailing bytes.
+///
+/// [`HistoryBuilder::push`]: crate::history::HistoryBuilder::push
 pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
     let mut buf = open(bytes, MAGIC, "dataset")?;
     let timeline_len =
@@ -274,13 +295,61 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
     if timeline_len == 0 {
         return Err(corrupt("zero-length timeline"));
     }
-    let mut builder = DatasetBuilder::new(Timeline::new(timeline_len));
     let dict_len = buf.varint()? as usize;
+    let entries = buf.clone();
+    let arena_bytes = match skip_strings(&mut buf, dict_len) {
+        Ok(total) => total,
+        // The scan reads only lengths: an entry before the one it stopped
+        // at may be invalid or a duplicate, and that fault comes first.
+        Err(scan) => return Err(decode_dictionary(entries, dict_len, 0).err().unwrap_or(scan)),
+    };
+    // Captures only shared references, so the closure is `Copy`: a failed
+    // spawn drops one copy and the caller runs another.
+    let dictionary_and_fingerprint = || {
+        let dictionary = decode_dictionary(entries.clone(), dict_len, arena_bytes);
+        (dictionary, crate::hash::hash_bytes(bytes))
+    };
+    let (dictionary, fingerprint, attributes) = std::thread::scope(|scope| {
+        let worker = std::thread::Builder::new().spawn_scoped(scope, dictionary_and_fingerprint);
+        let attributes = decode_histories(buf, dict_len, timeline_len);
+        let (dictionary, fingerprint) = match worker {
+            Ok(handle) => handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            Err(_) => dictionary_and_fingerprint(),
+        };
+        (dictionary, fingerprint, attributes)
+    });
+    // Byte order: a dictionary fault precedes any history fault.
+    let dictionary = dictionary?;
+    let attributes = attributes?;
+    let dataset =
+        DatasetBuilder::from_parts(Timeline::new(timeline_len), dictionary, attributes).build();
+    dataset.fingerprint_cell().get_or_init(|| fingerprint);
+    Ok(dataset)
+}
+
+/// Steps over `count` length-prefixed strings without looking inside
+/// them, and returns their total length in bytes.
+fn skip_strings(buf: &mut Reader<'_>, count: usize) -> Result<usize, BinIoError> {
+    let mut total = 0;
+    for _ in 0..count {
+        let len = usize::try_from(buf.varint()?).map_err(|_| corrupt("string length overflow"))?;
+        total += buf.bytes(len, "string")?.len();
+    }
+    Ok(total)
+}
+
+/// Decodes the `len` dictionary entries at the front of `buf`, whose
+/// strings total `arena_bytes` (0 when unknown).
+fn decode_dictionary(
+    mut buf: Reader<'_>,
+    len: usize,
+    arena_bytes: usize,
+) -> Result<Dictionary, BinIoError> {
+    let mut dictionary = Dictionary::new();
     // Every entry takes at least its length byte, so the bytes left bound
-    // the count: a hostile `dict_len` cannot out-allocate its own file.
-    builder.dictionary_mut().reserve(dict_len.min(buf.remaining()));
-    for expected_id in 0..dict_len {
-        let dictionary = builder.dictionary_mut();
+    // the count: a hostile `len` cannot out-allocate its own file.
+    dictionary.reserve_exact(len.min(buf.remaining()), arena_bytes);
+    for expected_id in 0..len {
         // A repeated string interns to the id of its first occurrence.
         let id = dictionary.intern(buf.str()?);
         if id as usize != expected_id {
@@ -288,7 +357,25 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
             return Err(corrupt(format!("duplicate dictionary entry '{first}'")));
         }
     }
+    Ok(dictionary)
+}
+
+/// Decodes the attribute section, which must end the payload, straight
+/// into place. Each history's invariants are proven as its bytes are read
+/// — starts strictly increase, every id is above its predecessor and
+/// inside the dictionary, no version repeats the one before — so nothing
+/// is sorted or scanned twice.
+fn decode_histories(
+    mut buf: Reader<'_>,
+    dict_len: usize,
+    timeline_len: u32,
+) -> Result<Vec<Arc<AttributeHistory>>, BinIoError> {
+    // One compare per id: at or past this bound an id is either outside
+    // the dictionary or not a `u32`, and the cold path says which.
+    let id_bound = (dict_len as u64).min(1 << 32);
     let num_attrs = buf.varint()? as usize;
+    // Counts are bounded by the bytes left, as for the dictionary.
+    let mut attributes = Vec::with_capacity(num_attrs.min(buf.remaining()));
     for _ in 0..num_attrs {
         let name = buf.str()?;
         let last_observed =
@@ -297,7 +384,7 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
         if num_versions == 0 {
             return Err(corrupt(format!("attribute '{name}' has no versions")));
         }
-        let mut hb = HistoryBuilder::new(name);
+        let mut versions: Vec<Version> = Vec::with_capacity(num_versions.min(buf.remaining()));
         let mut start = 0u32;
         for vi in 0..num_versions {
             let delta =
@@ -309,7 +396,6 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
                 .checked_add(delta)
                 .ok_or_else(|| corrupt(format!("attribute '{name}': version start overflow")))?;
             let card = buf.varint()? as usize;
-            // At least one byte per value id: same bound as the dictionary.
             let mut values: Vec<ValueId> = Vec::with_capacity(card.min(buf.remaining()));
             let mut val: u64 = 0;
             for ci in 0..card {
@@ -318,27 +404,29 @@ pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
                     return Err(corrupt("duplicate value id in version"));
                 }
                 val = val.checked_add(d).ok_or_else(|| corrupt("value id overflow"))?;
-                let id = u32::try_from(val).map_err(|_| corrupt("value id overflow"))?;
-                if id as usize >= dict_len {
-                    return Err(corrupt(format!("value id {id} outside dictionary")));
+                if val >= id_bound {
+                    return Err(match u32::try_from(val) {
+                        Ok(id) => corrupt(format!("value id {id} outside dictionary")),
+                        Err(_) => corrupt("value id overflow"),
+                    });
                 }
-                values.push(id);
+                values.push(val as ValueId);
             }
-            // `push` merges a version equal to its predecessor; the encoder
-            // never writes one, so a merge means a non-canonical file.
-            if hb.push(start, values).len() == vi {
+            // The encoder never writes a version equal to its predecessor
+            // (`HistoryBuilder::push` merges one away).
+            if versions.last().is_some_and(|prev| prev.values == values) {
                 return Err(corrupt(format!("attribute '{name}': repeated version")));
             }
+            versions.push(Version { start, values });
         }
         if last_observed < start || last_observed >= timeline_len {
             return Err(corrupt(format!("attribute '{name}': invalid last_observed")));
         }
-        builder.add_history(hb.finish(last_observed));
+        let history = AttributeHistory::from_canonical(name.to_owned(), versions, last_observed);
+        attributes.push(Arc::new(history));
     }
     buf.finish("dataset")?;
-    let dataset = builder.build();
-    dataset.fingerprint_cell().get_or_init(|| crate::hash::hash_bytes(bytes));
-    Ok(dataset)
+    Ok(attributes)
 }
 
 /// Serializes a weight function (tag byte + payload).
@@ -624,10 +712,16 @@ mod tests {
     /// One attribute "x" over a two-entry dictionary, observed through 5,
     /// whose version list is `versions` (count included).
     fn sealed_versions(versions: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        sealed_versions_over(2, versions)
+    }
+
+    /// [`sealed_versions`] over a dictionary of `entries` one-letter strings.
+    fn sealed_versions_over(entries: u8, versions: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
         sealed(|buf| {
-            put_varint(buf, 2);
-            put_str(buf, "a");
-            put_str(buf, "b");
+            put_varint(buf, u64::from(entries));
+            for letter in b'a'..b'a' + entries {
+                put_str(buf, std::str::from_utf8(&[letter]).expect("ascii"));
+            }
             put_varint(buf, 1);
             put_str(buf, "x");
             put_varint(buf, 5); // last_observed
@@ -699,6 +793,146 @@ mod tests {
             }
         });
         assert_corrupt(&file, "repeated version");
+    }
+
+    /// One attribute "x", over the two-entry dictionary, whose only
+    /// version holds the ids encoded by the delta list `deltas`.
+    fn sealed_ids(deltas: &[u64]) -> Vec<u8> {
+        sealed_versions(|buf| {
+            put_varint(buf, 1);
+            put_varint(buf, 0);
+            put_varint(buf, deltas.len() as u64);
+            for &d in deltas {
+                put_varint(buf, d);
+            }
+        })
+    }
+
+    #[test]
+    fn every_history_fault_is_named() {
+        // Id 0 is inside the two-entry dictionary; id 2 is the first past it.
+        assert_corrupt(&sealed_ids(&[0, 2]), "value id 2 outside dictionary");
+        assert_corrupt(&sealed_ids(&[1, 0]), "duplicate value id in version");
+        assert_corrupt(&sealed_versions(|buf| put_varint(buf, 0)), "attribute 'x' has no versions");
+        let file = sealed_versions(|buf| {
+            put_varint(buf, 2);
+            for start_delta in [1, 0] {
+                put_varint(buf, start_delta);
+                put_varint(buf, 0);
+            }
+        });
+        assert_corrupt(&file, "attribute 'x': non-increasing version start");
+        // Observed through 5, but the only version starts at 6.
+        let file = sealed_versions(|buf| {
+            put_varint(buf, 1);
+            put_varint(buf, 6);
+            put_varint(buf, 0);
+        });
+        assert_corrupt(&file, "attribute 'x': invalid last_observed");
+    }
+
+    /// A dictionary of `entries`, then one attribute whose only version
+    /// holds id 7 — outside any dictionary below eight entries.
+    fn sealed_with_bad_history(entries: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        sealed(|buf| {
+            entries(buf);
+            put_varint(buf, 1);
+            put_str(buf, "x");
+            put_varint(buf, 5);
+            put_varint(buf, 1);
+            put_varint(buf, 0);
+            put_varint(buf, 1);
+            put_varint(buf, 7);
+        })
+    }
+
+    #[test]
+    fn faults_are_reported_in_byte_order() {
+        let history_only = sealed_with_bad_history(|buf| {
+            put_varint(buf, 1);
+            put_str(buf, "a");
+        });
+        assert_corrupt(&history_only, "value id 7 outside dictionary");
+        // The dictionary is decoded on another thread, but its fault comes
+        // first in the file, so it is the one reported.
+        let duplicate = sealed_with_bad_history(|buf| {
+            put_varint(buf, 2);
+            put_str(buf, "a");
+            put_str(buf, "a");
+        });
+        assert_corrupt(&duplicate, "duplicate dictionary entry 'a'");
+        let bad_utf8 = sealed_with_bad_history(|buf| {
+            put_varint(buf, 1);
+            put_varint(buf, 1);
+            buf.push(0xff);
+        });
+        assert_corrupt(&bad_utf8, "invalid utf-8 in string");
+        // The length scan stops at entry 2, whose length never ends; a
+        // fault in an entry before it comes first and wins.
+        let cut_after_bad_utf8 = sealed(|buf| {
+            put_varint(buf, 3);
+            put_varint(buf, 1);
+            buf.push(0xff);
+            put_str(buf, "b");
+            buf.push(0x80); // entry 2's length: a varint that never ends
+        });
+        assert_corrupt(&cut_after_bad_utf8, "invalid utf-8 in string");
+        let cut_after_duplicate = sealed(|buf| {
+            put_varint(buf, 3);
+            put_str(buf, "b");
+            put_str(buf, "b");
+            buf.push(0x80);
+        });
+        assert_corrupt(&cut_after_duplicate, "duplicate dictionary entry 'b'");
+        let cut_after_valid = sealed(|buf| {
+            put_varint(buf, 3);
+            put_str(buf, "a");
+            put_str(buf, "b");
+            buf.push(0x80);
+        });
+        assert_corrupt(&cut_after_valid, "truncated varint");
+        // A checksum mismatch beats every fault of the payload.
+        for file in [history_only, duplicate, cut_after_bad_utf8] {
+            let mut flipped = file.clone();
+            flipped[MAGIC.len()] ^= 0x01; // the timeline length
+            assert!(matches!(decode_dataset(&flipped), Err(BinIoError::Checksum { .. })));
+        }
+    }
+
+    #[test]
+    fn empty_dictionary_and_empty_attribute_list_decode() {
+        let no_values = sealed_versions_over(0, |buf| {
+            put_varint(buf, 1);
+            put_varint(buf, 3);
+            put_varint(buf, 0); // the empty set
+        });
+        let d = decode_dataset(&no_values).expect("an empty dictionary is valid");
+        assert_eq!((d.dictionary().len(), d.len()), (0, 1));
+        assert!(d.attribute(0).values_at(4).is_empty());
+        assert_eq!(encode_dataset(&d), no_values);
+        // An id is outside an empty dictionary, whatever it is.
+        assert_corrupt(
+            &sealed_versions_over(0, |buf| {
+                put_varint(buf, 1);
+                put_varint(buf, 0);
+                put_varint(buf, 1);
+                put_varint(buf, 0);
+            }),
+            "value id 0 outside dictionary",
+        );
+
+        let no_attributes = sealed(|buf| {
+            put_varint(buf, 2);
+            put_str(buf, "a");
+            put_str(buf, "b");
+            put_varint(buf, 0);
+        });
+        let d = decode_dataset(&no_attributes).expect("an empty attribute list is valid");
+        assert_eq!((d.dictionary().len(), d.len()), (2, 0));
+        assert_eq!(encode_dataset(&d), no_attributes);
+        let empty = DatasetBuilder::new(Timeline::new(1)).build();
+        let d = decode_dataset(&encode_dataset(&empty)).expect("the empty dataset decodes");
+        assert_eq!((d.dictionary().len(), d.len()), (0, 0));
     }
 
     #[test]

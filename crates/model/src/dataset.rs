@@ -147,6 +147,17 @@ impl DatasetBuilder {
         DatasetBuilder { timeline, dictionary: Dictionary::new(), attributes: Vec::new() }
     }
 
+    /// A builder holding `attributes` over `dictionary`, from a decoder
+    /// that has already proven every history fits `timeline`.
+    pub(crate) fn from_parts(
+        timeline: Timeline,
+        dictionary: Dictionary,
+        attributes: Vec<Arc<AttributeHistory>>,
+    ) -> Self {
+        debug_assert!(attributes.iter().all(|h| timeline.contains(h.last_observed())));
+        DatasetBuilder { timeline, dictionary, attributes }
+    }
+
     /// Mutable access to the dictionary for interning values.
     pub fn dictionary_mut(&mut self) -> &mut Dictionary {
         &mut self.dictionary

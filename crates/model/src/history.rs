@@ -56,6 +56,29 @@ pub struct AttributeHistory {
 }
 
 impl AttributeHistory {
+    /// The one place a history comes into being: from versions that
+    /// already satisfy every invariant. [`HistoryBuilder::finish`] checks
+    /// them with `assert!`s; the dataset decoder proves them as it reads
+    /// and pays for no second pass, so here they are only re-checked in
+    /// debug builds.
+    pub(crate) fn from_canonical(
+        name: String,
+        versions: Vec<Version>,
+        last_observed: Timestamp,
+    ) -> Self {
+        debug_assert!(!versions.is_empty(), "history needs at least one version");
+        debug_assert!(
+            versions.windows(2).all(|w| w[0].start < w[1].start && w[0].values != w[1].values),
+            "starts strictly increase and no version repeats its predecessor"
+        );
+        debug_assert!(
+            versions.iter().all(|v| v.values.windows(2).all(|w| w[0] < w[1])),
+            "every value set is canonical"
+        );
+        debug_assert!(versions.last().is_some_and(|v| last_observed >= v.start));
+        AttributeHistory { name, versions, last_observed }
+    }
+
     /// Human-readable attribute name, e.g. `"Pokémon games ▸ Game"`.
     pub fn name(&self) -> &str {
         &self.name
@@ -255,7 +278,7 @@ impl HistoryBuilder {
             last_observed >= final_start,
             "last_observed {last_observed} precedes final version start {final_start}"
         );
-        AttributeHistory { name: self.name, versions: self.versions, last_observed }
+        AttributeHistory::from_canonical(self.name, self.versions, last_observed)
     }
 }
 

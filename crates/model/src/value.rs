@@ -170,6 +170,14 @@ impl Dictionary {
         }
     }
 
+    /// [`Dictionary::reserve`] plus room for exactly `bytes` more string
+    /// bytes: a bulk load that knows both totals allocates each of the
+    /// three buffers once.
+    pub(crate) fn reserve_exact(&mut self, additional: usize, bytes: usize) {
+        self.reserve(additional);
+        self.bytes.reserve_exact(bytes);
+    }
+
     /// The id of `s` (`Ok`), or the free slot where it belongs (`Err`; 0
     /// for a table not yet allocated).
     fn probe(&self, hash: u64, s: &str) -> Result<ValueId, usize> {

@@ -218,6 +218,17 @@ pub struct WeightTable {
     prefix: std::sync::Arc<Vec<f64>>,
 }
 
+/// `[0, w(0), w(0) + w(1), …]` over `timeline`, summed left to right.
+fn prefix_sums(timeline: Timeline, mut weight: impl FnMut(Timestamp) -> f64) -> Vec<f64> {
+    let mut prefix = vec![0.0; timeline.len() as usize + 1];
+    let mut acc = 0.0;
+    for (t, sum) in (0..timeline.len()).zip(&mut prefix[1..]) {
+        acc += weight(t);
+        *sum = acc;
+    }
+    prefix
+}
+
 impl WeightTable {
     /// Builds the table for `w` over `timeline` in O(n).
     pub fn build(w: &WeightFn, timeline: Timeline) -> Self {
@@ -231,14 +242,15 @@ impl WeightTable {
             );
             return WeightTable { prefix: prefix.clone() };
         }
-        let n = timeline.len();
-        let mut prefix = Vec::with_capacity(n as usize + 1);
-        let mut acc = 0.0;
-        prefix.push(0.0);
-        for t in 0..n {
-            acc += w.weight(t);
-            prefix.push(acc);
-        }
+        let prefix = match *w {
+            // The one variant with no call per timestamp (the default
+            // weights) gets a loop of its own, so its running sum stays
+            // in a register. With the match inside one shared loop, that
+            // depended on how the rest of the crate was compiled, and the
+            // same source ran 2.5x slower in some builds.
+            WeightFn::Constant { per_timestamp } => prefix_sums(timeline, |_| per_timestamp),
+            _ => prefix_sums(timeline, |t| w.weight(t)),
+        };
         WeightTable { prefix: std::sync::Arc::new(prefix) }
     }
 

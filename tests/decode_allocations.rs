@@ -1,30 +1,43 @@
-//! Decoding a dataset must not allocate once per dictionary string: the
-//! dictionary is one arena, so two datasets with the same attributes and
-//! versions decode with nearly the same number of allocations however
-//! large their dictionaries are. A per-string `String` or `Arc<str>`
-//! would add one allocation per value and fail this test.
+//! What decoding a dataset allocates, counted on every thread: the
+//! decoder interns the dictionary on a worker thread, so a thread-local
+//! count would not see the dictionary at all. The counter is process-wide
+//! and armed only around the decode, which is why this file holds a single
+//! test: a second one would allocate on another thread while it is armed.
+//!
+//! Two pins:
+//! - The dictionary is one arena reserved at its exact size, so two
+//!   datasets with the same attributes and versions decode with the same
+//!   number of allocations however large their dictionaries are. A
+//!   per-string `String` or `Arc<str>` would add one allocation per value,
+//!   and a string buffer that regrows one per doubling.
+//! - Each further attribute costs at most `versions + 4` allocations: its
+//!   name, its version list sized once from the file, one set per version,
+//!   its `Arc`, and its by-name key. A version list that regrows as it is
+//!   filled would add one per doubling.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 use tind::model::binio::{decode_dataset, encode_dataset};
 use tind::model::{Dataset, DatasetBuilder, HistoryBuilder, Timeline, ValueId};
 
-thread_local! {
-    /// Allocations made by this thread: other test threads cannot skew it.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
+/// Whether allocations are being counted. `Relaxed` is enough: the
+/// worker's increments happen before the decode joins it, and the join
+/// happens before the test reads the count.
+static ARMED: AtomicBool = AtomicBool::new(false);
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAllocator;
 
 fn count_one() {
-    // A thread being torn down no longer has the counter; skip it.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if ARMED.load(Relaxed) {
+        ALLOCATIONS.fetch_add(1, Relaxed);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
 // the caller's guarantees are exactly the ones `System` requires; the
-// counter is a const-initialised thread-local that never allocates.
+// counter is two atomics that never allocate.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
@@ -54,44 +67,58 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-/// 200 attributes of 3 versions of 8 values each over a dictionary of
-/// `values` strings: only the dictionary size varies between calls.
-fn dataset(values: usize) -> Dataset {
-    let mut b = DatasetBuilder::new(Timeline::new(30));
+/// `attributes` attributes of `versions` versions of 8 values each over a
+/// dictionary of `values` strings.
+fn dataset(values: usize, attributes: usize, versions: usize) -> Dataset {
+    let mut b = DatasetBuilder::new(Timeline::new(10 * versions as u32));
     for i in 0..values {
         b.dictionary_mut().intern(&format!("value {i}"));
     }
     let stride = values / 8;
-    for attr in 0..200 {
+    for attr in 0..attributes {
         let mut h = HistoryBuilder::new(format!("attribute {attr}"));
-        for version in 0..3 {
-            let offset = (attr * 3 + version) % stride;
+        for version in 0..versions {
+            let offset = (attr * versions + version) % stride;
             let set: Vec<ValueId> = (0..8).map(|k| (k * stride + offset) as ValueId).collect();
             h.push(version as u32 * 10, set);
         }
-        b.add_history(h.finish(29));
+        b.add_history(h.finish(10 * versions as u32 - 1));
     }
     b.build()
 }
 
-fn allocations_to_decode(values: usize) -> u64 {
-    let bytes = encode_dataset(&dataset(values));
-    let before = allocations();
-    let decoded = decode_dataset(&bytes).expect("decodes");
-    let made = allocations() - before;
+/// Allocations made on any thread while `dataset` decodes.
+fn allocations_to_decode(values: usize, attributes: usize, versions: usize) -> u64 {
+    let bytes = encode_dataset(&dataset(values, attributes, versions));
+    ALLOCATIONS.store(0, Relaxed);
+    ARMED.store(true, Relaxed);
+    let decoded = decode_dataset(&bytes);
+    ARMED.store(false, Relaxed);
+    let made = ALLOCATIONS.load(Relaxed);
+    let decoded = decoded.expect("decodes");
     assert_eq!(decoded.dictionary().len(), values);
-    assert_eq!(decoded.attributes().iter().map(|h| h.versions().len()).sum::<usize>(), 600);
+    let total_versions = decoded.attributes().iter().map(|h| h.versions().len()).sum::<usize>();
+    assert_eq!(total_versions, attributes * versions);
     made
 }
 
 #[test]
 fn decode_allocations_do_not_scale_with_the_dictionary() {
-    let small = allocations_to_decode(2_000);
-    let large = allocations_to_decode(20_000);
-    // The arena's byte buffer doubles a few more times for 10x the bytes.
-    assert!(large.abs_diff(small) < 16, "{small} allocations for 2 000 values, {large} for 20 000");
+    // Once-per-process set-up (the first thread spawn's) is not counted.
+    allocations_to_decode(2_000, 10, 3);
+
+    let small = allocations_to_decode(2_000, 200, 3);
+    let large = allocations_to_decode(20_000, 200, 3);
+    // Equal, not merely close: the string arena is reserved at its exact
+    // size, so 10x the bytes does not regrow it either.
+    assert_eq!(small, large, "allocations for 2 000 values, then for 20 000");
+
+    const VERSIONS: u64 = 9;
+    let fewer = allocations_to_decode(2_000, 100, VERSIONS as usize);
+    let more = allocations_to_decode(2_000, 200, VERSIONS as usize);
+    assert!(
+        more - fewer <= 100 * (VERSIONS + 4),
+        "100 more attributes of {VERSIONS} versions took {} more allocations",
+        more - fewer
+    );
 }
