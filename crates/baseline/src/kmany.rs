@@ -15,7 +15,8 @@ use std::sync::Arc;
 use tind_model::rng::Rng;
 use tind_bloom::{BitVec, BloomMatrix, BloomMatrixBuilder};
 use tind_core::search::{SearchOutcome, SearchStats};
-use tind_core::{validate, TindParams};
+use tind_core::validate::with_thread_scratch;
+use tind_core::TindParams;
 use tind_model::{AttrId, Dataset, Timestamp};
 
 use crate::memory::MemoryBudget;
@@ -164,12 +165,15 @@ impl KManyIndex {
         stats.after_exact = stats.after_slices;
 
         let mut results = Vec::new();
-        for c in candidates.iter_ones() {
-            stats.validations_run += 1;
-            if validate::validate(q, self.dataset.attribute(c as u32), params, timeline) {
-                results.push(c as AttrId);
+        with_thread_scratch(|scratch| {
+            let plan = scratch.plan(q, params, timeline);
+            for c in candidates.iter_ones() {
+                stats.validations_run += 1;
+                if plan.validate(self.dataset.attribute(c as u32), scratch) {
+                    results.push(c as AttrId);
+                }
             }
-        }
+        });
         stats.validated = results.len();
         Ok(SearchOutcome { results, stats })
     }

@@ -42,7 +42,7 @@ use crate::index::TindIndex;
 use crate::params::TindParams;
 use crate::search::SearchOptions;
 use crate::sync::{into_inner, lock};
-use crate::validate::ValidationScratch;
+use crate::validate::with_thread_scratch;
 
 /// Estimated per-candidate scratch bytes a worker needs while validating
 /// one query (violation accumulators, candidate bitsets, result staging).
@@ -360,9 +360,8 @@ pub fn discover_all_pairs(
         // One validation scratch per worker for the whole drain:
         // the dense window union and cached weight table are
         // reused across every query this worker claims.
-        let mut scratch = ValidationScratch::new();
         let search_options = SearchOptions::default();
-        loop {
+        with_thread_scratch(|scratch| loop {
             if effective_cancel.is_cancelled() {
                 stopped_early.store(true, Ordering::Relaxed);
                 break;
@@ -388,7 +387,7 @@ pub fn discover_all_pairs(
                     Some(q as AttrId),
                     params,
                     &search_options,
-                    &mut scratch,
+                    scratch,
                     options.trace,
                 )
             }));
@@ -424,7 +423,7 @@ pub fn discover_all_pairs(
                 s.since_progress = 0;
                 eprintln!("{}", s.progress_line(start));
             }
-        }
+        })
     };
     // Handles are joined by hand so a worker that panics outside the
     // quarantine becomes a typed error instead of the scope re-panicking.

@@ -89,7 +89,7 @@ use crate::params::{TindParams, EPS_TOLERANCE};
 use crate::required::required_values;
 use crate::search::{finish_search, initial_candidates, record_search_metrics, SearchOptions};
 use crate::sync::{into_inner, lock};
-use crate::validate::ValidationScratch;
+use crate::validate::{with_thread_scratch, ValidationScratch};
 
 /// Errors from computing or applying a dataset delta.
 #[derive(Debug)]
@@ -603,11 +603,10 @@ pub fn refresh_pairs(
     let survivors = AtomicUsize::new(0);
     let found: Mutex<Vec<(AttrId, Vec<AttrId>)>> = Mutex::new(Vec::new());
     let run_worker = || {
-        let mut scratch = ValidationScratch::new();
         let mut probe = BitVec::zeros(touched_columns.ids.len());
         let mut local_survivors = 0usize;
         let mut local: Vec<(AttrId, Vec<AttrId>)> = Vec::new();
-        loop {
+        with_thread_scratch(|scratch| loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= queries.len() {
                 break;
@@ -621,7 +620,7 @@ pub fn refresh_pairs(
                     let qf = index.m_t().query_filter(&required);
                     index.m_t().narrow_to_supersets(&qf, &mut candidates);
                 }
-                finish(index, q, params, &required, candidates, &mut scratch)
+                finish(index, q, params, &required, candidates, scratch)
             } else {
                 let Some(required) = touched_columns.probe(hist, params, timeline, &mut probe)
                 else {
@@ -629,12 +628,12 @@ pub fn refresh_pairs(
                 };
                 local_survivors += 1;
                 let candidates = touched_columns.expand(&probe, num_attrs);
-                finish(index, q, params, &required, candidates, &mut scratch)
+                finish(index, q, params, &required, candidates, scratch)
             };
             if !results.is_empty() {
                 local.push((q, results));
             }
-        }
+        });
         survivors.fetch_add(local_survivors, Ordering::Relaxed);
         lock(&found).extend(local);
     };

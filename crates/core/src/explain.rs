@@ -5,12 +5,14 @@
 //! *where* and *why* it fails: which time intervals violate, which values
 //! are missing from the δ-window, and how far the violation weight exceeds
 //! the budget (or how much headroom a valid tIND has left). This module
-//! reuses Algorithm 2's interval partition to produce exactly that.
+//! walks Algorithm 2's [`QueryPlan`](crate::QueryPlan) with a test that
+//! records that evidence, so its verdict and violation weight are the ones
+//! stage 4 of search computes.
 
 use tind_model::{AttributeHistory, Dataset, Interval, Timeline, ValueId};
 
 use crate::params::TindParams;
-use crate::validate::critical_starts;
+use crate::validate::{with_thread_scratch, IntervalTest, ValidationScratch};
 
 /// One maximal violated interval with its evidence.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,45 +49,46 @@ pub fn explain(
     params: &TindParams,
     timeline: Timeline,
 ) -> Explanation {
-    let n = timeline.len();
-    let starts = critical_starts(q, a, params.delta, timeline);
-    let mut violated: Vec<ViolatedInterval> = Vec::new();
-    let mut violation = 0.0;
-    for (i, &s) in starts.iter().enumerate() {
-        let e = starts.get(i + 1).map_or(n - 1, |&next| next - 1);
-        let qv = q.values_at(s);
-        if qv.is_empty() {
-            continue;
-        }
-        let window = timeline.delta_window(s, params.delta);
-        let av = a.values_in(window);
-        let missing: Vec<ValueId> =
-            qv.iter().copied().filter(|v| av.binary_search(v).is_err()).collect();
-        if missing.is_empty() {
-            continue;
-        }
-        let interval = Interval::new(s, e);
-        let weight = params.weights.interval_weight(interval);
-        violation += weight;
+    let mut evidence = Evidence::default();
+    let (valid, violation) = with_thread_scratch(|scratch| {
+        scratch.plan(q, params, timeline).run(a, scratch, false, &mut evidence)
+    });
+    Explanation { valid, violation, eps: params.eps, violated: evidence.violated }
+}
+
+/// The interval test behind [`explain`]: exact containment that also
+/// records which values are missing and merges the violated intervals.
+#[derive(Default)]
+struct Evidence {
+    /// The first [`MAX_MISSING`] missing values of the interval last tested.
+    missing: Vec<ValueId>,
+    violated: Vec<ViolatedInterval>,
+}
+
+impl IntervalTest for Evidence {
+    fn violated(&mut self, qv: &[ValueId], window: &ValidationScratch) -> bool {
+        self.missing.clear();
+        self.missing.extend(qv.iter().copied().filter(|&v| !window.in_union(v)).take(MAX_MISSING));
+        !self.missing.is_empty()
+    }
+
+    fn record(&mut self, interval: Interval, weight: f64) {
         // Merge with the previous violated interval when contiguous and
         // equally evidenced (reads better: one long violation, not many
         // fragments).
-        if let Some(last) = violated.last_mut() {
-            if last.interval.end + 1 == interval.start
-                && last.missing_values == missing[..missing.len().min(MAX_MISSING)]
-            {
+        if let Some(last) = self.violated.last_mut() {
+            if last.interval.end + 1 == interval.start && last.missing_values == self.missing {
                 last.interval = Interval::new(last.interval.start, interval.end);
                 last.weight += weight;
-                continue;
+                return;
             }
         }
-        violated.push(ViolatedInterval {
+        self.violated.push(ViolatedInterval {
             interval,
             weight,
-            missing_values: missing.into_iter().take(MAX_MISSING).collect(),
+            missing_values: self.missing.clone(),
         });
     }
-    Explanation { valid: params.within_budget(violation), violation, eps: params.eps, violated }
 }
 
 impl Explanation {
@@ -133,8 +136,9 @@ impl Explanation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::validate::{naive_violation_weight, validate};
-    use tind_model::{DatasetBuilder, WeightFn};
+    use crate::validate::tests::{kernel_fixture, weight_families};
+    use crate::validate::{delta_contained_at, naive_validate, naive_violation_weight, validate};
+    use tind_model::{DatasetBuilder, Timestamp, WeightFn};
 
     fn dataset() -> (Dataset, Timeline) {
         let tl = Timeline::new(20);
@@ -210,6 +214,54 @@ mod tests {
         let rendered = e.render(&d);
         assert!(rendered.contains("VALID"));
         assert!(rendered.contains("headroom"));
+    }
+
+    /// The union of the violated intervals is exactly the set of
+    /// timestamps the per-timestamp definition violates; each interval's
+    /// weight is the sum of its w(t), and every missing value is missing at
+    /// every timestamp of its interval.
+    #[test]
+    fn explanation_matches_the_per_timestamp_oracle() {
+        let (d, tl) = kernel_fixture();
+        for q in (0..2u32).map(|id| d.attribute(id)) {
+            for a in (2..6u32).map(|id| d.attribute(id)) {
+                for delta in [0u32, 1, 2, 5, 10, 40] {
+                    for w in weight_families(tl) {
+                        let unit = w == WeightFn::constant_one();
+                        let p = TindParams::weighted(3.0, delta, w);
+                        let ctx = format!("{}⊆{} δ={delta} {:?}", q.name(), a.name(), p.weights);
+                        let e = explain(q, a, &p, tl);
+                        let violated: Vec<Timestamp> = e
+                            .violated
+                            .iter()
+                            .flat_map(|v| v.interval.start..=v.interval.end)
+                            .collect();
+                        let oracle: Vec<Timestamp> =
+                            tl.iter().filter(|&t| !delta_contained_at(q, a, t, delta, tl)).collect();
+                        assert_eq!(violated, oracle, "{ctx}");
+                        for v in &e.violated {
+                            let days = v.interval.start..=v.interval.end;
+                            let sum: f64 = days.clone().map(|t| p.weights.weight(t)).sum();
+                            assert!((v.weight - sum).abs() < 1e-9, "{ctx}: {v:?} vs Σw = {sum}");
+                            assert!(!v.missing_values.is_empty(), "{ctx}: {v:?}");
+                            for t in days {
+                                let window = a.values_in(tl.delta_window(t, delta));
+                                for m in &v.missing_values {
+                                    assert!(q.values_at(t).contains(m), "{ctx}: {m} not in Q[{t}]");
+                                    assert!(window.binary_search(m).is_err(), "{ctx}: {m} in A's window at {t}");
+                                }
+                            }
+                        }
+                        let naive = naive_violation_weight(q, a, &p, tl);
+                        if unit {
+                            assert_eq!(e.violation, naive, "{ctx}: w(t) = 1 sums exact integers");
+                        }
+                        assert!((e.violation - naive).abs() < 1e-9, "{ctx}");
+                        assert_eq!(e.valid, naive_validate(q, a, &p, tl), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

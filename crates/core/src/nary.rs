@@ -21,7 +21,7 @@ use tind_model::hash::FastMap;
 use tind_model::{AttributeHistory, TemporalTable, Timeline, TupleInterner};
 
 use crate::params::TindParams;
-use crate::validate::{QueryPlan, ValidationScratch};
+use crate::validate::validate;
 
 /// One side of an n-ary IND: a table and an ordered column list.
 pub type Side = (usize, Vec<usize>);
@@ -148,9 +148,6 @@ pub fn discover_nary(
     max_arity: usize,
 ) -> NaryResults {
     let mut cache = ProjectionCache::new(tables);
-    // One validation scratch (and cached weight table) for the whole
-    // level-wise enumeration.
-    let mut scratch = ValidationScratch::new();
     let mut levels: Vec<Vec<NaryInd>> = Vec::new();
     let mut candidates_checked: Vec<usize> = Vec::new();
 
@@ -166,7 +163,7 @@ pub fn discover_nary(
                     }
                     let cand = NaryInd { lhs: (ti, vec![ci]), rhs: (tj, vec![cj]) };
                     checked += 1;
-                    if validates(&cand, &mut cache, params, timeline, &mut scratch) {
+                    if validates(&cand, &mut cache, params, timeline) {
                         unary.push(cand);
                     }
                 }
@@ -193,7 +190,7 @@ pub fn discover_nary(
                     continue;
                 }
                 checked += 1;
-                if validates(&cand, &mut cache, params, timeline, &mut scratch) {
+                if validates(&cand, &mut cache, params, timeline) {
                     next.push(cand);
                 }
             }
@@ -278,14 +275,11 @@ fn validates(
     cache: &mut ProjectionCache<'_>,
     params: &TindParams,
     timeline: Timeline,
-    scratch: &mut ValidationScratch,
 ) -> bool {
     // Clone the LHS history handle out of the cache to sidestep double
     // mutable borrows; histories are small relative to validation cost.
     let lhs = cache.get(&cand.lhs).clone();
-    let rhs = cache.get(&cand.rhs);
-    let table = scratch.weight_table(&params.weights, timeline);
-    QueryPlan::with_table(&lhs, params, timeline, table).validate(rhs, scratch)
+    validate(&lhs, cache.get(&cand.rhs), params, timeline)
 }
 
 #[cfg(test)]

@@ -22,12 +22,12 @@
 //! absent from its full history — and otherwise validates directly.
 
 use tind_bloom::BitVec;
-use tind_model::{AttrId, AttributeHistory, Interval, Timeline};
+use tind_model::{AttrId, AttributeHistory, Timeline, ValueId};
 
 use crate::index::TindIndex;
-use crate::params::TindParams;
+use crate::params::{TindParams, EPS_TOLERANCE};
 use crate::search::{SearchOutcome, SearchStats};
-use crate::validate::critical_starts;
+use crate::validate::{with_thread_scratch, IntervalTest, ValidationScratch};
 
 /// Parameters of a σ-partial wεδ-tIND.
 ///
@@ -70,10 +70,12 @@ impl PartialParams {
         PartialParams { base, sigma }
     }
 
-    /// Number of values of a `len`-sized set that must be found.
+    /// Number of values of a `len`-sized set that must be found: ⌈σ·len⌉,
+    /// where a product that is an integer up to rounding (0.56 · 25 comes
+    /// out as 14.000000000000002) is not rounded up past it.
     #[inline]
     pub fn required_hits(&self, len: usize) -> usize {
-        (self.sigma * len as f64).ceil() as usize
+        (self.sigma * len as f64 - EPS_TOLERANCE).ceil() as usize
     }
 }
 
@@ -95,9 +97,23 @@ pub fn partial_contained_at(
     hits >= params.required_hits(qv.len())
 }
 
-/// Exact violation weight of the σ-partial candidate, via the same
-/// interval partition as Algorithm 2 (σ-containment is constant on the
-/// same intervals, since both `Q`'s version and `A`'s window union are).
+/// The interval test of σ-partial containment: at least
+/// [`PartialParams::required_hits`] of `Q`'s values are in the window.
+struct SigmaHits<'p>(&'p PartialParams);
+
+impl IntervalTest for SigmaHits<'_> {
+    #[inline]
+    fn violated(&mut self, qv: &[ValueId], window: &ValidationScratch) -> bool {
+        let hits = qv.iter().filter(|&&v| window.in_union(v)).count();
+        hits < self.0.required_hits(qv.len())
+    }
+}
+
+/// Exact violation weight of the σ-partial candidate, via Algorithm 2's
+/// walk with the σ-partial test (σ-containment is constant on the same
+/// intervals as exact containment, since both `Q`'s version and `A`'s
+/// window union are). If `early_exit` is true, returns as soon as the
+/// verdict is decided (the returned value is then only a lower bound).
 pub fn partial_violation_weight(
     q: &AttributeHistory,
     a: &AttributeHistory,
@@ -105,26 +121,10 @@ pub fn partial_violation_weight(
     timeline: Timeline,
     early_exit: bool,
 ) -> f64 {
-    let n = timeline.len();
-    let starts = critical_starts(q, a, params.base.delta, timeline);
-    let mut violation = 0.0;
-    for (i, &s) in starts.iter().enumerate() {
-        let e = starts.get(i + 1).map_or(n - 1, |&next| next - 1);
-        if !partial_contained_at(q, a, s, params, timeline) {
-            violation += params.base.weights.interval_weight(Interval::new(s, e));
-            if early_exit && params.exceeds_budget(violation) {
-                return violation;
-            }
-        }
-    }
-    violation
-}
-
-impl PartialParams {
-    /// Budget check against the base ε.
-    fn exceeds_budget(&self, violation: f64) -> bool {
-        self.base.exceeds_budget(violation)
-    }
+    with_thread_scratch(|scratch| {
+        let plan = scratch.plan(q, &params.base, timeline);
+        plan.run(a, scratch, early_exit, &mut SigmaHits(params)).1
+    })
 }
 
 /// Whether the σ-partial wεδ-tIND `Q ⊆ A` holds.
@@ -163,12 +163,15 @@ pub fn partial_search(index: &TindIndex, query: AttrId, params: &PartialParams) 
     candidates.clear(query as usize);
 
     let mut results = Vec::new();
-    for c in candidates.iter_ones() {
-        stats.validations_run += 1;
-        if partial_validate(q, dataset.attribute(c as u32), params, timeline) {
-            results.push(c as u32);
+    with_thread_scratch(|scratch| {
+        let plan = scratch.plan(q, &params.base, timeline);
+        for c in candidates.iter_ones() {
+            stats.validations_run += 1;
+            if plan.run(dataset.attribute(c as u32), scratch, true, &mut SigmaHits(params)).0 {
+                results.push(c as u32);
+            }
         }
-    }
+    });
     stats.validated = results.len();
     SearchOutcome { results, stats }
 }
@@ -272,5 +275,25 @@ mod tests {
         assert_eq!(p.required_hits(0), 0);
         let exact = PartialParams::new(TindParams::strict(), 1.0);
         assert_eq!(exact.required_hits(7), 7);
+        // σ·len that is an integer but rounds up in floating point.
+        for (sigma, len, hits) in [(0.56, 25, 14), (0.55, 100, 55), (0.28, 25, 7), (0.14, 50, 7)] {
+            let p = PartialParams::new(TindParams::strict(), sigma);
+            assert_eq!(p.required_hits(len), hits, "σ = {sigma}, |Q[t]| = {len}");
+        }
+    }
+
+    #[test]
+    fn integral_sigma_share_is_contained() {
+        // 14 of 25 values in A, σ = 0.56: exactly the required share.
+        let names: Vec<String> = (0..25).map(|i| format!("v{i}")).collect();
+        let q: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut b = DatasetBuilder::new(Timeline::new(10));
+        b.add_attribute("q", &[(0, q.clone())], 9);
+        b.add_attribute("a", &[(0, q[..14].to_vec())], 9);
+        let d = b.build();
+        let tl = d.timeline();
+        let p = PartialParams::new(TindParams::strict(), 0.56);
+        assert!(partial_contained_at(d.attribute(0), d.attribute(1), 0, &p, tl));
+        assert!(partial_validate(d.attribute(0), d.attribute(1), &p, tl));
     }
 }

@@ -24,8 +24,7 @@ use crate::index::TindIndex;
 use crate::params::{TindParams, EPS_TOLERANCE};
 use crate::required::required_values;
 use crate::search::{SearchOutcome, SearchStats};
-use crate::validate;
-use crate::validate::{QueryPlan, ValidationScratch};
+use crate::validate::{naive_validate, with_thread_scratch, QueryPlan, ValidationScratch};
 
 /// Executes reverse tIND search for `q` against the index.
 pub(crate) fn run_reverse(
@@ -33,6 +32,17 @@ pub(crate) fn run_reverse(
     q: &AttributeHistory,
     exclude: Option<AttrId>,
     params: &TindParams,
+) -> SearchOutcome {
+    with_thread_scratch(|val_scratch| reverse_on(index, q, exclude, params, val_scratch))
+}
+
+/// [`run_reverse`] against a caller-owned scratch.
+fn reverse_on(
+    index: &TindIndex,
+    q: &AttributeHistory,
+    exclude: Option<AttrId>,
+    params: &TindParams,
+    val_scratch: &mut ValidationScratch,
 ) -> SearchOutcome {
     let _query_span = tind_obs::span("core.reverse.query");
     let dataset = index.dataset();
@@ -59,7 +69,6 @@ pub(crate) fn run_reverse(
     // One prefix-sum table serves both the stage-2 minimum-weight bounds
     // and every stage-4 plan — O(1) interval weights regardless of the
     // weight function.
-    let mut val_scratch = ValidationScratch::new();
     let table = val_scratch.weight_table(&params.weights, timeline);
 
     // Stage 1: required values of the candidates vs the query universe, in
@@ -171,7 +180,7 @@ pub(crate) fn run_reverse(
         stats.validations_run += 1;
         let a = dataset.attribute(c as u32);
         let plan = QueryPlan::with_table(a, params, timeline, table.clone());
-        if plan.validate(q, &mut val_scratch) {
+        if plan.validate(q, val_scratch) {
             results.push(c as u32);
         }
     }
@@ -185,7 +194,7 @@ pub(crate) fn run_reverse(
     SearchOutcome { results, stats }
 }
 
-/// Brute-force reference for reverse search.
+/// Brute-force reference for reverse search, over the per-timestamp oracle.
 pub fn brute_force_reverse(
     index: &TindIndex,
     q: &AttributeHistory,
@@ -197,7 +206,7 @@ pub fn brute_force_reverse(
     dataset
         .iter()
         .filter(|(id, _)| Some(*id) != exclude)
-        .filter(|(_, a)| validate::validate(a, q, params, timeline))
+        .filter(|(_, a)| naive_validate(a, q, params, timeline))
         .map(|(id, _)| id)
         .collect()
 }

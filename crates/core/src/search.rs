@@ -32,8 +32,7 @@ use crate::index::TindIndex;
 use crate::params::TindParams;
 use crate::required::required_values;
 use crate::sync::{into_inner, lock};
-use crate::validate;
-use crate::validate::{PlanSource, QueryPlan, ValidationScratch};
+use crate::validate::{naive_validate, with_thread_scratch, PlanSource, QueryPlan, ValidationScratch};
 
 /// Cached handles into the metrics registry — resolved once, then each
 /// query pays only relaxed atomic adds (see DESIGN.md §7 for the names).
@@ -216,7 +215,7 @@ pub(crate) fn run_search(
     run_search_with(index, q, exclude, params, &SearchOptions::default())
 }
 
-/// [`run_search`] with stage toggles (one-shot scratch).
+/// [`run_search`] with stage toggles, on this thread's scratch.
 pub(crate) fn run_search_with(
     index: &TindIndex,
     q: &AttributeHistory,
@@ -224,8 +223,7 @@ pub(crate) fn run_search_with(
     params: &TindParams,
     options: &SearchOptions,
 ) -> SearchOutcome {
-    let mut scratch = ValidationScratch::new();
-    run_search_scratch(index, q, exclude, params, options, &mut scratch, None)
+    with_thread_scratch(|scratch| run_search_scratch(index, q, exclude, params, options, scratch, None))
 }
 
 /// [`run_search_with`] against a caller-owned [`ValidationScratch`] — the
@@ -413,8 +411,7 @@ pub(crate) fn finish_search(
         match cached {
             Some(plan) => plan,
             None => {
-                let table = scratch.weight_table(&params.weights, timeline);
-                let plan = QueryPlan::with_table(q, params, timeline, table);
+                let plan = scratch.plan(q, params, timeline);
                 if let (Some(src), Some(qid)) = (plans, exclude) {
                     src.put(qid, params, timeline, plan.artifacts());
                 }
@@ -505,8 +502,7 @@ pub(crate) fn run_search_batch(
         // One scratch per worker thread: stage 4 of every query this
         // worker drains reuses the same dense window union and cached
         // weight table.
-        let mut scratch = ValidationScratch::new();
-        loop {
+        with_thread_scratch(|scratch| loop {
             if options.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
                 stopped.store(true, Ordering::Relaxed);
                 break;
@@ -527,13 +523,13 @@ pub(crate) fn run_search_batch(
                 &options.search,
                 &required,
                 candidates,
-                &mut scratch,
+                scratch,
                 options.plans.as_deref(),
                 query_trace.child_ctx(),
             );
             drop(query_trace);
             lock(&slots[i]).outcome = Some(outcome);
-        }
+        })
     };
     if threads <= 1 {
         drain();
@@ -552,8 +548,8 @@ pub(crate) fn run_search_batch(
     BatchOutcome { outcomes, cancelled, threads_used: threads }
 }
 
-/// Brute-force reference: validates `q` against every attribute. Used to
-/// verify the index never loses a result.
+/// Brute-force reference: validates `q` against every attribute with the
+/// per-timestamp oracle. Used to verify the index never loses a result.
 pub fn brute_force_search(
     index: &TindIndex,
     q: &AttributeHistory,
@@ -565,7 +561,7 @@ pub fn brute_force_search(
     dataset
         .iter()
         .filter(|(id, _)| Some(*id) != exclude)
-        .filter(|(_, a)| validate::validate(q, a, params, timeline))
+        .filter(|(_, a)| naive_validate(q, a, params, timeline))
         .map(|(id, _)| id)
         .collect()
 }

@@ -17,7 +17,7 @@ use tind_model::{AttrId, WeightFn};
 
 use crate::index::TindIndex;
 use crate::params::TindParams;
-use crate::validate::violation_weight;
+use crate::validate::{naive_violation_weight, with_thread_scratch};
 
 /// One ranked result: the right-hand side and its exact violation weight.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,20 +71,17 @@ pub fn top_k_search(
         let params = TindParams::weighted(eps, delta, weights.clone());
         let outcome = index.search(query, &params);
         if outcome.results.len() >= k || eps >= total_weight {
-            let mut ranked: Vec<RankedInd> = outcome
-                .results
-                .into_iter()
-                .map(|rhs| RankedInd {
-                    rhs,
-                    violation: violation_weight(
-                        dataset.attribute(query),
-                        dataset.attribute(rhs),
-                        &params,
-                        timeline,
-                        false,
-                    ),
-                })
-                .collect();
+            let mut ranked: Vec<RankedInd> = with_thread_scratch(|scratch| {
+                let plan = scratch.plan(dataset.attribute(query), &params, timeline);
+                outcome
+                    .results
+                    .into_iter()
+                    .map(|rhs| RankedInd {
+                        rhs,
+                        violation: plan.violation_weight(dataset.attribute(rhs), scratch),
+                    })
+                    .collect()
+            });
             ranked.sort_by(|a, b| {
                 a.violation
                     .partial_cmp(&b.violation)
@@ -98,7 +95,8 @@ pub fn top_k_search(
     }
 }
 
-/// Brute-force reference for [`top_k_search`].
+/// Brute-force reference for [`top_k_search`], over the per-timestamp
+/// oracle.
 pub fn brute_force_top_k(
     index: &TindIndex,
     query: AttrId,
@@ -114,7 +112,7 @@ pub fn brute_force_top_k(
         .filter(|(id, _)| *id != query)
         .map(|(rhs, a)| RankedInd {
             rhs,
-            violation: violation_weight(dataset.attribute(query), a, &params, timeline, false),
+            violation: naive_violation_weight(dataset.attribute(query), a, &params, timeline),
         })
         .collect();
     all.sort_by(|a, b| {

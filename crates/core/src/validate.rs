@@ -9,28 +9,30 @@
 //! paper). A sliding window over `A`'s versions makes the sequence of
 //! checks amortized linear in the number of versions.
 //!
-//! Three implementation tiers live here, from slow-and-obvious to fast:
+//! Two implementation tiers live here:
 //!
-//! 1. [`naive_violation_weight`] — per-timestamp reference, tests only;
-//! 2. [`violation_weight`] / [`validate`] — straightforward Algorithm 2
-//!    with a per-pair hash-map window union; the mid-tier reference the
-//!    differential suite pins the kernel against, and the convenient entry
-//!    point for one-off validations;
-//! 3. [`QueryPlan`] + [`ValidationScratch`] — the plan-based kernel the
-//!    hot paths (`search`, `search_batch`, `reverse`, `nary`, `allpairs`)
-//!    use. The plan is built once per query and reused across every
-//!    candidate; the scratch is reused across pairs *and* queries on the
-//!    same worker thread, so the per-pair cost is allocation-free: a
-//!    three-way merge of presorted critical-start streams, a dense
-//!    generation-stamped counting window, and O(1) prefix-sum weights
-//!    ([`WeightTable`]) with a two-sided early exit (prove-invalid when
-//!    the violation exceeds ε, prove-valid when violation plus the
-//!    remaining suffix weight cannot reach ε).
+//! 1. [`naive_violation_weight`] / [`naive_validate`] — the per-timestamp
+//!    oracle every test pins the kernel against; tests and brute-force
+//!    references only;
+//! 2. [`QueryPlan`] + [`ValidationScratch`] — the one implementation of
+//!    Algorithm 2. The plan is built once per query and reused across
+//!    every candidate; the scratch is reused across pairs *and* queries on
+//!    the same thread ([`with_thread_scratch`]), so the per-pair cost is
+//!    allocation-free: a three-way merge of presorted critical-start
+//!    streams, a dense generation-stamped counting window, and O(1)
+//!    prefix-sum weights ([`WeightTable`]) with a two-sided early exit
+//!    (prove-invalid when the violation exceeds ε, prove-valid when
+//!    violation plus the remaining suffix weight cannot reach ε).
+//!
+//! [`validate`] and [`violation_weight`] are the one-off entry points: a
+//! plan over the thread's scratch. Explanations (`crate::explain`) and
+//! σ-partial validation (`crate::partial`) walk the same plan with their
+//! own per-interval test ([`IntervalTest`]).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use tind_model::hash::FastMap;
 use tind_model::{
     AttrId, AttributeHistory, Interval, Timeline, Timestamp, ValueId, WeightFn, WeightTable,
 };
@@ -107,124 +109,19 @@ pub fn naive_validate(
     params.within_budget(naive_violation_weight(q, a, params, timeline))
 }
 
-/// Sliding union of `A`'s versions over a monotonically advancing window.
-///
-/// Tracks, for every value, in how many window-overlapping versions it
-/// occurs; a value is in the union while its count is positive.
-struct WindowUnion<'a> {
-    a: &'a AttributeHistory,
-    counts: FastMap<ValueId, u32>,
-    /// Version index range currently overlapping the window.
-    lo: usize,
-    hi: usize,
-}
-
-impl<'a> WindowUnion<'a> {
-    fn new(a: &'a AttributeHistory) -> Self {
-        WindowUnion { a, counts: FastMap::default(), lo: 0, hi: 0 }
-    }
-
-    /// Advances the window to `[ws, we]`. Both bounds must be monotonically
-    /// non-decreasing across calls.
-    fn advance(&mut self, ws: Timestamp, we: Timestamp) {
-        let versions = self.a.versions();
-        // Admit versions that start within the new window end.
-        while self.hi < versions.len() && versions[self.hi].start <= we {
-            for &v in &versions[self.hi].values {
-                *self.counts.entry(v).or_insert(0) += 1;
-            }
-            self.hi += 1;
-        }
-        // Retire versions whose validity ended before the new window start.
-        while self.lo < self.hi && self.a.version_validity(self.lo).end < ws {
-            for &v in &versions[self.lo].values {
-                match self.counts.get_mut(&v) {
-                    Some(c) if *c > 1 => *c -= 1,
-                    Some(_) => {
-                        self.counts.remove(&v);
-                    }
-                    None => window_underflow(v),
-                }
-            }
-            self.lo += 1;
-        }
-    }
-
-    /// Whether every value of `set` is in the current union. An `A` that is
-    /// entirely unobservable in the window yields an empty union.
-    fn contains_all(&self, set: &[ValueId]) -> bool {
-        if set.len() > self.counts.len() {
-            return false;
-        }
-        set.iter().all(|v| self.counts.contains_key(v))
-    }
-}
-
-/// The interval partition of Algorithm 2: boundaries where δ-containment may
-/// change. Returns sorted, deduplicated interval start points (always
-/// beginning with 0); interval `i` spans `[starts[i], starts[i+1] - 1]`,
-/// the final one ending at `n - 1`.
-pub fn critical_starts(
-    q: &AttributeHistory,
-    a: &AttributeHistory,
-    delta: u32,
-    timeline: Timeline,
-) -> Vec<Timestamp> {
-    let n = timeline.len();
-    let mut starts: Vec<Timestamp> = Vec::with_capacity(q.versions().len() + 2 * a.versions().len() + 3);
-    starts.push(0);
-    // Q's version structure changes at its change points (incl. its
-    // disappearance at last_observed + 1).
-    starts.extend(q.change_points(n));
-    // A's window union changes when a change point enters (t = c - δ) or a
-    // previous run fully leaves (t = c + δ) the window.
-    for c in a.change_points(n) {
-        starts.push(c.saturating_sub(delta));
-        let enter = c.saturating_add(delta);
-        if enter < n {
-            starts.push(enter);
-        }
-    }
-    starts.retain(|&t| t < n);
-    starts.sort_unstable();
-    starts.dedup();
-    starts
-}
-
-/// Computes the exact violation weight of the candidate `Q ⊆_{w,ε,δ} A`
-/// via Algorithm 2. If `early_exit` is true, returns as soon as the budget
-/// is provably exceeded (the returned value is then only a lower bound).
+/// The exact violation weight of the candidate `Q ⊆_{w,ε,δ} A` via
+/// Algorithm 2: a one-off plan over this thread's scratch.
 pub fn violation_weight(
     q: &AttributeHistory,
     a: &AttributeHistory,
     params: &TindParams,
     timeline: Timeline,
-    early_exit: bool,
 ) -> f64 {
-    let n = timeline.len();
-    let starts = critical_starts(q, a, params.delta, timeline);
-    let mut window = WindowUnion::new(a);
-    let mut violation = 0.0;
-    for (i, &s) in starts.iter().enumerate() {
-        let e = starts.get(i + 1).map_or(n - 1, |&next| next - 1);
-        let qv = q.values_at(s);
-        if qv.is_empty() {
-            continue; // unobservable or genuinely empty Q never violates
-        }
-        let ws = s.saturating_sub(params.delta);
-        let we = s.saturating_add(params.delta).min(n - 1);
-        window.advance(ws, we);
-        if !window.contains_all(qv) {
-            violation += params.weights.interval_weight(Interval::new(s, e));
-            if early_exit && params.exceeds_budget(violation) {
-                return violation;
-            }
-        }
-    }
-    violation
+    with_thread_scratch(|scratch| scratch.plan(q, params, timeline).violation_weight(a, scratch))
 }
 
-/// Whether `Q ⊆_{w,ε,δ} A` holds (Definition 3.6), via Algorithm 2.
+/// Whether `Q ⊆_{w,ε,δ} A` holds (Definition 3.6), via Algorithm 2 with
+/// both early exits: a one-off plan over this thread's scratch.
 ///
 /// # Examples
 ///
@@ -251,7 +148,26 @@ pub fn validate(
     params: &TindParams,
     timeline: Timeline,
 ) -> bool {
-    params.within_budget(violation_weight(q, a, params, timeline, true))
+    with_thread_scratch(|scratch| scratch.plan(q, params, timeline).validate(a, scratch))
+}
+
+thread_local! {
+    static THREAD_SCRATCH: Cell<ValidationScratch> = Cell::new(ValidationScratch::new());
+}
+
+/// Runs `f` on this thread's [`ValidationScratch`], so every validation a
+/// thread runs — a one-off pair or a whole query's stage 4 — reuses one
+/// dense window union and one memoised weight table. The scratch is taken
+/// out for the call and put back afterwards: a panic inside `f` drops it,
+/// and a nested call gets a fresh default scratch. A thread's scratch holds
+/// 8 bytes × the largest value id it has seen until the thread exits.
+pub fn with_thread_scratch<R>(f: impl FnOnce(&mut ValidationScratch) -> R) -> R {
+    THREAD_SCRATCH.with(|cell| {
+        let mut scratch = cell.take();
+        let out = f(&mut scratch);
+        cell.set(scratch);
+        out
+    })
 }
 
 /// Deterministic counters accumulated by a [`ValidationScratch`] across
@@ -336,6 +252,18 @@ impl ValidationScratch {
         }
     }
 
+    /// A plan for `q` around this scratch's memoised weight table — the
+    /// plan every one-off validation builds.
+    pub fn plan<'q>(
+        &mut self,
+        q: &'q AttributeHistory,
+        params: &TindParams,
+        timeline: Timeline,
+    ) -> QueryPlan<'q> {
+        let table = self.weight_table(&params.weights, timeline);
+        QueryPlan::with_table(q, params, timeline, table)
+    }
+
     /// Grows the dense arrays to cover ids `< cap`.
     fn ensure_capacity(&mut self, cap: usize) {
         if self.counts.len() < cap {
@@ -384,8 +312,9 @@ impl ValidationScratch {
         }
     }
 
+    /// Whether `v` is in the current window union.
     #[inline]
-    fn in_union(&self, v: ValueId) -> bool {
+    pub(crate) fn in_union(&self, v: ValueId) -> bool {
         let i = v as usize;
         self.stamp[i] == self.generation && self.counts[i] > 0
     }
@@ -394,6 +323,30 @@ impl ValidationScratch {
     #[inline]
     fn contains_all(&self, set: &[ValueId]) -> bool {
         set.len() <= self.union_len && set.iter().all(|&v| self.in_union(v))
+    }
+}
+
+/// The per-interval test of Algorithm 2's walk ([`QueryPlan::run`]):
+/// whether `Q`'s values on one interval of the partition count as violated
+/// against the window union `A[[s − δ, s + δ]]` the scratch holds. The walk
+/// is generic over it, so each test compiles into its own copy of the loop.
+pub(crate) trait IntervalTest {
+    /// Whether the interval on which `Q` holds the non-empty canonical set
+    /// `qv` is violated.
+    fn violated(&mut self, qv: &[ValueId], window: &ValidationScratch) -> bool;
+
+    /// Sees each violated interval with its weight, in timeline order.
+    #[inline]
+    fn record(&mut self, _interval: Interval, _weight: f64) {}
+}
+
+/// Exact δ-containment (Definition 3.4): all of `Q[t]` is in the window.
+struct Containment;
+
+impl IntervalTest for Containment {
+    #[inline]
+    fn violated(&mut self, qv: &[ValueId], window: &ValidationScratch) -> bool {
+        !window.contains_all(qv)
     }
 }
 
@@ -583,25 +536,25 @@ impl<'q> QueryPlan<'q> {
     }
 
     /// Whether `Q ⊆_{w,ε,δ} A` holds, with the two-sided early exit.
-    /// Verdicts are identical to [`validate`]; only the work differs.
     pub fn validate(&self, a: &AttributeHistory, scratch: &mut ValidationScratch) -> bool {
-        self.run(a, scratch, true).0
+        self.run(a, scratch, true, &mut Containment).0
     }
 
-    /// The exact violation weight of `Q ⊆_{w,ε,δ} A` (no early exits),
-    /// matching [`violation_weight`] with `early_exit = false`.
+    /// The exact violation weight of `Q ⊆_{w,ε,δ} A` (no early exits).
     pub fn violation_weight(&self, a: &AttributeHistory, scratch: &mut ValidationScratch) -> f64 {
-        self.run(a, scratch, false).1
+        self.run(a, scratch, false, &mut Containment).1
     }
 
-    /// Algorithm 2 over the merged critical-start streams. Returns the
-    /// verdict and the accumulated violation weight (exact only when
-    /// `early_exit` is false or no exit fired).
-    fn run(
+    /// Algorithm 2 over the merged critical-start streams, deciding each
+    /// interval with `test`. Returns the verdict and the accumulated
+    /// violation weight (exact only when `early_exit` is false or no exit
+    /// fired).
+    pub(crate) fn run<T: IntervalTest>(
         &self,
         a: &AttributeHistory,
         scratch: &mut ValidationScratch,
         early_exit: bool,
+        test: &mut T,
     ) -> (bool, f64) {
         let n = self.timeline.len();
         let delta = self.params.delta;
@@ -611,7 +564,9 @@ impl<'q> QueryPlan<'q> {
 
         // A's change stream: version starts plus its disappearance point,
         // strictly ascending. Consumed at two offsets (−δ and +δ) by the
-        // merge below, mirroring `critical_starts` without materializing.
+        // merge below: the window union changes when a change point c
+        // enters the window (s = c − δ) or a run fully leaves it
+        // (s = c + δ).
         let versions = a.versions();
         let a_changes = versions.len() + usize::from(a.last_observed() + 1 < n);
         let a_change =
@@ -671,9 +626,11 @@ impl<'q> QueryPlan<'q> {
                     }
                     lo += 1;
                 }
-                if !scratch.contains_all(qv) {
-                    let e = next.map_or(n - 1, |ns| ns - 1);
-                    violation += self.table.interval_weight(Interval::new(s, e));
+                if test.violated(qv, scratch) {
+                    let interval = Interval::new(s, next.map_or(n - 1, |ns| ns - 1));
+                    let weight = self.table.interval_weight(interval);
+                    test.record(interval, weight);
+                    violation += weight;
                     if early_exit && self.params.exceeds_budget(violation) {
                         scratch.counters.proved_invalid_early += 1;
                         return (false, violation);
@@ -709,7 +666,7 @@ fn max_value_capacity(a: &AttributeHistory) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tind_model::{DatasetBuilder, WeightFn};
 
@@ -880,7 +837,7 @@ mod tests {
         for delta in [0u32, 1, 2, 5, 10, 40] {
             for eps in [0.0, 1.0, 3.0, 10.0] {
                 let p = TindParams::weighted(eps, delta, WeightFn::constant_one());
-                let fast = violation_weight(q, a, &p, tl, false);
+                let fast = violation_weight(q, a, &p, tl);
                 let naive = naive_violation_weight(q, a, &p, tl);
                 assert!(
                     (fast - naive).abs() < 1e-9,
@@ -889,40 +846,6 @@ mod tests {
                 assert_eq!(validate(q, a, &p, tl), naive_validate(q, a, &p, tl));
             }
         }
-    }
-
-    #[test]
-    fn critical_starts_are_sorted_unique_and_cover_zero() {
-        let (d, tl) = build(
-            30,
-            &[("q", &[(3, &["a"]), (9, &["b"])], 20), ("a", &[(5, &["a"])], 25)],
-        );
-        let starts = critical_starts(d.attribute(0), d.attribute(1), 2, tl);
-        assert_eq!(starts[0], 0);
-        assert!(starts.windows(2).all(|w| w[0] < w[1]));
-        assert!(starts.iter().all(|&t| t < 30));
-        // Q's change points 3, 9, 21 present.
-        for t in [3, 9, 21] {
-            assert!(starts.contains(&t), "missing Q change point {t}");
-        }
-        // A's change points 5, 26 shifted by ±2.
-        for t in [3, 7, 24, 28] {
-            assert!(starts.contains(&t), "missing shifted A change point {t}");
-        }
-    }
-
-    #[test]
-    fn early_exit_returns_lower_bound() {
-        let (d, tl) = build(
-            100,
-            &[("q", &[(0, &["v"])], 99), ("a", &[(0, &["other"])], 99)],
-        );
-        let p = TindParams::strict();
-        let bounded = violation_weight(d.attribute(0), d.attribute(1), &p, tl, true);
-        let exact = violation_weight(d.attribute(0), d.attribute(1), &p, tl, false);
-        assert!(p.exceeds_budget(bounded));
-        assert!((exact - 100.0).abs() < 1e-9);
-        assert!(bounded <= exact);
     }
 
     #[test]
@@ -945,7 +868,7 @@ mod tests {
     /// Figure-2-style histories exercising every structural edge the kernel
     /// merges over: late first observation, disappearance before the
     /// timeline end, value loss, and an unobservable query stretch.
-    fn kernel_fixture() -> (tind_model::Dataset, Timeline) {
+    pub(crate) fn kernel_fixture() -> (tind_model::Dataset, Timeline) {
         build(
             30,
             &[
@@ -960,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_legacy_and_naive_on_param_grid() {
+    fn plan_matches_naive_on_param_grid() {
         let (d, tl) = kernel_fixture();
         let mut scratch = ValidationScratch::new();
         for q in 0..2u32 {
@@ -969,21 +892,17 @@ mod tests {
                 let a = d.attribute(a);
                 for delta in [0u32, 1, 2, 5, 10, 40] {
                     for eps in [0.0, 1.0, 3.0, 10.0, 100.0] {
-                        for w in [
-                            WeightFn::constant_one(),
-                            WeightFn::uniform_normalized(tl),
-                            WeightFn::exponential(0.9, tl),
-                            WeightFn::linear(tl),
-                        ] {
+                        for w in weight_families(tl) {
                             let p = TindParams::weighted(eps, delta, w);
                             let plan = QueryPlan::new(q, &p, tl);
                             let exact = plan.violation_weight(a, &mut scratch);
-                            let legacy = violation_weight(q, a, &p, tl, false);
                             let naive = naive_violation_weight(q, a, &p, tl);
                             let ctx = format!("{}⊆{} δ={delta} ε={eps} {:?}", q.name(), a.name(), p.weights);
-                            assert!((exact - legacy).abs() < 1e-9, "{ctx}: plan {exact} vs legacy {legacy}");
                             assert!((exact - naive).abs() < 1e-9, "{ctx}: plan {exact} vs naive {naive}");
-                            assert_eq!(plan.validate(a, &mut scratch), validate(q, a, &p, tl), "{ctx}");
+                            let verdict = plan.validate(a, &mut scratch);
+                            assert_eq!(verdict, naive_validate(q, a, &p, tl), "{ctx}");
+                            assert_eq!(verdict, validate(q, a, &p, tl), "{ctx}: one-off entry point");
+                            assert_eq!(exact.to_bits(), violation_weight(q, a, &p, tl).to_bits(), "{ctx}");
                         }
                     }
                 }
@@ -991,11 +910,21 @@ mod tests {
         }
     }
 
+    /// The four weight families every grid sweeps.
+    pub(crate) fn weight_families(tl: Timeline) -> [WeightFn; 4] {
+        [
+            WeightFn::constant_one(),
+            WeightFn::uniform_normalized(tl),
+            WeightFn::exponential(0.9, tl),
+            WeightFn::linear(tl),
+        ]
+    }
+
     #[test]
     fn plan_partition_is_bit_identical_under_constant_weights() {
-        // Under w(t) = 1 both paths sum exact small integers, so any
-        // difference in the interval partition shows up as an exact
-        // mismatch — this pins the merged streams to `critical_starts`.
+        // Under w(t) = 1 both sides sum exact small integers, so any
+        // difference between the merged-stream partition and the
+        // per-timestamp oracle shows up as an exact mismatch.
         let (d, tl) = kernel_fixture();
         let mut scratch = ValidationScratch::new();
         for q in 0..2u32 {
@@ -1007,7 +936,7 @@ mod tests {
                     let plan = QueryPlan::new(q, &p, tl);
                     assert_eq!(
                         plan.violation_weight(a, &mut scratch),
-                        violation_weight(q, a, &p, tl, false),
+                        naive_violation_weight(q, a, &p, tl),
                         "{}⊆{} δ={delta}",
                         q.name(),
                         a.name()
@@ -1015,6 +944,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn thread_scratch_is_reused_and_reset_by_panics_and_nesting() {
+        // A fresh thread, so no other test's validations are counted.
+        std::thread::spawn(|| {
+            let (d, tl) = kernel_fixture();
+            let p = TindParams::paper_default();
+            assert!(validate(d.attribute(0), d.attribute(0), &p, tl));
+            violation_weight(d.attribute(0), d.attribute(2), &p, tl);
+            let count = || with_thread_scratch(|s| s.counters().validations);
+            assert_eq!(count(), 2, "one scratch serves every call on the thread");
+            with_thread_scratch(|outer| {
+                assert_eq!(outer.counters().validations, 2);
+                assert_eq!(count(), 0, "a nested call gets a fresh scratch");
+            });
+            assert_eq!(count(), 2, "the outer call puts its scratch back");
+            let unwound = std::panic::catch_unwind(|| with_thread_scratch(|_| panic!("mid-walk")));
+            assert!(unwound.is_err());
+            assert_eq!(count(), 0, "a panic drops the scratch");
+        })
+        .join()
+        .expect("thread scratch checks pass");
     }
 
     #[test]

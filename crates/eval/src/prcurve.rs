@@ -183,13 +183,7 @@ pub fn evaluate_families(
                 .pairs
                 .iter()
                 .map(|&(l, r)| {
-                    violation_weight(
-                        dataset.attribute(l),
-                        dataset.attribute(r),
-                        &params,
-                        timeline,
-                        false,
-                    )
+                    violation_weight(dataset.attribute(l), dataset.attribute(r), &params, timeline)
                 })
                 .collect()
         })

@@ -782,13 +782,12 @@ impl ResultCache {
                 touched.iter().any(|&b| {
                     let was = outcome.results.binary_search(&b).is_ok();
                     let (lhs, rhs) = if rev { (b, query) } else { (query, b) };
-                    let now = tind_core::explain::explain(
+                    let now = tind_core::validate::validate(
                         dataset.attribute(lhs),
                         dataset.attribute(rhs),
                         &params,
                         timeline,
-                    )
-                    .valid;
+                    );
                     was != now
                 })
             };

@@ -39,7 +39,7 @@ fn algorithm2_equals_naive() {
             None => WeightFn::constant_one(),
         };
         let params = TindParams::weighted(eps, delta, weights);
-        let fast = violation_weight(d.attribute(0), d.attribute(1), &params, tl, false);
+        let fast = violation_weight(d.attribute(0), d.attribute(1), &params, tl);
         let naive = naive_violation_weight(d.attribute(0), d.attribute(1), &params, tl);
         assert!((fast - naive).abs() < 1e-9, "fast {fast} vs naive {naive}");
         assert_eq!(
@@ -73,7 +73,7 @@ fn delta_monotonicity() {
         let mut prev = f64::INFINITY;
         for delta in [0u32, 1, 2, 4, 8, 16] {
             let params = TindParams::weighted(0.0, delta, WeightFn::constant_one());
-            let w = violation_weight(d.attribute(0), d.attribute(1), &params, tl, false);
+            let w = violation_weight(d.attribute(0), d.attribute(1), &params, tl);
             assert!(w <= prev + 1e-9, "violation grew from {prev} to {w} at δ={delta}");
             prev = w;
         }
@@ -217,6 +217,33 @@ fn partial_sigma_monotone() {
             assert!(!prev_valid || valid, "σ={sigma} invalidated a previously valid pair");
             prev_valid = valid;
         }
+    });
+}
+
+/// The σ-partial walk's violation weight equals the per-timestamp sum over
+/// `partial_contained_at`, under constant and decaying weights.
+#[test]
+fn partial_weight_equals_per_timestamp_sum() {
+    use tind::core::partial::{partial_contained_at, partial_violation_weight, PartialParams};
+    cases("partial_weight_equals_per_timestamp_sum", CASES, |rng| {
+        let (q, a) = (history(rng), history(rng));
+        let delta = rng.range(0..20u32);
+        let sigma = [1.0, 0.9, 0.75, 0.56, 0.5, 0.25, 0.1][rng.range(0..7usize)];
+        let decay = rng.bool().then(|| 0.5 + 0.49 * rng.f64());
+        let d = dataset_of(vec![q, a]);
+        let tl = d.timeline();
+        let weights = match decay {
+            Some(a) => WeightFn::exponential(a, tl),
+            None => WeightFn::constant_one(),
+        };
+        let p = PartialParams::new(TindParams::weighted(0.0, delta, weights), sigma);
+        let walked = partial_violation_weight(d.attribute(0), d.attribute(1), &p, tl, false);
+        let naive: f64 = tl
+            .iter()
+            .filter(|&t| !partial_contained_at(d.attribute(0), d.attribute(1), t, &p, tl))
+            .map(|t| p.base.weights.weight(t))
+            .sum();
+        assert!((walked - naive).abs() < 1e-9, "σ={sigma} δ={delta}: walk {walked} vs naive {naive}");
     });
 }
 

@@ -1,7 +1,8 @@
 //! Differential suite for the plan-based validation kernel: on random and
-//! generated histories, `QueryPlan` + `ValidationScratch` must produce the
-//! same verdicts as both reference tiers (`violation_weight` and
-//! `naive_violation_weight`) across {δ, ε, weight-fn} grids — including
+//! generated histories, `QueryPlan` + `ValidationScratch` — and the one-off
+//! `validate` / `violation_weight` entry points built on them — must
+//! produce the same weights and verdicts as the per-timestamp oracle
+//! (`naive_violation_weight`) across {δ, ε, weight-fn} grids, including
 //! when the two-sided early exit fires.
 //!
 //! The two property loops at the bottom additionally fuzz raw version
@@ -21,9 +22,10 @@ use tind::datagen::{generate, GeneratorConfig};
 use tind::model::rng::cases;
 use tind::model::{Timeline, WeightFn};
 
-/// Asserts the kernel agrees with both reference tiers on one pair under
-/// one parameter setting: exact violation weight (no early exit) and
-/// verdict (early exits enabled).
+/// Asserts the kernel agrees with the oracle on one pair under one
+/// parameter setting: exact violation weight (no early exit) and verdict
+/// (early exits enabled), through an explicit plan and the one-off entry
+/// points alike.
 fn assert_kernel_matches(
     q: &tind::model::AttributeHistory,
     a: &tind::model::AttributeHistory,
@@ -33,11 +35,11 @@ fn assert_kernel_matches(
 ) {
     let plan = QueryPlan::new(q, params, tl);
     let exact = plan.violation_weight(a, scratch);
-    let legacy = violation_weight(q, a, params, tl, false);
     let naive = naive_violation_weight(q, a, params, tl);
-    assert!(
-        (exact - legacy).abs() < 1e-9,
-        "{}⊆{} {params:?}: plan {exact} vs legacy {legacy}",
+    assert_eq!(
+        exact.to_bits(),
+        violation_weight(q, a, params, tl).to_bits(),
+        "{}⊆{} {params:?}: one-off entry point",
         q.name(),
         a.name()
     );
