@@ -4,8 +4,8 @@
 //! The all-pairs problem is solved by querying every attribute against the
 //! index. As the paper notes at the end of §4.2.2, the profitable axis of
 //! parallelism is *across queries* (not within one query's validation):
-//! workers pull query ids from a shared atomic cursor and collect result
-//! pairs locally, merging at the end.
+//! each query is one unit of the crate's parallel driver (`core::par`),
+//! and its pairs are merged into the run state as it completes.
 //!
 //! Because a paper-scale run takes hours, the discovery loop is built to
 //! survive the failures such runs actually meet:
@@ -21,59 +21,28 @@
 //! * **Cooperative cancellation and deadlines** — a [`CancelToken`] and an
 //!   optional wall-clock budget are polled at query boundaries, so a
 //!   cancelled run stops in a checkpointable state.
-//! * **Memory-budget degradation** — extra workers charge their scratch
-//!   estimate against an optional [`MemoryBudget`]; when the budget is
-//!   exhausted the run degrades toward sequential execution instead of
-//!   aborting.
+//! * **Memory-budget degradation** — extra workers charge their
+//!   validation-scratch estimate against an optional [`MemoryBudget`];
+//!   when the budget is exhausted the run degrades toward sequential
+//!   execution instead of aborting.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tind_model::binio::BinIoError;
-use tind_model::{AttrId, Charge, MemoryBudget};
+use tind_model::{AttrId, MemoryBudget};
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::checkpoint::Checkpoint;
 use crate::fault::FaultHook;
 use crate::index::TindIndex;
+use crate::par::Drain;
 use crate::params::TindParams;
 use crate::search::SearchOptions;
 use crate::sync::{into_inner, lock};
-use crate::validate::with_thread_scratch;
-
-/// Estimated per-candidate scratch bytes a worker needs while validating
-/// one query (violation accumulators, candidate bitsets, result staging).
-/// Deliberately conservative; used only for [`MemoryBudget`] accounting.
-pub const WORKER_SCRATCH_BYTES_PER_ATTR: usize = 48;
-
-/// Grants up to `requested` workers against an optional memory budget.
-/// The first worker always runs (sequential execution is the floor); each
-/// additional worker must afford `scratch_bytes`. The returned charges
-/// release their bytes when dropped, i.e. at the end of the parallel
-/// section. Shared by all-pairs discovery, parallel index construction,
-/// and batched search so thread-shedding semantics stay uniform.
-pub(crate) fn grant_workers(
-    requested: usize,
-    scratch_bytes: usize,
-    budget: Option<&MemoryBudget>,
-) -> (usize, Vec<Charge>) {
-    match budget {
-        Some(budget) => {
-            let mut charges = Vec::new();
-            for _ in 1..requested {
-                match budget.try_charge(scratch_bytes) {
-                    Some(charge) => charges.push(charge),
-                    None => break,
-                }
-            }
-            (1 + charges.len(), charges)
-        }
-        None => (requested, Vec::new()),
-    }
-}
+use crate::validate::ValidationScratch;
 
 /// When and where to persist progress checkpoints.
 #[derive(Debug, Clone)]
@@ -310,22 +279,6 @@ pub fn discover_all_pairs(
         done[q as usize] = true;
     }
 
-    let requested = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        options.threads
-    }
-    .clamp(1, num_attrs.max(1));
-
-    // Memory-budget degradation: the first worker always runs (sequential
-    // execution is the floor), each additional worker must afford its
-    // scratch estimate.
-    let scratch = num_attrs.saturating_mul(WORKER_SCRATCH_BYTES_PER_ATTR);
-    let (threads, _charges) =
-        grant_workers(requested, scratch, options.memory_budget.as_ref());
-    tind_obs::gauge("allpairs.workers_requested").set(requested as f64);
-    tind_obs::gauge("allpairs.workers_granted").set(threads as f64);
-
     // One token is the single source of truth for "why we stopped": the
     // caller's cancel flag (if any) with the wall-clock deadline folded
     // in. Deadline expiry and explicit cancellation latch the same
@@ -338,8 +291,6 @@ pub fn discover_all_pairs(
             None => base,
         }
     };
-    let cursor = AtomicUsize::new(0);
-    let stopped_early = AtomicBool::new(false);
     let shared = Mutex::new(Shared {
         state: base,
         since_checkpoint: 0,
@@ -356,87 +307,72 @@ pub fn discover_all_pairs(
     let pairs_found = tind_obs::counter("allpairs.pairs");
     let poisoned = tind_obs::counter("allpairs.poisoned");
     let queries_completed = tind_obs::counter("allpairs.queries_completed");
-    let run_worker = || {
-        // One validation scratch per worker for the whole drain:
-        // the dense window union and cached weight table are
-        // reused across every query this worker claims.
-        let search_options = SearchOptions::default();
-        with_thread_scratch(|scratch| loop {
-            if effective_cancel.is_cancelled() {
-                stopped_early.store(true, Ordering::Relaxed);
-                break;
+    // One unit is one query; the worker's scratch (dense window union and
+    // cached weight table) is reused across every query it claims.
+    let run_query = |_: &mut (), scratch: &mut ValidationScratch, q: usize| {
+        if done[q] {
+            return;
+        }
+        // Quarantine: a panicking query must not take down the drain —
+        // record it and keep draining. A scratch abandoned mid-pair is
+        // safe to reuse: the next pair's generation bump hides any stale
+        // counts.
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hook) = &options.fault_hook {
+                hook(q as AttrId);
             }
-            let q = cursor.fetch_add(1, Ordering::Relaxed);
-            if q >= num_attrs {
-                break;
-            }
-            if done[q] {
-                continue;
-            }
-            // Quarantine: a panicking query must not take down the
-            // scope — record it and keep draining the cursor. A
-            // scratch abandoned mid-pair is safe to reuse: the next
-            // pair's generation bump hides any stale counts.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(hook) = &options.fault_hook {
-                    hook(q as AttrId);
-                }
-                crate::search::run_search_scratch(
-                    index,
-                    index.dataset().attribute(q as AttrId),
-                    Some(q as AttrId),
-                    params,
-                    &search_options,
-                    scratch,
-                    options.trace,
-                )
-            }));
+            crate::search::run_search_scratch(
+                index,
+                index.dataset().attribute(q as AttrId),
+                Some(q as AttrId),
+                params,
+                &SearchOptions::default(),
+                scratch,
+                options.trace,
+            )
+        }));
 
-            let mut s = lock(&shared);
-            match result {
-                Ok(outcome) => {
-                    s.state.validations_run += outcome.stats.validations_run;
-                    s.early_valid_exits += outcome.stats.early_valid_exits;
-                    s.early_invalid_exits += outcome.stats.early_invalid_exits;
-                    s.validate_nanos += outcome.stats.validate_nanos;
-                    pairs_found.add(outcome.results.len() as u64);
-                    s.state
-                        .pairs
-                        .extend(outcome.results.into_iter().map(|rhs| (q as AttrId, rhs)));
-                }
-                Err(_) => {
-                    poisoned.incr();
-                    s.state.poisoned.push(q as AttrId);
-                }
+        let mut s = lock(&shared);
+        match result {
+            Ok(outcome) => {
+                s.state.validations_run += outcome.stats.validations_run;
+                s.early_valid_exits += outcome.stats.early_valid_exits;
+                s.early_invalid_exits += outcome.stats.early_invalid_exits;
+                s.validate_nanos += outcome.stats.validate_nanos;
+                pairs_found.add(outcome.results.len() as u64);
+                s.state.pairs.extend(outcome.results.into_iter().map(|rhs| (q as AttrId, rhs)));
             }
-            queries_completed.incr();
-            s.state.completed.push(q as AttrId);
-            s.fresh_completed += 1;
-            s.since_checkpoint += 1;
-            s.since_progress += 1;
-            if let Some(policy) = &options.checkpoint {
-                if s.since_checkpoint >= policy.every && s.checkpoint_error.is_none() {
-                    s.write_checkpoint(policy);
-                }
+            Err(_) => {
+                poisoned.incr();
+                s.state.poisoned.push(q as AttrId);
             }
-            if options.progress_every > 0 && s.since_progress >= options.progress_every {
-                s.since_progress = 0;
-                eprintln!("{}", s.progress_line(start));
+        }
+        queries_completed.incr();
+        s.state.completed.push(q as AttrId);
+        s.fresh_completed += 1;
+        s.since_checkpoint += 1;
+        s.since_progress += 1;
+        if let Some(policy) = &options.checkpoint {
+            if s.since_checkpoint >= policy.every && s.checkpoint_error.is_none() {
+                s.write_checkpoint(policy);
             }
-        })
+        }
+        if options.progress_every > 0 && s.since_progress >= options.progress_every {
+            s.since_progress = 0;
+            eprintln!("{}", s.progress_line(start));
+        }
     };
-    // Handles are joined by hand so a worker that panics outside the
-    // quarantine becomes a typed error instead of the scope re-panicking.
-    let worker_panicked = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(run_worker)).collect();
-        // Join every worker before judging: one left unjoined would
-        // re-panic the scope.
-        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
-        joined.iter().any(Result::is_err)
-    });
-    if worker_panicked {
-        return Err(AllPairsError::Internal("all-pairs worker panicked outside quarantine"));
+    let drained = Drain {
+        units: num_attrs,
+        threads: options.threads,
+        budget: options.memory_budget.as_ref(),
+        worker_bytes: ValidationScratch::worker_bytes(index.dataset()),
+        cancel: Some(&effective_cancel),
     }
+    .run(|| (), run_query)
+    .map_err(|_| AllPairsError::Internal("all-pairs worker panicked outside quarantine"))?;
+    tind_obs::gauge("allpairs.workers_requested").set(drained.requested as f64);
+    tind_obs::gauge("allpairs.workers_granted").set(drained.threads as f64);
 
     let mut s = into_inner(shared);
     if let Some(e) = s.checkpoint_error.take() {
@@ -452,7 +388,8 @@ pub fn discover_all_pairs(
         }
     }
     let completed_queries = s.state.completed.len();
-    let cancelled = stopped_early.into_inner() && completed_queries < num_attrs;
+    // Only a cancel leaves queries unclaimed.
+    let cancelled = completed_queries < num_attrs;
     let stop_reason = if cancelled { effective_cancel.reason() } else { None };
     if let Some(budget) = options.memory_budget.as_ref() {
         tind_obs::gauge("memory.peak_bytes").set_max(budget.peak_bytes() as f64);
@@ -468,7 +405,7 @@ pub fn discover_all_pairs(
         poisoned_queries: s.state.poisoned,
         cancelled,
         stop_reason,
-        threads_used: threads,
+        threads_used: drained.threads,
         checkpoint_written: s.checkpoint_written,
         early_valid_exits: s.early_valid_exits,
         early_invalid_exits: s.early_invalid_exits,
@@ -481,6 +418,7 @@ mod tests {
     use super::*;
     use crate::index::{IndexConfig, TindIndex};
     use crate::search::brute_force_search;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use tind_model::{Dataset, DatasetBuilder, Timeline};
 
@@ -614,8 +552,7 @@ mod tests {
         assert_eq!(out.threads_used, 1, "degraded to sequential");
         assert_eq!(out.pairs, vec![(0, 1), (0, 2), (1, 2)], "results unaffected");
         // A budget affording exactly one extra worker grants two.
-        let scratch = d.len() * WORKER_SCRATCH_BYTES_PER_ATTR;
-        let budget = MemoryBudget::new(scratch);
+        let budget = MemoryBudget::new(ValidationScratch::worker_bytes(&d));
         let out = discover(
             &idx,
             &TindParams::strict(),

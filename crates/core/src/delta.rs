@@ -78,18 +78,18 @@
 //! ([`RefreshReport::probe_survivors`]), and the rest allocate nothing.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::resume_unwind;
+use std::sync::Arc;
 
 use tind_bloom::{BitVec, BloomFilter, BloomMatrix, BloomMatrixBuilder};
 use tind_model::{AttrId, AttributeHistory, Dataset, Timeline, Timestamp, ValueId, ValueSet};
 
 use crate::index::{ColumnContents, TindIndex};
+use crate::par::Drain;
 use crate::params::{TindParams, EPS_TOLERANCE};
 use crate::required::required_values;
 use crate::search::{finish_search, initial_candidates, record_search_metrics, SearchOptions};
-use crate::sync::{into_inner, lock};
-use crate::validate::{with_thread_scratch, ValidationScratch};
+use crate::validate::ValidationScratch;
 
 /// Errors from computing or applying a dataset delta.
 #[derive(Debug)]
@@ -563,8 +563,9 @@ fn finish(
 ///   restricting the seed set cannot create false positives, and
 ///   validation is authoritative for everything that survives).
 ///
-/// The result is independent of `threads` (pair-set union is
-/// order-insensitive).
+/// The queries are drained over `threads` workers, `0` meaning one per
+/// available CPU (at most one per query). The result is independent of
+/// `threads` (pair-set union is order-insensitive).
 pub fn refresh_pairs(
     index: &TindIndex,
     pairs: &mut BTreeSet<(AttrId, AttrId)>,
@@ -597,65 +598,51 @@ pub fn refresh_pairs(
     let queries: Vec<AttrId> = (0..num_attrs as AttrId).filter(|&q| !index.is_masked(q)).collect();
     let full_queries = queries.iter().filter(|&&q| touched_bits.get(q as usize)).count();
     let restricted_queries = queries.len() - full_queries;
-    let threads_used = threads.max(1).min(queries.len().max(1));
-
-    let cursor = AtomicUsize::new(0);
-    let survivors = AtomicUsize::new(0);
-    let found: Mutex<Vec<(AttrId, Vec<AttrId>)>> = Mutex::new(Vec::new());
-    let run_worker = || {
-        let mut probe = BitVec::zeros(touched_columns.ids.len());
-        let mut local_survivors = 0usize;
-        let mut local: Vec<(AttrId, Vec<AttrId>)> = Vec::new();
-        with_thread_scratch(|scratch| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= queries.len() {
-                break;
-            }
-            let q = queries[i];
-            let hist = index.dataset().attribute(q);
-            let results = if touched_bits.get(q as usize) {
-                let required = required_values(hist, params, timeline);
-                let mut candidates = initial_candidates(index, Some(q));
-                if !required.is_empty() {
-                    let qf = index.m_t().query_filter(&required);
-                    index.m_t().narrow_to_supersets(&qf, &mut candidates);
-                }
-                finish(index, q, params, &required, candidates, scratch)
-            } else {
-                let Some(required) = touched_columns.probe(hist, params, timeline, &mut probe)
-                else {
-                    continue;
-                };
-                local_survivors += 1;
-                let candidates = touched_columns.expand(&probe, num_attrs);
-                finish(index, q, params, &required, candidates, scratch)
-            };
-            if !results.is_empty() {
-                local.push((q, results));
-            }
-        });
-        survivors.fetch_add(local_survivors, Ordering::Relaxed);
-        lock(&found).extend(local);
-    };
-    if threads_used <= 1 {
-        run_worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads_used {
-                scope.spawn(run_worker);
-            }
-        });
+    // Each worker keeps its own probe bits, survivor count and found pairs.
+    struct Worker {
+        probe: BitVec,
+        survivors: usize,
+        found: Vec<(AttrId, AttrId)>,
     }
+    let refresh_query = |w: &mut Worker, scratch: &mut ValidationScratch, i: usize| {
+        let q = queries[i];
+        let hist = index.dataset().attribute(q);
+        let found = if touched_bits.get(q as usize) {
+            let required = required_values(hist, params, timeline);
+            let mut candidates = initial_candidates(index, Some(q));
+            if !required.is_empty() {
+                let qf = index.m_t().query_filter(&required);
+                index.m_t().narrow_to_supersets(&qf, &mut candidates);
+            }
+            finish(index, q, params, &required, candidates, scratch)
+        } else {
+            let Some(required) = touched_columns.probe(hist, params, timeline, &mut w.probe) else {
+                return;
+            };
+            w.survivors += 1;
+            let candidates = touched_columns.expand(&w.probe, num_attrs);
+            finish(index, q, params, &required, candidates, scratch)
+        };
+        w.found.extend(found.into_iter().map(|a| (q, a)));
+    };
+    let new_worker = || Worker {
+        probe: BitVec::zeros(touched_columns.ids.len()),
+        survivors: 0,
+        found: Vec::new(),
+    };
+    let drained =
+        Drain { units: queries.len(), threads, budget: None, worker_bytes: 0, cancel: None }
+            .run(new_worker, refresh_query)
+            .unwrap_or_else(|panic| resume_unwind(panic));
 
     let mut pairs_added = 0usize;
-    for (q, results) in into_inner(found) {
-        for a in results {
-            if pairs.insert((q, a)) {
-                pairs_added += 1;
-            }
+    let mut probe_survivors = 0usize;
+    for worker in drained.states {
+        probe_survivors += worker.survivors;
+        for pair in worker.found {
+            pairs_added += usize::from(pairs.insert(pair));
         }
     }
-    let probe_survivors = survivors.into_inner();
     tind_obs::counter("delta.pairs_dropped").add(pairs_dropped as u64);
     tind_obs::counter("delta.pairs_added").add(pairs_added as u64);
     tind_obs::counter("delta.refresh_probe_survivors").add(probe_survivors as u64);
@@ -665,7 +652,7 @@ pub fn refresh_pairs(
         full_queries,
         restricted_queries,
         probe_survivors,
-        threads_used,
+        threads_used: drained.threads,
     }
 }
 
@@ -921,6 +908,20 @@ mod tests {
         let before = pairs.clone();
         assert_eq!(refresh_pairs(&index, &mut pairs, &[], &params, 4), RefreshReport::default());
         assert_eq!(pairs, before);
+    }
+
+    #[test]
+    fn refresh_pairs_with_zero_threads_uses_every_cpu() {
+        let params = TindParams::paper_default();
+        let base = Arc::new(base_dataset());
+        let new = Arc::new(updated_dataset(&base, &[3, 65], 0));
+        let delta = DatasetDelta::diff(&base, Arc::clone(&new)).expect("diff");
+        let mut index = TindIndex::build(base, config());
+        index.apply_delta(&delta).expect("applies");
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut pairs = BTreeSet::new();
+        let report = refresh_pairs(&index, &mut pairs, delta.touched(), &params, 0);
+        assert_eq!(report.threads_used, cpus.min(new.len()));
     }
 
     /// Cold all-pairs over the live queries of `index` (a masked query is

@@ -16,7 +16,7 @@
 //! The exact value universes `A[T]` are cached alongside to discard Bloom
 //! false positives before full validation (Algorithm 1, line 16).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::resume_unwind;
 use std::sync::{Arc, Mutex};
 
 use tind_model::rng::Rng;
@@ -25,6 +25,7 @@ use tind_model::{
     AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, Timeline, ValueSet, WeightFn,
 };
 
+use crate::par::Drain;
 use crate::params::TindParams;
 use crate::required::required_values;
 use crate::search::{self, SearchOutcome};
@@ -346,80 +347,62 @@ impl TindIndex {
         let num_targets = columns.num_targets();
         let total_units = num_targets * blocks;
 
-        let requested = if options.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            options.threads
-        }
-        .clamp(1, total_units.max(1));
-        // Per-worker scratch: one m-row strip of words plus value-set slack.
-        let scratch = config.m as usize * 8 + 64 * 1024;
-        let (threads, _charges) =
-            crate::allpairs::grant_workers(requested, scratch, options.memory_budget.as_ref());
-        tind_obs::gauge("index.build.workers_requested").set(requested as f64);
-        tind_obs::gauge("index.build.workers_granted").set(threads as f64);
-
         // Shared merge target. `merge_strip` ORs disjoint word columns, so
         // the order in which workers land their strips cannot change a
         // single bit of the result.
         struct MergeState {
             builders: Vec<BloomMatrixBuilder>,
             universes: Vec<ValueSet>,
+            finished: usize,
         }
         let merge = Mutex::new(MergeState {
             builders: (0..num_targets)
                 .map(|_| BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes))
                 .collect(),
             universes: vec![ValueSet::new(); num_attrs],
+            finished: 0,
         });
 
-        let cursor = AtomicUsize::new(0);
-        let finished = AtomicUsize::new(0);
-        {
-            // Each worker owns one strip buffer for its whole run and
-            // merges it as soon as a unit is rendered — no per-unit
-            // allocation, no staging of `total_units` strips.
-            let strips_rendered = tind_obs::counter("index.strips_rendered");
-            let run_worker = || {
-                let mut strip = BloomColumnStrip::new(config.m, config.k_hashes);
-                loop {
-                    let unit = cursor.fetch_add(1, Ordering::Relaxed);
-                    if unit >= total_units {
-                        break;
-                    }
-                    let _strip_span = tind_obs::span("core.index.strip");
-                    let (target, block) = (unit / blocks, unit % blocks);
-                    // M_T's columns are the value universes; keep those.
-                    let mut unis = Vec::new();
-                    columns.render_strip(&dataset, target, block, &mut strip, |values| {
-                        if target == 0 {
-                            unis.push(values);
-                        }
-                    });
-                    let mut m = lock(&merge);
-                    m.builders[target].merge_strip(block, &strip);
-                    let lo = block * 64;
-                    m.universes.splice(lo..lo + unis.len(), unis);
-                    drop(m);
-                    strips_rendered.incr();
-                    let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
-                    if options.progress_every > 0 && done.is_multiple_of(options.progress_every) {
-                        eprintln!("index build: {done}/{total_units} column blocks");
-                    }
+        // Each worker owns one strip buffer for its whole run and merges
+        // it as soon as a unit is rendered — no per-unit allocation, no
+        // staging of `total_units` strips.
+        let strips_rendered = tind_obs::counter("index.strips_rendered");
+        let render_unit = |strip: &mut BloomColumnStrip, _: &mut _, unit: usize| {
+            let _strip_span = tind_obs::span("core.index.strip");
+            let (target, block) = (unit / blocks, unit % blocks);
+            // M_T's columns are the value universes; keep those.
+            let mut unis = Vec::new();
+            columns.render_strip(&dataset, target, block, strip, |values| {
+                if target == 0 {
+                    unis.push(values);
                 }
-            };
-            if threads <= 1 {
-                run_worker();
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(run_worker);
-                    }
-                });
+            });
+            let mut m = lock(&merge);
+            m.builders[target].merge_strip(block, strip);
+            let lo = block * 64;
+            m.universes.splice(lo..lo + unis.len(), unis);
+            m.finished += 1;
+            let done = m.finished;
+            drop(m);
+            strips_rendered.incr();
+            if options.progress_every > 0 && done.is_multiple_of(options.progress_every) {
+                eprintln!("index build: {done}/{total_units} column blocks");
             }
+        };
+        let drained = Drain {
+            units: total_units,
+            threads: options.threads,
+            budget: options.memory_budget.as_ref(),
+            // One m-row strip of words plus value-set slack.
+            worker_bytes: config.m as usize * 8 + 64 * 1024,
+            cancel: None,
         }
+        .run(|| BloomColumnStrip::new(config.m, config.k_hashes), render_unit)
+        .unwrap_or_else(|panic| resume_unwind(panic));
+        tind_obs::gauge("index.build.workers_requested").set(drained.requested as f64);
+        tind_obs::gauge("index.build.workers_granted").set(drained.threads as f64);
 
-        let MergeState { builders, universes } = into_inner(merge);
+        let MergeState { builders, universes, .. } = into_inner(merge);
         let matrices = builders.into_iter().map(BloomMatrixBuilder::build).collect();
         Self::assemble(dataset, config, intervals, columns, matrices, universes)
     }

@@ -51,6 +51,7 @@ pub mod explain;
 pub mod fault;
 pub mod index;
 pub mod nary;
+mod par;
 pub mod params;
 pub mod persist;
 pub mod required;

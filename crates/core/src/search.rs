@@ -19,16 +19,16 @@
 //! *exactly* ε is still valid under Definition 3.6 ("at most ε"). We prune
 //! only at `VIO[c] > ε` to guarantee zero false negatives.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::panic::resume_unwind;
 use std::sync::{Arc, Mutex};
 
 use tind_bloom::{BitVec, BloomFilter};
 use tind_model::hash::FastMap;
 use tind_model::{AttrId, AttributeHistory, MemoryBudget, ValueId, ValueSet};
 
-use crate::allpairs::{grant_workers, WORKER_SCRATCH_BYTES_PER_ATTR};
 use crate::cancel::CancelToken;
 use crate::index::TindIndex;
+use crate::par::Drain;
 use crate::params::TindParams;
 use crate::required::required_values;
 use crate::sync::{into_inner, lock};
@@ -449,8 +449,8 @@ struct BatchSlot {
 /// Stage 1 runs for the whole batch at once: every query's required values
 /// are hashed exactly once, and `M_T` is walked row-by-row in word-blocked
 /// strips, narrowing all candidate sets per row touch instead of re-reading
-/// each row per query. Stages 2–4 stay per-query and fan out over a worker
-/// pool with the all-pairs memory-budget degradation rule. Outcomes are
+/// each row per query. Stages 2–4 stay per-query, one unit each of the
+/// crate's parallel driver (`core::par`). Outcomes are
 /// identical to running [`TindIndex::search`] per query, in input order.
 pub(crate) fn run_search_batch(
     index: &TindIndex,
@@ -482,70 +482,47 @@ pub(crate) fn run_search_batch(
     drop(batch_stage1_trace);
     drop(batch_stage1);
 
-    let requested = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        options.threads
-    }
-    .clamp(1, queries.len().max(1));
-    let scratch = dataset.len().saturating_mul(WORKER_SCRATCH_BYTES_PER_ATTR);
-    let (threads, _charges) = grant_workers(requested, scratch, options.memory_budget.as_ref());
-
     let slots: Vec<Mutex<BatchSlot>> = required
         .into_iter()
         .zip(candidates)
         .map(|staged| Mutex::new(BatchSlot { input: Some(staged), outcome: None }))
         .collect();
-    let cursor = AtomicUsize::new(0);
-    let stopped = AtomicBool::new(false);
-    let drain = || {
-        // One scratch per worker thread: stage 4 of every query this
-        // worker drains reuses the same dense window union and cached
-        // weight table.
-        with_thread_scratch(|scratch| loop {
-            if options.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                stopped.store(true, Ordering::Relaxed);
-                break;
-            }
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= queries.len() {
-                break;
-            }
-            let (required, candidates) =
-                lock(&slots[i]).input.take().expect("each slot is claimed exactly once");
-            let query_trace =
-                tind_obs::TraceSpan::start(options.trace, "core.search.query");
-            let outcome = finish_search(
-                index,
-                dataset.attribute(queries[i]),
-                Some(queries[i]),
-                params,
-                &options.search,
-                &required,
-                candidates,
-                scratch,
-                options.plans.as_deref(),
-                query_trace.child_ctx(),
-            );
-            drop(query_trace);
-            lock(&slots[i]).outcome = Some(outcome);
-        })
+    // Stage 4 of every query a worker claims reuses that worker's scratch:
+    // the same dense window union and cached weight table.
+    let finish_query = |_: &mut (), scratch: &mut ValidationScratch, i: usize| {
+        let (required, candidates) =
+            lock(&slots[i]).input.take().expect("each slot is claimed exactly once");
+        let query_trace = tind_obs::TraceSpan::start(options.trace, "core.search.query");
+        let outcome = finish_search(
+            index,
+            dataset.attribute(queries[i]),
+            Some(queries[i]),
+            params,
+            &options.search,
+            &required,
+            candidates,
+            scratch,
+            options.plans.as_deref(),
+            query_trace.child_ctx(),
+        );
+        drop(query_trace);
+        lock(&slots[i]).outcome = Some(outcome);
     };
-    if threads <= 1 {
-        drain();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(drain);
-            }
-        });
+    let drained = Drain {
+        units: queries.len(),
+        threads: options.threads,
+        budget: options.memory_budget.as_ref(),
+        worker_bytes: ValidationScratch::worker_bytes(dataset),
+        cancel: options.cancel.as_ref(),
     }
+    .run(|| (), finish_query)
+    .unwrap_or_else(|panic| resume_unwind(panic));
 
     let outcomes: Vec<Option<SearchOutcome>> =
         slots.into_iter().map(|s| into_inner(s).outcome).collect();
-    let cancelled =
-        stopped.load(Ordering::Relaxed) && outcomes.iter().any(Option::is_none);
-    BatchOutcome { outcomes, cancelled, threads_used: threads }
+    // Only a cancel leaves queries unclaimed.
+    let cancelled = outcomes.iter().any(Option::is_none);
+    BatchOutcome { outcomes, cancelled, threads_used: drained.threads }
 }
 
 /// Brute-force reference: validates `q` against every attribute with the
@@ -569,6 +546,7 @@ pub fn brute_force_search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use crate::index::IndexConfig;
     use tind_model::{Dataset, DatasetBuilder, Timeline, WeightFn};
 

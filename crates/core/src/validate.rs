@@ -232,6 +232,13 @@ impl ValidationScratch {
         Self::default()
     }
 
+    /// Bytes one worker validating queries of `dataset` grows to: `counts`
+    /// and `stamp` over the whole dictionary, and up to 48 B per attribute
+    /// of per-query staging (candidate bit sets, violation map, results).
+    pub(crate) fn worker_bytes(dataset: &tind_model::Dataset) -> usize {
+        dataset.dictionary().len().saturating_mul(8).saturating_add(dataset.len() * 48)
+    }
+
     /// Snapshot of the running counters.
     pub fn counters(&self) -> ValidationCounters {
         self.counters

@@ -11,14 +11,23 @@
 //! * **Batch/search equivalence** — `search_batch` must return exactly the
 //!   per-query `search` outcomes (results *and* stage statistics), which in
 //!   turn must agree with the `naive_validate` ground truth.
+//! * **Drain equivalence** — all-pairs discovery and semi-naive pair
+//!   refresh return the same pairs (and all-pairs the same validation
+//!   count) at every thread count.
 
 mod common;
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use common::strategies::{bench_dataset, bench_query_batches};
 use tind::core::persist::encode_index;
 use tind::core::validate::naive_validate;
-use tind::core::{BatchOptions, BuildOptions, CancelToken, IndexConfig, TindIndex, TindParams};
-use tind::model::{MemoryBudget, WeightFn};
+use tind::core::{
+    discover_all_pairs, refresh_pairs, AllPairsOptions, BatchOptions, BuildOptions, CancelToken,
+    DatasetDelta, IndexConfig, TindIndex, TindParams,
+};
+use tind::model::{Dataset, HistoryBuilder, MemoryBudget, WeightFn};
 
 fn thread_counts() -> Vec<usize> {
     let cpus = std::thread::available_parallelism().map_or(4, |n| n.get());
@@ -162,4 +171,90 @@ fn cancelled_and_memory_starved_batches_degrade_gracefully() {
     for (base, got) in index.search_batch(batch, &params).iter().zip(&starved.outcomes) {
         assert_eq!(&base.results, &got.as_ref().expect("completes").results);
     }
+}
+
+#[test]
+fn all_pairs_thread_counts_agree() {
+    let dataset = bench_dataset(110, 23);
+    let index = TindIndex::build(dataset, IndexConfig { m: 1024, ..IndexConfig::default() });
+    let params = TindParams::paper_default();
+    let run = |threads| {
+        discover_all_pairs(&index, &params, &AllPairsOptions { threads, ..Default::default() })
+            .expect("all-pairs")
+    };
+    let baseline = run(1);
+    assert!(!baseline.pairs.is_empty(), "oracle should not be vacuous");
+    for threads in thread_counts() {
+        let out = run(threads);
+        assert_eq!(out.threads_used, threads);
+        assert_eq!(out.pairs, baseline.pairs, "{threads} thread(s)");
+        assert_eq!(out.validations_run, baseline.validations_run, "{threads} thread(s)");
+    }
+}
+
+/// `base` with the attributes `ids` revised in place: each keeps its name
+/// and observation period, and its last version loses its first value.
+fn revised(base: &Dataset, ids: &[u32]) -> Arc<Dataset> {
+    let mut b = base.clone().into_builder();
+    for &id in ids {
+        let old = base.attribute(id);
+        let mut h = HistoryBuilder::new(old.name());
+        let last = old.versions().len() - 1;
+        for (i, v) in old.versions().iter().enumerate() {
+            let skip = usize::from(i == last && !v.values.is_empty());
+            h.push(v.start, v.values[skip..].to_vec());
+        }
+        assert_eq!(b.upsert_history(h.finish(old.last_observed())), (id, true));
+    }
+    Arc::new(b.build())
+}
+
+#[test]
+fn refresh_pairs_thread_counts_agree() {
+    let base = bench_dataset(110, 29);
+    let config = IndexConfig { m: 1024, ..IndexConfig::default() };
+    let params = TindParams::paper_default();
+    let pairs: BTreeSet<_> = discover_all_pairs(
+        &TindIndex::build(Arc::clone(&base), config.clone()),
+        &params,
+        &AllPairsOptions::default(),
+    )
+    .expect("all-pairs")
+    .pairs
+    .into_iter()
+    .collect();
+    let new = revised(&base, &[3, 40, 77, 100]);
+    let delta = DatasetDelta::diff(&base, Arc::clone(&new)).expect("diff");
+    let mut index = TindIndex::build(base, config);
+    index.apply_delta(&delta).expect("applies");
+    let mut baseline = pairs.clone();
+    refresh_pairs(&index, &mut baseline, delta.touched(), &params, 1);
+    assert!(!baseline.is_empty(), "oracle should not be vacuous");
+    for threads in thread_counts() {
+        let mut refreshed = pairs.clone();
+        let report = refresh_pairs(&index, &mut refreshed, delta.touched(), &params, threads);
+        assert_eq!(report.threads_used, threads);
+        assert_eq!(refreshed, baseline, "{threads} thread(s)");
+    }
+}
+
+/// A worker's validation scratch grows to 8 B per dictionary value, which
+/// on paper-shaped data is far more than the 48 B per attribute once
+/// charged per worker: a budget of that old charge affords no second
+/// worker.
+#[test]
+fn worker_charge_covers_the_validation_scratch() {
+    let dataset = bench_dataset(120, 31);
+    let old_charge = 48 * dataset.len();
+    assert!(8 * dataset.dictionary().len() > old_charge, "paper-shaped vocabulary");
+    let index = TindIndex::build(dataset.clone(), IndexConfig { m: 512, ..IndexConfig::default() });
+    let params = TindParams::paper_default();
+    let budget = MemoryBudget::new(old_charge);
+    let options =
+        AllPairsOptions { threads: 2, memory_budget: Some(budget.clone()), ..Default::default() };
+    let all_pairs = discover_all_pairs(&index, &params, &options).expect("all-pairs");
+    assert_eq!(all_pairs.threads_used, 1);
+    let batch = &bench_query_batches(dataset.len(), 8, 1)[0];
+    let options = BatchOptions { threads: 2, memory_budget: Some(budget), ..Default::default() };
+    assert_eq!(index.search_batch_with(batch, &params, &options).threads_used, 1);
 }
