@@ -16,7 +16,7 @@ use tind_datagen::{generate, GeneratorConfig};
 use tind_eval::{ExpContext, Scale};
 use tind_model::binio::{read_dataset_file, write_dataset_file, BinIoError};
 use tind_model::stats::DatasetStats;
-use tind_model::{AttrId, Dataset, MemoryBudget, WeightFn};
+use tind_model::{AttrId, Dataset, DatasetBuilder, MemoryBudget, Timeline, WeightFn};
 use tind_serve::{Engine, ServeConfig, Server};
 
 use crate::args::{ArgError, Args};
@@ -142,7 +142,7 @@ fn allowed_options(command: &str) -> Option<Vec<&'static str>> {
         ],
         "trace" => vec!["file", "diff", "chrome"],
         "verify" => vec!["file", "data", "schema", "quarantine", "report"],
-        "pipeline" => vec!["dump", "timeline", "out", "demo", "attributes", "seed"],
+        "pipeline" => vec!["demo", "attributes", "seed"],
         "ingest" => vec![
             "dump", "out", "timeline", "epoch", "max-page-bytes", "max-error-rate",
             "memory-limit", "checkpoint", "checkpoint-every", "deadline", "quarantine-report",
@@ -909,37 +909,37 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
             "store shard: arena layout, container intact ({payload} payload bytes); \
              run `tind store verify` on its directory to check it against the manifest"
         )
-    } else if kind == &tind_wiki::ingest::INGEST_CHECKPOINT_MAGIC[..7] {
+    } else if kind == &tind_wiki::ingest::INGEST_CHECKPOINT_MAGIC[..7]
+        || kind == &tind_wiki::ingest::UPDATE_CHECKPOINT_MAGIC[..7]
+    {
         let cp = tind_wiki::IngestCheckpoint::decode(&bytes)?;
         // The embedded dataset blob is opaque to checkpoint decoding;
         // verify digs all the way in.
         let partial = tind_model::binio::decode_dataset(&cp.dataset_bytes)?;
-        format!(
-            "ingest checkpoint: resume offset {}, {} pages seen ({} quarantined), \
-             partial dataset {} attributes, source fingerprint {:#018x}",
-            cp.resume_offset,
-            cp.quarantine.pages_seen,
-            cp.quarantine.pages_quarantined,
-            partial.len(),
-            cp.source_fingerprint,
-        )
-    } else if kind == &tind_wiki::delta::UPDATE_CHECKPOINT_MAGIC[..7] {
-        let cp = tind_wiki::UpdateCheckpoint::decode(&bytes)?;
-        // Like the ingest arm: the embedded dataset blob is opaque to
-        // checkpoint decoding, so verify digs all the way in.
-        let partial = tind_model::binio::decode_dataset(&cp.dataset_bytes)?;
-        format!(
-            "update checkpoint: resume offset {}, {} delta pages seen ({} quarantined), \
-             {} attribute(s) touched, partial dataset {} attributes, \
-             base fingerprint {:#018x}, source fingerprint {:#018x}",
-            cp.resume_offset,
-            cp.quarantine.pages_seen,
-            cp.quarantine.pages_quarantined,
-            cp.touched.len(),
-            partial.len(),
-            cp.base_fingerprint,
-            cp.source_fingerprint,
-        )
+        let q = &cp.quarantine;
+        match &cp.delta {
+            None => format!(
+                "ingest checkpoint: resume offset {}, {} pages seen ({} quarantined), \
+                 partial dataset {} attributes, source fingerprint {:#018x}",
+                cp.resume_offset,
+                q.pages_seen,
+                q.pages_quarantined,
+                partial.len(),
+                cp.source_fingerprint,
+            ),
+            Some(delta) => format!(
+                "update checkpoint: resume offset {}, {} delta pages seen ({} quarantined), \
+                 {} attribute(s) touched, partial dataset {} attributes, \
+                 base fingerprint {:#018x}, source fingerprint {:#018x}",
+                cp.resume_offset,
+                q.pages_seen,
+                q.pages_quarantined,
+                delta.touched.len(),
+                partial.len(),
+                delta.base_fingerprint,
+                cp.source_fingerprint,
+            ),
+        }
     } else {
         return Err(CliError::Data(BinIoError::Corrupt(
             "unrecognized file type (not a tind dataset, index, checkpoint, \
@@ -1654,45 +1654,10 @@ fn cmd_explore(args: &Args) -> Result<String, CliError> {
 }
 
 fn cmd_pipeline(args: &Args) -> Result<String, CliError> {
-    // Real-input mode: parse a MediaWiki XML export.
-    if let Some(dump_path) = args.opt::<String>("dump")? {
-        let timeline = args.opt_or("timeline", 6148u32)?;
-        let revisions = tind_wiki::dump::read_dump_file(
-            std::path::Path::new(&dump_path),
-            &tind_wiki::dump::DumpConfig::default(),
-        )
-        .map_err(|e| CliError::Message(format!("dump error: {e}")))?;
-        let n_revs = revisions.len();
-        let (dataset, report) = tind_wiki::extract_dataset(
-            revisions,
-            &tind_wiki::PipelineConfig::new(timeline).with_vandalism_filter(),
-        );
-        let stats_block = if dataset.is_empty() {
-            "(no attributes survived the filters)".to_string()
-        } else {
-            DatasetStats::compute(&dataset).to_string()
-        };
-        let mut out = format!(
-            "parsed {n_revs} revisions from {dump_path}\n\
-             pipeline: {} pages, {} tables, {} columns tracked; {} vandalized revisions dropped; \
-             {} attributes kept of {}\n{stats_block}\n",
-            report.pages,
-            report.tables_tracked,
-            report.columns_tracked,
-            report.vandalism_dropped,
-            report.attributes_kept,
-            report.attributes_before_filters,
-        );
-        if let Some(out_path) = args.opt::<String>("out")? {
-            write_dataset_file(&dataset, std::path::Path::new(&out_path))?;
-            out.push_str(&format!("dataset written to {out_path}\n"));
-        }
-        return Ok(out);
-    }
     if !args.switch("demo") {
         return Err(CliError::Message(
-            "pass --dump FILE for a MediaWiki XML export, or --demo for a synthetic \
-             revision stream (real Wikipedia dumps are not shipped)"
+            "pass --demo for a synthetic revision stream (real Wikipedia dumps are not \
+             shipped); `tind ingest --dump FILE` ingests a MediaWiki XML export"
                 .to_string(),
         ));
     }
@@ -1719,19 +1684,24 @@ fn cmd_pipeline(args: &Args) -> Result<String, CliError> {
     ))
 }
 
-/// Resilient dump ingestion: `tind ingest` is `tind pipeline --dump` with
-/// the full failure model — streaming bounded-memory parsing, per-page
-/// quarantine with an error budget, page-granular checkpoint/resume, and
-/// graceful Ctrl-C/deadline handling (exit 130, like all-pairs).
-fn cmd_ingest(args: &Args) -> Result<String, CliError> {
+/// The run path `tind ingest` and `tind update` share: streams `--dump`
+/// over `base` (the empty dataset for a cold ingest) through
+/// `wiki::ingest_stream` with the full failure model — bounded-memory
+/// parsing, per-page quarantine with an error budget, page-granular
+/// checkpoint/resume, Ctrl-C/`--deadline` (exit 130, like all-pairs) —
+/// and maps every status but completion to its error. Returns the
+/// completed run's dataset and outcome.
+fn run_ingest(
+    args: &Args,
+    verb: &str,
+    base: Dataset,
+) -> Result<(Dataset, tind_wiki::IngestOutcome), CliError> {
     use tind_wiki::ingest::{IngestCheckpointPolicy, IngestProgress, ProgressFn, StopSignal};
     use tind_wiki::{ingest_stream, IngestConfig, IngestError, IngestOptions, IngestStatus};
 
     let dump_path: PathBuf = args.required::<String>("dump")?.into();
-    let out: PathBuf = args.required::<String>("out")?.into();
-    let timeline = args.opt_or("timeline", 6148u32)?;
-    let mut config = IngestConfig::new(timeline);
-    config.pipeline.drop_vandalism = true; // match `pipeline --dump`
+    let mut config = IngestConfig::new(base.timeline().len());
+    config.pipeline.drop_vandalism = true;
     if let Some(epoch) = args.opt::<String>("epoch")? {
         let mut parts = epoch.splitn(3, '-');
         let parsed = (
@@ -1787,6 +1757,7 @@ fn cmd_ingest(args: &Args) -> Result<String, CliError> {
     let progress: Option<ProgressFn> = if reporter.every() == 0 {
         None
     } else {
+        let verb = verb.to_owned();
         Some(Box::new(move |p: &IngestProgress| {
             if !reporter.tick(p.pages_seen as usize) {
                 return;
@@ -1799,7 +1770,7 @@ fn cmd_ingest(args: &Args) -> Result<String, CliError> {
                 f64::NAN
             };
             reporter.progress(format!(
-                "ingest: {} pages, {} quarantined, {}, {}",
+                "{verb}: {} pages, {} quarantined, {}, {}",
                 p.pages_seen,
                 p.pages_quarantined,
                 tind_obs::fmt_rate(p.pages_seen, secs, "pages"),
@@ -1823,11 +1794,13 @@ fn cmd_ingest(args: &Args) -> Result<String, CliError> {
     };
 
     let ingest_phase = tind_obs::span("phase.ingest");
-    let outcome = ingest_stream(src, fingerprint, &config, options).map_err(|e| match e {
-        IngestError::Io(e) => CliError::Io(e),
-        IngestError::Checkpoint(e) => CliError::Data(e),
-        IngestError::ResumeMismatch(m) => CliError::Message(format!("cannot resume: {m}")),
-    })?;
+    let mut outcome =
+        ingest_stream(src, fingerprint, base, &config, options).map_err(|e| match e {
+            IngestError::Io(e) => CliError::Io(e),
+            IngestError::Checkpoint(e) => CliError::Data(e),
+            IngestError::Base(m) => CliError::Data(BinIoError::Corrupt(m)),
+            IngestError::ResumeMismatch(m) => CliError::Message(format!("cannot resume: {m}")),
+        })?;
     drop(ingest_phase);
 
     let q = &outcome.quarantine;
@@ -1843,7 +1816,7 @@ fn cmd_ingest(args: &Args) -> Result<String, CliError> {
             let why = cancel.reason().map_or("stopped", |r| r.label());
             Err(CliError::Interrupted {
                 summary: format!(
-                    "ingestion stopped ({why}) after {} pages ({} quarantined){checkpoint_note}",
+                    "{verb} stopped ({why}) after {} pages ({} quarantined){checkpoint_note}",
                     q.pages_seen, q.pages_quarantined,
                 ),
             })
@@ -1861,51 +1834,64 @@ fn cmd_ingest(args: &Args) -> Result<String, CliError> {
             }
             Err(CliError::Message(msg))
         }
-        IngestStatus::Completed => {
-            let Some(dataset) = outcome.dataset else {
-                return Err(CliError::Message(
-                    "internal: ingestion reported completion without a dataset".into(),
-                ));
-            };
-            {
-                let _phase = tind_obs::span("phase.write_output");
-                write_dataset_file(&dataset, &out)?;
-            }
-            let report = &outcome.pipeline;
-            let mut text = format!(
-                "ingested {} pages ({} quarantined, {} of {} revisions dropped) from {}\n\
-                 pipeline: {} tables, {} columns tracked; {} vandalized revisions dropped; \
-                 {} attributes kept of {}\ndataset written to {}\n",
-                q.pages_kept,
-                q.pages_quarantined,
-                q.revisions_dropped,
-                q.revisions_dropped + q.revisions_kept,
-                dump_path.display(),
-                report.tables_tracked,
-                report.columns_tracked,
-                report.vandalism_dropped,
-                report.attributes_kept,
-                report.attributes_before_filters,
-                out.display(),
-            );
-            if let Some(offset) = outcome.resumed_from {
-                let _ = writeln!(text, "resumed from byte offset {offset}");
-            }
-            Ok(text)
-        }
+        IngestStatus::Completed => match outcome.dataset.take() {
+            Some(dataset) => Ok((dataset, outcome)),
+            None => Err(CliError::Message(format!(
+                "internal: {verb} reported completion without a dataset"
+            ))),
+        },
     }
 }
 
-/// `tind update`: incremental (delta) ingestion on top of an existing
-/// dataset — and, with `--index`, semi-naive maintenance of its index via
-/// `core::delta` instead of a cold rebuild. Shares the ingest failure
-/// model: quarantine, error budget, page-granular `TINDUC` checkpoints,
-/// Ctrl-C exits 130 with progress preserved.
-fn cmd_update(args: &Args) -> Result<String, CliError> {
-    use tind_wiki::ingest::{IngestCheckpointPolicy, IngestProgress, ProgressFn, StopSignal};
-    use tind_wiki::{update_stream, IngestConfig, IngestError, IngestOptions, IngestStatus};
+/// Writes a completed run's dataset to `out` and closes its summary.
+fn publish_dataset(
+    dataset: &Dataset,
+    out: &std::path::Path,
+    resumed_from: Option<u64>,
+    text: &mut String,
+) -> Result<(), CliError> {
+    {
+        let _phase = tind_obs::span("phase.write_output");
+        write_dataset_file(dataset, out)?;
+    }
+    let _ = writeln!(text, "dataset written to {}", out.display());
+    if let Some(offset) = resumed_from {
+        let _ = writeln!(text, "resumed from byte offset {offset}");
+    }
+    Ok(())
+}
 
-    let dump_path: PathBuf = args.required::<String>("dump")?.into();
+/// `tind ingest`: a dump → a dataset, as the run over the empty dataset
+/// on `--timeline` days.
+fn cmd_ingest(args: &Args) -> Result<String, CliError> {
+    let out: PathBuf = args.required::<String>("out")?.into();
+    let timeline = Timeline::new(args.opt_or("timeline", 6148u32)?);
+    let (dataset, outcome) = run_ingest(args, "ingest", DatasetBuilder::new(timeline).build())?;
+    let (q, report) = (&outcome.quarantine, &outcome.pipeline);
+    let mut text = format!(
+        "ingested {} pages ({} quarantined, {} of {} revisions dropped) from {}\n\
+         pipeline: {} tables, {} columns tracked; {} vandalized revisions dropped; \
+         {} attributes kept of {}\n",
+        q.pages_kept,
+        q.pages_quarantined,
+        q.revisions_dropped,
+        q.revisions_dropped + q.revisions_kept,
+        args.required::<String>("dump")?,
+        report.tables_tracked,
+        report.columns_tracked,
+        report.vandalism_dropped,
+        report.attributes_kept,
+        report.attributes_before_filters,
+    );
+    publish_dataset(&dataset, &out, outcome.resumed_from, &mut text)?;
+    Ok(text)
+}
+
+/// `tind update`: the run over an existing dataset (`--data`), whose
+/// timeline it keeps — and, with `--index`, semi-naive maintenance of its
+/// index via `core::delta` instead of a cold rebuild. A base that holds
+/// an attribute name twice is refused (exit 3) and must be re-ingested.
+fn cmd_update(args: &Args) -> Result<String, CliError> {
     let data_path: PathBuf = args.required::<String>("data")?.into();
     let out: PathBuf = args.required::<String>("out")?.into();
     let index_path: Option<PathBuf> = args.opt::<String>("index")?.map(Into::into);
@@ -1927,200 +1913,49 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
         let _phase = tind_obs::span("phase.load");
         read_dataset(&data_path)?
     };
-    // The delta rides the base's timeline: it may only add revisions
-    // within the indexed window, so there is no --timeline knob here.
-    let mut config = IngestConfig::new(base.timeline().len() as u32);
-    config.pipeline.drop_vandalism = true; // match `tind ingest`
-    if let Some(epoch) = args.opt::<String>("epoch")? {
-        let mut parts = epoch.splitn(3, '-');
-        let parsed = (
-            parts.next().and_then(|v| v.parse::<i64>().ok()),
-            parts.next().and_then(|v| v.parse::<u32>().ok()),
-            parts.next().and_then(|v| v.parse::<u32>().ok()),
-        );
-        match parsed {
-            (Some(y), Some(m), Some(d)) if (1..=12).contains(&m) && (1..=31).contains(&d) => {
-                config.dump.epoch = (y, m, d);
-            }
-            _ => {
-                return Err(CliError::Message(format!(
-                    "--epoch must be YYYY-MM-DD, got '{epoch}'"
-                )))
-            }
-        }
-    }
-    config.max_page_bytes = args.opt_or("max-page-bytes", config.max_page_bytes)?;
-    config.max_error_rate = args.opt_or("max-error-rate", config.max_error_rate)?;
-
-    let checkpoint_path: Option<PathBuf> = args.opt::<String>("checkpoint")?.map(Into::into);
-    let checkpoint_every = args.opt_or("checkpoint-every", 512u64)?;
-    let resume = args.switch("resume");
-    if resume && checkpoint_path.is_none() {
-        return Err(CliError::Message("--resume requires --checkpoint FILE".into()));
-    }
-    let resume = resume && checkpoint_path.as_ref().is_some_and(|p| p.exists());
-
-    let fingerprint = tind_wiki::fingerprint_source(&dump_path)?;
-    let total_bytes = std::fs::metadata(&dump_path)?.len();
-    let src = std::io::BufReader::new(std::fs::File::open(&dump_path)?);
-
-    let deadline = args.opt::<f64>("deadline")?.map(Duration::from_secs_f64);
-    let started = std::time::Instant::now();
-    let cancel = {
-        let token = CancelToken::install_ctrl_c();
-        match deadline {
-            Some(d) => token.with_deadline(started + d),
-            None => token,
-        }
-    };
-    let stop: StopSignal = {
-        let cancel = cancel.clone();
-        Arc::new(move || cancel.is_cancelled())
-    };
-    let reporter =
-        tind_obs::Reporter::new(args.switch("quiet"), args.opt_or("progress", 1000usize)?);
-    let progress: Option<ProgressFn> = if reporter.every() == 0 {
-        None
-    } else {
-        Some(Box::new(move |p: &IngestProgress| {
-            if !reporter.tick(p.pages_seen as usize) {
-                return;
-            }
-            let secs = started.elapsed().as_secs_f64().max(1e-6);
-            let bytes_per_sec = p.offset as f64 / secs;
-            let eta = if bytes_per_sec > 0.0 {
-                total_bytes.saturating_sub(p.offset) as f64 / bytes_per_sec
-            } else {
-                f64::NAN
-            };
-            reporter.progress(format!(
-                "update: {} pages, {} quarantined, {}, {}",
-                p.pages_seen,
-                p.pages_quarantined,
-                tind_obs::fmt_rate(p.pages_seen, secs, "pages"),
-                tind_obs::fmt_eta_secs(eta),
-            ));
-        }))
-    };
-
-    let options = IngestOptions {
-        checkpoint: checkpoint_path
-            .clone()
-            .map(|path| IngestCheckpointPolicy { path, every_pages: checkpoint_every }),
-        resume,
-        memory_budget: match args.opt::<usize>("memory-limit")? {
-            Some(limit) => MemoryBudget::new(limit),
-            None => MemoryBudget::unlimited(),
-        },
-        should_stop: Some(stop),
-        progress,
-        fault_hook: None,
-    };
-
-    let update_phase = tind_obs::span("phase.update");
-    let outcome =
-        update_stream(src, fingerprint, base.clone(), &config, options).map_err(|e| match e {
-            IngestError::Io(e) => CliError::Io(e),
-            IngestError::Checkpoint(e) => CliError::Data(e),
-            IngestError::ResumeMismatch(m) => CliError::Message(format!("cannot resume: {m}")),
-        })?;
-    drop(update_phase);
-
+    let (merged, outcome) = run_ingest(args, "update", base.clone())?;
+    let merged = Arc::new(merged);
     let q = &outcome.quarantine;
-    if let Some(report_path) = args.opt::<String>("quarantine-report")? {
-        q.write_file(std::path::Path::new(&report_path))?;
+    let mut text = format!(
+        "updated: {} delta pages ({} quarantined), {} attribute(s) touched \
+         ({} filter downgrade(s)); dataset {} -> {} attributes\n",
+        q.pages_kept,
+        q.pages_quarantined,
+        outcome.touched.len(),
+        outcome.filter_downgrades,
+        base.len(),
+        merged.len(),
+    );
+    // Maintain the index incrementally before publishing anything, so a
+    // refused delta leaves both artifacts untouched.
+    if let Some(idx_path) = &index_path {
+        let _phase = tind_obs::span("phase.apply_delta");
+        let mut index = tind_core::persist::read_index_file(idx_path, Arc::new(base.clone()))?;
+        let delta = tind_core::DatasetDelta::diff(&base, Arc::clone(&merged))
+            .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
+        let report = index
+            .apply_delta(&delta)
+            .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
+        if compact {
+            index = index.compact();
+        }
+        let index_out = index_out.as_ref().expect("derived from --index");
+        tind_core::persist::write_index_file(&index, index_out)?;
+        let _ = writeln!(
+            text,
+            "index: {} column(s) updated ({} new), {} block(s) dirtied across \
+             {} matrice(s){}{}; written to {}",
+            report.touched_attrs,
+            report.new_attrs,
+            report.blocks_rewritten,
+            report.matrices_updated,
+            if report.grew { ", index grown" } else { "" },
+            if compact { ", compacted (cold rebuild)" } else { "" },
+            index_out.display(),
+        );
     }
-    let checkpoint_note = match &checkpoint_path {
-        Some(p) => format!("; progress checkpointed to {}", p.display()),
-        None => "; no checkpoint configured — progress lost (pass --checkpoint FILE)".into(),
-    };
-    match outcome.status {
-        IngestStatus::Cancelled => {
-            let why = cancel.reason().map_or("stopped", |r| r.label());
-            Err(CliError::Interrupted {
-                summary: format!(
-                    "update stopped ({why}) after {} pages ({} quarantined){checkpoint_note}",
-                    q.pages_seen, q.pages_quarantined,
-                ),
-            })
-        }
-        IngestStatus::ErrorBudgetExceeded => {
-            let mut msg = format!(
-                "error budget exceeded: {} of {} pages quarantined ({:.1}% > {:.1}% allowed){checkpoint_note}",
-                q.pages_quarantined,
-                q.pages_seen,
-                q.error_rate() * 100.0,
-                config.max_error_rate * 100.0,
-            );
-            for entry in q.entries.iter().take(5) {
-                let _ = write!(msg, "\n  @{} {}: {}", entry.byte_offset, entry.page, entry.error);
-            }
-            Err(CliError::Message(msg))
-        }
-        IngestStatus::Completed => {
-            let Some(merged) = outcome.dataset else {
-                return Err(CliError::Message(
-                    "internal: update reported completion without a dataset".into(),
-                ));
-            };
-            let merged = Arc::new(merged);
-            let mut text = format!(
-                "updated: {} delta pages ({} quarantined), {} attribute(s) touched \
-                 ({} filter downgrade(s)); dataset {} -> {} attributes\n",
-                q.pages_kept,
-                q.pages_quarantined,
-                outcome.touched.len(),
-                outcome.filter_downgrades,
-                base.len(),
-                merged.len(),
-            );
-            // Maintain the index incrementally before publishing anything,
-            // so a refused delta leaves both artifacts untouched.
-            let index_note = match &index_path {
-                Some(idx_path) => {
-                    let _phase = tind_obs::span("phase.apply_delta");
-                    let mut index = tind_core::persist::read_index_file(
-                        idx_path,
-                        Arc::new(base.clone()),
-                    )?;
-                    let delta = tind_core::DatasetDelta::diff(&base, Arc::clone(&merged))
-                        .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
-                    let report = index
-                        .apply_delta(&delta)
-                        .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
-                    if compact {
-                        index = index.compact();
-                    }
-                    let index_out = index_out.as_ref().expect("derived from --index");
-                    tind_core::persist::write_index_file(&index, index_out)?;
-                    Some(format!(
-                        "index: {} column(s) updated ({} new), {} block(s) dirtied across \
-                         {} matrice(s){}{}; written to {}",
-                        report.touched_attrs,
-                        report.new_attrs,
-                        report.blocks_rewritten,
-                        report.matrices_updated,
-                        if report.grew { ", index grown" } else { "" },
-                        if compact { ", compacted (cold rebuild)" } else { "" },
-                        index_out.display(),
-                    ))
-                }
-                None => None,
-            };
-            {
-                let _phase = tind_obs::span("phase.write_output");
-                write_dataset_file(&merged, &out)?;
-            }
-            let _ = writeln!(text, "dataset written to {}", out.display());
-            if let Some(note) = index_note {
-                let _ = writeln!(text, "{note}");
-            }
-            if let Some(offset) = outcome.resumed_from {
-                let _ = writeln!(text, "resumed from byte offset {offset}");
-            }
-            Ok(text)
-        }
-    }
+    publish_dataset(&merged, &out, outcome.resumed_from, &mut text)?;
+    Ok(text)
 }
 
 fn cmd_serve(args: &Args) -> Result<String, CliError> {
@@ -2714,13 +2549,16 @@ mod tests {
 
     #[test]
     fn pipeline_without_demo_explains() {
-        let err = run(&["pipeline"]).expect_err("needs --demo or --dump");
+        let err = run(&["pipeline"]).expect_err("needs --demo");
         assert!(err.to_string().contains("--demo"));
         assert!(err.to_string().contains("--dump"));
+        // Dumps are `tind ingest`'s: `pipeline --dump` is an unknown option.
+        let err = run(&["pipeline", "--dump", "unused.xml"]).expect_err("not a pipeline option");
+        assert_eq!(err.exit_code(), 2, "{err}");
     }
 
     #[test]
-    fn pipeline_ingests_xml_dump() {
+    fn ingest_reads_an_xml_dump() {
         let dump = temp_file("cli-dump.xml");
         let mut xml = String::from("<mediawiki><page><title>T</title><id>1</id>");
         let games = ["Red", "Blue", "Gold", "Silver", "Crystal", "Ruby", "Sapphire", "Emerald", "Pearl", "Diamond"];
@@ -2738,10 +2576,14 @@ mod tests {
         }
         xml.push_str("</page></mediawiki>");
         std::fs::write(&dump, xml).expect("write dump");
-        let out = run(&["pipeline", "--dump", dump.to_str().expect("utf8")]).expect("ingests");
-        assert!(out.contains("parsed 6 revisions"), "{out}");
-        assert!(out.contains("1 attributes kept") || out.contains("attributes kept"), "{out}");
+        let out_path = temp_file("cli-dump.tind");
+        let out = run(&["ingest", "--dump", dump.to_str().expect("utf8"), "--out",
+            out_path.to_str().expect("utf8"), "--quiet"])
+        .expect("ingests");
+        assert!(out.contains("ingested 1 pages (0 quarantined, 0 of 6 revisions dropped)"), "{out}");
+        assert!(out.contains("1 attributes kept"), "{out}");
         std::fs::remove_file(&dump).ok();
+        std::fs::remove_file(&out_path).ok();
     }
 
     #[test]
@@ -3120,6 +2962,30 @@ mod tests {
         ));
 
         for f in [&dump, &base, &idx, &delta, &merged, &idx2, &idx_cold, &ckpt, &resumed, &sink] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
+    fn update_refuses_a_base_with_a_repeated_name() {
+        // A dataset written before column names were unique within a page.
+        let mut builder = tind_model::DatasetBuilder::new(tind_model::Timeline::new(6148));
+        builder.add_attribute("P ▸ Games ▸ Game", &[(0, vec!["Red"])], 9);
+        builder.add_attribute("P ▸ Games ▸ Game", &[(0, vec!["Mario"])], 9);
+        let base = temp_file("cli-update-dup-base.tind");
+        write_dataset_file(&builder.build(), &base).expect("write base");
+        let delta = temp_file("cli-update-dup-delta.xml");
+        std::fs::write(&delta, format!("<mediawiki>{}</mediawiki>", update_page_xml("P", 1, 6)))
+            .expect("write delta");
+        let merged = temp_file("cli-update-dup-merged.tind");
+        let _ = std::fs::remove_file(&merged);
+        let err = run(&["update", "--dump", delta.to_str().expect("utf8"), "--data",
+            base.to_str().expect("utf8"), "--out", merged.to_str().expect("utf8"), "--quiet"])
+        .expect_err("a base with a repeated name is refused");
+        assert_eq!(err.exit_code(), 3, "{err}");
+        assert!(err.to_string().contains("re-ingest"), "{err}");
+        assert!(!merged.exists(), "nothing is written");
+        for f in [&base, &delta] {
             std::fs::remove_file(f).ok();
         }
     }

@@ -75,7 +75,7 @@ COMMANDS:
                     byte-identical results)
   verify            check a persisted artifact's magic and checksum
                       <FILE> [--data FILE]   dataset, index, checkpoint,
-                                             ingest-checkpoint, quarantine,
+                                             ingest/update checkpoint, quarantine,
                                              store manifest/shard, or
                                              TINDRR run-report file
                       <DIR>                  a store directory: verifies the
@@ -141,11 +141,13 @@ COMMANDS:
                     returns its id in X-Tind-Trace-Id; overload sheds with 429 +
                     retry_after_ms, deadlines return 504, panics are quarantined
                     as 500; SIGINT/SIGTERM drains, flushes --report, and exits 130)
-  pipeline          run the wiki extraction pipeline
+  pipeline          run the wiki extraction pipeline on a synthetic revision
+                    stream rendered from a generated dataset
                       --demo [--attributes N=200] [--seed S]
-                      --dump FILE [--timeline N=6148] [--out FILE]
-                    (ingests a MediaWiki XML export with vandalism filtering)
-  ingest            resilient streaming dump ingestion (quarantine + resume)
+                    (MediaWiki XML exports go through `tind ingest`)
+  ingest            resilient streaming ingestion of a MediaWiki XML export
+                    (quarantine + resume, vandalism filtering): the update of
+                    an empty dataset by the whole dump
                       --dump FILE --out FILE [--timeline N=6148] [--epoch YYYY-MM-DD]
                       [--max-page-bytes B=8388608]  skip (quarantine) larger pages
                       [--max-error-rate F=0.05]     abort above this quarantine rate
@@ -155,10 +157,13 @@ COMMANDS:
                       [--resume]                    continue from --checkpoint FILE
                       [--deadline SECS] [--quarantine-report FILE] [--quiet]
                       [--progress N=1000] [--report FILE]
-                    (Ctrl-C checkpoints and exits 130; resumed runs produce
-                    byte-identical datasets; bad pages are quarantined, not fatal)
-  update            incremental delta ingestion on top of an existing dataset,
-                    with semi-naive index maintenance (no cold rebuild)
+                    (Ctrl-C checkpoints (TINDIC) and exits 130; resumed runs
+                    produce byte-identical datasets; bad pages are quarantined,
+                    not fatal; a page repeated in the dump replaces its earlier
+                    copy; a page's columns get unique names, a repeated
+                    caption + header taking a ` (2)`, ` (3)`, ... suffix)
+  update            the same ingestion on top of an existing dataset, with
+                    semi-naive index maintenance (no cold rebuild)
                       --dump FILE --data BASE --out FILE
                       [--index FILE]      update this index in place via
                                           core::delta (refused when the delta
@@ -171,8 +176,11 @@ COMMANDS:
                       [--resume] [--deadline SECS] [--quarantine-report FILE]
                       [--quiet] [--progress N=1000] [--report FILE]
                     (delta pages carry the FULL revision history of changed or
-                    new pages; Ctrl-C checkpoints (TINDUC) and exits 130;
-                    kill/resume is byte-identical)
+                    new pages, which replace their columns in place, ids kept;
+                    Ctrl-C checkpoints (TINDUC) and exits 130; kill/resume is
+                    byte-identical; a base holding an attribute name twice,
+                    written before names were unique, is refused (exit 3):
+                    re-ingest it)
   trace             render a TINDTF trace file as a span waterfall
                       <FILE> (or --file FILE)
                       [--chrome OUT]  export Chrome trace_event JSON

@@ -206,18 +206,28 @@ impl DatasetBuilder {
     /// Panics if the history extends beyond the timeline.
     pub fn upsert_history(&mut self, history: AttributeHistory) -> (AttrId, bool) {
         if let Some(pos) = self.attributes.iter().position(|h| h.name() == history.name()) {
-            assert!(
-                self.timeline.contains(history.last_observed()),
-                "history '{}' ends at {} beyond timeline of length {}",
-                history.name(),
-                history.last_observed(),
-                self.timeline.len()
-            );
-            self.attributes[pos] = Arc::new(history);
+            self.replace_history(pos as AttrId, history);
             (pos as AttrId, true)
         } else {
             (self.add_history(history), false)
         }
+    }
+
+    /// Replaces the history in slot `id`, keeping the id; every other slot
+    /// stays shared. For callers that keep their own name → id map.
+    ///
+    /// # Panics
+    /// Panics if `id` is out of range or the history extends beyond the
+    /// timeline.
+    pub fn replace_history(&mut self, id: AttrId, history: AttributeHistory) {
+        assert!(
+            self.timeline.contains(history.last_observed()),
+            "history '{}' ends at {} beyond timeline of length {}",
+            history.name(),
+            history.last_observed(),
+            self.timeline.len()
+        );
+        self.attributes[id as usize] = Arc::new(history);
     }
 
     /// Convenience: builds and adds a history from `(start, values)` string
@@ -254,6 +264,26 @@ impl DatasetBuilder {
             .enumerate()
             .map(|(i, h)| (h.name().to_owned(), i as AttrId))
             .collect();
+        self.finish(by_name)
+    }
+
+    /// Finalizes the dataset with a name index the caller kept while
+    /// adding: `by_name` must map each attribute's name, held once, to its
+    /// id. Saves indexing every name a second time.
+    pub fn build_with_names(self, by_name: FastMap<String, AttrId>) -> Dataset {
+        debug_assert!(
+            by_name.len() == self.attributes.len()
+                && self
+                    .attributes
+                    .iter()
+                    .enumerate()
+                    .all(|(i, h)| by_name.get(h.name()) == Some(&(i as AttrId))),
+            "the name index must match the attributes"
+        );
+        self.finish(by_name)
+    }
+
+    fn finish(self, by_name: FastMap<String, AttrId>) -> Dataset {
         Dataset {
             timeline: self.timeline,
             dictionary: self.dictionary,

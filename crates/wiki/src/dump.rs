@@ -25,8 +25,8 @@
 //! the page: a malformed timestamp in a multi-GB dump must not abort
 //! hours of extraction.
 //!
-//! [`parse_dump`] / [`read_dump_file`] remain as eager conveniences for
-//! small, trusted inputs; they fail fast on the first quarantined page.
+//! [`parse_dump`] remains as an eager convenience for small, trusted
+//! in-memory inputs; it fails fast on the first quarantined page.
 
 use std::io::Read;
 
@@ -549,23 +549,6 @@ pub fn parse_dump(xml: &str, config: &DumpConfig) -> Result<Vec<PageRevision>, D
         match item.map_err(|e| DumpError::BadNumber(e.to_string()))? {
             DumpItem::Page(group) => revisions.extend(group.revisions),
             DumpItem::Quarantined(q) => return Err(q.error),
-        }
-    }
-    Ok(revisions)
-}
-
-/// Reads and parses a dump file eagerly (streaming I/O, strict on
-/// page-level errors — see [`parse_dump`]).
-pub fn read_dump_file(
-    path: &std::path::Path,
-    config: &DumpConfig,
-) -> Result<Vec<PageRevision>, Box<dyn std::error::Error>> {
-    let file = std::fs::File::open(path)?;
-    let mut revisions = Vec::new();
-    for item in DumpReader::new(file, config.clone()) {
-        match item? {
-            DumpItem::Page(group) => revisions.extend(group.revisions),
-            DumpItem::Quarantined(q) => return Err(Box::new(q.error)),
         }
     }
     Ok(revisions)

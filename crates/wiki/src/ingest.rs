@@ -1,4 +1,9 @@
-//! Resilient streaming ingestion: dump stream → dataset, survivably.
+//! Resilient streaming ingestion: base dataset + dump stream → dataset,
+//! survivably.
+//!
+//! [`ingest_stream`] is the one ingestion driver. It runs over a base
+//! dataset: the empty one for a cold ingest (`tind ingest`), an existing
+//! one for an update (`tind update`, see [`crate::delta`]).
 //!
 //! Extraction over a full-history dump is the dominant cost of the whole
 //! system (hours at paper scale, §5.1), so this module gives ingestion
@@ -13,8 +18,9 @@
 //!   aborts the run only when the quarantine *rate* shows the input is
 //!   garbage rather than merely imperfect.
 //! * **Page-granular checkpoint/resume.** An [`IngestCheckpoint`]
-//!   (`TINDIC` magic, CRC-32 trailer, source-fingerprint and
-//!   config-digest guards — the `core::checkpoint` conventions) persists
+//!   (`TINDIC` magic, or `TINDUC` over a non-empty base; CRC-32 trailer,
+//!   source-fingerprint, config-digest and base guards — the
+//!   `core::checkpoint` conventions) persists
 //!   the byte offset after the last completed page plus the partial
 //!   dataset, so a killed ingestion resumes exactly where it stopped and
 //!   produces a **byte-identical** dataset: pages are processed
@@ -29,23 +35,30 @@
 //! `CancelToken` — this crate sits below `tind-core` in the dependency
 //! graph, and the CLI adapts its token to the closure.
 
+use std::collections::BTreeSet;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tind_model::binio::{
-    self, decode_dataset, encode_dataset, put_varint, BinIoError, Reader,
+    self, dataset_fingerprint, decode_dataset, encode_dataset, put_str, put_varint, BinIoError,
+    Reader,
 };
 use tind_model::checksum;
 use tind_model::quarantine::DEFAULT_SAMPLE_CAP;
-use tind_model::{Dataset, MemoryBudget, QuarantineReport};
+use tind_model::{Dataset, DatasetBuilder, MemoryBudget, QuarantineReport, Timeline};
 
+use crate::delta::DeltaLog;
 use crate::dump::{DumpConfig, DumpItem, DumpReader, DEFAULT_MAX_PAGE_BYTES};
 use crate::pipeline::{panic_message, PipelineConfig, PipelineReport, PipelineSession};
 
-/// Magic bytes identifying a serialized ingestion checkpoint, including a
-/// format version.
+/// Magic bytes of the checkpoint of a cold ingest (empty base), including
+/// a format version.
 pub const INGEST_CHECKPOINT_MAGIC: &[u8; 8] = b"TINDIC\x00\x01";
+
+/// Magic bytes of the checkpoint of a run over a non-empty base (an
+/// update), including a format version.
+pub const UPDATE_CHECKPOINT_MAGIC: &[u8; 8] = b"TINDUC\x00\x01";
 
 fn corrupt(msg: impl Into<String>) -> BinIoError {
     BinIoError::Corrupt(msg.into())
@@ -101,6 +114,12 @@ impl IngestConfig {
         put_varint(&mut buf, self.pipeline.filters.min_median_cardinality as u64);
         put_varint(&mut buf, self.max_page_bytes as u64);
         tind_model::hash::hash_bytes(&buf)
+    }
+
+    /// The empty dataset over this configuration's timeline: the base of
+    /// a cold ingest.
+    pub fn empty_base(&self) -> Dataset {
+        DatasetBuilder::new(Timeline::new(self.pipeline.timeline_days)).build()
     }
 }
 
@@ -177,6 +196,9 @@ pub enum IngestError {
     /// Resume was requested but cannot proceed (no checkpoint path, or
     /// the source is shorter than the checkpointed offset).
     ResumeMismatch(String),
+    /// The base dataset cannot carry the run: another timeline, or an
+    /// attribute name held twice.
+    Base(String),
 }
 
 impl std::fmt::Display for IngestError {
@@ -185,6 +207,7 @@ impl std::fmt::Display for IngestError {
             IngestError::Io(e) => write!(f, "ingestion I/O error: {e}"),
             IngestError::Checkpoint(e) => write!(f, "ingestion checkpoint: {e}"),
             IngestError::ResumeMismatch(m) => write!(f, "cannot resume: {m}"),
+            IngestError::Base(m) => write!(f, "unusable base dataset: {m}"),
         }
     }
 }
@@ -213,8 +236,15 @@ pub enum IngestStatus {
 pub struct IngestOutcome {
     /// How the run ended.
     pub status: IngestStatus,
-    /// The extracted dataset — `Some` only for completed runs.
+    /// The extracted dataset (the base plus this run's pages) — `Some`
+    /// only for completed runs.
     pub dataset: Option<Dataset>,
+    /// Attribute names this run updated or appended, sorted; empty for a
+    /// cold ingest, which keeps no such set (see [`DeltaLog`]).
+    pub touched: BTreeSet<String>,
+    /// Re-staged columns kept despite failing the attribute filters
+    /// (0 for a cold ingest).
+    pub filter_downgrades: u64,
     /// Quarantine counters and samples.
     pub quarantine: QuarantineReport,
     /// Extraction pipeline counters.
@@ -229,7 +259,10 @@ pub struct IngestOutcome {
 /// varint fields, guard digests, CRC-32 trailer, atomic write. The
 /// partial dataset and the quarantine report are embedded as
 /// length-prefixed blobs in their own formats (each carrying its own
-/// magic and checksum).
+/// magic and checksum). A cold ingest writes `TINDIC`; a run over a
+/// non-empty base writes `TINDUC`, which adds the [`DeltaLog`]: the base
+/// fingerprint right after the config digest, the downgrade count after
+/// the fallback id, and the touched names before the dataset blob.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestCheckpoint {
     /// Fingerprint of the source stream (see [`fingerprint_source`]).
@@ -243,8 +276,10 @@ pub struct IngestCheckpoint {
     pub next_fallback_page_id: u32,
     /// Quarantine state as of the checkpoint.
     pub quarantine: QuarantineReport,
-    /// Pipeline counters as of the checkpoint.
+    /// Pipeline counters as of the checkpoint (this run's pages only).
     pub pipeline: PipelineReport,
+    /// The log of a run over a non-empty base; `None` for a cold ingest.
+    pub delta: Option<DeltaLog>,
     /// The partial dataset, encoded with [`encode_dataset`].
     pub dataset_bytes: Vec<u8>,
 }
@@ -287,23 +322,35 @@ pub(crate) fn get_blob<'a>(buf: &mut Reader<'a>, what: &str) -> Result<&'a [u8],
 }
 
 impl IngestCheckpoint {
-    /// Verifies this checkpoint belongs to the given source and
-    /// configuration; a mismatch means the operator pointed a resume at
+    /// Verifies this checkpoint belongs to the given source, configuration
+    /// and base dataset; a mismatch means the operator pointed a resume at
     /// the wrong file, and blindly continuing would corrupt the dataset.
     pub fn verify_matches(
         &self,
         source_fingerprint: u64,
         config_digest: u64,
+        base: &Dataset,
     ) -> Result<(), BinIoError> {
+        let kind = if self.delta.is_some() { "update" } else { "ingest" };
         if self.source_fingerprint != source_fingerprint {
-            return Err(corrupt(
-                "ingest checkpoint fingerprint does not match the dump (wrong or stale checkpoint)",
-            ));
+            return Err(corrupt(format!(
+                "{kind} checkpoint fingerprint does not match the dump (wrong or stale checkpoint)"
+            )));
         }
         if self.config_digest != config_digest {
-            return Err(corrupt(
-                "ingest checkpoint was created under different parameters (epoch, timeline, filters, or page cap)",
-            ));
+            return Err(corrupt(format!(
+                "{kind} checkpoint was created under different parameters (epoch, timeline, \
+                 filters, or page cap)"
+            )));
+        }
+        let same_base = match &self.delta {
+            Some(delta) => delta.base_fingerprint == dataset_fingerprint(base),
+            None => base.is_empty(),
+        };
+        if !same_base {
+            return Err(corrupt(format!(
+                "{kind} checkpoint was created against a different base dataset"
+            )));
         }
         Ok(())
     }
@@ -311,36 +358,72 @@ impl IngestCheckpoint {
     /// Serializes the checkpoint.
     pub fn encode(&self) -> Vec<u8> {
         let q = self.quarantine.encode();
-        let mut buf = Vec::with_capacity(64 + q.len() + self.dataset_bytes.len());
-        buf.extend_from_slice(INGEST_CHECKPOINT_MAGIC);
+        let mut buf = Vec::with_capacity(96 + q.len() + self.dataset_bytes.len());
+        let delta = self.delta.as_ref();
+        buf.extend_from_slice(match delta {
+            Some(_) => UPDATE_CHECKPOINT_MAGIC,
+            None => INGEST_CHECKPOINT_MAGIC,
+        });
         buf.extend_from_slice(&self.source_fingerprint.to_le_bytes());
         buf.extend_from_slice(&self.config_digest.to_le_bytes());
+        if let Some(delta) = delta {
+            buf.extend_from_slice(&delta.base_fingerprint.to_le_bytes());
+        }
         put_varint(&mut buf, self.resume_offset);
         put_varint(&mut buf, u64::from(self.next_fallback_page_id));
+        if let Some(delta) = delta {
+            put_varint(&mut buf, delta.filter_downgrades);
+        }
         put_varint(&mut buf, q.len() as u64);
         buf.extend_from_slice(&q);
         put_report(&mut buf, &self.pipeline);
+        if let Some(delta) = delta {
+            put_varint(&mut buf, delta.touched.len() as u64);
+            for name in &delta.touched {
+                put_str(&mut buf, name);
+            }
+        }
         put_varint(&mut buf, self.dataset_bytes.len() as u64);
         buf.extend_from_slice(&self.dataset_bytes);
         checksum::append_trailer(&mut buf);
         buf
     }
 
-    /// Deserializes a checkpoint written by [`IngestCheckpoint::encode`],
-    /// verifying magic, version, and checksum trailer (the embedded
-    /// quarantine report is fully validated; the dataset blob is decoded
-    /// by the resume path).
+    /// Deserializes a checkpoint written by [`IngestCheckpoint::encode`]
+    /// (either magic), verifying magic, version, and checksum trailer (the
+    /// embedded quarantine report is fully validated; the dataset blob is
+    /// decoded by the resume path).
     pub fn decode(bytes: &[u8]) -> Result<IngestCheckpoint, BinIoError> {
-        let mut buf = binio::open(bytes, INGEST_CHECKPOINT_MAGIC, "ingest checkpoint")?;
-        let source_fingerprint = buf.u64_le("ingest checkpoint header")?;
-        let config_digest = buf.u64_le("ingest checkpoint header")?;
+        let update = bytes.get(..7) == Some(&UPDATE_CHECKPOINT_MAGIC[..7]);
+        let (magic, what) = if update {
+            (UPDATE_CHECKPOINT_MAGIC, "update checkpoint")
+        } else {
+            (INGEST_CHECKPOINT_MAGIC, "ingest checkpoint")
+        };
+        let mut buf = binio::open(bytes, magic, what)?;
+        let header = format!("{what} header");
+        let source_fingerprint = buf.u64_le(&header)?;
+        let config_digest = buf.u64_le(&header)?;
+        let mut delta =
+            if update { Some(DeltaLog::new(buf.u64_le(&header)?)) } else { None };
         let resume_offset = buf.varint()?;
         let next_fallback_page_id = u32::try_from(buf.varint()?)
             .map_err(|_| corrupt("fallback page id overflows u32"))?;
+        if let Some(delta) = &mut delta {
+            delta.filter_downgrades = buf.varint()?;
+        }
         let quarantine = QuarantineReport::decode(get_blob(&mut buf, "quarantine")?)?;
         let pipeline = get_report(&mut buf)?;
+        if let Some(delta) = &mut delta {
+            for _ in 0..buf.varint()? {
+                let name = get_blob(&mut buf, "touched name")?;
+                let name = std::str::from_utf8(name)
+                    .map_err(|_| corrupt("touched name is not UTF-8"))?;
+                delta.touched.insert(name.to_owned());
+            }
+        }
         let dataset_bytes = get_blob(&mut buf, "dataset")?.to_vec();
-        buf.finish("ingest checkpoint")?;
+        buf.finish(what)?;
         Ok(IngestCheckpoint {
             source_fingerprint,
             config_digest,
@@ -348,6 +431,7 @@ impl IngestCheckpoint {
             next_fallback_page_id,
             quarantine,
             pipeline,
+            delta,
             dataset_bytes,
         })
     }
@@ -391,37 +475,23 @@ pub fn fingerprint_source(path: &Path) -> std::io::Result<u64> {
     Ok(tind_model::hash::hash_bytes(&buf))
 }
 
-fn save_checkpoint(
-    policy: &IngestCheckpointPolicy,
-    source_fingerprint: u64,
-    config_digest: u64,
-    resume_offset: u64,
-    next_fallback_page_id: u32,
-    session: &PipelineSession,
-    quarantine: &QuarantineReport,
-) -> Result<(), IngestError> {
-    let cp = IngestCheckpoint {
-        source_fingerprint,
-        config_digest,
-        resume_offset,
-        next_fallback_page_id,
-        quarantine: quarantine.clone(),
-        pipeline: session.report().clone(),
-        dataset_bytes: encode_dataset(&session.snapshot()),
-    };
-    cp.write_file(&policy.path).map_err(IngestError::Checkpoint)
-}
-
-/// Runs resilient streaming ingestion over `src`.
+/// Runs resilient streaming ingestion over `src` on top of `base`.
+///
+/// A cold ingest passes the empty base ([`IngestConfig::empty_base`]); an
+/// update passes the dataset it extends, whose timeline must be the
+/// configuration's. Each page is committed by attribute name (see
+/// [`PipelineSession`]), so the result over the empty base is exactly the
+/// update of the empty dataset by the whole stream.
 ///
 /// `source_fingerprint` identifies the stream (use
 /// [`fingerprint_source`] for files); it is stored in checkpoints and
-/// the quarantine report and guards resume.
+/// the quarantine report and guards resume, together with the base.
 pub fn ingest_stream<R: Read>(
     mut src: R,
     source_fingerprint: u64,
+    base: Dataset,
     config: &IngestConfig,
-    mut options: IngestOptions,
+    options: IngestOptions,
 ) -> Result<IngestOutcome, IngestError> {
     let _run_span = tind_obs::span("wiki.ingest.run");
     let pages_seen_c = tind_obs::counter("ingest.pages_seen");
@@ -429,17 +499,21 @@ pub fn ingest_stream<R: Read>(
     // Running mirror of `QuarantineReport::pages_quarantined`; `tind verify
     // --quarantine` cross-checks the reported value against the artifact.
     let quarantined_g = tind_obs::gauge("ingest.quarantined_total");
+    let IngestOptions { checkpoint, resume, memory_budget, should_stop, mut progress, fault_hook } =
+        options;
     let config_digest = config.digest();
     let mut resumed_from = None;
     let mut base_offset = 0u64;
     let mut fallback_page_id = 1_000_000u32;
 
-    let (mut session, mut quarantine) = if options.resume {
-        let policy = options.checkpoint.as_ref().ok_or_else(|| {
+    let (mut session, mut quarantine) = if resume {
+        let policy = checkpoint.as_ref().ok_or_else(|| {
             IngestError::ResumeMismatch("resume requested without a checkpoint path".into())
         })?;
         let cp = IngestCheckpoint::read_file(&policy.path).map_err(IngestError::Checkpoint)?;
-        cp.verify_matches(source_fingerprint, config_digest).map_err(IngestError::Checkpoint)?;
+        cp.verify_matches(source_fingerprint, config_digest, &base)
+            .map_err(IngestError::Checkpoint)?;
+        drop(base);
         let partial = decode_dataset(&cp.dataset_bytes).map_err(IngestError::Checkpoint)?;
         base_offset = cp.resume_offset;
         fallback_page_id = cp.next_fallback_page_id;
@@ -451,13 +525,13 @@ pub fn ingest_stream<R: Read>(
                 "source ends after {skipped} bytes, before the checkpoint offset {base_offset}"
             )));
         }
-        (
-            PipelineSession::resume(config.pipeline.clone(), partial, cp.pipeline),
-            cp.quarantine,
-        )
+        let session =
+            PipelineSession::resume(config.pipeline.clone(), partial, cp.pipeline, cp.delta)
+                .map_err(|m| IngestError::Checkpoint(corrupt(m)))?;
+        (session, cp.quarantine)
     } else {
         (
-            PipelineSession::new(config.pipeline.clone()),
+            PipelineSession::over(config.pipeline.clone(), base).map_err(IngestError::Base)?,
             QuarantineReport::new(source_fingerprint, config.sample_cap),
         )
     };
@@ -466,52 +540,46 @@ pub fn ingest_stream<R: Read>(
 
     let mut reader = DumpReader::new(src, config.dump.clone())
         .with_max_page_bytes(config.max_page_bytes)
-        .with_memory_budget(options.memory_budget.clone())
+        .with_memory_budget(memory_budget)
         .with_base_offset(base_offset)
         .with_fallback_page_id(fallback_page_id);
 
-    let mut since_checkpoint = 0u64;
-    loop {
-        if options.should_stop.as_ref().is_some_and(|stop| stop()) {
-            if let Some(policy) = &options.checkpoint {
-                save_checkpoint(
-                    policy,
-                    source_fingerprint,
-                    config_digest,
-                    reader.offset(),
-                    reader.fallback_page_id(),
-                    &session,
-                    &quarantine,
-                )?;
-            }
-            let (_, pipeline) = session.finish();
-            return Ok(IngestOutcome {
-                status: IngestStatus::Cancelled,
-                dataset: None,
-                quarantine,
-                pipeline,
-                resumed_from,
-            });
-        }
-        let Some(item) = reader.next() else {
-            break;
+    // Persists the progress up to the reader's position, if configured.
+    let save = |reader: &DumpReader<R>, session: &PipelineSession, quarantine: &QuarantineReport| {
+        let Some(policy) = &checkpoint else {
+            return Ok(());
         };
-        let item = match item {
-            Ok(item) => item,
-            Err(e) => {
+        let cp = IngestCheckpoint {
+            source_fingerprint,
+            config_digest,
+            resume_offset: reader.offset(),
+            next_fallback_page_id: reader.fallback_page_id(),
+            quarantine: quarantine.clone(),
+            pipeline: session.report().clone(),
+            delta: session.delta().cloned(),
+            dataset_bytes: encode_dataset(&session.snapshot()),
+        };
+        cp.write_file(&policy.path).map_err(IngestError::Checkpoint)
+    };
+
+    let mut since_checkpoint = 0u64;
+    let status = loop {
+        if should_stop.as_ref().is_some_and(|stop| stop()) {
+            save(&reader, &session, &quarantine)?;
+            break IngestStatus::Cancelled;
+        }
+        let item = match reader.next() {
+            // Completed: a resume from the final checkpoint re-reads
+            // nothing and rebuilds the identical dataset.
+            None => {
+                save(&reader, &session, &quarantine)?;
+                break IngestStatus::Completed;
+            }
+            Some(Ok(item)) => item,
+            Some(Err(e)) => {
                 // Best-effort checkpoint so the run can resume after the
                 // I/O fault is fixed; the read error is the one reported.
-                if let Some(policy) = &options.checkpoint {
-                    let _ = save_checkpoint(
-                        policy,
-                        source_fingerprint,
-                        config_digest,
-                        reader.offset(),
-                        reader.fallback_page_id(),
-                        &session,
-                        &quarantine,
-                    );
-                }
+                let _ = save(&reader, &session, &quarantine);
                 return Err(IngestError::Io(e));
             }
         };
@@ -535,16 +603,14 @@ pub fn ingest_stream<R: Read>(
                 let start_offset = group.start_offset;
                 // The fault hook runs under the same isolation as the
                 // pipeline: a panic quarantines this page only.
-                let hook = options.fault_hook.clone();
-                let hook_ok = match hook {
+                let hook_ok = match &fault_hook {
                     Some(h) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         h(page_ordinal)
                     }))
                     .map_err(panic_message),
                     None => Ok(()),
                 };
-                let pushed = hook_ok.and_then(|()| session.push_page(group.revisions));
-                match pushed {
+                match hook_ok.and_then(|()| session.push_page(group.revisions)) {
                     Ok(()) => {
                         quarantine.pages_kept += 1;
                         quarantine.revisions_kept += revisions;
@@ -564,27 +630,10 @@ pub fn ingest_stream<R: Read>(
         if quarantine.pages_seen >= config.error_rate_min_pages
             && quarantine.error_rate() > config.max_error_rate
         {
-            if let Some(policy) = &options.checkpoint {
-                save_checkpoint(
-                    policy,
-                    source_fingerprint,
-                    config_digest,
-                    reader.offset(),
-                    reader.fallback_page_id(),
-                    &session,
-                    &quarantine,
-                )?;
-            }
-            let (_, pipeline) = session.finish();
-            return Ok(IngestOutcome {
-                status: IngestStatus::ErrorBudgetExceeded,
-                dataset: None,
-                quarantine,
-                pipeline,
-                resumed_from,
-            });
+            save(&reader, &session, &quarantine)?;
+            break IngestStatus::ErrorBudgetExceeded;
         }
-        if let Some(progress) = options.progress.as_mut() {
+        if let Some(progress) = progress.as_mut() {
             progress(&IngestProgress {
                 pages_seen: quarantine.pages_seen,
                 pages_quarantined: quarantine.pages_quarantined,
@@ -592,39 +641,20 @@ pub fn ingest_stream<R: Read>(
             });
         }
         since_checkpoint += 1;
-        if let Some(policy) = &options.checkpoint {
-            if policy.every_pages > 0 && since_checkpoint >= policy.every_pages {
-                save_checkpoint(
-                    policy,
-                    source_fingerprint,
-                    config_digest,
-                    reader.offset(),
-                    reader.fallback_page_id(),
-                    &session,
-                    &quarantine,
-                )?;
-                since_checkpoint = 0;
-            }
+        let every = checkpoint.as_ref().map_or(0, |policy| policy.every_pages);
+        if every > 0 && since_checkpoint >= every {
+            save(&reader, &session, &quarantine)?;
+            since_checkpoint = 0;
         }
-    }
+    };
 
-    // Completed: persist a final checkpoint (a resume from it re-reads
-    // nothing and rebuilds the identical dataset), then finalize.
-    if let Some(policy) = &options.checkpoint {
-        save_checkpoint(
-            policy,
-            source_fingerprint,
-            config_digest,
-            reader.offset(),
-            reader.fallback_page_id(),
-            &session,
-            &quarantine,
-        )?;
-    }
+    let delta = session.delta().cloned().unwrap_or_default();
     let (dataset, pipeline) = session.finish();
     Ok(IngestOutcome {
-        status: IngestStatus::Completed,
-        dataset: Some(dataset),
+        status,
+        dataset: (status == IngestStatus::Completed).then_some(dataset),
+        touched: delta.touched,
+        filter_downgrades: delta.filter_downgrades,
         quarantine,
         pipeline,
         resumed_from,
@@ -678,6 +708,7 @@ mod tests {
         let outcome = ingest_stream(
             std::io::Cursor::new(xml.as_bytes()),
             7,
+            config.empty_base(),
             &config,
             IngestOptions::default(),
         )
@@ -702,7 +733,7 @@ mod tests {
             checkpoint: Some(IngestCheckpointPolicy { path: path.clone(), every_pages: 1 }),
             ..IngestOptions::default()
         };
-        ingest_stream(std::io::Cursor::new(xml.as_bytes()), 7, &config, options)
+        ingest_stream(std::io::Cursor::new(xml.as_bytes()), 7, config.empty_base(), &config, options)
             .expect("ingests");
         let cp = IngestCheckpoint::read_file(&path).expect("reads");
         assert_eq!(cp.source_fingerprint, 7);
@@ -710,9 +741,13 @@ mod tests {
         let decoded = IngestCheckpoint::decode(&cp.encode()).expect("roundtrips");
         assert_eq!(decoded, cp);
         // Guards.
-        assert!(cp.verify_matches(7, config.digest()).is_ok());
-        assert!(cp.verify_matches(8, config.digest()).is_err(), "wrong source");
-        assert!(cp.verify_matches(7, IngestConfig::new(41).digest()).is_err(), "wrong config");
+        let empty = config.empty_base();
+        assert!(cp.verify_matches(7, config.digest(), &empty).is_ok());
+        assert!(cp.verify_matches(8, config.digest(), &empty).is_err(), "wrong source");
+        assert!(
+            cp.verify_matches(7, IngestConfig::new(41).digest(), &empty).is_err(),
+            "wrong config"
+        );
         // Corruption.
         let bytes = cp.encode();
         for cut in [0usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {

@@ -17,8 +17,8 @@
 //! | [`preprocess`] | link resolution, null unification, numeric-attribute and version/cardinality filters |
 //! | [`pipeline`] | end-to-end: revisions → [`tind_model::Dataset`] |
 //! | [`dump`] | bounded-memory streaming reader for XML-style dump exports |
-//! | [`ingest`] | resilient ingestion: quarantine, error budget, checkpoint/resume |
-//! | [`delta`] | delta ingestion: page-granular updates of an existing dataset |
+//! | [`ingest`] | the one ingestion driver: quarantine, error budget, checkpoint/resume |
+//! | [`delta`] | ingestion over a non-empty base: page-granular updates of a dataset |
 //!
 //! Real Wikipedia dumps are not available in this environment; the
 //! `tind-datagen` crate renders synthetic revision streams with the same
@@ -37,7 +37,7 @@ pub mod tables;
 pub mod vandalism;
 pub mod wikitext;
 
-pub use delta::{update_stream, DeltaExtractor, UpdateCheckpoint, UpdateOutcome};
+pub use delta::DeltaLog;
 pub use dump::{DumpConfig, DumpItem, DumpReader};
 pub use ingest::{
     fingerprint_source, ingest_stream, IngestCheckpoint, IngestCheckpointPolicy, IngestConfig,

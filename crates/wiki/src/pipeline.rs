@@ -16,14 +16,19 @@
 //!   stages: a pure, panic-isolated stage (parsing, matching,
 //!   aggregation) followed by a commit stage that touches the builder —
 //!   so a panic on a pathological page leaves the session untouched and
-//!   the page can be quarantined.
+//!   the page can be quarantined. The commit goes by attribute name, and
+//!   [`stage_page`] makes every name unique within its page, so a session
+//!   over an existing dataset updates it in place ([`crate::delta`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
-use tind_model::{Dataset, DatasetBuilder, Timeline, Timestamp};
+use tind_model::binio::dataset_fingerprint;
+use tind_model::hash::FastMap;
+use tind_model::{AttrId, Dataset, DatasetBuilder, Timeline, Timestamp};
 
 use crate::aggregate::{aggregate_daily, build_history, Observation};
 use crate::column_match::ColumnMatcher;
+use crate::delta::DeltaLog;
 use crate::preprocess::{clean_value, AttributeFilters};
 use crate::revision::{canonicalize_stream_lossy, PageRevision};
 use crate::table_match::TableMatcher;
@@ -154,7 +159,7 @@ pub(crate) fn stage_page(page_revs: Vec<PageRevision>, config: &PipelineConfig) 
         }
         let raw_tables = parse_tables(&rev.wikitext);
         let table_ids = table_matcher.match_revision(&raw_tables);
-        let present: std::collections::HashSet<u32> = table_ids.iter().copied().collect();
+        let present: HashSet<u32> = table_ids.iter().copied().collect();
 
         for (raw, &tid) in raw_tables.iter().zip(&table_ids) {
             let state = tables.entry(tid).or_default();
@@ -162,7 +167,7 @@ pub(crate) fn stage_page(page_revs: Vec<PageRevision>, config: &PipelineConfig) 
                 state.caption = raw.caption.clone();
             }
             let col_ids = state.col_matcher.match_table(raw);
-            let seen: std::collections::HashSet<u32> = col_ids.iter().copied().collect();
+            let seen: HashSet<u32> = col_ids.iter().copied().collect();
             for (ci, &cid) in col_ids.iter().enumerate() {
                 let values: Vec<String> =
                     raw.column_values(ci).into_iter().filter_map(clean_value).collect();
@@ -209,40 +214,34 @@ pub(crate) fn stage_page(page_revs: Vec<PageRevision>, config: &PipelineConfig) 
             staged.columns.push(StagedColumn { name, daily });
         }
     }
+    make_names_unique(&mut staged.columns);
     staged
 }
 
-/// Stage B: intern, filter, and add the staged columns to the builder.
-fn commit_staged(
-    config: &PipelineConfig,
-    builder: &mut DatasetBuilder,
-    report: &mut PipelineReport,
-    staged: StagedPage,
-) {
-    report.vandalism_dropped += staged.vandalism_dropped;
-    report.duplicate_dropped += staged.duplicate_dropped;
-    if staged.revisions == 0 {
+/// Makes the column names of one page unique. Two tables with the same
+/// caption, or two matched columns under the same header, would otherwise
+/// share `"{title} ▸ {caption} ▸ {header}"`, and a commit by name would
+/// fold one into the other. The first column keeps its name; each later
+/// repeat takes the first suffix ` (2)`, ` (3)`, … that no column of the
+/// page carries, so a suffixed name never collides with a real header.
+fn make_names_unique(columns: &mut [StagedColumn]) {
+    let mut sorted: Vec<&str> = columns.iter().map(|c| c.name.as_str()).collect();
+    sorted.sort_unstable();
+    if sorted.windows(2).all(|w| w[0] != w[1]) {
         return;
     }
-    report.pages += 1;
-    report.revisions += staged.revisions;
-    report.out_of_range_dropped += staged.out_of_range_dropped;
-    report.tables_tracked += staged.tables_tracked;
-    report.columns_tracked += staged.columns_tracked;
-    for col in staged.columns {
-        let dict = builder.dictionary_mut();
-        let Some(history) = build_history(&col.name, &col.daily, |s| dict.intern(s)) else {
+    let mut taken: HashSet<String> = columns.iter().map(|c| c.name.clone()).collect();
+    let mut seen = HashSet::new();
+    for col in columns {
+        if seen.insert(col.name.clone()) {
             continue;
-        };
-        report.attributes_before_filters += 1;
-        let keep = {
-            let dict = builder.dictionary();
-            config.filters.keep(&history, |v| dict.resolve(v).to_string())
-        };
-        if keep {
-            builder.add_history(history);
-            report.attributes_kept += 1;
         }
+        let unique = (2u32..)
+            .map(|n| format!("{} ({n})", col.name))
+            .find(|candidate| !taken.contains(candidate))
+            .expect("an unbounded suffix range has a free name");
+        taken.insert(unique.clone());
+        col.name = unique;
     }
 }
 
@@ -258,28 +257,81 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Incremental extraction session: feed one page group at a time.
 ///
+/// A session runs over a *base* dataset — the empty dataset for a cold
+/// ingest, an existing one for an update — and commits each page by
+/// attribute name: a column whose name the session already holds replaces
+/// that slot and keeps its id, any other column that passes the §5.1
+/// filters is appended. An existing column is replaced even when it no
+/// longer passes the filters, because deleting it would renumber every
+/// later id (see [`crate::delta`]).
+///
 /// Pages are processed independently and interned in arrival order, so a
-/// given sequence of `push_page` calls always yields a byte-identical
-/// dataset — including across [`PipelineSession::snapshot`] /
-/// [`PipelineSession::resume`] boundaries, which is what makes
+/// given base and sequence of `push_page` calls always yields a
+/// byte-identical dataset — including across [`PipelineSession::snapshot`]
+/// / [`PipelineSession::resume`] boundaries, which is what makes
 /// checkpointed ingestion deterministic.
 pub struct PipelineSession {
     config: PipelineConfig,
     builder: DatasetBuilder,
     report: PipelineReport,
+    /// Name → id of every attribute in the builder, so a re-staged column
+    /// replaces its slot by id instead of scanning for its name.
+    ids: FastMap<String, AttrId>,
+    /// What a run over a non-empty base records; `None` for a cold run.
+    delta: Option<DeltaLog>,
 }
 
 impl PipelineSession {
-    /// Starts an empty session.
+    /// Starts a cold session: the empty base over `config.timeline_days`.
     pub fn new(config: PipelineConfig) -> Self {
         let builder = DatasetBuilder::new(Timeline::new(config.timeline_days));
-        PipelineSession { config, builder, report: PipelineReport::default() }
+        PipelineSession {
+            config,
+            builder,
+            report: PipelineReport::default(),
+            ids: FastMap::default(),
+            delta: None,
+        }
     }
 
-    /// Resumes from a snapshot: the partial dataset and report of an
-    /// earlier session (e.g. decoded from an ingestion checkpoint).
-    pub fn resume(config: PipelineConfig, partial: Dataset, report: PipelineReport) -> Self {
-        PipelineSession { config, builder: partial.into_builder(), report }
+    /// Starts a session over `base`. A non-empty base turns on the
+    /// [`DeltaLog`]. Refuses a base over another timeline, or one that
+    /// holds an attribute name twice (the commit could not tell the two
+    /// apart; such a dataset predates unique names and must be
+    /// re-ingested).
+    pub fn over(config: PipelineConfig, base: Dataset) -> Result<Self, String> {
+        let delta = (!base.is_empty()).then(|| DeltaLog::new(dataset_fingerprint(&base)));
+        Self::resume(config, base, PipelineReport::default(), delta)
+    }
+
+    /// Resumes from a snapshot: the partial dataset, report and delta log
+    /// of an earlier session (e.g. decoded from an ingestion checkpoint).
+    /// Refuses what [`Self::over`] refuses.
+    pub fn resume(
+        config: PipelineConfig,
+        partial: Dataset,
+        report: PipelineReport,
+        delta: Option<DeltaLog>,
+    ) -> Result<Self, String> {
+        if partial.timeline() != Timeline::new(config.timeline_days) {
+            return Err(format!(
+                "the base dataset spans {} days, the run {} days",
+                partial.timeline().len(),
+                config.timeline_days
+            ));
+        }
+        let mut ids = FastMap::default();
+        ids.reserve(partial.len());
+        for (id, history) in partial.iter() {
+            if ids.insert(history.name().to_owned(), id).is_some() {
+                return Err(format!(
+                    "the base dataset holds the attribute name '{}' twice; it was written \
+                     before column names were unique within a page — re-ingest its dump",
+                    history.name()
+                ));
+            }
+        }
+        Ok(PipelineSession { config, builder: partial.into_builder(), report, ids, delta })
     }
 
     /// The session's configuration.
@@ -287,9 +339,15 @@ impl PipelineSession {
         &self.config
     }
 
-    /// Progress so far.
+    /// Progress so far (pages of this run only, not the base).
     pub fn report(&self) -> &PipelineReport {
         &self.report
+    }
+
+    /// What this run over a non-empty base has touched so far; `None`
+    /// for a cold run.
+    pub fn delta(&self) -> Option<&DeltaLog> {
+        self.delta.as_ref()
     }
 
     /// Processes all revisions of one page. A panic anywhere in parsing,
@@ -303,7 +361,7 @@ impl PipelineSession {
             stage_page(page_revs, &config)
         })) {
             Ok(staged) => {
-                commit_staged(&self.config, &mut self.builder, &mut self.report, staged);
+                self.commit(staged);
                 Ok(())
             }
             Err(payload) => Err(panic_message(payload)),
@@ -314,7 +372,50 @@ impl PipelineSession {
     /// that want panics to propagate.
     fn push_page_uncaught(&mut self, page_revs: Vec<PageRevision>) {
         let staged = stage_page(page_revs, &self.config);
-        commit_staged(&self.config, &mut self.builder, &mut self.report, staged);
+        self.commit(staged);
+    }
+
+    /// Stage B: intern, filter, and commit the staged columns by name.
+    fn commit(&mut self, staged: StagedPage) {
+        let report = &mut self.report;
+        report.vandalism_dropped += staged.vandalism_dropped;
+        report.duplicate_dropped += staged.duplicate_dropped;
+        if staged.revisions == 0 {
+            return;
+        }
+        report.pages += 1;
+        report.revisions += staged.revisions;
+        report.out_of_range_dropped += staged.out_of_range_dropped;
+        report.tables_tracked += staged.tables_tracked;
+        report.columns_tracked += staged.columns_tracked;
+        for col in staged.columns {
+            let dict = self.builder.dictionary_mut();
+            let Some(history) = build_history(&col.name, &col.daily, |s| dict.intern(s)) else {
+                continue;
+            };
+            report.attributes_before_filters += 1;
+            let keep = {
+                let dict = self.builder.dictionary();
+                self.config.filters.keep(&history, |v| dict.resolve(v).to_string())
+            };
+            let existing = self.ids.get(history.name()).copied();
+            if existing.is_none() && !keep {
+                continue;
+            }
+            if let Some(delta) = &mut self.delta {
+                delta.filter_downgrades += u64::from(!keep);
+                delta.touched.insert(col.name);
+            }
+            match existing {
+                Some(id) => self.builder.replace_history(id, history),
+                None => {
+                    let name = history.name().to_owned();
+                    let id = self.builder.add_history(history);
+                    self.ids.insert(name, id);
+                    report.attributes_kept += 1;
+                }
+            }
+        }
     }
 
     /// The dataset as of the pages pushed so far (the session continues).
@@ -322,9 +423,9 @@ impl PipelineSession {
         self.builder.clone().build()
     }
 
-    /// Finalizes the session.
+    /// Finalizes the session; the dataset keeps the session's name index.
     pub fn finish(self) -> (Dataset, PipelineReport) {
-        (self.builder.build(), self.report)
+        (self.builder.build_with_names(self.ids), self.report)
     }
 }
 
@@ -605,7 +706,8 @@ mod tests {
         let snap = first.snapshot();
         let snap_report = first.report().clone();
         drop(first);
-        let mut resumed = PipelineSession::resume(config, snap, snap_report);
+        let mut resumed =
+            PipelineSession::resume(config, snap, snap_report, None).expect("resumes");
         resumed.push_page(page(3, "C")).expect("c");
         let (rebuilt, report) = resumed.finish();
         assert_eq!(report, ref_report);

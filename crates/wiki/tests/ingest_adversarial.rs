@@ -1,8 +1,9 @@
 //! Adversarial-dump tests for the resilient ingestion subsystem: hostile
 //! inputs must be quarantined (never panic the process, never hang), the
 //! quarantine counters must reconcile exactly, and kill-at-every-page
-//! resume must reproduce the uninterrupted dataset byte for byte —
-//! mirroring `tests/fault_tolerance.rs` for the discovery side.
+//! resume must reproduce the uninterrupted dataset byte for byte, for a
+//! cold ingest and for an update over a non-empty base — mirroring
+//! `tests/fault_tolerance.rs` for the discovery side.
 
 use std::io::Cursor;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,18 +14,25 @@ use tind_model::rng::cases;
 use tind_model::MemoryBudget;
 use tind_wiki::ingest::IngestCheckpointPolicy;
 use tind_wiki::{
-    ingest_stream, IngestCheckpoint, IngestConfig, IngestError, IngestOptions, IngestStatus,
+    ingest_stream, IngestCheckpoint, IngestConfig, IngestError, IngestOptions, IngestOutcome,
+    IngestStatus,
 };
 
 /// A well-formed page whose single table grows monotonically over six
 /// revisions — enough versions and cardinality to clear the §5.1 filters.
 fn good_page(title: &str, id: u32) -> String {
+    grown_page(title, id, 6)
+}
+
+/// [`good_page`] with `revisions` (at most 8) revisions: the full history
+/// of a page that kept growing after a base was ingested.
+fn grown_page(title: &str, id: u32, revisions: usize) -> String {
     let games = [
         "Red", "Blue", "Gold", "Silver", "Crystal", "Ruby", "Sapphire", "Emerald", "Pearl",
-        "Diamond",
+        "Diamond", "Platinum", "Black",
     ];
     let mut page = format!("<page><title>{title}</title><id>{id}</id>");
-    for i in 0..6 {
+    for i in 0..revisions {
         let mut table = String::from("{|\n! Game\n");
         for g in &games[..5 + i] {
             table.push_str(&format!("|-\n| {g}\n"));
@@ -63,7 +71,17 @@ fn permissive(timeline: u32) -> IngestConfig {
     config
 }
 
-fn reconciles(outcome: &tind_wiki::IngestOutcome) {
+/// A cold ingest: the run over the empty base.
+fn cold_ingest(
+    src: impl std::io::Read,
+    fingerprint: u64,
+    config: &IngestConfig,
+    options: IngestOptions,
+) -> Result<IngestOutcome, IngestError> {
+    ingest_stream(src, fingerprint, config.empty_base(), config, options)
+}
+
+fn reconciles(outcome: &IngestOutcome) {
     let q = &outcome.quarantine;
     assert_eq!(
         q.pages_seen,
@@ -148,7 +166,7 @@ fn adversarial_corpus_never_panics_and_counts_reconcile() {
     for (name, bytes, kept, quarantined) in cases {
         let mut config = permissive(6148);
         config.max_page_bytes = 16 * 1024;
-        let outcome = ingest_stream(Cursor::new(bytes), 1, &config, IngestOptions::default())
+        let outcome = cold_ingest(Cursor::new(bytes), 1, &config, IngestOptions::default())
             .unwrap_or_else(|e| panic!("case '{name}' must not abort: {e}"));
         assert_eq!(outcome.status, IngestStatus::Completed, "case '{name}'");
         reconciles(&outcome);
@@ -168,92 +186,121 @@ fn dropped_revisions_are_counted() {
          <revision><timestamp>2001-02-01T00:00:00Z</timestamp><text>c</text></revision>\
          </page>".to_string()]);
     let outcome =
-        ingest_stream(Cursor::new(xml), 1, &permissive(6148), IngestOptions::default())
+        cold_ingest(Cursor::new(xml), 1, &permissive(6148), IngestOptions::default())
             .expect("ingests");
     assert_eq!(outcome.quarantine.revisions_dropped, 2, "pre-epoch + unparseable");
     assert_eq!(outcome.quarantine.revisions_kept, 1);
 }
 
-/// Discovery's central fault-tolerance property, replayed for ingestion:
-/// kill the run after every possible page prefix, resume it, and the
-/// final dataset must be byte-identical to the uninterrupted run.
+/// Discovery's central fault-tolerance property, replayed for both
+/// ingestion verbs: kill the run after every possible page prefix, resume
+/// it, and the final dataset must be byte-identical to the uninterrupted
+/// run — for a cold ingest (empty base, `TINDIC` checkpoints) and for an
+/// update over a non-empty base (`TINDUC`).
 #[test]
 fn kill_at_every_page_resume_matches_uninterrupted() {
-    let pages = vec![
-        good_page("Alpha", 1),
-        missing_title_page(99), // a quarantined page mid-stream
-        good_page("Beta", 2),
-        good_page("Gamma", 3),
-    ];
-    let xml = wrap(&pages);
     let config = permissive(6148);
+    let base = cold_ingest(
+        Cursor::new(wrap(&[good_page("Alpha", 1), good_page("Beta", 2)])),
+        7,
+        &config,
+        IngestOptions::default(),
+    )
+    .expect("base ingests")
+    .dataset
+    .expect("base completes");
+    let runs = [
+        (
+            "cold ingest",
+            config.empty_base(),
+            vec![
+                good_page("Alpha", 1),
+                missing_title_page(99), // a quarantined page mid-stream
+                good_page("Beta", 2),
+                good_page("Gamma", 3),
+            ],
+            b"TINDIC",
+        ),
+        (
+            "update",
+            base,
+            vec![
+                grown_page("Alpha", 1, 8), // re-staged: its full, longer history
+                missing_title_page(99),
+                good_page("Gamma", 3), // new
+                grown_page("Beta", 2, 7),
+            ],
+            b"TINDUC",
+        ),
+    ];
     let fingerprint = 42u64;
-
-    let uninterrupted =
-        ingest_stream(Cursor::new(xml.clone()), fingerprint, &config, IngestOptions::default())
-            .expect("uninterrupted run");
-    assert_eq!(uninterrupted.status, IngestStatus::Completed);
-    let reference = encode_dataset(uninterrupted.dataset.as_ref().expect("dataset"));
-
     let dir = std::env::temp_dir().join("tind-wiki-ingest-killtest");
     std::fs::create_dir_all(&dir).expect("mkdir");
 
-    for kill_after in 0..=pages.len() as u64 {
-        let path = dir.join(format!("kill-{kill_after}.tic"));
-        let _ = std::fs::remove_file(&path);
-        let polls = Arc::new(AtomicU64::new(0));
-        let stop: tind_wiki::ingest::StopSignal = {
-            let polls = polls.clone();
-            Arc::new(move || polls.fetch_add(1, Ordering::SeqCst) >= kill_after)
+    for (verb, base, pages, magic) in runs {
+        let xml = wrap(&pages);
+        let run = |options: IngestOptions| {
+            ingest_stream(Cursor::new(xml.clone()), fingerprint, base.clone(), &config, options)
         };
-        let killed = ingest_stream(
-            Cursor::new(xml.clone()),
-            fingerprint,
-            &config,
-            IngestOptions {
-                checkpoint: Some(IngestCheckpointPolicy { path: path.clone(), every_pages: 1 }),
+        let uninterrupted = run(IngestOptions::default()).expect("uninterrupted run");
+        assert_eq!(uninterrupted.status, IngestStatus::Completed, "{verb}");
+        let reference = encode_dataset(uninterrupted.dataset.as_ref().expect("dataset"));
+        let touched = if base.is_empty() { 0 } else { 3 };
+        assert_eq!(uninterrupted.touched.len(), touched, "{verb}: Alpha, Gamma and Beta");
+
+        for kill_after in 0..=pages.len() as u64 {
+            let path = dir.join(format!("{verb}-kill-{kill_after}.ckpt"));
+            let _ = std::fs::remove_file(&path);
+            let policy = IngestCheckpointPolicy { path: path.clone(), every_pages: 1 };
+            let polls = Arc::new(AtomicU64::new(0));
+            let stop: tind_wiki::ingest::StopSignal = {
+                let polls = polls.clone();
+                Arc::new(move || polls.fetch_add(1, Ordering::SeqCst) >= kill_after)
+            };
+            let killed = run(IngestOptions {
+                checkpoint: Some(policy.clone()),
                 should_stop: Some(stop),
                 ..IngestOptions::default()
-            },
-        )
-        .expect("killed run still exits cleanly");
-        assert_eq!(
-            killed.status,
-            IngestStatus::Cancelled,
-            "stop after {kill_after} pages must cancel"
-        );
-        assert_eq!(killed.quarantine.pages_seen, kill_after, "pages before the kill point");
+            })
+            .expect("killed run still exits cleanly");
+            assert_eq!(
+                killed.status,
+                IngestStatus::Cancelled,
+                "{verb}: stop after {kill_after} pages must cancel"
+            );
+            assert_eq!(killed.quarantine.pages_seen, kill_after, "{verb}: pages before the kill");
+            let written = std::fs::read(&path).expect("checkpoint written");
+            assert_eq!(&written[..6], magic, "{verb}: checkpoint format");
 
-        let resumed = ingest_stream(
-            Cursor::new(xml.clone()),
-            fingerprint,
-            &config,
-            IngestOptions {
-                checkpoint: Some(IngestCheckpointPolicy { path: path.clone(), every_pages: 1 }),
+            let resumed = run(IngestOptions {
+                checkpoint: Some(policy),
                 resume: true,
                 ..IngestOptions::default()
-            },
-        )
-        .expect("resumed run completes");
-        assert_eq!(resumed.status, IngestStatus::Completed);
-        assert!(resumed.resumed_from.is_some());
-        reconciles(&resumed);
-        assert_eq!(
-            resumed.quarantine.pages_seen, pages.len() as u64,
-            "kill at {kill_after}: resumed run sees the remaining pages exactly once"
-        );
-        assert_eq!(resumed.quarantine.pages_quarantined, 1, "kill at {kill_after}");
-        assert_eq!(
-            encode_dataset(resumed.dataset.as_ref().expect("dataset")),
-            reference,
-            "kill at {kill_after}: resumed dataset must be byte-identical"
-        );
-        assert_eq!(
-            &resumed.pipeline,
-            &uninterrupted.pipeline,
-            "kill at {kill_after}: pipeline counters must match"
-        );
-        std::fs::remove_file(&path).ok();
+            })
+            .expect("resumed run completes");
+            assert_eq!(resumed.status, IngestStatus::Completed);
+            assert!(resumed.resumed_from.is_some(), "{verb}");
+            reconciles(&resumed);
+            assert_eq!(
+                resumed.quarantine.pages_seen,
+                pages.len() as u64,
+                "{verb}, kill at {kill_after}: the resumed run sees the remaining pages exactly once"
+            );
+            assert_eq!(resumed.quarantine.pages_kept, pages.len() as u64 - 1);
+            assert_eq!(resumed.quarantine.pages_quarantined, 1, "{verb}, kill at {kill_after}");
+            assert_eq!(
+                encode_dataset(resumed.dataset.as_ref().expect("dataset")),
+                reference,
+                "{verb}, kill at {kill_after}: resumed dataset must be byte-identical"
+            );
+            assert_eq!(
+                &resumed.pipeline, &uninterrupted.pipeline,
+                "{verb}, kill at {kill_after}: pipeline counters must match"
+            );
+            assert_eq!(resumed.touched, uninterrupted.touched, "{verb}, kill at {kill_after}");
+            assert_eq!(resumed.filter_downgrades, uninterrupted.filter_downgrades);
+            std::fs::remove_file(&path).ok();
+        }
     }
 }
 
@@ -265,7 +312,7 @@ fn error_budget_aborts_garbage_but_tolerates_sparse_errors() {
 
     let garbage: Vec<String> = (0..30).map(missing_title_page).collect();
     let outcome =
-        ingest_stream(Cursor::new(wrap(&garbage)), 1, &config, IngestOptions::default())
+        cold_ingest(Cursor::new(wrap(&garbage)), 1, &config, IngestOptions::default())
             .expect("abort is a status, not an error");
     assert_eq!(outcome.status, IngestStatus::ErrorBudgetExceeded);
     assert!(outcome.dataset.is_none());
@@ -278,7 +325,7 @@ fn error_budget_aborts_garbage_but_tolerates_sparse_errors() {
         (0..39).map(|i| good_page(&format!("Page{i}"), i + 1)).collect();
     sparse.push(missing_title_page(999)); // 1/40 = 2.5% < 5%
     let outcome =
-        ingest_stream(Cursor::new(wrap(&sparse)), 1, &config, IngestOptions::default())
+        cold_ingest(Cursor::new(wrap(&sparse)), 1, &config, IngestOptions::default())
             .expect("sparse errors tolerated");
     assert_eq!(outcome.status, IngestStatus::Completed);
     assert_eq!(outcome.quarantine.pages_quarantined, 1);
@@ -293,7 +340,7 @@ fn memory_budget_quarantines_instead_of_buffering() {
     let xml = wrap(&pages);
 
     let tiny = MemoryBudget::new(128);
-    let outcome = ingest_stream(
+    let outcome = cold_ingest(
         Cursor::new(xml.clone()),
         1,
         &permissive(6148),
@@ -305,7 +352,7 @@ fn memory_budget_quarantines_instead_of_buffering() {
     assert!(tiny.peak_bytes() <= 128, "the budget is a hard bound");
 
     let generous = MemoryBudget::new(64 * 1024 * 1024);
-    let outcome = ingest_stream(
+    let outcome = cold_ingest(
         Cursor::new(xml),
         1,
         &permissive(6148),
@@ -323,7 +370,7 @@ fn memory_budget_quarantines_instead_of_buffering() {
 #[test]
 fn processing_panic_quarantines_the_page_only() {
     let pages = vec![good_page("Alpha", 1), good_page("Beta", 2), good_page("Gamma", 3)];
-    let outcome = ingest_stream(
+    let outcome = cold_ingest(
         Cursor::new(wrap(&pages)),
         1,
         &permissive(6148),
@@ -359,7 +406,7 @@ fn corrupt_or_mismatched_checkpoints_are_rejected() {
     let path = dir.join("run.tic");
 
     let stop_now: tind_wiki::ingest::StopSignal = Arc::new(|| true);
-    let outcome = ingest_stream(
+    let outcome = cold_ingest(
         Cursor::new(xml.clone()),
         7,
         &config,
@@ -373,7 +420,7 @@ fn corrupt_or_mismatched_checkpoints_are_rejected() {
     assert_eq!(outcome.status, IngestStatus::Cancelled);
 
     let resume_with = |path: std::path::PathBuf, fingerprint: u64, config: &IngestConfig| {
-        ingest_stream(
+        cold_ingest(
             Cursor::new(xml.clone()),
             fingerprint,
             config,
@@ -423,7 +470,7 @@ fn corrupt_or_mismatched_checkpoints_are_rejected() {
     assert!(IngestCheckpoint::read_file(&dir.join("missing.tic")).is_err());
 
     // Resume without a checkpoint path is refused outright.
-    let err = ingest_stream(
+    let err = cold_ingest(
         Cursor::new(xml.clone()),
         7,
         &config,
@@ -441,7 +488,7 @@ fn arbitrary_bytes_never_panic() {
     cases("arbitrary_bytes_never_panic", 48, |rng| {
         let data: Vec<u8> = (0..rng.range(0..4096usize)).map(|_| rng.range(0..=255u8)).collect();
         let config = permissive(6148);
-        let outcome = ingest_stream(Cursor::new(data), 1, &config, IngestOptions::default())
+        let outcome = cold_ingest(Cursor::new(data), 1, &config, IngestOptions::default())
             .expect("in-memory streams cannot abort");
         assert_eq!(
             outcome.quarantine.pages_seen,
@@ -471,7 +518,7 @@ fn good_pages_survive_interleaved_garbage() {
         }
         xml.push_str("</mediawiki>");
         let n = garbage.len() as u64;
-        let outcome = ingest_stream(
+        let outcome = cold_ingest(
             Cursor::new(xml.into_bytes()),
             1,
             &permissive(6148),

@@ -356,6 +356,7 @@ fn every_persisted_format_detects_single_byte_corruption() {
         next_fallback_page_id: 2,
         quarantine: q.clone(),
         pipeline: Default::default(),
+        delta: None,
         dataset_bytes: encode_dataset(&dataset),
     };
     ic.write_file(&ic_path).expect("write ingest checkpoint");

@@ -255,6 +255,46 @@ fn broken_page_xml(id: u32) -> String {
     )
 }
 
+/// `tind update` runs the same ingestion driver as `tind ingest`, so its
+/// report carries the same `ingest.quarantined_total` gauge and verifies
+/// against its quarantine artifact.
+#[test]
+fn update_report_cross_checks_quarantine_artifact() {
+    let _guard = lock();
+    let base_dump = temp_file("ux-base.xml");
+    std::fs::write(&base_dump, format!("<mediawiki>\n{}</mediawiki>", ingest_page_xml("Alpha", 1)))
+        .expect("write base dump");
+    let base = temp_file("ux-base.tind");
+    let base_s = base.to_str().expect("utf8");
+    run(&["ingest", "--dump", base_dump.to_str().expect("utf8"), "--out", base_s, "--quiet"])
+        .expect("base ingest");
+
+    let delta_dump = temp_file("ux-delta.xml");
+    let mut xml = String::from("<mediawiki>\n");
+    xml.push_str(&broken_page_xml(2));
+    xml.push_str(&ingest_page_xml("Beta", 3));
+    xml.push_str("</mediawiki>");
+    std::fs::write(&delta_dump, xml).expect("write delta dump");
+    let merged = temp_file("ux-merged.tind");
+    let q_path = temp_file("ux-quarantine.tqr");
+    let report = temp_file("ux-report.json");
+    let (q_s, r_s) = (q_path.to_str().expect("utf8"), report.to_str().expect("utf8"));
+    run(&[
+        "update", "--dump", delta_dump.to_str().expect("utf8"), "--data", base_s, "--out",
+        merged.to_str().expect("utf8"), "--quiet", "--quarantine-report", q_s, "--report", r_s,
+    ])
+    .expect("update");
+
+    let payload = read_report(r_s);
+    assert_eq!(gauge_value(&payload, "ingest.quarantined_total"), Some(1.0));
+    let out = run(&["verify", r_s, "--quarantine", q_s]).expect("cross-check");
+    assert!(out.contains("run report: `update`"), "{out}");
+    assert!(out.contains("quarantine: gauge matches"), "{out}");
+    assert!(out.contains("(1 quarantined, 1 sampled)"), "{out}");
+    let out = run(&["verify", r_s, "--schema", "devtools/report-schema.json"]).expect("schema");
+    assert!(out.contains("schema: conforms"), "{out}");
+}
+
 #[test]
 fn ingest_report_cross_checks_quarantine_artifact() {
     let _guard = lock();
