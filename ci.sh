@@ -25,6 +25,9 @@ cargo test --release -q -p tind-bloom
 # and its cold-rebuild oracle, with debug_assert! compiled out too.
 cargo test --release -q -p tind-core
 cargo test --release -q --test delta_equivalence
+# Store repair renders shards through the build's tile renderer; its
+# byte-identity oracles run as that renderer ships.
+cargo test --release -q --test store_roundtrip
 # The one validator's differential suites as it ships: release builds
 # count window underflows instead of asserting on them.
 cargo test --release -q --test validation_kernel --test search_equivalence

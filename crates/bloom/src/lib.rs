@@ -20,5 +20,5 @@ pub mod region;
 
 pub use bitvec::BitVec;
 pub use filter::BloomFilter;
-pub use matrix::{BloomColumnStrip, BloomMatrix, BloomMatrixBuilder, Segment};
+pub use matrix::{BloomMatrix, BloomMatrixBuilder, BloomTile, BloomTiles, Segment, TILE_WORDS};
 pub use region::{MmapFile, RegionGuard, WindowFile, WindowPool, WindowSlot, WindowStats, WordRegion};

@@ -120,94 +120,98 @@ impl BloomMatrixBuilder {
         BloomMatrix::from_rows(self.m, self.num_cols, self.k_hashes, self.rows)
     }
 
-    /// ORs a pre-built 64-column strip into word-block `block` (columns
-    /// `64·block .. 64·block + 64`). Bit-identical to having called
-    /// [`BloomMatrixBuilder::insert_column`] for each of the strip's lanes:
-    /// every lane's probes land in exactly the same `(row, bit)` positions,
-    /// and because the merge is a pure OR of disjoint word columns, the
-    /// order in which strips are merged is irrelevant. This is what makes
-    /// parallel index construction byte-identical to the sequential build.
-    ///
-    /// Lanes that would fall past `num_cols` (a ragged final block) are
-    /// masked off.
-    pub fn merge_strip(&mut self, block: usize, strip: &BloomColumnStrip) {
-        assert!(block < self.words_per_row, "block {block} out of range");
-        assert_eq!(strip.m, self.m, "strip row count must match matrix");
-        assert_eq!(strip.k_hashes, self.k_hashes, "strip probe count must match matrix");
-        let lanes = self.num_cols - block * 64;
-        let mask = if lanes >= 64 { u64::MAX } else { (1u64 << lanes) - 1 };
-        let words_per_row = self.words_per_row;
-        for (row, &w) in strip.words.iter().enumerate() {
-            self.rows[row * words_per_row + block] |= w & mask;
+    /// Hands out the builder's column tiles, left to right: each covers
+    /// [`TILE_WORDS`] word columns of every row (the last one fewer).
+    /// Tiles borrow disjoint words, so different threads can fill them at
+    /// once with no lock around the words; bits only OR, so the result is
+    /// the same in any order.
+    pub fn tiles(&mut self) -> BloomTiles<'_> {
+        BloomTiles {
+            m: self.m,
+            k_hashes: self.k_hashes,
+            num_cols: self.num_cols,
+            words_per_row: self.words_per_row,
+            next_word: 0,
+            rows: self.rows.chunks_mut(self.words_per_row.max(1)).collect(),
         }
     }
 }
 
-/// A standalone strip of up to 64 Bloom-matrix columns (`m` rows × one
-/// `u64` of column lanes), built independently of the full matrix so column
-/// blocks can be populated by parallel workers and positionally merged with
-/// [`BloomMatrixBuilder::merge_strip`].
-#[derive(Debug, Clone)]
-pub struct BloomColumnStrip {
+/// Word columns per build tile. A tile's `m × TILE_WORDS` words (1 MiB at
+/// `m = 4096`) stay well inside a core's L2 while it is filled.
+pub const TILE_WORDS: usize = 32;
+
+/// The column tiles of a [`BloomMatrixBuilder`], split off the left of
+/// every row in turn. The row handles (one slice per row) live until the
+/// last tile is handed out, and each tile holds its own until dropped.
+#[derive(Debug)]
+pub struct BloomTiles<'a> {
     m: u32,
     k_hashes: u32,
-    words: Vec<u64>,
+    num_cols: usize,
+    words_per_row: usize,
+    next_word: usize,
+    rows: Vec<&'a mut [u64]>,
 }
 
-impl BloomColumnStrip {
-    /// Creates an all-zero strip compatible with an `(m, k_hashes)` matrix.
-    ///
-    /// # Panics
-    /// Panics if `m == 0` or `k_hashes == 0`.
-    pub fn new(m: u32, k_hashes: u32) -> Self {
-        assert!(m > 0, "strip needs at least one row");
-        assert!(k_hashes > 0, "need at least one hash probe");
-        BloomColumnStrip { m, k_hashes, words: vec![0u64; m as usize] }
+impl<'a> Iterator for BloomTiles<'a> {
+    type Item = BloomTile<'a>;
+
+    fn next(&mut self) -> Option<BloomTile<'a>> {
+        let word_start = self.next_word;
+        if word_start >= self.words_per_row {
+            return None;
+        }
+        let width = TILE_WORDS.min(self.words_per_row - word_start);
+        let rows = self
+            .rows
+            .iter_mut()
+            .map(|row| {
+                let (tile, rest) = std::mem::take(row).split_at_mut(width);
+                *row = rest;
+                tile
+            })
+            .collect();
+        self.next_word += width;
+        if self.next_word == self.words_per_row {
+            self.rows = Vec::new();
+        }
+        let columns = word_start * 64..(self.next_word * 64).min(self.num_cols);
+        Some(BloomTile { m: self.m, k_hashes: self.k_hashes, word_start, columns, rows })
+    }
+}
+
+/// One column tile of a [`BloomMatrixBuilder`]: its range of word columns
+/// in every row of the final matrix.
+#[derive(Debug)]
+pub struct BloomTile<'a> {
+    m: u32,
+    k_hashes: u32,
+    word_start: usize,
+    columns: std::ops::Range<usize>,
+    rows: Vec<&'a mut [u64]>,
+}
+
+impl BloomTile<'_> {
+    /// The matrix columns this tile covers.
+    pub fn columns(&self) -> std::ops::Range<usize> {
+        self.columns.clone()
     }
 
-    /// Inserts `values` into column lane `lane` (`0..64`); bits accumulate,
-    /// exactly like [`BloomMatrixBuilder::insert_column`].
-    pub fn insert_lane(&mut self, lane: usize, values: &[ValueId]) {
-        assert!(lane < 64, "lane {lane} out of range");
-        let m = self.m;
+    /// Inserts `values` into matrix column `col`, setting exactly the bits
+    /// [`BloomMatrixBuilder::insert_column`] would.
+    ///
+    /// # Panics
+    /// Panics if `col` is outside [`BloomTile::columns`].
+    pub fn insert_column(&mut self, col: usize, values: &[ValueId]) {
+        assert!(self.columns.contains(&col), "column {col} is outside the tile");
+        let (word, bit) = (col / 64 - self.word_start, col % 64);
         for &v in values {
             let h = Hash128::of_key(u64::from(v));
             for i in 0..self.k_hashes {
-                let row = h.probe(i, m) as usize;
-                self.words[row] |= 1u64 << lane;
+                self.rows[h.probe(i, self.m) as usize][word] |= 1u64 << bit;
             }
         }
-    }
-
-    /// Zeroes every lane so a worker can reuse the buffer for its next
-    /// column block instead of allocating a fresh strip per work unit.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Heap bytes held by the strip (one word per row) — the scratch a
-    /// parallel build worker charges against a memory budget.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Reconstitutes a strip from raw row words (one `u64` of column lanes
-    /// per row), the inverse of [`BloomColumnStrip::words`]. Used by the
-    /// sharded index store, which persists strips as plain word arrays.
-    ///
-    /// # Panics
-    /// Panics if `m == 0`, `k_hashes == 0`, or `words.len() != m`.
-    pub fn from_words(m: u32, k_hashes: u32, words: Vec<u64>) -> Self {
-        assert!(m > 0, "strip needs at least one row");
-        assert!(k_hashes > 0, "need at least one hash probe");
-        assert_eq!(words.len(), m as usize, "one word of lanes per row");
-        BloomColumnStrip { m, k_hashes, words }
-    }
-
-    /// The strip's raw row words: element `r` holds the 64 column lanes of
-    /// row `r`.
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 }
 
@@ -542,23 +546,6 @@ impl BloomMatrix {
         self.segments.iter().map(|s| s.words.resident_bytes()).sum()
     }
 
-    /// Extracts word-block `block` (columns `64·block .. 64·block + 64`) as
-    /// a standalone strip — the exact inverse of
-    /// [`BloomMatrixBuilder::merge_strip`], so
-    /// `merge_strip(b, &extract_strip(b))` on an all-zero builder
-    /// reproduces the block bit-for-bit. The sharded index store uses this
-    /// to slice a built matrix into per-shard payloads.
-    ///
-    /// # Panics
-    /// Panics if `block` is past the matrix's word width.
-    pub fn extract_strip(&self, block: usize) -> BloomColumnStrip {
-        assert!(block < self.words_per_row, "block {block} out of range");
-        let (guard, width, local) = self.column_words(block);
-        let words = &*guard;
-        let lanes = (0..self.m as usize).map(|row| words[row * width + local]).collect();
-        BloomColumnStrip { m: self.m, k_hashes: self.k_hashes, words: lanes }
-    }
-
     /// Retargets column `col` from the filter it holds (`old`) to `new` —
     /// the in-place update primitive of the delta path. Only the rows where
     /// the two filters differ are flipped, so the cost is the size of the
@@ -634,10 +621,31 @@ impl BloomMatrix {
         put_varint(buf, u64::from(self.m));
         put_varint(buf, self.num_cols as u64);
         put_varint(buf, u64::from(self.k_hashes));
-        let guards: Vec<_> = self.segments.iter().map(|s| (s.words.load(), s.width)).collect();
+        self.encode_words(0..self.words_per_row, buf);
+    }
+
+    /// Appends the words of word columns `words` little-endian, row by
+    /// row and left to right — the row-major layout of a matrix holding
+    /// just those columns, whatever the tiling.
+    ///
+    /// # Panics
+    /// Panics if `words` reaches past the matrix's word width.
+    pub fn encode_words(&self, words: std::ops::Range<usize>, buf: &mut Vec<u8>) {
+        assert!(words.end <= self.words_per_row, "words {words:?} out of range");
+        let spans: Vec<_> = self
+            .segments
+            .iter()
+            .filter(|s| s.word_start < words.end && words.start < s.word_start + s.width)
+            .map(|s| {
+                let lo = words.start.max(s.word_start) - s.word_start;
+                let hi = words.end.min(s.word_start + s.width) - s.word_start;
+                (s.words.load(), s.width, lo..hi)
+            })
+            .collect();
+        buf.reserve(self.m as usize * words.len() * 8);
         for row in 0..self.m as usize {
-            for (guard, width) in &guards {
-                for &w in &guard[row * width..][..*width] {
+            for (guard, width, span) in &spans {
+                for &w in &guard[row * width..][span.clone()] {
                     buf.extend_from_slice(&w.to_le_bytes());
                 }
             }
@@ -843,84 +851,71 @@ mod tests {
         b.insert_column(2, &[1]);
     }
 
-    /// Column `col`'s values in the strip-equivalence tests.
-    fn strip_test_values(col: usize) -> Vec<ValueId> {
+    /// Column `col`'s values in the matrix tests.
+    fn column_values(col: usize) -> Vec<ValueId> {
         (0..(col % 7)).map(|i| (col * 13 + i) as ValueId).collect()
     }
 
+    /// The words of word columns `range`, row-major, through
+    /// [`BloomMatrix::encode_words`].
+    fn words(m: &BloomMatrix, range: std::ops::Range<usize>) -> Vec<u64> {
+        let mut buf = Vec::new();
+        m.encode_words(range, &mut buf);
+        buf.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))).collect()
+    }
+
     #[test]
-    fn strip_merge_equals_sequential_insertion() {
-        // 150 columns: two full blocks plus a ragged 22-lane block.
-        let (m, n, k) = (512u32, 150usize, 2u32);
+    fn tiles_equal_sequential_insertion() {
+        // Two full tiles, then a ragged tile of three words whose last word
+        // holds 22 columns.
+        let (m, k) = (64u32, 2u32);
+        let n = 2 * TILE_WORDS * 64 + 150;
         let mut sequential = BloomMatrixBuilder::new(m, n, k);
         for col in 0..n {
-            sequential.insert_column(col, &strip_test_values(col));
+            sequential.insert_column(col, &column_values(col));
         }
         let sequential = sequential.build();
 
-        let mut merged = BloomMatrixBuilder::new(m, n, k);
-        // Merge blocks in reverse order to show order-independence.
-        for block in (0..n.div_ceil(64)).rev() {
-            let mut strip = BloomColumnStrip::new(m, k);
-            for col in block * 64..((block + 1) * 64).min(n) {
-                strip.insert_lane(col - block * 64, &strip_test_values(col));
+        let mut tiled = BloomMatrixBuilder::new(m, n, k);
+        let mut tiles: Vec<BloomTile<'_>> = tiled.tiles().collect();
+        let spans: Vec<_> = tiles.iter().map(BloomTile::columns).collect();
+        assert_eq!(spans, [0..2048, 2048..4096, 4096..n], "tiles cover the columns once");
+        // Fill the tiles last to first to show order-independence.
+        for tile in tiles.iter_mut().rev() {
+            for col in tile.columns() {
+                tile.insert_column(col, &column_values(col));
             }
-            merged.merge_strip(block, &strip);
         }
-        let merged = merged.build();
-        for col in 0..n {
-            assert_eq!(merged.column_filter(col), sequential.column_filter(col), "column {col}");
-        }
-        // Byte-identical, not merely filter-equivalent.
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        sequential.encode(&mut a);
-        merged.encode(&mut b);
-        assert_eq!(a, b);
+        drop(tiles);
+        let tiled = tiled.build();
+        assert_eq!(encoded(&tiled), encoded(&sequential), "byte-identical, not just equivalent");
+        assert_eq!(BloomMatrixBuilder::new(8, 0, 1).tiles().count(), 0, "no columns, no tiles");
     }
 
     #[test]
-    fn strip_merge_masks_ragged_lanes() {
-        // A strip with bits in lanes past num_cols must not corrupt the
-        // matrix: only the 6 valid lanes of the final block survive.
+    #[should_panic(expected = "outside the tile")]
+    fn a_tile_refuses_columns_past_its_range() {
         let mut b = BloomMatrixBuilder::new(64, 70, 2);
-        let mut strip = BloomColumnStrip::new(64, 2);
-        for lane in 0..64 {
-            strip.insert_lane(lane, &[lane as ValueId]);
-        }
-        b.merge_strip(1, &strip);
-        let m = b.build();
-        let mut cands = BitVec::ones(70);
-        m.narrow_to_subsets(&m.query_filter(&[]), &mut cands);
-        // Columns 0..64 are empty (subset of anything), 64..70 got values;
-        // the masked lanes 6..64 of block 1 must not have leaked anywhere.
-        for col in 64..70 {
-            assert!(m.column_filter(col).count_ones() > 0, "column {col} populated");
-        }
-        assert_eq!(cands.count_ones(), 64, "exactly the 64 empty columns survive");
+        let mut tile = b.tiles().next().expect("one tile");
+        tile.insert_column(70, &[1]);
     }
 
     #[test]
-    fn extract_strip_inverts_merge_strip() {
-        // 150 columns: two full blocks plus a ragged 22-lane block.
+    fn encode_words_is_the_row_major_column_range() {
+        // 150 columns: two full words plus a ragged 22-lane word.
         let (m, n, k) = (512u32, 150usize, 2u32);
         let mut b = BloomMatrixBuilder::new(m, n, k);
         for col in 0..n {
-            b.insert_column(col, &strip_test_values(col));
+            b.insert_column(col, &column_values(col));
         }
-        let original = b.build();
-        let mut rebuilt = BloomMatrixBuilder::new(m, n, k);
-        for block in 0..n.div_ceil(64) {
-            rebuilt.merge_strip(block, &original.extract_strip(block));
+        let matrix = b.build();
+        let all = words(&matrix, 0..3);
+        assert_eq!(all.len(), m as usize * 3);
+        for (lo, hi) in [(0, 1), (1, 3), (2, 3), (1, 1)] {
+            let expected: Vec<u64> =
+                all.chunks_exact(3).flat_map(|row| row[lo..hi].iter().copied()).collect();
+            assert_eq!(words(&matrix, lo..hi), expected, "words {lo}..{hi}");
         }
-        let rebuilt = rebuilt.build();
-        let (mut a, mut c) = (Vec::new(), Vec::new());
-        original.encode(&mut a);
-        rebuilt.encode(&mut c);
-        assert_eq!(a, c, "extract → merge must reproduce the matrix bit-for-bit");
-        // from_words(words().to_vec()) is the identity on strips.
-        let strip = original.extract_strip(1);
-        let copy = BloomColumnStrip::from_words(m, k, strip.words().to_vec());
-        assert_eq!(strip.words(), copy.words());
     }
 
     fn encoded(m: &BloomMatrix) -> Vec<u8> {
@@ -938,7 +933,7 @@ mod tests {
         // the exact contract the delta path relies on.
         let (m, n, k) = (512u32, 150usize, 2u32);
         let new_values = |col: usize| -> Vec<ValueId> {
-            let old = strip_test_values(col);
+            let old = column_values(col);
             match col % 5 {
                 0 => old.iter().copied().chain([(col * 31 + 5) as ValueId]).collect(),
                 1 => old[..old.len() / 2].to_vec(),
@@ -949,7 +944,7 @@ mod tests {
         };
         // Columns 140.. start empty, as freshly grown columns do.
         let old_values =
-            |col: usize| if col < 140 { strip_test_values(col) } else { Vec::new() };
+            |col: usize| if col < 140 { column_values(col) } else { Vec::new() };
         let mut stale = BloomMatrixBuilder::new(m, n, k);
         let mut fresh = BloomMatrixBuilder::new(m, n, k);
         for col in 0..n {
@@ -966,7 +961,7 @@ mod tests {
         }
         assert_eq!(encoded(&updated), encoded(&fresh), "retargeted ≠ cold build");
         // Padding lanes of the ragged block stay clear.
-        for &w in updated.extract_strip(2).words() {
+        for w in words(&updated, 2..3) {
             assert_eq!(w >> (n - 128), 0, "padding lanes written");
         }
 
@@ -984,7 +979,7 @@ mod tests {
         let n = 150;
         let mut b = BloomMatrixBuilder::new(128, n, 2);
         for col in 0..n {
-            b.insert_column(col, &strip_test_values(col));
+            b.insert_column(col, &column_values(col));
         }
         let owned = b.build();
         let mut seg = tiling(&owned, &[1], |i, words| mapped(&format!("equal-{i}.bin"), &words));
@@ -999,11 +994,11 @@ mod tests {
         // Four word blocks mapped as three segments: words 0, 1..3, 3.
         let (m, n, k) = (128u32, 200usize, 2u32);
         let col = 130; // word 2, inside the two-word middle segment
-        let moved = |c: usize| if c == col { vec![999, 1000] } else { strip_test_values(c) };
+        let moved = |c: usize| if c == col { vec![999, 1000] } else { column_values(c) };
         let (mut before, mut after) =
             (BloomMatrixBuilder::new(m, n, k), BloomMatrixBuilder::new(m, n, k));
         for c in 0..n {
-            before.insert_column(c, &strip_test_values(c));
+            before.insert_column(c, &column_values(c));
             after.insert_column(c, &moved(c));
         }
         let (before, after) = (before.build(), after.build());
@@ -1022,7 +1017,7 @@ mod tests {
         let n = 200; // 4 word blocks, one windowed segment each
         let mut b = BloomMatrixBuilder::new(256, n, 2);
         for col in 0..n {
-            b.insert_column(col, &strip_test_values(col));
+            b.insert_column(col, &column_values(col));
         }
         let built = b.build();
         let pool = WindowPool::new(None);
@@ -1070,7 +1065,7 @@ mod tests {
         let (m, k) = (256u32, 2u32);
         let mut b = BloomMatrixBuilder::new(m, 60, k);
         for col in 0..60 {
-            b.insert_column(col, &strip_test_values(col));
+            b.insert_column(col, &column_values(col));
         }
         let mut grown = b.build();
         grown.grow_cols(70);
@@ -1079,7 +1074,7 @@ mod tests {
 
         let mut cold = BloomMatrixBuilder::new(m, 100, k);
         for col in 0..60 {
-            cold.insert_column(col, &strip_test_values(col));
+            cold.insert_column(col, &column_values(col));
         }
         let cold = cold.build();
         let (mut a, mut c) = (Vec::new(), Vec::new());
@@ -1157,13 +1152,8 @@ mod tests {
             .enumerate()
             .map(|(i, w)| {
                 let (start, end) = (w[0], w[1]);
-                let mut words = Vec::with_capacity(owned.m as usize * (end - start));
-                for row in 0..owned.m as usize {
-                    for block in start..end {
-                        words.push(owned.extract_strip(block).words()[row]);
-                    }
-                }
-                Segment { word_start: start, width: end - start, words: region(i, words) }
+                let words = region(i, words(owned, start..end));
+                Segment { word_start: start, width: end - start, words }
             })
             .collect();
         BloomMatrix::from_segments(owned.m, owned.num_cols, owned.k_hashes, segments)
@@ -1186,7 +1176,7 @@ mod tests {
         let n = 200; // 4 word blocks, ragged tail
         let mut b = BloomMatrixBuilder::new(256, n, 2);
         for col in 0..n {
-            b.insert_column(col, &strip_test_values(col));
+            b.insert_column(col, &column_values(col));
         }
         let owned = b.build();
         let pool = WindowPool::new(None);
@@ -1256,12 +1246,10 @@ mod tests {
                     seg.column_within_filter(col, &qf)
                 );
             }
-            for block in 0..owned.words_per_row {
-                assert_eq!(
-                    owned.extract_strip(block).words(),
-                    seg.extract_strip(block).words(),
-                    "strip {block}"
-                );
+            for lo in 0..owned.words_per_row {
+                for hi in lo + 1..=owned.words_per_row {
+                    assert_eq!(words(&owned, lo..hi), words(&seg, lo..hi), "words {lo}..{hi}");
+                }
             }
         }
     }
@@ -1290,10 +1278,7 @@ mod tests {
             // Set padding lanes in a borrowed copy (an owned matrix cannot
             // hold any): they belong to no column and must not count.
             let wpr = owned.words_per_row;
-            let mut words: Vec<u64> = (0..owned.m as usize)
-                .flat_map(|row| (0..wpr).map(move |block| (row, block)))
-                .map(|(row, block)| owned.extract_strip(block).words()[row])
-                .collect();
+            let mut words = words(&owned, 0..wpr);
             if n % 64 != 0 {
                 for row in words.chunks_exact_mut(wpr) {
                     row[wpr - 1] |= u64::MAX << (n % 64);
@@ -1316,7 +1301,7 @@ mod tests {
         let n = 150;
         let mut b = BloomMatrixBuilder::new(128, n, 2);
         for col in 0..n {
-            b.insert_column(col, &strip_test_values(col));
+            b.insert_column(col, &column_values(col));
         }
         let owned = b.build();
         let mut seg = tiling(&owned, &[1, 2], |i, words| mapped(&format!("owned-{i}.bin"), &words));

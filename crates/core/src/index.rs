@@ -17,10 +17,11 @@
 //! false positives before full validation (Algorithm 1, line 16).
 
 use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use tind_model::rng::Rng;
-use tind_bloom::{BitVec, BloomColumnStrip, BloomMatrix, BloomMatrixBuilder};
+use tind_bloom::{BitVec, BloomMatrix, BloomMatrixBuilder, BloomTile, TILE_WORDS};
 use tind_model::{
     AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, Timeline, ValueSet, WeightFn,
 };
@@ -30,7 +31,7 @@ use crate::params::TindParams;
 use crate::required::required_values;
 use crate::search::{self, SearchOutcome};
 use crate::slices::{select_slices, SliceConfig};
-use crate::sync::{into_inner, lock};
+use crate::sync::lock;
 
 /// Construction-time configuration of a [`TindIndex`].
 #[derive(Debug, Clone)]
@@ -84,22 +85,22 @@ impl IndexConfig {
 /// construction.
 ///
 /// The determinism contract: the produced index is **bit-identical** to the
-/// sequential [`TindIndex::build`] at any thread count and under any memory
+/// one-worker [`TindIndex::build`] at any thread count and under any memory
 /// budget. Slice selection (the only seeded randomness) runs on the calling
 /// thread before workers start, and column hashing is a pure function of
-/// `(config, attribute)`, so the work can be sliced and merged in any
-/// order.
+/// `(config, attribute)`, so the tiles can be rendered in any order.
 #[derive(Debug, Clone, Default)]
 pub struct BuildOptions {
     /// Worker threads; `0` picks the machine's available parallelism.
     pub threads: usize,
     /// Optional memory budget. The first worker always runs (sequential
-    /// construction is the floor); each extra worker must afford its
-    /// column-strip scratch, so a tight budget degrades the build toward
-    /// sequential instead of failing.
+    /// construction is the floor); each extra worker must afford what it
+    /// allocates — its tile's row handles (two words per matrix row) and
+    /// the value sets of the column in hand — so a tight budget degrades
+    /// the build toward sequential instead of failing.
     pub memory_budget: Option<MemoryBudget>,
-    /// Emit a progress line to stderr every this many completed column
-    /// blocks; `0` is silent.
+    /// Emit a progress line to stderr every this many rendered tiles; `0`
+    /// is silent.
     pub progress_every: usize,
 }
 
@@ -281,128 +282,98 @@ impl ColumnContents {
         }
     }
 
-    /// Renders word-block `block` of `target` — columns `64·block ..` of
-    /// `dataset` — into `strip`, clearing it first, and hands each lane's
-    /// value set to `keep` in column order once it is inserted.
-    pub(crate) fn render_strip(
+    /// Renders `target`'s columns into `tile`: tile column `c` holds
+    /// attribute `first_attr + c`. Each column's value set goes to
+    /// `keep(c, values)` once inserted.
+    pub(crate) fn render_tile(
         &self,
         dataset: &Dataset,
         target: usize,
-        block: usize,
-        strip: &mut BloomColumnStrip,
-        mut keep: impl FnMut(ValueSet),
+        first_attr: usize,
+        tile: &mut BloomTile<'_>,
+        mut keep: impl FnMut(usize, ValueSet),
     ) {
-        strip.clear();
-        let lo = block * 64;
-        for id in lo..(lo + 64).min(dataset.len()) {
-            let values = self.values(target, dataset.attribute(id as AttrId));
-            strip.insert_lane(id - lo, &values);
-            keep(values);
+        for col in tile.columns() {
+            let values = self.values(target, dataset.attribute((first_attr + col) as AttrId));
+            tile.insert_column(col, &values);
+            keep(col, values);
         }
     }
 }
 
 impl TindIndex {
-    /// Builds the index; deterministic given `config.seed`.
+    /// Builds the index on the calling thread; deterministic given
+    /// `config.seed`. The same tile renderer as [`TindIndex::build_with`]
+    /// at one worker.
     pub fn build(dataset: Arc<Dataset>, config: IndexConfig) -> Self {
-        let _build_span = tind_obs::span("core.index.build");
-        let (intervals, columns) = Self::plan(&dataset, &config);
-        let num_slices = intervals.len();
-        let mut universes: Vec<ValueSet> = Vec::with_capacity(dataset.len());
-        let matrices = (0..columns.num_targets())
-            .map(|target| {
-                let _span = tind_obs::span(match target {
-                    0 => "core.index.m_t",
-                    t if t <= num_slices => "core.index.slices",
-                    _ => "core.index.m_r",
-                });
-                let mut b = BloomMatrixBuilder::new(config.m, dataset.len(), config.k_hashes);
-                for (id, hist) in dataset.iter() {
-                    let values = columns.values(target, hist);
-                    b.insert_column(id as usize, &values);
-                    if target == 0 {
-                        universes.push(values);
-                    }
-                }
-                b.build()
-            })
-            .collect();
-        Self::assemble(dataset, config, intervals, columns, matrices, universes)
+        Self::build_with(dataset, config, &BuildOptions { threads: 1, ..BuildOptions::default() })
     }
 
-    /// Builds the index over a worker pool; output is bit-identical to
-    /// [`TindIndex::build`] (see [`BuildOptions`] for the contract).
+    /// Builds the index over a worker pool; output is bit-identical at
+    /// every thread count (see [`BuildOptions`] for the contract).
     ///
-    /// Work is split into 64-column strips of each target matrix (`M_T`,
-    /// every `M_{I_j}`, `M_R`) so workers never share a cache line of the
-    /// final matrices: each strip owns a disjoint word column and is merged
-    /// positionally once computed.
+    /// A work unit is one tile of one target matrix (`M_T`, every
+    /// `M_{I_j}`, `M_R`): [`TILE_WORDS`] word columns of every row of the
+    /// final matrix, which the worker renders in place. Tiles own disjoint
+    /// words, so nothing is merged and no lock is held around the words;
+    /// only handing out the next tile takes the target's lock.
     pub fn build_with(dataset: Arc<Dataset>, config: IndexConfig, options: &BuildOptions) -> Self {
         let _build_span = tind_obs::span("core.index.build");
         let num_attrs = dataset.len();
         let (intervals, columns) = Self::plan(&dataset, &config);
-
-        // A work unit is one 64-column strip of one target matrix.
-        let blocks = num_attrs.div_ceil(64);
+        let tiles = num_attrs.div_ceil(64).div_ceil(TILE_WORDS);
         let num_targets = columns.num_targets();
-        let total_units = num_targets * blocks;
+        let total_units = num_targets * tiles;
+        let mut builders: Vec<BloomMatrixBuilder> = (0..num_targets)
+            .map(|_| BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes))
+            .collect();
+        let mut universes = vec![ValueSet::new(); num_attrs];
 
-        // Shared merge target. `merge_strip` ORs disjoint word columns, so
-        // the order in which workers land their strips cannot change a
-        // single bit of the result.
-        struct MergeState {
-            builders: Vec<BloomMatrixBuilder>,
-            universes: Vec<ValueSet>,
-            finished: usize,
-        }
-        let merge = Mutex::new(MergeState {
-            builders: (0..num_targets)
-                .map(|_| BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes))
-                .collect(),
-            universes: vec![ValueSet::new(); num_attrs],
-            finished: 0,
-        });
-
-        // Each worker owns one strip buffer for its whole run and merges
-        // it as soon as a unit is rendered — no per-unit allocation, no
-        // staging of `total_units` strips.
-        let strips_rendered = tind_obs::counter("index.strips_rendered");
-        let render_unit = |strip: &mut BloomColumnStrip, _: &mut _, unit: usize| {
-            let _strip_span = tind_obs::span("core.index.strip");
-            let (target, block) = (unit / blocks, unit % blocks);
-            // M_T's columns are the value universes; keep those.
-            let mut unis = Vec::new();
-            columns.render_strip(&dataset, target, block, strip, |values| {
-                if target == 0 {
-                    unis.push(values);
+        // Unit `u` renders the next tile of target `u mod targets`, so
+        // units running at once fill different matrices: two M_R tiles at
+        // once (required values, the costliest columns) slowed each other
+        // by a third in a D10k reverse build. M_T's columns are the value
+        // universes: its tiles also take the same column range of
+        // `universes`, under the same lock, so the two always agree.
+        let mut universe_ranges = Some(universes.chunks_mut(64 * TILE_WORDS));
+        let sources: Vec<Mutex<_>> =
+            builders.iter_mut().map(|b| Mutex::new((b.tiles(), universe_ranges.take()))).collect();
+        let finished = AtomicUsize::new(0);
+        let tiles_rendered = tind_obs::counter("index.tiles_rendered");
+        let render_unit = |_: &mut (), _: &mut _, unit: usize| {
+            let _tile_span = tind_obs::span("core.index.tile");
+            let target = unit % num_targets;
+            let (mut tile, mut kept) = {
+                let mut source = lock(&sources[target]);
+                let tile = source.0.next().expect("one unit per tile");
+                (tile, source.1.as_mut().map(|r| r.next().expect("one range per M_T tile")))
+            };
+            let lo = tile.columns().start;
+            columns.render_tile(&dataset, target, 0, &mut tile, |col, values| {
+                if let Some(kept) = kept.as_mut() {
+                    kept[col - lo] = values;
                 }
             });
-            let mut m = lock(&merge);
-            m.builders[target].merge_strip(block, strip);
-            let lo = block * 64;
-            m.universes.splice(lo..lo + unis.len(), unis);
-            m.finished += 1;
-            let done = m.finished;
-            drop(m);
-            strips_rendered.incr();
+            tiles_rendered.incr();
+            let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
             if options.progress_every > 0 && done.is_multiple_of(options.progress_every) {
-                eprintln!("index build: {done}/{total_units} column blocks");
+                eprintln!("index build: {done}/{total_units} tiles");
             }
         };
         let drained = Drain {
             units: total_units,
             threads: options.threads,
             budget: options.memory_budget.as_ref(),
-            // One m-row strip of words plus value-set slack.
-            worker_bytes: config.m as usize * 8 + 64 * 1024,
+            // A tile's row handles plus value-set slack.
+            worker_bytes: config.m as usize * std::mem::size_of::<&mut [u64]>() + 64 * 1024,
             cancel: None,
         }
-        .run(|| BloomColumnStrip::new(config.m, config.k_hashes), render_unit)
+        .run(|| (), render_unit)
         .unwrap_or_else(|panic| resume_unwind(panic));
         tind_obs::gauge("index.build.workers_requested").set(drained.requested as f64);
         tind_obs::gauge("index.build.workers_granted").set(drained.threads as f64);
 
-        let MergeState { builders, universes, .. } = into_inner(merge);
+        drop(sources);
         let matrices = builders.into_iter().map(BloomMatrixBuilder::build).collect();
         Self::assemble(dataset, config, intervals, columns, matrices, universes)
     }

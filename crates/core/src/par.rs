@@ -1,6 +1,6 @@
 //! The one parallel driver of `tind-core`. The paper parallelises across
 //! independent units only — the queries of an all-pairs run (end of §4.2.2),
-//! the column strips of an index build — so index build, batch search, pair
+//! the column tiles of an index build — so index build, batch search, pair
 //! refresh and all-pairs discovery each hand [`Drain::run`] a unit count and
 //! a unit function, and it alone starts threads. It claims each unit once
 //! from one atomic cursor, polls the optional [`CancelToken`] before every

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tind_bloom::{
-    BloomColumnStrip, BloomMatrix, MmapFile, Segment, WindowFile, WindowPool, WordRegion,
+    BloomMatrix, BloomMatrixBuilder, MmapFile, Segment, WindowFile, WindowPool, WordRegion,
 };
 use tind_model::binio::{self, dataset_fingerprint, put_varint, BinIoError, Reader};
 use tind_model::checksum::{self, crc32};
@@ -539,25 +539,26 @@ fn arena_header_len(num_targets: usize) -> usize {
     ARENA_FIXED_HEADER + (num_targets + 1) * ARENA_SECTION_ENTRY + 4
 }
 
-/// Encodes one shard in the arena layout. `strip_words` is called once
-/// per `(target, block)` in ascending target-major order and must yield
-/// the strip's `m` row words; `universe` once per attribute in the shard's
-/// range. Shared by pack (strips extracted from built matrices) and repair
-/// (strips re-rendered from the dataset) so the two paths are byte-equal
-/// by construction. The words are laid out row-major per target in
-/// 64-byte-aligned sections behind an offset table, so an open can borrow
-/// each section as `&[u64]` without decoding. Returns the bytes and their
+/// Encodes one shard in the arena layout. `section(target, buf)` is
+/// called once per target in ascending order and must append the target's
+/// words over the shard's `block_count` word columns, row-major and
+/// little-endian ([`BloomMatrix::encode_words`]); `universe` once per
+/// attribute in the shard's range. Shared by pack (row spans of the built
+/// matrices) and repair (the range re-rendered from the dataset) so the
+/// two paths are byte-equal by construction. Each target's section is
+/// 64-byte aligned behind an offset table, so an open can borrow it as
+/// `&[u64]` without decoding. Returns the bytes and their
 /// digest (the CRC-32 the trailer carries, see [`ShardEntry::digest`]).
 fn encode_shard_arena_with<FS, FU>(
     manifest: &Manifest,
     entry_id: usize,
     block_start: usize,
     block_count: usize,
-    mut strip_words: FS,
+    mut section: FS,
     mut universe: FU,
 ) -> (Vec<u8>, u32)
 where
-    FS: FnMut(usize, usize) -> Vec<u64>,
+    FS: FnMut(usize, &mut Vec<u8>),
     FU: FnMut(usize, &mut Vec<u8>),
 {
     let m = manifest.config.m as usize;
@@ -601,20 +602,9 @@ where
     buf.resize(header_end, 0);
 
     for target in 0..num_targets {
-        let strips: Vec<Vec<u64>> = (block_start..block_start + block_count)
-            .map(|block| {
-                let words = strip_words(target, block);
-                debug_assert_eq!(words.len(), m, "one lane word per matrix row");
-                words
-            })
-            .collect();
-        // Transpose the column strips into the row-major section the
-        // search kernels sweep: word (row, block) at row·width + block.
-        for row in 0..m {
-            for s in &strips {
-                buf.extend_from_slice(&s[row].to_le_bytes());
-            }
-        }
+        let start = buf.len();
+        section(target, &mut buf);
+        debug_assert_eq!(buf.len() - start, matrix_bytes, "m rows of block_count words");
         buf.resize(buf.len().next_multiple_of(ARENA_ALIGN), 0);
     }
     debug_assert_eq!(buf.len(), off, "sections laid out exactly as the table commits");
@@ -945,13 +935,14 @@ pub fn pack_store(
     let mut budget = OpBudget::new(options.kill_after_ops);
     let mut bytes_written = 0u64;
     for (id, &(block_start, block_count)) in parts.iter().enumerate() {
-        let strips = |target: usize, block: usize| -> Vec<u64> {
-            matrices[target].extract_strip(block).words().to_vec()
+        let words = block_start..block_start + block_count;
+        let section = |target: usize, buf: &mut Vec<u8>| {
+            matrices[target].encode_words(words.clone(), buf);
         };
         let universes =
             |attr: usize, buf: &mut Vec<u8>| put_value_set(buf, index.universe(attr as AttrId));
         let (payload, digest) =
-            encode_shard_arena_with(&manifest, id, block_start, block_count, strips, universes);
+            encode_shard_arena_with(&manifest, id, block_start, block_count, section, universes);
         write_atomic(&dir.join(shard_name(generation, id)), &payload, &mut budget)?;
         bytes_written += payload.len() as u64;
         manifest.shards.push(ShardEntry {
@@ -1185,12 +1176,16 @@ pub fn repair_store(
             Err(e @ StoreError::LegacyShard) => return Err(e),
             Err(_) => {}
         }
-        // Re-render the shard with the parallel builder's strip renderer,
+        // Re-render the shard's columns with the build's tile renderer,
         // over the manifest's persisted slice windows and config.
-        let mut strip = BloomColumnStrip::new(m, k_hashes);
-        let strip_fn = |target: usize, block: usize| -> Vec<u64> {
-            columns.render_strip(dataset, target, block, &mut strip, drop);
-            strip.words().to_vec()
+        let first_attr = entry.block_start * 64;
+        let num_cols = (first_attr + entry.block_count * 64).min(dataset.len()) - first_attr;
+        let section = |target: usize, buf: &mut Vec<u8>| {
+            let mut builder = BloomMatrixBuilder::new(m, num_cols, k_hashes);
+            for mut tile in builder.tiles() {
+                columns.render_tile(dataset, target, first_attr, &mut tile, |_, _| {});
+            }
+            builder.build().encode_words(0..entry.block_count, buf);
         };
         let universe_fn = |attr: usize, buf: &mut Vec<u8>| {
             put_value_set(buf, &dataset.attribute(attr as AttrId).value_universe())
@@ -1200,7 +1195,7 @@ pub fn repair_store(
             entry.id,
             entry.block_start,
             entry.block_count,
-            strip_fn,
+            section,
             universe_fn,
         );
         if digest != entry.digest || payload.len() as u64 != entry.byte_len {

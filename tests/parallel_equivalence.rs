@@ -21,13 +21,16 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use common::strategies::{bench_dataset, bench_query_batches};
+use tind::bloom::{BloomMatrix, BloomMatrixBuilder, TILE_WORDS};
 use tind::core::persist::encode_index;
+use tind::core::required::required_values;
 use tind::core::validate::naive_validate;
 use tind::core::{
     discover_all_pairs, refresh_pairs, AllPairsOptions, BatchOptions, BuildOptions, CancelToken,
     DatasetDelta, IndexConfig, TindIndex, TindParams,
 };
-use tind::model::{Dataset, HistoryBuilder, MemoryBudget, WeightFn};
+use tind::datagen::{generate, GeneratorConfig};
+use tind::model::{Dataset, HistoryBuilder, MemoryBudget, ValueSet, WeightFn};
 
 fn thread_counts() -> Vec<usize> {
     let cpus = std::thread::available_parallelism().map_or(4, |n| n.get());
@@ -58,6 +61,73 @@ fn parallel_build_is_byte_identical_for_every_thread_count() {
                 config.m,
                 config.build_reverse,
             );
+        }
+    }
+}
+
+/// `matrix` encoded, for byte comparisons.
+fn matrix_bytes(matrix: &BloomMatrix) -> Vec<u8> {
+    let mut buf = Vec::new();
+    matrix.encode(&mut buf);
+    buf
+}
+
+#[test]
+fn tiled_build_matches_column_by_column_insertion_across_tile_boundaries() {
+    // 8 529 attributes: 134 words per row, so three full 32-word tiles
+    // and a ragged six-word tile whose last word holds 17 columns. A
+    // small m keeps it cheap in debug builds.
+    let n: usize = 8_529;
+    let words = n.div_ceil(64);
+    assert!(words / TILE_WORDS >= 3 && !words.is_multiple_of(TILE_WORDS) && !n.is_multiple_of(64));
+    let dataset = Arc::new(generate(&GeneratorConfig::small(n, 41)).dataset);
+    let timeline = dataset.timeline();
+    for config in [
+        IndexConfig { m: 64, ..IndexConfig::default() },
+        IndexConfig { m: 64, ..IndexConfig::reverse_default() },
+    ] {
+        // The reference: every column inserted on its own, straight from
+        // the paper's value-set definitions.
+        let column_by_column = |values: &dyn Fn(u32) -> ValueSet| {
+            let mut b = BloomMatrixBuilder::new(config.m, n, config.k_hashes);
+            for id in 0..n as u32 {
+                b.insert_column(id as usize, &values(id));
+            }
+            matrix_bytes(&b.build())
+        };
+        let m_t = column_by_column(&|id| dataset.attribute(id).value_universe());
+        let sizing = TindParams::weighted(
+            config.slices.sizing_eps,
+            0,
+            config.slices.sizing_weights.clone(),
+        );
+        let m_r = config.build_reverse.then(|| {
+            column_by_column(&|id| required_values(dataset.attribute(id), &sizing, timeline))
+        });
+        let mut slices: Option<Vec<Vec<u8>>> = None;
+        for threads in thread_counts() {
+            let options = BuildOptions { threads, ..BuildOptions::default() };
+            let index = TindIndex::build_with(dataset.clone(), config.clone(), &options);
+            let what = format!("{threads} thread(s), reverse={}", config.build_reverse);
+            assert!(matrix_bytes(index.m_t()) == m_t, "M_T, {what}");
+            let slices = slices.get_or_insert_with(|| {
+                index
+                    .time_slices()
+                    .iter()
+                    .map(|s| {
+                        let window = s.interval.expand(config.slices.max_delta, timeline);
+                        column_by_column(&|id| dataset.attribute(id).values_in(window))
+                    })
+                    .collect()
+            });
+            assert_eq!(index.time_slices().len(), slices.len(), "{what}");
+            for (i, (slice, expected)) in index.time_slices().iter().zip(&*slices).enumerate() {
+                assert!(matrix_bytes(&slice.matrix) == *expected, "slice {i}, {what}");
+            }
+            assert_eq!(index.m_r().map(matrix_bytes), m_r, "M_R, {what}");
+            for id in (0..n as u32).step_by(97).chain([n as u32 - 1]) {
+                assert_eq!(index.universe(id), &dataset.attribute(id).value_universe(), "{what}");
+            }
         }
     }
 }
