@@ -330,11 +330,14 @@ impl TindIndex {
         let mut universes = vec![ValueSet::new(); num_attrs];
 
         // Unit `u` renders the next tile of target `u mod targets`, so
-        // units running at once fill different matrices: two M_R tiles at
-        // once (required values, the costliest columns) slowed each other
-        // by a third in a D10k reverse build. M_T's columns are the value
-        // universes: its tiles also take the same column range of
-        // `universes`, under the same lock, so the two always agree.
+        // units running at once fill different matrices. With the
+        // merge-based required values, target-major order (two M_R tiles
+        // at once) still summed about a quarter more tile time than this
+        // order in a D20k reverse build at two threads; at D10k the two
+        // orders were within noise.
+        // M_T's columns are the value universes: its tiles also take the
+        // same column range of `universes`, under the same lock, so the
+        // two always agree.
         let mut universe_ranges = Some(universes.chunks_mut(64 * TILE_WORDS));
         let sources: Vec<Mutex<_>> =
             builders.iter_mut().map(|b| Mutex::new((b.tiles(), universe_ranges.take()))).collect();
@@ -383,6 +386,7 @@ impl TindIndex {
     /// worker exists — the interval sequence, the only randomized part of
     /// construction, cannot depend on thread count.
     fn plan(dataset: &Dataset, config: &IndexConfig) -> (Vec<Interval>, ColumnContents) {
+        let _plan_span = tind_obs::span("core.index.plan");
         let mut rng = Rng::seed_from_u64(config.seed);
         let intervals = select_slices(dataset, &config.slices, &mut rng);
         let timeline = dataset.timeline();

@@ -7,27 +7,56 @@
 //! the full-history matrix `M_T` is therefore a sound first pruning step,
 //! independent of δ.
 
-use tind_model::hash::FastMap;
+use std::cmp::Ordering;
+
 use tind_model::{AttributeHistory, Timeline, ValueId, ValueSet};
 
 use crate::params::{TindParams, EPS_TOLERANCE};
 
-/// Summed occurrence weight `w_v(Q)` for every value of `Q` (Equation 6).
+/// Summed occurrence weight `w_v(Q)` for every value of `Q` (Equation 6),
+/// sorted by value.
+///
+/// A merge of each version's sorted values into the running sums, in
+/// version order, so every sum adds the same weights in the same order as
+/// a per-value fold over the versions would.
 pub fn occurrence_weights(
     q: &AttributeHistory,
     params: &TindParams,
     timeline: Timeline,
-) -> FastMap<ValueId, f64> {
-    let mut weights: FastMap<ValueId, f64> = FastMap::default();
+) -> Vec<(ValueId, f64)> {
     let _ = timeline; // validity intervals are already clipped to the timeline
+    let mut sums: Vec<(ValueId, f64)> = Vec::new();
+    let mut merged: Vec<(ValueId, f64)> = Vec::new();
     for (i, version) in q.versions().iter().enumerate() {
-        let validity = q.version_validity(i);
-        let w = params.weights.interval_weight(validity);
-        for &v in &version.values {
-            *weights.entry(v).or_insert(0.0) += w;
+        let w = params.weights.interval_weight(q.version_validity(i));
+        let values = &version.values;
+        merged.clear();
+        merged.reserve(sums.len() + values.len());
+        // A value's first sum starts from zero, as a fold's would.
+        let (mut a, mut b) = (0, 0);
+        while a < sums.len() && b < values.len() {
+            let ((v, sum), n) = (sums[a], values[b]);
+            match v.cmp(&n) {
+                Ordering::Less => {
+                    merged.push((v, sum));
+                    a += 1;
+                }
+                Ordering::Greater => {
+                    merged.push((n, 0.0 + w));
+                    b += 1;
+                }
+                Ordering::Equal => {
+                    merged.push((v, sum + w));
+                    a += 1;
+                    b += 1;
+                }
+            }
         }
+        merged.extend_from_slice(&sums[a..]);
+        merged.extend(values[b..].iter().map(|&n| (n, 0.0 + w)));
+        std::mem::swap(&mut sums, &mut merged);
     }
-    weights
+    sums
 }
 
 /// The required values `R_{ε,w}(Q) = {v | w_v(Q) > ε}` (Equation 7), as a
@@ -42,20 +71,18 @@ pub fn required_values(
     params: &TindParams,
     timeline: Timeline,
 ) -> ValueSet {
-    let weights = occurrence_weights(q, params, timeline);
-    let mut required: ValueSet = weights
+    occurrence_weights(q, params, timeline)
         .into_iter()
         .filter(|&(_, w)| w > params.eps + EPS_TOLERANCE)
         .map(|(v, _)| v)
-        .collect();
-    required.sort_unstable();
-    required
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tind_model::{DatasetBuilder, WeightFn};
+    use tind_model::rng::cases;
+    use tind_model::{DatasetBuilder, HistoryBuilder, WeightFn};
 
     fn history() -> (tind_model::Dataset, Timeline) {
         let tl = Timeline::new(20);
@@ -81,9 +108,14 @@ mod tests {
         let p = TindParams::weighted(0.0, 0, WeightFn::constant_one());
         let w = occurrence_weights(q, &p, tl);
         let dict = d.dictionary();
-        assert!((w[&dict.get("stable").unwrap()] - 20.0).abs() < 1e-9);
-        assert!((w[&dict.get("brief").unwrap()] - 3.0).abs() < 1e-9);
-        assert!((w[&dict.get("late").unwrap()] - 5.0).abs() < 1e-9);
+        let weight = |s: &str| {
+            let v = dict.get(s).unwrap();
+            w.iter().find(|&&(u, _)| u == v).expect("value of q").1
+        };
+        assert!(w.windows(2).all(|p| p[0].0 < p[1].0), "sorted by value");
+        assert!((weight("stable") - 20.0).abs() < 1e-9);
+        assert!((weight("brief") - 3.0).abs() < 1e-9);
+        assert!((weight("late") - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -129,6 +161,57 @@ mod tests {
         let req = required_values(q, &p, tl);
         assert!(!req.contains(&dict.get("brief").unwrap()));
         assert!(req.contains(&dict.get("late").unwrap()));
+    }
+
+    /// The per-value hash-map fold the merge replaced, sorted by value.
+    fn folded_weights(q: &AttributeHistory, params: &TindParams) -> Vec<(ValueId, f64)> {
+        let mut weights: tind_model::hash::FastMap<ValueId, f64> = Default::default();
+        for (i, version) in q.versions().iter().enumerate() {
+            let w = params.weights.interval_weight(q.version_validity(i));
+            for &v in &version.values {
+                *weights.entry(v).or_insert(0.0) += w;
+            }
+        }
+        let mut folded: Vec<_> = weights.into_iter().collect();
+        folded.sort_unstable_by_key(|&(v, _)| v);
+        folded
+    }
+
+    #[test]
+    fn merged_weights_equal_the_hash_map_fold_bit_for_bit() {
+        cases("required::merged_weights_equal_the_hash_map_fold_bit_for_bit", 64, |rng| {
+            let n = rng.range(2..300u32);
+            let tl = Timeline::new(n);
+            let mut b = HistoryBuilder::new("q");
+            let (mut t, mut last_start) = (rng.range(0..n), 0);
+            while t < n {
+                let size = rng.range(0..12u32);
+                b.push(t, (0..size).map(|_| rng.range(0..50u32)).collect());
+                last_start = t;
+                t += rng.range(1..=20u32);
+            }
+            let q = b.finish(rng.range(last_start..n));
+            let piecewise: Vec<f64> = (0..n).map(|_| rng.f64() * 3.0).collect();
+            for weights in [
+                WeightFn::constant_one(),
+                WeightFn::uniform_normalized(tl),
+                WeightFn::exponential(0.9 + rng.f64() * 0.099, tl),
+                WeightFn::piecewise(&piecewise),
+            ] {
+                let p = TindParams::weighted(f64::from(rng.range(0..6u32)), 0, weights);
+                let bits = |w: Vec<(ValueId, f64)>| -> Vec<(ValueId, u64)> {
+                    w.into_iter().map(|(v, w)| (v, w.to_bits())).collect()
+                };
+                let folded = folded_weights(&q, &p);
+                assert_eq!(bits(occurrence_weights(&q, &p, tl)), bits(folded.clone()));
+                let required: ValueSet = folded
+                    .into_iter()
+                    .filter(|&(_, w)| w > p.eps + EPS_TOLERANCE)
+                    .map(|(v, _)| v)
+                    .collect();
+                assert_eq!(required_values(&q, &p, tl), required);
+            }
+        });
     }
 
     #[test]

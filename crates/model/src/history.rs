@@ -183,12 +183,6 @@ impl AttributeHistory {
         acc
     }
 
-    /// Number of distinct values appearing anywhere in `interval`
-    /// (`|A[I]|`; used by the weighted-random slice selection, Section 4.4.2).
-    pub fn distinct_count_in(&self, interval: Interval) -> usize {
-        self.values_in(interval).len()
-    }
-
     /// The union of all value sets across the whole history (`A[T]`; the
     /// contents of the `M_T` index column, Section 4.2.1).
     pub fn value_universe(&self) -> ValueSet {

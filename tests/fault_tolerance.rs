@@ -661,4 +661,9 @@ fn seeded_dataset_and_index_bytes_are_pinned() {
     let index = encode_index(&TindIndex::build(dataset.clone(), IndexConfig::default()));
     let got = (trailer(&bytes), dataset_fingerprint(&dataset), trailer(&index), hash_bytes(&index));
     assert_eq!(got, (0x0cac_0de7, 0x080d_4bf2_07ad_b271, 0xde9d_083f, 0x01ca_dba5_aa6d_bf29));
+    // The reverse index of the same dataset: weighted-random slices, the
+    // `M_R` column of required values and its δ-expanded windows.
+    let reverse = encode_index(&TindIndex::build(dataset, IndexConfig::reverse_default()));
+    let got = (trailer(&reverse), hash_bytes(&reverse));
+    assert_eq!(got, (0x2c94_77b2, 0x1a90_10fe_39c8_5b22));
 }
