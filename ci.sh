@@ -28,6 +28,10 @@ cargo test --release -q --test delta_equivalence
 # Store repair renders shards through the build's tile renderer; its
 # byte-identity oracles run as that renderer ships.
 cargo test --release -q --test store_roundtrip
+# Every container is framed by the streaming binio::Writer and published
+# by binio::publish; the byte pins and the corruption matrix over every
+# format `tind verify` knows run against them as they ship.
+cargo test --release -q --test fault_tolerance
 # The one validator's differential suites as it ships: release builds
 # count window underflows instead of asserting on them.
 cargo test --release -q --test validation_kernel --test search_equivalence

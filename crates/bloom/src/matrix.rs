@@ -27,6 +27,7 @@
 use crate::bitvec::BitVec;
 use crate::filter::BloomFilter;
 use crate::region::{RegionGuard, WordRegion};
+use tind_model::binio::Writer;
 use tind_model::hash::Hash128;
 use tind_model::ValueId;
 
@@ -616,12 +617,11 @@ impl BloomMatrix {
 
     /// Serializes the matrix (for index persistence). Byte-identical
     /// across tilings: the words go out row by row, left to right.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        use tind_model::binio::put_varint;
-        put_varint(buf, u64::from(self.m));
-        put_varint(buf, self.num_cols as u64);
-        put_varint(buf, u64::from(self.k_hashes));
-        self.encode_words(0..self.words_per_row, buf);
+    pub fn encode<W: std::io::Write>(&self, w: &mut Writer<W>) {
+        w.varint(u64::from(self.m));
+        w.varint(self.num_cols as u64);
+        w.varint(u64::from(self.k_hashes));
+        self.encode_words(0..self.words_per_row, w);
     }
 
     /// Appends the words of word columns `words` little-endian, row by
@@ -630,7 +630,11 @@ impl BloomMatrix {
     ///
     /// # Panics
     /// Panics if `words` reaches past the matrix's word width.
-    pub fn encode_words(&self, words: std::ops::Range<usize>, buf: &mut Vec<u8>) {
+    pub fn encode_words<W: std::io::Write>(
+        &self,
+        words: std::ops::Range<usize>,
+        w: &mut Writer<W>,
+    ) {
         assert!(words.end <= self.words_per_row, "words {words:?} out of range");
         let spans: Vec<_> = self
             .segments
@@ -642,12 +646,10 @@ impl BloomMatrix {
                 (s.words.load(), s.width, lo..hi)
             })
             .collect();
-        buf.reserve(self.m as usize * words.len() * 8);
+        w.reserve(self.m as usize * words.len() * 8);
         for row in 0..self.m as usize {
             for (guard, width, span) in &spans {
-                for &w in &guard[row * width..][span.clone()] {
-                    buf.extend_from_slice(&w.to_le_bytes());
-                }
+                w.u64s_le(&guard[row * width..][span.clone()]);
             }
         }
     }
@@ -822,8 +824,7 @@ mod tests {
     #[test]
     fn matrix_encode_decode_roundtrip() {
         let m = sample_matrix(512);
-        let mut buf = Vec::new();
-        m.encode(&mut buf);
+        let buf = encoded(&m);
         let mut bytes = tind_model::binio::Reader::new(&buf);
         let m2 = BloomMatrix::decode(&mut bytes).expect("decodes");
         assert_eq!(m2.m(), m.m());
@@ -838,8 +839,7 @@ mod tests {
     #[test]
     fn matrix_decode_rejects_truncation() {
         let m = sample_matrix(128);
-        let mut full = Vec::new();
-        m.encode(&mut full);
+        let full = encoded(&m);
         let mut truncated = tind_model::binio::Reader::new(&full[..full.len() / 2]);
         assert!(BloomMatrix::decode(&mut truncated).is_err());
     }
@@ -859,9 +859,10 @@ mod tests {
     /// The words of word columns `range`, row-major, through
     /// [`BloomMatrix::encode_words`].
     fn words(m: &BloomMatrix, range: std::ops::Range<usize>) -> Vec<u64> {
-        let mut buf = Vec::new();
+        let mut buf = Writer::default();
         m.encode_words(range, &mut buf);
-        buf.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))).collect()
+        let bytes = buf.as_slice().chunks_exact(8);
+        bytes.map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes"))).collect()
     }
 
     #[test]
@@ -919,9 +920,9 @@ mod tests {
     }
 
     fn encoded(m: &BloomMatrix) -> Vec<u8> {
-        let mut buf = Vec::new();
-        m.encode(&mut buf);
-        buf
+        let mut w = Writer::default();
+        m.encode(&mut w);
+        w.as_slice().to_vec()
     }
 
     #[test]
@@ -1077,9 +1078,7 @@ mod tests {
             cold.insert_column(col, &column_values(col));
         }
         let cold = cold.build();
-        let (mut a, mut c) = (Vec::new(), Vec::new());
-        grown.encode(&mut a);
-        cold.encode(&mut c);
+        let (a, c) = (encoded(&grown), encoded(&cold));
         assert_eq!(a, c, "grown matrix must equal a cold build with zero new columns");
     }
 
@@ -1194,10 +1193,7 @@ mod tests {
             let cuts = format!("{backing} {cuts:?}");
 
             // Encode byte-identity across backings.
-            let (mut a, mut c) = (Vec::new(), Vec::new());
-            owned.encode(&mut a);
-            seg.encode(&mut c);
-            assert_eq!(a, c, "encode differs for cuts {cuts:?}");
+            assert_eq!(encoded(&owned), encoded(&seg), "encode differs for cuts {cuts:?}");
 
             // Single-query and batch narrowing, both directions.
             let queries: Vec<Vec<ValueId>> =
@@ -1308,10 +1304,7 @@ mod tests {
         assert!(!seg.is_owned());
         seg.ensure_owned();
         assert!(seg.is_owned());
-        let (mut a, mut c) = (Vec::new(), Vec::new());
-        owned.encode(&mut a);
-        seg.encode(&mut c);
-        assert_eq!(a, c);
+        assert_eq!(encoded(&owned), encoded(&seg));
 
         // A mutation on a mapped matrix must transparently materialize
         // and match the same mutation on the owned twin.

@@ -2,6 +2,7 @@
 //! so the layer is unit-testable; `main` only prints.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -202,7 +203,7 @@ pub fn dispatch(raw: &[String]) -> Result<String, CliError> {
     if let (Some(path), true) = (&report_path, reportable) {
         let wall_ns = run_started.elapsed().as_nanos() as u64;
         let report = tind_obs::RunReport::collect(command, rest, wall_ns);
-        std::fs::write(path, report.to_json())?;
+        publish_text(path, &report.to_json())?;
     }
     result
 }
@@ -709,7 +710,7 @@ fn cmd_all_pairs(args: &Args) -> Result<String, CliError> {
             .as_ref()
             .ok_or_else(|| CliError::Message("--resume requires --checkpoint FILE".into()))?;
         if path.exists() {
-            let cp = Checkpoint::read_file(path)?;
+            let cp = Checkpoint::decode(&std::fs::read(path)?)?;
             cp.verify_matches(&dataset, &params)?;
             Some(cp)
         } else {
@@ -820,8 +821,8 @@ fn cmd_all_pairs(args: &Args) -> Result<String, CliError> {
 }
 
 /// Verifies the integrity (magic, format version, CRC-32 trailer, and
-/// where possible full structure) of a persisted dataset, index, or
-/// checkpoint file.
+/// where possible full structure) of any file in [`VERIFY_FORMATS`], or
+/// of a store directory.
 fn cmd_verify(args: &Args) -> Result<String, CliError> {
     let _phase = tind_obs::span("phase.verify");
     let path: PathBuf = match args.positional().first() {
@@ -832,122 +833,162 @@ fn cmd_verify(args: &Args) -> Result<String, CliError> {
         return verify_store_dir(&path);
     }
     let bytes = std::fs::read(&path)?;
-    let size = bytes.len();
-    if size < 8 {
+    if bytes.len() < 8 {
         return Err(CliError::Data(BinIoError::Corrupt(
             "file too short to hold a magic header".into(),
         )));
     }
-    if bytes.starts_with(tind_obs::REPORT_PREFIX.as_bytes()) {
-        return verify_run_report(args, &path, &bytes, size);
-    }
-    if bytes.starts_with(tind_obs::TRACE_PREFIX.as_bytes()) {
-        return verify_trace_file(&path, &bytes, size);
-    }
-    let kind = &bytes[..7];
-    let detail = if kind == &tind_model::binio::MAGIC[..7] {
-        let dataset = tind_model::binio::decode_dataset(&bytes)?;
-        format!(
-            "dataset: {} attributes over a {}-day timeline, {} dictionary entries",
-            dataset.len(),
-            dataset.timeline().len(),
-            dataset.dictionary().len(),
-        )
-    } else if kind == &tind_core::persist::INDEX_MAGIC[..7] {
-        let fingerprint = tind_core::persist::verify_index_container(&bytes)?;
-        match args.opt::<String>("data")? {
-            Some(data_path) => {
-                let dataset = Arc::new(read_dataset_file(std::path::Path::new(&data_path))?);
-                let index = tind_core::persist::decode_index(&bytes, dataset)?;
-                format!(
-                    "index: bound to dataset {data_path} (fingerprint {fingerprint:#018x}), {} time slices",
-                    index.time_slices().len(),
-                )
-            }
-            None => format!(
-                "index: container intact, dataset fingerprint {fingerprint:#018x} \
-                 (pass --data FILE to verify the full structure)"
-            ),
-        }
-    } else if kind == &tind_core::checkpoint::CHECKPOINT_MAGIC[..7] {
-        let cp = Checkpoint::decode(&bytes)?;
-        format!(
-            "checkpoint: {}/{} queries completed, {} pairs, {} poisoned, dataset fingerprint {:#018x}{}",
-            cp.completed.len(),
-            cp.total_queries,
-            cp.pairs.len(),
-            cp.poisoned.len(),
-            cp.dataset_fingerprint,
-            if cp.is_complete() { " (run complete)" } else { "" },
-        )
-    } else if kind == &tind_model::quarantine::QUARANTINE_MAGIC[..7] {
-        let q = tind_model::QuarantineReport::decode(&bytes)?;
-        format!(
-            "quarantine report: {}/{} pages quarantined ({} sampled), {} of {} revisions dropped, source fingerprint {:#018x}",
-            q.pages_quarantined,
-            q.pages_seen,
-            q.entries.len(),
-            q.revisions_dropped,
-            q.revisions_dropped + q.revisions_kept,
-            q.source_fingerprint,
-        )
-    } else if kind == &tind_core::store::MANIFEST_MAGIC[..7] {
-        // A bare manifest: streaming CRC check pins the failing byte
-        // offset; shard digests need the whole directory.
-        let payload = tind_model::checksum::stream_verify_file(&path)?;
-        format!(
-            "store manifest: container intact ({payload} payload bytes); \
-             run `tind store verify` on its directory to check shard digests"
-        )
-    } else if kind == &tind_core::store::SHARD_MAGIC[..7] {
-        // The version byte must be the arena's (a v1 shard is refused by
-        // name); then the streaming CRC pins the failing byte offset on
-        // mismatch (surfaced through BinIoError::Checksum).
-        tind_core::store::check_shard_magic(&bytes).map_err(store_error)?;
-        let payload = tind_model::checksum::stream_verify_file(&path)?;
-        format!(
-            "store shard: arena layout, container intact ({payload} payload bytes); \
-             run `tind store verify` on its directory to check it against the manifest"
-        )
-    } else if kind == &tind_wiki::ingest::INGEST_CHECKPOINT_MAGIC[..7]
-        || kind == &tind_wiki::ingest::UPDATE_CHECKPOINT_MAGIC[..7]
-    {
-        let cp = tind_wiki::IngestCheckpoint::decode(&bytes)?;
-        // The embedded dataset blob is opaque to checkpoint decoding;
-        // verify digs all the way in.
-        let partial = tind_model::binio::decode_dataset(&cp.dataset_bytes)?;
-        let q = &cp.quarantine;
-        match &cp.delta {
-            None => format!(
-                "ingest checkpoint: resume offset {}, {} pages seen ({} quarantined), \
-                 partial dataset {} attributes, source fingerprint {:#018x}",
-                cp.resume_offset,
-                q.pages_seen,
-                q.pages_quarantined,
-                partial.len(),
-                cp.source_fingerprint,
-            ),
-            Some(delta) => format!(
-                "update checkpoint: resume offset {}, {} delta pages seen ({} quarantined), \
-                 {} attribute(s) touched, partial dataset {} attributes, \
-                 base fingerprint {:#018x}, source fingerprint {:#018x}",
-                cp.resume_offset,
-                q.pages_seen,
-                q.pages_quarantined,
-                delta.touched.len(),
-                partial.len(),
-                delta.base_fingerprint,
-                cp.source_fingerprint,
-            ),
-        }
-    } else {
-        return Err(CliError::Data(BinIoError::Corrupt(
-            "unrecognized file type (not a tind dataset, index, checkpoint, \
-             ingest checkpoint, update checkpoint, quarantine report, or store artifact)"
-                .into(),
-        )));
+    let Some(format) = VERIFY_FORMATS.iter().find(|f| bytes.starts_with(f.prefix)) else {
+        let names: Vec<_> = VERIFY_FORMATS.iter().map(|f| f.name).collect();
+        return Err(CliError::Data(BinIoError::Corrupt(format!(
+            "unrecognized file type (not a tind {})",
+            names.join(", ")
+        ))));
     };
-    Ok(format!("OK {} ({size} bytes)\n{detail}\n", path.display()))
+    let detail = (format.describe)(args, &bytes)?;
+    Ok(format!("OK {} ({} bytes)\n{detail}\n", path.display(), bytes.len()))
+}
+
+/// One file format `tind verify FILE` recognizes.
+pub struct VerifyFormat {
+    /// The leading bytes that identify the format: a binary magic without
+    /// its version byte (a wrong version reaches the decoder, which names
+    /// it), or the opening of a JSON envelope.
+    pub prefix: &'static [u8],
+    /// The format's name in `tind verify`'s messages.
+    pub name: &'static str,
+    /// Checks the whole file and describes it in one line.
+    describe: Describe,
+}
+
+type Describe = fn(&Args, &[u8]) -> Result<String, CliError>;
+
+const fn binary(name: &'static str, magic: &'static [u8; 8], describe: Describe) -> VerifyFormat {
+    VerifyFormat { prefix: magic.split_at(7).0, name, describe }
+}
+
+const fn json(name: &'static str, prefix: &'static str, describe: Describe) -> VerifyFormat {
+    VerifyFormat { prefix: prefix.as_bytes(), name, describe }
+}
+
+/// Every file format `tind verify FILE` recognizes.
+pub const VERIFY_FORMATS: &[VerifyFormat] = &[
+    binary("dataset", tind_model::binio::MAGIC, describe_dataset),
+    binary("index", tind_core::persist::INDEX_MAGIC, describe_index),
+    binary("checkpoint", tind_core::checkpoint::CHECKPOINT_MAGIC, describe_checkpoint),
+    binary("quarantine report", tind_model::quarantine::QUARANTINE_MAGIC, describe_quarantine),
+    binary("store manifest", tind_core::store::MANIFEST_MAGIC, describe_manifest),
+    binary("store shard", tind_core::store::SHARD_MAGIC, describe_shard),
+    binary("ingest checkpoint", tind_wiki::ingest::INGEST_CHECKPOINT_MAGIC, describe_ingest),
+    binary("update checkpoint", tind_wiki::ingest::UPDATE_CHECKPOINT_MAGIC, describe_ingest),
+    json("run report", tind_obs::REPORT_PREFIX, describe_run_report),
+    json("trace", tind_obs::TRACE_PREFIX, describe_trace),
+];
+
+fn describe_dataset(_: &Args, bytes: &[u8]) -> Result<String, CliError> {
+    let dataset = tind_model::binio::decode_dataset(bytes)?;
+    Ok(format!(
+        "dataset: {} attributes over a {}-day timeline, {} dictionary entries",
+        dataset.len(),
+        dataset.timeline().len(),
+        dataset.dictionary().len(),
+    ))
+}
+
+fn describe_index(args: &Args, bytes: &[u8]) -> Result<String, CliError> {
+    let fingerprint = tind_core::persist::verify_index_container(bytes)?;
+    Ok(match args.opt::<String>("data")? {
+        Some(data_path) => {
+            let dataset = Arc::new(read_dataset_file(std::path::Path::new(&data_path))?);
+            let index = tind_core::persist::decode_index(bytes, dataset)?;
+            format!(
+                "index: bound to dataset {data_path} (fingerprint {fingerprint:#018x}), {} time slices",
+                index.time_slices().len(),
+            )
+        }
+        None => format!(
+            "index: container intact, dataset fingerprint {fingerprint:#018x} \
+             (pass --data FILE to verify the full structure)"
+        ),
+    })
+}
+
+fn describe_checkpoint(_: &Args, bytes: &[u8]) -> Result<String, CliError> {
+    let cp = Checkpoint::decode(bytes)?;
+    Ok(format!(
+        "checkpoint: {}/{} queries completed, {} pairs, {} poisoned, dataset fingerprint {:#018x}{}",
+        cp.completed.len(),
+        cp.total_queries,
+        cp.pairs.len(),
+        cp.poisoned.len(),
+        cp.dataset_fingerprint,
+        if cp.is_complete() { " (run complete)" } else { "" },
+    ))
+}
+
+fn describe_quarantine(_: &Args, bytes: &[u8]) -> Result<String, CliError> {
+    let q = tind_model::QuarantineReport::decode(bytes)?;
+    Ok(format!(
+        "quarantine report: {}/{} pages quarantined ({} sampled), {} of {} revisions dropped, source fingerprint {:#018x}",
+        q.pages_quarantined,
+        q.pages_seen,
+        q.entries.len(),
+        q.revisions_dropped,
+        q.revisions_dropped + q.revisions_kept,
+        q.source_fingerprint,
+    ))
+}
+
+/// A bare manifest: the CRC check names the failing byte offset; shard
+/// digests need the whole directory.
+fn describe_manifest(_: &Args, bytes: &[u8]) -> Result<String, CliError> {
+    let payload = tind_model::checksum::verify_and_strip(bytes)?.len();
+    Ok(format!(
+        "store manifest: container intact ({payload} payload bytes); \
+         run `tind store verify` on its directory to check shard digests"
+    ))
+}
+
+/// The version byte must be the arena's (a v1 shard is refused by name);
+/// then the CRC check names the failing byte offset on a mismatch.
+fn describe_shard(_: &Args, bytes: &[u8]) -> Result<String, CliError> {
+    tind_core::store::check_shard_magic(bytes).map_err(store_error)?;
+    let payload = tind_model::checksum::verify_and_strip(bytes)?.len();
+    Ok(format!(
+        "store shard: arena layout, container intact ({payload} payload bytes); \
+         run `tind store verify` on its directory to check it against the manifest"
+    ))
+}
+
+fn describe_ingest(_: &Args, bytes: &[u8]) -> Result<String, CliError> {
+    let cp = tind_wiki::IngestCheckpoint::decode(bytes)?;
+    // The embedded dataset blob is opaque to checkpoint decoding; verify
+    // digs all the way in.
+    let partial = tind_model::binio::decode_dataset(&cp.dataset_bytes)?;
+    let q = &cp.quarantine;
+    Ok(match &cp.delta {
+        None => format!(
+            "ingest checkpoint: resume offset {}, {} pages seen ({} quarantined), \
+             partial dataset {} attributes, source fingerprint {:#018x}",
+            cp.resume_offset,
+            q.pages_seen,
+            q.pages_quarantined,
+            partial.len(),
+            cp.source_fingerprint,
+        ),
+        Some(delta) => format!(
+            "update checkpoint: resume offset {}, {} delta pages seen ({} quarantined), \
+             {} attribute(s) touched, partial dataset {} attributes, \
+             base fingerprint {:#018x}, source fingerprint {:#018x}",
+            cp.resume_offset,
+            q.pages_seen,
+            q.pages_quarantined,
+            delta.touched.len(),
+            partial.len(),
+            delta.base_fingerprint,
+            cp.source_fingerprint,
+        ),
+    })
 }
 
 /// `tind verify DIR` / `tind store verify` on a sharded store: checks
@@ -995,12 +1036,7 @@ fn report_gauge(payload: &tind_obs::Value, name: &str) -> Option<f64> {
 /// optionally validates the payload against a JSON schema (`--schema`)
 /// and cross-checks the report's running `ingest.quarantined_total`
 /// gauge against a quarantine artifact (`--quarantine`).
-fn verify_run_report(
-    args: &Args,
-    path: &std::path::Path,
-    bytes: &[u8],
-    size: usize,
-) -> Result<String, CliError> {
+fn describe_run_report(args: &Args, bytes: &[u8]) -> Result<String, CliError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| CliError::Data(BinIoError::Corrupt(format!("run report is not UTF-8: {e}"))))?;
     let payload = tind_obs::verify_report(text)
@@ -1064,18 +1100,13 @@ fn verify_run_report(
             q.entries.len(),
         );
     }
-
-    Ok(format!("OK {} ({size} bytes)\n{detail}\n", path.display()))
+    Ok(detail)
 }
 
 /// `tind verify` on a `TINDTF` trace file (or one line of a multi-trace
 /// export): checks the CRC envelope of every line and summarizes the
 /// first trace. Corruption is refused with the failing byte offset.
-fn verify_trace_file(
-    path: &std::path::Path,
-    bytes: &[u8],
-    size: usize,
-) -> Result<String, CliError> {
+fn describe_trace(_: &Args, bytes: &[u8]) -> Result<String, CliError> {
     let text = std::str::from_utf8(bytes)
         .map_err(|e| CliError::Data(BinIoError::Corrupt(format!("trace file is not UTF-8: {e}"))))?;
     let mut first: Option<tind_obs::ParsedTrace> = None;
@@ -1110,15 +1141,20 @@ fn verify_trace_file(
     if lines > 1 {
         let _ = write!(detail, " (+{} more trace(s) verified)", lines - 1);
     }
-    Ok(format!("OK {} ({size} bytes)\n{detail}\n", path.display()))
+    Ok(detail)
 }
 
 /// Collect `root`'s trace from the rings and write it as a one-line
 /// checksummed `TINDTF` file.
 fn write_trace_file(path: &std::path::Path, root: tind_obs::TraceContext) -> Result<(), CliError> {
     let snapshot = tind_obs::collect_trace(root, &[]);
-    std::fs::write(path, snapshot.to_json())?;
-    Ok(())
+    Ok(publish_text(path, &snapshot.to_json())?)
+}
+
+/// Writes `text` to `path` through [`tind_model::binio::publish`].
+fn publish_text(path: &std::path::Path, text: &str) -> std::io::Result<()> {
+    let mut budget = tind_model::binio::OpBudget::default();
+    tind_model::binio::publish(path, &mut budget, |file| file.write_all(text.as_bytes()))
 }
 
 /// Reads a `TINDTF` file (first trace of a multi-trace export).
@@ -1805,7 +1841,7 @@ fn run_ingest(
 
     let q = &outcome.quarantine;
     if let Some(report_path) = args.opt::<String>("quarantine-report")? {
-        q.write_file(std::path::Path::new(&report_path))?;
+        tind_model::binio::write_file(q, std::path::Path::new(&report_path))?;
     }
     let checkpoint_note = match &checkpoint_path {
         Some(p) => format!("; progress checkpointed to {}", p.display()),
@@ -1899,10 +1935,6 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
     if index_out.is_some() && index_path.is_none() {
         return Err(CliError::Message("--index-out requires --index FILE".into()));
     }
-    // Updating in place is safe: the write is atomic only at the fs layer,
-    // but the source index stays valid until the final rename-free write,
-    // and a torn write is caught by the CRC on next load. Still, default
-    // to requiring an explicit output so operators opt into overwriting.
     let index_out = match (&index_path, index_out) {
         (Some(p), None) => Some(p.clone()),
         (_, explicit) => explicit,
@@ -2962,6 +2994,42 @@ mod tests {
         ));
 
         for f in [&dump, &base, &idx, &delta, &merged, &idx2, &idx_cold, &ckpt, &resumed, &sink] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// `update --index I` without `--index-out` republishes `I` through a
+    /// temp file: nothing is left behind, and `I` verifies against the
+    /// merged dataset and equals a cold rebuild over it.
+    #[test]
+    fn update_in_place_publishes_the_index() {
+        let dump = temp_file("cli-inplace-base.xml");
+        let xml = format!("<mediawiki>\n{}\n</mediawiki>", ingest_page_xml("Alpha", 1));
+        std::fs::write(&dump, xml).expect("write base dump");
+        let base = temp_file("cli-inplace-base.tind");
+        let base_str = base.to_str().expect("utf8");
+        run(&["ingest", "--dump", dump.to_str().expect("utf8"), "--out", base_str, "--quiet"])
+            .expect("base ingests");
+        let idx = temp_file("cli-inplace.tix");
+        let idx_str = idx.to_str().expect("utf8");
+        run(&["index", "--data", base_str, "--out", idx_str, "--m", "256"]).expect("indexes");
+        let delta = temp_file("cli-inplace-delta.xml");
+        let delta_xml = format!("<mediawiki>{}</mediawiki>", update_page_xml("Beta", 2, 6));
+        std::fs::write(&delta, delta_xml).expect("write delta dump");
+        let merged = temp_file("cli-inplace-merged.tind");
+        let merged_str = merged.to_str().expect("utf8");
+
+        let out = run(&["update", "--dump", delta.to_str().expect("utf8"), "--data", base_str,
+            "--out", merged_str, "--index", idx_str, "--quiet"])
+        .expect("update completes");
+        assert!(out.contains("index:"), "{out}");
+        assert!(!temp_file("cli-inplace.tix.tmp").exists(), "temp index renamed away");
+        run(&["verify", idx_str, "--data", merged_str]).expect("index verifies against the merge");
+        let cold = temp_file("cli-inplace-cold.tix");
+        run(&["index", "--data", merged_str, "--out", cold.to_str().expect("utf8"), "--m", "256"])
+            .expect("cold index");
+        assert_eq!(std::fs::read(&idx).expect("updated"), std::fs::read(&cold).expect("cold"));
+        for f in [&dump, &base, &idx, &delta, &merged, &cold] {
             std::fs::remove_file(f).ok();
         }
     }

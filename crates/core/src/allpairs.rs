@@ -47,7 +47,8 @@ use crate::validate::ValidationScratch;
 /// When and where to persist progress checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Checkpoint file path (written atomically via temp file + rename).
+    /// Checkpoint file path (written by `tind_model::binio::write_file`:
+    /// temp file, fsync, rename).
     pub path: PathBuf,
     /// Completed queries between checkpoint writes.
     pub every: usize,
@@ -212,13 +213,13 @@ impl Shared {
 
     fn write_checkpoint(&mut self, policy: &CheckpointPolicy) {
         self.normalize();
-        match self.state.write_file(&policy.path) {
+        match tind_model::binio::write_file(&self.state, &policy.path) {
             Ok(()) => {
                 self.checkpoint_written = true;
                 self.since_checkpoint = 0;
                 self.last_checkpoint_at = Instant::now();
             }
-            Err(e) => self.checkpoint_error = Some(e),
+            Err(e) => self.checkpoint_error = Some(e.into()),
         }
     }
 
@@ -609,7 +610,8 @@ mod tests {
         assert!(interrupted.completed_queries < full.total_queries);
         assert!(interrupted.checkpoint_written);
 
-        let cp = Checkpoint::read_file(&path).expect("checkpoint readable");
+        let cp = Checkpoint::decode(&std::fs::read(&path).expect("checkpoint readable"))
+            .expect("checkpoint decodes");
         let resumed = discover(
             &idx,
             &p,

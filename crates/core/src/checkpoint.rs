@@ -15,13 +15,15 @@
 //! of the (ε, δ, w) parameters, since resuming under different parameters
 //! would silently mix incompatible results — and a CRC-32 trailer
 //! ([`tind_model::checksum`]) so truncated or bit-rotted checkpoints are
-//! rejected with a typed error. Writes go through a temp file + rename so
-//! a crash mid-write never destroys the previous good checkpoint.
+//! rejected with a typed error. Files are written by
+//! [`tind_model::binio::write_file`] (temp file, fsync, rename), so a crash
+//! mid-write never destroys the previous good checkpoint.
 
-use std::path::Path;
+use std::io::Write;
 
-use tind_model::binio::{self, dataset_fingerprint, put_varint, put_weight_fn, BinIoError, Reader};
-use tind_model::checksum;
+use tind_model::binio::{
+    self, corrupt, dataset_fingerprint, put_weight_fn, BinIoError, Container, Writer,
+};
 use tind_model::{AttrId, Dataset};
 
 use crate::params::TindParams;
@@ -30,18 +32,15 @@ use crate::params::TindParams;
 /// version.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TINDCP\x00\x01";
 
-fn corrupt(msg: impl Into<String>) -> BinIoError {
-    BinIoError::Corrupt(msg.into())
-}
-
 /// A digest of the search parameters a run was started with. Resuming
 /// requires identical parameters; otherwise completed and pending queries
 /// would be answered under different definitions.
 pub fn params_digest(params: &TindParams) -> u64 {
-    let mut buf = params.eps.to_be_bytes().to_vec();
-    put_varint(&mut buf, u64::from(params.delta));
-    put_weight_fn(&mut buf, &params.weights);
-    tind_model::hash::hash_bytes(&buf)
+    let mut w = Writer::default();
+    w.f64(params.eps);
+    w.varint(u64::from(params.delta));
+    put_weight_fn(&mut w, &params.weights);
+    tind_model::hash::hash_bytes(w.as_slice())
 }
 
 /// Persistent snapshot of an all-pairs run's progress.
@@ -108,28 +107,7 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Serializes the checkpoint.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 4 * self.completed.len() + 8 * self.pairs.len());
-        buf.extend_from_slice(CHECKPOINT_MAGIC);
-        buf.extend_from_slice(&self.dataset_fingerprint.to_le_bytes());
-        buf.extend_from_slice(&self.params_digest.to_le_bytes());
-        put_varint(&mut buf, self.total_queries as u64);
-        put_varint(&mut buf, self.validations_run as u64);
-        put_id_set(&mut buf, &self.completed);
-        put_id_set(&mut buf, &self.poisoned);
-        put_varint(&mut buf, self.pairs.len() as u64);
-        let mut prev_lhs = 0u64;
-        for &(lhs, rhs) in &self.pairs {
-            put_varint(&mut buf, u64::from(lhs) - prev_lhs);
-            prev_lhs = u64::from(lhs);
-            put_varint(&mut buf, u64::from(rhs));
-        }
-        checksum::append_trailer(&mut buf);
-        buf
-    }
-
-    /// Deserializes a checkpoint written by [`Checkpoint::encode`],
+    /// Deserializes a checkpoint written by [`binio::encode`],
     /// verifying magic, version, and checksum trailer.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, BinIoError> {
         let mut buf = binio::open(bytes, CHECKPOINT_MAGIC, "checkpoint")?;
@@ -137,8 +115,8 @@ impl Checkpoint {
         let params_digest = buf.u64_le("checkpoint header")?;
         let total_queries = buf.varint()? as usize;
         let validations_run = buf.varint()? as usize;
-        let completed = get_id_set(&mut buf, total_queries)?;
-        let poisoned = get_id_set(&mut buf, total_queries)?;
+        let completed = buf.ascending(total_queries as u64, "completed set")?;
+        let poisoned = buf.ascending(total_queries as u64, "poisoned set")?;
         let num_pairs = buf.varint()? as usize;
         let mut pairs = Vec::with_capacity(num_pairs.min(1 << 20));
         let mut prev = (0u64, 0u64);
@@ -170,52 +148,28 @@ impl Checkpoint {
             validations_run,
         })
     }
-
-    /// Atomically writes the checkpoint to `path` (temp file + rename, so
-    /// an interrupted write never clobbers the previous checkpoint).
-    pub fn write_file(&self, path: &Path) -> Result<(), BinIoError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    }
-
-    /// Reads a checkpoint from `path`.
-    pub fn read_file(path: &Path) -> Result<Checkpoint, BinIoError> {
-        Checkpoint::decode(&std::fs::read(path)?)
-    }
 }
 
-/// Encodes a sorted, duplicate-free id set (count + delta varints).
-fn put_id_set(buf: &mut Vec<u8>, ids: &[AttrId]) {
-    put_varint(buf, ids.len() as u64);
-    let mut prev = 0u64;
-    for &id in ids {
-        put_varint(buf, u64::from(id) - prev);
-        prev = u64::from(id);
+impl Container for Checkpoint {
+    fn magic(&self) -> &'static [u8; 8] {
+        CHECKPOINT_MAGIC
     }
-}
 
-/// Decodes a sorted id set, rejecting duplicates and out-of-range ids.
-fn get_id_set(buf: &mut Reader<'_>, total: usize) -> Result<Vec<AttrId>, BinIoError> {
-    let len = buf.varint()? as usize;
-    if len > total {
-        return Err(corrupt("id set larger than dataset"));
-    }
-    let mut out = Vec::with_capacity(len.min(buf.remaining()));
-    let mut acc = 0u64;
-    for i in 0..len {
-        let d = buf.varint()?;
-        if i > 0 && d == 0 {
-            return Err(corrupt("duplicate id in checkpoint set"));
+    fn write_fields<W: Write>(&self, w: &mut Writer<W>) {
+        w.u64_le(self.dataset_fingerprint);
+        w.u64_le(self.params_digest);
+        w.varint(self.total_queries as u64);
+        w.varint(self.validations_run as u64);
+        w.ascending(&self.completed);
+        w.ascending(&self.poisoned);
+        w.varint(self.pairs.len() as u64);
+        let mut prev_lhs = 0u64;
+        for &(lhs, rhs) in &self.pairs {
+            w.varint(u64::from(lhs) - prev_lhs);
+            prev_lhs = u64::from(lhs);
+            w.varint(u64::from(rhs));
         }
-        acc += d;
-        if acc >= total as u64 {
-            return Err(corrupt("checkpoint id outside dataset"));
-        }
-        out.push(acc as AttrId);
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -245,7 +199,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let cp = sample_checkpoint();
-        let decoded = Checkpoint::decode(&cp.encode()).expect("decodes");
+        let decoded = Checkpoint::decode(&binio::encode(&cp)).expect("decodes");
         assert_eq!(decoded, cp);
     }
 
@@ -255,15 +209,16 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("run.tcp");
         let cp = sample_checkpoint();
-        cp.write_file(&path).expect("writes");
-        assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
-        assert_eq!(Checkpoint::read_file(&path).expect("reads"), cp);
+        binio::write_file(&cp, &path).expect("writes");
+        assert!(!dir.join("run.tcp.tmp").exists(), "temp file renamed away");
+        let bytes = std::fs::read(&path).expect("reads");
+        assert_eq!(Checkpoint::decode(&bytes).expect("decodes"), cp);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncation_and_bit_flips_are_rejected() {
-        let bytes = sample_checkpoint().encode();
+        let bytes = binio::encode(&sample_checkpoint());
         for cut in [0usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(Checkpoint::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -311,10 +266,10 @@ mod tests {
         // Poisoned id not in completed.
         let mut cp = sample_checkpoint();
         cp.poisoned = vec![1];
-        assert!(Checkpoint::decode(&cp.encode()).is_err());
+        assert!(Checkpoint::decode(&binio::encode(&cp)).is_err());
         // Pair id outside the dataset.
         let mut cp = sample_checkpoint();
         cp.pairs = vec![(0, 9)];
-        assert!(Checkpoint::decode(&cp.encode()).is_err());
+        assert!(Checkpoint::decode(&binio::encode(&cp)).is_err());
     }
 }

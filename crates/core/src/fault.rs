@@ -38,46 +38,6 @@ pub fn poison_hook(poison: &[AttrId]) -> FaultHook {
     })
 }
 
-/// Counted write/fsync/rename steps for kill injection, shared by every
-/// crash-safe writer in the workspace (the sharded store's pack/repair and
-/// the delta-update checkpoint path).
-///
-/// The budget is checked *before* each primitive: a limit of `n` allows
-/// exactly `n` primitives, so every write/fsync/rename boundary is
-/// reachable by sweeping `n` upward until the operation completes.
-#[derive(Debug)]
-pub struct OpBudget {
-    limit: Option<u64>,
-    performed: u64,
-}
-
-/// Builds an [`OpBudget`] that kills (fails) the operation before its
-/// `limit + 1`-th counted primitive; `None` never kills. This is the
-/// injection point behind every `kill_after_ops` option.
-pub fn kill_after_ops(limit: Option<u64>) -> OpBudget {
-    OpBudget { limit, performed: 0 }
-}
-
-impl OpBudget {
-    /// Equivalent to [`kill_after_ops`].
-    pub fn new(limit: Option<u64>) -> Self {
-        kill_after_ops(limit)
-    }
-
-    /// Accounts one primitive; `Err(ops)` reports how many primitives had
-    /// completed when the injected kill fired. Callers wrap the count in
-    /// their own error type (e.g. `StoreError::Killed`).
-    pub fn step(&mut self) -> Result<(), u64> {
-        if let Some(limit) = self.limit {
-            if self.performed >= limit {
-                return Err(self.performed);
-            }
-        }
-        self.performed += 1;
-        Ok(())
-    }
-}
-
 /// Returns `bytes` truncated to its first `keep` bytes.
 pub fn truncated(bytes: &[u8], keep: usize) -> Vec<u8> {
     bytes[..keep.min(bytes.len())].to_vec()
@@ -120,19 +80,6 @@ mod tests {
             .expect_err("must panic");
         let msg = err.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("poisoned query 5"), "{msg}");
-    }
-
-    #[test]
-    fn op_budget_allows_exactly_the_limit() {
-        let mut unlimited = kill_after_ops(None);
-        for _ in 0..100 {
-            unlimited.step().expect("no limit never kills");
-        }
-        let mut budget = OpBudget::new(Some(2));
-        assert_eq!(budget.step(), Ok(()));
-        assert_eq!(budget.step(), Ok(()));
-        assert_eq!(budget.step(), Err(2), "the third primitive is killed");
-        assert_eq!(budget.step(), Err(2), "killed budgets stay killed");
     }
 
     #[test]

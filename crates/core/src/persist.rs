@@ -6,14 +6,16 @@
 //! was built over; loading verifies the fingerprint so a stale index can
 //! never silently answer queries for different data.
 
+use std::io::Write;
 use std::sync::Arc;
 
 use tind_bloom::BloomMatrix;
 use tind_model::binio::{
-    self, dataset_fingerprint, get_weight_fn, put_varint, put_weight_fn, BinIoError, Reader,
+    self, corrupt, dataset_fingerprint, get_weight_fn, put_weight_fn, BinIoError, Container, Reader,
+    Writer,
 };
 use tind_model::checksum;
-use tind_model::{Dataset, Interval, ValueId, ValueSet};
+use tind_model::{Dataset, Interval};
 
 use crate::index::{IndexConfig, TimeSlice, TindIndex};
 use crate::slices::{SliceConfig, SliceStrategy};
@@ -23,13 +25,9 @@ use crate::slices::{SliceConfig, SliceStrategy};
 /// [`tind_model::checksum`]).
 pub const INDEX_MAGIC: &[u8; 8] = b"TINDIX\x00\x02";
 
-pub(crate) fn corrupt(msg: impl Into<String>) -> BinIoError {
-    BinIoError::Corrupt(msg.into())
-}
-
-pub(crate) fn put_interval(buf: &mut Vec<u8>, i: Interval) {
-    put_varint(buf, u64::from(i.start));
-    put_varint(buf, u64::from(i.end - i.start));
+pub(crate) fn put_interval<W: Write>(w: &mut Writer<W>, i: Interval) {
+    w.varint(u64::from(i.start));
+    w.varint(u64::from(i.end - i.start));
 }
 
 pub(crate) fn get_interval(buf: &mut Reader<'_>) -> Result<Interval, BinIoError> {
@@ -38,51 +36,26 @@ pub(crate) fn get_interval(buf: &mut Reader<'_>) -> Result<Interval, BinIoError>
     Ok(Interval::new(start, start + len))
 }
 
-pub(crate) fn put_value_set(buf: &mut Vec<u8>, set: &[ValueId]) {
-    put_varint(buf, set.len() as u64);
-    let mut prev = 0u64;
-    for &v in set {
-        put_varint(buf, u64::from(v) - prev);
-        prev = u64::from(v);
-    }
-}
-
-pub(crate) fn get_value_set(buf: &mut Reader<'_>) -> Result<ValueSet, BinIoError> {
-    let len = buf.varint()? as usize;
-    // At least one byte per value: a hostile count cannot out-allocate its file.
-    let mut out = Vec::with_capacity(len.min(buf.remaining()));
-    let mut acc = 0u64;
-    for i in 0..len {
-        let d = buf.varint()?;
-        if i > 0 && d == 0 {
-            return Err(corrupt("duplicate value in set"));
-        }
-        acc += d;
-        out.push(u32::try_from(acc).map_err(|_| corrupt("value id overflow"))?);
-    }
-    Ok(out)
-}
-
 /// Encodes an [`IndexConfig`] in the exact byte layout the monolithic index
 /// file uses; shared with the sharded store manifest (`core::store`) so the
 /// two formats stay byte-compatible on the config section.
-pub(crate) fn put_config(buf: &mut Vec<u8>, cfg: &IndexConfig) {
-    put_varint(buf, u64::from(cfg.m));
-    put_varint(buf, u64::from(cfg.k_hashes));
-    put_varint(buf, cfg.seed);
-    buf.push(u8::from(cfg.build_reverse));
+pub(crate) fn put_config<W: Write>(w: &mut Writer<W>, cfg: &IndexConfig) {
+    w.varint(u64::from(cfg.m));
+    w.varint(u64::from(cfg.k_hashes));
+    w.varint(cfg.seed);
+    w.u8(u8::from(cfg.build_reverse));
     let s = &cfg.slices;
-    put_varint(buf, s.k as u64);
-    buf.push(match s.strategy {
+    w.varint(s.k as u64);
+    w.u8(match s.strategy {
         SliceStrategy::Random => 0,
         SliceStrategy::WeightedRandom => 1,
     });
-    buf.extend_from_slice(&s.sizing_eps.to_be_bytes());
-    put_weight_fn(buf, &s.sizing_weights);
-    put_varint(buf, u64::from(s.max_delta));
-    buf.push(u8::from(s.expanded_disjoint));
-    put_varint(buf, u64::from(s.start_stride));
-    put_varint(buf, s.attr_sample as u64);
+    w.f64(s.sizing_eps);
+    put_weight_fn(w, &s.sizing_weights);
+    w.varint(u64::from(s.max_delta));
+    w.u8(u8::from(s.expanded_disjoint));
+    w.varint(u64::from(s.start_stride));
+    w.varint(s.attr_sample as u64);
 }
 
 /// Decodes an [`IndexConfig`] written by [`put_config`].
@@ -123,32 +96,37 @@ pub(crate) fn get_config(buf: &mut Reader<'_>) -> Result<IndexConfig, BinIoError
 
 /// Serializes `index` into a byte buffer.
 pub fn encode_index(index: &TindIndex) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(index.bloom_bytes() + (1 << 16));
-    buf.extend_from_slice(INDEX_MAGIC);
-    buf.extend_from_slice(&dataset_fingerprint(index.dataset()).to_le_bytes());
-    put_config(&mut buf, index.config());
+    binio::encode(index)
+}
 
-    // Structures.
-    index.m_t.encode(&mut buf);
-    put_varint(&mut buf, index.time_slices.len() as u64);
-    for slice in &index.time_slices {
-        put_interval(&mut buf, slice.interval);
-        put_interval(&mut buf, slice.expanded);
-        slice.matrix.encode(&mut buf);
+impl Container for TindIndex {
+    fn magic(&self) -> &'static [u8; 8] {
+        INDEX_MAGIC
     }
-    put_varint(&mut buf, index.universes.len() as u64);
-    for u in &index.universes {
-        put_value_set(&mut buf, u);
-    }
-    match &index.m_r {
-        Some(m) => {
-            buf.push(1);
-            m.encode(&mut buf);
+
+    fn write_fields<W: Write>(&self, w: &mut Writer<W>) {
+        w.reserve(self.bloom_bytes() + (1 << 16));
+        w.u64_le(dataset_fingerprint(self.dataset()));
+        put_config(w, self.config());
+        self.m_t.encode(w);
+        w.varint(self.time_slices.len() as u64);
+        for slice in &self.time_slices {
+            put_interval(w, slice.interval);
+            put_interval(w, slice.expanded);
+            slice.matrix.encode(w);
         }
-        None => buf.push(0),
+        w.varint(self.universes.len() as u64);
+        for u in &self.universes {
+            w.ascending(u);
+        }
+        match &self.m_r {
+            Some(m) => {
+                w.u8(1);
+                m.encode(w);
+            }
+            None => w.u8(0),
+        }
     }
-    checksum::append_trailer(&mut buf);
-    buf
 }
 
 /// Verifies the container integrity of a serialized index — magic header,
@@ -187,7 +165,7 @@ pub fn decode_index(bytes: &[u8], dataset: Arc<Dataset>) -> Result<TindIndex, Bi
     }
     let mut universes = Vec::with_capacity(num_universes);
     for _ in 0..num_universes {
-        universes.push(get_value_set(&mut buf)?);
+        universes.push(buf.ascending(1 << 32, "value set")?);
     }
     let m_r = match buf.u8("m_r flag")? {
         0 => None,
@@ -201,10 +179,10 @@ pub fn decode_index(bytes: &[u8], dataset: Arc<Dataset>) -> Result<TindIndex, Bi
     Ok(TindIndex { dataset, config, m_t, time_slices, universes, m_r, masked: None })
 }
 
-/// Writes `index` to the file at `path`.
+/// Writes `index` to the file at `path`, streamed: no second copy of it
+/// is held in memory (see [`binio::publish`]).
 pub fn write_index_file(index: &TindIndex, path: &std::path::Path) -> Result<(), BinIoError> {
-    std::fs::write(path, encode_index(index))?;
-    Ok(())
+    Ok(binio::write_file(index, path)?)
 }
 
 /// Reads an index from `path`, binding it to `dataset`.

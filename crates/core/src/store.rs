@@ -38,22 +38,23 @@
 //! (`persist::encode_index`) to the index that was packed, at any shard
 //! count — the differential contract pinned by `tests/store_roundtrip.rs`.
 
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use tind_bloom::{
     BloomMatrix, BloomMatrixBuilder, MmapFile, Segment, WindowFile, WindowPool, WordRegion,
 };
-use tind_model::binio::{self, dataset_fingerprint, put_varint, BinIoError, Reader};
+use tind_model::binio::{
+    self, corrupt, dataset_fingerprint, publish, BinIoError, Container, Killed, OpBudget, Reader,
+    Writer,
+};
 use tind_model::checksum::{self, crc32};
 use tind_model::{AttrId, Dataset, Interval, MemoryBudget, ValueSet};
 
-use crate::fault::OpBudget;
 use crate::index::{ColumnContents, MaskedShard, ShardMask, TimeSlice, TindIndex};
-use crate::persist::{
-    corrupt, get_config, get_interval, get_value_set, put_config, put_interval, put_value_set,
-};
+use crate::persist::{get_config, get_interval, put_config, put_interval};
 
 /// Magic bytes of the store manifest, including a format version.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TINDIS\x00\x01";
@@ -199,7 +200,10 @@ impl std::error::Error for StoreError {
 
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
-        StoreError::Io(e)
+        match Killed::find(&e) {
+            Some(Killed { ops }) => StoreError::Killed { ops },
+            None => StoreError::Io(e),
+        }
     }
 }
 
@@ -400,36 +404,6 @@ fn parse_shard_gen(name: &str) -> Option<u64> {
     Some(gen)
 }
 
-/// Counted write/fsync/rename steps for kill injection; the counting
-/// lives in [`crate::fault::OpBudget`] so other crash-safe writers (the
-/// delta-update checkpoint path) share the same sweep semantics. This
-/// wrapper only translates the kill into a [`StoreError::Killed`].
-fn step(budget: &mut OpBudget) -> Result<(), StoreError> {
-    budget.step().map_err(|ops| StoreError::Killed { ops })
-}
-
-/// Publishes `bytes` at `final_path` via temp-file → fsync → atomic
-/// rename; each primitive is one killable step.
-fn write_atomic(
-    final_path: &Path,
-    bytes: &[u8],
-    budget: &mut OpBudget,
-) -> Result<(), StoreError> {
-    use std::io::Write;
-    let mut tmp = final_path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    step(budget)?;
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    step(budget)?;
-    file.sync_all()?;
-    drop(file);
-    step(budget)?;
-    std::fs::rename(&tmp, final_path)?;
-    Ok(())
-}
-
 /// Removes orphan `*.tmp` files and shards of generations other than
 /// `live_gen`; returns `(temps, stale)` counts.
 fn sweep(dir: &Path, live_gen: u64) -> Result<(usize, usize), StoreError> {
@@ -450,29 +424,31 @@ fn sweep(dir: &Path, live_gen: u64) -> Result<(usize, usize), StoreError> {
     Ok((temps, stale))
 }
 
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 << 12);
-    buf.extend_from_slice(MANIFEST_MAGIC);
-    put_varint(&mut buf, m.generation);
-    buf.extend_from_slice(&m.fingerprint.to_le_bytes());
-    put_config(&mut buf, &m.config);
-    put_varint(&mut buf, m.num_attrs as u64);
-    put_varint(&mut buf, m.slices.len() as u64);
-    for &(interval, expanded) in &m.slices {
-        put_interval(&mut buf, interval);
-        put_interval(&mut buf, expanded);
+impl Container for Manifest {
+    fn magic(&self) -> &'static [u8; 8] {
+        MANIFEST_MAGIC
     }
-    buf.push(u8::from(m.has_m_r));
-    put_varint(&mut buf, m.shards.len() as u64);
-    for s in &m.shards {
-        put_varint(&mut buf, s.id as u64);
-        put_varint(&mut buf, s.block_start as u64);
-        put_varint(&mut buf, s.block_count as u64);
-        put_varint(&mut buf, s.byte_len);
-        buf.extend_from_slice(&s.digest.to_le_bytes());
+
+    fn write_fields<W: Write>(&self, w: &mut Writer<W>) {
+        w.varint(self.generation);
+        w.u64_le(self.fingerprint);
+        put_config(w, &self.config);
+        w.varint(self.num_attrs as u64);
+        w.varint(self.slices.len() as u64);
+        for &(interval, expanded) in &self.slices {
+            put_interval(w, interval);
+            put_interval(w, expanded);
+        }
+        w.u8(u8::from(self.has_m_r));
+        w.varint(self.shards.len() as u64);
+        for s in &self.shards {
+            w.varint(s.id as u64);
+            w.varint(s.block_start as u64);
+            w.varint(s.block_count as u64);
+            w.varint(s.byte_len);
+            w.u32_le(s.digest);
+        }
     }
-    checksum::append_trailer(&mut buf);
-    buf
 }
 
 fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
@@ -539,28 +515,26 @@ fn arena_header_len(num_targets: usize) -> usize {
     ARENA_FIXED_HEADER + (num_targets + 1) * ARENA_SECTION_ENTRY + 4
 }
 
-/// Encodes one shard in the arena layout. `section(target, buf)` is
-/// called once per target in ascending order and must append the target's
-/// words over the shard's `block_count` word columns, row-major and
-/// little-endian ([`BloomMatrix::encode_words`]); `universe` once per
-/// attribute in the shard's range. Shared by pack (row spans of the built
-/// matrices) and repair (the range re-rendered from the dataset) so the
-/// two paths are byte-equal by construction. Each target's section is
-/// 64-byte aligned behind an offset table, so an open can borrow it as
-/// `&[u64]` without decoding. Returns the bytes and their
-/// digest (the CRC-32 the trailer carries, see [`ShardEntry::digest`]).
-fn encode_shard_arena_with<FS, FU>(
+/// Writes one shard in the arena layout to `w`, which holds its magic
+/// and nothing else. `section(target, w)` is called once per target in
+/// ascending order and must write the target's words over the shard's
+/// `block_count` word columns, row-major and little-endian
+/// ([`BloomMatrix::encode_words`]); `universe` once per attribute in the
+/// shard's range. Shared by pack (row spans of the built matrices,
+/// streamed to the file) and repair (the range re-rendered from the
+/// dataset) so the two paths are byte-equal by construction. Each target's
+/// section is 64-byte aligned behind an offset table, so an open can
+/// borrow it as `&[u64]` without decoding. The caller finishes `w`; its
+/// trailer is the shard's digest (see [`ShardEntry::digest`]).
+fn write_shard<W: Write>(
+    w: &mut Writer<W>,
     manifest: &Manifest,
     entry_id: usize,
     block_start: usize,
     block_count: usize,
-    mut section: FS,
-    mut universe: FU,
-) -> (Vec<u8>, u32)
-where
-    FS: FnMut(usize, &mut Vec<u8>),
-    FU: FnMut(usize, &mut Vec<u8>),
-{
+    mut section: impl FnMut(usize, &mut Writer<W>),
+    mut universe: impl FnMut(usize, &mut Writer),
+) {
     let m = manifest.config.m as usize;
     let num_targets = manifest.num_targets();
     let matrix_bytes = m * block_count * 8;
@@ -568,7 +542,7 @@ where
 
     // Universes are rendered first so the section table can commit their
     // exact byte length.
-    let mut ublob = Vec::new();
+    let mut ublob = Writer::default();
     let attr_lo = block_start * 64;
     let attr_hi = ((block_start + block_count) * 64).min(manifest.num_attrs);
     for attr in attr_lo..attr_hi {
@@ -581,36 +555,37 @@ where
         sections.push((off as u64, matrix_bytes as u64));
         off += matrix_bytes.next_multiple_of(ARENA_ALIGN);
     }
-    sections.push((off as u64, ublob.len() as u64));
+    sections.push((off as u64, ublob.written()));
 
-    let mut buf = Vec::with_capacity(off + ublob.len() + checksum::TRAILER_LEN);
-    buf.extend_from_slice(SHARD_MAGIC);
-    buf.extend_from_slice(&manifest.generation.to_le_bytes());
-    buf.extend_from_slice(&(entry_id as u32).to_le_bytes());
-    buf.extend_from_slice(&(block_start as u32).to_le_bytes());
-    buf.extend_from_slice(&(block_count as u32).to_le_bytes());
-    buf.extend_from_slice(&(num_targets as u32).to_le_bytes());
-    buf.extend_from_slice(&manifest.fingerprint.to_le_bytes());
-    buf.extend_from_slice(&manifest.config.m.to_le_bytes());
-    buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    for &(o, l) in &sections {
-        buf.extend_from_slice(&o.to_le_bytes());
-        buf.extend_from_slice(&l.to_le_bytes());
+    w.u64_le(manifest.generation);
+    for v in [entry_id, block_start, block_count, num_targets] {
+        w.u32_le(v as u32);
     }
-    let header_crc = crc32(&buf);
-    buf.extend_from_slice(&header_crc.to_le_bytes());
-    buf.resize(header_end, 0);
+    w.u64_le(manifest.fingerprint);
+    w.u32_le(manifest.config.m);
+    w.u32_le(sections.len() as u32);
+    for &(o, l) in &sections {
+        w.u64_le(o);
+        w.u64_le(l);
+    }
+    // The header CRC covers every byte before it.
+    let header_crc = w.crc();
+    w.u32_le(header_crc);
+    let align = |w: &mut Writer<W>| {
+        let len = w.written() as usize;
+        w.bytes(&[0; ARENA_ALIGN][..len.next_multiple_of(ARENA_ALIGN) - len]);
+    };
+    align(w);
+    debug_assert_eq!(w.written(), header_end as u64);
 
     for target in 0..num_targets {
-        let start = buf.len();
-        section(target, &mut buf);
-        debug_assert_eq!(buf.len() - start, matrix_bytes, "m rows of block_count words");
-        buf.resize(buf.len().next_multiple_of(ARENA_ALIGN), 0);
+        let start = w.written();
+        section(target, w);
+        debug_assert_eq!(w.written() - start, matrix_bytes as u64, "m rows of block_count words");
+        align(w);
     }
-    debug_assert_eq!(buf.len(), off, "sections laid out exactly as the table commits");
-    buf.extend_from_slice(&ublob);
-    let digest = checksum::append_trailer(&mut buf);
-    (buf, digest)
+    debug_assert_eq!(w.written(), off as u64, "sections laid out exactly as the table commits");
+    w.bytes(ublob.as_slice());
 }
 
 /// Checks the first eight bytes of a shard file: the arena magic passes,
@@ -747,7 +722,7 @@ fn arena_universes(
     let mut buf = Reader::new(blob);
     let mut universes = Vec::with_capacity((attr_hi - attr_lo) as usize);
     for _ in attr_lo..attr_hi {
-        universes.push(get_value_set(&mut buf)?);
+        universes.push(buf.ascending(1 << 32, "value set")?);
     }
     buf.finish("arena universes")?;
     Ok(universes)
@@ -936,29 +911,29 @@ pub fn pack_store(
     let mut bytes_written = 0u64;
     for (id, &(block_start, block_count)) in parts.iter().enumerate() {
         let words = block_start..block_start + block_count;
-        let section = |target: usize, buf: &mut Vec<u8>| {
-            matrices[target].encode_words(words.clone(), buf);
-        };
-        let universes =
-            |attr: usize, buf: &mut Vec<u8>| put_value_set(buf, index.universe(attr as AttrId));
-        let (payload, digest) =
-            encode_shard_arena_with(&manifest, id, block_start, block_count, section, universes);
-        write_atomic(&dir.join(shard_name(generation, id)), &payload, &mut budget)?;
-        bytes_written += payload.len() as u64;
-        manifest.shards.push(ShardEntry {
-            id,
-            block_start,
-            block_count,
-            byte_len: payload.len() as u64,
-            digest,
-        });
+        let (byte_len, digest) = publish(&dir.join(shard_name(generation, id)), &mut budget, |f| {
+            let mut w = Writer::streaming(f, SHARD_MAGIC);
+            write_shard(
+                &mut w,
+                &manifest,
+                id,
+                block_start,
+                block_count,
+                |target, w| matrices[target].encode_words(words.clone(), w),
+                |attr, w| w.ascending(index.universe(attr as AttrId)),
+            );
+            let byte_len = w.written() + checksum::TRAILER_LEN as u64;
+            Ok((byte_len, w.finish()?))
+        })?;
+        bytes_written += byte_len;
+        manifest.shards.push(ShardEntry { id, block_start, block_count, byte_len, digest });
     }
 
-    let manifest_bytes = encode_manifest(&manifest);
+    let manifest_bytes = binio::encode(&manifest);
     bytes_written += manifest_bytes.len() as u64;
-    write_atomic(&dir.join(MANIFEST_NAME), &manifest_bytes, &mut budget)?;
+    publish(&dir.join(MANIFEST_NAME), &mut budget, |f| f.write_all(&manifest_bytes))?;
     // Make the renames themselves durable before declaring success.
-    step(&mut budget)?;
+    budget.step()?;
     if let Ok(d) = std::fs::File::open(dir) {
         let _ = d.sync_all();
     }
@@ -1180,24 +1155,21 @@ pub fn repair_store(
         // over the manifest's persisted slice windows and config.
         let first_attr = entry.block_start * 64;
         let num_cols = (first_attr + entry.block_count * 64).min(dataset.len()) - first_attr;
-        let section = |target: usize, buf: &mut Vec<u8>| {
+        let section = |target: usize, w: &mut Writer| {
             let mut builder = BloomMatrixBuilder::new(m, num_cols, k_hashes);
             for mut tile in builder.tiles() {
                 columns.render_tile(dataset, target, first_attr, &mut tile, |_, _| {});
             }
-            builder.build().encode_words(0..entry.block_count, buf);
+            builder.build().encode_words(0..entry.block_count, w);
         };
-        let universe_fn = |attr: usize, buf: &mut Vec<u8>| {
-            put_value_set(buf, &dataset.attribute(attr as AttrId).value_universe())
+        let universe_fn = |attr: usize, w: &mut Writer| {
+            w.ascending(&dataset.attribute(attr as AttrId).value_universe())
         };
-        let (payload, digest) = encode_shard_arena_with(
-            &manifest,
-            entry.id,
-            entry.block_start,
-            entry.block_count,
-            section,
-            universe_fn,
-        );
+        let mut w = Writer::new(SHARD_MAGIC);
+        let (id, start, count) = (entry.id, entry.block_start, entry.block_count);
+        write_shard(&mut w, &manifest, id, start, count, section, universe_fn);
+        let digest = w.crc();
+        let payload = w.into_bytes();
         if digest != entry.digest || payload.len() as u64 != entry.byte_len {
             return Err(mismatch(format!(
                 "rebuilt shard {} hashes to {digest:#010x} but the manifest committed \
@@ -1205,10 +1177,11 @@ pub fn repair_store(
                 entry.id, entry.digest
             )));
         }
-        write_atomic(&dir.join(shard_name(manifest.generation, entry.id)), &payload, &mut budget)?;
+        let path = dir.join(shard_name(manifest.generation, entry.id));
+        publish(&path, &mut budget, |f| f.write_all(&payload))?;
         rebuilt.push(entry.id);
     }
-    step(&mut budget)?;
+    budget.step()?;
     if let Ok(d) = std::fs::File::open(dir) {
         let _ = d.sync_all();
     }
@@ -1229,7 +1202,7 @@ mod tests {
         Arc::new(b.build())
     }
 
-    fn store_dir(name: &str) -> PathBuf {
+    fn store_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join("tind-core-store-tests").join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -1311,7 +1284,7 @@ mod tests {
         std::fs::write(&path, &raw).expect("write v1 shard");
         let mut manifest = read_manifest(&dir).expect("manifest");
         manifest.shards[0].digest = resigned;
-        std::fs::write(dir.join(MANIFEST_NAME), encode_manifest(&manifest)).expect("manifest");
+        std::fs::write(dir.join(MANIFEST_NAME), binio::encode(&manifest)).expect("manifest");
 
         let refused = |e: &StoreError| {
             assert!(matches!(e, StoreError::LegacyShard), "typed refusal, got {e}");

@@ -5,6 +5,11 @@
 //! files small and loading fast without pulling in a serialization
 //! framework. The format is versioned via a magic header.
 //!
+//! Every checksummed container of the workspace is read through
+//! [`open`] + [`Reader`] and written through [`Writer`] (a
+//! [`Container`] names its magic and fields), and every file is published
+//! by [`publish`]: streamed to a temp file, fsynced, renamed into place.
+//!
 //! The dataset encoding is canonical: [`decode_dataset`] accepts only what
 //! [`encode_dataset`] produces, so a verified file's bytes *are* the
 //! dataset's encoding and [`dataset_fingerprint`] (the hash of that
@@ -21,8 +26,11 @@
 //! spawn runs the worker's closure inline, so there is one decode path,
 //! not two.
 
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use crate::checksum::Crc32;
 use crate::dataset::{Dataset, DatasetBuilder};
 use crate::history::{AttributeHistory, Version};
 use crate::time::Timeline;
@@ -84,7 +92,8 @@ impl From<std::io::Error> for BinIoError {
     }
 }
 
-fn corrupt(msg: impl Into<String>) -> BinIoError {
+/// A [`BinIoError::Corrupt`] saying `msg`.
+pub fn corrupt(msg: impl Into<String>) -> BinIoError {
     BinIoError::Corrupt(msg.into())
 }
 
@@ -172,7 +181,7 @@ impl<'a> Reader<'a> {
     /// fit a `u64` (more than 10 bytes, or a 10th byte carrying more than
     /// the one bit that is left), and on overlong encodings (a final zero
     /// byte after the first): every accepted varint is the one
-    /// [`put_varint`] writes for its value.
+    /// [`Writer::varint`] writes for its value.
     ///
     /// On failure the reader has consumed the bytes up to and including
     /// the one that failed (all of them, for a truncation).
@@ -202,6 +211,27 @@ impl<'a> Reader<'a> {
         Err(corrupt("truncated varint"))
     }
 
+    /// Decodes an ascending set written by [`Writer::ascending`], refusing
+    /// a repeated id and any id at or above `bound`; `what` names the set.
+    pub fn ascending(&mut self, bound: u64, what: &str) -> Result<Vec<u32>, BinIoError> {
+        let len = self.varint()?;
+        // At least one byte per id: a hostile count cannot out-allocate its file.
+        let mut out = Vec::with_capacity((len as usize).min(self.remaining()));
+        let mut id = 0u64;
+        for i in 0..len {
+            let d = self.varint()?;
+            if i > 0 && d == 0 {
+                return Err(corrupt(format!("duplicate id in {what}")));
+            }
+            id = id.saturating_add(d);
+            if id >= bound.min(1 << 32) {
+                return Err(corrupt(format!("{what} id {id} out of range")));
+            }
+            out.push(id as u32);
+        }
+        Ok(out)
+    }
+
     /// Decodes a length-prefixed UTF-8 string, validated where it lies.
     pub fn str(&mut self) -> Result<&'a str, BinIoError> {
         let len = usize::try_from(self.varint()?).map_err(|_| corrupt("string length overflow"))?;
@@ -220,55 +250,347 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// LEB128-style unsigned varint encoding.
-pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
+/// Bytes a [`Writer`] buffers before it checksums them (and, when it
+/// streams, hands them to its sink).
+const CHUNK: usize = 64 * 1024;
+
+/// A checksummed container: an 8-byte magic (7-byte identifier + version
+/// byte), then the fields [`Container::write_fields`] writes, then the
+/// CRC-32 trailer. [`encode`] renders one in memory, [`write_file`] to a
+/// file.
+pub trait Container {
+    /// The magic the container starts with.
+    fn magic(&self) -> &'static [u8; 8];
+
+    /// Writes every field after the magic.
+    fn write_fields<W: Write>(&self, w: &mut Writer<W>);
+}
+
+/// The mirror of [`Reader`]: writes one container — the magic, the fields,
+/// and last the CRC-32 trailer over every byte before it.
+///
+/// The CRC runs over buffered chunks, not field by field, so a varint
+/// costs a copy and not a CRC call, and [`Writer::crc`] is the CRC of
+/// every byte so far at any point (a store shard's header CRC is read off
+/// it). An in-memory writer ([`Writer::new`]) keeps every byte for
+/// [`Writer::into_bytes`]; a streaming one ([`Writer::streaming`]) hands
+/// each checksummed chunk to its sink. Field writes cannot fail: the first
+/// error of the sink is kept and [`Writer::finish`] returns it.
+#[derive(Debug)]
+pub struct Writer<W = Vec<u8>> {
+    buf: Vec<u8>,
+    /// The prefix of `buf` the CRC has seen.
+    summed: usize,
+    crc: Crc32,
+    /// Bytes handed to the sink before `buf`.
+    drained: u64,
+    /// `None` keeps every byte in `buf`.
+    sink: Option<W>,
+    error: Option<io::Error>,
+}
+
+impl Default for Writer {
+    /// An in-memory writer without a magic: the fields of a digest, or a
+    /// blob embedded in a container.
+    fn default() -> Self {
+        Writer::over(&[], None)
     }
 }
 
-/// Encodes a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
+impl Writer {
+    /// An in-memory writer that starts with `magic`.
+    pub fn new(magic: &[u8; 8]) -> Self {
+        Writer::over(magic, None)
+    }
+
+    /// The bytes written so far, without a trailer.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Appends the trailer and returns the container's bytes.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.seal();
+        self.buf
+    }
 }
+
+impl<W: Write> Writer<W> {
+    /// A writer that streams to `sink`, starting with `magic`.
+    pub fn streaming(sink: W, magic: &[u8; 8]) -> Self {
+        Writer::over(magic, Some(sink))
+    }
+
+    fn over(magic: &[u8], sink: Option<W>) -> Self {
+        let mut buf = Vec::with_capacity(CHUNK);
+        buf.extend_from_slice(magic);
+        Writer { buf, summed: 0, crc: Crc32::new(), drained: 0, sink, error: None }
+    }
+
+    /// Bytes written so far.
+    pub fn written(&self) -> u64 {
+        self.drained + self.buf.len() as u64
+    }
+
+    /// CRC-32 of every byte written so far.
+    pub fn crc(&self) -> u32 {
+        let mut crc = self.crc.clone();
+        crc.update(&self.buf[self.summed..]);
+        crc.finish()
+    }
+
+    /// Room for `additional` more bytes, which only an in-memory writer
+    /// holds all at once.
+    pub fn reserve(&mut self, additional: usize) {
+        if self.sink.is_none() {
+            self.buf.reserve(additional);
+        }
+    }
+
+    /// LEB128-style unsigned varint, the one [`Reader::varint`] reads.
+    #[inline]
+    pub fn varint(&mut self, v: u64) {
+        push_varint(&mut self.buf, v);
+        self.spill();
+    }
+
+    /// An ascending `u32` set: its length, then each id's difference from
+    /// the one before.
+    pub fn ascending(&mut self, ids: &[u32]) {
+        push_varint(&mut self.buf, ids.len() as u64);
+        let mut prev = 0;
+        for &id in ids {
+            push_varint(&mut self.buf, u64::from(id - prev));
+            prev = id;
+        }
+        self.spill();
+    }
+
+    /// A length-prefixed UTF-8 string.
+    pub fn str(&mut self, s: &str) {
+        self.varint(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    /// One byte.
+    #[inline]
+    pub fn u8(&mut self, v: u8) {
+        self.buf.push(v);
+        self.spill();
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32_le(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64_le(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    /// Little-endian `u64`s, back to back.
+    pub fn u64s_le(&mut self, words: &[u64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * words.len(), 0);
+        for (out, word) in self.buf[start..].chunks_exact_mut(8).zip(words) {
+            out.copy_from_slice(&word.to_le_bytes());
+        }
+        self.spill();
+    }
+
+    /// A big-endian `f64` (the byte order the formats have always used).
+    pub fn f64(&mut self, v: f64) {
+        self.bytes(&v.to_be_bytes());
+    }
+
+    /// Raw bytes.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        self.spill();
+    }
+
+    #[inline]
+    fn spill(&mut self) {
+        if self.buf.len() - self.summed >= CHUNK {
+            self.spill_chunk();
+        }
+    }
+
+    /// Checksums the buffered bytes and, when streaming, drains them.
+    #[cold]
+    fn spill_chunk(&mut self) {
+        self.crc.update(&self.buf[self.summed..]);
+        self.summed = self.buf.len();
+        if self.sink.is_some() {
+            self.drain();
+        }
+    }
+
+    /// Hands the whole buffer to the sink.
+    fn drain(&mut self) {
+        if let (Some(sink), None) = (&mut self.sink, &self.error) {
+            self.error = sink.write_all(&self.buf).err();
+        }
+        self.drained += self.buf.len() as u64;
+        self.buf.clear();
+        self.summed = 0;
+    }
+
+    /// Appends the trailer and returns its value.
+    fn seal(&mut self) -> u32 {
+        let crc = self.crc();
+        self.buf.extend_from_slice(&crc.to_le_bytes());
+        crc
+    }
+
+    /// Appends the trailer, drains and flushes the sink, and returns the
+    /// trailer's value, or the first error of the sink.
+    pub fn finish(mut self) -> io::Result<u32> {
+        let crc = self.seal();
+        self.drain();
+        if let (Some(sink), None) = (&mut self.sink, &self.error) {
+            self.error = sink.flush().err();
+        }
+        self.error.map_or(Ok(crc), Err)
+    }
+}
+
+#[inline]
+fn push_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
+/// `container`'s bytes, trailer included.
+pub fn encode<C: Container + ?Sized>(container: &C) -> Vec<u8> {
+    let mut w = Writer::new(container.magic());
+    container.write_fields(&mut w);
+    w.into_bytes()
+}
+
+/// Streams `container` to `path` through [`publish`].
+pub fn write_file<C: Container + ?Sized>(container: &C, path: &Path) -> io::Result<()> {
+    publish(path, &mut OpBudget::default(), |file| {
+        let mut w = Writer::streaming(file, container.magic());
+        container.write_fields(&mut w);
+        w.finish().map(drop)
+    })
+}
+
+/// Publishes the file at `path`: `write` streams it into `path` + `.tmp`,
+/// which is fsynced and renamed over `path`, so a reader or a crash sees
+/// the old file or the new one, never part of one. Creating and writing
+/// the temp, the fsync and the rename are one [`OpBudget`] step each. A
+/// failed write or fsync removes the temp; a temp a crash left behind is
+/// truncated by the next publish to the same path.
+pub fn publish<T>(
+    path: &Path,
+    budget: &mut OpBudget,
+    write: impl FnOnce(&mut std::fs::File) -> io::Result<T>,
+) -> io::Result<T> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    budget.step()?;
+    let mut file = std::fs::File::create(&tmp)?;
+    let written = write(&mut file).and_then(|out| {
+        budget.step()?;
+        file.sync_all().map(|()| out)
+    });
+    drop(file);
+    if written.as_ref().is_err_and(|e| Killed::find(e).is_none()) {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    let out = written?;
+    budget.step()?;
+    std::fs::rename(&tmp, path)?;
+    Ok(out)
+}
+
+/// Counted [`publish`] steps, for kill injection: a limit of `n` allows
+/// exactly `n` steps and fails the next with [`Killed`], so sweeping `n`
+/// upward reaches every boundary. The default never kills.
+#[derive(Debug, Default)]
+pub struct OpBudget {
+    limit: Option<u64>,
+    performed: u64,
+}
+
+impl OpBudget {
+    /// A budget of `limit` steps; `None` never kills.
+    pub fn new(limit: Option<u64>) -> Self {
+        OpBudget { limit, performed: 0 }
+    }
+
+    /// Accounts one step, or fails with the [`Killed`] error.
+    pub fn step(&mut self) -> io::Result<()> {
+        if self.limit.is_some_and(|limit| self.performed >= limit) {
+            return Err(io::Error::other(Killed { ops: self.performed }));
+        }
+        self.performed += 1;
+        Ok(())
+    }
+}
+
+/// An injected kill after `ops` [`OpBudget`] steps: the files are left as
+/// a SIGKILL at that boundary would leave them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Killed {
+    /// Steps performed before the kill.
+    pub ops: u64,
+}
+
+impl Killed {
+    /// The kill `e` carries, if it is one.
+    pub fn find(e: &io::Error) -> Option<Killed> {
+        e.get_ref()?.downcast_ref::<Killed>().copied()
+    }
+}
+
+impl std::fmt::Display for Killed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "injected kill after {} write operations", self.ops)
+    }
+}
+
+impl std::error::Error for Killed {}
 
 /// Serializes `dataset` into a byte buffer.
 pub fn encode_dataset(dataset: &Dataset) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(1 << 20);
-    buf.extend_from_slice(MAGIC);
-    put_varint(&mut buf, u64::from(dataset.timeline().len()));
-    // Dictionary, in id order so ids are implicit.
-    put_varint(&mut buf, dataset.dictionary().len() as u64);
-    for (_, s) in dataset.dictionary().iter() {
-        put_str(&mut buf, s);
+    encode(dataset)
+}
+
+impl Container for Dataset {
+    fn magic(&self) -> &'static [u8; 8] {
+        MAGIC
     }
-    put_varint(&mut buf, dataset.len() as u64);
-    for h in dataset.attributes() {
-        put_str(&mut buf, h.name());
-        put_varint(&mut buf, u64::from(h.last_observed()));
-        put_varint(&mut buf, h.versions().len() as u64);
-        let mut prev_start = 0u32;
-        for v in h.versions() {
-            put_varint(&mut buf, u64::from(v.start - prev_start));
-            prev_start = v.start;
-            put_varint(&mut buf, v.values.len() as u64);
-            let mut prev_val: u64 = 0;
-            for &val in &v.values {
-                // Values are sorted ascending; delta-encode.
-                put_varint(&mut buf, u64::from(val) - prev_val);
-                prev_val = u64::from(val);
+
+    fn write_fields<W: Write>(&self, w: &mut Writer<W>) {
+        w.reserve(1 << 20);
+        w.varint(u64::from(self.timeline().len()));
+        // Dictionary, in id order so ids are implicit.
+        w.varint(self.dictionary().len() as u64);
+        for (_, s) in self.dictionary().iter() {
+            w.str(s);
+        }
+        w.varint(self.len() as u64);
+        for h in self.attributes() {
+            w.str(h.name());
+            w.varint(u64::from(h.last_observed()));
+            w.varint(h.versions().len() as u64);
+            let mut prev_start = 0u32;
+            for v in h.versions() {
+                w.varint(u64::from(v.start - prev_start));
+                prev_start = v.start;
+                w.ascending(&v.values);
             }
         }
     }
-    crate::checksum::append_trailer(&mut buf);
-    buf
 }
 
 /// Deserializes a dataset from bytes produced by [`encode_dataset`].
@@ -430,27 +752,27 @@ fn decode_histories(
 }
 
 /// Serializes a weight function (tag byte + payload).
-pub fn put_weight_fn(buf: &mut Vec<u8>, w: &crate::WeightFn) {
+pub fn put_weight_fn<W: Write>(w: &mut Writer<W>, f: &crate::WeightFn) {
     use crate::WeightFn;
-    match w {
+    match f {
         WeightFn::Constant { per_timestamp } => {
-            buf.push(0);
-            buf.extend_from_slice(&per_timestamp.to_be_bytes());
+            w.u8(0);
+            w.f64(*per_timestamp);
         }
         WeightFn::ExponentialDecay { a, n } => {
-            buf.push(1);
-            buf.extend_from_slice(&a.to_be_bytes());
-            put_varint(buf, u64::from(*n));
+            w.u8(1);
+            w.f64(*a);
+            w.varint(u64::from(*n));
         }
         WeightFn::LinearDecay { n } => {
-            buf.push(2);
-            put_varint(buf, u64::from(*n));
+            w.u8(2);
+            w.varint(u64::from(*n));
         }
         WeightFn::Piecewise { prefix } => {
-            buf.push(3);
-            put_varint(buf, prefix.len() as u64);
+            w.u8(3);
+            w.varint(prefix.len() as u64);
             for &p in prefix.iter() {
-                buf.extend_from_slice(&p.to_be_bytes());
+                w.f64(p);
             }
         }
     }
@@ -503,14 +825,13 @@ pub fn dataset_fingerprint(dataset: &Dataset) -> u64 {
     *dataset.fingerprint_cell().get_or_init(|| crate::hash::hash_bytes(&encode_dataset(dataset)))
 }
 
-/// Writes `dataset` to the file at `path`.
-pub fn write_dataset_file(dataset: &Dataset, path: &std::path::Path) -> Result<(), BinIoError> {
-    std::fs::write(path, encode_dataset(dataset))?;
-    Ok(())
+/// Writes `dataset` to the file at `path` (see [`publish`]).
+pub fn write_dataset_file(dataset: &Dataset, path: &Path) -> Result<(), BinIoError> {
+    Ok(write_file(dataset, path)?)
 }
 
 /// Reads a dataset from the file at `path`.
-pub fn read_dataset_file(path: &std::path::Path) -> Result<Dataset, BinIoError> {
+pub fn read_dataset_file(path: &Path) -> Result<Dataset, BinIoError> {
     decode_dataset(&std::fs::read(path)?)
 }
 
@@ -550,12 +871,12 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        let mut buf = Vec::new();
+        let mut buf = Writer::default();
         let values = [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX];
         for &v in &values {
-            put_varint(&mut buf, v);
+            buf.varint(v);
         }
-        let mut bytes = Reader::new(&buf);
+        let mut bytes = Reader::new(buf.as_slice());
         for &v in &values {
             assert_eq!(bytes.varint().expect("decodes"), v);
         }
@@ -600,8 +921,9 @@ mod tests {
         }
         let mut inputs = Vec::new();
         for v in values {
-            let mut enc = Vec::new();
-            put_varint(&mut enc, v);
+            let mut w = Writer::default();
+            w.varint(v);
+            let enc = w.as_slice().to_vec();
             // Overlong forms: the last byte continued, then zero or more
             // empty continuation bytes and a final zero, up to 11 bytes.
             for pad in 0..=11usize.saturating_sub(enc.len() + 1) {
@@ -673,13 +995,11 @@ mod tests {
     }
 
     /// A CRC-valid dataset file: `body` between the magic and the trailer.
-    fn sealed(body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        put_varint(&mut buf, 100); // timeline
-        body(&mut buf);
-        crate::checksum::append_trailer(&mut buf);
-        buf
+    fn sealed(body: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut w = Writer::new(MAGIC);
+        w.varint(100); // timeline
+        body(&mut w);
+        w.into_bytes()
     }
 
     #[test]
@@ -689,42 +1009,42 @@ mod tests {
         // abort the process; the claim must instead run into the end of
         // the file (here: a second empty string is a duplicate entry).
         let file = sealed(|buf| {
-            put_varint(buf, 1 << 40);
-            buf.extend_from_slice(&[0u8; 21]);
+            buf.varint(1 << 40);
+            buf.bytes(&[0u8; 21]);
         });
         assert_eq!(file.len(), 40);
         assert!(matches!(decode_dataset(&file), Err(BinIoError::Corrupt(_))));
 
         // Same for a version claiming 2^40 values.
         let file = sealed(|buf| {
-            put_varint(buf, 1); // dictionary: one entry
-            put_str(buf, "a");
-            put_varint(buf, 1); // attributes: one
-            put_str(buf, "x");
-            put_varint(buf, 5); // last_observed
-            put_varint(buf, 1); // versions: one
-            put_varint(buf, 0); // start
-            put_varint(buf, 1 << 40); // cardinality
+            buf.varint(1); // dictionary: one entry
+            buf.str("a");
+            buf.varint(1); // attributes: one
+            buf.str("x");
+            buf.varint(5); // last_observed
+            buf.varint(1); // versions: one
+            buf.varint(0); // start
+            buf.varint(1 << 40); // cardinality
         });
         assert!(matches!(decode_dataset(&file), Err(BinIoError::Corrupt(_))));
     }
 
     /// One attribute "x" over a two-entry dictionary, observed through 5,
     /// whose version list is `versions` (count included).
-    fn sealed_versions(versions: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    fn sealed_versions(versions: impl FnOnce(&mut Writer)) -> Vec<u8> {
         sealed_versions_over(2, versions)
     }
 
     /// [`sealed_versions`] over a dictionary of `entries` one-letter strings.
-    fn sealed_versions_over(entries: u8, versions: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    fn sealed_versions_over(entries: u8, versions: impl FnOnce(&mut Writer)) -> Vec<u8> {
         sealed(|buf| {
-            put_varint(buf, u64::from(entries));
+            buf.varint(u64::from(entries));
             for letter in b'a'..b'a' + entries {
-                put_str(buf, std::str::from_utf8(&[letter]).expect("ascii"));
+                buf.str(std::str::from_utf8(&[letter]).expect("ascii"));
             }
-            put_varint(buf, 1);
-            put_str(buf, "x");
-            put_varint(buf, 5); // last_observed
+            buf.varint(1);
+            buf.str("x");
+            buf.varint(5); // last_observed
             versions(buf);
         })
     }
@@ -741,12 +1061,12 @@ mod tests {
     #[test]
     fn version_start_overflow_is_corrupt() {
         let file = sealed_versions(|buf| {
-            put_varint(buf, 2);
-            put_varint(buf, u64::from(u32::MAX)); // start u32::MAX
-            put_varint(buf, 0);
-            put_varint(buf, 1); // start u32::MAX + 1
-            put_varint(buf, 1);
-            put_varint(buf, 0);
+            buf.varint(2);
+            buf.varint(u64::from(u32::MAX)); // start u32::MAX
+            buf.varint(0);
+            buf.varint(1); // start u32::MAX + 1
+            buf.varint(1);
+            buf.varint(0);
         });
         assert_corrupt(&file, "version start overflow");
     }
@@ -756,11 +1076,11 @@ mod tests {
     #[test]
     fn value_id_delta_overflow_is_corrupt() {
         let file = sealed_versions(|buf| {
-            put_varint(buf, 1);
-            put_varint(buf, 0);
-            put_varint(buf, 2); // cardinality
-            put_varint(buf, 1); // id 1
-            put_varint(buf, u64::MAX); // 1 + u64::MAX
+            buf.varint(1);
+            buf.varint(0);
+            buf.varint(2); // cardinality
+            buf.varint(1); // id 1
+            buf.varint(u64::MAX); // 1 + u64::MAX
         });
         assert_corrupt(&file, "value id overflow");
     }
@@ -770,10 +1090,10 @@ mod tests {
     #[test]
     fn overlong_varint_is_corrupt() {
         let file = sealed_versions(|buf| {
-            put_varint(buf, 1);
-            put_varint(buf, 0);
-            buf.extend_from_slice(&[0x81, 0x00]); // cardinality 1, overlong
-            put_varint(buf, 0);
+            buf.varint(1);
+            buf.varint(0);
+            buf.bytes(&[0x81, 0x00]); // cardinality 1, overlong
+            buf.varint(0);
         });
         assert_corrupt(&file, "overlong varint");
         assert_eq!(Reader::new(&[0x80, 0x01]).varint().expect("128"), 128);
@@ -785,11 +1105,11 @@ mod tests {
     #[test]
     fn repeated_version_is_corrupt() {
         let file = sealed_versions(|buf| {
-            put_varint(buf, 2);
+            buf.varint(2);
             for start_delta in [0, 3] {
-                put_varint(buf, start_delta);
-                put_varint(buf, 1);
-                put_varint(buf, 1);
+                buf.varint(start_delta);
+                buf.varint(1);
+                buf.varint(1);
             }
         });
         assert_corrupt(&file, "repeated version");
@@ -799,11 +1119,11 @@ mod tests {
     /// version holds the ids encoded by the delta list `deltas`.
     fn sealed_ids(deltas: &[u64]) -> Vec<u8> {
         sealed_versions(|buf| {
-            put_varint(buf, 1);
-            put_varint(buf, 0);
-            put_varint(buf, deltas.len() as u64);
+            buf.varint(1);
+            buf.varint(0);
+            buf.varint(deltas.len() as u64);
             for &d in deltas {
-                put_varint(buf, d);
+                buf.varint(d);
             }
         })
     }
@@ -813,82 +1133,82 @@ mod tests {
         // Id 0 is inside the two-entry dictionary; id 2 is the first past it.
         assert_corrupt(&sealed_ids(&[0, 2]), "value id 2 outside dictionary");
         assert_corrupt(&sealed_ids(&[1, 0]), "duplicate value id in version");
-        assert_corrupt(&sealed_versions(|buf| put_varint(buf, 0)), "attribute 'x' has no versions");
+        assert_corrupt(&sealed_versions(|buf| buf.varint(0)), "attribute 'x' has no versions");
         let file = sealed_versions(|buf| {
-            put_varint(buf, 2);
+            buf.varint(2);
             for start_delta in [1, 0] {
-                put_varint(buf, start_delta);
-                put_varint(buf, 0);
+                buf.varint(start_delta);
+                buf.varint(0);
             }
         });
         assert_corrupt(&file, "attribute 'x': non-increasing version start");
         // Observed through 5, but the only version starts at 6.
         let file = sealed_versions(|buf| {
-            put_varint(buf, 1);
-            put_varint(buf, 6);
-            put_varint(buf, 0);
+            buf.varint(1);
+            buf.varint(6);
+            buf.varint(0);
         });
         assert_corrupt(&file, "attribute 'x': invalid last_observed");
     }
 
     /// A dictionary of `entries`, then one attribute whose only version
     /// holds id 7 — outside any dictionary below eight entries.
-    fn sealed_with_bad_history(entries: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    fn sealed_with_bad_history(entries: impl FnOnce(&mut Writer)) -> Vec<u8> {
         sealed(|buf| {
             entries(buf);
-            put_varint(buf, 1);
-            put_str(buf, "x");
-            put_varint(buf, 5);
-            put_varint(buf, 1);
-            put_varint(buf, 0);
-            put_varint(buf, 1);
-            put_varint(buf, 7);
+            buf.varint(1);
+            buf.str("x");
+            buf.varint(5);
+            buf.varint(1);
+            buf.varint(0);
+            buf.varint(1);
+            buf.varint(7);
         })
     }
 
     #[test]
     fn faults_are_reported_in_byte_order() {
         let history_only = sealed_with_bad_history(|buf| {
-            put_varint(buf, 1);
-            put_str(buf, "a");
+            buf.varint(1);
+            buf.str("a");
         });
         assert_corrupt(&history_only, "value id 7 outside dictionary");
         // The dictionary is decoded on another thread, but its fault comes
         // first in the file, so it is the one reported.
         let duplicate = sealed_with_bad_history(|buf| {
-            put_varint(buf, 2);
-            put_str(buf, "a");
-            put_str(buf, "a");
+            buf.varint(2);
+            buf.str("a");
+            buf.str("a");
         });
         assert_corrupt(&duplicate, "duplicate dictionary entry 'a'");
         let bad_utf8 = sealed_with_bad_history(|buf| {
-            put_varint(buf, 1);
-            put_varint(buf, 1);
-            buf.push(0xff);
+            buf.varint(1);
+            buf.varint(1);
+            buf.u8(0xff);
         });
         assert_corrupt(&bad_utf8, "invalid utf-8 in string");
         // The length scan stops at entry 2, whose length never ends; a
         // fault in an entry before it comes first and wins.
         let cut_after_bad_utf8 = sealed(|buf| {
-            put_varint(buf, 3);
-            put_varint(buf, 1);
-            buf.push(0xff);
-            put_str(buf, "b");
-            buf.push(0x80); // entry 2's length: a varint that never ends
+            buf.varint(3);
+            buf.varint(1);
+            buf.u8(0xff);
+            buf.str("b");
+            buf.u8(0x80); // entry 2's length: a varint that never ends
         });
         assert_corrupt(&cut_after_bad_utf8, "invalid utf-8 in string");
         let cut_after_duplicate = sealed(|buf| {
-            put_varint(buf, 3);
-            put_str(buf, "b");
-            put_str(buf, "b");
-            buf.push(0x80);
+            buf.varint(3);
+            buf.str("b");
+            buf.str("b");
+            buf.u8(0x80);
         });
         assert_corrupt(&cut_after_duplicate, "duplicate dictionary entry 'b'");
         let cut_after_valid = sealed(|buf| {
-            put_varint(buf, 3);
-            put_str(buf, "a");
-            put_str(buf, "b");
-            buf.push(0x80);
+            buf.varint(3);
+            buf.str("a");
+            buf.str("b");
+            buf.u8(0x80);
         });
         assert_corrupt(&cut_after_valid, "truncated varint");
         // A checksum mismatch beats every fault of the payload.
@@ -902,9 +1222,9 @@ mod tests {
     #[test]
     fn empty_dictionary_and_empty_attribute_list_decode() {
         let no_values = sealed_versions_over(0, |buf| {
-            put_varint(buf, 1);
-            put_varint(buf, 3);
-            put_varint(buf, 0); // the empty set
+            buf.varint(1);
+            buf.varint(3);
+            buf.varint(0); // the empty set
         });
         let d = decode_dataset(&no_values).expect("an empty dictionary is valid");
         assert_eq!((d.dictionary().len(), d.len()), (0, 1));
@@ -913,19 +1233,19 @@ mod tests {
         // An id is outside an empty dictionary, whatever it is.
         assert_corrupt(
             &sealed_versions_over(0, |buf| {
-                put_varint(buf, 1);
-                put_varint(buf, 0);
-                put_varint(buf, 1);
-                put_varint(buf, 0);
+                buf.varint(1);
+                buf.varint(0);
+                buf.varint(1);
+                buf.varint(0);
             }),
             "value id 0 outside dictionary",
         );
 
         let no_attributes = sealed(|buf| {
-            put_varint(buf, 2);
-            put_str(buf, "a");
-            put_str(buf, "b");
-            put_varint(buf, 0);
+            buf.varint(2);
+            buf.str("a");
+            buf.str("b");
+            buf.varint(0);
         });
         let d = decode_dataset(&no_attributes).expect("an empty attribute list is valid");
         assert_eq!((d.dictionary().len(), d.len()), (2, 0));
@@ -950,19 +1270,19 @@ mod tests {
     #[test]
     fn rejects_duplicate_dictionary_entry_and_bad_utf8() {
         let dup = sealed(|buf| {
-            put_varint(buf, 2);
-            put_str(buf, "red");
-            put_str(buf, "red");
-            put_varint(buf, 0);
+            buf.varint(2);
+            buf.str("red");
+            buf.str("red");
+            buf.varint(0);
         });
         let err = decode_dataset(&dup).expect_err("duplicate entry");
         assert!(err.to_string().contains("duplicate dictionary entry 'red'"), "{err}");
 
         let bad = sealed(|buf| {
-            put_varint(buf, 1);
-            put_varint(buf, 2);
-            buf.extend_from_slice(&[0xff, 0xfe]);
-            put_varint(buf, 0);
+            buf.varint(1);
+            buf.varint(2);
+            buf.bytes(&[0xff, 0xfe]);
+            buf.varint(0);
         });
         let err = decode_dataset(&bad).expect_err("invalid utf-8");
         assert!(err.to_string().contains("invalid utf-8"), "{err}");
@@ -994,6 +1314,131 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A dataset of a few hundred KiB: several writer chunks.
+    fn large() -> Dataset {
+        let mut b = DatasetBuilder::new(Timeline::new(400));
+        for a in 0..300 {
+            let values: Vec<String> = (0..80).map(|v| format!("value-{a}-{v}")).collect();
+            b.add_attribute(&format!("a{a}"), &[(a % 50, values)], 399);
+        }
+        b.build()
+    }
+
+    /// Streams `d` to `sink`; returns the trailer's value.
+    fn stream<W: Write>(d: &Dataset, sink: W) -> io::Result<u32> {
+        let mut w = Writer::streaming(sink, MAGIC);
+        d.write_fields(&mut w);
+        w.finish()
+    }
+
+    #[test]
+    fn streaming_writes_the_bytes_of_an_in_memory_encode() {
+        let d = large();
+        let bytes = encode_dataset(&d);
+        assert!(bytes.len() > 3 * CHUNK, "{} bytes", bytes.len());
+        let mut streamed = Vec::new();
+        let crc = stream(&d, &mut streamed).expect("a Vec sink does not fail");
+        assert_eq!(streamed, bytes);
+        assert_eq!(crc.to_le_bytes(), bytes[bytes.len() - 4..]);
+
+        // Runs of several chunks; the running CRC is the CRC of the prefix
+        // at every point.
+        let blob: Vec<u8> = (0..3 * CHUNK + 5).map(|i| (i * 31 % 251) as u8).collect();
+        let (mut mem, mut sink) = (Writer::new(MAGIC), Vec::new());
+        mem.varint(300);
+        mem.bytes(&blob);
+        mem.u32_le(7);
+        let mut streaming = Writer::streaming(&mut sink, MAGIC);
+        streaming.varint(300);
+        streaming.bytes(&blob);
+        streaming.u32_le(7);
+        assert_eq!(streaming.written(), mem.written());
+        assert_eq!(mem.crc(), crate::checksum::crc32(mem.as_slice()));
+        assert_eq!(streaming.crc(), mem.crc());
+        streaming.finish().expect("a Vec sink does not fail");
+        assert_eq!(sink, mem.into_bytes());
+    }
+
+    /// A sink that fails every write.
+    struct Broken;
+
+    impl Write for Broken {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::other("disk full"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_fails_finish() {
+        let err = stream(&large(), Broken).expect_err("the sink error surfaces");
+        assert!(err.to_string().contains("disk full"), "{err}");
+        let err = stream(&sample(), Broken).expect_err("also when it fails only at the end");
+        assert!(err.to_string().contains("disk full"), "{err}");
+    }
+
+    #[test]
+    fn op_budget_allows_exactly_the_limit() {
+        let mut unlimited = OpBudget::default();
+        for _ in 0..100 {
+            unlimited.step().expect("no limit never kills");
+        }
+        let mut budget = OpBudget::new(Some(2));
+        let mut step = || budget.step().map_err(|e| Killed::find(&e));
+        assert_eq!(step(), Ok(()));
+        assert_eq!(step(), Ok(()));
+        assert_eq!(step(), Err(Some(Killed { ops: 2 })), "the third step is killed");
+        assert_eq!(step(), Err(Some(Killed { ops: 2 })), "killed budgets stay killed");
+        assert_eq!(Killed::find(&io::Error::other("disk full")), None);
+    }
+
+    /// Kill [`publish`] at every step: the destination holds the old
+    /// bytes or the new ones, never part of either, and the next publish
+    /// over whatever temp the kill left succeeds.
+    #[test]
+    fn publish_kill_sweep_leaves_old_or_new_bytes() {
+        let dir = std::env::temp_dir().join("tind-model-publish-test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let (old, new) = (encode_dataset(&sample()), encode_dataset(&large()));
+        let put = |path: &Path, bytes: &[u8], budget: &mut OpBudget| {
+            publish(path, budget, |f| f.write_all(bytes))
+        };
+        // A destination ending in `.tmp` is not its own temp.
+        for name in ["data.tind", "data.tmp"] {
+            let path = dir.join(name);
+            put(&path, &old, &mut OpBudget::default()).expect("publish");
+            let mut limit = 0;
+            while let Err(e) = put(&path, &new, &mut OpBudget::new(Some(limit))) {
+                assert_eq!(Killed::find(&e), Some(Killed { ops: limit }), "{e}");
+                let kept = std::fs::read(&path).expect("read");
+                assert_eq!(kept, old, "{name}, kill {limit}");
+                put(&path, &new, &mut OpBudget::default()).expect("publish over the temp");
+                assert_eq!(std::fs::read(&path).expect("read"), new);
+                put(&path, &old, &mut OpBudget::default()).expect("publish");
+                limit += 1;
+            }
+            assert_eq!(limit, 3, "create + write, fsync and rename are the steps");
+            assert_eq!(std::fs::read(&path).expect("read"), new);
+            let mut tmp = path.clone().into_os_string();
+            tmp.push(".tmp");
+            assert!(!Path::new(&tmp).exists(), "{name}: temp renamed away");
+
+            // A failed write keeps the old file and removes the temp.
+            let err = publish(&path, &mut OpBudget::default(), |f| {
+                f.write_all(&old[..10])?;
+                Err::<(), _>(io::Error::other("disk full"))
+            })
+            .expect_err("write fails");
+            assert!(err.to_string().contains("disk full"));
+            assert_eq!(std::fs::read(&path).expect("read"), new);
+            assert!(!Path::new(&tmp).exists(), "{name}: failed temp removed");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn weight_fn_roundtrip() {
         let tl = Timeline::new(30);
@@ -1005,9 +1450,9 @@ mod tests {
             crate::WeightFn::piecewise(&[1.0, 0.5, 0.0, 2.0]),
         ];
         for w in fns {
-            let mut buf = Vec::new();
+            let mut buf = Writer::default();
             put_weight_fn(&mut buf, &w);
-            let mut bytes = Reader::new(&buf);
+            let mut bytes = Reader::new(buf.as_slice());
             let w2 = get_weight_fn(&mut bytes).expect("roundtrip decodes");
             assert_eq!(w, w2);
             bytes.finish("weight function").expect("all read");

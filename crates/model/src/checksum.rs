@@ -2,7 +2,8 @@
 //!
 //! Every on-disk artifact (datasets, indexes, checkpoints) ends with a
 //! 4-byte little-endian CRC-32 (ISO-HDLC polynomial, the zlib/PNG variant)
-//! computed over everything before the trailer. Structural decoding alone
+//! computed over everything before the trailer (`binio::Writer` appends
+//! it, `binio::open` checks it). Structural decoding alone
 //! catches malformed files, but not silent truncation at a value boundary
 //! or single-bit rot inside a varint run; the trailer turns both into a
 //! typed [`BinIoError::Checksum`] instead of a garbage decode.
@@ -109,15 +110,6 @@ impl Default for Crc32 {
     }
 }
 
-/// Appends the CRC-32 of everything currently in `buf` as a 4-byte
-/// little-endian trailer, and returns it (a store shard's manifest digest
-/// is this same value).
-pub fn append_trailer(buf: &mut Vec<u8>) -> u32 {
-    let crc = crc32(buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    crc
-}
-
 /// Verifies the trailing CRC-32 of `bytes` and returns the payload with
 /// the trailer stripped.
 ///
@@ -177,6 +169,13 @@ pub fn stream_verify_file(path: &std::path::Path) -> Result<u64, BinIoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `payload` followed by its CRC-32 trailer, as every writer seals it.
+    fn sealed(payload: &[u8]) -> Vec<u8> {
+        let mut w = crate::binio::Writer::default();
+        w.bytes(payload);
+        w.into_bytes()
+    }
 
     #[test]
     fn matches_known_vectors() {
@@ -239,16 +238,14 @@ mod tests {
 
     #[test]
     fn trailer_roundtrip() {
-        let mut buf = b"payload bytes".to_vec();
-        append_trailer(&mut buf);
+        let buf = sealed(b"payload bytes");
         let stripped = verify_and_strip(&buf).expect("valid trailer");
         assert_eq!(stripped, b"payload bytes");
     }
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let mut clean = b"some serialized structure follows here".to_vec();
-        append_trailer(&mut clean);
+        let clean = sealed(b"some serialized structure follows here");
         for bit in 0..clean.len() * 8 {
             let mut corrupted = clean.clone();
             corrupted[bit / 8] ^= 1 << (bit % 8);
@@ -264,8 +261,8 @@ mod tests {
         let path = dir.join("streamed.bin");
         // Payload bigger than the 64 KiB scratch so the loop takes
         // multiple passes.
-        let mut clean: Vec<u8> = (0..200_000u32).map(|i| (i * 7 + 3) as u8).collect();
-        append_trailer(&mut clean);
+        let payload: Vec<u8> = (0..200_000u32).map(|i| (i * 7 + 3) as u8).collect();
+        let clean = sealed(&payload);
         std::fs::write(&path, &clean).expect("write");
         assert_eq!(stream_verify_file(&path).expect("clean file verifies"), 200_000);
 
@@ -292,8 +289,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let mut clean = b"0123456789abcdef".to_vec();
-        append_trailer(&mut clean);
+        let clean = sealed(b"0123456789abcdef");
         for cut in 0..clean.len() {
             assert!(verify_and_strip(&clean[..cut]).is_err(), "cut at {cut}");
         }

@@ -9,10 +9,9 @@
 //! source fingerprint guard, and a CRC-32 trailer ([`crate::checksum`])
 //! so truncated or bit-rotted reports are rejected with a typed error.
 
-use std::path::Path;
+use std::io::Write;
 
-use crate::binio::{self, put_str, put_varint, BinIoError};
-use crate::checksum;
+use crate::binio::{self, corrupt, BinIoError, Container, Writer};
 
 /// Magic bytes identifying a serialized quarantine report, including a
 /// format version.
@@ -20,10 +19,6 @@ pub const QUARANTINE_MAGIC: &[u8; 8] = b"TINDQR\x00\x01";
 
 /// Default cap on the number of sampled entries a report retains.
 pub const DEFAULT_SAMPLE_CAP: usize = 64;
-
-fn corrupt(msg: impl Into<String>) -> BinIoError {
-    BinIoError::Corrupt(msg.into())
-}
 
 /// One quarantined page: where it sat in the source, which page it was,
 /// and why it was skipped.
@@ -101,28 +96,7 @@ impl QuarantineReport {
         }
     }
 
-    /// Serializes the report.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 64 * self.entries.len());
-        buf.extend_from_slice(QUARANTINE_MAGIC);
-        buf.extend_from_slice(&self.source_fingerprint.to_le_bytes());
-        put_varint(&mut buf, self.pages_seen);
-        put_varint(&mut buf, self.pages_kept);
-        put_varint(&mut buf, self.pages_quarantined);
-        put_varint(&mut buf, self.revisions_kept);
-        put_varint(&mut buf, self.revisions_dropped);
-        put_varint(&mut buf, self.sample_cap as u64);
-        put_varint(&mut buf, self.entries.len() as u64);
-        for e in &self.entries {
-            put_varint(&mut buf, e.byte_offset);
-            put_str(&mut buf, &e.page);
-            put_str(&mut buf, &e.error);
-        }
-        checksum::append_trailer(&mut buf);
-        buf
-    }
-
-    /// Deserializes a report written by [`QuarantineReport::encode`],
+    /// Deserializes a report written by [`binio::encode`],
     /// verifying magic, version, checksum trailer, and count invariants.
     pub fn decode(bytes: &[u8]) -> Result<QuarantineReport, BinIoError> {
         let mut buf = binio::open(bytes, QUARANTINE_MAGIC, "quarantine report")?;
@@ -159,18 +133,31 @@ impl QuarantineReport {
             entries,
         })
     }
+}
 
-    /// Atomically writes the report to `path` (temp file + rename).
-    pub fn write_file(&self, path: &Path) -> Result<(), BinIoError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+impl Container for QuarantineReport {
+    fn magic(&self) -> &'static [u8; 8] {
+        QUARANTINE_MAGIC
     }
 
-    /// Reads a report from `path`.
-    pub fn read_file(path: &Path) -> Result<QuarantineReport, BinIoError> {
-        QuarantineReport::decode(&std::fs::read(path)?)
+    fn write_fields<W: Write>(&self, w: &mut Writer<W>) {
+        w.u64_le(self.source_fingerprint);
+        for v in [
+            self.pages_seen,
+            self.pages_kept,
+            self.pages_quarantined,
+            self.revisions_kept,
+            self.revisions_dropped,
+            self.sample_cap as u64,
+            self.entries.len() as u64,
+        ] {
+            w.varint(v);
+        }
+        for e in &self.entries {
+            w.varint(e.byte_offset);
+            w.str(&e.page);
+            w.str(&e.error);
+        }
     }
 }
 
@@ -193,7 +180,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let r = sample_report();
-        let decoded = QuarantineReport::decode(&r.encode()).expect("decodes");
+        let decoded = QuarantineReport::decode(&binio::encode(&r)).expect("decodes");
         assert_eq!(decoded, r);
     }
 
@@ -207,7 +194,7 @@ mod tests {
         assert_eq!(r.pages_quarantined, 5);
         assert_eq!(r.entries.len(), 2, "entries bounded by sample_cap");
         assert_eq!(r.error_rate(), 1.0);
-        let decoded = QuarantineReport::decode(&r.encode()).expect("decodes");
+        let decoded = QuarantineReport::decode(&binio::encode(&r)).expect("decodes");
         assert_eq!(decoded, r);
     }
 
@@ -217,15 +204,16 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("run.tqr");
         let r = sample_report();
-        r.write_file(&path).expect("writes");
-        assert!(!path.with_extension("tmp").exists(), "temp file renamed away");
-        assert_eq!(QuarantineReport::read_file(&path).expect("reads"), r);
+        binio::write_file(&r, &path).expect("writes");
+        assert!(!dir.join("run.tqr.tmp").exists(), "temp file renamed away");
+        let bytes = std::fs::read(&path).expect("reads");
+        assert_eq!(QuarantineReport::decode(&bytes).expect("decodes"), r);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncation_and_bit_flips_are_rejected() {
-        let bytes = sample_report().encode();
+        let bytes = binio::encode(&sample_report());
         for cut in [0usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(QuarantineReport::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -240,11 +228,11 @@ mod tests {
     fn unreconciled_counts_are_rejected() {
         let mut r = sample_report();
         r.pages_kept = 99; // kept + quarantined != seen
-        assert!(QuarantineReport::decode(&r.encode()).is_err());
+        assert!(QuarantineReport::decode(&binio::encode(&r)).is_err());
         let mut r = sample_report();
         r.pages_quarantined = 1; // fewer quarantines than sampled entries
         r.pages_kept = 9;
-        assert!(QuarantineReport::decode(&r.encode()).is_err());
+        assert!(QuarantineReport::decode(&binio::encode(&r)).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! formatting (integral values within `2^53` print without a fraction),
 //! and string escapes are fixed. Re-serializing a parsed document that
 //! this writer produced yields the identical bytes, which is what lets
-//! `verify_report` recompute the CRC.
+//! [`unseal`] recompute the CRC of a [`seal`]ed envelope.
 
 use std::fmt::Write as _;
 
@@ -175,6 +175,43 @@ impl std::fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// Wraps `payload` in the one-line checksummed envelope of every JSON
+/// artifact (`TINDRR` run reports, `TINDTF` traces):
+/// `{"magic":M,"crc32":C,"payload":P}` and a newline, where `C` is the
+/// CRC-32 of `P`, the payload's canonical serialization.
+pub fn seal(magic: &str, payload: &Value) -> String {
+    let body = payload.to_json();
+    let crc = tind_model::checksum::crc32(body.as_bytes());
+    format!("{{\"magic\":\"{magic}\",\"crc32\":{crc},\"payload\":{body}}}\n")
+}
+
+/// Parses and checks an envelope [`seal`]ed with `magic`, and returns the
+/// payload; `what` names the artifact in refusals. A parse error carries
+/// the parser's byte offset, and a checksum mismatch the byte offset of
+/// the payload whose bytes no longer match the stored CRC.
+pub fn unseal(text: &str, magic: &str, what: &str) -> Result<Value, String> {
+    let doc = parse(text.trim_end()).map_err(|e| e.to_string())?;
+    match doc.get("magic").and_then(Value::as_str) {
+        Some(found) if found == magic => {}
+        Some(other) => return Err(format!("unsupported {what} magic `{other}`")),
+        None => return Err("missing `magic` field".to_string()),
+    }
+    let stored = doc
+        .get("crc32")
+        .and_then(Value::as_f64)
+        .ok_or_else(|| "missing `crc32` field".to_string())?;
+    let payload = doc.get("payload").ok_or_else(|| "missing `payload` field".to_string())?;
+    let actual = tind_model::checksum::crc32(payload.to_json().as_bytes());
+    if stored != f64::from(actual) {
+        let payload_offset = text.find("\"payload\":").map_or(0, |p| p + "\"payload\":".len());
+        return Err(format!(
+            "checksum mismatch over payload at byte offset {payload_offset}: \
+             stored {stored}, computed {actual}"
+        ));
+    }
+    Ok(payload.clone())
+}
 
 /// Strict recursive-descent parser. Accepts standard JSON (including
 /// escapes the canonical writer never emits, so hand-written schema files

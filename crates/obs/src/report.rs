@@ -190,30 +190,14 @@ impl RunReport {
 
     /// Serialize with magic + CRC envelope (trailing newline included).
     pub fn to_json(&self) -> String {
-        let body = self.payload.to_json();
-        let crc = crc32(body.as_bytes());
-        format!("{{\"magic\":\"{REPORT_MAGIC}\",\"crc32\":{crc},\"payload\":{body}}}\n")
+        json::seal(REPORT_MAGIC, &self.payload)
     }
 }
 
 /// Parse and integrity-check a serialized report; returns the payload.
+/// Refusals name the failing byte offset (see [`json::unseal`]).
 pub fn verify_report(text: &str) -> Result<Value, String> {
-    let doc = json::parse(text.trim_end()).map_err(|e| e.to_string())?;
-    match doc.get("magic").and_then(Value::as_str) {
-        Some(REPORT_MAGIC) => {}
-        Some(other) => return Err(format!("unsupported report magic `{other}`")),
-        None => return Err("missing `magic` field".to_string()),
-    }
-    let stored = doc
-        .get("crc32")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "missing `crc32` field".to_string())?;
-    let payload = doc.get("payload").ok_or_else(|| "missing `payload` field".to_string())?;
-    let actual = crc32(payload.to_json().as_bytes());
-    if stored != f64::from(actual) {
-        return Err(format!("checksum mismatch: stored {stored}, computed {actual}"));
-    }
-    Ok(payload.clone())
+    json::unseal(text, REPORT_MAGIC, "report")
 }
 
 /// Validate `value` against a JSON-Schema subset: `type` (string or list),

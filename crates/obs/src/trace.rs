@@ -33,8 +33,8 @@
 //!
 //! ## `TINDTF` on-disk shape
 //!
-//! Same envelope discipline as `TINDRR` (one line, canonical JSON, CRC-32
-//! over the serialized payload bytes):
+//! The one envelope of `TINDRR` too ([`crate::json::seal`]: one line,
+//! canonical JSON, CRC-32 over the serialized payload bytes):
 //!
 //! ```json
 //! {"magic":"TINDTF1","crc32":<u32>,"payload":{"schema_version":1,
@@ -47,7 +47,6 @@
 //! are nanoseconds since the process-wide obs epoch.
 
 use crate::json::{self, Value};
-use crate::report::crc32;
 
 /// Capacity of each thread's ring buffer of trace events.
 pub const TRACE_RING_CAPACITY: usize = 4096;
@@ -497,42 +496,14 @@ impl TraceSnapshot {
 
     /// Serialize with the `TINDTF` magic + CRC envelope (one line).
     pub fn to_json(&self) -> String {
-        trace_envelope(&self.to_value())
+        json::seal(TRACE_MAGIC, &self.to_value())
     }
-}
-
-/// Wrap a trace payload in the checksummed one-line envelope.
-pub fn trace_envelope(payload: &Value) -> String {
-    let body = payload.to_json();
-    let crc = crc32(body.as_bytes());
-    format!("{{\"magic\":\"{TRACE_MAGIC}\",\"crc32\":{crc},\"payload\":{body}}}\n")
 }
 
 /// Parse and integrity-check a serialized `TINDTF` line; returns the
-/// payload. Every refusal names the failing byte offset: parse errors
-/// carry the parser's position, and a checksum mismatch reports the
-/// offset of the payload whose bytes no longer match the stored CRC.
+/// payload. Refusals name the failing byte offset (see [`json::unseal`]).
 pub fn verify_trace(text: &str) -> Result<Value, String> {
-    let doc = json::parse(text.trim_end()).map_err(|e| e.to_string())?;
-    match doc.get("magic").and_then(Value::as_str) {
-        Some(TRACE_MAGIC) => {}
-        Some(other) => return Err(format!("unsupported trace magic `{other}`")),
-        None => return Err("missing `magic` field".to_string()),
-    }
-    let stored = doc
-        .get("crc32")
-        .and_then(Value::as_f64)
-        .ok_or_else(|| "missing `crc32` field".to_string())?;
-    let payload = doc.get("payload").ok_or_else(|| "missing `payload` field".to_string())?;
-    let actual = crc32(payload.to_json().as_bytes());
-    if stored != f64::from(actual) {
-        let payload_offset = text.find("\"payload\":").map_or(0, |p| p + "\"payload\":".len());
-        return Err(format!(
-            "checksum mismatch over payload at byte offset {payload_offset}: \
-             stored {stored}, computed {actual}"
-        ));
-    }
-    Ok(payload.clone())
+    json::unseal(text, TRACE_MAGIC, "trace")
 }
 
 /// An owned trace decoded from a `TINDTF` payload — what `tind trace`
@@ -793,7 +764,8 @@ mod tests {
         let payload = verify_trace(&text).expect("pristine trace verifies");
         let parsed = ParsedTrace::from_payload(&payload).expect("decodes");
         assert_eq!(parsed.events.len(), 4);
-        assert_eq!(trace_envelope(&parsed.to_value()), text, "round trip is bit-exact");
+        let resealed = json::seal(TRACE_MAGIC, &parsed.to_value());
+        assert_eq!(resealed, text, "round trip is bit-exact");
     }
 
     #[test]

@@ -1555,7 +1555,7 @@ fn respond_debug_trace(rt: &Runtime, stream: &mut TcpStream, spec: &TraceSpec) {
         TraceFormat::Tindtf => {
             let mut body = String::new();
             for payload in &traces {
-                body.push_str(&trace::trace_envelope(payload));
+                body.push_str(&tind_obs::json::seal(trace::TRACE_MAGIC, payload));
             }
             rt.respond_ok_with(stream, &body, &[]);
         }

@@ -74,7 +74,7 @@ mod tests {
     use crate::pipeline::{extract_dataset, PipelineConfig, PipelineReport, PipelineSession};
     use crate::revision::PageRevision;
     use std::sync::Arc;
-    use tind_model::binio::{dataset_fingerprint, encode_dataset, BinIoError};
+    use tind_model::binio::{self, dataset_fingerprint, encode_dataset, BinIoError};
     use tind_model::{Dataset, DatasetBuilder, QuarantineReport, Timeline};
 
     /// Renders one revision of a page holding one `Games` table per
@@ -278,7 +278,7 @@ mod tests {
             }),
             dataset_bytes: encode_dataset(&base),
         };
-        let bytes = cp.encode();
+        let bytes = binio::encode(&cp);
         assert_eq!(&bytes[..8], UPDATE_CHECKPOINT_MAGIC);
         let decoded = IngestCheckpoint::decode(&bytes).expect("roundtrips");
         assert_eq!(decoded, cp);

@@ -36,15 +36,14 @@
 //! graph, and the CLI adapts its token to the closure.
 
 use std::collections::BTreeSet;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use tind_model::binio::{
-    self, dataset_fingerprint, decode_dataset, encode_dataset, put_str, put_varint, BinIoError,
-    Reader,
+    self, corrupt, dataset_fingerprint, decode_dataset, encode_dataset, BinIoError, Container,
+    Reader, Writer,
 };
-use tind_model::checksum;
 use tind_model::quarantine::DEFAULT_SAMPLE_CAP;
 use tind_model::{Dataset, DatasetBuilder, MemoryBudget, QuarantineReport, Timeline};
 
@@ -59,10 +58,6 @@ pub const INGEST_CHECKPOINT_MAGIC: &[u8; 8] = b"TINDIC\x00\x01";
 /// Magic bytes of the checkpoint of a run over a non-empty base (an
 /// update), including a format version.
 pub const UPDATE_CHECKPOINT_MAGIC: &[u8; 8] = b"TINDUC\x00\x01";
-
-fn corrupt(msg: impl Into<String>) -> BinIoError {
-    BinIoError::Corrupt(msg.into())
-}
 
 /// Everything that determines *what* an ingestion run produces.
 ///
@@ -104,16 +99,17 @@ impl IngestConfig {
 
     /// Digest of the result-determining parameters (see type docs).
     pub fn digest(&self) -> u64 {
-        let mut buf = (self.dump.epoch.0 as u64).to_le_bytes().to_vec();
-        put_varint(&mut buf, u64::from(self.dump.epoch.1));
-        put_varint(&mut buf, u64::from(self.dump.epoch.2));
-        put_varint(&mut buf, u64::from(self.pipeline.timeline_days));
-        buf.push(u8::from(self.pipeline.drop_vandalism));
-        buf.extend_from_slice(&self.pipeline.filters.max_numeric_fraction.to_be_bytes());
-        put_varint(&mut buf, self.pipeline.filters.min_versions as u64);
-        put_varint(&mut buf, self.pipeline.filters.min_median_cardinality as u64);
-        put_varint(&mut buf, self.max_page_bytes as u64);
-        tind_model::hash::hash_bytes(&buf)
+        let mut w = Writer::default();
+        w.u64_le(self.dump.epoch.0 as u64);
+        w.varint(u64::from(self.dump.epoch.1));
+        w.varint(u64::from(self.dump.epoch.2));
+        w.varint(u64::from(self.pipeline.timeline_days));
+        w.u8(u8::from(self.pipeline.drop_vandalism));
+        w.f64(self.pipeline.filters.max_numeric_fraction);
+        w.varint(self.pipeline.filters.min_versions as u64);
+        w.varint(self.pipeline.filters.min_median_cardinality as u64);
+        w.varint(self.max_page_bytes as u64);
+        tind_model::hash::hash_bytes(w.as_slice())
     }
 
     /// The empty dataset over this configuration's timeline: the base of
@@ -126,7 +122,8 @@ impl IngestConfig {
 /// Where and how often to persist ingestion checkpoints.
 #[derive(Debug, Clone)]
 pub struct IngestCheckpointPolicy {
-    /// Checkpoint file path (written atomically: temp file + rename).
+    /// Checkpoint file path (written by [`binio::write_file`]: temp file,
+    /// fsync, rename).
     pub path: PathBuf,
     /// Checkpoint after every N pages (0 = only on cancel/abort).
     pub every_pages: u64,
@@ -284,7 +281,7 @@ pub struct IngestCheckpoint {
     pub dataset_bytes: Vec<u8>,
 }
 
-pub(crate) fn put_report(buf: &mut Vec<u8>, r: &PipelineReport) {
+pub(crate) fn put_report<W: Write>(w: &mut Writer<W>, r: &PipelineReport) {
     for v in [
         r.pages,
         r.revisions,
@@ -296,7 +293,7 @@ pub(crate) fn put_report(buf: &mut Vec<u8>, r: &PipelineReport) {
         r.attributes_before_filters,
         r.attributes_kept,
     ] {
-        put_varint(buf, v as u64);
+        w.varint(v as u64);
     }
 }
 
@@ -355,41 +352,7 @@ impl IngestCheckpoint {
         Ok(())
     }
 
-    /// Serializes the checkpoint.
-    pub fn encode(&self) -> Vec<u8> {
-        let q = self.quarantine.encode();
-        let mut buf = Vec::with_capacity(96 + q.len() + self.dataset_bytes.len());
-        let delta = self.delta.as_ref();
-        buf.extend_from_slice(match delta {
-            Some(_) => UPDATE_CHECKPOINT_MAGIC,
-            None => INGEST_CHECKPOINT_MAGIC,
-        });
-        buf.extend_from_slice(&self.source_fingerprint.to_le_bytes());
-        buf.extend_from_slice(&self.config_digest.to_le_bytes());
-        if let Some(delta) = delta {
-            buf.extend_from_slice(&delta.base_fingerprint.to_le_bytes());
-        }
-        put_varint(&mut buf, self.resume_offset);
-        put_varint(&mut buf, u64::from(self.next_fallback_page_id));
-        if let Some(delta) = delta {
-            put_varint(&mut buf, delta.filter_downgrades);
-        }
-        put_varint(&mut buf, q.len() as u64);
-        buf.extend_from_slice(&q);
-        put_report(&mut buf, &self.pipeline);
-        if let Some(delta) = delta {
-            put_varint(&mut buf, delta.touched.len() as u64);
-            for name in &delta.touched {
-                put_str(&mut buf, name);
-            }
-        }
-        put_varint(&mut buf, self.dataset_bytes.len() as u64);
-        buf.extend_from_slice(&self.dataset_bytes);
-        checksum::append_trailer(&mut buf);
-        buf
-    }
-
-    /// Deserializes a checkpoint written by [`IngestCheckpoint::encode`]
+    /// Deserializes a checkpoint written by [`binio::encode`]
     /// (either magic), verifying magic, version, and checksum trailer (the
     /// embedded quarantine report is fully validated; the dataset blob is
     /// decoded by the resume path).
@@ -435,18 +398,40 @@ impl IngestCheckpoint {
             dataset_bytes,
         })
     }
+}
 
-    /// Atomically writes the checkpoint (temp file + rename).
-    pub fn write_file(&self, path: &Path) -> Result<(), BinIoError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+impl Container for IngestCheckpoint {
+    fn magic(&self) -> &'static [u8; 8] {
+        match self.delta {
+            Some(_) => UPDATE_CHECKPOINT_MAGIC,
+            None => INGEST_CHECKPOINT_MAGIC,
+        }
     }
 
-    /// Reads a checkpoint from `path`.
-    pub fn read_file(path: &Path) -> Result<IngestCheckpoint, BinIoError> {
-        IngestCheckpoint::decode(&std::fs::read(path)?)
+    fn write_fields<W: Write>(&self, w: &mut Writer<W>) {
+        let delta = self.delta.as_ref();
+        w.u64_le(self.source_fingerprint);
+        w.u64_le(self.config_digest);
+        if let Some(delta) = delta {
+            w.u64_le(delta.base_fingerprint);
+        }
+        w.varint(self.resume_offset);
+        w.varint(u64::from(self.next_fallback_page_id));
+        if let Some(delta) = delta {
+            w.varint(delta.filter_downgrades);
+        }
+        let q = binio::encode(&self.quarantine);
+        w.varint(q.len() as u64);
+        w.bytes(&q);
+        put_report(w, &self.pipeline);
+        if let Some(delta) = delta {
+            w.varint(delta.touched.len() as u64);
+            for name in &delta.touched {
+                w.str(name);
+            }
+        }
+        w.varint(self.dataset_bytes.len() as u64);
+        w.bytes(&self.dataset_bytes);
     }
 }
 
@@ -510,7 +495,8 @@ pub fn ingest_stream<R: Read>(
         let policy = checkpoint.as_ref().ok_or_else(|| {
             IngestError::ResumeMismatch("resume requested without a checkpoint path".into())
         })?;
-        let cp = IngestCheckpoint::read_file(&policy.path).map_err(IngestError::Checkpoint)?;
+        let bytes = std::fs::read(&policy.path).map_err(|e| IngestError::Checkpoint(e.into()))?;
+        let cp = IngestCheckpoint::decode(&bytes).map_err(IngestError::Checkpoint)?;
         cp.verify_matches(source_fingerprint, config_digest, &base)
             .map_err(IngestError::Checkpoint)?;
         drop(base);
@@ -559,7 +545,7 @@ pub fn ingest_stream<R: Read>(
             delta: session.delta().cloned(),
             dataset_bytes: encode_dataset(&session.snapshot()),
         };
-        cp.write_file(&policy.path).map_err(IngestError::Checkpoint)
+        binio::write_file(&cp, &policy.path).map_err(|e| IngestError::Checkpoint(e.into()))
     };
 
     let mut since_checkpoint = 0u64;
@@ -735,10 +721,10 @@ mod tests {
         };
         ingest_stream(std::io::Cursor::new(xml.as_bytes()), 7, config.empty_base(), &config, options)
             .expect("ingests");
-        let cp = IngestCheckpoint::read_file(&path).expect("reads");
+        let cp = IngestCheckpoint::decode(&std::fs::read(&path).expect("reads")).expect("decodes");
         assert_eq!(cp.source_fingerprint, 7);
         assert_eq!(cp.quarantine.pages_seen, 3);
-        let decoded = IngestCheckpoint::decode(&cp.encode()).expect("roundtrips");
+        let decoded = IngestCheckpoint::decode(&binio::encode(&cp)).expect("roundtrips");
         assert_eq!(decoded, cp);
         // Guards.
         let empty = config.empty_base();
@@ -749,7 +735,7 @@ mod tests {
             "wrong config"
         );
         // Corruption.
-        let bytes = cp.encode();
+        let bytes = binio::encode(&cp);
         for cut in [0usize, 4, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(IngestCheckpoint::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }

@@ -16,7 +16,7 @@ use tind::core::{
     IndexConfig, TindIndex, TindParams,
 };
 use tind::datagen::{generate, GeneratorConfig};
-use tind::model::binio::{decode_dataset, encode_dataset, BinIoError};
+use tind::model::binio::{self, decode_dataset, encode_dataset, BinIoError};
 use tind::model::rng::cases;
 use tind::model::Dataset;
 
@@ -30,6 +30,10 @@ fn ckpt_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("tind-fault-tolerance-tests");
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir.join(name)
+}
+
+fn read_checkpoint(path: &std::path::Path) -> Checkpoint {
+    Checkpoint::decode(&std::fs::read(path).expect("checkpoint readable")).expect("decodes")
 }
 
 /// Runs all-pairs, killing it at the query boundary after `kill_after`
@@ -66,7 +70,7 @@ fn kill_and_resume(
     )
     .expect("interrupted run still returns an outcome");
 
-    let cp = Checkpoint::read_file(path).expect("checkpoint readable after kill");
+    let cp = read_checkpoint(path);
     let resumed = discover_all_pairs(
         index,
         params,
@@ -129,7 +133,7 @@ fn resume_skips_completed_queries() {
     )
     .expect("interrupted run");
 
-    let cp = Checkpoint::read_file(&path).expect("checkpoint");
+    let cp = read_checkpoint(&path);
     let done_before = cp.completed.len();
     assert!(done_before >= 7, "checkpoint holds the completed prefix");
     let resumed = discover_all_pairs(
@@ -272,7 +276,7 @@ fn corrupted_index_and_checkpoint_files_are_rejected() {
     let mut cp = Checkpoint::fresh(&dataset, &params);
     cp.completed = vec![0, 2, 5];
     cp.pairs = vec![(0, 1), (2, 4)];
-    let cp_bytes = cp.encode();
+    let cp_bytes = binio::encode(&cp);
     assert_eq!(Checkpoint::decode(&cp_bytes).expect("clean checkpoint"), cp);
     for bit in 0..cp_bytes.len() * 8 {
         let mut rotten = cp_bytes.clone();
@@ -285,183 +289,146 @@ fn corrupted_index_and_checkpoint_files_are_rejected() {
     }
 }
 
+/// `tind verify PATH` through the CLI's own dispatcher: `Ok` for a file
+/// that verifies.
+fn cli_verify(path: &std::path::Path) -> Result<String, tind_cli::CliError> {
+    tind_cli::dispatch(&["verify".to_string(), path.display().to_string()])
+}
+
 /// Single-byte corruption matrix over **every** persisted format: each
-/// file is flipped at a header, body, and trailer position via
-/// [`flip_file_byte`], and each flip must be detected by that format's
-/// reader — never a silent wrong decode.
+/// format `tind verify` knows ([`tind_cli::commands::VERIFY_FORMATS`]) has
+/// a fixture here — the test fails when the table gains a format without
+/// one — and each fixture is flipped at a header, body, and trailer
+/// position via [`flip_file_byte`]. `tind verify` must refuse every flip
+/// and accept the file again once it is flipped back.
 #[test]
 fn every_persisted_format_detects_single_byte_corruption() {
     use tind::core::fault::flip_file_byte;
-    use tind::core::store::{pack_store, verify_store, PackOptions};
+    use tind::core::store::{pack_store, PackOptions};
+    use tind::model::binio::write_file;
+    use tind_cli::commands::VERIFY_FORMATS;
 
     let dir = std::env::temp_dir().join("tind-fault-tolerance-formats");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     let (dataset, index, params) = small_world(80, 7);
 
-    // A (path, detector) pair per format; the detector returns true when
-    // the reader rejected the file.
-    type Detector = Box<dyn Fn() -> bool>;
-    let mut formats: Vec<(&str, std::path::PathBuf, Detector)> = Vec::new();
-
-    let ds_path = dir.join("dataset.tind");
-    std::fs::write(&ds_path, encode_dataset(&dataset)).expect("write dataset");
-    let p = ds_path.clone();
-    formats.push((
-        "dataset (TINDDS)",
-        ds_path.clone(),
-        Box::new(move || decode_dataset(&std::fs::read(&p).expect("read")).is_err()),
-    ));
-
-    let idx_path = dir.join("index.idx");
-    tind::core::persist::write_index_file(&index, &idx_path).expect("write index");
-    let p = idx_path.clone();
-    let ds = dataset.clone();
-    formats.push((
-        "index (TINDIX)",
-        idx_path.clone(),
-        Box::new(move || tind::core::persist::read_index_file(&p, ds.clone()).is_err()),
-    ));
-
-    let cp_path = dir.join("progress.tcp");
-    let mut cp = Checkpoint::fresh(&dataset, &params);
-    cp.completed = vec![0, 3, 9];
-    cp.pairs = vec![(0, 1), (3, 7)];
-    cp.write_file(&cp_path).expect("write checkpoint");
-    let p = cp_path.clone();
-    formats.push((
-        "checkpoint (TINDCP)",
-        cp_path.clone(),
-        Box::new(move || Checkpoint::read_file(&p).is_err()),
-    ));
-
-    let q_path = dir.join("quarantine.tqr");
     let mut q = tind::model::QuarantineReport::new(77, 4);
     q.pages_seen = 10;
     q.pages_kept = 9;
     q.record(123, "Broken page", "unparsable timestamp");
-    q.write_file(&q_path).expect("write quarantine");
-    let p = q_path.clone();
-    formats.push((
-        "quarantine report (TINDQR)",
-        q_path.clone(),
-        Box::new(move || tind::model::QuarantineReport::read_file(&p).is_err()),
-    ));
-
-    let ic_path = dir.join("ingest.tic");
-    let ic = tind::wiki::IngestCheckpoint {
+    let ingest_checkpoint = |delta: Option<tind::wiki::DeltaLog>| tind::wiki::IngestCheckpoint {
         source_fingerprint: 77,
         config_digest: 5,
         resume_offset: 4096,
         next_fallback_page_id: 2,
         quarantine: q.clone(),
         pipeline: Default::default(),
-        delta: None,
+        delta,
         dataset_bytes: encode_dataset(&dataset),
     };
-    ic.write_file(&ic_path).expect("write ingest checkpoint");
-    let p = ic_path.clone();
-    formats.push((
-        "ingest checkpoint (TINDIC)",
-        ic_path.clone(),
-        Box::new(move || tind::wiki::IngestCheckpoint::read_file(&p).is_err()),
-    ));
-
-    let rr_path = dir.join("report.json");
-    let report = tind::obs::RunReport::collect("fault-matrix", &[], 1);
-    std::fs::write(&rr_path, report.to_json()).expect("write run report");
-    let p = rr_path.clone();
-    formats.push((
-        "run report (TINDRR)",
-        rr_path.clone(),
-        Box::new(move || {
-            let text = match std::fs::read(&p) {
-                Ok(raw) => match String::from_utf8(raw) {
-                    Ok(text) => text,
-                    Err(_) => return true,
-                },
-                Err(_) => return true,
-            };
-            tind::obs::verify_report(&text).is_err()
-        }),
-    ));
-
-    let tf_path = dir.join("trace.tindtf");
-    {
-        use tind::obs::trace as tr;
-        let root = tr::alloc_context();
-        let start = tr::now_ns();
-        tr::record_span(
-            root.child(tr::alloc_span_id()),
-            root.span_id,
-            "fault.matrix.child",
-            start,
-            10_000,
-        );
-        tr::record_span(root, 0, "fault.matrix.root", start, 50_000);
-        std::fs::write(&tf_path, tind::obs::collect_trace(root, &[]).to_json())
-            .expect("write trace");
-    }
-    let p = tf_path.clone();
-    formats.push((
-        "trace (TINDTF)",
-        tf_path.clone(),
-        Box::new(move || {
-            let text = match std::fs::read(&p) {
-                Ok(raw) => match String::from_utf8(raw) {
-                    Ok(text) => text,
-                    Err(_) => return true,
-                },
-                Err(_) => return true,
-            };
-            tind::obs::verify_trace(&text).is_err()
-        }),
-    ));
-
     let store_dir = dir.join("index.store");
     pack_store(&index, &store_dir, &PackOptions { shards: 2, ..Default::default() })
         .expect("pack store");
-    let store_detector = |d: std::path::PathBuf| -> Detector {
-        Box::new(move || match verify_store(&d) {
-            Ok(report) => !report.faults.is_empty(),
-            Err(_) => true,
-        })
-    };
-    formats.push((
-        "store manifest (TINDIS)",
-        store_dir.join("index.manifest"),
-        store_detector(store_dir.clone()),
-    ));
-    // A store open is header-CRC-only, so deep verification is what must
-    // catch head, body, and trailer flips of a shard.
-    formats.push((
-        "store shard (TINDSH)",
-        store_dir.join("g1-s0.shard"),
-        store_detector(store_dir.clone()),
-    ));
-    formats.push((
-        "store shard (TINDSH, second)",
-        store_dir.join("g1-s1.shard"),
-        store_detector(store_dir.clone()),
-    ));
 
-    for (name, path, detects) in &formats {
-        assert!(!detects(), "{name}: pristine file must verify");
-        let len = std::fs::metadata(path).expect("metadata").len() as usize;
-        // Header (inside the magic), body, and trailer (inside the CRC).
-        for offset in [3, len / 2, len - 2] {
-            flip_file_byte(path, offset).expect("flip");
-            assert!(
-                detects(),
-                "{name}: byte flip at offset {offset}/{len} went undetected"
-            );
-            // Flip back; the format must verify again (the detector is
-            // really reacting to the corruption, not to a stale state).
-            flip_file_byte(path, offset).expect("unflip");
-            assert!(!detects(), "{name}: restored file must verify again");
+    // The files of one format, written as the program writes them.
+    let fixtures = |name: &str| -> Vec<std::path::PathBuf> {
+        let path = dir.join(name.replace(' ', "-"));
+        match name {
+            "dataset" => write_file(dataset.as_ref(), &path).expect("write dataset"),
+            "index" => tind::core::persist::write_index_file(&index, &path).expect("write index"),
+            "checkpoint" => {
+                let mut cp = Checkpoint::fresh(&dataset, &params);
+                cp.completed = vec![0, 3, 9];
+                cp.pairs = vec![(0, 1), (3, 7)];
+                write_file(&cp, &path).expect("write checkpoint");
+            }
+            "quarantine report" => write_file(&q, &path).expect("write quarantine"),
+            "store manifest" => return vec![store_dir.join("index.manifest")],
+            "store shard" => {
+                return vec![store_dir.join("g1-s0.shard"), store_dir.join("g1-s1.shard")]
+            }
+            "ingest checkpoint" => {
+                write_file(&ingest_checkpoint(None), &path).expect("write ingest checkpoint")
+            }
+            "update checkpoint" => {
+                let mut delta = tind::wiki::DeltaLog::new(0x5eed);
+                delta.touched.insert("Alpha ▸ table 0 ▸ column 1".into());
+                delta.filter_downgrades = 1;
+                write_file(&ingest_checkpoint(Some(delta)), &path)
+                    .expect("write update checkpoint");
+            }
+            "run report" => {
+                let report = tind::obs::RunReport::collect("fault-matrix", &[], 1);
+                std::fs::write(&path, report.to_json()).expect("write run report");
+            }
+            "trace" => {
+                use tind::obs::trace as tr;
+                let root = tr::alloc_context();
+                let start = tr::now_ns();
+                let child = root.child(tr::alloc_span_id());
+                tr::record_span(child, root.span_id, "fault.matrix.child", start, 10_000);
+                tr::record_span(root, 0, "fault.matrix.root", start, 50_000);
+                let text = tind::obs::collect_trace(root, &[]).to_json();
+                std::fs::write(&path, text).expect("write trace");
+            }
+            other => panic!("`tind verify` knows the format `{other}` but it has no fixture here"),
+        }
+        vec![path]
+    };
+
+    // Every format the matrix has a fixture for is still one `tind verify`
+    // recognizes.
+    let known: Vec<&str> = VERIFY_FORMATS.iter().map(|f| f.name).collect();
+    for name in [
+        "dataset",
+        "index",
+        "checkpoint",
+        "quarantine report",
+        "store manifest",
+        "store shard",
+        "ingest checkpoint",
+        "update checkpoint",
+        "run report",
+        "trace",
+    ] {
+        assert!(known.contains(&name), "`tind verify` no longer recognizes the format `{name}`");
+    }
+    for format in VERIFY_FORMATS {
+        for path in fixtures(format.name) {
+            let name = format!("{} ({})", format.name, path.display());
+            let bytes = std::fs::read(&path).expect("read fixture");
+            assert!(bytes.starts_with(format.prefix), "{name}: the fixture is of its format");
+            cli_verify(&path).unwrap_or_else(|e| panic!("{name}: pristine file must verify: {e}"));
+            let len = bytes.len();
+            // Header (inside the magic), body, and trailer (inside the CRC).
+            for offset in [3, len / 2, len - 2] {
+                flip_file_byte(&path, offset).expect("flip");
+                assert!(
+                    cli_verify(&path).is_err(),
+                    "{name}: byte flip at offset {offset}/{len} went undetected"
+                );
+                // Flip back; the format must verify again (the detector is
+                // really reacting to the corruption, not to a stale state).
+                flip_file_byte(&path, offset).expect("unflip");
+                cli_verify(&path).unwrap_or_else(|e| panic!("{name}: restored file: {e}"));
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A payload-corrupted TINDRR report is refused with the failing byte
+/// offset named in the error, as every checksummed format is.
+#[test]
+fn corrupt_report_refusal_names_the_byte_offset() {
+    let text = tind::obs::RunReport::collect("fault-offset", &[], 10).to_json();
+    assert!(tind::obs::verify_report(&text).is_ok(), "pristine report verifies");
+    let corrupted = text.replacen("\"wall_ns\":10", "\"wall_ns\":11", 1);
+    assert_ne!(corrupted, text, "report payload carries a `wall_ns` field");
+    let err = tind::obs::verify_report(&corrupted).expect_err("corruption detected");
+    let offset = corrupted.find("\"payload\":").expect("payload") + "\"payload\":".len();
+    assert!(err.contains(&format!("byte offset {offset}")), "refusal must name the offset: {err}");
 }
 
 /// A payload-corrupted TINDTF trace must be refused with the failing
@@ -619,7 +586,7 @@ fn prop_kill_anywhere_resume_identical() {
         };
         discover_all_pairs(&index, &params, &interrupted).expect("interrupted run");
 
-        let cp = Checkpoint::read_file(&path).expect("checkpoint readable");
+        let cp = read_checkpoint(&path);
         assert!(cp.verify_matches(&dataset, &params).is_ok());
         let resume = AllPairsOptions {
             threads: resume_threads,
@@ -639,7 +606,7 @@ fn prop_checkpoint_bit_flips_rejected() {
     let mut cp = Checkpoint::fresh(&dataset, &params);
     cp.completed = vec![1, 3, 4];
     cp.pairs = vec![(1, 2)];
-    let bytes = cp.encode();
+    let bytes = binio::encode(&cp);
     cases("prop_checkpoint_bit_flips_rejected", 16, |rng| {
         let mut rotten = bytes.clone();
         flip_bit(&mut rotten, rng.range(0..bytes.len() * 8));

@@ -67,9 +67,9 @@ fn parallel_build_is_byte_identical_for_every_thread_count() {
 
 /// `matrix` encoded, for byte comparisons.
 fn matrix_bytes(matrix: &BloomMatrix) -> Vec<u8> {
-    let mut buf = Vec::new();
-    matrix.encode(&mut buf);
-    buf
+    let mut w = tind::model::binio::Writer::default();
+    matrix.encode(&mut w);
+    w.as_slice().to_vec()
 }
 
 #[test]

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use tind::core::CancelToken;
 use tind::datagen::{generate, GeneratorConfig};
 use tind::model::Dataset;
-use tind::obs::trace::trace_envelope;
+use tind::obs::trace::TRACE_MAGIC;
 use tind::obs::{json, verify_trace, ParsedTrace};
 use tind::serve::{Engine, ServeConfig, Server};
 
@@ -264,7 +264,7 @@ fn forced_search_traces_cover_wall_time_and_round_trip_bit_exactly() {
             // Bit-exact round-trip: parse → re-serialize reproduces the
             // exported envelope byte for byte.
             assert_eq!(
-                &trace_envelope(&parsed.to_value()),
+                &json::seal(TRACE_MAGIC, &parsed.to_value()),
                 line,
                 "TINDTF round-trip must be bit-exact"
             );
