@@ -36,6 +36,9 @@ cargo test --release -q --test fault_tolerance
 # count window underflows instead of asserting on them.
 cargo test --release -q --test validation_kernel --test search_equivalence
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc links left dangling by a rename or a deletion fail here, not in a
+# reader's browser.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
 # The obs-off feature must keep every instrumented crate compiling.
 cargo check --features obs-off
 # The obs overhead gate: asserts span/metric/trace cost <2% of the

@@ -429,7 +429,9 @@ fn record_index_gauges(index: &TindIndex) -> tind_core::index::IndexDiagnostics 
         let mut live = 0u32;
         for id in (0..n).step_by(step) {
             sampled += 1;
-            if !dataset.attribute(id as AttrId).values_in(slice.expanded).is_empty() {
+            let a = dataset.attribute(id as AttrId);
+            let versions = &a.versions()[a.version_range_in(slice.expanded)];
+            if versions.iter().any(|v| !v.values.is_empty()) {
                 live += 1;
             }
         }

@@ -26,7 +26,7 @@
 //! `(config, one attribute's history)`, so one changed history changes one
 //! column per matrix. [`TindIndex::apply_delta`] therefore loops over the
 //! touched attributes, and for each matrix derives the value set the
-//! column was built from — the cached universe, or `values_in` /
+//! column was built from — the cached universe, or `values_in_into` /
 //! `required_values` of the old history the index still holds, or nothing
 //! for an appended attribute — and the set a cold build would use now;
 //! [`tind_bloom::BloomMatrix::retarget_column`] flips exactly the rows in
@@ -84,7 +84,7 @@ use std::sync::Arc;
 use tind_bloom::{BitVec, BloomFilter, BloomMatrix, BloomMatrixBuilder};
 use tind_model::{AttrId, AttributeHistory, Dataset, Timeline, Timestamp, ValueId, ValueSet};
 
-use crate::index::{ColumnContents, TindIndex};
+use crate::index::{ColumnContents, TindIndex, ValueBufs};
 use crate::par::Drain;
 use crate::params::{TindParams, EPS_TOLERANCE};
 use crate::required::required_values;
@@ -368,31 +368,38 @@ impl TindIndex {
             }
         };
 
+        // One buffer pair renders the old history's columns, one the new's.
+        let (mut before, mut after) = (ValueBufs::default(), ValueBufs::default());
         for &id in delta.touched() {
             let col = id as usize;
             // `None` for an appended attribute: its columns are all-zero.
             let old_hist = (col < old_len).then(|| self.dataset.attribute(id));
             let new_hist = new.attribute(id);
-            let old_values =
-                |target: usize| old_hist.map_or_else(ValueSet::new, |h| columns.values(target, h));
+            let old_values = |target: usize, bufs: &mut ValueBufs| match old_hist {
+                Some(h) => columns.values_into(target, h, bufs),
+                None => bufs.0.clear(),
+            };
 
             // M_T's old column is the cached universe (empty when appended).
-            let universe = columns.values(0, new_hist);
-            retarget(&mut self.m_t, col, &self.universes[col], &universe);
-            self.universes[col] = universe;
+            columns.values_into(0, new_hist, &mut after);
+            retarget(&mut self.m_t, col, &self.universes[col], &after.0);
+            self.universes[col].clone_from(&after.0);
 
             let changed_from = old_hist.map_or(0, |old| first_difference(old, new_hist));
             for (i, slice) in self.time_slices.iter_mut().enumerate() {
                 if slice.expanded.end < changed_from {
                     continue; // both histories agree on the whole slice
                 }
-                let (before, after) = (old_values(i + 1), columns.values(i + 1, new_hist));
-                retarget(&mut slice.matrix, col, &before, &after);
+                old_values(i + 1, &mut before);
+                columns.values_into(i + 1, new_hist, &mut after);
+                retarget(&mut slice.matrix, col, &before.0, &after.0);
             }
 
             if let Some(mr) = self.m_r.as_mut() {
                 let target = columns.num_targets() - 1;
-                retarget(mr, col, &old_values(target), &columns.values(target, new_hist));
+                old_values(target, &mut before);
+                columns.values_into(target, new_hist, &mut after);
+                retarget(mr, col, &before.0, &after.0);
             }
         }
         self.dataset = new;

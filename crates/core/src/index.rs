@@ -23,7 +23,8 @@ use std::sync::{Arc, Mutex};
 use tind_model::rng::Rng;
 use tind_bloom::{BitVec, BloomMatrix, BloomMatrixBuilder, BloomTile, TILE_WORDS};
 use tind_model::{
-    AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, Timeline, ValueSet, WeightFn,
+    AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, Timeline, ValueId, ValueSet,
+    WeightFn,
 };
 
 use crate::par::Drain;
@@ -238,6 +239,11 @@ pub struct TindIndex {
     pub(crate) masked: Option<Arc<ShardMask>>,
 }
 
+/// A buffer pair a column's value set is rendered into: the set lands in
+/// `.0`, and `.1` is the merge's second buffer
+/// ([`AttributeHistory::values_in_into`]).
+pub(crate) type ValueBufs = (ValueSet, ValueSet);
+
 /// What column `j` of each index matrix holds — the one definition that
 /// build, delta maintenance and store repair all render from. Targets are
 /// numbered `M_T` (0), the slices `M_{I_1..I_k}` (`1..=k`), then `M_R`:
@@ -272,12 +278,21 @@ impl ColumnContents {
         1 + self.expanded.len() + usize::from(self.sizing.is_some())
     }
 
-    /// The value set `hist`'s column holds in `target`.
-    pub(crate) fn values(&self, target: usize, hist: &AttributeHistory) -> ValueSet {
+    /// Renders the value set `hist`'s column holds in `target` into
+    /// `bufs.0`.
+    pub(crate) fn values_into(
+        &self,
+        target: usize,
+        hist: &AttributeHistory,
+        bufs: &mut ValueBufs,
+    ) {
+        let (out, spare) = bufs;
         match (target, &self.sizing) {
-            (0, _) => hist.value_universe(),
-            (t, _) if t <= self.expanded.len() => hist.values_in(self.expanded[t - 1]),
-            (_, Some(sizing)) => required_values(hist, sizing, self.timeline),
+            (0, _) => hist.values_in_into(hist.observation(), out, spare),
+            (t, _) if t <= self.expanded.len() => {
+                hist.values_in_into(self.expanded[t - 1], out, spare)
+            }
+            (_, Some(sizing)) => *out = required_values(hist, sizing, self.timeline),
             (t, None) => panic!("target {t} is past the slices of an index without M_R"),
         }
     }
@@ -291,12 +306,13 @@ impl ColumnContents {
         target: usize,
         first_attr: usize,
         tile: &mut BloomTile<'_>,
-        mut keep: impl FnMut(usize, ValueSet),
+        bufs: &mut ValueBufs,
+        mut keep: impl FnMut(usize, &[ValueId]),
     ) {
         for col in tile.columns() {
-            let values = self.values(target, dataset.attribute((first_attr + col) as AttrId));
-            tile.insert_column(col, &values);
-            keep(col, values);
+            self.values_into(target, dataset.attribute((first_attr + col) as AttrId), bufs);
+            tile.insert_column(col, &bufs.0);
+            keep(col, &bufs.0);
         }
     }
 }
@@ -343,7 +359,7 @@ impl TindIndex {
             builders.iter_mut().map(|b| Mutex::new((b.tiles(), universe_ranges.take()))).collect();
         let finished = AtomicUsize::new(0);
         let tiles_rendered = tind_obs::counter("index.tiles_rendered");
-        let render_unit = |_: &mut (), _: &mut _, unit: usize| {
+        let render_unit = |bufs: &mut ValueBufs, _: &mut _, unit: usize| {
             let _tile_span = tind_obs::span("core.index.tile");
             let target = unit % num_targets;
             let (mut tile, mut kept) = {
@@ -352,9 +368,9 @@ impl TindIndex {
                 (tile, source.1.as_mut().map(|r| r.next().expect("one range per M_T tile")))
             };
             let lo = tile.columns().start;
-            columns.render_tile(&dataset, target, 0, &mut tile, |col, values| {
+            columns.render_tile(&dataset, target, 0, &mut tile, bufs, |col, values| {
                 if let Some(kept) = kept.as_mut() {
-                    kept[col - lo] = values;
+                    kept[col - lo] = values.to_vec();
                 }
             });
             tiles_rendered.incr();
@@ -371,7 +387,7 @@ impl TindIndex {
             worker_bytes: config.m as usize * std::mem::size_of::<&mut [u64]>() + 64 * 1024,
             cancel: None,
         }
-        .run(|| (), render_unit)
+        .run(ValueBufs::default, render_unit)
         .unwrap_or_else(|panic| resume_unwind(panic));
         tind_obs::gauge("index.build.workers_requested").set(drained.requested as f64);
         tind_obs::gauge("index.build.workers_granted").set(drained.threads as f64);

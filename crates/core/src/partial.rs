@@ -1,6 +1,6 @@
 //! Partial temporal INDs — the paper's first-listed future-work extension
 //! (Section 6: "combine the existing wεδ-tINDs with already known
-//! IND-relaxations, such as partial [25] ... INDs").
+//! IND-relaxations, such as partial \[25\] ... INDs").
 //!
 //! A σ-partial wεδ-tIND relaxes δ-containment itself: at each timestamp it
 //! suffices that a *fraction* σ of the left-hand side's values is found in

@@ -14,7 +14,6 @@ use tind_model::binio::{
     self, corrupt, dataset_fingerprint, get_weight_fn, put_weight_fn, BinIoError, Container, Reader,
     Writer,
 };
-use tind_model::checksum;
 use tind_model::{Dataset, Interval};
 
 use crate::index::{IndexConfig, TimeSlice, TindIndex};
@@ -185,18 +184,13 @@ pub fn write_index_file(index: &TindIndex, path: &std::path::Path) -> Result<(),
     Ok(binio::write_file(index, path)?)
 }
 
-/// Reads an index from `path`, binding it to `dataset`.
-///
-/// The CRC-32 trailer is verified first by streaming the file through a
-/// fixed 64 KiB buffer ([`checksum::stream_verify_file`]), so a truncated
-/// or corrupted multi-GB index is rejected after one sequential pass
-/// without ever allocating its full size; only a clean file is then read
-/// into memory and decoded.
+/// Reads an index from `path`, binding it to `dataset`. The bytes are read
+/// once and hashed once: [`decode_index`] verifies the CRC-32 trailer
+/// before it decodes anything.
 pub fn read_index_file(
     path: &std::path::Path,
     dataset: Arc<Dataset>,
 ) -> Result<TindIndex, BinIoError> {
-    checksum::stream_verify_file(path)?;
     decode_index(&std::fs::read(path)?, dataset)
 }
 
@@ -259,9 +253,9 @@ mod tests {
 
     #[test]
     fn truncated_file_fails_fast_with_offset() {
-        // The streaming pre-verify must reject a truncated index file with
-        // a typed checksum error naming the cut point — without the decode
-        // path ever seeing the bytes.
+        // A truncated index file is rejected by the trailer check, before
+        // the decoder reads a field, with a typed checksum error naming
+        // the cut point.
         let d = dataset();
         let index = TindIndex::build(d.clone(), IndexConfig { m: 256, ..IndexConfig::default() });
         let dir = std::env::temp_dir().join("tind-core-persist-test");
@@ -275,8 +269,8 @@ mod tests {
                 BinIoError::Checksum { offset, .. } => {
                     assert_eq!(
                         offset,
-                        (cut - checksum::TRAILER_LEN) as u64,
-                        "offset names the streamed payload length at cut {cut}"
+                        (cut - tind_model::checksum::TRAILER_LEN) as u64,
+                        "offset names the payload length at cut {cut}"
                     );
                 }
                 other => panic!("cut {cut}: expected checksum error, got {other}"),

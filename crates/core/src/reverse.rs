@@ -18,7 +18,7 @@
 
 use tind_bloom::BitVec;
 use tind_model::hash::FastMap;
-use tind_model::{AttrId, AttributeHistory};
+use tind_model::{AttrId, AttributeHistory, ValueSet};
 
 use crate::index::TindIndex;
 use crate::params::{TindParams, EPS_TOLERANCE};
@@ -96,11 +96,12 @@ fn reverse_on(
         let probe_threshold = (num_attrs / 8).max(8);
         let mut violations: FastMap<u32, f64> = FastMap::default();
         let mut scratch = BitVec::zeros(num_attrs);
+        let (mut qvals, mut spare) = (ValueSet::new(), ValueSet::new());
         for slice in index.time_slices() {
             // The query side is expanded by the query δ beyond the indexed
             // window: A[I^δ] ⊆ Q[I^{δ+δ'}] must hold for a valid tIND.
             let qwin = slice.expanded.expand(params.delta, timeline);
-            let qvals = q.values_in(qwin);
+            q.values_in_into(qwin, &mut qvals, &mut spare);
             let qf = slice.matrix.query_filter(&qvals);
             let alive = candidates.count_ones();
             if alive <= probe_threshold {

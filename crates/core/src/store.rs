@@ -11,9 +11,9 @@
 //! Durability discipline (the `.tcp` checkpoint rules applied to the index
 //! itself):
 //!
-//! * every file is published via temp-file → fsync → atomic rename, so a
-//!   killed writer can never leave a half-written shard under its final
-//!   name;
+//! * every file is published via temp-file → fsync → atomic rename →
+//!   directory fsync, so a killed writer can never leave a half-written
+//!   shard under its final name;
 //! * the manifest rename is the *single commit point* of a pack: until it
 //!   lands, the previous generation is untouched and fully servable;
 //! * opening a store sweeps orphan `*.tmp` files and shards of stale
@@ -53,7 +53,7 @@ use tind_model::binio::{
 use tind_model::checksum::{self, crc32};
 use tind_model::{AttrId, Dataset, Interval, MemoryBudget, ValueSet};
 
-use crate::index::{ColumnContents, MaskedShard, ShardMask, TimeSlice, TindIndex};
+use crate::index::{ColumnContents, MaskedShard, ShardMask, TimeSlice, TindIndex, ValueBufs};
 use crate::persist::{get_config, get_interval, put_config, put_interval};
 
 /// Magic bytes of the store manifest, including a format version.
@@ -158,8 +158,8 @@ pub enum StoreError {
     /// an operation that is not meaningful in the current state.
     Mismatch(String),
     /// Injected kill: the operation stopped after the configured number of
-    /// write/fsync/rename steps, leaving the directory exactly as a
-    /// SIGKILL at that boundary would.
+    /// write, fsync, rename and directory-fsync steps, leaving the
+    /// directory exactly as a SIGKILL at that boundary would.
     Killed {
         /// Steps performed before the kill.
         ops: u64,
@@ -252,8 +252,8 @@ pub struct PackOptions {
     /// benchmark PR.
     pub format: ShardFormat,
     /// Fault injection: stop (with [`StoreError::Killed`]) after this many
-    /// write/fsync/rename steps, leaving the directory as a SIGKILL at
-    /// that boundary would. `None` disables.
+    /// write, fsync, rename and directory-fsync steps, leaving the
+    /// directory as a SIGKILL at that boundary would. `None` disables.
     pub kill_after_ops: Option<u64>,
 }
 
@@ -932,11 +932,6 @@ pub fn pack_store(
     let manifest_bytes = binio::encode(&manifest);
     bytes_written += manifest_bytes.len() as u64;
     publish(&dir.join(MANIFEST_NAME), &mut budget, |f| f.write_all(&manifest_bytes))?;
-    // Make the renames themselves durable before declaring success.
-    budget.step()?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
-    }
     let (swept_temps, swept_stale) = sweep(dir, generation)?;
     Ok(PackReport {
         generation,
@@ -1140,6 +1135,7 @@ pub fn repair_store(
     let mut budget = OpBudget::new(options.kill_after_ops);
     let mut rebuilt = Vec::new();
     let mut intact = 0;
+    let (mut bufs, mut universe_bufs) = (ValueBufs::default(), ValueBufs::default());
     for entry in &manifest.shards {
         match deep_check_shard(dir, &manifest, entry) {
             Ok(()) => {
@@ -1158,12 +1154,13 @@ pub fn repair_store(
         let section = |target: usize, w: &mut Writer| {
             let mut builder = BloomMatrixBuilder::new(m, num_cols, k_hashes);
             for mut tile in builder.tiles() {
-                columns.render_tile(dataset, target, first_attr, &mut tile, |_, _| {});
+                columns.render_tile(dataset, target, first_attr, &mut tile, &mut bufs, |_, _| {});
             }
             builder.build().encode_words(0..entry.block_count, w);
         };
         let universe_fn = |attr: usize, w: &mut Writer| {
-            w.ascending(&dataset.attribute(attr as AttrId).value_universe())
+            columns.values_into(0, dataset.attribute(attr as AttrId), &mut universe_bufs);
+            w.ascending(&universe_bufs.0)
         };
         let mut w = Writer::new(SHARD_MAGIC);
         let (id, start, count) = (entry.id, entry.block_start, entry.block_count);
@@ -1180,10 +1177,6 @@ pub fn repair_store(
         let path = dir.join(shard_name(manifest.generation, entry.id));
         publish(&path, &mut budget, |f| f.write_all(&payload))?;
         rebuilt.push(entry.id);
-    }
-    budget.step()?;
-    if let Ok(d) = std::fs::File::open(dir) {
-        let _ = d.sync_all();
     }
     Ok(RepairReport { generation: manifest.generation, rebuilt, intact })
 }

@@ -27,7 +27,7 @@
 //! [`validate`] and [`violation_weight`] are the one-off entry points: a
 //! plan over the thread's scratch. Explanations (`crate::explain`) and
 //! σ-partial validation (`crate::partial`) walk the same plan with their
-//! own per-interval test ([`IntervalTest`]).
+//! own per-interval test (`IntervalTest`).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -484,8 +484,10 @@ pub fn write_file<C: Container + ?Sized>(container: &C, path: &Path) -> io::Resu
 
 /// Publishes the file at `path`: `write` streams it into `path` + `.tmp`,
 /// which is fsynced and renamed over `path`, so a reader or a crash sees
-/// the old file or the new one, never part of one. Creating and writing
-/// the temp, the fsync and the rename are one [`OpBudget`] step each. A
+/// the old file or the new one, never part of one. The parent directory
+/// (`.` for a bare file name) is then fsynced, so the rename survives a
+/// power loss once this returns. Creating and writing the temp, the fsync,
+/// the rename and the directory fsync are one [`OpBudget`] step each. A
 /// failed write or fsync removes the temp; a temp a crash left behind is
 /// truncated by the next publish to the same path.
 pub fn publish<T>(
@@ -509,6 +511,9 @@ pub fn publish<T>(
     let out = written?;
     budget.step()?;
     std::fs::rename(&tmp, path)?;
+    budget.step()?;
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()?;
     Ok(out)
 }
 
@@ -1413,14 +1418,19 @@ mod tests {
             let mut limit = 0;
             while let Err(e) = put(&path, &new, &mut OpBudget::new(Some(limit))) {
                 assert_eq!(Killed::find(&e), Some(Killed { ops: limit }), "{e}");
+                // Killed before the rename: the old bytes; after it, before
+                // the directory fsync: the new ones.
                 let kept = std::fs::read(&path).expect("read");
-                assert_eq!(kept, old, "{name}, kill {limit}");
+                assert_eq!(&kept, if limit < 3 { &old } else { &new }, "{name}, kill {limit}");
                 put(&path, &new, &mut OpBudget::default()).expect("publish over the temp");
                 assert_eq!(std::fs::read(&path).expect("read"), new);
                 put(&path, &old, &mut OpBudget::default()).expect("publish");
                 limit += 1;
             }
-            assert_eq!(limit, 3, "create + write, fsync and rename are the steps");
+            assert_eq!(
+                limit, 4,
+                "create + write, fsync, rename and directory fsync are the steps"
+            );
             assert_eq!(std::fs::read(&path).expect("read"), new);
             let mut tmp = path.clone().into_os_string();
             tmp.push(".tmp");

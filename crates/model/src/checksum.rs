@@ -75,7 +75,7 @@ impl Crc32 {
     }
 
     /// Feeds `bytes` into the checksum: sixteen bytes per step through
-    /// [`CRC_TABLES`], then a byte loop for the tail. Every container
+    /// `CRC_TABLES`, then a byte loop for the tail. Every container
     /// trailer, shard digest and header CRC in the workspace runs here.
     pub fn update(&mut self, bytes: &[u8]) {
         let t = &CRC_TABLES;
@@ -128,42 +128,6 @@ pub fn verify_and_strip(bytes: &[u8]) -> Result<&[u8], BinIoError> {
         return Err(BinIoError::Checksum { stored, computed, offset: split as u64 });
     }
     Ok(&bytes[..split])
-}
-
-/// Streams the file at `path` through a fixed-size buffer and verifies its
-/// trailing CRC-32, returning the payload length (bytes before the
-/// trailer) on success.
-///
-/// Unlike read-then-[`verify_and_strip`], this never allocates the file's
-/// size: a truncated or bit-rotted multi-GB artifact is rejected after one
-/// sequential pass with a constant 64 KiB of scratch, before any decoder
-/// commits memory to it. The returned [`BinIoError::Checksum`] carries the
-/// trailer offset so operators can see where the file was cut.
-pub fn stream_verify_file(path: &std::path::Path) -> Result<u64, BinIoError> {
-    use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let len = file.metadata()?.len();
-    if len < TRAILER_LEN as u64 {
-        return Err(BinIoError::Corrupt("file too short for checksum trailer".into()));
-    }
-    let payload_len = len - TRAILER_LEN as u64;
-    let mut crc = Crc32::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    let mut remaining = payload_len;
-    while remaining > 0 {
-        let want = remaining.min(scratch.len() as u64) as usize;
-        file.read_exact(&mut scratch[..want])?;
-        crc.update(&scratch[..want]);
-        remaining -= want as u64;
-    }
-    let mut trailer = [0u8; TRAILER_LEN];
-    file.read_exact(&mut trailer)?;
-    let stored = u32::from_le_bytes(trailer);
-    let computed = crc.finish();
-    if stored != computed {
-        return Err(BinIoError::Checksum { stored, computed, offset: payload_len });
-    }
-    Ok(payload_len)
 }
 
 #[cfg(test)]
@@ -252,39 +216,6 @@ mod tests {
             let err = verify_and_strip(&corrupted).expect_err("flipped bit must be detected");
             assert!(matches!(err, BinIoError::Checksum { .. }), "bit {bit}: {err}");
         }
-    }
-
-    #[test]
-    fn stream_verify_matches_in_memory_verdict() {
-        let dir = std::env::temp_dir().join("tind-model-checksum-test");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("streamed.bin");
-        // Payload bigger than the 64 KiB scratch so the loop takes
-        // multiple passes.
-        let payload: Vec<u8> = (0..200_000u32).map(|i| (i * 7 + 3) as u8).collect();
-        let clean = sealed(&payload);
-        std::fs::write(&path, &clean).expect("write");
-        assert_eq!(stream_verify_file(&path).expect("clean file verifies"), 200_000);
-
-        // Truncation mid-payload: the stored "trailer" is now payload
-        // bytes, so the streamed CRC must mismatch with the cut offset.
-        std::fs::write(&path, &clean[..clean.len() / 2]).expect("write truncated");
-        let err = stream_verify_file(&path).expect_err("truncated file rejected");
-        match err {
-            BinIoError::Checksum { offset, .. } => {
-                assert_eq!(offset, (clean.len() / 2 - TRAILER_LEN) as u64);
-            }
-            other => panic!("expected checksum error, got {other}"),
-        }
-        // Single flipped byte mid-payload.
-        let mut flipped = clean.clone();
-        flipped[1234] ^= 0xFF;
-        std::fs::write(&path, &flipped).expect("write flipped");
-        assert!(matches!(
-            stream_verify_file(&path),
-            Err(BinIoError::Checksum { .. })
-        ));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -132,8 +132,8 @@ impl AttributeHistory {
     ///
     /// The returned slice is canonical — sorted ascending and free of
     /// duplicates (see [`Version::values`]). Consumers such as
-    /// `WindowUnion::contains_all` and the plan-based validation scratch
-    /// rely on this to probe and size-compare sets without normalizing.
+    /// `tind-core`'s `ValidationScratch::contains_all` rely on this to
+    /// probe and size-compare sets without normalizing.
     pub fn values_at(&self, t: Timestamp) -> &[ValueId] {
         match self.version_index_at(t) {
             Some(i) => &self.versions[i].values,
@@ -170,23 +170,42 @@ impl AttributeHistory {
 
     /// `A[I]`: the union of all value sets valid at some `t ∈ I`, as a
     /// canonical set. Empty if the attribute is unobservable throughout `I`.
+    /// A fresh set per call; [`AttributeHistory::values_in_into`] is the
+    /// kernel.
     pub fn values_in(&self, interval: Interval) -> ValueSet {
-        let range = self.version_range_in(interval);
-        let mut acc: ValueSet = Vec::new();
-        for v in &self.versions[range] {
-            if acc.is_empty() {
-                acc.extend_from_slice(&v.values);
-            } else {
-                acc = value::union(&acc, &v.values);
+        let (mut out, mut spare) = (ValueSet::new(), ValueSet::new());
+        self.values_in_into(interval, &mut out, &mut spare);
+        out
+    }
+
+    /// [`AttributeHistory::values_in`] into `out`, replacing what it held:
+    /// the sets of the versions [`AttributeHistory::version_range_in`]
+    /// names, merged in version order, each merge writing into the other
+    /// buffer and swapping it with `out`. Once both buffers have held a set
+    /// as large as the result, a call allocates nothing; `spare` is left
+    /// holding garbage.
+    pub fn values_in_into(&self, interval: Interval, out: &mut ValueSet, spare: &mut ValueSet) {
+        out.clear();
+        for version in &self.versions[self.version_range_in(interval)] {
+            let (a, b) = (&out[..], &version.values[..]);
+            spare.clear();
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() && j < b.len() {
+                let (x, y) = (a[i], b[j]);
+                spare.push(x.min(y));
+                i += usize::from(x <= y);
+                j += usize::from(y <= x);
             }
+            spare.extend_from_slice(&a[i..]);
+            spare.extend_from_slice(&b[j..]);
+            std::mem::swap(out, spare);
         }
-        acc
     }
 
     /// The union of all value sets across the whole history (`A[T]`; the
     /// contents of the `M_T` index column, Section 4.2.1).
     pub fn value_universe(&self) -> ValueSet {
-        self.values_in(Interval::new(self.first_observed(), self.last_observed))
+        self.values_in(self.observation())
     }
 
     /// Timestamps at which the attribute changes (the `V_A` of Algorithm 2):
@@ -332,6 +351,64 @@ mod tests {
         assert_eq!(h.values_in(Interval::new(9, 20)), vec![2, 3]);
         assert_eq!(h.values_in(Interval::new(13, 20)), Vec::<ValueId>::new());
         assert_eq!(h.value_universe(), vec![1, 2, 3]);
+    }
+
+    /// The allocating fold `values_in` was before the kernel, a fresh set
+    /// per version, with each union taken by sort and dedup so that the
+    /// reference shares no merge logic with the kernel.
+    fn folded_values_in(h: &AttributeHistory, interval: Interval) -> ValueSet {
+        let mut acc = ValueSet::new();
+        for v in &h.versions()[h.version_range_in(interval)] {
+            let mut union: ValueSet = acc.iter().chain(&v.values).copied().collect();
+            union.sort_unstable();
+            union.dedup();
+            acc = union;
+        }
+        acc
+    }
+
+    #[test]
+    fn values_in_into_equals_the_allocating_fold() {
+        // One buffer pair across every case, so each call starts from
+        // whatever the previous one left in both buffers.
+        let (mut out, mut spare) = (vec![7, 3, 9], vec![1]);
+        crate::rng::cases("history::values_in_into_equals_the_allocating_fold", 200, |rng| {
+            let n = rng.range(1..120u32);
+            let mut b = HistoryBuilder::new("h");
+            let mut t = rng.range(0..n);
+            let last_start = loop {
+                let size = rng.range(0..10u32);
+                b.push(t, (0..size).map(|_| rng.range(0..40u32)).collect());
+                let next = t + rng.range(1..=15u32);
+                // A third of the histories stop at one version.
+                if next >= n || rng.range(0..3u32) == 0 {
+                    break t;
+                }
+                t = next;
+            };
+            let h = b.finish(rng.range(last_start..n));
+            let obs = h.observation();
+            let mut intervals = vec![
+                obs,
+                Interval::new(obs.start, obs.start),
+                Interval::new(obs.end, obs.end + rng.range(0..10u32)),
+                Interval::new(obs.end + 1, obs.end + 1 + rng.range(0..10u32)),
+            ];
+            if obs.start > 0 {
+                let before = rng.range(0..obs.start);
+                intervals.push(Interval::new(before, obs.start - 1));
+                intervals.push(Interval::new(before, obs.end + rng.range(0..5u32)));
+            }
+            for _ in 0..6 {
+                let start = rng.range(0..n + 5);
+                intervals.push(Interval::new(start, start + rng.range(0..30u32)));
+            }
+            for interval in intervals {
+                h.values_in_into(interval, &mut out, &mut spare);
+                assert_eq!(out, folded_values_in(&h, interval), "{interval} of {h:?}");
+            }
+            assert_eq!(h.value_universe(), folded_values_in(&h, obs));
+        });
     }
 
     #[test]

@@ -29,7 +29,6 @@
 pub mod binio;
 pub mod checksum;
 pub mod dataset;
-pub mod diff;
 pub mod hash;
 pub mod history;
 pub mod memory;

@@ -59,50 +59,6 @@ pub fn is_subset(a: &[ValueId], b: &[ValueId]) -> bool {
     true
 }
 
-/// Computes the sorted union of two canonical sets.
-pub fn union(a: &[ValueId], b: &[ValueId]) -> ValueSet {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Computes the sorted intersection of two canonical sets.
-pub fn intersection(a: &[ValueId], b: &[ValueId]) -> ValueSet {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out
-}
-
 /// Marks an unused slot of [`Dictionary`]'s index; never a valid id.
 const EMPTY: ValueId = ValueId::MAX;
 
@@ -114,7 +70,7 @@ const EMPTY: ValueId = ValueId::MAX;
 ///   string `id - 1` ends, or at 0);
 /// - `slots` is an open-addressing index of ids keyed by
 ///   [`hash_bytes`] of the string: power-of-two size, at most half full,
-///   linear probing, [`EMPTY`] marking a free slot.
+///   linear probing, `EMPTY` (`ValueId::MAX`) marking a free slot.
 ///
 /// A clone copies the three buffers rather than sharing strings with its
 /// source: that is three `memcpy`s, no per-string reference count to
@@ -337,14 +293,6 @@ mod tests {
         assert!(!is_subset(&[0], &[1, 2, 3]));
         assert!(!is_subset(&[1, 4], &[1, 2, 3]));
         assert!(!is_subset(&[1, 2, 3], &[1, 2]));
-    }
-
-    #[test]
-    fn union_and_intersection() {
-        assert_eq!(union(&[1, 3, 5], &[2, 3, 6]), vec![1, 2, 3, 5, 6]);
-        assert_eq!(union(&[], &[7]), vec![7]);
-        assert_eq!(intersection(&[1, 3, 5], &[2, 3, 5]), vec![3, 5]);
-        assert_eq!(intersection(&[1, 2], &[3, 4]), Vec::<ValueId>::new());
     }
 
     #[test]

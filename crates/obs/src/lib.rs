@@ -4,7 +4,7 @@
 //! on `std` alone like the rest of the workspace — no `tracing`, no
 //! `metrics`, no serde.
 //!
-//! * [`span`] — wall-time spans with allocation-free enter/exit;
+//! * [`span`](mod@span) — wall-time spans with allocation-free enter/exit;
 //!   per-thread per-name aggregates, merged at run end.
 //! * [`trace`] — request-scoped tracing: explicit-parent interval events
 //!   under a propagated [`TraceContext`], per-thread bounded rings, and

@@ -1,7 +1,7 @@
 //! Request-scoped tracing: explicit-parent interval events in bounded
 //! per-thread rings, with checksummed `TINDTF` export.
 //!
-//! The span layer ([`crate::span`]) aggregates — it can say *stage 4 cost
+//! The span layer ([`crate::span`](mod@crate::span)) aggregates — it can say *stage 4 cost
 //! 40% overall* but not *why this request was slow*. This module records
 //! per-request timelines instead: a [`TraceContext`] (128-bit trace id +
 //! span id) is allocated per accepted request, propagated explicitly

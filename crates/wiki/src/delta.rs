@@ -13,7 +13,7 @@
 //! A delta stream carries page-granular batches, exactly like a dump:
 //! for each page either its **full** revision history (a page revised
 //! since the base was ingested — re-staged from scratch, because
-//! [`crate::pipeline::stage_page`] is a pure function of the complete
+//! `pipeline::stage_page` is a pure function of the complete
 //! revision list) or a page the base never saw. The session commits by
 //! attribute name ([`crate::pipeline::PipelineSession`]), so ids stay
 //! stable — the contract `core::delta::DatasetDelta::diff` enforces. A

@@ -10,7 +10,7 @@
 //! the same failure model PR 1 gave discovery:
 //!
 //! * **Quarantine, don't abort.** Every per-page failure — a typed
-//!   [`DumpError`], a wikitext-processing panic (caught by
+//!   [`DumpError`](crate::dump::DumpError), a wikitext-processing panic (caught by
 //!   [`PipelineSession::push_page`], mirroring `core::allpairs` panic
 //!   isolation), an oversized page, a memory-budget refusal — is counted
 //!   and sampled into a [`QuarantineReport`], and the stream continues.

@@ -17,7 +17,7 @@
 //!   aggregation) followed by a commit stage that touches the builder —
 //!   so a panic on a pathological page leaves the session untouched and
 //!   the page can be quarantined. The commit goes by attribute name, and
-//!   [`stage_page`] makes every name unique within its page, so a session
+//!   `stage_page` makes every name unique within its page, so a session
 //!   over an existing dataset updates it in place ([`crate::delta`]).
 
 use std::collections::{BTreeMap, HashSet};

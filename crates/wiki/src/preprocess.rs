@@ -1,6 +1,6 @@
 //! Value cleaning and attribute filtering (§5.1).
 //!
-//! Four steps, mirroring the paper (which in turn follows MANY [22]):
+//! Four steps, mirroring the paper (which in turn follows MANY \[22\]):
 //!
 //! 1. **Link resolution** — `[[Target|shown text]]` → `Target`: linked
 //!    entities get one canonical representation across all tables, which

@@ -2,7 +2,7 @@
 //!
 //! Wikipedia tables carry no identifiers; to build *table histories* the
 //! extractor must decide which table in revision `r+1` is "the same" as a
-//! table in revision `r` (the paper relies on prior work [5] for this; we
+//! table in revision `r` (the paper relies on prior work \[5\] for this; we
 //! implement the standard similarity matching). Tables are matched
 //! greedily by header-set similarity with a caption-equality bonus; tables
 //! that vanish are remembered so they can re-appear (vandalism reverts

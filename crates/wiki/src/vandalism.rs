@@ -2,7 +2,7 @@
 //!
 //! The paper aggregates to daily snapshots specifically "to reduce the
 //! impact of vandalism, which frequently appears in Wikipedia" (§5.1,
-//! citing [2]). Daily aggregation removes sub-day vandalism implicitly;
+//! citing \[2\]). Daily aggregation removes sub-day vandalism implicitly;
 //! this module makes the phenomenon *observable*: it detects reverts and
 //! page blankings in a revision stream, so pipelines can report how much
 //! vandalism the aggregation absorbed and analyses can exclude known-bad

@@ -7,7 +7,7 @@ mod common;
 
 use std::collections::BTreeSet;
 
-use common::strategies::{build_history, dataset_of, histories, history, TIMELINE};
+use common::strategies::{dataset_of, histories, history, TIMELINE};
 use tind::bloom::{BitVec, BloomFilter};
 use tind::core::search::brute_force_search;
 use tind::core::validate::{naive_violation_weight, validate, violation_weight};
@@ -175,32 +175,6 @@ fn weight_interval_sums() {
     });
 }
 
-/// History ↔ delta-stream conversion round-trips arbitrary histories.
-#[test]
-fn diff_roundtrip() {
-    cases("diff_roundtrip", CASES, |rng| {
-        let q = history(rng);
-        let h = build_history("h", &q, TIMELINE - 1);
-        let (initial, deltas) = tind::model::diff::to_deltas(&h);
-        let back = tind::model::diff::from_deltas(
-            "h",
-            h.first_observed(),
-            initial,
-            &deltas,
-            h.last_observed(),
-        );
-        assert_eq!(back.versions(), h.versions());
-        // Churn accounting is consistent with the deltas.
-        let stats = tind::model::diff::churn_stats(&h);
-        assert_eq!(stats.changes, deltas.len());
-        assert_eq!(
-            stats.total_added + stats.total_removed,
-            deltas.iter().map(|d| d.churn()).sum::<usize>()
-        );
-    });
-}
-
-/// σ-partial validity is monotone in σ: lowering σ never invalidates.
 #[test]
 fn partial_sigma_monotone() {
     cases("partial_sigma_monotone", CASES, |rng| {
