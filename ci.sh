@@ -14,9 +14,10 @@ cargo test --release -q -p tind-model
 # tests again with both on one core. A missing taskset fails the gate.
 command -v taskset >/dev/null || { echo "ci: taskset not found" >&2; exit 1; }
 taskset -c 0 cargo test --release -q -p tind-model
-# Build, batch search, all-pairs and pair refresh share one parallel driver
-# (core::par); seven workers on one core interleave its claims every way the
-# scheduler can, in the build that ships.
+# Build, batch search and the one pair driver (all-pairs, and pair refresh
+# as all-pairs on a plan) share one parallel driver (core::par); seven
+# workers on one core interleave its claims every way the scheduler can, in
+# the build that ships.
 taskset -c 0 cargo test --release -q --test parallel_equivalence
 # The Bloom kernels' tiling-equivalence tests, with debug_assert! compiled
 # out as in production.

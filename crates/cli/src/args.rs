@@ -38,6 +38,9 @@ pub enum ArgError {
         /// Second option name.
         b: &'static str,
     },
+    /// Options that are each valid but together have no safe order of
+    /// effects; the text says why.
+    Unsafe(&'static str),
     /// An option the command does not understand. Rejected up front so a
     /// typo'd `--chekpoint` fails at startup instead of silently running a
     /// long job without checkpointing.
@@ -60,6 +63,7 @@ impl std::fmt::Display for ArgError {
             ArgError::Conflict { a, b } => {
                 write!(f, "options --{a} and --{b} are mutually exclusive")
             }
+            ArgError::Unsafe(why) => f.write_str(why),
             ArgError::UnknownOption { option, suggestion } => {
                 write!(f, "unknown option --{option}")?;
                 if let Some(s) = suggestion {

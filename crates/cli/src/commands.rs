@@ -11,7 +11,7 @@ use tind_core::{
     discover_all_pairs, open_store, pack_store, repair_store, verify_store,
     AllPairsError, AllPairsOptions, BatchOptions, BuildOptions, CancelToken, Checkpoint,
     CheckpointPolicy, IndexConfig, OpenOptions, PackOptions, RepairOptions,
-    SliceConfig, StoreBacking, StoreError, TindIndex, TindParams,
+    StoreBacking, StoreError, TindIndex, TindParams,
 };
 use tind_datagen::{generate, GeneratorConfig};
 use tind_eval::{ExpContext, Scale};
@@ -122,7 +122,8 @@ fn allowed_options(command: &str) -> Option<Vec<&'static str>> {
             vec!["data", "query", "limit", "index", "store", "build-threads", "report"]
         }
         "partial-search" => vec!["data", "query", "sigma", "limit"],
-        "top-k" => vec!["data", "query", "k", "index", "build-threads"],
+        // Ranked by violation weight: no ε.
+        "top-k" => vec!["data", "query", "k", "index", "build-threads", "delta", "decay"],
         "explain" => vec!["data", "lhs", "rhs"],
         "index" => vec!["data", "out", "m", "reverse", "build-threads", "report"],
         "explore" => vec!["data", "index", "build-threads"],
@@ -163,7 +164,6 @@ fn allowed_options(command: &str) -> Option<Vec<&'static str>> {
         "search"
             | "reverse-search"
             | "partial-search"
-            | "top-k"
             | "explain"
             | "index"
             | "all-pairs"
@@ -303,15 +303,18 @@ fn cmd_stats(args: &Args) -> Result<String, CliError> {
 
 fn resolve_query(args: &Args, dataset: &Dataset) -> Result<AttrId, CliError> {
     let raw = args.required::<String>("query")?;
-    if let Some((id, _)) = dataset.attribute_by_name(&raw) {
-        return Ok(id);
-    }
-    if let Ok(id) = raw.parse::<AttrId>() {
-        if (id as usize) < dataset.len() {
-            return Ok(id);
-        }
-    }
-    Err(CliError::Message(format!("query attribute '{raw}' not found (name or id)")))
+    dataset
+        .resolve(&raw)
+        .ok_or_else(|| CliError::Message(format!("query attribute '{raw}' not found (name or id)")))
+}
+
+/// The index `tind index` and `tind store pack` build: `--m` rows (4096
+/// in both directions) in the direction `--reverse` picks, sized for
+/// `--eps`, `--delta` and `--decay`.
+fn sized_config(args: &Args, dataset: &Dataset) -> Result<IndexConfig, CliError> {
+    let params = parse_params(args, dataset)?;
+    let reverse = args.opt_or("reverse", false)?;
+    Ok(IndexConfig { m: args.opt_or("m", 4096u32)?, ..IndexConfig::for_params(&params, reverse) })
 }
 
 /// Build options for ad-hoc index construction: `--build-threads 0`
@@ -488,18 +491,7 @@ fn cmd_search(args: &Args, reverse: bool) -> Result<String, CliError> {
     }
     let query = if batch.is_some() { None } else { Some(resolve_query(args, &dataset)?) };
 
-    let config = if reverse {
-        IndexConfig {
-            slices: SliceConfig::reverse_default(params.eps, params.weights.clone(), params.delta),
-            ..IndexConfig::reverse_default()
-        }
-    } else {
-        IndexConfig {
-            slices: SliceConfig::search_default(params.eps, params.weights.clone(), params.delta),
-            ..IndexConfig::default()
-        }
-    };
-    let (index, build) = obtain_index(args, &dataset, config)?;
+    let (index, build) = obtain_index(args, &dataset, IndexConfig::for_params(&params, reverse))?;
     if let Some(id) = query {
         reject_masked_query(&index, &dataset, id)?;
     }
@@ -723,10 +715,7 @@ fn cmd_all_pairs(args: &Args) -> Result<String, CliError> {
     };
     let resumed = resume_from.as_ref().map_or(0, |cp| cp.completed.len());
 
-    let config = IndexConfig {
-        slices: SliceConfig::search_default(params.eps, params.weights.clone(), params.delta),
-        ..IndexConfig::default()
-    };
+    let config = IndexConfig::for_params(&params, false);
     let build_opts = build_options(args)?;
     let build_phase = tind_obs::span("phase.index_build");
     let (index, build) =
@@ -1337,19 +1326,14 @@ fn render_diff(
 fn cmd_top_k(args: &Args) -> Result<String, CliError> {
     let dataset = load_dataset(args)?;
     let k = args.opt_or("k", 5usize)?;
-    let delta = args.opt_or("delta", 7u32)?;
-    let weights = match args.opt::<f64>("decay")? {
-        Some(a) => tind_model::WeightFn::exponential(a, dataset.timeline()),
-        None => tind_model::WeightFn::constant_one(),
-    };
+    // Ranked by violation weight, so no ε: `--eps` is refused, and the
+    // index slices are sized for the default ε.
+    let params = parse_params(args, &dataset)?;
+    let delta = params.delta;
     let query = resolve_query(args, &dataset)?;
-    let config = IndexConfig {
-        slices: SliceConfig::search_default(3.0, weights.clone(), delta),
-        ..IndexConfig::default()
-    };
-    let (index, _) = obtain_index(args, &dataset, config)?;
+    let (index, _) = obtain_index(args, &dataset, IndexConfig::for_params(&params, false))?;
     let start = std::time::Instant::now();
-    let ranked = tind_core::topk::top_k_search(&index, query, k, delta, &weights);
+    let ranked = tind_core::topk::top_k_search(&index, query, k, delta, &params.weights);
     let elapsed = start.elapsed();
     let mut out = String::new();
     let _ = writeln!(
@@ -1397,38 +1381,15 @@ fn cmd_explain(args: &Args) -> Result<String, CliError> {
 }
 
 fn resolve_named(raw: &str, dataset: &Dataset) -> Result<AttrId, CliError> {
-    if let Some((id, _)) = dataset.attribute_by_name(raw) {
-        return Ok(id);
-    }
-    if let Ok(id) = raw.parse::<AttrId>() {
-        if (id as usize) < dataset.len() {
-            return Ok(id);
-        }
-    }
-    Err(CliError::Message(format!("attribute '{raw}' not found (name or id)")))
+    dataset
+        .resolve(raw)
+        .ok_or_else(|| CliError::Message(format!("attribute '{raw}' not found (name or id)")))
 }
 
 fn cmd_index(args: &Args) -> Result<String, CliError> {
     let dataset = load_dataset(args)?;
     let out: PathBuf = args.required::<String>("out")?.into();
-    let m = args.opt_or("m", 4096u32)?;
-    let eps = args.opt_or("eps", 3.0f64)?;
-    let delta = args.opt_or("delta", 7u32)?;
-    let reverse = args.opt_or("reverse", false)?;
-    let config = if reverse {
-        IndexConfig {
-            m,
-            slices: SliceConfig::reverse_default(eps, tind_model::WeightFn::constant_one(), delta),
-            build_reverse: true,
-            ..IndexConfig::reverse_default()
-        }
-    } else {
-        IndexConfig {
-            m,
-            slices: SliceConfig::search_default(eps, tind_model::WeightFn::constant_one(), delta),
-            ..IndexConfig::default()
-        }
-    };
+    let config = sized_config(args, &dataset)?;
     let options =
         BuildOptions { progress_every: 32, ..build_options(args)? };
     let build_phase = tind_obs::span("phase.index_build");
@@ -1501,24 +1462,7 @@ fn cmd_store_pack(args: &Args) -> Result<String, CliError> {
         Some(dir) => dir.into(),
         None => store_dir(args)?,
     };
-    let m = args.opt_or("m", 4096u32)?;
-    let eps = args.opt_or("eps", 3.0f64)?;
-    let delta = args.opt_or("delta", 7u32)?;
-    let reverse = args.opt_or("reverse", false)?;
-    let config = if reverse {
-        IndexConfig {
-            m,
-            slices: SliceConfig::reverse_default(eps, tind_model::WeightFn::constant_one(), delta),
-            build_reverse: true,
-            ..IndexConfig::reverse_default()
-        }
-    } else {
-        IndexConfig {
-            m,
-            slices: SliceConfig::search_default(eps, tind_model::WeightFn::constant_one(), delta),
-            ..IndexConfig::default()
-        }
-    };
+    let config = sized_config(args, &dataset)?;
     // `--store` names the pack *target* here, so bypass `obtain_index`
     // (which treats it as a load source): `--index FILE` loads a
     // monolithic index to re-shard, otherwise build fresh.
@@ -1629,7 +1573,7 @@ pub fn explore_session(
                 let name = rest[0];
                 let eps: f64 = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(3.0);
                 let delta: u32 = rest.get(2).and_then(|s| s.parse().ok()).unwrap_or(7);
-                let Some((id, _)) = dataset.attribute_by_name(name) else {
+                let Some(id) = dataset.resolve(name) else {
                     let _ = writeln!(out, "unknown attribute '{name}'");
                     continue;
                 };
@@ -1655,7 +1599,7 @@ pub fn explore_session(
             ["top", rest @ ..] if !rest.is_empty() => {
                 let name = rest[0];
                 let k: usize = rest.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
-                let Some((id, _)) = dataset.attribute_by_name(name) else {
+                let Some(id) = dataset.resolve(name) else {
                     let _ = writeln!(out, "unknown attribute '{name}'");
                     continue;
                 };
@@ -1942,6 +1886,17 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
         (_, explicit) => explicit,
     };
     let compact = args.switch("compact");
+    // The dataset is published before the index, so a failed index write
+    // leaves the new dataset beside the old index. That is safe only while
+    // `--data` survives, to keep the old pair usable.
+    let same_file = |a: &std::path::Path| std::fs::canonicalize(a).ok();
+    if index_out == index_path && index_path.is_some() && same_file(&out) == same_file(&data_path) {
+        return Err(CliError::Args(ArgError::Unsafe(
+            "--out overwrites --data while --index is rewritten in place, so no write \
+             order keeps a usable (dataset, index) pair if the second write fails; pass \
+             --index-out FILE or write the dataset elsewhere",
+        )));
+    }
 
     let base = {
         let _phase = tind_obs::span("phase.load");
@@ -1960,20 +1915,27 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
         base.len(),
         merged.len(),
     );
-    // Maintain the index incrementally before publishing anything, so a
-    // refused delta leaves both artifacts untouched.
-    if let Some(idx_path) = &index_path {
-        let _phase = tind_obs::span("phase.apply_delta");
-        let mut index = tind_core::persist::read_index_file(idx_path, Arc::new(base.clone()))?;
-        let delta = tind_core::DatasetDelta::diff(&base, Arc::clone(&merged))
-            .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
-        let report = index
-            .apply_delta(&delta)
-            .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
-        if compact {
-            index = index.compact();
+    // Maintain the index before publishing anything, so a refused delta
+    // leaves both artifacts untouched.
+    let index = match &index_path {
+        Some(idx_path) => {
+            let _phase = tind_obs::span("phase.apply_delta");
+            let mut index =
+                tind_core::persist::read_index_file(idx_path, Arc::new(base.clone()))?;
+            let delta = tind_core::DatasetDelta::diff(&base, Arc::clone(&merged))
+                .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
+            let report = index
+                .apply_delta(&delta)
+                .map_err(|e| CliError::Message(format!("delta rejected: {e}")))?;
+            if compact {
+                index = index.compact();
+            }
+            Some((index, report))
         }
-        let index_out = index_out.as_ref().expect("derived from --index");
+        None => None,
+    };
+    publish_dataset(&merged, &out, outcome.resumed_from, &mut text)?;
+    if let (Some((index, report)), Some(index_out)) = (index, &index_out) {
         tind_core::persist::write_index_file(&index, index_out)?;
         let _ = writeln!(
             text,
@@ -1988,7 +1950,6 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
             index_out.display(),
         );
     }
-    publish_dataset(&merged, &out, outcome.resumed_from, &mut text)?;
     Ok(text)
 }
 
@@ -2563,13 +2524,14 @@ mod tests {
         let generated = tind_datagen::generate(&tind_datagen::GeneratorConfig::small(60, 4));
         let dataset = Arc::new(generated.dataset);
         let index = TindIndex::build(dataset.clone(), IndexConfig::default());
-        let input = "q derived-0-of-0 150 45\nstats\ntop derived-0-of-0 2\nbogus cmd\nquit\nq never-reached\n";
+        let input = "q derived-0-of-0 150 45\nq 3\nstats\ntop derived-0-of-0 2\nbogus cmd\nquit\nq never-reached\n";
         let transcript =
             super::explore_session(dataset, &index, std::io::Cursor::new(input.as_bytes()));
         assert!(transcript.contains("result(s) in"), "{transcript}");
         assert!(transcript.contains("attributes:"), "stats output missing: {transcript}");
         assert!(transcript.contains("violation"), "top output missing: {transcript}");
         assert!(transcript.contains("unrecognized command"), "{transcript}");
+        assert!(!transcript.contains("unknown attribute"), "ids resolve too: {transcript}");
         assert!(!transcript.contains("never-reached"), "quit must stop the loop");
     }
 
@@ -2742,6 +2704,43 @@ mod tests {
         let err = run(&["stats", "--data", "unused.tind", "--checkpoint", "x.tcp"])
             .expect_err("foreign option rejected");
         assert_eq!(err.exit_code(), 2);
+    }
+
+    /// `--decay` shapes the index `index` and `store pack` build, as it
+    /// does the one `search` builds; `top-k` ranks without ε and refuses
+    /// `--eps` rather than ignore it.
+    #[test]
+    fn sizing_flags_are_honoured_or_refused() {
+        let data = small_dataset("cli-decay.tind");
+        let dataset = Arc::new(read_dataset(data.as_ref()).expect("reads"));
+        let weights = WeightFn::exponential(0.9, dataset.timeline());
+        let params = TindParams::weighted(3.0, 7, weights);
+        for reverse in [false, true] {
+            let config = IndexConfig { m: 512, ..IndexConfig::for_params(&params, reverse) };
+            let built = tind_core::persist::encode_index(&TindIndex::build(dataset.clone(), config));
+            let reverse = reverse.to_string();
+            let sized = ["--decay", "0.9", "--m", "512", "--reverse", reverse.as_str()];
+            let idx = temp_file("cli-decay.tidx");
+            let idx_str = idx.to_str().expect("utf8");
+            run(&[&["index", "--data", &data, "--out", idx_str][..], &sized].concat())
+                .expect("indexes");
+            let indexed = std::fs::read(&idx).expect("index");
+            assert!(indexed == built, "index --reverse {reverse}: bytes differ");
+            let dir = temp_file(&format!("cli-decay-store-{reverse}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let dir_str = dir.to_str().expect("utf8");
+            run(&[&["store", "pack", "--data", &data, "--out", dir_str][..], &sized].concat())
+                .expect("packs");
+            let (packed, _) = open_store(&dir, dataset.clone()).expect("opens");
+            let packed = tind_core::persist::encode_index(&packed);
+            assert!(packed == built, "store pack --reverse {reverse}: bytes differ");
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_file(&idx).ok();
+        }
+        let err = run(&["top-k", "--data", &data, "--query", "0", "--eps", "1"])
+            .expect_err("top-k has no ε");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        std::fs::remove_file(&data).ok();
     }
 
     /// One well-formed page whose table grows monotonically — six
@@ -3032,6 +3031,47 @@ mod tests {
             .expect("cold index");
         assert_eq!(std::fs::read(&idx).expect("updated"), std::fs::read(&cold).expect("cold"));
         for f in [&dump, &base, &idx, &delta, &merged, &cold] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    /// `update --index` writes the dataset first, so a dataset that cannot
+    /// be written leaves the base (dataset, index) pair as it was; and an
+    /// `--out` over `--data` with the index rewritten in place, for which
+    /// no write order is safe, is refused before anything runs.
+    #[test]
+    fn update_never_strands_the_index() {
+        let dump = temp_file("cli-strand-base.xml");
+        let xml = format!("<mediawiki>\n{}\n</mediawiki>", ingest_page_xml("Alpha", 1));
+        std::fs::write(&dump, xml).expect("write base dump");
+        let base = temp_file("cli-strand-base.tind");
+        let base_str = base.to_str().expect("utf8");
+        run(&["ingest", "--dump", dump.to_str().expect("utf8"), "--out", base_str, "--quiet"])
+            .expect("base ingests");
+        let idx = temp_file("cli-strand.tix");
+        let idx_str = idx.to_str().expect("utf8");
+        run(&["index", "--data", base_str, "--out", idx_str, "--m", "256"]).expect("indexes");
+        let indexed = std::fs::read(&idx).expect("index");
+        let delta = temp_file("cli-strand-delta.xml");
+        let delta_xml = format!("<mediawiki>{}</mediawiki>", update_page_xml("Beta", 2, 6));
+        std::fs::write(&delta, delta_xml).expect("write delta dump");
+        let delta_str = delta.to_str().expect("utf8");
+
+        let missing = temp_file("cli-strand-no-such-dir").join("merged.tind");
+        let err = run(&["update", "--dump", delta_str, "--data", base_str, "--out",
+            missing.to_str().expect("utf8"), "--index", idx_str, "--quiet"])
+        .expect_err("the dataset cannot be written");
+        assert_eq!(err.exit_code(), 3, "{err}");
+        assert_eq!(std::fs::read(&idx).expect("index"), indexed, "the index is untouched");
+        run(&["search", "--data", base_str, "--index", idx_str, "--query", "0"])
+            .expect("the base pair still answers");
+
+        let err = run(&["update", "--dump", delta_str, "--data", base_str, "--out", base_str,
+            "--index", idx_str, "--quiet"])
+        .expect_err("no safe write order");
+        assert_eq!(err.exit_code(), 2, "{err}");
+        assert_eq!(std::fs::read(&idx).expect("index"), indexed, "nothing is written");
+        for f in [&dump, &base, &idx, &delta] {
             std::fs::remove_file(f).ok();
         }
     }

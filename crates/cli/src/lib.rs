@@ -51,15 +51,20 @@ COMMANDS:
                       [--trace FILE]    write a TINDTF trace of the query's
                                         stage 1–4 timeline (render: tind trace)
   reverse-search    reverse tIND search (who is contained in the query)
-                      same options as search
+                      --data FILE --query NAME-OR-ID
+                      [--eps DAYS=3] [--delta DAYS=7] [--decay A] [--limit K=20]
+                      [--build-threads T=0] [--report FILE]
   partial-search    σ-partial tIND search (future-work extension: only a
                     fraction σ of the LHS must be δ-contained per timestamp)
-                      same options as search, plus [--sigma S=0.8]
+                      --data FILE --query NAME-OR-ID [--sigma S=0.8]
+                      [--eps DAYS=3] [--delta DAYS=7] [--decay A] [--limit K=20]
   explain           show where and why a candidate (in)validates
                       --data FILE --lhs NAME-OR-ID --rhs NAME-OR-ID
                       [--eps DAYS=3] [--delta DAYS=7] [--decay A]
   top-k             rank right-hand sides by violation weight
                       --data FILE --query NAME-OR-ID [--k K=5] [--delta D=7] [--decay A]
+                      [--build-threads T=0]
+                    (no --eps: the ranking is by violation weight)
   all-pairs         discover all tINDs
                       --data FILE [--eps DAYS=3] [--delta DAYS=7] [--threads T]
                       [--checkpoint FILE]    periodically persist progress
@@ -88,13 +93,13 @@ COMMANDS:
                                              against a quarantine artifact
   index             build and persist an index file
                       --data FILE --out FILE [--m M=4096] [--eps E=3] [--delta D=7]
-                      [--reverse true] [--build-threads T=0] [--report FILE]
+                      [--decay A] [--reverse true] [--build-threads T=0] [--report FILE]
                     (search/reverse-search/top-k/explore accept --index FILE)
   store             crash-safe sharded index store (atomic commits, CRC-bound
                     arena shards that open zero-copy, corrupt-shard quarantine
                     and repair); a cache of the dataset — re-pack to regenerate
                       pack    --data FILE --out DIR [--shards N=auto] [--m M=4096]
-                              [--eps E=3] [--delta D=7] [--reverse true]
+                              [--eps E=3] [--delta D=7] [--decay A] [--reverse true]
                               [--index FILE]  re-shard a monolithic index file
                       verify  <DIR> (or --store DIR) — manifest + shard digests
                       repair  --store DIR --data FILE — rebuild quarantined
@@ -103,7 +108,7 @@ COMMANDS:
                     with quarantined shards opens degraded: live attributes
                     stay exact, masked ones are excluded until repair)
   explore           interactive query loop on stdin
-                      --data FILE [--index FILE]
+                      --data FILE [--index FILE] [--build-threads T=0]
   serve             fault-contained HTTP query daemon on a hot index
                       --data FILE [--host H=127.0.0.1] [--port P=7171]
                       [--store DIR]        load the index from a sharded store;

@@ -4,8 +4,11 @@
 //! The all-pairs problem is solved by querying every attribute against the
 //! index. As the paper notes at the end of §4.2.2, the profitable axis of
 //! parallelism is *across queries* (not within one query's validation):
-//! each query is one unit of the crate's parallel driver (`core::par`),
-//! and its pairs are merged into the run state as it completes.
+//! each query is one unit of the crate's parallel driver (`core::par`).
+//! This module holds the one pair driver: a cold run is the refresh of the
+//! delta ∅ → D, and [`crate::refresh_pairs`] is the same driver on a plan
+//! that probes the untouched queries. Each worker keeps what its queries
+//! found; the finds are merged when a round of queries ends.
 //!
 //! Because a paper-scale run takes hours, the discovery loop is built to
 //! survive the failures such runs actually meet:
@@ -28,20 +31,20 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use tind_bloom::BitVec;
 use tind_model::binio::BinIoError;
 use tind_model::{AttrId, MemoryBudget};
 
 use crate::cancel::{CancelReason, CancelToken};
 use crate::checkpoint::Checkpoint;
+use crate::delta::TouchedColumns;
 use crate::fault::FaultHook;
-use crate::index::TindIndex;
+use crate::index::{TindIndex, ValueBufs};
 use crate::par::Drain;
 use crate::params::TindParams;
-use crate::search::SearchOptions;
-use crate::sync::{into_inner, lock};
+use crate::search::{finish_search, run_search_scratch, SearchOptions, SearchStats};
 use crate::validate::ValidationScratch;
 
 /// When and where to persist progress checkpoints.
@@ -184,72 +187,220 @@ impl std::error::Error for AllPairsError {
     }
 }
 
-/// Mutable run state shared by the workers (behind one mutex; workers
-/// touch it once per completed query, which is far coarser than the
-/// per-candidate hot path inside a search).
-struct Shared {
-    state: Checkpoint,
-    since_checkpoint: usize,
-    since_progress: usize,
-    last_checkpoint_at: Instant,
-    checkpoint_written: bool,
-    checkpoint_error: Option<BinIoError>,
-    fresh_completed: usize,
-    /// Early-exit / timing aggregates for this call only — deliberately
-    /// *not* part of `state`: the checkpoint format stays unchanged and
-    /// these counters restart at zero on resume.
-    early_valid_exits: usize,
-    early_invalid_exits: usize,
-    validate_nanos: u64,
+/// What the pair driver does with each query. A query not in `queries` is
+/// skipped: completed in the resume checkpoint, or masked in a refresh. A
+/// query in it is searched in full, unless `touched` is set and does not
+/// hold it: such an untouched query of a refresh is probed against the
+/// touched columns and searched on only if a candidate survives.
+pub(crate) struct PairPlan<'a> {
+    /// The queries to run, ascending.
+    pub queries: Vec<AttrId>,
+    /// A refresh's touched attributes and their `M_T` columns; `None` in a
+    /// cold or resumed all-pairs run.
+    pub touched: Option<(&'a BitVec, &'a TouchedColumns)>,
 }
 
-impl Shared {
-    /// Sorts the accumulated sets so the state is a valid [`Checkpoint`].
-    fn normalize(&mut self) {
-        self.state.completed.sort_unstable();
-        self.state.poisoned.sort_unstable();
-        self.state.pairs.sort_unstable();
-    }
+/// The queries a drive ran and what they found: one worker's in a round,
+/// or the whole drive's on top of its base.
+#[derive(Default)]
+pub(crate) struct PairRun {
+    /// Completed and poisoned queries, pairs and validations.
+    pub state: Checkpoint,
+    /// Early exits and validation time; its other fields stay 0.
+    pub stats: SearchStats,
+    pub probe_survivors: usize,
+    /// The most workers any round ran.
+    pub threads: usize,
+    pub checkpoint_written: bool,
+}
 
-    fn write_checkpoint(&mut self, policy: &CheckpointPolicy) {
-        self.normalize();
-        match tind_model::binio::write_file(&self.state, &policy.path) {
-            Ok(()) => {
-                self.checkpoint_written = true;
-                self.since_checkpoint = 0;
-                self.last_checkpoint_at = Instant::now();
+impl PairRun {
+    /// Adds a worker's finds.
+    fn absorb(&mut self, found: PairRun) {
+        self.state.completed.extend(found.state.completed);
+        self.state.poisoned.extend(found.state.poisoned);
+        self.state.pairs.extend(found.state.pairs);
+        self.state.validations_run += found.state.validations_run;
+        self.stats.early_valid_exits += found.stats.early_valid_exits;
+        self.stats.early_invalid_exits += found.stats.early_invalid_exits;
+        self.stats.validate_nanos += found.stats.validate_nanos;
+        self.probe_survivors += found.probe_survivors;
+    }
+}
+
+/// One worker's finds and buffers across a round.
+struct Worker {
+    found: PairRun,
+    bufs: ValueBufs,
+    /// One bit per touched column; empty without a `touched` plan.
+    probe: BitVec,
+}
+
+/// The one pair driver: runs `plan` over `index` on top of `state` (the
+/// kept base: a resume checkpoint or an empty one) and returns the merged
+/// state, sorted. Queries are drained in rounds that end at each
+/// checkpoint or progress boundary of `options`, where the workers' finds
+/// are merged, the checkpoint written and the progress line printed; with
+/// neither asked for, the whole plan is one round. A cancel stops the
+/// drain at a query boundary; the final state is always checkpointed.
+pub(crate) fn drive(
+    index: &TindIndex,
+    params: &TindParams,
+    plan: &PairPlan<'_>,
+    state: Checkpoint,
+    options: &AllPairsOptions,
+    cancel: Option<&CancelToken>,
+) -> Result<PairRun, AllPairsError> {
+    let start = Instant::now();
+    let num_attrs = index.dataset().len();
+    let search = SearchOptions::default();
+    let run_query = |w: &mut Worker, scratch: &mut ValidationScratch, q: AttrId| {
+        let hist = index.dataset().attribute(q);
+        // Quarantine: a panicking query must not take down the drain. A
+        // scratch abandoned mid-pair is safe to reuse: the next pair's
+        // generation bump hides any stale counts.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(hook) = &options.fault_hook {
+                hook(q);
             }
-            Err(e) => self.checkpoint_error = Some(e.into()),
+            match plan.touched {
+                Some((touched, columns)) if !touched.get(q as usize) => {
+                    if !columns.probe(hist, params, &mut w.probe, &mut w.bufs) {
+                        return None;
+                    }
+                    w.found.probe_survivors += 1;
+                    let candidates = columns.expand(&w.probe, num_attrs);
+                    let required = &w.bufs.0;
+                    Some(finish_search(
+                        index, hist, Some(q), params, &search, required, candidates, scratch,
+                        None, options.trace,
+                    ))
+                }
+                _ => Some(run_search_scratch(
+                    index, hist, Some(q), params, &search, scratch, &mut w.bufs, options.trace,
+                )),
+            }
+        }));
+        let PairRun { state, stats, .. } = &mut w.found;
+        match outcome {
+            Ok(Some(outcome)) => {
+                state.validations_run += outcome.stats.validations_run;
+                stats.early_valid_exits += outcome.stats.early_valid_exits;
+                stats.early_invalid_exits += outcome.stats.early_invalid_exits;
+                stats.validate_nanos += outcome.stats.validate_nanos;
+                state.pairs.extend(outcome.results.into_iter().map(|rhs| (q, rhs)));
+            }
+            Ok(None) => {}
+            Err(_) => state.poisoned.push(q),
+        }
+        state.completed.push(q);
+    };
+    let new_worker = || Worker {
+        found: PairRun::default(),
+        bufs: ValueBufs::default(),
+        probe: plan.touched.map_or_else(|| BitVec::zeros(0), |(_, c)| c.probe_bits()),
+    };
+
+    let mut run = PairRun { state, ..PairRun::default() };
+    let every = options.checkpoint.as_ref().map_or(usize::MAX, |p| p.every.max(1));
+    let progress_every = if options.progress_every > 0 { options.progress_every } else { usize::MAX };
+    let (mut next, mut fresh, mut requested) = (0, 0, 1);
+    let (mut since_checkpoint, mut since_progress, mut last_checkpoint_at) = (0, 0, start);
+    let pairs_found = tind_obs::counter("allpairs.pairs");
+    let poisoned = tind_obs::counter("allpairs.poisoned");
+    let queries_completed = tind_obs::counter("allpairs.queries_completed");
+    loop {
+        let len = (plan.queries.len() - next)
+            .min(every - since_checkpoint)
+            .min(progress_every - since_progress);
+        let round = &plan.queries[next..next + len];
+        let drained = Drain {
+            units: len,
+            threads: options.threads,
+            budget: options.memory_budget.as_ref(),
+            worker_bytes: ValidationScratch::worker_bytes(index.dataset()),
+            cancel,
+        }
+        .run(new_worker, |w, scratch, i| run_query(w, scratch, round[i]))
+        .map_err(|_| AllPairsError::Internal("all-pairs worker panicked outside quarantine"))?;
+        requested = requested.max(drained.requested);
+        run.threads = run.threads.max(drained.threads);
+
+        let before = run.state.completed.len();
+        for w in drained.states {
+            pairs_found.add(w.found.state.pairs.len() as u64);
+            poisoned.add(w.found.state.poisoned.len() as u64);
+            run.absorb(w.found);
+        }
+        let ran = run.state.completed.len() - before;
+        queries_completed.add(ran as u64);
+        (next, fresh) = (next + len, fresh + ran);
+        (since_checkpoint, since_progress) = (since_checkpoint + ran, since_progress + ran);
+        // Only a cancel leaves a round's queries unclaimed. The last
+        // round's checkpoint is the final one below.
+        let last = ran < len || next == plan.queries.len();
+        if since_checkpoint == every && !last {
+            write_checkpoint(&mut run, options)?;
+            (since_checkpoint, last_checkpoint_at) = (0, Instant::now());
+        }
+        if since_progress == progress_every {
+            since_progress = 0;
+            eprintln!("{}", progress_line(&run, fresh, start, last_checkpoint_at));
+        }
+        if last {
+            break;
         }
     }
-
-    fn progress_line(&self, started: Instant) -> String {
-        let done = self.state.completed.len();
-        let total = self.state.total_queries;
-        let elapsed = started.elapsed();
-        // Rate and ETA use the shared obs formatting so this line matches
-        // the ingest/search progress shapes exactly.
-        let rate = tind_obs::fmt_rate(self.fresh_completed as u64, elapsed.as_secs_f64(), "queries");
-        let eta = if self.fresh_completed > 0 && done < total {
-            let per_query = elapsed.as_secs_f64() / self.fresh_completed as f64;
-            tind_obs::fmt_eta_secs(per_query * (total - done) as f64)
-        } else {
-            "~? left".to_string()
-        };
-        let ckpt_age = if self.checkpoint_written {
-            format!("{:.0}s", self.last_checkpoint_at.elapsed().as_secs_f64())
-        } else {
-            "none".to_string()
-        };
-        format!(
-            "all-pairs: {done}/{total} queries, {} pairs, {} poisoned, {rate}, {eta}, checkpoint age {ckpt_age}",
-            self.state.pairs.len(),
-            self.state.poisoned.len(),
-        )
-    }
+    tind_obs::gauge("allpairs.workers_requested").set(requested as f64);
+    tind_obs::gauge("allpairs.workers_granted").set(run.threads as f64);
+    // Final checkpoint so a cancelled (or just-finished) run can always be
+    // resumed/inspected, even when the interval had not elapsed.
+    write_checkpoint(&mut run, options)?;
+    Ok(run)
 }
 
-/// Discovers every valid tIND among the indexed attributes.
+/// Sorts the merged state into a valid [`Checkpoint`] and, when `options`
+/// asks for checkpoints, writes it.
+fn write_checkpoint(run: &mut PairRun, options: &AllPairsOptions) -> Result<(), AllPairsError> {
+    run.state.completed.sort_unstable();
+    run.state.poisoned.sort_unstable();
+    run.state.pairs.sort_unstable();
+    if let Some(policy) = &options.checkpoint {
+        tind_model::binio::write_file(&run.state, &policy.path)
+            .map_err(|e| AllPairsError::CheckpointWrite(e.into()))?;
+        run.checkpoint_written = true;
+    }
+    Ok(())
+}
+
+/// The progress line after `fresh` queries of this call.
+fn progress_line(run: &PairRun, fresh: usize, started: Instant, checkpointed: Instant) -> String {
+    let (done, total) = (run.state.completed.len(), run.state.total_queries);
+    let elapsed = started.elapsed();
+    // Rate and ETA use the shared obs formatting so this line matches the
+    // ingest/search progress shapes exactly.
+    let rate = tind_obs::fmt_rate(fresh as u64, elapsed.as_secs_f64(), "queries");
+    let eta = if fresh > 0 && done < total {
+        let per_query = elapsed.as_secs_f64() / fresh as f64;
+        tind_obs::fmt_eta_secs(per_query * (total - done) as f64)
+    } else {
+        "~? left".to_string()
+    };
+    let ckpt_age = if run.checkpoint_written {
+        format!("{:.0}s", checkpointed.elapsed().as_secs_f64())
+    } else {
+        "none".to_string()
+    };
+    format!(
+        "all-pairs: {done}/{total} queries, {} pairs, {} poisoned, {rate}, {eta}, checkpoint age {ckpt_age}",
+        run.state.pairs.len(),
+        run.state.poisoned.len(),
+    )
+}
+
+/// Discovers every valid tIND among the indexed attributes: the pair
+/// driver with every query not completed in the resume checkpoint searched
+/// in full — the refresh of the delta ∅ → D.
 ///
 /// With default options this behaves like the original exhaustive pass.
 /// See [`AllPairsOptions`] for checkpointing, resume, cancellation,
@@ -265,7 +416,7 @@ pub fn discover_all_pairs(
     let start = Instant::now();
     let num_attrs = index.dataset().len();
 
-    // Resume state: mark already-completed queries so workers skip them.
+    // The kept base: the resume checkpoint's completed queries and pairs.
     let base = match &options.resume_from {
         Some(cp) => {
             cp.verify_matches(index.dataset(), params)
@@ -279,6 +430,10 @@ pub fn discover_all_pairs(
     for &q in &base.completed {
         done[q as usize] = true;
     }
+    let plan = PairPlan {
+        queries: (0..num_attrs as AttrId).filter(|&q| !done[q as usize]).collect(),
+        touched: None,
+    };
 
     // One token is the single source of truth for "why we stopped": the
     // caller's cancel flag (if any) with the wall-clock deadline folded
@@ -292,104 +447,8 @@ pub fn discover_all_pairs(
             None => base,
         }
     };
-    let shared = Mutex::new(Shared {
-        state: base,
-        since_checkpoint: 0,
-        since_progress: 0,
-        last_checkpoint_at: start,
-        checkpoint_written: false,
-        checkpoint_error: None,
-        fresh_completed: 0,
-        early_valid_exits: 0,
-        early_invalid_exits: 0,
-        validate_nanos: 0,
-    });
-
-    let pairs_found = tind_obs::counter("allpairs.pairs");
-    let poisoned = tind_obs::counter("allpairs.poisoned");
-    let queries_completed = tind_obs::counter("allpairs.queries_completed");
-    // One unit is one query; the worker's scratch (dense window union and
-    // cached weight table) is reused across every query it claims.
-    let run_query = |_: &mut (), scratch: &mut ValidationScratch, q: usize| {
-        if done[q] {
-            return;
-        }
-        // Quarantine: a panicking query must not take down the drain —
-        // record it and keep draining. A scratch abandoned mid-pair is
-        // safe to reuse: the next pair's generation bump hides any stale
-        // counts.
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = &options.fault_hook {
-                hook(q as AttrId);
-            }
-            crate::search::run_search_scratch(
-                index,
-                index.dataset().attribute(q as AttrId),
-                Some(q as AttrId),
-                params,
-                &SearchOptions::default(),
-                scratch,
-                options.trace,
-            )
-        }));
-
-        let mut s = lock(&shared);
-        match result {
-            Ok(outcome) => {
-                s.state.validations_run += outcome.stats.validations_run;
-                s.early_valid_exits += outcome.stats.early_valid_exits;
-                s.early_invalid_exits += outcome.stats.early_invalid_exits;
-                s.validate_nanos += outcome.stats.validate_nanos;
-                pairs_found.add(outcome.results.len() as u64);
-                s.state.pairs.extend(outcome.results.into_iter().map(|rhs| (q as AttrId, rhs)));
-            }
-            Err(_) => {
-                poisoned.incr();
-                s.state.poisoned.push(q as AttrId);
-            }
-        }
-        queries_completed.incr();
-        s.state.completed.push(q as AttrId);
-        s.fresh_completed += 1;
-        s.since_checkpoint += 1;
-        s.since_progress += 1;
-        if let Some(policy) = &options.checkpoint {
-            if s.since_checkpoint >= policy.every && s.checkpoint_error.is_none() {
-                s.write_checkpoint(policy);
-            }
-        }
-        if options.progress_every > 0 && s.since_progress >= options.progress_every {
-            s.since_progress = 0;
-            eprintln!("{}", s.progress_line(start));
-        }
-    };
-    let drained = Drain {
-        units: num_attrs,
-        threads: options.threads,
-        budget: options.memory_budget.as_ref(),
-        worker_bytes: ValidationScratch::worker_bytes(index.dataset()),
-        cancel: Some(&effective_cancel),
-    }
-    .run(|| (), run_query)
-    .map_err(|_| AllPairsError::Internal("all-pairs worker panicked outside quarantine"))?;
-    tind_obs::gauge("allpairs.workers_requested").set(drained.requested as f64);
-    tind_obs::gauge("allpairs.workers_granted").set(drained.threads as f64);
-
-    let mut s = into_inner(shared);
-    if let Some(e) = s.checkpoint_error.take() {
-        return Err(AllPairsError::CheckpointWrite(e));
-    }
-    s.normalize();
-    // Final checkpoint so a cancelled (or just-finished) run can always be
-    // resumed/inspected, even when the interval had not elapsed.
-    if let Some(policy) = &options.checkpoint {
-        s.write_checkpoint(policy);
-        if let Some(e) = s.checkpoint_error.take() {
-            return Err(AllPairsError::CheckpointWrite(e));
-        }
-    }
-    let completed_queries = s.state.completed.len();
-    // Only a cancel leaves queries unclaimed.
+    let run = drive(index, params, &plan, base, options, Some(&effective_cancel))?;
+    let completed_queries = run.state.completed.len();
     let cancelled = completed_queries < num_attrs;
     let stop_reason = if cancelled { effective_cancel.reason() } else { None };
     if let Some(budget) = options.memory_budget.as_ref() {
@@ -397,20 +456,20 @@ pub fn discover_all_pairs(
         tind_obs::gauge("memory.limit_bytes").set(budget.limit_bytes() as f64);
     }
     Ok(AllPairsOutcome {
-        pairs: s.state.pairs,
+        pairs: run.state.pairs,
         elapsed: start.elapsed(),
-        validations_run: s.state.validations_run,
+        validations_run: run.state.validations_run,
         total_queries: num_attrs,
         completed_queries,
         resumed_queries,
-        poisoned_queries: s.state.poisoned,
+        poisoned_queries: run.state.poisoned,
         cancelled,
         stop_reason,
-        threads_used: drained.threads,
-        checkpoint_written: s.checkpoint_written,
-        early_valid_exits: s.early_valid_exits,
-        early_invalid_exits: s.early_invalid_exits,
-        validate_nanos: s.validate_nanos,
+        threads_used: run.threads,
+        checkpoint_written: run.checkpoint_written,
+        early_valid_exits: run.stats.early_valid_exits,
+        early_invalid_exits: run.stats.early_invalid_exits,
+        validate_nanos: run.stats.validate_nanos,
     })
 }
 

@@ -43,8 +43,9 @@ pub fn params_digest(params: &TindParams) -> u64 {
     tind_model::hash::hash_bytes(w.as_slice())
 }
 
-/// Persistent snapshot of an all-pairs run's progress.
-#[derive(Debug, Clone, PartialEq)]
+/// Persistent snapshot of an all-pairs run's progress. The default is the
+/// empty state bound to no dataset, which a refresh drives from.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     /// Fingerprint of the dataset the run was started over.
     pub dataset_fingerprint: u64,

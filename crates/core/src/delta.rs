@@ -78,18 +78,16 @@
 //! ([`RefreshReport::probe_survivors`]), and the rest allocate nothing.
 
 use std::collections::BTreeSet;
-use std::panic::resume_unwind;
 use std::sync::Arc;
 
 use tind_bloom::{BitVec, BloomFilter, BloomMatrix, BloomMatrixBuilder};
-use tind_model::{AttrId, AttributeHistory, Dataset, Timeline, Timestamp, ValueId, ValueSet};
+use tind_model::{AttrId, AttributeHistory, Dataset, Timestamp, ValueId, ValueSet};
 
+use crate::allpairs::{drive, AllPairsOptions, PairPlan};
+use crate::checkpoint::Checkpoint;
 use crate::index::{ColumnContents, TindIndex, ValueBufs};
-use crate::par::Drain;
 use crate::params::{TindParams, EPS_TOLERANCE};
-use crate::required::required_values;
-use crate::search::{finish_search, initial_candidates, record_search_metrics, SearchOptions};
-use crate::validate::ValidationScratch;
+use crate::required::required_values_into;
 
 /// Errors from computing or applying a dataset delta.
 #[derive(Debug)]
@@ -336,7 +334,6 @@ impl TindIndex {
 
         let new = Arc::clone(delta.new_dataset());
         let new_len = new.len();
-        let timeline = new.timeline();
         let grew = new_len > old_len;
         if grew {
             self.m_t.grow_cols(new_len);
@@ -349,12 +346,8 @@ impl TindIndex {
             self.universes.resize(new_len, ValueSet::new());
         }
 
-        let columns = ColumnContents::new(
-            &self.config,
-            timeline,
-            self.time_slices.iter().map(|s| s.expanded).collect(),
-            self.m_r.is_some(),
-        );
+        let expanded = self.time_slices.iter().map(|s| s.expanded).collect();
+        let columns = ColumnContents::new(&self.config, expanded, self.m_r.is_some());
         let (m, k) = (self.config.m, self.config.k_hashes);
         // Moves one column from the value set it was built from to the one
         // a cold build would give it now; an unchanged set costs a compare.
@@ -457,7 +450,7 @@ pub struct RefreshReport {
 /// non-negative version weights, so it is at least this one), which makes
 /// the set a sound stage-1 probe that needs no per-value weight map. `None`
 /// when no single version is heavy enough — the caller must then fall back
-/// to [`required_values`], never guess.
+/// to [`crate::required::required_values`], never guess.
 fn heaviest_version_values<'a>(
     q: &'a AttributeHistory,
     params: &TindParams,
@@ -473,7 +466,7 @@ fn heaviest_version_values<'a>(
 /// The live touched columns of `M_T`, gathered into a `T`-column matrix
 /// that the untouched queries of a refresh probe instead of `M_T`: column
 /// `j` is attribute `ids[j]`'s.
-struct TouchedColumns {
+pub(crate) struct TouchedColumns {
     /// Live touched attributes, ascending.
     ids: Vec<AttrId>,
     matrix: BloomMatrix,
@@ -492,17 +485,22 @@ impl TouchedColumns {
         TouchedColumns { ids, matrix: builder.build() }
     }
 
+    /// One probe bit per column.
+    pub(crate) fn probe_bits(&self) -> BitVec {
+        BitVec::zeros(self.ids.len())
+    }
+
     /// Stage 1 of an untouched query against the touched columns only:
-    /// `probe` (one bit per column, reset here) ends up holding exactly the
-    /// touched candidates a `|D|`-wide pass over `M_T` would leave. Returns
-    /// the required values when a candidate survives, `None` when none do.
-    fn probe(
+    /// `probe` (reset here) ends up holding exactly the touched candidates
+    /// a `|D|`-wide pass over `M_T` would leave. Whether a candidate
+    /// survives; if one does, `bufs.0` holds `q`'s required values.
+    pub(crate) fn probe(
         &self,
         q: &AttributeHistory,
         params: &TindParams,
-        timeline: Timeline,
         probe: &mut BitVec,
-    ) -> Option<ValueSet> {
+        bufs: &mut ValueBufs,
+    ) -> bool {
         probe.set_all();
         // The heaviest version first: it needs no weight map, and almost
         // every untouched query shares nothing with the touched columns.
@@ -510,48 +508,21 @@ impl TouchedColumns {
             self.matrix.narrow_to_supersets_of_values(values, probe);
         }
         if probe.is_zero() {
-            return None;
+            return false;
         }
-        let required = required_values(q, params, timeline);
-        self.matrix.narrow_to_supersets_of_values(&required, probe);
-        (!probe.is_zero()).then_some(required)
+        required_values_into(q, params, &mut bufs.0, &mut bufs.2);
+        self.matrix.narrow_to_supersets_of_values(&bufs.0, probe);
+        !probe.is_zero()
     }
 
     /// `probe`'s surviving columns as a `|D|`-wide candidate set.
-    fn expand(&self, probe: &BitVec, num_attrs: usize) -> BitVec {
+    pub(crate) fn expand(&self, probe: &BitVec, num_attrs: usize) -> BitVec {
         let mut candidates = BitVec::zeros(num_attrs);
         for col in probe.iter_ones() {
             candidates.set(self.ids[col] as usize);
         }
         candidates
     }
-}
-
-/// Stages 2–4 of the standard pipeline for query `q`, from candidates
-/// already narrowed by `required`.
-fn finish(
-    index: &TindIndex,
-    q: AttrId,
-    params: &TindParams,
-    required: &[ValueId],
-    candidates: BitVec,
-    scratch: &mut ValidationScratch,
-) -> Vec<AttrId> {
-    let hist = index.dataset().attribute(q);
-    let outcome = finish_search(
-        index,
-        hist,
-        Some(q),
-        params,
-        &SearchOptions::default(),
-        required,
-        candidates,
-        scratch,
-        None,
-        None,
-    );
-    record_search_metrics(&outcome.stats);
-    outcome.results
 }
 
 /// Semi-naive maintenance of an all-pairs result set across a delta.
@@ -570,9 +541,10 @@ fn finish(
 ///   restricting the seed set cannot create false positives, and
 ///   validation is authoritative for everything that survives).
 ///
-/// The queries are drained over `threads` workers, `0` meaning one per
-/// available CPU (at most one per query). The result is independent of
-/// `threads` (pair-set union is order-insensitive).
+/// This is the pair driver of [`crate::allpairs`] run on a plan, over
+/// `threads` workers, `0` meaning one per available CPU (at most one per
+/// query). The result is independent of `threads` (pair-set union is
+/// order-insensitive). A query whose search panics panics the refresh.
 pub fn refresh_pairs(
     index: &TindIndex,
     pairs: &mut BTreeSet<(AttrId, AttrId)>,
@@ -585,81 +557,41 @@ pub fn refresh_pairs(
         return RefreshReport::default(); // nothing can have changed
     }
     let num_attrs = index.dataset().len();
-    let timeline = index.dataset().timeline();
     let mut touched_bits = BitVec::zeros(num_attrs);
     for &id in touched {
         touched_bits.set(id as usize);
     }
     // The candidate seed of every untouched query: touched and not masked.
-    let live: Vec<AttrId> = touched_bits
-        .iter_ones()
-        .map(|id| id as AttrId)
-        .filter(|&id| !index.is_masked(id))
-        .collect();
-    let touched_columns = TouchedColumns::new(index, live);
+    let live = touched_bits.iter_ones().map(|id| id as AttrId).filter(|&id| !index.is_masked(id));
+    let touched_columns = TouchedColumns::new(index, live.collect());
 
+    // The base pairs kept: those with no touched side.
     let before = pairs.len();
     pairs.retain(|&(q, a)| !touched_bits.get(q as usize) && !touched_bits.get(a as usize));
     let pairs_dropped = before - pairs.len();
 
-    let queries: Vec<AttrId> = (0..num_attrs as AttrId).filter(|&q| !index.is_masked(q)).collect();
-    let full_queries = queries.iter().filter(|&&q| touched_bits.get(q as usize)).count();
-    let restricted_queries = queries.len() - full_queries;
-    // Each worker keeps its own probe bits, survivor count and found pairs.
-    struct Worker {
-        probe: BitVec,
-        survivors: usize,
-        found: Vec<(AttrId, AttrId)>,
-    }
-    let refresh_query = |w: &mut Worker, scratch: &mut ValidationScratch, i: usize| {
-        let q = queries[i];
-        let hist = index.dataset().attribute(q);
-        let found = if touched_bits.get(q as usize) {
-            let required = required_values(hist, params, timeline);
-            let mut candidates = initial_candidates(index, Some(q));
-            if !required.is_empty() {
-                let qf = index.m_t().query_filter(&required);
-                index.m_t().narrow_to_supersets(&qf, &mut candidates);
-            }
-            finish(index, q, params, &required, candidates, scratch)
-        } else {
-            let Some(required) = touched_columns.probe(hist, params, timeline, &mut w.probe) else {
-                return;
-            };
-            w.survivors += 1;
-            let candidates = touched_columns.expand(&w.probe, num_attrs);
-            finish(index, q, params, &required, candidates, scratch)
-        };
-        w.found.extend(found.into_iter().map(|a| (q, a)));
+    let plan = PairPlan {
+        queries: (0..num_attrs as AttrId).filter(|&q| !index.is_masked(q)).collect(),
+        touched: Some((&touched_bits, &touched_columns)),
     };
-    let new_worker = || Worker {
-        probe: BitVec::zeros(touched_columns.ids.len()),
-        survivors: 0,
-        found: Vec::new(),
-    };
-    let drained =
-        Drain { units: queries.len(), threads, budget: None, worker_bytes: 0, cancel: None }
-            .run(new_worker, refresh_query)
-            .unwrap_or_else(|panic| resume_unwind(panic));
+    let full_queries = plan.queries.iter().filter(|&&q| touched_bits.get(q as usize)).count();
+    let options = AllPairsOptions { threads, ..AllPairsOptions::default() };
+    let run = drive(index, params, &plan, Checkpoint::default(), &options, None)
+        .unwrap_or_else(|e| panic!("refresh_pairs: {e}"));
+    let poisoned = &run.state.poisoned;
+    assert!(poisoned.is_empty(), "refresh_pairs: the searches of queries {poisoned:?} panicked");
 
-    let mut pairs_added = 0usize;
-    let mut probe_survivors = 0usize;
-    for worker in drained.states {
-        probe_survivors += worker.survivors;
-        for pair in worker.found {
-            pairs_added += usize::from(pairs.insert(pair));
-        }
-    }
+    let pairs_added = run.state.pairs.into_iter().filter(|&pair| pairs.insert(pair)).count();
     tind_obs::counter("delta.pairs_dropped").add(pairs_dropped as u64);
     tind_obs::counter("delta.pairs_added").add(pairs_added as u64);
-    tind_obs::counter("delta.refresh_probe_survivors").add(probe_survivors as u64);
+    tind_obs::counter("delta.refresh_probe_survivors").add(run.probe_survivors as u64);
     RefreshReport {
         pairs_dropped,
         pairs_added,
         full_queries,
-        restricted_queries,
-        probe_survivors,
-        threads_used: drained.threads,
+        restricted_queries: plan.queries.len() - full_queries,
+        probe_survivors: run.probe_survivors,
+        threads_used: run.threads,
     }
 }
 
@@ -670,7 +602,7 @@ mod tests {
     use crate::index::{IndexConfig, MaskedShard, ShardMask};
     use crate::persist::encode_index;
     use tind_model::binio::{decode_dataset, encode_dataset};
-    use tind_model::DatasetBuilder;
+    use tind_model::{DatasetBuilder, Timeline};
 
     /// Base dataset: 70 attributes (crosses a 64-column block boundary)
     /// over interned ids with overlapping value sets.

@@ -23,13 +23,13 @@ use std::sync::{Arc, Mutex};
 use tind_model::rng::Rng;
 use tind_bloom::{BitVec, BloomMatrix, BloomMatrixBuilder, BloomTile, TILE_WORDS};
 use tind_model::{
-    AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, Timeline, ValueId, ValueSet,
+    AttrId, AttributeHistory, Dataset, Interval, MemoryBudget, ValueId, ValueSet,
     WeightFn,
 };
 
 use crate::par::Drain;
 use crate::params::TindParams;
-use crate::required::required_values;
+use crate::required::{required_values_into, WeightBufs};
 use crate::search::{self, SearchOutcome};
 use crate::slices::{select_slices, SliceConfig};
 use crate::sync::lock;
@@ -78,6 +78,24 @@ impl IndexConfig {
             slices: SliceConfig::reverse_default(3.0, WeightFn::constant_one(), 7),
             seed: 0x7e1d_0002,
             build_reverse: true,
+        }
+    }
+
+    /// The index searches under `params` run on, forward or `reverse`:
+    /// that direction's default, its slices sized for the query's ε and w
+    /// and supporting its δ.
+    pub fn for_params(params: &TindParams, reverse: bool) -> Self {
+        let (eps, weights, delta) = (params.eps, params.weights.clone(), params.delta);
+        if reverse {
+            IndexConfig {
+                slices: SliceConfig::reverse_default(eps, weights, delta),
+                ..IndexConfig::reverse_default()
+            }
+        } else {
+            IndexConfig {
+                slices: SliceConfig::search_default(eps, weights, delta),
+                ..IndexConfig::default()
+            }
         }
     }
 }
@@ -239,10 +257,11 @@ pub struct TindIndex {
     pub(crate) masked: Option<Arc<ShardMask>>,
 }
 
-/// A buffer pair a column's value set is rendered into: the set lands in
-/// `.0`, and `.1` is the merge's second buffer
-/// ([`AttributeHistory::values_in_into`]).
-pub(crate) type ValueBufs = (ValueSet, ValueSet);
+/// The buffers a column's value set is rendered into: the set lands in
+/// `.0`, `.1` is the merge's second buffer
+/// ([`AttributeHistory::values_in_into`]), and `.2` holds the occurrence
+/// weights an `M_R` column is filtered from.
+pub(crate) type ValueBufs = (ValueSet, ValueSet, WeightBufs);
 
 /// What column `j` of each index matrix holds — the one definition that
 /// build, delta maintenance and store repair all render from. Targets are
@@ -253,7 +272,6 @@ pub(crate) type ValueBufs = (ValueSet, ValueSet);
 /// * `M_R`: its required values under the index-time sizing (ε, w).
 #[derive(Debug)]
 pub(crate) struct ColumnContents {
-    timeline: Timeline,
     /// `I_i^δ` of each slice target.
     expanded: Vec<Interval>,
     /// The sizing parameters `M_R` is rendered with; `None` without `M_R`.
@@ -261,16 +279,11 @@ pub(crate) struct ColumnContents {
 }
 
 impl ColumnContents {
-    pub(crate) fn new(
-        config: &IndexConfig,
-        timeline: Timeline,
-        expanded: Vec<Interval>,
-        with_m_r: bool,
-    ) -> Self {
+    pub(crate) fn new(config: &IndexConfig, expanded: Vec<Interval>, with_m_r: bool) -> Self {
         let sizing = with_m_r.then(|| {
             TindParams::weighted(config.slices.sizing_eps, 0, config.slices.sizing_weights.clone())
         });
-        ColumnContents { timeline, expanded, sizing }
+        ColumnContents { expanded, sizing }
     }
 
     /// `M_T`, the slices, and `M_R` if present.
@@ -286,13 +299,13 @@ impl ColumnContents {
         hist: &AttributeHistory,
         bufs: &mut ValueBufs,
     ) {
-        let (out, spare) = bufs;
+        let (out, spare, weights) = bufs;
         match (target, &self.sizing) {
             (0, _) => hist.values_in_into(hist.observation(), out, spare),
             (t, _) if t <= self.expanded.len() => {
                 hist.values_in_into(self.expanded[t - 1], out, spare)
             }
-            (_, Some(sizing)) => *out = required_values(hist, sizing, self.timeline),
+            (_, Some(sizing)) => required_values_into(hist, sizing, out, weights),
             (t, None) => panic!("target {t} is past the slices of an index without M_R"),
         }
     }
@@ -408,7 +421,7 @@ impl TindIndex {
         let timeline = dataset.timeline();
         let expanded =
             intervals.iter().map(|i| i.expand(config.slices.max_delta, timeline)).collect();
-        let columns = ColumnContents::new(config, timeline, expanded, config.build_reverse);
+        let columns = ColumnContents::new(config, expanded, config.build_reverse);
         (intervals, columns)
     }
 
@@ -591,7 +604,8 @@ impl TindIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tind_model::{DatasetBuilder, ValueId};
+    use crate::required::required_values;
+    use tind_model::{DatasetBuilder, Timeline, ValueId};
 
     fn dataset() -> Arc<Dataset> {
         let mut b = DatasetBuilder::new(Timeline::new(60));

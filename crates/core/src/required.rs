@@ -13,25 +13,36 @@ use tind_model::{AttributeHistory, Timeline, ValueId, ValueSet};
 
 use crate::params::{TindParams, EPS_TOLERANCE};
 
+/// The buffers [`required_values_into`] merges occurrence weights in: the
+/// running sums land in `.0`, and `.1` is the merge's second buffer.
+pub(crate) type WeightBufs = (Vec<(ValueId, f64)>, Vec<(ValueId, f64)>);
+
 /// Summed occurrence weight `w_v(Q)` for every value of `Q` (Equation 6),
 /// sorted by value.
-///
-/// A merge of each version's sorted values into the running sums, in
-/// version order, so every sum adds the same weights in the same order as
-/// a per-value fold over the versions would.
 pub fn occurrence_weights(
     q: &AttributeHistory,
     params: &TindParams,
     timeline: Timeline,
 ) -> Vec<(ValueId, f64)> {
     let _ = timeline; // validity intervals are already clipped to the timeline
-    let mut sums: Vec<(ValueId, f64)> = Vec::new();
-    let mut merged: Vec<(ValueId, f64)> = Vec::new();
+    let mut bufs = WeightBufs::default();
+    occurrence_weights_into(q, params, &mut bufs);
+    bufs.0
+}
+
+/// [`occurrence_weights`] into `bufs.0`, allocating nothing once the two
+/// buffers are warm.
+///
+/// A merge of each version's sorted values into the running sums, in
+/// version order, so every sum adds the same weights in the same order as
+/// a per-value fold over the versions would.
+fn occurrence_weights_into(q: &AttributeHistory, params: &TindParams, bufs: &mut WeightBufs) {
+    let (sums, merged) = bufs;
+    sums.clear();
     for (i, version) in q.versions().iter().enumerate() {
         let w = params.weights.interval_weight(q.version_validity(i));
         let values = &version.values;
         merged.clear();
-        merged.reserve(sums.len() + values.len());
         // A value's first sum starts from zero, as a fold's would.
         let (mut a, mut b) = (0, 0);
         while a < sums.len() && b < values.len() {
@@ -54,9 +65,8 @@ pub fn occurrence_weights(
         }
         merged.extend_from_slice(&sums[a..]);
         merged.extend(values[b..].iter().map(|&n| (n, 0.0 + w)));
-        std::mem::swap(&mut sums, &mut merged);
+        std::mem::swap(sums, merged);
     }
-    sums
 }
 
 /// The required values `R_{ε,w}(Q) = {v | w_v(Q) > ε}` (Equation 7), as a
@@ -71,11 +81,23 @@ pub fn required_values(
     params: &TindParams,
     timeline: Timeline,
 ) -> ValueSet {
-    occurrence_weights(q, params, timeline)
-        .into_iter()
-        .filter(|&(_, w)| w > params.eps + EPS_TOLERANCE)
-        .map(|(v, _)| v)
-        .collect()
+    let _ = timeline; // as for `occurrence_weights`
+    let mut out = ValueSet::new();
+    required_values_into(q, params, &mut out, &mut WeightBufs::default());
+    out
+}
+
+/// [`required_values`] into `out`, the weights merged in `weights`: once
+/// the caller's buffers are warm, nothing is allocated.
+pub(crate) fn required_values_into(
+    q: &AttributeHistory,
+    params: &TindParams,
+    out: &mut ValueSet,
+    weights: &mut WeightBufs,
+) {
+    occurrence_weights_into(q, params, weights);
+    out.clear();
+    out.extend(weights.0.iter().filter(|&&(_, w)| w > params.eps + EPS_TOLERANCE).map(|&(v, _)| v));
 }
 
 #[cfg(test)]
@@ -192,6 +214,7 @@ mod tests {
             }
             let q = b.finish(rng.range(last_start..n));
             let piecewise: Vec<f64> = (0..n).map(|_| rng.f64() * 3.0).collect();
+            let mut dirty: (ValueSet, WeightBufs) = (vec![7, 9], (vec![(1, 2.0)], vec![(3, 4.0)]));
             for weights in [
                 WeightFn::constant_one(),
                 WeightFn::uniform_normalized(tl),
@@ -210,6 +233,9 @@ mod tests {
                     .map(|(v, _)| v)
                     .collect();
                 assert_eq!(required_values(&q, &p, tl), required);
+                // Warm buffers holding another query's sets change nothing.
+                required_values_into(&q, &p, &mut dirty.0, &mut dirty.1);
+                assert_eq!(dirty.0, required);
             }
         });
     }

@@ -27,10 +27,10 @@ use tind_model::hash::FastMap;
 use tind_model::{AttrId, AttributeHistory, MemoryBudget, ValueId, ValueSet};
 
 use crate::cancel::CancelToken;
-use crate::index::TindIndex;
+use crate::index::{TindIndex, ValueBufs};
 use crate::par::Drain;
 use crate::params::TindParams;
-use crate::required::required_values;
+use crate::required::{required_values, required_values_into};
 use crate::sync::{into_inner, lock};
 use crate::validate::{naive_validate, with_thread_scratch, PlanSource, QueryPlan, ValidationScratch};
 
@@ -223,12 +223,17 @@ pub(crate) fn run_search_with(
     params: &TindParams,
     options: &SearchOptions,
 ) -> SearchOutcome {
-    with_thread_scratch(|scratch| run_search_scratch(index, q, exclude, params, options, scratch, None))
+    let mut bufs = ValueBufs::default();
+    with_thread_scratch(|scratch| {
+        run_search_scratch(index, q, exclude, params, options, scratch, &mut bufs, None)
+    })
 }
 
-/// [`run_search_with`] against a caller-owned [`ValidationScratch`] — the
-/// entry point for loops that issue many queries from one worker thread
-/// (all-pairs, batch search) and want zero per-query allocation in stage 4.
+/// [`run_search_with`] against a caller-owned [`ValidationScratch`] and
+/// required-value buffers — the entry point for loops that issue many
+/// queries from one worker (the pair driver) and want no per-query
+/// allocation in stages 1 and 4.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_search_scratch(
     index: &TindIndex,
     q: &AttributeHistory,
@@ -236,24 +241,25 @@ pub(crate) fn run_search_scratch(
     params: &TindParams,
     options: &SearchOptions,
     scratch: &mut ValidationScratch,
+    bufs: &mut ValueBufs,
     trace: Option<tind_obs::TraceContext>,
 ) -> SearchOutcome {
     let _query_span = tind_obs::span("core.search.query");
     let query_trace = tind_obs::TraceSpan::start(trace, "core.search.query");
     let trace = query_trace.child_ctx();
-    let timeline = index.dataset().timeline();
     let mut candidates = initial_candidates(index, exclude);
 
     // Stage 1: required values against M_T.
-    let required = required_values(q, params, timeline);
+    let (required, _, weights) = bufs;
+    required_values_into(q, params, required, weights);
     if options.use_required_values && !required.is_empty() {
         let _s1 = tind_obs::span("core.search.stage1");
         let _t1 = tind_obs::TraceSpan::start(trace, "core.search.stage1");
-        let qf = index.m_t().query_filter(&required);
+        let qf = index.m_t().query_filter(required);
         index.m_t().narrow_to_supersets(&qf, &mut candidates);
     }
 
-    finish_search(index, q, exclude, params, options, &required, candidates, scratch, None, trace)
+    finish_search(index, q, exclude, params, options, required, candidates, scratch, None, trace)
 }
 
 /// The full candidate set before any pruning (minus the reflexive self,

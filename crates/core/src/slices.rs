@@ -204,7 +204,9 @@ impl VersionWindow {
         // Each occurrence keyed by value, then by its position in `ids`:
         // sorted, equal values are adjacent and get one local id.
         self.keys.clear();
+        self.keys.reserve(versions.iter().map(|v| v.values.len()).sum());
         self.bounds.clear();
+        self.bounds.reserve(versions.len() + 1);
         self.bounds.push(0);
         for version in versions {
             let at = self.keys.len() as u64;

@@ -1125,12 +1125,8 @@ pub fn repair_store(
         return Err(mismatch("store attribute count does not match the dataset"));
     }
     sweep(dir, manifest.generation)?;
-    let columns = ColumnContents::new(
-        &manifest.config,
-        dataset.timeline(),
-        manifest.slices.iter().map(|&(_, expanded)| expanded).collect(),
-        manifest.has_m_r,
-    );
+    let expanded = manifest.slices.iter().map(|&(_, expanded)| expanded).collect();
+    let columns = ColumnContents::new(&manifest.config, expanded, manifest.has_m_r);
     let (m, k_hashes) = (manifest.config.m, manifest.config.k_hashes);
     let mut budget = OpBudget::new(options.kill_after_ops);
     let mut rebuilt = Vec::new();

@@ -70,6 +70,14 @@ impl Dataset {
         self.by_name.get(name).map(|&id| (id, self.attribute(id)))
     }
 
+    /// Resolves an attribute as a user names it: by name, else by a
+    /// numeric id below [`Dataset::len`].
+    pub fn resolve(&self, raw: &str) -> Option<AttrId> {
+        self.attribute_by_name(raw)
+            .map(|(id, _)| id)
+            .or_else(|| raw.parse::<AttrId>().ok().filter(|&id| (id as usize) < self.len()))
+    }
+
     /// Iterates `(id, history)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (AttrId, &AttributeHistory)> {
         self.attributes.iter().enumerate().map(|(i, h)| (i as AttrId, &**h))

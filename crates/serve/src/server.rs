@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 use tind_core::{
     open_store_with, pack_store, verify_store, BatchOptions, BuildOptions, CancelReason,
     CancelToken, DatasetDelta, DeltaReport, IndexConfig, LoadReport, OpenOptions, PackOptions,
-    PlanArtifacts, PlanSource, SearchOutcome, ShardMask, SliceConfig, StoreBacking,
+    PlanArtifacts, PlanSource, SearchOutcome, ShardMask, StoreBacking,
     TindIndex, TindParams,
 };
 use tind_model::hash::FastMap;
@@ -267,20 +267,11 @@ impl Engine {
         decay: Option<f64>,
         build_threads: usize,
     ) -> Engine {
-        let weights = match decay {
-            Some(a) => WeightFn::exponential(a, dataset.timeline()),
-            None => WeightFn::constant_one(),
-        };
+        let params = params_of(eps, delta, decay, dataset.timeline());
         let options = BuildOptions { threads: build_threads, ..BuildOptions::default() };
-        let forward_config = IndexConfig {
-            slices: SliceConfig::search_default(eps, weights.clone(), delta),
-            ..IndexConfig::default()
-        };
-        let reverse_config = IndexConfig {
-            slices: SliceConfig::reverse_default(eps, weights.clone(), delta),
-            ..IndexConfig::reverse_default()
-        };
+        let forward_config = IndexConfig::for_params(&params, false);
         let forward = TindIndex::build_with(dataset.clone(), forward_config, &options);
+        let reverse_config = IndexConfig::for_params(&params, true);
         let reverse = TindIndex::build_with(dataset.clone(), reverse_config, &options);
         Engine {
             state: RwLock::new(HotState {
@@ -375,15 +366,9 @@ impl Engine {
     ) -> Result<(Engine, LoadReport), String> {
         let (forward, report) = open_store_with(dir, dataset.clone(), open)
             .map_err(|e| format!("store at {}: {e}", dir.display()))?;
-        let weights = match decay {
-            Some(a) => WeightFn::exponential(a, dataset.timeline()),
-            None => WeightFn::constant_one(),
-        };
+        let params = params_of(eps, delta, decay, dataset.timeline());
         let options = BuildOptions { threads: build_threads, ..BuildOptions::default() };
-        let reverse_config = IndexConfig {
-            slices: SliceConfig::reverse_default(eps, weights, delta),
-            ..IndexConfig::reverse_default()
-        };
+        let reverse_config = IndexConfig::for_params(&params, true);
         let reverse = TindIndex::build_with(dataset.clone(), reverse_config, &options);
         let engine = Engine {
             state: RwLock::new(HotState {
@@ -622,24 +607,15 @@ impl Engine {
         let eps = eps.unwrap_or(self.default_eps);
         let delta = delta.unwrap_or(self.default_delta);
         let decay = decay.or(self.default_decay);
-        let weights = match decay {
-            Some(a) => WeightFn::exponential(a, self.dataset().timeline()),
-            None => WeightFn::constant_one(),
-        };
-        (TindParams::weighted(eps, delta, weights), (eps.to_bits(), delta, decay.map(f64::to_bits)))
+        let params = params_of(eps, delta, decay, self.dataset().timeline());
+        (params, (eps.to_bits(), delta, decay.map(f64::to_bits)))
     }
 
     /// Resolve an attribute by name or numeric id, as the CLI does.
     fn resolve_attr(&self, dataset: &Dataset, raw: &str) -> Result<AttrId, ServeError> {
-        if let Some((id, _)) = dataset.attribute_by_name(raw) {
-            return Ok(id);
-        }
-        if let Ok(id) = raw.parse::<AttrId>() {
-            if (id as usize) < dataset.len() {
-                return Ok(id);
-            }
-        }
-        Err(ServeError::bad_request(format!("attribute '{raw}' not found (name or id)")))
+        dataset.resolve(raw).ok_or_else(|| {
+            ServeError::bad_request(format!("attribute '{raw}' not found (name or id)"))
+        })
     }
 
     /// Rough per-request scratch estimate charged against the memory
@@ -670,14 +646,20 @@ type ParamsKey = (u64, u32, Option<u64>);
 /// `(reverse?, resolved parameters, query attribute)`.
 type CacheKey = (bool, ParamsKey, AttrId);
 
+/// The parameters a request or the defaults name: exponential decay `a`
+/// over `timeline` when given, else constant weights.
+fn params_of(eps: f64, delta: u32, decay: Option<f64>, timeline: Timeline) -> TindParams {
+    let weights = match decay {
+        Some(a) => WeightFn::exponential(a, timeline),
+        None => WeightFn::constant_one(),
+    };
+    TindParams::weighted(eps, delta, weights)
+}
+
 /// Rebuilds the [`TindParams`] a [`ParamsKey`] encodes.
 fn params_from_key(key: ParamsKey, timeline: Timeline) -> TindParams {
     let (eps_bits, delta, decay_bits) = key;
-    let weights = match decay_bits {
-        Some(a) => WeightFn::exponential(f64::from_bits(a), timeline),
-        None => WeightFn::constant_one(),
-    };
-    TindParams::weighted(f64::from_bits(eps_bits), delta, weights)
+    params_of(f64::from_bits(eps_bits), delta, decay_bits.map(f64::from_bits), timeline)
 }
 
 #[derive(Default)]

@@ -13,7 +13,8 @@
 # path (deadline interrupt → exit 130 → `tind verify` sniffs the
 # checkpoint → resume → byte-identical dataset) and schema-verifies the
 # TINDRR run report the update flushes, and cross-checks its quarantine
-# gauge.
+# gauge. An in-place index update whose dataset cannot be written must
+# leave the base (dataset, index) pair usable.
 #
 # Usage: devtools/update-smoke.sh path/to/tind [scratch-dir]
 
@@ -112,6 +113,18 @@ cmp -s "$IDX_INCR" "$IDX_COLD" \
 "$TIND" verify "$REPORT" --quarantine "$QUARANTINE" >/dev/null \
     || fail "update run report failed the quarantine cross-check"
 
+# --- No stranding: an in-place `update --index` whose --out directory does
+# not exist fails, and the base (dataset, index) pair still verifies and
+# answers a search (the dataset is written before the index).
+EXIT=0
+"$TIND" update --dump "$DELTA_XML" --data "$BASE" --out "$SCRATCH/no-such-dir/merged.tind" \
+    --index "$IDX" --quiet >/dev/null 2>&1 || EXIT=$?
+[ "$EXIT" != 0 ] || fail "an update into a missing directory succeeded"
+"$TIND" verify "$IDX" --data "$BASE" | grep -q 'OK' \
+    || fail "the base index no longer verifies against the base dataset"
+"$TIND" search --data "$BASE" --index "$IDX" --query 0 >/dev/null \
+    || fail "the base (dataset, index) pair no longer answers a search"
+
 # --- Kill/resume through the TINDUC checkpoint: a zero deadline
 # interrupts with exit 130 before the first page, `tind verify` sniffs
 # the checkpoint format, and the resumed run merges byte-identically.
@@ -126,4 +139,4 @@ EXIT=0
 cmp -s "$MERGED" "$RESUMED" \
     || fail "resumed update produced a different merged dataset"
 
-echo "update-smoke: passed (4 attrs touched, update ≡ cold ingest, maintained index byte-identical, resume clean)"
+echo "update-smoke: passed (4 attrs touched, update ≡ cold ingest, maintained index byte-identical, no stranding, resume clean)"
