@@ -1886,11 +1886,19 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
         (_, explicit) => explicit,
     };
     let compact = args.switch("compact");
-    // The dataset is published before the index, so a failed index write
-    // leaves the new dataset beside the old index. That is safe only while
-    // `--data` survives, to keep the old pair usable.
-    let same_file = |a: &std::path::Path| std::fs::canonicalize(a).ok();
-    if index_out == index_path && index_path.is_some() && same_file(&out) == same_file(&data_path) {
+    // The input that gets overwritten is published last, so a failed
+    // second write leaves the old (dataset, index) pair whole: the index
+    // goes first when `--out` overwrites `--data`, else the dataset does.
+    // With both inputs overwritten no order is safe.
+    let same_file = |a: &std::path::Path, b: &std::path::Path| {
+        match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+            (Ok(a), Ok(b)) => a == b,
+            _ => false,
+        }
+    };
+    let index_first = same_file(&out, &data_path);
+    let in_place = matches!((&index_path, &index_out), (Some(i), Some(o)) if same_file(i, o));
+    if index_first && in_place {
         return Err(CliError::Args(ArgError::Unsafe(
             "--out overwrites --data while --index is rewritten in place, so no write \
              order keeps a usable (dataset, index) pair if the second write fails; pass \
@@ -1934,9 +1942,19 @@ fn cmd_update(args: &Args) -> Result<String, CliError> {
         }
         None => None,
     };
+    let index = index.zip(index_out);
+    let write_index = || match &index {
+        Some(((index, _), path)) => tind_core::persist::write_index_file(index, path),
+        None => Ok(()),
+    };
+    if index_first {
+        write_index()?;
+    }
     publish_dataset(&merged, &out, outcome.resumed_from, &mut text)?;
-    if let (Some((index, report)), Some(index_out)) = (index, &index_out) {
-        tind_core::persist::write_index_file(&index, index_out)?;
+    if !index_first {
+        write_index()?;
+    }
+    if let Some(((_, report), index_out)) = &index {
         let _ = writeln!(
             text,
             "index: {} column(s) updated ({} new), {} block(s) dirtied across \
@@ -3066,11 +3084,37 @@ mod tests {
         run(&["search", "--data", base_str, "--index", idx_str, "--query", "0"])
             .expect("the base pair still answers");
 
+        // `--out` over `--data`: the index goes first, so a failed index
+        // write leaves the base dataset in place.
+        let based = std::fs::read(&base).expect("dataset");
+        let missing_index = temp_file("cli-strand-no-such-dir").join("merged.tix");
         let err = run(&["update", "--dump", delta_str, "--data", base_str, "--out", base_str,
+            "--index", idx_str, "--index-out", missing_index.to_str().expect("utf8"), "--quiet"])
+        .expect_err("the index cannot be written");
+        assert_eq!(err.exit_code(), 3, "{err}");
+        assert_eq!(std::fs::read(&base).expect("dataset"), based, "the dataset is untouched");
+        run(&["search", "--data", base_str, "--index", idx_str, "--query", "0"])
+            .expect("the base pair still answers");
+
+        // Both inputs overwritten, however the index path is spelled
+        // (`Path` equality does not see through `..`).
+        let dir = idx.parent().expect("a directory");
+        let idx_again = dir.join("..").join(dir.file_name().expect("a name")).join("cli-strand.tix");
+        for index_out in [None, Some(idx_again.to_str().expect("utf8"))] {
+            let mut call = vec!["update", "--dump", delta_str, "--data", base_str, "--out",
+                base_str, "--index", idx_str, "--quiet"];
+            call.extend(index_out.into_iter().flat_map(|o| ["--index-out", o]));
+            let err = run(&call).expect_err("no safe write order");
+            assert_eq!(err.exit_code(), 2, "{index_out:?}: {err}");
+            assert_eq!(std::fs::read(&idx).expect("index"), indexed, "nothing is written");
+        }
+        // A missing `--data` is a missing file, not an unsafe call.
+        let absent = temp_file("cli-strand-absent.tind");
+        let absent_str = absent.to_str().expect("utf8");
+        let err = run(&["update", "--dump", delta_str, "--data", absent_str, "--out", absent_str,
             "--index", idx_str, "--quiet"])
-        .expect_err("no safe write order");
-        assert_eq!(err.exit_code(), 2, "{err}");
-        assert_eq!(std::fs::read(&idx).expect("index"), indexed, "nothing is written");
+        .expect_err("no dataset to update");
+        assert_ne!(err.exit_code(), 2, "{err}");
         for f in [&dump, &base, &idx, &delta] {
             std::fs::remove_file(f).ok();
         }

@@ -68,7 +68,7 @@ COMMANDS:
   all-pairs         discover all tINDs
                       --data FILE [--eps DAYS=3] [--delta DAYS=7] [--threads T]
                       [--checkpoint FILE]    periodically persist progress
-                      [--checkpoint-every N=256]  queries between checkpoints
+                      [--checkpoint-every N=256]  queries per worker between checkpoints
                       [--resume]             continue from --checkpoint FILE
                       [--deadline SECS]      stop gracefully after a wall-clock budget
                       [--memory-limit BYTES] degrade parallelism under a memory budget

@@ -8,7 +8,7 @@
 //! This module holds the one pair driver: a cold run is the refresh of the
 //! delta ∅ → D, and [`crate::refresh_pairs`] is the same driver on a plan
 //! that probes the untouched queries. Each worker keeps what its queries
-//! found; the finds are merged when a round of queries ends.
+//! found and hands them in once per checkpoint interval.
 //!
 //! Because a paper-scale run takes hours, the discovery loop is built to
 //! survive the failures such runs actually meet:
@@ -31,6 +31,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use tind_bloom::BitVec;
@@ -45,6 +47,7 @@ use crate::index::{TindIndex, ValueBufs};
 use crate::par::Drain;
 use crate::params::TindParams;
 use crate::search::{finish_search, run_search_scratch, SearchOptions, SearchStats};
+use crate::sync::{into_inner, lock};
 use crate::validate::ValidationScratch;
 
 /// When and where to persist progress checkpoints.
@@ -53,7 +56,9 @@ pub struct CheckpointPolicy {
     /// Checkpoint file path (written by `tind_model::binio::write_file`:
     /// temp file, fsync, rename).
     pub path: PathBuf,
-    /// Completed queries between checkpoint writes.
+    /// Queries a worker completes between checkpoint writes: after each
+    /// `every` of its queries it hands its finds in and writes the
+    /// checkpoint (DESIGN.md §5g).
     pub every: usize,
 }
 
@@ -200,8 +205,8 @@ pub(crate) struct PairPlan<'a> {
     pub touched: Option<(&'a BitVec, &'a TouchedColumns)>,
 }
 
-/// The queries a drive ran and what they found: one worker's in a round,
-/// or the whole drive's on top of its base.
+/// The queries a drive ran and what they found: one worker's since it last
+/// handed them in, or the whole drive's on top of its base.
 #[derive(Default)]
 pub(crate) struct PairRun {
     /// Completed and poisoned queries, pairs and validations.
@@ -209,14 +214,18 @@ pub(crate) struct PairRun {
     /// Early exits and validation time; its other fields stay 0.
     pub stats: SearchStats,
     pub probe_survivors: usize,
-    /// The most workers any round ran.
+    /// Workers that ran.
     pub threads: usize,
-    pub checkpoint_written: bool,
+    /// When the last checkpoint was written, if one was.
+    pub checkpointed: Option<Instant>,
 }
 
 impl PairRun {
     /// Adds a worker's finds.
     fn absorb(&mut self, found: PairRun) {
+        tind_obs::counter("allpairs.pairs").add(found.state.pairs.len() as u64);
+        tind_obs::counter("allpairs.poisoned").add(found.state.poisoned.len() as u64);
+        tind_obs::counter("allpairs.queries_completed").add(found.state.completed.len() as u64);
         self.state.completed.extend(found.state.completed);
         self.state.poisoned.extend(found.state.poisoned);
         self.state.pairs.extend(found.state.pairs);
@@ -228,7 +237,7 @@ impl PairRun {
     }
 }
 
-/// One worker's finds and buffers across a round.
+/// One worker's finds and buffers across the drain.
 struct Worker {
     found: PairRun,
     bufs: ValueBufs,
@@ -238,11 +247,11 @@ struct Worker {
 
 /// The one pair driver: runs `plan` over `index` on top of `state` (the
 /// kept base: a resume checkpoint or an empty one) and returns the merged
-/// state, sorted. Queries are drained in rounds that end at each
-/// checkpoint or progress boundary of `options`, where the workers' finds
-/// are merged, the checkpoint written and the progress line printed; with
-/// neither asked for, the whole plan is one round. A cancel stops the
-/// drain at a query boundary; the final state is always checkpointed.
+/// state, sorted. One drain runs the whole plan; each worker keeps its
+/// finds and hands them in to the checkpointed state, under one lock, once
+/// per checkpoint interval of its own queries, which writes a checkpoint.
+/// A cancel stops the drain at a query boundary; the final state is always
+/// checkpointed.
 pub(crate) fn drive(
     index: &TindIndex,
     params: &TindParams,
@@ -254,6 +263,44 @@ pub(crate) fn drive(
     let start = Instant::now();
     let num_attrs = index.dataset().len();
     let search = SearchOptions::default();
+    let every = options.checkpoint.as_ref().map_or(usize::MAX, |p| p.every.max(1));
+    // Progress counts shared by the workers (queries of this call, pairs
+    // and poisoned queries in all), so progress takes no lock but to read
+    // the checkpoint age: the worker completing each `progress_every`-th
+    // query prints the line.
+    let (resumed, total) = (state.completed.len(), state.total_queries);
+    let counts = [0, state.pairs.len(), state.poisoned.len()].map(AtomicUsize::new);
+    // The handed-in state and the first checkpoint write error, if any.
+    let ledger = Mutex::new((PairRun { state, ..PairRun::default() }, Ok(())));
+    let progress = |(pairs, poisoned): (usize, bool)| {
+        let [fresh, found, bad] = &counts;
+        if options.progress_every == 0 {
+            return;
+        }
+        found.fetch_add(pairs, Relaxed);
+        bad.fetch_add(usize::from(poisoned), Relaxed);
+        let fresh = fresh.fetch_add(1, Relaxed) + 1;
+        if fresh % options.progress_every != 0 {
+            return;
+        }
+        let (done, elapsed) = (resumed + fresh, start.elapsed().as_secs_f64());
+        // Rate and ETA use the shared obs formatting so this line matches
+        // the ingest/search progress shapes exactly.
+        let rate = tind_obs::fmt_rate(fresh as u64, elapsed, "queries");
+        let eta = match total.saturating_sub(done) {
+            0 => "~? left".to_string(),
+            left => tind_obs::fmt_eta_secs(elapsed / fresh as f64 * left as f64),
+        };
+        let age = match lock(&ledger).0.checkpointed {
+            Some(at) => format!("{:.0}s", at.elapsed().as_secs_f64()),
+            None => "none".to_string(),
+        };
+        let (found, bad) = (found.load(Relaxed), bad.load(Relaxed));
+        eprintln!(
+            "all-pairs: {done}/{total} queries, {found} pairs, {bad} poisoned, {rate}, {eta}, checkpoint age {age}"
+        );
+    };
+    // Runs query `q` and returns the pairs it found and whether it panicked.
     let run_query = |w: &mut Worker, scratch: &mut ValidationScratch, q: AttrId| {
         let hist = index.dataset().attribute(q);
         // Quarantine: a panicking query must not take down the drain. A
@@ -282,18 +329,22 @@ pub(crate) fn drive(
             }
         }));
         let PairRun { state, stats, .. } = &mut w.found;
+        state.completed.push(q);
         match outcome {
             Ok(Some(outcome)) => {
                 state.validations_run += outcome.stats.validations_run;
                 stats.early_valid_exits += outcome.stats.early_valid_exits;
                 stats.early_invalid_exits += outcome.stats.early_invalid_exits;
                 stats.validate_nanos += outcome.stats.validate_nanos;
-                state.pairs.extend(outcome.results.into_iter().map(|rhs| (q, rhs)));
+                state.pairs.extend(outcome.results.iter().map(|&rhs| (q, rhs)));
+                (outcome.results.len(), false)
             }
-            Ok(None) => {}
-            Err(_) => state.poisoned.push(q),
+            Ok(None) => (0, false),
+            Err(_) => {
+                state.poisoned.push(q);
+                (0, true)
+            }
         }
-        state.completed.push(q);
     };
     let new_worker = || Worker {
         found: PairRun::default(),
@@ -301,58 +352,33 @@ pub(crate) fn drive(
         probe: plan.touched.map_or_else(|| BitVec::zeros(0), |(_, c)| c.probe_bits()),
     };
 
-    let mut run = PairRun { state, ..PairRun::default() };
-    let every = options.checkpoint.as_ref().map_or(usize::MAX, |p| p.every.max(1));
-    let progress_every = if options.progress_every > 0 { options.progress_every } else { usize::MAX };
-    let (mut next, mut fresh, mut requested) = (0, 0, 1);
-    let (mut since_checkpoint, mut since_progress, mut last_checkpoint_at) = (0, 0, start);
-    let pairs_found = tind_obs::counter("allpairs.pairs");
-    let poisoned = tind_obs::counter("allpairs.poisoned");
-    let queries_completed = tind_obs::counter("allpairs.queries_completed");
-    loop {
-        let len = (plan.queries.len() - next)
-            .min(every - since_checkpoint)
-            .min(progress_every - since_progress);
-        let round = &plan.queries[next..next + len];
-        let drained = Drain {
-            units: len,
-            threads: options.threads,
-            budget: options.memory_budget.as_ref(),
-            worker_bytes: ValidationScratch::worker_bytes(index.dataset()),
-            cancel,
-        }
-        .run(new_worker, |w, scratch, i| run_query(w, scratch, round[i]))
-        .map_err(|_| AllPairsError::Internal("all-pairs worker panicked outside quarantine"))?;
-        requested = requested.max(drained.requested);
-        run.threads = run.threads.max(drained.threads);
-
-        let before = run.state.completed.len();
-        for w in drained.states {
-            pairs_found.add(w.found.state.pairs.len() as u64);
-            poisoned.add(w.found.state.poisoned.len() as u64);
-            run.absorb(w.found);
-        }
-        let ran = run.state.completed.len() - before;
-        queries_completed.add(ran as u64);
-        (next, fresh) = (next + len, fresh + ran);
-        (since_checkpoint, since_progress) = (since_checkpoint + ran, since_progress + ran);
-        // Only a cancel leaves a round's queries unclaimed. The last
-        // round's checkpoint is the final one below.
-        let last = ran < len || next == plan.queries.len();
-        if since_checkpoint == every && !last {
-            write_checkpoint(&mut run, options)?;
-            (since_checkpoint, last_checkpoint_at) = (0, Instant::now());
-        }
-        if since_progress == progress_every {
-            since_progress = 0;
-            eprintln!("{}", progress_line(&run, fresh, start, last_checkpoint_at));
-        }
-        if last {
-            break;
-        }
+    let drained = Drain {
+        units: plan.queries.len(),
+        threads: options.threads,
+        budget: options.memory_budget.as_ref(),
+        worker_bytes: ValidationScratch::worker_bytes(index.dataset()),
+        cancel,
     }
-    tind_obs::gauge("allpairs.workers_requested").set(requested as f64);
-    tind_obs::gauge("allpairs.workers_granted").set(run.threads as f64);
+    .run(new_worker, |w, scratch, i| {
+        let found = run_query(w, scratch, plan.queries[i]);
+        if w.found.state.completed.len() >= every {
+            let (run, written) = &mut *lock(&ledger);
+            run.absorb(std::mem::take(&mut w.found));
+            if written.is_ok() {
+                *written = write_checkpoint(run, options);
+            }
+        }
+        progress(found);
+    })
+    .map_err(|_| AllPairsError::Internal("all-pairs worker panicked outside quarantine"))?;
+    let (mut run, written) = into_inner(ledger);
+    written?;
+    for w in drained.states {
+        run.absorb(w.found);
+    }
+    run.threads = drained.threads;
+    tind_obs::gauge("allpairs.workers_requested").set(drained.requested as f64);
+    tind_obs::gauge("allpairs.workers_granted").set(drained.threads as f64);
     // Final checkpoint so a cancelled (or just-finished) run can always be
     // resumed/inspected, even when the interval had not elapsed.
     write_checkpoint(&mut run, options)?;
@@ -368,34 +394,9 @@ fn write_checkpoint(run: &mut PairRun, options: &AllPairsOptions) -> Result<(), 
     if let Some(policy) = &options.checkpoint {
         tind_model::binio::write_file(&run.state, &policy.path)
             .map_err(|e| AllPairsError::CheckpointWrite(e.into()))?;
-        run.checkpoint_written = true;
+        run.checkpointed = Some(Instant::now());
     }
     Ok(())
-}
-
-/// The progress line after `fresh` queries of this call.
-fn progress_line(run: &PairRun, fresh: usize, started: Instant, checkpointed: Instant) -> String {
-    let (done, total) = (run.state.completed.len(), run.state.total_queries);
-    let elapsed = started.elapsed();
-    // Rate and ETA use the shared obs formatting so this line matches the
-    // ingest/search progress shapes exactly.
-    let rate = tind_obs::fmt_rate(fresh as u64, elapsed.as_secs_f64(), "queries");
-    let eta = if fresh > 0 && done < total {
-        let per_query = elapsed.as_secs_f64() / fresh as f64;
-        tind_obs::fmt_eta_secs(per_query * (total - done) as f64)
-    } else {
-        "~? left".to_string()
-    };
-    let ckpt_age = if run.checkpoint_written {
-        format!("{:.0}s", checkpointed.elapsed().as_secs_f64())
-    } else {
-        "none".to_string()
-    };
-    format!(
-        "all-pairs: {done}/{total} queries, {} pairs, {} poisoned, {rate}, {eta}, checkpoint age {ckpt_age}",
-        run.state.pairs.len(),
-        run.state.poisoned.len(),
-    )
 }
 
 /// Discovers every valid tIND among the indexed attributes: the pair
@@ -466,7 +467,7 @@ pub fn discover_all_pairs(
         cancelled,
         stop_reason,
         threads_used: run.threads,
-        checkpoint_written: run.checkpoint_written,
+        checkpoint_written: run.checkpointed.is_some(),
         early_valid_exits: run.stats.early_valid_exits,
         early_invalid_exits: run.stats.early_invalid_exits,
         validate_nanos: run.stats.validate_nanos,

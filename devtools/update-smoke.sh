@@ -37,6 +37,7 @@ REPORT="$SCRATCH/update-smoke-report.json"
 QUARANTINE="$SCRATCH/update-smoke.tqr"
 COMBINED_XML="$SCRATCH/update-smoke-combined.xml"
 COLD="$SCRATCH/update-smoke-cold.tind"
+BASE_COPY="$SCRATCH/update-smoke-base-copy.tind"
 rm -f "$CKPT"
 
 fail() { echo "update-smoke: $1" >&2; exit 1; }
@@ -115,7 +116,7 @@ cmp -s "$IDX_INCR" "$IDX_COLD" \
 
 # --- No stranding: an in-place `update --index` whose --out directory does
 # not exist fails, and the base (dataset, index) pair still verifies and
-# answers a search (the dataset is written before the index).
+# answers a search (the input that is overwritten is written last).
 EXIT=0
 "$TIND" update --dump "$DELTA_XML" --data "$BASE" --out "$SCRATCH/no-such-dir/merged.tind" \
     --index "$IDX" --quiet >/dev/null 2>&1 || EXIT=$?
@@ -124,6 +125,17 @@ EXIT=0
     || fail "the base index no longer verifies against the base dataset"
 "$TIND" search --data "$BASE" --index "$IDX" --query 0 >/dev/null \
     || fail "the base (dataset, index) pair no longer answers a search"
+# The same with --out over --data and the new index into a missing
+# directory: the index is written first, so --data is never replaced.
+cp "$BASE" "$BASE_COPY"
+EXIT=0
+"$TIND" update --dump "$DELTA_XML" --data "$BASE_COPY" \
+    --out "$BASE_COPY" --index "$IDX" \
+    --index-out "$SCRATCH/no-such-dir/merged.tidx" --quiet >/dev/null 2>&1 || EXIT=$?
+[ "$EXIT" != 0 ] || fail "an update writing its index into a missing directory succeeded"
+cmp -s "$BASE" "$BASE_COPY" || fail "the failed update replaced --data"
+"$TIND" search --data "$BASE_COPY" --index "$IDX" --query 0 >/dev/null \
+    || fail "the base (dataset, index) pair no longer answers a search after --out over --data"
 
 # --- Kill/resume through the TINDUC checkpoint: a zero deadline
 # interrupts with exit 130 before the first page, `tind verify` sniffs

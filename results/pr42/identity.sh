@@ -2,8 +2,8 @@
 # Byte identity of all-pairs between two tind binaries: the TINDCP
 # checkpoint (`--checkpoint-every 1`, and the default interval) and the
 # pair count line, at 1 and 2 threads, on a generated D5k dataset.
-# Timing fields and the worker-thread count are left out of the output
-# comparison (a run that checkpoints every query now runs one worker).
+# Timing fields are left out of the output comparison; the worker-thread
+# count of the timing line is compared.
 #
 # Usage: results/pr42/identity.sh PARENT_TIND CHANGE_TIND SCRATCH_DIR
 set -euo pipefail
@@ -19,7 +19,8 @@ for every in 1 256; do
         done
         cmp "$DIR/P.tcp" "$DIR/C.tcp"
         diff <(head -1 "$DIR/P.out") <(head -1 "$DIR/C.out")
-        echo "checkpoint-every $every, $t thread(s): TINDCP cmp-equal; $(head -1 "$DIR/C.out")"
+        diff <(grep -o '[0-9]* worker thread' "$DIR/P.out") <(grep -o '[0-9]* worker thread' "$DIR/C.out")
+        echo "checkpoint-every $every, $t thread(s): TINDCP cmp-equal, $(grep -o '[0-9]* worker thread' "$DIR/C.out")(s) each; $(head -1 "$DIR/C.out")"
     done
 done
 for t in 1 2; do

@@ -86,14 +86,14 @@ fn dataset(versions: u32) -> Arc<Dataset> {
     Arc::new(b.build())
 }
 
-/// Allocations made on any thread while the index over `dataset` builds.
-fn allocations_to_build(dataset: Arc<Dataset>, config: IndexConfig) -> u64 {
+/// Allocations made on any thread while the index over `dataset` builds,
+/// and the number of time slices that build rendered.
+fn allocations_to_build(dataset: Arc<Dataset>, config: IndexConfig) -> (u64, usize) {
     ALLOCATIONS.store(0, Relaxed);
     ARMED.store(true, Relaxed);
     let index = TindIndex::build(dataset, config);
     ARMED.store(false, Relaxed);
-    drop(index);
-    ALLOCATIONS.load(Relaxed)
+    (ALLOCATIONS.load(Relaxed), index.time_slices().len())
 }
 
 #[test]
@@ -112,9 +112,14 @@ fn build_allocations_do_not_scale_with_versions() {
     // Reverse slices are weighted by the data and may start a day apart
     // here, but every `A[I]` is still one of the three sets.
     for config in [forward.clone(), IndexConfig::reverse_default()] {
-
-        let fewer = allocations_to_build(few.clone(), config.clone());
-        let more = allocations_to_build(many.clone(), config.clone());
+        let (fewer, fewer_slices) = allocations_to_build(few.clone(), config.clone());
+        let (more, more_slices) = allocations_to_build(many.clone(), config.clone());
+        // The pin measures slice rendering only if the builds render slices.
+        if config.build_reverse {
+            assert!(fewer_slices > 0 && more_slices > 0, "{fewer_slices}, {more_slices} slices");
+        } else {
+            assert_eq!((fewer_slices, more_slices), (16, 16));
+        }
         // The buffers grow to the largest set they merge once per build,
         // in an order that depends on the version count: a few
         // reallocations, however many attributes or versions there are.
