@@ -547,6 +547,13 @@ impl BloomMatrix {
         self.segments.iter().map(|s| s.words.resident_bytes()).sum()
     }
 
+    /// Bytes of the row storage borrowed from a file — mmap'd or `pread`
+    /// windows, resident or not; 0 for an owned matrix.
+    pub fn mapped_bytes(&self) -> usize {
+        let borrowed = self.segments.iter().filter(|s| !s.words.is_heap());
+        borrowed.map(|s| s.words.len_words() * 8).sum()
+    }
+
     /// Retargets column `col` from the filter it holds (`old`) to `new` —
     /// the in-place update primitive of the delta path. Only the rows where
     /// the two filters differ are flipped, so the cost is the size of the
@@ -1005,10 +1012,12 @@ mod tests {
         let (before, after) = (before.build(), after.build());
         let mut tiled =
             tiling(&before, &[1, 3], |i, words| mapped(&format!("retarget-one-{i}.bin"), &words));
-        assert_eq!(tiled.heap_bytes(), 0);
+        let total = before.heap_bytes();
+        assert_eq!((tiled.heap_bytes(), tiled.mapped_bytes()), (0, total));
 
         tiled.retarget_column(col, &before.column_filter(col), &after.column_filter(col));
         assert_eq!(tiled.heap_bytes(), m as usize * 2 * 8, "exactly the written segment");
+        assert_eq!(tiled.mapped_bytes(), total - tiled.heap_bytes(), "the rest stays mapped");
         assert!(!tiled.is_owned(), "the other segments stay mapped");
         assert_eq!(encoded(&tiled), encoded(&after), "retargeted tiling ≠ cold build");
     }

@@ -308,13 +308,13 @@ fn resolve_query(args: &Args, dataset: &Dataset) -> Result<AttrId, CliError> {
         .ok_or_else(|| CliError::Message(format!("query attribute '{raw}' not found (name or id)")))
 }
 
-/// The index `tind index` and `tind store pack` build: `--m` rows (4096
-/// in both directions) in the direction `--reverse` picks, sized for
-/// `--eps`, `--delta` and `--decay`.
+/// The index `tind index` and `tind store pack` build: the direction
+/// `--reverse` picks, sized for `--eps`, `--delta` and `--decay`, at
+/// `--m` rows (default: that direction's own).
 fn sized_config(args: &Args, dataset: &Dataset) -> Result<IndexConfig, CliError> {
     let params = parse_params(args, dataset)?;
-    let reverse = args.opt_or("reverse", false)?;
-    Ok(IndexConfig { m: args.opt_or("m", 4096u32)?, ..IndexConfig::for_params(&params, reverse) })
+    let config = IndexConfig::for_params(&params, args.opt_or("reverse", false)?);
+    Ok(IndexConfig { m: args.opt_or("m", config.m)?, ..config })
 }
 
 /// Build options for ad-hoc index construction: `--build-threads 0`
@@ -400,18 +400,19 @@ const SLICE_SAMPLE_CAP: usize = 256;
 
 /// Mirror the structural health of an index into the metrics registry:
 /// Bloom saturation and the classic `load^k` false-positive estimate for
-/// `M_T` and the slice matrices, total filter bytes, and the slices'
-/// pruning power `p(I)` — the fraction of (sampled) attributes that are
-/// live inside each slice's δ-expanded window, averaged over slices. A
-/// slice only prunes pairs whose LHS is live in it, so a low live
-/// fraction means stage 2 has little to work with. Returns the
-/// diagnostics it published so a caller that prints them does not sweep
-/// the matrices a second time.
+/// `M_T` and the slice matrices, filter bytes on the heap and borrowed
+/// from a store, and the slices' pruning power `p(I)` — the fraction of
+/// (sampled) attributes that are live inside each slice's δ-expanded
+/// window, averaged over slices. A slice only prunes pairs whose LHS is
+/// live in it, so a low live fraction means stage 2 has little to work
+/// with. Returns the diagnostics it published so a caller that prints
+/// them does not sweep the matrices a second time.
 fn record_index_gauges(index: &TindIndex) -> tind_core::index::IndexDiagnostics {
     let d = index.diagnostics();
     let k = index.config().k_hashes as i32;
     tind_obs::gauge("index.m").set(f64::from(d.m));
     tind_obs::gauge("index.bloom_bytes").set(d.bloom_bytes as f64);
+    tind_obs::gauge("index.bloom_bytes_mapped").set(index.bloom_mapped_bytes() as f64);
     tind_obs::gauge("index.m_t.load").set(d.m_t_load);
     tind_obs::gauge("index.m_t.est_fpr").set(d.m_t_load.powi(k));
     tind_obs::gauge("index.slices.count").set(d.num_slices as f64);
@@ -2758,6 +2759,36 @@ mod tests {
         let err = run(&["top-k", "--data", &data, "--query", "0", "--eps", "1"])
             .expect_err("top-k has no ε");
         assert_eq!(err.exit_code(), 2, "{err}");
+        std::fs::remove_file(&data).ok();
+    }
+
+    /// Without `--m`, `index` and `store pack` build each direction at the
+    /// `m` of that direction's library default — the index `search`,
+    /// `reverse-search` and `serve` build for themselves.
+    #[test]
+    fn index_and_store_pack_default_to_the_library_m() {
+        let data = small_dataset("cli-default-m.tind");
+        let dataset = Arc::new(read_dataset(data.as_ref()).expect("reads"));
+        for (reverse, expected) in
+            [("false", IndexConfig::default().m), ("true", IndexConfig::reverse_default().m)]
+        {
+            let idx = temp_file(&format!("cli-default-m-{reverse}.tidx"));
+            let idx_str = idx.to_str().expect("utf8");
+            run(&["index", "--data", &data, "--out", idx_str, "--reverse", reverse])
+                .expect("indexes");
+            let indexed =
+                tind_core::persist::read_index_file(&idx, dataset.clone()).expect("reads");
+            assert_eq!(indexed.config().m, expected, "index --reverse {reverse}");
+            let dir = temp_file(&format!("cli-default-m-store-{reverse}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let dir_str = dir.to_str().expect("utf8");
+            run(&["store", "pack", "--data", &data, "--out", dir_str, "--reverse", reverse])
+                .expect("packs");
+            let (packed, _) = open_store(&dir, dataset.clone()).expect("opens");
+            assert_eq!(packed.config().m, expected, "store pack --reverse {reverse}");
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_file(&idx).ok();
+        }
         std::fs::remove_file(&data).ok();
     }
 

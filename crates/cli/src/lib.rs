@@ -92,13 +92,13 @@ COMMANDS:
                                              ingest.quarantined_total gauge
                                              against a quarantine artifact
   index             build and persist an index file
-                      --data FILE --out FILE [--m M=4096] [--eps E=3] [--delta D=7]
+                      --data FILE --out FILE [--m M=512] [--eps E=3] [--delta D=7]
                       [--decay A] [--reverse true] [--build-threads T=0] [--report FILE]
                     (search/reverse-search/top-k/explore accept --index FILE)
   store             crash-safe sharded index store (atomic commits, CRC-bound
                     arena shards that open zero-copy, corrupt-shard quarantine
                     and repair); a cache of the dataset — re-pack to regenerate
-                      pack    --data FILE --out DIR [--shards N=auto] [--m M=4096]
+                      pack    --data FILE --out DIR [--shards N=auto] [--m M=512]
                               [--eps E=3] [--delta D=7] [--decay A] [--reverse true]
                               [--index FILE]  re-shard a monolithic index file
                       verify  <DIR> (or --store DIR) — manifest + shard digests

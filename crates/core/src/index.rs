@@ -34,12 +34,21 @@ use crate::search::{self, SearchOutcome};
 use crate::slices::{select_slices, SliceConfig};
 use crate::sync::lock;
 
+/// The Bloom filter size every default index is built at, forward and
+/// reverse: the smallest power of two at which `M_T`'s estimated
+/// single-value false-positive rate `load^k` stays ≤ 2 % on data shaped
+/// like §5.1 (DESIGN.md, "One Bloom size"). A column's load depends on
+/// its attribute's value count, not on |D|, so the size is a constant and
+/// never computed from the data a build sees: a maintained index and a
+/// cold build of the same dataset must stay byte-identical.
+pub const DEFAULT_M: u32 = 512;
+
 /// Construction-time configuration of a [`TindIndex`].
 #[derive(Debug, Clone)]
 pub struct IndexConfig {
-    /// Bloom filter size `m` in bits (matrix rows). Paper default for tIND
-    /// search: 4096 (§5.4; 1024–2048 when the same index must also serve
-    /// reverse queries).
+    /// Bloom filter size `m` in bits (matrix rows); [`DEFAULT_M`] unless
+    /// set. The paper searches at 4096 and reverse-searches at 512
+    /// (§5.4); a file or store opens at the `m` it was written with.
     pub m: u32,
     /// Hash probes per value.
     pub k_hashes: u32,
@@ -53,12 +62,12 @@ pub struct IndexConfig {
 }
 
 impl Default for IndexConfig {
-    /// The paper's best settings for forward tIND search: `m = 4096`,
-    /// `k = 16` random slices, sized for ε = 3 days / constant weights,
-    /// maximum δ = 7 days (§5.1, §5.4).
+    /// The forward search index: `m =` [`DEFAULT_M`], `k = 16` random
+    /// slices, sized for ε = 3 days / constant weights, maximum δ = 7 days
+    /// (§5.1, §5.4).
     fn default() -> Self {
         IndexConfig {
-            m: 4096,
+            m: DEFAULT_M,
             k_hashes: 2,
             slices: SliceConfig::search_default(3.0, WeightFn::constant_one(), 7),
             seed: 0x7e1d_0001,
@@ -69,11 +78,11 @@ impl Default for IndexConfig {
 
 impl IndexConfig {
     /// The paper's best settings when the index must serve reverse queries:
-    /// `m = 512`, `k = 2` weighted-random slices with disjoint expansions
-    /// (§5.1, §5.4), `M_R` enabled.
+    /// `m =` [`DEFAULT_M`], `k = 2` weighted-random slices with disjoint
+    /// expansions (§5.1, §5.4), `M_R` enabled.
     pub fn reverse_default() -> Self {
         IndexConfig {
-            m: 512,
+            m: DEFAULT_M,
             k_hashes: 2,
             slices: SliceConfig::reverse_default(3.0, WeightFn::constant_one(), 7),
             seed: 0x7e1d_0002,
@@ -502,9 +511,22 @@ impl TindIndex {
     /// Total heap footprint of the Bloom matrices in bytes — the
     /// `(k+1)·|D|·m/8` trade-off of §4.2.2 (plus `M_R` when present).
     pub fn bloom_bytes(&self) -> usize {
-        self.m_t.heap_bytes()
-            + self.time_slices.iter().map(|s| s.matrix.heap_bytes()).sum::<usize>()
-            + self.m_r.as_ref().map_or(0, BloomMatrix::heap_bytes)
+        self.matrices().map(BloomMatrix::heap_bytes).sum()
+    }
+
+    /// Bloom-matrix bytes borrowed from a store — mmap'd or `pread`
+    /// windows, resident or not. [`TindIndex::bloom_bytes`] counts none of
+    /// them: it is what this process's heap holds, and `serve` charges it
+    /// to its memory budget.
+    pub fn bloom_mapped_bytes(&self) -> usize {
+        self.matrices().map(BloomMatrix::mapped_bytes).sum()
+    }
+
+    /// `M_T`, every slice matrix, then `M_R` when present: the order of a
+    /// store shard's sections.
+    pub(crate) fn matrices(&self) -> impl Iterator<Item = &BloomMatrix> {
+        let slices = self.time_slices.iter().map(|s| &s.matrix);
+        std::iter::once(&self.m_t).chain(slices).chain(self.m_r.as_ref())
     }
 
     /// Structural diagnostics: matrix load factors and slice coverage.

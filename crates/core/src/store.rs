@@ -902,10 +902,7 @@ pub fn pack_store(
         shards: Vec::with_capacity(parts.len()),
     };
 
-    let matrices: Vec<&BloomMatrix> = std::iter::once(index.m_t())
-        .chain(index.time_slices().iter().map(|s| &s.matrix))
-        .chain(index.m_r())
-        .collect();
+    let matrices: Vec<&BloomMatrix> = index.matrices().collect();
 
     let mut budget = OpBudget::new(options.kill_after_ops);
     let mut bytes_written = 0u64;

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# End-to-end smoke for the crash-safe sharded index store: pack a store,
-# simulate a pack killed mid-commit (orphan temp + uncommitted
-# generation), prove reopening sweeps and recovers, corrupt a shard's
-# header, boot `tind serve --store` degraded (zero-copy from mmap, plan
-# cache on) over raw TCP, repair the store out-of-band, watch the daemon
-# promote back to serving, and drain.
+# End-to-end smoke for the crash-safe sharded index store: pack a store
+# (and one at --m 4096 that must answer the same), simulate a pack
+# killed mid-commit (orphan temp + uncommitted generation), prove
+# reopening sweeps and recovers, corrupt a shard's header, boot `tind
+# serve --store` degraded (zero-copy from mmap, plan cache on) over raw
+# TCP, repair the store out-of-band, watch the daemon promote back to
+# serving, and drain.
 #
 # Usage: devtools/store-smoke.sh path/to/tind [scratch-dir]
 
@@ -30,6 +31,24 @@ fail() { echo "store-smoke: $1" >&2; exit 1; }
     | grep -q 'packed generation 1' || fail "pack did not commit generation 1"
 "$TIND" store verify "$STORE" | grep -q '4 shard(s) verified' \
     || fail "freshly packed store failed verification"
+
+# --- The same answers at every m: a store packed at the paper's forward
+# m = 4096 opens at its own m and answers every query as the default
+# store does (timings and the Bloom funnel's counts aside).
+STORE_4096="$SCRATCH/store-smoke-4096.store"
+rm -rf "$STORE_4096"
+"$TIND" store pack --data "$DATA" --out "$STORE_4096" --m 4096 >/dev/null
+cmp -s "$STORE/g1-s0.shard" "$STORE_4096/g1-s0.shard" \
+    && fail "--m 4096 packed the same shard bytes as the default"
+answers() { # store
+    for q in $(seq 0 7 199); do
+        "$TIND" search --data "$DATA" --store "$1" --query "$q" --limit 1000 \
+            | grep -v -e '^pruning:' -e '^validation:' | sed 's/, query took .*//'
+    done
+}
+[ "$(answers "$STORE")" = "$(answers "$STORE_4096")" ] \
+    || fail "search answers differ between --m 4096 and the default m"
+rm -rf "$STORE_4096"
 
 # --- Kill mid-pack: plant exactly the debris an interrupted writer
 # leaves (an orphan temp and an uncommitted next-generation shard), then

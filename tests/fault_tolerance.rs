@@ -615,8 +615,9 @@ fn prop_checkpoint_bit_flips_rejected() {
 }
 
 /// The bytes every artifact is built from, pinned: a seeded `generate`
-/// dataset and its default index. A change to the encoders, the CRC
-/// kernel or the fingerprint shows up here as a changed constant.
+/// dataset, its forward index at `m = 4096` and at the default `m`, and
+/// its reverse index. A change to the encoders, the CRC kernel or the
+/// fingerprint shows up here as a changed constant.
 #[test]
 fn seeded_dataset_and_index_bytes_are_pinned() {
     use tind::core::persist::encode_index;
@@ -625,9 +626,14 @@ fn seeded_dataset_and_index_bytes_are_pinned() {
     let trailer = |b: &[u8]| u32::from_le_bytes(b[b.len() - 4..].try_into().expect("4 bytes"));
     let bytes = encode_dataset(&generate(&GeneratorConfig::small(150, 26)).dataset);
     let dataset = Arc::new(decode_dataset(&bytes).expect("decodes"));
-    let index = encode_index(&TindIndex::build(dataset.clone(), IndexConfig::default()));
+    let paper_m = IndexConfig { m: 4096, ..IndexConfig::default() };
+    let index = encode_index(&TindIndex::build(dataset.clone(), paper_m));
     let got = (trailer(&bytes), dataset_fingerprint(&dataset), trailer(&index), hash_bytes(&index));
     assert_eq!(got, (0x0cac_0de7, 0x080d_4bf2_07ad_b271, 0xde9d_083f, 0x01ca_dba5_aa6d_bf29));
+    // The default forward index: the same slices at the default `m`.
+    let index = encode_index(&TindIndex::build(dataset.clone(), IndexConfig::default()));
+    let got = (trailer(&index), hash_bytes(&index));
+    assert_eq!(got, (0x4cf4_934e, 0xd66e_7780_3db8_0b0c));
     // The reverse index of the same dataset: weighted-random slices, the
     // `M_R` column of required values and its δ-expanded windows.
     let reverse = encode_index(&TindIndex::build(dataset, IndexConfig::reverse_default()));

@@ -226,6 +226,31 @@ fn verify_validates_report_against_checked_in_schema() {
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
 }
 
+/// A store-backed index borrows its matrices from the store's mapping:
+/// `index.bloom_bytes` (heap, what `serve` charges to its budget) reads
+/// 0, and `index.bloom_bytes_mapped` reads what a build holds on its heap.
+#[test]
+fn store_backed_report_counts_mapped_matrix_bytes() {
+    let _guard = lock();
+    let data = generate_dataset("mapped-data.tind", "150", "9");
+    let (idx, dir) = (temp_file("mapped.tidx"), temp_file("mapped.store"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (idx_s, dir_s) = (idx.to_str().expect("utf8"), dir.to_str().expect("utf8"));
+    let (built, served) = (temp_file("mapped-index.json"), temp_file("mapped-search.json"));
+    let (built_s, served_s) = (built.to_str().expect("utf8"), served.to_str().expect("utf8"));
+    run(&["index", "--data", &data, "--out", idx_s, "--report", built_s]).expect("index");
+    run(&["store", "pack", "--data", &data, "--out", dir_s]).expect("pack");
+    run(&["search", "--data", &data, "--query", "0", "--store", dir_s, "--report", served_s])
+        .expect("search --store");
+    let (built, served) = (read_report(built_s), read_report(served_s));
+    let heap = gauge_value(&built, "index.bloom_bytes").expect("heap gauge");
+    assert!(heap > 0.0);
+    assert_eq!(gauge_value(&built, "index.bloom_bytes_mapped"), Some(0.0));
+    assert_eq!(gauge_value(&served, "index.bloom_bytes"), Some(0.0));
+    assert_eq!(gauge_value(&served, "index.bloom_bytes_mapped"), Some(heap));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One well-formed page whose table grows monotonically across six
 /// revisions — enough versions and cardinality for the §5.1 filters.
 fn ingest_page_xml(title: &str, id: u32) -> String {

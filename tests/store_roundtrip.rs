@@ -29,59 +29,74 @@ fn store_dir(name: &str) -> std::path::PathBuf {
     common::strategies::store_dir("store-roundtrip", name)
 }
 
+/// Every `m` an artifact may have been written at — the fixture's 256,
+/// the paper's forward 4096 and today's default — opens at its own `m`,
+/// round-trips byte-identically and answers exactly as a default build.
 #[test]
 fn roundtrip_is_byte_identical_at_every_shard_count() {
-    let (dataset, index, params) = world(3);
-    let baseline = tind_core::persist::encode_index(&index);
-
-    // The legacy monolithic file is the third leg of the oracle.
-    let legacy = std::env::temp_dir().join("tind-store-roundtrip-tests-legacy.idx");
-    tind_core::persist::write_index_file(&index, &legacy).expect("write legacy");
-    let from_file =
-        tind_core::persist::read_index_file(&legacy, dataset.clone()).expect("read legacy");
-    assert_eq!(tind_core::persist::encode_index(&from_file), baseline);
-
+    let (dataset, small, params) = world(3);
+    let default = TindIndex::build(dataset.clone(), IndexConfig::default());
     let queries: Vec<u32> = (0..dataset.len() as u32).step_by(17).collect();
     let expected_single: Vec<Vec<u32>> =
-        queries.iter().map(|&q| index.search(q, &params).results).collect();
-    let expected_batch = index.search_batch_with(&queries, &params, &BatchOptions::default());
-    let expected_pairs =
-        discover_all_pairs(&index, &params, &AllPairsOptions::default()).expect("all-pairs").pairs;
+        queries.iter().map(|&q| default.search(q, &params).results).collect();
+    let expected_batch = default.search_batch_with(&queries, &params, &BatchOptions::default());
+    let expected_pairs = discover_all_pairs(&default, &params, &AllPairsOptions::default())
+        .expect("all-pairs")
+        .pairs;
+    let paper_m = IndexConfig { m: 4096, ..IndexConfig::default() };
+    let paper = TindIndex::build(dataset.clone(), paper_m);
+    for index in [small, paper, default] {
+        let m = index.config().m;
+        let baseline = tind_core::persist::encode_index(&index);
+        let answers_as_default = |loaded: &TindIndex, what: &str| {
+            assert_eq!(loaded.config().m, m, "{what} opens at the m it was written with");
+            for (&q, expected) in queries.iter().zip(&expected_single) {
+                assert_eq!(&loaded.search(q, &params).results, expected, "{what}: query {q}");
+            }
+            let batch = loaded.search_batch_with(&queries, &params, &BatchOptions::default());
+            for (got, want) in batch.outcomes.iter().zip(&expected_batch.outcomes) {
+                assert_eq!(
+                    got.as_ref().map(|o| &o.results),
+                    want.as_ref().map(|o| &o.results),
+                    "{what}: batch"
+                );
+            }
+            let pairs = discover_all_pairs(loaded, &params, &AllPairsOptions::default())
+                .expect("all-pairs on loaded")
+                .pairs;
+            assert_eq!(pairs, expected_pairs, "{what}: all-pairs");
+        };
 
-    // 0 = the store's own default split.
-    for shards in [1usize, 2, 4, 0] {
-        let dir = store_dir(&format!("roundtrip-{shards}"));
-        let report = pack_store(&index, &dir, &PackOptions { shards, ..Default::default() })
-            .expect("pack");
-        if shards != 0 {
-            assert_eq!(report.shards, shards, "requested shard count honored");
-        }
-        let (loaded, load) = open_store(&dir, dataset.clone()).expect("open");
-        assert!(load.is_clean(), "clean store loads without quarantine: {load:?}");
-        assert_eq!(load.shards_total, report.shards);
-        assert_eq!(
-            tind_core::persist::encode_index(&loaded),
-            baseline,
-            "{shards}-shard store must round-trip byte-identically"
-        );
+        // The legacy monolithic file is the third leg of the oracle.
+        let legacy =
+            std::env::temp_dir().join(format!("tind-store-roundtrip-tests-legacy-{m}.idx"));
+        tind_core::persist::write_index_file(&index, &legacy).expect("write legacy");
+        let from_file =
+            tind_core::persist::read_index_file(&legacy, dataset.clone()).expect("read legacy");
+        assert_eq!(tind_core::persist::encode_index(&from_file), baseline);
+        answers_as_default(&from_file, &format!("m = {m} index file"));
+        std::fs::remove_file(&legacy).ok();
 
-        for (&q, expected) in queries.iter().zip(&expected_single) {
-            assert_eq!(&loaded.search(q, &params).results, expected, "query {q}");
-        }
-        let batch = loaded.search_batch_with(&queries, &params, &BatchOptions::default());
-        for (got, want) in batch.outcomes.iter().zip(&expected_batch.outcomes) {
+        // 0 = the store's own default split.
+        for shards in [1usize, 2, 4, 0] {
+            let dir = store_dir(&format!("roundtrip-{m}-{shards}"));
+            let report = pack_store(&index, &dir, &PackOptions { shards, ..Default::default() })
+                .expect("pack");
+            if shards != 0 {
+                assert_eq!(report.shards, shards, "requested shard count honored");
+            }
+            let (loaded, load) = open_store(&dir, dataset.clone()).expect("open");
+            assert!(load.is_clean(), "clean store loads without quarantine: {load:?}");
+            assert_eq!(load.shards_total, report.shards);
             assert_eq!(
-                got.as_ref().map(|o| &o.results),
-                want.as_ref().map(|o| &o.results)
+                tind_core::persist::encode_index(&loaded),
+                baseline,
+                "{shards}-shard store at m = {m} must round-trip byte-identically"
             );
+            answers_as_default(&loaded, &format!("m = {m}, {shards}-shard store"));
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let pairs = discover_all_pairs(&loaded, &params, &AllPairsOptions::default())
-            .expect("all-pairs on loaded")
-            .pairs;
-        assert_eq!(pairs, expected_pairs);
-        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_file(&legacy).ok();
 }
 
 #[test]
