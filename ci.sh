@@ -42,6 +42,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
 # The obs-off feature must keep every instrumented crate compiling.
 cargo check --features obs-off
+# The recorder's obs-off twin (zero-sized guard, empty snapshots, the
+# format half still working) has tests of its own.
+cargo test -q -p tind-obs --features obs-off
 # The obs overhead gate: asserts span/metric/trace cost <2% of the
 # validate kernel.
 cargo run --release --example obs_overhead

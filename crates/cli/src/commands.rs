@@ -408,6 +408,7 @@ const SLICE_SAMPLE_CAP: usize = 256;
 /// with. Returns the diagnostics it published so a caller that prints
 /// them does not sweep the matrices a second time.
 fn record_index_gauges(index: &TindIndex) -> tind_core::index::IndexDiagnostics {
+    let _span = tind_obs::span("cli.diagnostics");
     let d = index.diagnostics();
     let k = index.config().k_hashes as i32;
     tind_obs::gauge("index.m").set(f64::from(d.m));
@@ -1012,19 +1013,22 @@ fn verify_store_dir(dir: &std::path::Path) -> Result<String, CliError> {
     Err(CliError::Message(msg))
 }
 
-/// Looks up a gauge value in a report payload's `metrics.gauges` section.
-fn report_gauge(payload: &tind_obs::Value, name: &str) -> Option<f64> {
+/// Looks up a metric's reading in a report payload: `field` of the entry
+/// named `name` in `metrics.<section>` (`gauges` hold a `value`,
+/// `counters` a `total`).
+fn report_metric(payload: &tind_obs::Value, section: &str, name: &str, field: &str) -> Option<f64> {
     payload
         .get("metrics")?
-        .get("gauges")?
+        .get(section)?
         .as_arr()?
         .iter()
-        .find(|g| g.get("name").and_then(tind_obs::Value::as_str) == Some(name))?
-        .get("value")?
+        .find(|m| m.get("name").and_then(tind_obs::Value::as_str) == Some(name))?
+        .get(field)?
         .as_f64()
 }
 
-/// `tind verify` on a `TINDRR` run report: checks the CRC envelope, then
+/// `tind verify` on a `TINDRR` run report: checks the CRC envelope, warns
+/// when the run lost trace events (`obs.spans.dropped_total` > 0), then
 /// optionally validates the payload against a JSON schema (`--schema`)
 /// and cross-checks the report's running `ingest.quarantined_total`
 /// gauge against a quarantine artifact (`--quarantine`).
@@ -1044,6 +1048,15 @@ fn describe_run_report(args: &Args, bytes: &[u8]) -> Result<String, CliError> {
         tind_obs::fmt_duration_ns(wall_ns),
         coverage * 100.0,
     );
+    let counter = tind_obs::trace::DROPPED_COUNTER;
+    let lost = report_metric(&payload, "counters", counter, "total").unwrap_or(0.0);
+    if lost > 0.0 {
+        let _ = write!(
+            detail,
+            "\nwarning: {lost} trace event(s) lost to ring overflow ({counter}); \
+             traces from this run may be incomplete",
+        );
+    }
 
     if let Some(schema_path) = args.opt::<String>("schema")? {
         let schema_text = std::fs::read_to_string(&schema_path)?;
@@ -1063,13 +1076,14 @@ fn describe_run_report(args: &Args, bytes: &[u8]) -> Result<String, CliError> {
 
     if let Some(q_path) = args.opt::<String>("quarantine")? {
         let q = tind_model::QuarantineReport::decode(&std::fs::read(&q_path)?)?;
-        let gauge = report_gauge(&payload, "ingest.quarantined_total").ok_or_else(|| {
-            CliError::Message(
-                "report carries no ingest.quarantined_total gauge — was it produced by \
-                 `tind ingest --report`?"
-                    .into(),
-            )
-        })?;
+        let gauge = report_metric(&payload, "gauges", "ingest.quarantined_total", "value")
+            .ok_or_else(|| {
+                CliError::Message(
+                    "report carries no ingest.quarantined_total gauge — was it produced by \
+                     `tind ingest --report`?"
+                        .into(),
+                )
+            })?;
         if gauge != q.pages_quarantined as f64 {
             return Err(CliError::Message(format!(
                 "quarantine mismatch: report gauge ingest.quarantined_total = {gauge}, \

@@ -244,17 +244,15 @@ pub(crate) fn run_search_scratch(
     bufs: &mut ValueBufs,
     trace: Option<tind_obs::TraceContext>,
 ) -> SearchOutcome {
-    let _query_span = tind_obs::span("core.search.query");
-    let query_trace = tind_obs::TraceSpan::start(trace, "core.search.query");
-    let trace = query_trace.child_ctx();
+    let query_span = tind_obs::traced_span("core.search.query", trace);
+    let trace = query_span.child_ctx();
     let mut candidates = initial_candidates(index, exclude);
 
     // Stage 1: required values against M_T.
     let (required, _, weights) = bufs;
     required_values_into(q, params, required, weights);
     if options.use_required_values && !required.is_empty() {
-        let _s1 = tind_obs::span("core.search.stage1");
-        let _t1 = tind_obs::TraceSpan::start(trace, "core.search.stage1");
+        let _s1 = tind_obs::traced_span("core.search.stage1", trace);
         let qf = index.m_t().query_filter(required);
         index.m_t().narrow_to_supersets(&qf, &mut candidates);
     }
@@ -318,8 +316,7 @@ pub(crate) fn finish_search(
     //   touching full rows — this keeps large k affordable on large |D|.
     stats.slices_used = options.use_time_slices && params.slices_usable(index.max_delta());
     if stats.slices_used && !candidates.is_zero() {
-        let _s2 = tind_obs::span("core.search.stage2");
-        let _t2 = tind_obs::TraceSpan::start(trace, "core.search.stage2");
+        let _s2 = tind_obs::traced_span("core.search.stage2", trace);
         let probe_threshold = (num_attrs / 64).max(8);
         let mut violations: FastMap<u32, f64> = FastMap::default();
         let mut scratch = BitVec::zeros(num_attrs);
@@ -386,8 +383,7 @@ pub(crate) fn finish_search(
     // cached universes — discards Bloom false positives cheaply before the
     // expensive full validation (Algorithm 1, line 16).
     if options.use_exact_filter && !required.is_empty() {
-        let _s3 = tind_obs::span("core.search.stage3");
-        let _t3 = tind_obs::TraceSpan::start(trace, "core.search.stage3");
+        let _s3 = tind_obs::traced_span("core.search.stage3", trace);
         let survivors: Vec<usize> = candidates.iter_ones().collect();
         for c in survivors {
             if !tind_model::value::is_subset(required, index.universe(c as u32)) {
@@ -401,12 +397,10 @@ pub(crate) fn finish_search(
     // built once for `q` and reused across every surviving candidate; the
     // scratch (and its cached weight table) persists across queries on the
     // same worker thread.
-    let _s4 = tind_obs::span("core.search.stage4");
-    let t4 = tind_obs::TraceSpan::start(trace, "core.search.stage4");
+    let s4 = tind_obs::traced_span("core.search.stage4", trace);
     let started = std::time::Instant::now();
     let plan = {
-        let _plan_span = tind_obs::span("core.validate.plan_build");
-        let _plan_trace = tind_obs::TraceSpan::start(t4.child_ctx(), "core.validate.plan_build");
+        let _plan_span = tind_obs::traced_span("core.validate.plan_build", s4.child_ctx());
         // Indexed queries (`exclude` carries the query's own id) can reuse
         // cached plan artifacts; external-history queries always build
         // fresh — there is no stable identity to key them by.
@@ -468,9 +462,7 @@ pub(crate) fn run_search_batch(
     let timeline = dataset.timeline();
 
     // Batched stage 1.
-    let batch_stage1 = tind_obs::span("core.search.batch_stage1");
-    let batch_stage1_trace =
-        tind_obs::TraceSpan::start(options.trace, "core.search.batch_stage1");
+    let batch_stage1 = tind_obs::traced_span("core.search.batch_stage1", options.trace);
     let required: Vec<ValueSet> = queries
         .iter()
         .map(|&qid| required_values(dataset.attribute(qid), params, timeline))
@@ -485,7 +477,6 @@ pub(crate) fn run_search_batch(
             required.iter().map(|r| index.m_t().query_filter(r)).collect();
         index.m_t().narrow_batch_to_supersets(&filters, &mut candidates);
     }
-    drop(batch_stage1_trace);
     drop(batch_stage1);
 
     let slots: Vec<Mutex<BatchSlot>> = required
@@ -498,7 +489,7 @@ pub(crate) fn run_search_batch(
     let finish_query = |_: &mut (), scratch: &mut ValidationScratch, i: usize| {
         let (required, candidates) =
             lock(&slots[i]).input.take().expect("each slot is claimed exactly once");
-        let query_trace = tind_obs::TraceSpan::start(options.trace, "core.search.query");
+        let query_trace = tind_obs::trace_only_span("core.search.query", options.trace);
         let outcome = finish_search(
             index,
             dataset.attribute(queries[i]),

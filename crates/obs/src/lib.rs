@@ -4,11 +4,14 @@
 //! on `std` alone like the rest of the workspace — no `tracing`, no
 //! `metrics`, no serde.
 //!
-//! * [`span`](mod@span) — wall-time spans with allocation-free enter/exit;
-//!   per-thread per-name aggregates, merged at run end.
-//! * [`trace`] — request-scoped tracing: explicit-parent interval events
-//!   under a propagated [`TraceContext`], per-thread bounded rings, and
-//!   the checksummed `TINDTF` / Chrome `trace_event` exporters.
+//! * [`span`](mod@span) — the one recorder: one guard ([`span()`], or
+//!   [`traced_span`] under a [`TraceContext`]) adds each interval to its
+//!   name's per-thread aggregate and, inside a sampled request, writes the
+//!   same interval to the thread's bounded trace ring; one per-thread
+//!   state, registry and reset behind both.
+//! * [`trace`] — request identity ([`TraceContext`]), the shared obs
+//!   clock, ring collection into a [`ParsedTrace`], and the checksummed
+//!   `TINDTF` / Chrome `trace_event` exporters.
 //! * [`metrics`] — named counters (sharded atomics), gauges, and
 //!   log2-bucket histograms (with p50/p90/p99 estimation) behind an
 //!   interning registry.
@@ -65,16 +68,15 @@ pub use report::{crc32, metrics_value, validate_schema, verify_report, RunReport
     REPORT_PREFIX, SCHEMA_VERSION};
 pub use reporter::{fmt_duration_ns, fmt_eta_secs, fmt_pipeline, fmt_rate,
     fmt_validation_summary, Reporter};
-pub use span::{span, span_snapshot, SpanGuard, SpanStats};
+pub use span::{span, span_snapshot, trace_only_span, traced_span, SpanGuard, SpanStats};
 pub use trace::{collect_trace, verify_trace, ParsedEvent, ParsedTrace, TraceContext,
-    TraceEvent, TraceEventKind, TraceSnapshot, TraceSpan, TRACE_MAGIC, TRACE_PREFIX};
+    TRACE_MAGIC, TRACE_PREFIX};
 
 /// Clear all recorded spans, trace events, metrics, and history ticks.
 /// Call once at the start of a run (the CLI does this in `dispatch`);
 /// `&'static` metric handles stay valid.
 pub fn reset() {
-    span::reset_spans();
-    trace::reset_traces();
+    span::reset_recorder();
     metrics::reset_metrics();
     history::reset_history();
 }

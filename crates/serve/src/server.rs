@@ -965,11 +965,11 @@ struct Job {
     wave_span: u64,
 }
 
-/// One completed, collected request trace retained for `/debug/trace`.
+/// One completed request trace retained for `/debug/trace`: its
+/// identity, and its collected payload once something collected it.
 struct StoredTrace {
-    trace_id: u128,
-    dur_ns: u64,
-    payload: Value,
+    trace: PendingTrace,
+    payload: Option<Value>,
 }
 
 #[derive(Default)]
@@ -982,45 +982,49 @@ struct TraceStoreInner {
 
 /// Tail-sampling trace retention: every completed (or force-sampled)
 /// request trace is offered; the store keeps the K most recent and the
-/// K slowest, which is what `GET /debug/trace` serves. Collection runs
-/// off the hot path — after the response-worthy work, before the write.
+/// K slowest, which is what `GET /debug/trace` serves. Collection scans
+/// every thread's ring, so it runs only for traces that are kept: a
+/// forced trace or one entering the slowest pool is collected when it is
+/// offered, and a recent one on its first export — by then the rings may
+/// have overwritten part of it, which shows as `dropped` and missing
+/// parents.
 struct TraceStore {
     /// `0` disables retention; offers are then dropped.
     capacity: usize,
+    /// Collects a kept trace's payload from the rings (a fake in tests).
+    collect: fn(&PendingTrace) -> Value,
     inner: Mutex<TraceStoreInner>,
 }
 
 impl TraceStore {
     fn new(capacity: usize) -> TraceStore {
-        TraceStore { capacity, inner: Mutex::new(TraceStoreInner::default()) }
+        TraceStore::with_collector(capacity, |p| {
+            trace::collect_trace(p.ctx, &[p.wave_trace]).to_value()
+        })
+    }
+
+    fn with_collector(capacity: usize, collect: fn(&PendingTrace) -> Value) -> TraceStore {
+        TraceStore { capacity, collect, inner: Mutex::new(TraceStoreInner::default()) }
     }
 
     fn enabled(&self) -> bool {
         self.capacity > 0
     }
 
-    fn offer(&self, trace: StoredTrace) {
+    fn offer(&self, trace: PendingTrace) {
         if !self.enabled() {
             return;
         }
         let mut inner = lock(&self.inner);
         let slow_slot = inner.slowest.len() < self.capacity
-            || inner.slowest.last().is_some_and(|t| t.dur_ns < trace.dur_ns);
+            || inner.slowest.last().is_some_and(|t| t.trace.dur_ns < trace.dur_ns);
+        let payload = (trace.forced || slow_slot).then(|| (self.collect)(&trace));
         if slow_slot {
-            let at = inner
-                .slowest
-                .partition_point(|t| t.dur_ns >= trace.dur_ns);
-            inner.slowest.insert(
-                at,
-                StoredTrace {
-                    trace_id: trace.trace_id,
-                    dur_ns: trace.dur_ns,
-                    payload: trace.payload.clone(),
-                },
-            );
+            let at = inner.slowest.partition_point(|t| t.trace.dur_ns >= trace.dur_ns);
+            inner.slowest.insert(at, StoredTrace { trace, payload: payload.clone() });
             inner.slowest.truncate(self.capacity);
         }
-        inner.recent.push_back(trace);
+        inner.recent.push_back(StoredTrace { trace, payload });
         if inner.recent.len() > self.capacity {
             inner.recent.pop_front();
         }
@@ -1029,7 +1033,10 @@ impl TraceStore {
     /// Retained trace payloads, slowest first then most-recent-first,
     /// deduplicated by trace id and capped at `last` when given.
     fn export(&self, last: Option<usize>) -> Vec<Value> {
-        let inner = lock(&self.inner);
+        let mut inner = lock(&self.inner);
+        for t in inner.recent.iter_mut().filter(|t| t.payload.is_none()) {
+            t.payload = Some((self.collect)(&t.trace));
+        }
         let mut seen: Vec<u128> = Vec::new();
         let mut out = Vec::new();
         let cap = last.unwrap_or(usize::MAX);
@@ -1037,9 +1044,10 @@ impl TraceStore {
             if out.len() >= cap {
                 break;
             }
-            if !seen.contains(&t.trace_id) {
-                seen.push(t.trace_id);
-                out.push(t.payload.clone());
+            let id = t.trace.ctx.trace_id;
+            if !seen.contains(&id) {
+                seen.push(id);
+                out.extend(t.payload.clone());
             }
         }
         out
@@ -1709,12 +1717,7 @@ fn execute_wave(rt: &Runtime, engine: &Engine, slot: usize, mut wave: Vec<Job>) 
         trace::now_ns().saturating_sub(exec_start_ns),
     );
     for p in completed {
-        let snapshot = trace::collect_trace(p.ctx, &[p.wave_trace]);
-        rt.traces.offer(StoredTrace {
-            trace_id: p.ctx.trace_id,
-            dur_ns: p.dur_ns,
-            payload: snapshot.to_value(),
-        });
+        rt.traces.offer(p);
     }
     *lock(&rt.active[slot]) = None;
 }
@@ -1879,8 +1882,10 @@ fn run_search_wave(
                     if wave_token.is_cancelled() {
                         None
                     } else {
-                        let _t =
-                            trace::TraceSpan::start(Some(wave_ctx), "core.search.query");
+                        let _t = tind_obs::trace_only_span(
+                            "core.search.query",
+                            Some(wave_ctx),
+                        );
                         Some(snap.reverse.reverse_search(id, &params))
                     }
                 })
@@ -2009,10 +2014,13 @@ fn elapsed_ms(job: &Job) -> f64 {
 /// span closes (see [`execute_wave`]): the member's `serve.exec` span
 /// parents to `serve.wave`, so collecting before the wave span is
 /// recorded would export a trace with a dangling parent edge.
+#[derive(Clone, Copy)]
 struct PendingTrace {
     ctx: TraceContext,
     wave_trace: u128,
     dur_ns: u64,
+    /// Sent with `X-Tind-Trace: 1`: collected as soon as it is offered.
+    forced: bool,
 }
 
 fn finish_ok(rt: &Runtime, job: &mut Job, body: &Value) -> Option<PendingTrace> {
@@ -2050,6 +2058,7 @@ fn finish_ok(rt: &Runtime, job: &mut Job, body: &Value) -> Option<PendingTrace> 
                 ctx: t,
                 wave_trace: job.wave_trace,
                 dur_ns: end_ns.saturating_sub(job.received_ns),
+                forced: job.force_trace,
             });
         }
         if job.force_trace {
@@ -2156,6 +2165,48 @@ mod tests {
 
     fn constant_params() -> TindParams {
         TindParams::weighted(0.0, 0, WeightFn::constant_one())
+    }
+
+    #[test]
+    fn trace_store_collects_only_the_traces_it_keeps() {
+        static COLLECTED: AtomicU64 = AtomicU64::new(0);
+        let store = TraceStore::with_collector(4, |p| {
+            COLLECTED.fetch_add(1, Ordering::Relaxed);
+            Value::num(p.ctx.trace_id as f64)
+        });
+        // 400 requests with seeded durations, every 100th one forced.
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut requests = Vec::new();
+        for id in 1..=400u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let (ctx, dur_ns) = (TraceContext { trace_id: u128::from(id), span_id: 1 }, x >> 44);
+            store.offer(PendingTrace { ctx, wave_trace: 0, dur_ns, forced: id % 100 == 0 });
+            requests.push((dur_ns, id));
+        }
+        // Collected on offer: the forced ones and each new entrant of the
+        // slowest pool — a few dozen, where collecting every completed
+        // request would be 400.
+        let on_offer = COLLECTED.load(Ordering::Relaxed);
+        assert!((4..=60).contains(&on_offer), "{on_offer} collections for 400 requests");
+
+        // Export collects the recent traces not yet collected, once.
+        let exported = store.export(None);
+        let after_export = COLLECTED.load(Ordering::Relaxed);
+        assert!(after_export <= on_offer + 4);
+        assert_eq!(store.export(None), exported, "a recent trace is collected once");
+        assert_eq!(COLLECTED.load(Ordering::Relaxed), after_export);
+
+        // Slowest first, then most recent first, deduplicated.
+        let mut slowest = requests.clone();
+        slowest.sort_by_key(|r| std::cmp::Reverse(r.0));
+        let mut expect: Vec<u64> = slowest[..4].iter().map(|r| r.1).collect();
+        for &(_, id) in requests.iter().rev().take(4) {
+            if !expect.contains(&id) {
+                expect.push(id);
+            }
+        }
+        let got: Vec<u64> = exported.iter().map(|v| v.as_f64().unwrap() as u64).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

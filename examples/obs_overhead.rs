@@ -51,13 +51,13 @@ fn sweep(dataset: &Dataset, queries: &[u32], params: &TindParams) -> usize {
     valid
 }
 
-/// What `core::search` adds around one query's stage 4: one span, one
-/// trace span and a few metric updates. Without `root` the trace span is
-/// the no-op an unsampled request gets; with it, it is what a forced-sample
-/// `/search` pays — one bounded-ring write, no allocation.
+/// What `core::search` adds around one query's stage 4: one span and a
+/// few metric updates. Without `root` the span is what an unsampled
+/// request gets, an aggregate only; with it, it is what a forced-sample
+/// `/search` pays — the same interval also written to the ring, no
+/// allocation.
 fn instrument_one_query(root: Option<trace::TraceContext>, candidates: u64) {
-    let _span = tind::obs::span("bench.validate.query");
-    let _trace = trace::TraceSpan::start(root, "bench.validate.query");
+    let _span = tind::obs::traced_span("bench.validate.query", root);
     tind::obs::counter("bench.validations").add(candidates);
     tind::obs::histogram("bench.candidates_validated").record(candidates);
 }

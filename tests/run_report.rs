@@ -226,6 +226,76 @@ fn verify_validates_report_against_checked_in_schema() {
     assert!(err.to_string().contains("checksum mismatch"), "{err}");
 }
 
+/// `index --report` times the matrix popcount behind the `index.*`
+/// gauges in its own `cli.diagnostics` span, inside `phase.index_build`.
+#[test]
+fn index_report_times_diagnostics_in_their_own_span() {
+    let _guard = lock();
+    let data = generate_dataset("diag-data.tind", "80", "4");
+    let (idx, report) = (temp_file("diag.tidx"), temp_file("diag-report.json"));
+    let (idx_s, rs) = (idx.to_str().expect("utf8"), report.to_str().expect("utf8"));
+    run(&["index", "--data", &data, "--out", idx_s, "--report", rs]).expect("index");
+    let payload = read_report(rs);
+    let span = |name: &str| {
+        payload
+            .get("spans")
+            .and_then(Value::as_arr)
+            .expect("spans")
+            .iter()
+            .find(|s| s.get("name").and_then(Value::as_str) == Some(name))
+            .map(|s| {
+                let field = |f: &str| s.get(f).and_then(Value::as_f64).expect("numeric field");
+                (field("count"), field("total_ns"))
+            })
+    };
+    let (count, diagnostics_ns) = span("cli.diagnostics").expect("cli.diagnostics span");
+    assert_eq!(count, 1.0);
+    let (_, build_ns) = span("phase.index_build").expect("phase.index_build span");
+    assert!(diagnostics_ns <= build_ns, "the diagnostics run inside the build phase");
+}
+
+/// A run whose trace rings overflowed says so when its report is
+/// verified, and verification still succeeds: the loss is a warning
+/// about the telemetry, not a defect of the report.
+#[test]
+fn verify_warns_when_a_run_lost_trace_events() {
+    let _guard = lock();
+    // One worker records ≈ 5 traced spans per query, so 1 200 queries
+    // overflow its 4 096-event ring.
+    let data = generate_dataset("overflow-data.tind", "1200", "6");
+    let (trace, report) = (temp_file("overflow.tindtf"), temp_file("overflow-report.json"));
+    let (ts, rs) = (trace.to_str().expect("utf8"), report.to_str().expect("utf8"));
+    run(&["all-pairs", "--data", &data, "--threads", "1", "--quiet", "--trace", ts, "--report", rs])
+        .expect("all-pairs");
+    let payload = read_report(rs);
+    let lost = payload
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(Value::as_arr)
+        .and_then(|cs| {
+            cs.iter().find(|c| {
+                c.get("name").and_then(Value::as_str) == Some("obs.spans.dropped_total")
+            })
+        })
+        .and_then(|c| c.get("total"))
+        .and_then(Value::as_f64)
+        .expect("the drop counter is always reported");
+    assert!(lost > 0.0, "the ring must overflow for this test to mean anything");
+    let out = run(&["verify", rs]).expect("a lossy run's report still verifies");
+    assert!(
+        out.contains(&format!("warning: {lost} trace event(s) lost to ring overflow")),
+        "{out}"
+    );
+
+    // A run that lost nothing carries no warning.
+    let quiet = temp_file("overflow-quiet-report.json");
+    let qs = quiet.to_str().expect("utf8");
+    run(&["all-pairs", "--data", &data, "--threads", "1", "--quiet", "--report", qs])
+        .expect("all-pairs");
+    let out = run(&["verify", qs]).expect("verify");
+    assert!(!out.contains("warning"), "{out}");
+}
+
 /// A store-backed index borrows its matrices from the store's mapping:
 /// `index.bloom_bytes` (heap, what `serve` charges to its budget) reads
 /// 0, and `index.bloom_bytes_mapped` reads what a build holds on its heap.

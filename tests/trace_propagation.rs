@@ -288,6 +288,35 @@ fn forced_search_traces_cover_wall_time_and_round_trip_bit_exactly() {
     });
 }
 
+/// With the default retention (`--trace-last 4`) the daemon collects
+/// only the traces it keeps, and the most recent ones only when they are
+/// exported; after a few hundred unforced requests every exported trace
+/// is still complete.
+#[test]
+fn retained_traces_stay_complete_after_hundreds_of_requests() {
+    let dataset = world();
+    let config = ServeConfig { workers: 2, ..ServeConfig::default() };
+    assert_eq!(config.trace_last, 4, "this test exercises the default retention");
+    with_server(dataset, config, |addr| {
+        for i in 0..300 {
+            let (path, q) =
+                if i % 3 == 2 { ("/reverse-search", i % 7) } else { ("/search", i % 11) };
+            let body = format!("{{\"query\":\"source-{}\",\"limit\":50}}", q + 1);
+            let (status, _, response) = request(addr, "POST", path, &body, &[]);
+            assert_eq!(status, 200, "{path} {body} → {response}");
+        }
+        let traces = fetch_traces(addr, 8, &[]);
+        assert!(
+            (4..=8).contains(&traces.len()),
+            "4 slowest + 4 most recent, deduplicated: got {}",
+            traces.len()
+        );
+        for (_, parsed) in &traces {
+            assert_trace_shape(parsed);
+        }
+    });
+}
+
 /// A coalesced wave is genuinely shared: requests batched into the same
 /// wave parent their `serve.exec` spans to the *same* wave span id.
 #[test]
