@@ -36,6 +36,10 @@ cargo test --release -q --test fault_tolerance
 # The one validator's differential suites as it ships: release builds
 # count window underflows instead of asserting on them.
 cargo test --release -q --test validation_kernel --test search_equivalence
+# The serving engine's byte-identity oracles (one-shot answers, every store
+# backing) as the engine ships: its reverse index borrows the forward
+# index's M_T, and the answers must not tell.
+cargo test --release -q --test serve_differential --test arena_backings
 cargo clippy --workspace --all-targets -- -D warnings
 # Doc links left dangling by a rename or a deletion fail here, not in a
 # reader's browser.

@@ -340,11 +340,8 @@ fn store_error(e: StoreError) -> CliError {
 /// the data either way). A degraded store open succeeds with a warning:
 /// searches over live attributes stay exact, masked ones are excluded.
 ///
-/// A fresh build always mirrors its structure into the `index.*` gauges.
-/// A loaded index does so only under `--report`, the one reader of those
-/// gauges here: the load sweep reads every matrix word, which for a
-/// one-shot query over an mmap'd store would fault the whole store in to
-/// answer from a few rows of it.
+/// The index's structure goes into the `index.*` gauges only under
+/// `--report` ([`record_reported_index_gauges`]).
 fn obtain_index(
     args: &Args,
     dataset: &Arc<Dataset>,
@@ -355,7 +352,6 @@ fn obtain_index(
     if index_path.is_some() && store_dir.is_some() {
         return Err(CliError::Args(ArgError::Conflict { a: "index", b: "store" }));
     }
-    let loaded = index_path.is_some() || store_dir.is_some();
     let obtained = match (index_path, store_dir) {
         (Some(path), _) => {
             let path: PathBuf = path.into();
@@ -389,10 +385,20 @@ fn obtain_index(
             }))
         }
     }?;
-    if !loaded || args.opt::<String>("report")?.is_some() {
-        record_index_gauges(&obtained.0);
-    }
+    record_reported_index_gauges(args, &obtained.0)?;
     Ok(obtained)
+}
+
+/// [`record_index_gauges`] when the run writes a `--report`, the one
+/// reader of those gauges outside `tind index` (which prints them). The
+/// sweep reads every matrix word: without a report it is a wasted pass
+/// after a fresh build, and for a one-shot query over an mmap'd store it
+/// would fault the whole store in to answer from a few rows of it.
+fn record_reported_index_gauges(args: &Args, index: &TindIndex) -> Result<(), CliError> {
+    if args.opt::<String>("report")?.is_some() {
+        record_index_gauges(index);
+    }
+    Ok(())
 }
 
 /// Sampled attributes per time slice when estimating pruning power.
@@ -722,7 +728,7 @@ fn cmd_all_pairs(args: &Args) -> Result<String, CliError> {
     let build_phase = tind_obs::span("phase.index_build");
     let (index, build) =
         tind_eval::stats::time_it(|| TindIndex::build_with(dataset.clone(), config, &build_opts));
-    record_index_gauges(&index);
+    record_reported_index_gauges(args, &index)?;
     drop(build_phase);
 
     let reporter = tind_obs::Reporter::new(
@@ -1497,7 +1503,7 @@ fn cmd_store_pack(args: &Args) -> Result<String, CliError> {
             }
         }
     };
-    record_index_gauges(&index);
+    record_reported_index_gauges(args, &index)?;
     let _phase = tind_obs::span("phase.store_pack");
     let shards = args.opt_or("shards", 0usize)?;
     // `--format arena` names the one layout there is; it parses only

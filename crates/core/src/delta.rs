@@ -258,7 +258,8 @@ pub struct DeltaReport {
     pub new_attrs: usize,
     /// Distinct 64-column blocks holding a touched column.
     pub blocks_rewritten: usize,
-    /// Matrices maintained (`M_T` + slices + `M_R`).
+    /// Matrices maintained (`M_T` unless borrowed from a sibling, the
+    /// slices, `M_R`).
     pub matrices_updated: usize,
     /// Whether the matrices grew new columns.
     pub grew: bool,
@@ -283,6 +284,37 @@ impl TindIndex {
     ///   different snapshot than this index holds, or if it would grow a
     ///   degraded index.
     pub fn apply_delta(&mut self, delta: &DatasetDelta) -> Result<DeltaReport, DeltaError> {
+        self.apply_delta_with(delta, true)
+    }
+
+    /// This index after `delta`, for one that serves beside `sibling`,
+    /// which `delta` has already been applied to; `self` is left as it
+    /// was. When `sibling` may lend its `M_T` and universes (as for
+    /// [`TindIndex::build_beside`]), the result borrows them and only its
+    /// slices and `M_R` are copied and retargeted; this index's `M_T` is
+    /// neither copied nor touched. Otherwise this is a clone maintained by
+    /// [`TindIndex::apply_delta`].
+    ///
+    /// # Errors
+    /// As [`TindIndex::apply_delta`].
+    pub fn apply_delta_beside(
+        &self,
+        delta: &DatasetDelta,
+        sibling: &TindIndex,
+    ) -> Result<TindIndex, DeltaError> {
+        let borrows = sibling.lends_full_history(delta.new_dataset(), &self.config);
+        let mut next = if borrows { self.with_full(sibling.full.clone()) } else { self.clone() };
+        next.apply_delta_with(delta, !borrows)?;
+        Ok(next)
+    }
+
+    /// Folds `delta` in; `M_T` and the universes too unless they are
+    /// borrowed from a sibling that `delta` was already applied to.
+    fn apply_delta_with(
+        &mut self,
+        delta: &DatasetDelta,
+        maintains_m_t: bool,
+    ) -> Result<DeltaReport, DeltaError> {
         let _span = tind_obs::span("core.delta.apply");
         let old_len = delta.old_len();
         if self.dataset.len() != old_len {
@@ -335,15 +367,19 @@ impl TindIndex {
         let new = Arc::clone(delta.new_dataset());
         let new_len = new.len();
         let grew = new_len > old_len;
+        // Copied on write when a sibling still borrows them.
+        let mut own = maintains_m_t.then(|| Arc::make_mut(&mut self.full));
         if grew {
-            self.m_t.grow_cols(new_len);
+            if let Some(full) = own.as_deref_mut() {
+                full.m_t.grow_cols(new_len);
+                full.universes.resize(new_len, ValueSet::new());
+            }
             for slice in &mut self.time_slices {
                 slice.matrix.grow_cols(new_len);
             }
             if let Some(mr) = self.m_r.as_mut() {
                 mr.grow_cols(new_len);
             }
-            self.universes.resize(new_len, ValueSet::new());
         }
 
         let expanded = self.time_slices.iter().map(|s| s.expanded).collect();
@@ -374,9 +410,11 @@ impl TindIndex {
             };
 
             // M_T's old column is the cached universe (empty when appended).
-            columns.values_into(0, new_hist, &mut after);
-            retarget(&mut self.m_t, col, &self.universes[col], &after.0);
-            self.universes[col].clone_from(&after.0);
+            if let Some(full) = own.as_deref_mut() {
+                columns.values_into(0, new_hist, &mut after);
+                retarget(&mut full.m_t, col, &full.universes[col], &after.0);
+                full.universes[col].clone_from(&after.0);
+            }
 
             let changed_from = old_hist.map_or(0, |old| first_difference(old, new_hist));
             for (i, slice) in self.time_slices.iter_mut().enumerate() {
@@ -400,7 +438,9 @@ impl TindIndex {
         // `touched` is ascending, so equal blocks are adjacent.
         let mut blocks: Vec<usize> = delta.touched().iter().map(|&id| id as usize / 64).collect();
         blocks.dedup();
-        let matrices_updated = 1 + self.time_slices.len() + usize::from(self.m_r.is_some());
+        let matrices_updated = usize::from(maintains_m_t)
+            + self.time_slices.len()
+            + usize::from(self.m_r.is_some());
         tind_obs::counter("delta.applied").incr();
         tind_obs::counter("delta.touched_attrs").add(delta.touched().len() as u64);
         tind_obs::counter("delta.blocks_rewritten").add(blocks.len() as u64);

@@ -15,6 +15,13 @@
 //!
 //! The exact value universes `A[T]` are cached alongside to discard Bloom
 //! false positives before full validation (Algorithm 1, line 16).
+//!
+//! `M_T` and the universes depend only on the dataset, `m` and the hash
+//! count — not on the slices or the sizing (ε, w) — so two indexes over one
+//! dataset at one Bloom size hold byte-identical copies. They sit behind
+//! one [`Arc`]: [`TindIndex::build_beside`] builds an index (the serving
+//! engine's reverse one) that borrows them from a sibling instead of
+//! rendering its own.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -251,19 +258,36 @@ impl ShardMask {
     }
 }
 
-/// The tIND search index over a dataset.
+/// `M_T` and the value universes its columns are rendered from: column `j`
+/// of `m_t` is the Bloom filter of `universes[j]`.
 #[derive(Debug, Clone)]
+pub(crate) struct FullHistory {
+    pub(crate) m_t: BloomMatrix,
+    pub(crate) universes: Vec<ValueSet>,
+}
+
+/// The tIND search index over a dataset.
+#[derive(Debug)]
 pub struct TindIndex {
     pub(crate) dataset: Arc<Dataset>,
     pub(crate) config: IndexConfig,
-    pub(crate) m_t: BloomMatrix,
+    /// Owned, or borrowed from a sibling index ([`TindIndex::build_beside`]).
+    pub(crate) full: Arc<FullHistory>,
     pub(crate) time_slices: Vec<TimeSlice>,
-    pub(crate) universes: Vec<ValueSet>,
     pub(crate) m_r: Option<BloomMatrix>,
     /// Present iff the index was loaded degraded from a sharded store;
     /// `None` means every attribute is live (the only state non-store
     /// construction paths ever produce).
     pub(crate) masked: Option<Arc<ShardMask>>,
+}
+
+impl Clone for TindIndex {
+    /// A deep copy: the clone owns its `M_T` and universes even where this
+    /// index borrows them, so maintaining the clone never copies them on
+    /// write — the copy is paid here, by the caller that asked for it.
+    fn clone(&self) -> Self {
+        self.with_full(Arc::new((*self.full).clone()))
+    }
 }
 
 /// The buffers a column's value set is rendered into: the set lands in
@@ -356,41 +380,71 @@ impl TindIndex {
     /// words, so nothing is merged and no lock is held around the words;
     /// only handing out the next tile takes the target's lock.
     pub fn build_with(dataset: Arc<Dataset>, config: IndexConfig, options: &BuildOptions) -> Self {
+        Self::render(dataset, config, options, None)
+    }
+
+    /// [`TindIndex::build_with`] for an index that serves beside `sibling`:
+    /// when `sibling` indexes the same dataset (the same [`Arc`]) at the
+    /// same `m` and hash count and is not degraded, `M_T` and the value
+    /// universes are borrowed from it and only the slices and `M_R` are
+    /// rendered. Otherwise this is [`TindIndex::build_with`]. Either way
+    /// the index answers, and encodes, exactly as its own build would.
+    pub fn build_beside(
+        dataset: Arc<Dataset>,
+        config: IndexConfig,
+        options: &BuildOptions,
+        sibling: &TindIndex,
+    ) -> Self {
+        let shared = sibling.lends_full_history(&dataset, &config).then(|| sibling.full.clone());
+        Self::render(dataset, config, options, shared)
+    }
+
+    /// The one build: renders every target matrix, or every one but `M_T`
+    /// when `shared` brings it (with the universes).
+    fn render(
+        dataset: Arc<Dataset>,
+        config: IndexConfig,
+        options: &BuildOptions,
+        shared: Option<Arc<FullHistory>>,
+    ) -> Self {
         let _build_span = tind_obs::span("core.index.build");
         let num_attrs = dataset.len();
         let (intervals, columns) = Self::plan(&dataset, &config);
         let tiles = num_attrs.div_ceil(64).div_ceil(TILE_WORDS);
-        let num_targets = columns.num_targets();
-        let total_units = num_targets * tiles;
-        let mut builders: Vec<BloomMatrixBuilder> = (0..num_targets)
+        // Targets `first..` are rendered here; `M_T` (target 0) is not
+        // when it is shared.
+        let first = usize::from(shared.is_some());
+        let rendered = columns.num_targets() - first;
+        let total_units = rendered * tiles;
+        let mut builders: Vec<BloomMatrixBuilder> = (0..rendered)
             .map(|_| BloomMatrixBuilder::new(config.m, num_attrs, config.k_hashes))
             .collect();
-        let mut universes = vec![ValueSet::new(); num_attrs];
+        let mut universes = vec![ValueSet::new(); if shared.is_some() { 0 } else { num_attrs }];
 
-        // Unit `u` renders the next tile of target `u mod targets`, so
-        // units running at once fill different matrices. With the
-        // merge-based required values, target-major order (two M_R tiles
-        // at once) still summed about a quarter more tile time than this
-        // order in a D20k reverse build at two threads; at D10k the two
-        // orders were within noise.
+        // Unit `u` renders the next tile of target `first + u mod
+        // rendered`, so units running at once fill different matrices.
+        // With the merge-based required values, target-major order (two
+        // M_R tiles at once) still summed about a quarter more tile time
+        // than this order in a D20k reverse build at two threads; at D10k
+        // the two orders were within noise.
         // M_T's columns are the value universes: its tiles also take the
         // same column range of `universes`, under the same lock, so the
         // two always agree.
-        let mut universe_ranges = Some(universes.chunks_mut(64 * TILE_WORDS));
+        let mut universe_ranges = (first == 0).then(|| universes.chunks_mut(64 * TILE_WORDS));
         let sources: Vec<Mutex<_>> =
             builders.iter_mut().map(|b| Mutex::new((b.tiles(), universe_ranges.take()))).collect();
         let finished = AtomicUsize::new(0);
         let tiles_rendered = tind_obs::counter("index.tiles_rendered");
         let render_unit = |bufs: &mut ValueBufs, _: &mut _, unit: usize| {
             let _tile_span = tind_obs::span("core.index.tile");
-            let target = unit % num_targets;
+            let source = unit % rendered;
             let (mut tile, mut kept) = {
-                let mut source = lock(&sources[target]);
+                let mut source = lock(&sources[source]);
                 let tile = source.0.next().expect("one unit per tile");
                 (tile, source.1.as_mut().map(|r| r.next().expect("one range per M_T tile")))
             };
             let lo = tile.columns().start;
-            columns.render_tile(&dataset, target, 0, &mut tile, bufs, |col, values| {
+            columns.render_tile(&dataset, first + source, 0, &mut tile, bufs, |col, values| {
                 if let Some(kept) = kept.as_mut() {
                     kept[col - lo] = values.to_vec();
                 }
@@ -415,8 +469,57 @@ impl TindIndex {
         tind_obs::gauge("index.build.workers_granted").set(drained.threads as f64);
 
         drop(sources);
-        let matrices = builders.into_iter().map(BloomMatrixBuilder::build).collect();
-        Self::assemble(dataset, config, intervals, columns, matrices, universes)
+        let mut matrices = builders.into_iter().map(BloomMatrixBuilder::build);
+        let full = shared.unwrap_or_else(|| {
+            let m_t = matrices.next().expect("M_T is target 0");
+            Arc::new(FullHistory { m_t, universes })
+        });
+        let time_slices = intervals
+            .into_iter()
+            .zip(columns.expanded)
+            .zip(matrices.by_ref())
+            .map(|((interval, expanded), matrix)| TimeSlice { interval, expanded, matrix })
+            .collect();
+        let m_r = matrices.next();
+        TindIndex { dataset, config, full, time_slices, m_r, masked: None }
+    }
+
+    /// Whether an index over `dataset` built with `config` may borrow this
+    /// index's `M_T` and universes: the same dataset, the same Bloom size
+    /// and hash count, and every column live (a degraded index's masked
+    /// columns are zeros, not the dataset's values).
+    pub(crate) fn lends_full_history(&self, dataset: &Arc<Dataset>, config: &IndexConfig) -> bool {
+        Arc::ptr_eq(&self.dataset, dataset)
+            && (self.config.m, self.config.k_hashes) == (config.m, config.k_hashes)
+            && self.masked.is_none()
+    }
+
+    /// Borrows `M_T` and the universes from `sibling` when it may lend
+    /// them (see [`TindIndex::build_beside`]), dropping this index's own.
+    /// What the index answers and encodes does not change: the borrowed
+    /// matrix equals its own.
+    pub fn share_full_history(&mut self, sibling: &TindIndex) {
+        if sibling.lends_full_history(&self.dataset, &self.config) {
+            self.full = sibling.full.clone();
+        }
+    }
+
+    /// Whether this index and `other` hold one `M_T` (and one set of
+    /// universes) between them, which a memory account counts once.
+    pub fn shares_full_history(&self, other: &TindIndex) -> bool {
+        Arc::ptr_eq(&self.full, &other.full)
+    }
+
+    /// A copy of this index that holds `full` as its `M_T` and universes.
+    pub(crate) fn with_full(&self, full: Arc<FullHistory>) -> TindIndex {
+        TindIndex {
+            dataset: self.dataset.clone(),
+            config: self.config.clone(),
+            full,
+            time_slices: self.time_slices.clone(),
+            m_r: self.m_r.clone(),
+            masked: self.masked.clone(),
+        }
     }
 
     /// Selects the time slices and the column definition over them. Slice
@@ -434,27 +537,6 @@ impl TindIndex {
         (intervals, columns)
     }
 
-    /// Assembles an index from one built matrix per target, in target order.
-    fn assemble(
-        dataset: Arc<Dataset>,
-        config: IndexConfig,
-        intervals: Vec<Interval>,
-        columns: ColumnContents,
-        matrices: Vec<BloomMatrix>,
-        universes: Vec<ValueSet>,
-    ) -> Self {
-        let mut matrices = matrices.into_iter();
-        let m_t = matrices.next().expect("M_T is target 0");
-        let time_slices = intervals
-            .into_iter()
-            .zip(columns.expanded)
-            .zip(matrices.by_ref())
-            .map(|((interval, expanded), matrix)| TimeSlice { interval, expanded, matrix })
-            .collect();
-        let m_r = matrices.next();
-        TindIndex { dataset, config, m_t, time_slices, universes, m_r, masked: None }
-    }
-
     /// The indexed dataset.
     pub fn dataset(&self) -> &Arc<Dataset> {
         &self.dataset
@@ -467,7 +549,7 @@ impl TindIndex {
 
     /// The full-history matrix `M_T`.
     pub fn m_t(&self) -> &BloomMatrix {
-        &self.m_t
+        &self.full.m_t
     }
 
     /// The required-values matrix `M_R`, if built.
@@ -482,7 +564,7 @@ impl TindIndex {
 
     /// Cached exact value universe `A[T]` of an attribute.
     pub fn universe(&self, id: AttrId) -> &ValueSet {
-        &self.universes[id as usize]
+        &self.full.universes[id as usize]
     }
 
     /// The shard-availability mask, present only when the index was loaded
@@ -526,7 +608,7 @@ impl TindIndex {
     /// store shard's sections.
     pub(crate) fn matrices(&self) -> impl Iterator<Item = &BloomMatrix> {
         let slices = self.time_slices.iter().map(|s| &s.matrix);
-        std::iter::once(&self.m_t).chain(slices).chain(self.m_r.as_ref())
+        std::iter::once(&self.full.m_t).chain(slices).chain(self.m_r.as_ref())
     }
 
     /// Structural diagnostics: matrix load factors and slice coverage.
@@ -546,7 +628,7 @@ impl TindIndex {
             num_attributes: self.dataset.len(),
             num_slices: self.time_slices.len(),
             m: self.config.m,
-            m_t_load: load(&self.m_t),
+            m_t_load: load(self.m_t()),
             mean_slice_load: if self.time_slices.is_empty() {
                 0.0
             } else {

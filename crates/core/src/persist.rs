@@ -16,7 +16,7 @@ use tind_model::binio::{
 };
 use tind_model::{Dataset, Interval};
 
-use crate::index::{IndexConfig, TimeSlice, TindIndex};
+use crate::index::{FullHistory, IndexConfig, TimeSlice, TindIndex};
 use crate::slices::{SliceConfig, SliceStrategy};
 
 /// Magic bytes identifying a serialized index, including a format version.
@@ -107,15 +107,15 @@ impl Container for TindIndex {
         w.reserve(self.bloom_bytes() + (1 << 16));
         w.u64_le(dataset_fingerprint(self.dataset()));
         put_config(w, self.config());
-        self.m_t.encode(w);
+        self.m_t().encode(w);
         w.varint(self.time_slices.len() as u64);
         for slice in &self.time_slices {
             put_interval(w, slice.interval);
             put_interval(w, slice.expanded);
             slice.matrix.encode(w);
         }
-        w.varint(self.universes.len() as u64);
-        for u in &self.universes {
+        w.varint(self.full.universes.len() as u64);
+        for u in &self.full.universes {
             w.ascending(u);
         }
         match &self.m_r {
@@ -175,7 +175,8 @@ pub fn decode_index(bytes: &[u8], dataset: Arc<Dataset>) -> Result<TindIndex, Bi
     if m_t.num_cols() != dataset.len() {
         return Err(corrupt("matrix width does not match dataset"));
     }
-    Ok(TindIndex { dataset, config, m_t, time_slices, universes, m_r, masked: None })
+    let full = Arc::new(FullHistory { m_t, universes });
+    Ok(TindIndex { dataset, config, full, time_slices, m_r, masked: None })
 }
 
 /// Writes `index` to the file at `path`, streamed: no second copy of it

@@ -53,7 +53,9 @@ use tind_model::binio::{
 use tind_model::checksum::{self, crc32};
 use tind_model::{AttrId, Dataset, Interval, MemoryBudget, ValueSet};
 
-use crate::index::{ColumnContents, MaskedShard, ShardMask, TimeSlice, TindIndex, ValueBufs};
+use crate::index::{
+    ColumnContents, FullHistory, MaskedShard, ShardMask, TimeSlice, TindIndex, ValueBufs,
+};
 use crate::persist::{get_config, get_interval, put_config, put_interval};
 
 /// Magic bytes of the store manifest, including a format version.
@@ -1059,9 +1061,8 @@ pub fn open_store_with(
     let index = TindIndex {
         dataset,
         config: manifest.config.clone(),
-        m_t,
+        full: Arc::new(FullHistory { m_t, universes }),
         time_slices,
-        universes,
         m_r,
         masked,
     };

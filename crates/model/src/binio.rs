@@ -18,13 +18,16 @@
 //! [`decode_dataset`] runs on two threads. The caller checks the magic
 //! and CRC, then scans the dictionary's string lengths to find where the
 //! histories begin. One scoped worker checks the dictionary's UTF-8,
-//! interns it, rejects duplicates and hashes the file for the
-//! fingerprint; meanwhile the caller decodes the histories straight into
-//! place, which needs only the dictionary's stated length, then joins the
-//! worker. A worker panic resumes on the caller. Errors are reported in
-//! byte order — the one a sequential decode meets first — and a failed
-//! spawn runs the worker's closure inline, so there is one decode path,
-//! not two.
+//! copies its strings into the arena, builds the interning index over
+//! all of them at once (hash every string, sort the `(home slot, id)`
+//! keys, place them in slot order — sequential writes instead of one
+//! cache-missing probe per string), rejects duplicates and hashes the
+//! file for the fingerprint; meanwhile the caller decodes the histories
+//! straight into place, which needs only the dictionary's stated length,
+//! then joins the worker. A worker panic resumes on the caller. Errors
+//! are reported in byte order — the one a sequential decode meets first —
+//! and a failed spawn runs the worker's closure inline, so there is one
+//! decode path, not two.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -209,6 +212,26 @@ impl<'a> Reader<'a> {
         }
         self.buf = &[];
         Err(corrupt("truncated varint"))
+    }
+
+    /// [`Reader::varint`] with its 1–3-byte forms, the bulk of a dataset's
+    /// value-id deltas, read without a loop. Anything longer, overlong or
+    /// truncated goes to [`Reader::varint`], so the two accept and reject
+    /// the same bytes.
+    #[inline]
+    fn short_varint(&mut self) -> Result<u64, BinIoError> {
+        let (value, len) = match *self.buf {
+            [b0, ..] if b0 < 0x80 => (u64::from(b0), 1),
+            [b0, b1, ..] if (1..0x80).contains(&b1) => {
+                (u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2)
+            }
+            [b0, b1, b2, ..] if b1 >= 0x80 && (1..0x80).contains(&b2) => {
+                (u64::from(b0 & 0x7f) | u64::from(b1 & 0x7f) << 7 | u64::from(b2) << 14, 3)
+            }
+            _ => return self.varint(),
+        };
+        self.buf = &self.buf[len..];
+        Ok(value)
     }
 
     /// Decodes an ascending set written by [`Writer::ascending`], refusing
@@ -609,10 +632,13 @@ impl Container for Dataset {
 /// [`dataset_fingerprint`] without re-encoding anything.
 ///
 /// The dictionary and the histories decode on two threads (see the module
-/// docs). The error reported is still the one a sequential decode meets
-/// first: magic and checksum, then the dictionary (if the length scan
-/// stops at a truncated entry, an invalid or duplicate entry before it
-/// still wins), then the histories, then trailing bytes.
+/// docs). The dictionary's index is built in one pass over all its
+/// strings, not by interning them one at a time; the result is the
+/// dictionary sequential interning gives. The error reported is still the
+/// one a sequential decode meets first: magic and checksum, then the
+/// dictionary (if the length scan stops at a truncated entry, an invalid
+/// or duplicate entry before it still wins), then the histories, then
+/// trailing bytes.
 ///
 /// [`HistoryBuilder::push`]: crate::history::HistoryBuilder::push
 pub fn decode_dataset(bytes: &[u8]) -> Result<Dataset, BinIoError> {
@@ -666,25 +692,38 @@ fn skip_strings(buf: &mut Reader<'_>, count: usize) -> Result<usize, BinIoError>
 }
 
 /// Decodes the `len` dictionary entries at the front of `buf`, whose
-/// strings total `arena_bytes` (0 when unknown).
+/// strings total `arena_bytes` (0 when unknown): the strings are copied
+/// into the arena in one pass, then [`Dictionary`]'s index is built over
+/// all of them at once. A repeated string is reported at its second
+/// occurrence and an unreadable entry where it stands, whichever comes
+/// first in the file.
 fn decode_dictionary(
     mut buf: Reader<'_>,
     len: usize,
     arena_bytes: usize,
 ) -> Result<Dictionary, BinIoError> {
-    let mut dictionary = Dictionary::new();
+    let mut bytes = String::with_capacity(arena_bytes);
     // Every entry takes at least its length byte, so the bytes left bound
     // the count: a hostile `len` cannot out-allocate its own file.
-    dictionary.reserve_exact(len.min(buf.remaining()), arena_bytes);
-    for expected_id in 0..len {
-        // A repeated string interns to the id of its first occurrence.
-        let id = dictionary.intern(buf.str()?);
-        if id as usize != expected_id {
-            let first = dictionary.resolve(id);
-            return Err(corrupt(format!("duplicate dictionary entry '{first}'")));
+    let mut ends = Vec::with_capacity(len.min(buf.remaining()));
+    let mut unreadable = None;
+    for _ in 0..len {
+        match buf.str() {
+            Ok(s) => {
+                bytes.push_str(s);
+                ends.push(bytes.len());
+            }
+            Err(e) => {
+                unreadable = Some(e);
+                break;
+            }
         }
     }
-    Ok(dictionary)
+    // Only entries before the unreadable one are in the arena, so a
+    // repeat found among them precedes it.
+    let dictionary = Dictionary::from_arena(bytes, ends)
+        .map_err(|s| corrupt(format!("duplicate dictionary entry '{s}'")))?;
+    unreadable.map_or(Ok(dictionary), Err)
 }
 
 /// Decodes the attribute section, which must end the payload, straight
@@ -726,7 +765,7 @@ fn decode_histories(
             let mut values: Vec<ValueId> = Vec::with_capacity(card.min(buf.remaining()));
             let mut val: u64 = 0;
             for ci in 0..card {
-                let d = buf.varint()?;
+                let d = buf.short_varint()?;
                 if ci > 0 && d == 0 {
                     return Err(corrupt("duplicate value id in version"));
                 }
@@ -910,11 +949,15 @@ mod tests {
 
     /// Same value or same error text, and the same bytes consumed.
     fn assert_varint_agrees(bytes: &[u8]) {
-        let (mut fast, mut slow) = (Reader::new(bytes), Reader::new(bytes));
-        let got = fast.varint().map_err(|e| e.to_string());
+        let mut slow = Reader::new(bytes);
         let want = reference_varint(&mut slow).map_err(|e| e.to_string());
-        assert_eq!(got, want, "{bytes:02x?}");
-        assert_eq!(fast.remaining(), slow.remaining(), "{bytes:02x?}");
+        type Read = fn(&mut Reader<'_>) -> Result<u64, BinIoError>;
+        let reads: [Read; 2] = [|r| r.varint(), |r| r.short_varint()];
+        for read in reads {
+            let mut fast = Reader::new(bytes);
+            assert_eq!(read(&mut fast).map_err(|e| e.to_string()), want, "{bytes:02x?}");
+            assert_eq!(fast.remaining(), slow.remaining(), "{bytes:02x?}");
+        }
     }
 
     #[test]

@@ -126,12 +126,87 @@ impl Dictionary {
         }
     }
 
-    /// [`Dictionary::reserve`] plus room for exactly `bytes` more string
-    /// bytes: a bulk load that knows both totals allocates each of the
-    /// three buffers once.
-    pub(crate) fn reserve_exact(&mut self, additional: usize, bytes: usize) {
-        self.reserve(additional);
-        self.bytes.reserve_exact(bytes);
+    /// The dictionary of the strings `bytes` holds back to back, string
+    /// `i` ending at `ends[i]` and taking id `i` — what interning them in
+    /// order gives, with the index built in one pass instead of one random
+    /// probe per string. Each string is hashed once into a `(home slot,
+    /// id)` key, the keys are sorted, and the ids are placed in slot order:
+    /// each at its home or just past the one placed before it, and a run
+    /// that passes the table's end continues at its front. Every slot
+    /// between an id's home and its own is then occupied, which is all
+    /// [`Dictionary::get`] and [`Dictionary::intern`] need of the table.
+    ///
+    /// # Errors
+    /// The string of the first id that repeats an earlier one. Equal
+    /// strings have equal hashes, so only keys whose hash bits agree are
+    /// compared string by string.
+    pub(crate) fn from_arena(bytes: String, ends: Vec<usize>) -> Result<Dictionary, String> {
+        let mut dictionary = Dictionary { bytes, ends, slots: Vec::new() };
+        let n = dictionary.len();
+        if n == 0 {
+            return Ok(dictionary);
+        }
+        let table = (2 * n).next_power_of_two();
+        let bits = table.trailing_zeros();
+        if bits > 32 {
+            // Homes too wide for a `u64` key next to an id: intern one by
+            // one.
+            let strings = std::mem::take(&mut dictionary);
+            dictionary.reserve(n);
+            dictionary.bytes.reserve_exact(strings.bytes.len());
+            for (id, s) in strings.iter() {
+                if dictionary.intern(s) != id {
+                    return Err(s.to_owned());
+                }
+            }
+            return Ok(dictionary);
+        }
+        // A key is the home slot in its top `bits` bits, more bits of the
+        // same hash below those up to bit 32, and the id in the low 32.
+        // Equal strings have equal high halves, and two different strings
+        // rarely do, so only keys with equal high halves are compared.
+        let key = |id: ValueId, s: &str| {
+            let hash = hash_bytes(s.as_bytes());
+            let tag = (hash >> bits) & ((1 << (32 - bits)) - 1);
+            ((hash & (table as u64 - 1)) << (32 - bits) | tag) << 32 | u64::from(id)
+        };
+        let mut keys: Vec<u64> = dictionary.iter().map(|(id, s)| key(id, s)).collect();
+        keys.sort_unstable();
+        let home_of = |key: u64| (key >> (64 - bits)) as usize;
+        let id_of = |key: u64| key as ValueId;
+
+        // A run's ids ascend, so its first repeat is its smallest.
+        let first_repeat = |run: &[u64]| {
+            let string = |key: u64| dictionary.resolve(id_of(key));
+            let j = (1..run.len()).find(|&j| run[..j].iter().any(|&k| string(k) == string(run[j])));
+            j.map(|j| id_of(run[j]))
+        };
+        if let Some(id) = keys.chunk_by(|a, b| a >> 32 == b >> 32).filter_map(first_repeat).min() {
+            return Err(dictionary.resolve(id).to_owned());
+        }
+
+        let mut slots = vec![EMPTY; table];
+        let mut next = 0;
+        let mut wrapped = keys.len();
+        for (i, &key) in keys.iter().enumerate() {
+            let slot = home_of(key).max(next);
+            if slot == table {
+                wrapped = i;
+                break;
+            }
+            slots[slot] = id_of(key);
+            next = slot + 1;
+        }
+        // The table is at most half full, so the front has room.
+        let mut slot = 0;
+        for &key in &keys[wrapped..] {
+            while slots[slot] != EMPTY {
+                slot += 1;
+            }
+            slots[slot] = id_of(key);
+        }
+        dictionary.slots = slots;
+        Ok(dictionary)
     }
 
     /// The id of `s` (`Ok`), or the free slot where it belongs (`Err`; 0
@@ -424,5 +499,84 @@ mod tests {
                 assert_eq!(c.first_divergence(&d), cm.divergence(&m));
             }
         });
+    }
+
+    /// `strings` back to back, as the dataset decoder hands them over.
+    fn arena(strings: &[String]) -> (String, Vec<usize>) {
+        let (mut bytes, mut ends) = (String::new(), Vec::new());
+        for s in strings {
+            bytes.push_str(s);
+            ends.push(bytes.len());
+        }
+        (bytes, ends)
+    }
+
+    #[test]
+    fn bulk_built_index_matches_sequential_interning() {
+        let mut wrapped = 0;
+        crate::rng::cases("bulk_built_index_matches_sequential_interning", 200, |rng| {
+            // One- and two-byte strings over a small alphabet force
+            // home-slot collisions; small sets make runs that pass the
+            // table's end common.
+            let n = if rng.bool() { rng.range(1..=12usize) } else { rng.range(13..=400usize) };
+            let mut m = Model::default();
+            while m.strings.len() < n {
+                let s = if rng.bool() {
+                    let len = rng.range(1..=2usize);
+                    (0..len).map(|_| char::from(b'a' + rng.range(0..6u8))).collect()
+                } else {
+                    random_string(rng, &m)
+                };
+                if !m.ids.contains_key(&s) {
+                    m.ids.insert(s.clone(), m.strings.len() as ValueId);
+                    m.strings.push(s);
+                }
+            }
+            let mut strings = m.strings.clone();
+            // Half the cases repeat an earlier string somewhere.
+            if rng.bool() {
+                let at = rng.range(1..=strings.len());
+                let earlier = strings[rng.range(0..at)].clone();
+                strings.insert(at, earlier);
+                let extra = rng.range(0..=strings.len());
+                let again = strings[rng.range(0..strings.len())].clone();
+                strings.insert(extra, again);
+            }
+            let mut sequential = Dictionary::new();
+            let first_repeat = strings
+                .iter()
+                .enumerate()
+                .find(|&(id, s)| sequential.intern(s) as usize != id)
+                .map(|(_, s)| s.clone());
+            let (bytes, ends) = arena(&strings);
+            let built = Dictionary::from_arena(bytes, ends);
+            let mut d = match (built, first_repeat) {
+                (Err(repeated), Some(expected)) => {
+                    assert_eq!(repeated, expected, "the first repeated entry is reported");
+                    return;
+                }
+                (Ok(d), None) => d,
+                (built, expected) => panic!("{:?} vs first repeat {expected:?}", built.err()),
+            };
+            assert_eq!(d.slots.len(), sequential.slots.len(), "one table size");
+            for (slot, &id) in d.slots.iter().enumerate() {
+                if id != EMPTY {
+                    let home = hash_bytes(d.resolve(id).as_bytes()) as usize & (d.slots.len() - 1);
+                    wrapped += usize::from(slot < home);
+                }
+            }
+            assert_matches(&d, &m);
+            for _ in 0..20 {
+                let s = random_string(rng, &m);
+                assert_eq!(d.get(&s), m.ids.get(&s).copied(), "get {s:?}");
+            }
+            // Later interning extends the ids densely, through any regrowth.
+            for _ in 0..rng.range(1..=2 * n) {
+                let s = random_string(rng, &m);
+                intern_both(&mut d, &mut m, &s);
+            }
+            assert_matches(&d, &m);
+        });
+        assert!(wrapped > 0, "no case placed a run past the table's end");
     }
 }

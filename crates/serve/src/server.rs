@@ -204,11 +204,23 @@ impl std::fmt::Debug for ServeConfig {
 /// The live query state: the dataset and both index directions always
 /// swap together, so a wave pinning one snapshot never resolves names
 /// against a dataset newer (or older) than the index it searches.
+///
+/// The reverse index borrows the forward one's `M_T` and value universes
+/// ([`TindIndex::build_beside`]) whenever the two are sized alike and the
+/// forward index is not degraded: reverse search reads neither, and one
+/// copy is all forward search needs.
 #[derive(Clone)]
 struct HotState {
     dataset: Arc<Dataset>,
     forward: Arc<TindIndex>,
     reverse: Arc<TindIndex>,
+}
+
+/// Heap bytes of both index directions' matrices, with an `M_T` the two
+/// share counted once.
+fn index_bytes(forward: &TindIndex, reverse: &TindIndex) -> usize {
+    let shared = if reverse.shares_full_history(forward) { forward.m_t().heap_bytes() } else { 0 };
+    forward.bloom_bytes() + reverse.bloom_bytes() - shared
 }
 
 /// The hot query state: one dataset, both index directions, and the
@@ -259,7 +271,8 @@ struct IndexCharge {
 
 impl Engine {
     /// Builds both directions' indices for `dataset`, sized for the
-    /// given default parameters. `build_threads: 0` uses every core.
+    /// given default parameters; the reverse one borrows the forward one's
+    /// `M_T`. `build_threads: 0` uses every core.
     pub fn build(
         dataset: Arc<Dataset>,
         eps: f64,
@@ -272,7 +285,7 @@ impl Engine {
         let forward_config = IndexConfig::for_params(&params, false);
         let forward = TindIndex::build_with(dataset.clone(), forward_config, &options);
         let reverse_config = IndexConfig::for_params(&params, true);
-        let reverse = TindIndex::build_with(dataset.clone(), reverse_config, &options);
+        let reverse = TindIndex::build_beside(dataset.clone(), reverse_config, &options, &forward);
         Engine {
             state: RwLock::new(HotState {
                 dataset,
@@ -311,18 +324,18 @@ impl Engine {
         self
     }
 
-    /// Charges the engine's resident index bytes (both directions)
-    /// against `budget` and keeps the accountant for delta swaps, which
-    /// then charge only the increment over the old generation. A budget
-    /// too small for the index logs an overcommit and serves uncharged
-    /// rather than refusing to start.
+    /// Charges the engine's resident index bytes (both directions, a
+    /// shared `M_T` once) against `budget` and keeps the accountant for
+    /// delta swaps, which then charge only the increment over the old
+    /// generation. A budget too small for the index logs an overcommit
+    /// and serves uncharged rather than refusing to start.
     #[must_use]
     pub fn with_memory_accounting(self, budget: Option<MemoryBudget>) -> Engine {
         let mut engine = self;
         engine.budget = budget;
         if let Some(b) = &engine.budget {
             let snap = engine.snapshot();
-            let bytes = snap.forward.bloom_bytes() + snap.reverse.bloom_bytes();
+            let bytes = index_bytes(&snap.forward, &snap.reverse);
             let mut held = lock(&engine.index_charge);
             held.bytes = bytes;
             match b.try_charge(bytes) {
@@ -335,9 +348,10 @@ impl Engine {
 
     /// Loads the forward index from the sharded store at `dir` — accepting
     /// a **degraded** load with quarantined shards — and builds the
-    /// reverse index in memory. The returned [`LoadReport`] says whether
-    /// the engine starts degraded; the server then re-verifies the store
-    /// periodically and promotes itself once repaired.
+    /// reverse index in memory beside it (borrowing the store's `M_T`
+    /// unless the load is degraded). The returned [`LoadReport`] says
+    /// whether the engine starts degraded; the server then re-verifies the
+    /// store periodically and promotes itself once repaired.
     pub fn from_store(
         dir: &Path,
         dataset: Arc<Dataset>,
@@ -369,7 +383,7 @@ impl Engine {
         let params = params_of(eps, delta, decay, dataset.timeline());
         let options = BuildOptions { threads: build_threads, ..BuildOptions::default() };
         let reverse_config = IndexConfig::for_params(&params, true);
-        let reverse = TindIndex::build_with(dataset.clone(), reverse_config, &options);
+        let reverse = TindIndex::build_beside(dataset.clone(), reverse_config, &options, &forward);
         let engine = Engine {
             state: RwLock::new(HotState {
                 dataset,
@@ -449,7 +463,15 @@ impl Engine {
         }
         match open_store_with(dir, self.dataset(), &self.open_options) {
             Ok((index, report)) if report.is_clean() => {
-                lock_write(&self.state).forward = Arc::new(index);
+                // A reverse index built beside the degraded forward one
+                // rendered its own `M_T`; it borrows the clean one now.
+                let mut reverse = (*self.reverse()).clone();
+                reverse.share_full_history(&index);
+                {
+                    let mut state = lock_write(&self.state);
+                    state.forward = Arc::new(index);
+                    state.reverse = Arc::new(reverse);
+                }
                 // Results cached while degraded would be wrong anyway
                 // (the cache is bypassed then), but entries filled before
                 // the store went bad may describe a different generation.
@@ -473,7 +495,7 @@ impl Engine {
     fn settle_index_charge(&self) {
         let Some(budget) = &self.budget else { return };
         let snap = self.snapshot();
-        let bytes = snap.forward.bloom_bytes() + snap.reverse.bloom_bytes();
+        let bytes = index_bytes(&snap.forward, &snap.reverse);
         let mut held = lock(&self.index_charge);
         held.charges.clear();
         held.bytes = bytes;
@@ -516,8 +538,12 @@ impl Engine {
             .map_err(|e| format!("delta rejected: {e}"))?;
         let mut forward = (*snap.forward).clone();
         let index = forward.apply_delta(&delta).map_err(|e| format!("delta rejected: {e}"))?;
-        let mut reverse = (*snap.reverse).clone();
-        reverse.apply_delta(&delta).map_err(|e| format!("delta rejected: {e}"))?;
+        // The reverse index borrows the maintained forward `M_T` rather
+        // than retargeting a copy of its own.
+        let mut reverse = snap
+            .reverse
+            .apply_delta_beside(&delta, &forward)
+            .map_err(|e| format!("delta rejected: {e}"))?;
 
         // While old and new generations coexist, charge only the
         // *increment* over the already-charged old footprint — the
@@ -525,7 +551,7 @@ impl Engine {
         // this increment sums to exactly the new generation's bytes, so
         // the post-swap settle is a push, not a release-and-recharge.
         let old_bytes = lock(&self.index_charge).bytes;
-        let new_bytes = forward.bloom_bytes() + reverse.bloom_bytes();
+        let new_bytes = index_bytes(&forward, &reverse);
         let mut overlap = None;
         if let Some(budget) = &self.budget {
             let increment = new_bytes.saturating_sub(old_bytes);
@@ -565,6 +591,7 @@ impl Engine {
                 ));
             }
             forward = reopened;
+            reverse.share_full_history(&forward);
         }
 
         let (cache_evicted, cache_retained) = self.cache.invalidate(&new_dataset, delta.touched());
@@ -2215,12 +2242,20 @@ mod tests {
         let budget = MemoryBudget::new(1 << 30);
         let engine = Engine::build(d.clone(), 0.0, 0, None, 1)
             .with_memory_accounting(Some(budget.clone()));
-        let old_bytes = engine.forward().bloom_bytes() + engine.reverse().bloom_bytes();
-        assert!(old_bytes > 0);
+        // The reverse index borrows the forward index's M_T: one matrix,
+        // charged once.
+        let resident = |engine: &Engine| {
+            let (forward, reverse) = (engine.forward(), engine.reverse());
+            assert!(reverse.shares_full_history(&forward), "one M_T between the directions");
+            let shared = forward.m_t().heap_bytes();
+            assert!(shared > 0);
+            forward.bloom_bytes() + reverse.bloom_bytes() - shared
+        };
+        let old_bytes = resident(&engine);
         assert_eq!(budget.used_bytes(), old_bytes, "initial charge covers the index");
 
         engine.apply_delta(successor(&d)).expect("valid successor applies");
-        let new_bytes = engine.forward().bloom_bytes() + engine.reverse().bloom_bytes();
+        let new_bytes = resident(&engine);
         assert_eq!(budget.used_bytes(), new_bytes, "post-swap charge tracks the new generation");
         // The regression: while old and new generations coexist, only the
         // increment is charged on top of the old footprint — the peak is

@@ -382,3 +382,72 @@ fn degraded_engine_refuses_deltas_until_repaired() {
     assert_eq!(outcome.store_generation, Some(2));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The engine's reverse index borrows the forward index's `M_T` whenever
+/// both are sized alike and the forward index is whole, and still answers
+/// and encodes exactly as a standalone reverse index maintained through
+/// the same deltas: after the build, after each delta, and after a
+/// degraded store is repaired and promoted. A store packed at another
+/// Bloom size (here `--m 4096`) lends nothing.
+#[test]
+fn engine_reverse_index_borrows_m_t_and_answers_as_a_standalone_one() {
+    let (base, _, params) = world(41);
+    let check = |engine: &Engine, standalone: &TindIndex, shared: bool, what: &str| {
+        let (forward, reverse) = (engine.forward(), engine.reverse());
+        assert_eq!(reverse.shares_full_history(&forward), shared, "{what}: one M_T or two");
+        assert!(encode_index(&reverse) == encode_index(standalone), "{what}: reverse bytes");
+        for q in 0..standalone.dataset().len() as u32 {
+            assert_eq!(
+                reverse.reverse_search(q, &params).results,
+                standalone.reverse_search(q, &params).results,
+                "{what}: reverse query {q}"
+            );
+        }
+    };
+    // Applies one delta to the engine and to the standalone index.
+    let step = |engine: &Engine, standalone: &mut TindIndex, seed: u64| {
+        let current = engine.dataset();
+        let merged = evolve(&current, &mut Rng::seed_from_u64(seed), 3, 2, seed as usize);
+        engine.apply_delta(merged.clone()).expect("engine delta");
+        let delta = DatasetDelta::diff(&current, merged).expect("valid successor");
+        standalone.apply_delta(&delta).expect("standalone delta");
+    };
+
+    let engine = Engine::build(base.clone(), 3.0, 7, None, 0);
+    let mut standalone = TindIndex::build(base.clone(), IndexConfig::reverse_default());
+    check(&engine, &standalone, true, "in memory, built");
+    for seed in [1, 2] {
+        step(&engine, &mut standalone, seed);
+        check(&engine, &standalone, true, "in memory, after a delta");
+    }
+
+    // A store at the default size, opened degraded: the reverse index
+    // renders its own M_T until the repaired store is promoted.
+    let dir = store_dir("delta-equivalence", "reverse-borrows-m-t");
+    let packed = TindIndex::build(base.clone(), IndexConfig::default());
+    pack_store(&packed, &dir, &PackOptions { shards: 4, ..Default::default() }).expect("pack");
+    tind_core::fault::flip_file_byte(&shard_files(&dir)[1], 12).expect("flip");
+    let (engine, report) =
+        Engine::from_store(&dir, base.clone(), 3.0, 7, None, 0).expect("degraded open");
+    assert_eq!(report.quarantined.len(), 1);
+    let mut standalone = TindIndex::build(base.clone(), IndexConfig::reverse_default());
+    check(&engine, &standalone, false, "degraded store");
+    repair_store(&dir, &base, &RepairOptions::default()).expect("repair");
+    assert!(engine.try_promote(), "repaired store must promote");
+    check(&engine, &standalone, true, "promoted store");
+    step(&engine, &mut standalone, 3);
+    check(&engine, &standalone, true, "store, after a delta");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A store at m = 4096: nothing to share, before or after a delta.
+    let dir = store_dir("delta-equivalence", "reverse-own-m-t");
+    let wide = TindIndex::build(base.clone(), IndexConfig { m: 4096, ..IndexConfig::default() });
+    pack_store(&wide, &dir, &PackOptions { shards: 2, ..Default::default() }).expect("pack");
+    let (engine, report) = Engine::from_store(&dir, base.clone(), 3.0, 7, None, 0).expect("open");
+    assert!(report.is_clean());
+    let mut standalone = TindIndex::build(base, IndexConfig::reverse_default());
+    check(&engine, &standalone, false, "m = 4096 store");
+    step(&engine, &mut standalone, 4);
+    check(&engine, &standalone, false, "m = 4096 store, after a delta");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -254,6 +254,19 @@ fn index_report_times_diagnostics_in_their_own_span() {
     assert!(diagnostics_ns <= build_ns, "the diagnostics run inside the build phase");
 }
 
+/// Without `--report` nothing reads the `index.*` gauges, so a fresh
+/// build skips the diagnostics sweep behind them.
+#[test]
+fn all_pairs_without_a_report_skips_the_diagnostics_sweep() {
+    let _guard = lock();
+    let data = generate_dataset("nodiag-data.tind", "80", "4");
+    run(&["all-pairs", "--data", &data, "--threads", "1", "--quiet"]).expect("all-pairs");
+    let spans = obs::span_snapshot();
+    let recorded = |name: &str| spans.iter().any(|s| s.name == name);
+    assert!(recorded("phase.index_build"), "the run's own spans are recorded");
+    assert!(!recorded("cli.diagnostics"), "no report, no diagnostics sweep");
+}
+
 /// A run whose trace rings overflowed says so when its report is
 /// verified, and verification still succeeds: the loss is a warning
 /// about the telemetry, not a defect of the report.
