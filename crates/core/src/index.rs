@@ -504,6 +504,16 @@ impl TindIndex {
         }
     }
 
+    /// A copy of this index that borrows `sibling`'s `M_T` and universes,
+    /// when `sibling` may lend them (see [`TindIndex::build_beside`]);
+    /// `None` otherwise. Only the slices and `M_R` are copied, never
+    /// `M_T`. The copy answers and encodes as this index does.
+    pub fn beside(&self, sibling: &TindIndex) -> Option<TindIndex> {
+        sibling
+            .lends_full_history(&self.dataset, &self.config)
+            .then(|| self.with_full(sibling.full.clone()))
+    }
+
     /// Whether this index and `other` hold one `M_T` (and one set of
     /// universes) between them, which a memory account counts once.
     pub fn shares_full_history(&self, other: &TindIndex) -> bool {

@@ -214,26 +214,6 @@ impl<'a> Reader<'a> {
         Err(corrupt("truncated varint"))
     }
 
-    /// [`Reader::varint`] with its 1–3-byte forms, the bulk of a dataset's
-    /// value-id deltas, read without a loop. Anything longer, overlong or
-    /// truncated goes to [`Reader::varint`], so the two accept and reject
-    /// the same bytes.
-    #[inline]
-    fn short_varint(&mut self) -> Result<u64, BinIoError> {
-        let (value, len) = match *self.buf {
-            [b0, ..] if b0 < 0x80 => (u64::from(b0), 1),
-            [b0, b1, ..] if (1..0x80).contains(&b1) => {
-                (u64::from(b0 & 0x7f) | u64::from(b1) << 7, 2)
-            }
-            [b0, b1, b2, ..] if b1 >= 0x80 && (1..0x80).contains(&b2) => {
-                (u64::from(b0 & 0x7f) | u64::from(b1 & 0x7f) << 7 | u64::from(b2) << 14, 3)
-            }
-            _ => return self.varint(),
-        };
-        self.buf = &self.buf[len..];
-        Ok(value)
-    }
-
     /// Decodes an ascending set written by [`Writer::ascending`], refusing
     /// a repeated id and any id at or above `bound`; `what` names the set.
     pub fn ascending(&mut self, bound: u64, what: &str) -> Result<Vec<u32>, BinIoError> {
@@ -765,7 +745,7 @@ fn decode_histories(
             let mut values: Vec<ValueId> = Vec::with_capacity(card.min(buf.remaining()));
             let mut val: u64 = 0;
             for ci in 0..card {
-                let d = buf.short_varint()?;
+                let d = buf.varint()?;
                 if ci > 0 && d == 0 {
                     return Err(corrupt("duplicate value id in version"));
                 }
@@ -949,15 +929,11 @@ mod tests {
 
     /// Same value or same error text, and the same bytes consumed.
     fn assert_varint_agrees(bytes: &[u8]) {
-        let mut slow = Reader::new(bytes);
+        let (mut fast, mut slow) = (Reader::new(bytes), Reader::new(bytes));
+        let got = fast.varint().map_err(|e| e.to_string());
         let want = reference_varint(&mut slow).map_err(|e| e.to_string());
-        type Read = fn(&mut Reader<'_>) -> Result<u64, BinIoError>;
-        let reads: [Read; 2] = [|r| r.varint(), |r| r.short_varint()];
-        for read in reads {
-            let mut fast = Reader::new(bytes);
-            assert_eq!(read(&mut fast).map_err(|e| e.to_string()), want, "{bytes:02x?}");
-            assert_eq!(fast.remaining(), slow.remaining(), "{bytes:02x?}");
-        }
+        assert_eq!(got, want, "{bytes:02x?}");
+        assert_eq!(fast.remaining(), slow.remaining(), "{bytes:02x?}");
     }
 
     #[test]

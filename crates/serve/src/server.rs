@@ -464,13 +464,15 @@ impl Engine {
         match open_store_with(dir, self.dataset(), &self.open_options) {
             Ok((index, report)) if report.is_clean() => {
                 // A reverse index built beside the degraded forward one
-                // rendered its own `M_T`; it borrows the clean one now.
-                let mut reverse = (*self.reverse()).clone();
-                reverse.share_full_history(&index);
+                // rendered its own `M_T`; a copy of its slices and `M_R`
+                // borrows the clean one now, and its own `M_T` is dropped
+                // uncopied. If the clean index cannot lend, it stays as is.
+                let reverse = self.reverse();
+                let reverse = reverse.beside(&index).map_or(reverse, Arc::new);
                 {
                     let mut state = lock_write(&self.state);
                     state.forward = Arc::new(index);
-                    state.reverse = Arc::new(reverse);
+                    state.reverse = reverse;
                 }
                 // Results cached while degraded would be wrong anyway
                 // (the cache is bypassed then), but entries filled before
