@@ -388,7 +388,7 @@ fn degraded_engine_refuses_deltas_until_repaired() {
 /// and encodes exactly as a standalone reverse index maintained through
 /// the same deltas: after the build, after each delta, and after a
 /// degraded store is repaired and promoted. A store packed at another
-/// Bloom size (here `--m 4096`) lends nothing.
+/// Bloom size (here `--m 4096`) lends nothing, degraded or promoted.
 #[test]
 fn engine_reverse_index_borrows_m_t_and_answers_as_a_standalone_one() {
     let (base, _, params) = world(41);
@@ -439,14 +439,20 @@ fn engine_reverse_index_borrows_m_t_and_answers_as_a_standalone_one() {
     check(&engine, &standalone, true, "store, after a delta");
     std::fs::remove_dir_all(&dir).ok();
 
-    // A store at m = 4096: nothing to share, before or after a delta.
+    // A store at m = 4096: nothing to share, degraded or promoted, before
+    // or after a delta.
     let dir = store_dir("delta-equivalence", "reverse-own-m-t");
     let wide = TindIndex::build(base.clone(), IndexConfig { m: 4096, ..IndexConfig::default() });
     pack_store(&wide, &dir, &PackOptions { shards: 2, ..Default::default() }).expect("pack");
-    let (engine, report) = Engine::from_store(&dir, base.clone(), 3.0, 7, None, 0).expect("open");
-    assert!(report.is_clean());
-    let mut standalone = TindIndex::build(base, IndexConfig::reverse_default());
-    check(&engine, &standalone, false, "m = 4096 store");
+    tind_core::fault::flip_file_byte(&shard_files(&dir)[1], 12).expect("flip");
+    let (engine, report) =
+        Engine::from_store(&dir, base.clone(), 3.0, 7, None, 0).expect("degraded open");
+    assert_eq!(report.quarantined.len(), 1);
+    let mut standalone = TindIndex::build(base.clone(), IndexConfig::reverse_default());
+    check(&engine, &standalone, false, "degraded m = 4096 store");
+    repair_store(&dir, &base, &RepairOptions::default()).expect("repair");
+    assert!(engine.try_promote(), "repaired store must promote");
+    check(&engine, &standalone, false, "promoted m = 4096 store");
     step(&engine, &mut standalone, 4);
     check(&engine, &standalone, false, "m = 4096 store, after a delta");
     std::fs::remove_dir_all(&dir).ok();
