@@ -16,7 +16,8 @@
 //! **segments** ([`Segment`]), each holding the row-major words of its
 //! columns in a [`WordRegion`]: owned heap words, an mmap'd arena window,
 //! or a `pread`-on-demand window. A built or decoded matrix is one
-//! full-width heap segment; the arena store opens one segment per shard.
+//! full-width heap segment; the arena store opens one segment per column
+//! tile of a shard.
 //! Every kernel has one body over that tiling and produces bit-identical
 //! candidate sets on any of them. Writes copy only what they touch:
 //! [`BloomMatrix::retarget_column`] turns the one segment holding its
@@ -331,94 +332,85 @@ impl BloomMatrix {
     /// set is never cleared.
     pub fn narrow_to_supersets(&self, query: &BloomFilter, candidates: &mut BitVec) {
         self.check_query(query, candidates);
-        self.narrow(|| query.set_rows(), candidates, BitVec::and_assign_words_at);
+        let one = std::slice::from_mut(candidates);
+        self.sweep(one, |_| query.set_rows(), BitVec::and_assign_words_at);
     }
 
     /// [`BloomMatrix::narrow_to_supersets`] of `query_filter(values)`,
     /// without building the filter: the same rows in value order, each
-    /// value hashed only while candidates remain. A probe whose candidates
-    /// die after the first few values never pays for the rest — and
-    /// allocates nothing. Each segment hashes afresh, so this suits a
-    /// one-segment (built) matrix best.
+    /// value hashed only once candidates still need its rows, and then
+    /// kept for the following strips of the sweep. A probe whose
+    /// candidates die after the first few values never hashes the rest,
+    /// and the row buffer is the calling thread's, so nothing allocates
+    /// once it has grown.
     pub fn narrow_to_supersets_of_values(&self, values: &[ValueId], candidates: &mut BitVec) {
+        thread_local! {
+            static ROWS: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
+        }
         assert_eq!(candidates.len(), self.num_cols, "candidate set must cover all columns");
         let (m, k) = (self.m, self.k_hashes);
-        let rows = || {
-            values.iter().flat_map(move |&v| {
-                let h = Hash128::of_key(u64::from(v));
-                (0..k).map(move |i| h.probe(i, m) as usize)
-            })
-        };
-        self.narrow(rows, candidates, BitVec::and_assign_words_at);
+        ROWS.with(|rows| {
+            rows.borrow_mut().clear();
+            let row = |i: usize| {
+                let mut rows = rows.borrow_mut();
+                while rows.len() <= i {
+                    let &v = values.get(rows.len() / k as usize)?;
+                    let h = Hash128::of_key(u64::from(v));
+                    rows.extend((0..k).map(|j| h.probe(j, m) as usize));
+                }
+                Some(rows[i])
+            };
+            let one = std::slice::from_mut(candidates);
+            self.sweep(one, |_| (0..).map_while(row), BitVec::and_assign_words_at);
+        });
     }
 
     /// Narrows `candidates` to columns that may be **subsets** of the
     /// queried value set: `candidates &= ⋀_{r: h(Q)[r]=0} ¬M[r]`.
     pub fn narrow_to_subsets(&self, query: &BloomFilter, candidates: &mut BitVec) {
         self.check_query(query, candidates);
-        self.narrow(|| query.zero_rows(), candidates, BitVec::andnot_assign_words_at);
-    }
-
-    /// The single-query sweep: for each segment, combine the query's `rows`
-    /// into the candidate words it covers. AND and AND-NOT keep zero words
-    /// zero, so a segment whose candidate words are all zero is skipped
-    /// before its backing is pinned, and its row loop stops once they
-    /// become zero — on a one-segment matrix exactly the classic per-row
-    /// early exit.
-    fn narrow<R: Iterator<Item = usize>>(
-        &self,
-        rows: impl Fn() -> R,
-        candidates: &mut BitVec,
-        combine: impl Fn(&mut BitVec, usize, &[u64]),
-    ) {
-        for seg in &self.segments {
-            let (start, width) = (seg.word_start, seg.width);
-            if !live(candidates, start, width) {
-                continue;
-            }
-            let guard = seg.words.load();
-            let words = &*guard;
-            for row in rows() {
-                combine(candidates, start, &words[row * width..][..width]);
-                if !live(candidates, start, width) {
-                    break;
-                }
-            }
-        }
+        let one = std::slice::from_mut(candidates);
+        self.sweep(one, |_| query.zero_rows(), BitVec::andnot_assign_words_at);
     }
 
     /// Batched [`BloomMatrix::narrow_to_supersets`]: narrows one candidate
-    /// set per query in a word-blocked sweep of the matrix.
-    ///
-    /// The candidate width is walked in fixed word strips and every query
-    /// narrows its strip words before the sweep advances, so all row and
-    /// candidate traffic stays within one column slice of the matrix at a
-    /// time — the batch amortization of §4.2.2: on matrices too large for
-    /// cache, a strip's column slice is fetched once per batch instead of
-    /// re-streamed per query. Produces bit-identical candidate sets to the
-    /// per-query loop (a query whose filter has no set rows — e.g. an
-    /// empty value set — narrows nothing, matching the single-query
-    /// path).
+    /// set per query in one word-blocked sweep of the matrix, strip by
+    /// strip, so a strip's column slice is fetched once per batch.
+    /// Produces bit-identical candidate sets to the per-query calls (a query whose filter has no set rows — e.g. an
+    /// empty value set — narrows nothing, as there).
     pub fn narrow_batch_to_supersets(&self, queries: &[BloomFilter], candidates: &mut [BitVec]) {
-        self.narrow_batch(queries, candidates, false);
+        self.check_batch(queries, candidates);
+        self.sweep(candidates, |i| queries[i].set_rows(), BitVec::and_assign_words_at);
     }
 
     /// Batched [`BloomMatrix::narrow_to_subsets`]; same blocked sweep over
     /// the complemented rows (the rows where each query's filter is zero).
     pub fn narrow_batch_to_subsets(&self, queries: &[BloomFilter], candidates: &mut [BitVec]) {
-        self.narrow_batch(queries, candidates, true);
+        self.check_batch(queries, candidates);
+        self.sweep(candidates, |i| queries[i].zero_rows(), BitVec::andnot_assign_words_at);
     }
 
-    fn narrow_batch(&self, queries: &[BloomFilter], candidates: &mut [BitVec], complement: bool) {
-        assert_eq!(queries.len(), candidates.len(), "one candidate set per query");
-        for (query, cands) in queries.iter().zip(candidates.iter()) {
-            self.check_query(query, cands);
-        }
-        // Strip width: 8 words = one 64-byte cache line of candidate bits.
+    /// The one sweep kernel: combines each query `i`'s `rows(i)` into its
+    /// candidate set `candidates[i]`, strip by strip.
+    ///
+    /// The candidate width is walked in strips of eight words (one 64-byte
+    /// cache line of candidate bits) that never straddle a segment, and
+    /// every query narrows its strip before the sweep advances, so all row
+    /// and candidate traffic stays within one column slice of the matrix at
+    /// a time — the batch amortization of §4.2.2: on matrices too large for
+    /// cache, a strip's column slice is fetched once per batch instead of
+    /// re-streamed per query. AND and AND-NOT keep zero words zero, so a
+    /// query skips a strip with no live candidate word and stops once its
+    /// strip dies, and a segment is not even pinned (or loaded) when no
+    /// query has a live candidate word in it. Combines commute, so the
+    /// result is the same as any row order over the whole width.
+    fn sweep<R: Iterator<Item = usize>>(
+        &self,
+        candidates: &mut [BitVec],
+        rows: impl Fn(usize) -> R,
+        combine: impl Fn(&mut BitVec, usize, &[u64]),
+    ) {
         const STRIP_WORDS: usize = 8;
-        // Strips never straddle a segment, so each backing is pinned at
-        // most once per batch — and not at all when no query has a live
-        // candidate word in it.
         for seg in &self.segments {
             let (start, width) = (seg.word_start, seg.width);
             if !candidates.iter().any(|c| live(c, start, width)) {
@@ -429,34 +421,27 @@ impl BloomMatrix {
             let mut local_start = 0;
             while local_start < width {
                 let local_end = (local_start + STRIP_WORDS).min(width);
-                let off = start + local_start;
-                let len = local_end - local_start;
-                for (query, c) in queries.iter().zip(candidates.iter_mut()) {
-                    // The blocked analogue of the single-query early exit:
-                    // skip a dead strip, stop once the strip dies.
+                let (off, len) = (start + local_start, local_end - local_start);
+                for (i, c) in candidates.iter_mut().enumerate() {
                     if !live(c, off, len) {
                         continue;
                     }
-                    let strip_row =
-                        |row: usize| &words[row * width + local_start..row * width + local_end];
-                    if complement {
-                        for row in query.zero_rows() {
-                            c.andnot_assign_words_at(off, strip_row(row));
-                            if !live(c, off, len) {
-                                break;
-                            }
-                        }
-                    } else {
-                        for row in query.set_rows() {
-                            c.and_assign_words_at(off, strip_row(row));
-                            if !live(c, off, len) {
-                                break;
-                            }
+                    for row in rows(i) {
+                        combine(c, off, &words[row * width + local_start..row * width + local_end]);
+                        if !live(c, off, len) {
+                            break;
                         }
                     }
                 }
                 local_start = local_end;
             }
+        }
+    }
+
+    fn check_batch(&self, queries: &[BloomFilter], candidates: &[BitVec]) {
+        assert_eq!(queries.len(), candidates.len(), "one candidate set per query");
+        for (query, cands) in queries.iter().zip(candidates) {
+            self.check_query(query, cands);
         }
     }
 

@@ -9,8 +9,9 @@
 //! * `Mapped` — a window into an `mmap`'d arena file, borrowed with no
 //!   decode and no copy;
 //! * `Windowed` — a `pread`-on-demand window managed by a [`WindowPool`],
-//!   charged against a [`MemoryBudget`] and evicted LRU under pressure,
-//!   so an index larger than RAM still serves every query.
+//!   charged against a [`MemoryBudget`] and evicted under pressure by a
+//!   CLOCK (second-chance) hand, so an index larger than RAM still serves
+//!   every query and an eviction costs the same at any window count.
 //!
 //! Kernels read a region through a [`RegionGuard`]. Heap and mapped
 //! regions lend their words as a plain borrow of the region (the mapping
@@ -22,8 +23,9 @@
 
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError, Weak};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError, Weak};
 
 use tind_model::{Charge, MemoryBudget};
 
@@ -205,32 +207,67 @@ pub struct WindowStats {
     /// Loads that exceeded the budget even after evicting everything
     /// evictable — served uncharged, because correctness beats accounting.
     pub overcommits: u64,
+    /// Bytes read from disk by those loads.
+    pub bytes_loaded: u64,
 }
 
 /// Shared manager for `pread`-on-demand windows: owns the memory budget
-/// and the LRU registry used to evict cold windows under pressure.
+/// and the CLOCK queue used to evict cold windows under pressure.
+///
+/// Every resident window sits once in the queue, in load order. A hit
+/// sets the window's referenced bit; an eviction pops the front and
+/// either evicts it or — referenced, or busy being loaded or read —
+/// clears the bit and sends it to the back. Each eviction therefore
+/// costs amortized O(1) visits, however many windows the pool holds.
 #[derive(Debug)]
 pub struct WindowPool {
     budget: Option<MemoryBudget>,
-    slots: Mutex<Vec<Weak<WindowSlot>>>,
-    tick: AtomicU64,
+    /// Resident windows in CLOCK order. A window dropped while resident
+    /// leaves a dead `Weak` here, discarded when it reaches the front.
+    clock: Mutex<VecDeque<Weak<WindowSlot>>>,
+    resident: AtomicUsize,
     loads: AtomicU64,
     evictions: AtomicU64,
     overcommits: AtomicU64,
+    bytes_loaded: AtomicU64,
+    /// Queue entries examined by evictions (the CLOCK hand's steps).
+    visits: AtomicU64,
+}
+
+/// The process-wide `store.window.*` metrics every pool adds to.
+struct PoolMetrics {
+    loads: &'static tind_obs::Counter,
+    evictions: &'static tind_obs::Counter,
+    overcommits: &'static tind_obs::Counter,
+    bytes_loaded: &'static tind_obs::Counter,
+    resident_bytes: &'static tind_obs::Gauge,
+}
+
+fn pool_metrics() -> &'static PoolMetrics {
+    static METRICS: OnceLock<PoolMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| PoolMetrics {
+        loads: tind_obs::counter("store.window.loads"),
+        evictions: tind_obs::counter("store.window.evictions"),
+        overcommits: tind_obs::counter("store.window.overcommits"),
+        bytes_loaded: tind_obs::counter("store.window.bytes_loaded"),
+        resident_bytes: tind_obs::gauge("store.window.resident_bytes"),
+    })
 }
 
 impl WindowPool {
     /// Creates a pool; window bytes are charged against `budget` when
-    /// one is given, and loads evict the coldest resident windows until
-    /// the charge fits.
+    /// one is given, and loads evict cold resident windows until the
+    /// charge fits.
     pub fn new(budget: Option<MemoryBudget>) -> Arc<WindowPool> {
         Arc::new(WindowPool {
             budget,
-            slots: Mutex::new(Vec::new()),
-            tick: AtomicU64::new(0),
+            clock: Mutex::new(VecDeque::new()),
+            resident: AtomicUsize::new(0),
             loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             overcommits: AtomicU64::new(0),
+            bytes_loaded: AtomicU64::new(0),
+            visits: AtomicU64::new(0),
         })
     }
 
@@ -242,16 +279,14 @@ impl WindowPool {
         byte_off: u64,
         len_words: usize,
     ) -> Arc<WindowSlot> {
-        let slot = Arc::new(WindowSlot {
+        Arc::new(WindowSlot {
             pool: Arc::clone(self),
             file,
             byte_off,
             len_words,
             resident: Mutex::new(None),
-            last_used: AtomicU64::new(0),
-        });
-        lock(&self.slots).push(Arc::downgrade(&slot));
-        slot
+            referenced: AtomicBool::new(false),
+        })
     }
 
     /// Point-in-time load/eviction/overcommit counters.
@@ -260,73 +295,86 @@ impl WindowPool {
             loads: self.loads.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             overcommits: self.overcommits.load(Ordering::Relaxed),
+            bytes_loaded: self.bytes_loaded.load(Ordering::Relaxed),
         }
     }
 
-    /// Bytes currently resident across all live windows.
+    /// Bytes currently resident across all live windows (a running
+    /// count, not a walk of the slots).
     pub fn resident_bytes(&self) -> usize {
-        self.live_slots()
-            .iter()
-            .filter(|s| lock(&s.resident).is_some())
-            .map(|s| s.len_words * 8)
-            .sum()
+        self.resident.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the live slots, taken under the registry lock and
-    /// returned with it released. Lock order: a thread may hold one slot's
-    /// `resident` lock (a loader holds its own) and then take `slots`, so
-    /// nothing may *block* on a `resident` lock while holding `slots` —
-    /// callers lock slots only after this returns.
-    fn live_slots(&self) -> Vec<Arc<WindowSlot>> {
-        let mut slots = lock(&self.slots);
-        slots.retain(|w| w.strong_count() > 0);
-        slots.iter().filter_map(Weak::upgrade).collect()
+    fn add_resident(&self, bytes: usize) {
+        self.resident.fetch_add(bytes, Ordering::Relaxed);
+        pool_metrics().resident_bytes.add(bytes as f64);
     }
 
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    fn sub_resident(&self, bytes: usize) {
+        self.resident.fetch_sub(bytes, Ordering::Relaxed);
+        pool_metrics().resident_bytes.add(-(bytes as f64));
     }
 
-    /// Charges `bytes`, evicting the coldest resident windows (other than
-    /// `requester`) until the charge fits. `None` with `overcommit`
-    /// counted means the budget can never cover this window — the load
-    /// proceeds uncharged rather than failing the query.
-    fn acquire(&self, bytes: usize, requester: *const WindowSlot) -> Option<Charge> {
+    /// Charges `bytes`, evicting cold resident windows until the charge
+    /// fits. `None` with `overcommit` counted means the budget can never
+    /// cover this window — the load proceeds uncharged rather than
+    /// failing the query.
+    fn acquire(&self, bytes: usize) -> Option<Charge> {
         let budget = self.budget.as_ref()?;
         loop {
             if let Some(charge) = budget.try_charge(bytes) {
                 return Some(charge);
             }
-            if !self.evict_coldest(requester) {
+            if !self.evict_one() {
                 self.overcommits.fetch_add(1, Ordering::Relaxed);
+                pool_metrics().overcommits.incr();
                 return None;
             }
         }
     }
 
-    /// Drops the least-recently-used resident window except `requester`;
-    /// false when nothing is evictable.
+    /// Advances the CLOCK hand until one window is evicted; false when a
+    /// full two rounds of the queue found nothing evictable.
     ///
-    /// The caller is a loader holding its own slot's `resident` lock, so
-    /// victims are only ever `try_lock`ed: a slot whose lock is taken is
-    /// mid-load (or being read) — not cold — and two loaders each waiting
-    /// for the other's slot would deadlock.
-    fn evict_coldest(&self, requester: *const WindowSlot) -> bool {
-        let mut candidates = self.live_slots();
-        // Cached: other loaders bump `last_used` while this sorts, and a
-        // key that moves mid-sort is not a total order.
-        candidates.sort_by_cached_key(|s| s.last_used.load(Ordering::Relaxed));
-        for slot in candidates.iter().filter(|s| Arc::as_ptr(s) != requester) {
-            let mut resident = match slot.resident.try_lock() {
-                Ok(guard) => guard,
-                Err(TryLockError::Poisoned(p)) => p.into_inner(),
-                Err(TryLockError::WouldBlock) => continue,
+    /// Lock order: a loader holds its own slot's `resident` lock and then
+    /// takes `clock`, so nothing may *block* on a `resident` lock while
+    /// holding `clock`. Victims are only ever `try_lock`ed: a slot whose
+    /// lock is taken is mid-load (or being read) — not cold — and two
+    /// loaders each waiting for the other's slot would deadlock. The
+    /// loader's own slot is not resident, hence not in the queue.
+    fn evict_one(&self) -> bool {
+        let mut clock = lock(&self.clock);
+        // Two rounds: the first may only clear referenced bits.
+        let mut steps = 2 * clock.len();
+        while steps > 0 {
+            steps -= 1;
+            let Some(weak) = clock.pop_front() else { break };
+            self.visits.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = weak.upgrade() else { continue };
+            if slot.referenced.swap(false, Ordering::Relaxed) {
+                clock.push_back(weak);
+                continue;
+            }
+            let evicted = match slot.resident.try_lock() {
+                Ok(mut resident) => resident.take(),
+                Err(TryLockError::Poisoned(p)) => p.into_inner().take(),
+                Err(TryLockError::WouldBlock) => {
+                    clock.push_back(weak);
+                    continue;
+                }
             };
-            // Dropping the Resident releases its Charge; a RegionGuard
-            // still reading the old Arc keeps the words alive until it
-            // finishes.
-            if resident.take().is_some() {
+            // A popped slot is resident unless a racing evictor emptied
+            // it between its load and its push; either way it has left
+            // the queue.
+            if let Some(victim) = evicted {
+                drop(clock);
+                self.sub_resident(slot.len_words * 8);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
+                pool_metrics().evictions.incr();
+                // Dropping the Resident releases its Charge; a RegionGuard
+                // still reading the old Arc keeps the words alive until it
+                // finishes.
+                drop(victim);
                 return true;
             }
         }
@@ -349,7 +397,9 @@ pub struct WindowSlot {
     byte_off: u64,
     len_words: usize,
     resident: Mutex<Option<Resident>>,
-    last_used: AtomicU64,
+    /// CLOCK's second-chance bit: set by a hit, cleared as the hand
+    /// passes.
+    referenced: AtomicBool,
 }
 
 impl WindowSlot {
@@ -369,13 +419,18 @@ impl WindowSlot {
     /// Propagates the positional read's I/O error; the window stays
     /// non-resident so a later load can retry.
     pub fn load(self: &Arc<WindowSlot>) -> io::Result<Arc<Vec<u64>>> {
-        self.last_used.store(self.pool.next_tick(), Ordering::Relaxed);
         let mut resident = lock(&self.resident);
         if let Some(r) = resident.as_ref() {
+            // Only write the bit when it changes, so hits on a hot window
+            // from several threads do not bounce its cache line.
+            if !self.referenced.load(Ordering::Relaxed) {
+                self.referenced.store(true, Ordering::Relaxed);
+            }
             return Ok(Arc::clone(&r.words));
         }
+        let pool = &self.pool;
         let bytes = self.len_words * 8;
-        let charge = self.pool.acquire(bytes, Arc::as_ptr(self));
+        let charge = pool.acquire(bytes);
         let mut words = vec![0u64; self.len_words];
         let buf = unsafe {
             std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, bytes)
@@ -385,10 +440,26 @@ impl WindowSlot {
         for w in &mut words {
             *w = u64::from_le(w.to_ne_bytes().iter().fold(0u64, |acc, &b| acc << 8 | u64::from(b)));
         }
-        self.pool.loads.fetch_add(1, Ordering::Relaxed);
+        pool.loads.fetch_add(1, Ordering::Relaxed);
+        pool.bytes_loaded.fetch_add(bytes as u64, Ordering::Relaxed);
+        pool_metrics().loads.incr();
+        pool_metrics().bytes_loaded.add(bytes as u64);
+        pool.add_resident(bytes);
         let words = Arc::new(words);
         *resident = Some(Resident { words: Arc::clone(&words), _charge: charge });
+        // Enters at the back unreferenced: only an eviction clears the bit
+        // and only a hit on a resident window sets it.
+        lock(&pool.clock).push_back(Arc::downgrade(self));
         Ok(words)
+    }
+}
+
+impl Drop for WindowSlot {
+    fn drop(&mut self) {
+        let resident = self.resident.get_mut().unwrap_or_else(|p| p.into_inner());
+        if resident.take().is_some() {
+            self.pool.sub_resident(self.len_words * 8);
+        }
     }
 }
 
@@ -644,6 +715,67 @@ pub(crate) mod tests {
         }
         let stats = pool.stats();
         assert!(stats.evictions > 0, "the budget must have forced evictions: {stats:?}");
+    }
+
+    #[test]
+    fn clock_evicts_in_constant_visits_over_ten_thousand_windows() {
+        // 10 000 four-word windows under a budget of eight. The old
+        // policy sorted every slot on each eviction; CLOCK's hand may
+        // only step past windows referenced since it last passed.
+        const SLOTS: usize = 10_000;
+        const WORDS: usize = 4;
+        let path = word_file("window-clock.bin", SLOTS * WORDS, 0);
+        let pool = WindowPool::new(Some(MemoryBudget::new(8 * WORDS * 8)));
+        let file = Arc::new(WindowFile::open(&path).expect("open"));
+        let slots: Vec<_> = (0..SLOTS)
+            .map(|i| pool.slot(Arc::clone(&file), (i * WORDS * 8) as u64, WORDS))
+            .collect();
+        let visits = || pool.visits.load(Ordering::Relaxed);
+        let check = |i: usize| {
+            let words = slots[i].load().expect("load");
+            let expected: Vec<u64> = (0..WORDS).map(|w| ((i * WORDS + w) * 10) as u64).collect();
+            assert_eq!(*words, expected, "window {i} words");
+        };
+
+        // A re-referenced window survives one sweep of the hand.
+        for i in 0..8 {
+            check(i);
+        }
+        check(0); // a hit: window 0 gets its second chance
+        for i in 8..15 {
+            check(i);
+            assert!(slots[0].is_resident(), "window 0 survives while the hand passes it");
+        }
+        assert!((1..8).all(|i| !slots[i].is_resident()), "windows 1..8 were evicted in order");
+        check(15);
+        assert!(!slots[0].is_resident(), "its bit spent, window 0 is the next victim");
+
+        // Mixed traffic: half the accesses hit four hot windows, half
+        // range over all 10 000. Count hand steps, never time them.
+        let hot = [20usize, 4_000, 7_321, 9_999];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let (mut worst, start_visits, start_evictions) = (0, visits(), pool.stats().evictions);
+        for _ in 0..50_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let pick = (rng >> 8) as usize;
+            let i = if rng.is_multiple_of(2) { hot[pick % 4] } else { pick % SLOTS };
+            let before = visits();
+            check(i);
+            worst = worst.max(visits() - before);
+        }
+        let stats = pool.stats();
+        let evictions = stats.evictions - start_evictions;
+        assert!(evictions > 20_000, "the budget forced evictions: {stats:?}");
+        assert!(worst <= 2 * 8 + 1, "one eviction stepped {worst} times: at most two rounds of 8");
+        let mean = (visits() - start_visits) as f64 / evictions as f64;
+        assert!(mean <= 3.0, "{mean:.2} hand steps per eviction");
+        assert_eq!(pool.resident_bytes(), 8 * WORDS * 8, "the running count tracks the budget");
+        assert_eq!(stats.bytes_loaded, stats.loads * (WORDS * 8) as u64);
+        assert!(hot.iter().filter(|&&i| slots[i].is_resident()).count() >= 3, "hot windows stay");
+        drop(slots);
+        assert_eq!(pool.resident_bytes(), 0, "dropped windows leave the running count");
     }
 
     #[test]

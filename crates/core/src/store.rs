@@ -22,7 +22,10 @@
 //! There is one shard layout — an offset-table arena whose matrix
 //! sections are borrowed as `&[u64]` without decoding — and two backings
 //! for it ([`StoreBacking`]): zero-copy `mmap`, or budget-charged `pread`
-//! windows. An open checks each shard's header CRC, section bounds and
+//! windows. Each matrix section is tile-major: a run of column tiles of
+//! [`TILE_BYTES`] each, every tile the row-major words of its columns, so
+//! a tile is one [`Segment`] of the opened matrix and one `pread` window —
+//! probing a candidate column reads its tile, not the shard's width. An open checks each shard's header CRC, section bounds and
 //! manifest binding only; [`verify_store`] and [`repair_store`] run the
 //! deep check (manifest digest, file trailer, header, universes).
 //!
@@ -61,13 +64,27 @@ use crate::persist::{get_config, get_interval, put_config, put_interval};
 /// Magic bytes of the store manifest, including a format version.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"TINDIS\x00\x01";
 
-/// Magic bytes of one store shard, including a format version: the arena
-/// layout, the only one written or read.
-pub const SHARD_MAGIC: &[u8; 8] = b"TINDSH\x00\x02";
+/// Magic bytes of one store shard, including a format version: the
+/// tile-major arena layout, the only one written or read.
+pub const SHARD_MAGIC: &[u8; 8] = b"TINDSH\x00\x03";
 
-/// Magic of the retired v1 (varint strip stream) layout, kept only so
-/// [`check_shard_magic`] can refuse it by name.
-const SHARD_MAGIC_V1: &[u8; 8] = b"TINDSH\x00\x01";
+/// Versions of retired layouts — v1 (varint strip stream) and v2 (one
+/// row-major run per section) — kept only so [`check_shard_magic`] can
+/// refuse them by name.
+const RETIRED_SHARD_VERSIONS: [u8; 2] = [1, 2];
+
+/// Target bytes of one column tile of an arena matrix section: the unit
+/// a mapped segment covers and a `pread` window loads. 4 KiB — one page —
+/// is one word column (64 attributes) at the default `m` = 512; stated in
+/// bytes so that every `m` gets windows of about the same size. Of 4, 8,
+/// 16 and 32 KiB it served windowed searches fastest.
+pub const TILE_BYTES: usize = 4 << 10;
+
+/// Word columns per tile of an `m`-row matrix: [`TILE_BYTES`] worth, and
+/// at least one.
+pub fn tile_words(m: u32) -> usize {
+    (TILE_BYTES / (m as usize * 8)).max(1)
+}
 
 /// Section alignment of the arena layout: every matrix section starts on
 /// a 64-byte boundary so mapped word views are cache-line aligned.
@@ -75,8 +92,8 @@ pub const ARENA_ALIGN: usize = 64;
 
 /// Fixed arena header: magic(8) + generation(8) + id(4) + block_start(4) +
 /// block_count(4) + num_targets(4) + fingerprint(8) + m(4) +
-/// section_count(4).
-const ARENA_FIXED_HEADER: usize = 48;
+/// section_count(4) + tile_words(4). The section table follows it.
+pub const ARENA_FIXED_HEADER: usize = 52;
 
 /// One section-table entry: byte offset (u64) + byte length (u64).
 const ARENA_SECTION_ENTRY: usize = 16;
@@ -86,7 +103,7 @@ const ARENA_SECTION_ENTRY: usize = 16;
 /// the next benchmark PR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardFormat {
-    /// Offset-table arena with 64-byte-aligned row-major matrix sections,
+    /// Offset-table arena with 64-byte-aligned tile-major matrix sections,
     /// borrowable straight from an mmap — open validates the header CRC
     /// and section bounds only, never decoding the words.
     #[default]
@@ -107,8 +124,8 @@ pub enum StoreBacking {
     /// Borrow matrix sections zero-copy from an mmap'd shard file.
     #[default]
     Mmap,
-    /// `pread` each matrix section on demand, charged to the open's
-    /// [`MemoryBudget`] and evicted LRU under pressure.
+    /// `pread` each matrix tile on demand, charged to the open's
+    /// [`MemoryBudget`] and evicted by a CLOCK hand under pressure.
     Windowed,
 }
 
@@ -152,9 +169,12 @@ pub enum StoreError {
         /// CRC-32 the shard file actually hashes to.
         actual: u32,
     },
-    /// A shard in the retired TINDSH v1 layout. A store is a cache of the
-    /// dataset, so there is no reader to fall back to — re-pack.
-    LegacyShard,
+    /// A shard in a retired TINDSH layout (v1 or v2). A store is a cache
+    /// of the dataset, so there is no reader to fall back to — re-pack.
+    LegacyShard {
+        /// The layout version the shard's magic names.
+        version: u8,
+    },
     /// The store and the caller disagree on identity: wrong dataset
     /// fingerprint, wrong attribute count, inconsistent shard geometry, or
     /// an operation that is not meaningful in the current state.
@@ -178,9 +198,9 @@ impl std::fmt::Display for StoreError {
                 "shard {shard} corrupt: manifest digest {expected:#010x} but file hashes to \
                  {actual:#010x}"
             ),
-            StoreError::LegacyShard => write!(
+            StoreError::LegacyShard { version } => write!(
                 f,
-                "TINDSH v1 is no longer supported; re-pack with `tind store pack`"
+                "TINDSH v{version} is no longer supported; re-pack with `tind store pack`"
             ),
             StoreError::Mismatch(msg) => write!(f, "store mismatch: {msg}"),
             StoreError::Killed { ops } => {
@@ -517,27 +537,37 @@ fn arena_header_len(num_targets: usize) -> usize {
     ARENA_FIXED_HEADER + (num_targets + 1) * ARENA_SECTION_ENTRY + 4
 }
 
+/// Word-column ranges of the tiles a `width`-word matrix section is cut
+/// into, left to right: `tile` words each, the last one possibly fewer.
+fn tiles(width: usize, tile: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+    (0..width).step_by(tile).map(move |lo| lo..(lo + tile).min(width))
+}
+
 /// Writes one shard in the arena layout to `w`, which holds its magic
-/// and nothing else. `section(target, w)` is called once per target in
-/// ascending order and must write the target's words over the shard's
-/// `block_count` word columns, row-major and little-endian
-/// ([`BloomMatrix::encode_words`]); `universe` once per attribute in the
-/// shard's range. Shared by pack (row spans of the built matrices,
-/// streamed to the file) and repair (the range re-rendered from the
-/// dataset) so the two paths are byte-equal by construction. Each target's
-/// section is 64-byte aligned behind an offset table, so an open can
-/// borrow it as `&[u64]` without decoding. The caller finishes `w`; its
-/// trailer is the shard's digest (see [`ShardEntry::digest`]).
-fn write_shard<W: Write>(
+/// and nothing else. `target(t)` is called once per target in ascending
+/// order and returns a matrix holding the target's words together with
+/// the word column the shard starts at in it; each target's section is
+/// written tile-major — the shard's `block_count` word columns cut into
+/// tiles of `tile_words(m)`, each tile the row-major little-endian words
+/// of its columns (cut from [`BloomMatrix::encode_words`] of the shard).
+/// `universe` is called once per attribute in the shard's range. Shared
+/// by pack (the built matrices, streamed to the file) and repair (the
+/// range re-rendered from the dataset) so the two paths are byte-equal by
+/// construction. Each
+/// target's section is 64-byte aligned behind an offset table, so an open
+/// can borrow any tile as `&[u64]` without decoding. The caller finishes
+/// `w`; its trailer is the shard's digest (see [`ShardEntry::digest`]).
+fn write_shard<W: Write, M: std::borrow::Borrow<BloomMatrix>>(
     w: &mut Writer<W>,
     manifest: &Manifest,
     entry_id: usize,
     block_start: usize,
     block_count: usize,
-    mut section: impl FnMut(usize, &mut Writer<W>),
+    mut target: impl FnMut(usize) -> (M, usize),
     mut universe: impl FnMut(usize, &mut Writer),
 ) {
     let m = manifest.config.m as usize;
+    let tile = tile_words(manifest.config.m);
     let num_targets = manifest.num_targets();
     let matrix_bytes = m * block_count * 8;
     let header_end = arena_header_len(num_targets).next_multiple_of(ARENA_ALIGN);
@@ -566,6 +596,7 @@ fn write_shard<W: Write>(
     w.u64_le(manifest.fingerprint);
     w.u32_le(manifest.config.m);
     w.u32_le(sections.len() as u32);
+    w.u32_le(tile as u32);
     for &(o, l) in &sections {
         w.u64_le(o);
         w.u64_le(l);
@@ -580,9 +611,20 @@ fn write_shard<W: Write>(
     align(w);
     debug_assert_eq!(w.written(), header_end as u64);
 
-    for target in 0..num_targets {
+    for t in 0..num_targets {
         let start = w.written();
-        section(target, w);
+        let (matrix, first) = target(t);
+        // The shard's row-major words first — sequential reads of the
+        // matrix — then cut into tiles from that cache-sized copy: reading
+        // the matrix tile by tile strides across every row per word.
+        let mut rows = Writer::default();
+        matrix.borrow().encode_words(first..first + block_count, &mut rows);
+        let rows = rows.as_slice();
+        for cols in tiles(block_count, tile) {
+            for row in 0..m {
+                w.bytes(&rows[(row * block_count + cols.start) * 8..][..cols.len() * 8]);
+            }
+        }
         debug_assert_eq!(w.written() - start, matrix_bytes as u64, "m rows of block_count words");
         align(w);
     }
@@ -591,13 +633,17 @@ fn write_shard<W: Write>(
 }
 
 /// Checks the first eight bytes of a shard file: the arena magic passes,
-/// the retired v1 magic is refused by name ([`StoreError::LegacyShard`]),
-/// anything else is corrupt. Every open / verify / repair path and
-/// `tind verify FILE` come through here.
+/// a retired layout's magic is refused by name
+/// ([`StoreError::LegacyShard`]), anything else is corrupt. Every open /
+/// verify / repair path and `tind verify FILE` come through here.
 pub fn check_shard_magic(raw: &[u8]) -> Result<(), StoreError> {
     match raw.get(..8) {
         Some(magic) if magic == SHARD_MAGIC => Ok(()),
-        Some(magic) if magic == SHARD_MAGIC_V1 => Err(StoreError::LegacyShard),
+        Some(&[b'T', b'I', b'N', b'D', b'S', b'H', 0, version])
+            if RETIRED_SHARD_VERSIONS.contains(&version) =>
+        {
+            Err(StoreError::LegacyShard { version })
+        }
         _ => Err(corrupt("bad arena shard magic").into()),
     }
 }
@@ -611,8 +657,10 @@ struct ArenaHeader {
     num_targets: usize,
     fingerprint: u64,
     m: u32,
-    /// `(byte offset, byte length)` per section: one row-major matrix per
-    /// target, then the value-universe blob.
+    /// Word columns per tile of every matrix section.
+    tile_words: usize,
+    /// `(byte offset, byte length)` per section: one tile-major matrix
+    /// per target, then the value-universe blob.
     sections: Vec<(usize, usize)>,
 }
 
@@ -635,6 +683,7 @@ fn parse_arena_header(raw: &[u8], file_len: u64) -> Result<ArenaHeader, StoreErr
     let fingerprint = u64_at(32);
     let m = u32_at(40);
     let section_count = u32_at(44) as usize;
+    let tile_words = u32_at(48) as usize;
     if num_targets == 0 || section_count != num_targets + 1 || section_count > 1 << 20 {
         return Err(corrupt("arena section count disagrees with target count").into());
     }
@@ -648,6 +697,9 @@ fn parse_arena_header(raw: &[u8], file_len: u64) -> Result<ArenaHeader, StoreErr
         // Carries the offset of the failing check so `tind verify` can
         // report exactly where the header went bad.
         return Err(BinIoError::Checksum { stored, computed, offset: table_end as u64 }.into());
+    }
+    if tile_words == 0 {
+        return Err(corrupt("arena tiles of zero words").into());
     }
     let payload_end = (file_len as usize).saturating_sub(checksum::TRAILER_LEN);
     let matrix_bytes = (m as usize)
@@ -687,6 +739,7 @@ fn parse_arena_header(raw: &[u8], file_len: u64) -> Result<ArenaHeader, StoreErr
         num_targets,
         fingerprint,
         m,
+        tile_words,
         sections,
     })
 }
@@ -730,11 +783,31 @@ fn arena_universes(
     Ok(universes)
 }
 
-/// One loaded shard: `targets[t]` holds the shard's `m × block_count`
-/// row-major words, regardless of backing.
+/// One loaded shard: `targets[t]` holds the segments of the shard's
+/// tiles of target `t`, one per tile, regardless of backing.
 struct ShardRegions {
-    targets: Vec<WordRegion>,
+    targets: Vec<Vec<Segment>>,
     universes: Vec<ValueSet>,
+}
+
+/// One [`Segment`] per tile of every matrix section of `h`; `region`
+/// backs the `len_words` words at absolute byte offset `byte_off`.
+fn tile_segments(
+    h: &ArenaHeader,
+    mut region: impl FnMut(usize, usize) -> Result<WordRegion, StoreError>,
+) -> Result<Vec<Vec<Segment>>, StoreError> {
+    let row_bytes = h.m as usize * 8;
+    h.sections[..h.num_targets]
+        .iter()
+        .map(|&(off, _)| {
+            tiles(h.block_count, h.tile_words)
+                .map(|cols| {
+                    let words = region(off + cols.start * row_bytes, h.m as usize * cols.len())?;
+                    Ok(Segment { word_start: h.block_start + cols.start, width: cols.len(), words })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Deep verification of one shard — what `verify_store` and
@@ -786,25 +859,18 @@ fn arena_load_mmap(
     let bytes = file.bytes();
     let h = parse_arena_header(bytes, file.len() as u64)?;
     check_arena_binding(&h, manifest, entry)?;
-    let targets = h.sections[..h.num_targets]
-        .iter()
-        .map(|&(off, len)| {
-            file.words_at(off, len / 8)
-                .map(|_| WordRegion::Mapped {
-                    file: Arc::clone(&file),
-                    byte_off: off,
-                    len_words: len / 8,
-                })
-                .ok_or_else(|| mismatch(format!("arena section at {off} cannot be mapped")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let targets = tile_segments(&h, |byte_off, len_words| {
+        file.words_at(byte_off, len_words)
+            .map(|_| WordRegion::Mapped { file: Arc::clone(&file), byte_off, len_words })
+            .ok_or_else(|| mismatch(format!("arena tile at {byte_off} cannot be mapped")))
+    })?;
     let (uoff, ulen) = h.sections[h.num_targets];
     let universes = arena_universes(&bytes[uoff..uoff + ulen], manifest, entry)?;
     Ok(ShardRegions { targets, universes })
 }
 
 /// Opens an arena shard with `pread`-on-demand windows: only the header
-/// and universes are read eagerly; each matrix section becomes a
+/// and universes are read eagerly; each matrix tile becomes a
 /// [`WindowPool`] slot loaded lazily and evicted under memory pressure.
 fn arena_load_windowed(
     dir: &Path,
@@ -821,10 +887,9 @@ fn arena_load_windowed(
     file.read_exact_at(&mut header, 0)?;
     let h = parse_arena_header(&header, file_len)?;
     check_arena_binding(&h, manifest, entry)?;
-    let targets = h.sections[..h.num_targets]
-        .iter()
-        .map(|&(off, len)| WordRegion::Windowed(pool.slot(Arc::clone(&file), off as u64, len / 8)))
-        .collect();
+    let targets = tile_segments(&h, |byte_off, len_words| {
+        Ok(WordRegion::Windowed(pool.slot(Arc::clone(&file), byte_off as u64, len_words)))
+    })?;
     let (uoff, ulen) = h.sections[h.num_targets];
     let mut ublob = vec![0u8; ulen];
     file.read_exact_at(&mut ublob, uoff as u64)?;
@@ -909,7 +974,6 @@ pub fn pack_store(
     let mut budget = OpBudget::new(options.kill_after_ops);
     let mut bytes_written = 0u64;
     for (id, &(block_start, block_count)) in parts.iter().enumerate() {
-        let words = block_start..block_start + block_count;
         let (byte_len, digest) = publish(&dir.join(shard_name(generation, id)), &mut budget, |f| {
             let mut w = Writer::streaming(f, SHARD_MAGIC);
             write_shard(
@@ -918,7 +982,7 @@ pub fn pack_store(
                 id,
                 block_start,
                 block_count,
-                |target, w| matrices[target].encode_words(words.clone(), w),
+                |target| (matrices[target], block_start),
                 |attr, w| w.ascending(index.universe(attr as AttrId)),
             );
             let byte_len = w.written() + checksum::TRAILER_LEN as u64;
@@ -999,12 +1063,8 @@ pub fn open_store_with(
         };
         match loaded {
             Ok(regions) => {
-                for (target, words) in regions.targets.into_iter().enumerate() {
-                    target_segments[target].push(Segment {
-                        word_start: entry.block_start,
-                        width: entry.block_count,
-                        words,
-                    });
+                for (segments, tiles) in target_segments.iter_mut().zip(regions.targets) {
+                    segments.extend(tiles);
                 }
                 let (attr_lo, _) = entry.attr_range(num_attrs);
                 for (offset, u) in regions.universes.into_iter().enumerate() {
@@ -1136,21 +1196,22 @@ pub fn repair_store(
                 intact += 1;
                 continue;
             }
-            // A v1 shard's committed digest describes v1 bytes, which no
-            // render reproduces any more: refuse by name, not as "drift".
-            Err(e @ StoreError::LegacyShard) => return Err(e),
+            // A retired layout's committed digest describes its bytes,
+            // which no render reproduces any more: refuse by name, not as
+            // "drift".
+            Err(e @ StoreError::LegacyShard { .. }) => return Err(e),
             Err(_) => {}
         }
         // Re-render the shard's columns with the build's tile renderer,
         // over the manifest's persisted slice windows and config.
         let first_attr = entry.block_start * 64;
         let num_cols = (first_attr + entry.block_count * 64).min(dataset.len()) - first_attr;
-        let section = |target: usize, w: &mut Writer| {
+        let section = |target: usize| {
             let mut builder = BloomMatrixBuilder::new(m, num_cols, k_hashes);
             for mut tile in builder.tiles() {
                 columns.render_tile(dataset, target, first_attr, &mut tile, &mut bufs, |_, _| {});
             }
-            builder.build().encode_words(0..entry.block_count, w);
+            (builder.build(), 0)
         };
         let universe_fn = |attr: usize, w: &mut Writer| {
             columns.values_into(0, dataset.attribute(attr as AttrId), &mut universe_bufs);
@@ -1257,42 +1318,47 @@ mod tests {
         let d = dataset();
         let index =
             TindIndex::build(d.clone(), IndexConfig { m: 128, ..IndexConfig::default() });
-        let dir = store_dir("v1-refusal");
-        pack_store(&index, &dir, &PackOptions::default()).expect("pack");
-        // Dress the shard as a leftover of a pre-arena store: v1 magic,
-        // its own trailer re-signed, and the manifest committed to exactly
-        // these bytes — every check before the magic passes.
-        let path = dir.join(shard_name(1, 0));
-        let mut raw = std::fs::read(&path).expect("read shard");
-        raw[..8].copy_from_slice(SHARD_MAGIC_V1);
-        let body = raw.len() - checksum::TRAILER_LEN;
-        let resigned = crc32(&raw[..body]);
-        raw[body..].copy_from_slice(&resigned.to_le_bytes());
-        std::fs::write(&path, &raw).expect("write v1 shard");
-        let mut manifest = read_manifest(&dir).expect("manifest");
-        manifest.shards[0].digest = resigned;
-        std::fs::write(dir.join(MANIFEST_NAME), binio::encode(&manifest)).expect("manifest");
+        for version in RETIRED_SHARD_VERSIONS {
+            let dir = store_dir(&format!("v{version}-refusal"));
+            pack_store(&index, &dir, &PackOptions::default()).expect("pack");
+            // Dress the shard as a leftover of a retired layout: its magic,
+            // its own trailer re-signed, and the manifest committed to
+            // exactly these bytes — every check before the magic passes.
+            let path = dir.join(shard_name(1, 0));
+            let mut raw = std::fs::read(&path).expect("read shard");
+            raw[7] = version;
+            let body = raw.len() - checksum::TRAILER_LEN;
+            let resigned = crc32(&raw[..body]);
+            raw[body..].copy_from_slice(&resigned.to_le_bytes());
+            std::fs::write(&path, &raw).expect("write retired shard");
+            let mut manifest = read_manifest(&dir).expect("manifest");
+            manifest.shards[0].digest = resigned;
+            std::fs::write(dir.join(MANIFEST_NAME), binio::encode(&manifest)).expect("manifest");
 
-        let refused = |e: &StoreError| {
-            assert!(matches!(e, StoreError::LegacyShard), "typed refusal, got {e}");
-            assert_eq!(
-                e.to_string(),
-                "TINDSH v1 is no longer supported; re-pack with `tind store pack`"
-            );
-        };
-        for backing in [StoreBacking::Mmap, StoreBacking::Windowed] {
-            let (_, load) =
-                open_store_with(&dir, d.clone(), &OpenOptions { backing, memory_budget: None })
-                    .expect("open degraded");
-            assert_eq!(load.quarantined.len(), 1, "{backing}: v1 shard quarantined");
-            refused(&load.quarantined[0].error);
+            let refused = |e: &StoreError| {
+                assert!(
+                    matches!(e, StoreError::LegacyShard { version: v } if *v == version),
+                    "typed refusal, got {e}"
+                );
+                assert_eq!(
+                    e.to_string(),
+                    format!("TINDSH v{version} is no longer supported; re-pack with `tind store pack`")
+                );
+            };
+            for backing in [StoreBacking::Mmap, StoreBacking::Windowed] {
+                let (_, load) =
+                    open_store_with(&dir, d.clone(), &OpenOptions { backing, memory_budget: None })
+                        .expect("open degraded");
+                assert_eq!(load.quarantined.len(), 1, "{backing}: v{version} shard quarantined");
+                refused(&load.quarantined[0].error);
+            }
+            let verify = verify_store(&dir).expect("verify runs");
+            assert_eq!(verify.faults.len(), 1);
+            refused(&verify.faults[0].error);
+            refused(&repair_store(&dir, &d, &RepairOptions::default()).expect_err("repair refuses"));
+            assert_eq!(std::fs::read(&path).expect("reread"), raw, "refusal rewrites nothing");
+            std::fs::remove_dir_all(&dir).ok();
         }
-        let verify = verify_store(&dir).expect("verify runs");
-        assert_eq!(verify.faults.len(), 1);
-        refused(&verify.faults[0].error);
-        refused(&repair_store(&dir, &d, &RepairOptions::default()).expect_err("repair refuses"));
-        assert_eq!(std::fs::read(&path).expect("reread"), raw, "refusal rewrites nothing");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1456,8 +1522,9 @@ mod tests {
         // header CRC so only the alignment check can refuse it.
         let path = dir.join(shard_name(1, 0));
         let mut raw = std::fs::read(&path).expect("read");
-        let off = u64::from_le_bytes(raw[48..56].try_into().expect("8"));
-        raw[48..56].copy_from_slice(&(off + 8).to_le_bytes());
+        let entry = ARENA_FIXED_HEADER..ARENA_FIXED_HEADER + 8;
+        let off = u64::from_le_bytes(raw[entry.clone()].try_into().expect("8"));
+        raw[entry].copy_from_slice(&(off + 8).to_le_bytes());
         let section_count = u32::from_le_bytes(raw[44..48].try_into().expect("4")) as usize;
         let table_end = ARENA_FIXED_HEADER + section_count * ARENA_SECTION_ENTRY;
         let crc = crc32(&raw[..table_end]).to_le_bytes();

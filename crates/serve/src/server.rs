@@ -1289,6 +1289,7 @@ impl Server {
                         // and the TINDRR `metrics_history` section.
                         if !rt.config.metrics_tick.is_zero() && Instant::now() >= next_tick {
                             next_tick = Instant::now() + rt.config.metrics_tick;
+                            publish_budget(rt);
                             tind_obs::history_tick();
                         }
                         // Background re-verification: while degraded, poll
@@ -1326,6 +1327,8 @@ impl Server {
             }
             let _ = watchdog.join();
         });
+        // The run report is collected after `run` returns.
+        publish_budget(rt);
 
         if let Some(e) = load_error {
             return Err(e);
@@ -1430,6 +1433,7 @@ fn reader_loop(rt: &Runtime) {
                 rt.respond_ok(&mut stream, &body);
             }
             Ok(ApiCall::Metrics) => {
+                publish_budget(rt);
                 let body = tind_obs::metrics_value();
                 rt.respond_ok(&mut stream, &body);
             }
@@ -1485,6 +1489,17 @@ fn reader_loop(rt: &Runtime) {
     }
 }
 
+/// Mirrors the memory budget's accounting into the
+/// `memory.budget.{used,peak,limit}_bytes` gauges, which `/metrics`, the
+/// metrics history and the run report read.
+fn publish_budget(rt: &Runtime) {
+    if let Some(budget) = &rt.config.memory_budget {
+        tind_obs::gauge("memory.budget.used_bytes").set(budget.used_bytes() as f64);
+        tind_obs::gauge("memory.budget.peak_bytes").set(budget.peak_bytes() as f64);
+        tind_obs::gauge("memory.budget.limit_bytes").set(budget.limit_bytes() as f64);
+    }
+}
+
 fn healthz_body(rt: &Runtime) -> Value {
     let state = rt.state();
     let status = match state {
@@ -1500,6 +1515,10 @@ fn healthz_body(rt: &Runtime) -> Value {
         ("queue_depth", Value::num(rt.jobs.depth() as f64)),
         ("uptime_ms", Value::num(rt.started.elapsed().as_millis() as f64)),
     ]);
+    if let Some(budget) = &rt.config.memory_budget {
+        let headroom = budget.limit_bytes().saturating_sub(budget.used_bytes());
+        body.set("memory_headroom_bytes", Value::num(headroom as f64));
+    }
     if state == STATE_DEGRADED {
         if let Some((fraction, shards)) = rt.engine.get().and_then(|e| e.degraded_status()) {
             body.set("live_shard_fraction", Value::num(fraction));

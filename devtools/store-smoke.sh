@@ -5,7 +5,9 @@
 # reopening sweeps and recovers, corrupt a shard's header, boot `tind
 # serve --store` degraded (zero-copy from mmap, plan cache on) over raw
 # TCP, repair the store out-of-band, watch the daemon promote back to
-# serving, and drain.
+# serving, check that a second daemon on `pread` windows under an eighth
+# of the store's bytes answers byte-for-byte as the mmap one while it
+# evicts windows, and drain.
 #
 # Usage: devtools/store-smoke.sh path/to/tind [scratch-dir]
 
@@ -78,20 +80,22 @@ printf '\xff\x00' | dd of="$SHARD" bs=1 seek=12 conv=notrunc 2>/dev/null
 "$TIND" serve --data "$DATA" --store "$STORE" --store-backing mmap \
     --plan-cache 8 --port 0 --port-file "$PORT_FILE" --reverify-ms 100 --quiet &
 PID=$!
-trap 'kill -9 "$PID" 2>/dev/null || true' EXIT
+trap 'kill -9 "$PID" ${WPID:-} 2>/dev/null || true' EXIT
 
-PORT=""
-for _ in $(seq 1 200); do
-    kill -0 "$PID" 2>/dev/null || fail "daemon died during startup"
-    if [ -s "$PORT_FILE" ]; then
-        PORT=$(tr -d '[:space:]' <"$PORT_FILE")
-        [ -n "$PORT" ] && break
-    fi
-    sleep 0.05
-done
-[ -n "$PORT" ] || fail "no port published within 10s"
+wait_port() { # pid port-file; prints the published port
+    for _ in $(seq 1 200); do
+        kill -0 "$1" 2>/dev/null || fail "daemon died during startup"
+        if [ -s "$2" ]; then
+            tr -d '[:space:]' <"$2"
+            return
+        fi
+        sleep 0.05
+    done
+    fail "no port published within 10s"
+}
+PORT=$(wait_port "$PID" "$PORT_FILE")
 
-http() { # method path body
+http() { # method path body (to the daemon on $PORT)
     local body="${3:-}"
     exec 3<>"/dev/tcp/127.0.0.1/$PORT"
     printf '%s %s HTTP/1.1\r\nContent-Length: %s\r\n\r\n%s' \
@@ -128,6 +132,47 @@ http POST /search '{"query":"70","limit":3}' | grep -q '"results"' \
     || fail "repeat query failed"
 http GET /metrics | grep -q '"name":"serve.plans.hits","total":[1-9]' \
     || fail "plan cache recorded no hit on a repeated query"
+
+# --- The windowed backing answers as the mmap one: a second daemon on
+# the same store reads `pread` windows (one per column tile) under a
+# budget of an eighth of the store's bytes, with one worker, and must
+# return the same bodies (the wall-clock field aside) while evicting.
+STORE_BYTES=$(cat "$STORE"/* | wc -c)
+WPORT_FILE="$SCRATCH/store-smoke-windowed-port.txt"
+rm -f "$WPORT_FILE"
+"$TIND" serve --data "$DATA" --store "$STORE" --store-backing windowed \
+    --memory-limit $(((STORE_BYTES + 7) / 8)) --workers 1 \
+    --port 0 --port-file "$WPORT_FILE" --quiet >/dev/null &
+WPID=$!
+MPORT=$PORT
+WPORT=$(wait_port "$WPID" "$WPORT_FILE")
+PORT=$WPORT
+for _ in $(seq 1 200); do
+    http GET /healthz | grep -q '"serving"' && break
+    sleep 0.05
+done
+bodies() { # port
+    PORT=$1
+    for q in $(seq 0 13 199); do
+        for endpoint in search reverse-search; do
+            http POST "/$endpoint" "{\"query\":\"$q\",\"limit\":1000}" \
+                | tail -n 1 | sed -e 's/"elapsed_ms":[^,}]*//'
+            echo
+        done
+    done
+}
+WINDOWED=$(bodies "$WPORT")
+MAPPED=$(bodies "$MPORT")
+echo "$MAPPED" | grep -q '"results"' || fail "the mmap daemon returned no results"
+[ "$WINDOWED" = "$MAPPED" ] || fail "windowed and mmap daemons answer differently"
+PORT=$WPORT
+http GET /metrics | grep -q '"name":"store.window.evictions","total":[1-9]' \
+    || fail "the windowed daemon evicted no window under an eighth of the store"
+http GET /healthz | grep -q '"memory_headroom_bytes":' \
+    || fail "healthz missing the budget headroom"
+kill -INT "$WPID"
+wait "$WPID" || true
+PORT=$MPORT
 
 kill -INT "$PID"
 EXIT=0

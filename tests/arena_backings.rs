@@ -214,3 +214,52 @@ fn windowed_backing_below_index_size_still_answers_exactly() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Read amplification of the windowed backing is bounded: under a budget
+/// of an eighth of the index, the slice windows one forward search loads
+/// hold the tiles of its few candidates, not whole shard sections, so
+/// their bytes do not grow with |D|.
+///
+/// Each search runs on a fresh open, so stage 1 loads every `M_T` tile
+/// exactly once (its sweep visits each tile once, and no other stage reads
+/// `M_T`): the slice bytes are what the pool loaded beyond `M_T`'s size.
+#[test]
+fn windowed_slice_bytes_per_search_do_not_grow_with_the_dataset() {
+    let slice_bytes_per_search = |attrs: usize| -> f64 {
+        let dataset = Arc::new(generate(&GeneratorConfig::small(attrs, 33)).dataset);
+        let index = TindIndex::build(dataset.clone(), IndexConfig::default());
+        let params = TindParams::paper_default();
+        let dir = store_dir(&format!("read-amplification-{attrs}"));
+        pack_store(&index, &dir, &PackOptions::default()).expect("pack");
+        let budget = index.bloom_bytes() / 8;
+        let (mut loaded_bytes, mut searches) = (0u64, 0u64);
+        for q in (0..dataset.len() as u32).step_by(dataset.len() / 24) {
+            let history = dataset.attribute(q);
+            if tind_core::required::required_values(history, &params, dataset.timeline()).is_empty()
+            {
+                continue; // no stage 1, so no M_T load to subtract
+            }
+            let options = OpenOptions {
+                backing: StoreBacking::Windowed,
+                memory_budget: Some(MemoryBudget::new(budget)),
+            };
+            let (opened, report) = open_store_with(&dir, dataset.clone(), &options).expect("open");
+            let pool = report.window_pool.expect("windowed pool");
+            assert_eq!(opened.search(q, &params).results, index.search(q, &params).results);
+            let stats = pool.stats();
+            let m_t = opened.m_t().mapped_bytes() as u64;
+            assert!(stats.bytes_loaded >= m_t, "stage 1 read all of M_T: {stats:?}");
+            loaded_bytes += stats.bytes_loaded - m_t;
+            searches += 1;
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(searches >= 10, "{searches} searches ran stage 1");
+        loaded_bytes as f64 / searches as f64
+    };
+    let (small, large) = (slice_bytes_per_search(2_000), slice_bytes_per_search(8_000));
+    assert!(small > 0.0, "stage 2 read slice windows");
+    assert!(
+        large <= 2.0 * small,
+        "slice bytes per search grew from {small:.0} at 2 000 attributes to {large:.0} at 8 000"
+    );
+}

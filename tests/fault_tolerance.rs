@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tind::core::checkpoint::Checkpoint;
+use tind::core::store::ARENA_FIXED_HEADER;
 use tind::core::fault::{flip_bit, poison_hook, truncated, FaultHook};
 use tind::core::{
     discover_all_pairs, AllPairsError, AllPairsOptions, CancelToken, CheckpointPolicy,
@@ -511,7 +512,7 @@ fn arena_corruption_is_typed_with_offsets_and_bad_maps_are_refused() {
     // Header flip (inside the section table): the *open* path itself
     // refuses via the header CRC — zero-copy never trusts an unverified
     // header — and the shard is quarantined, not fatal.
-    flip_file_byte(&shard, 50).expect("flip header");
+    flip_file_byte(&shard, ARENA_FIXED_HEADER + 2).expect("flip header");
     mmap_open(true);
     std::fs::write(&shard, &pristine).expect("restore");
     mmap_open(false);
@@ -524,22 +525,23 @@ fn arena_corruption_is_typed_with_offsets_and_bad_maps_are_refused() {
 
     // Misaligned map: re-point section 0 at an offset that is not
     // 64-byte aligned and re-seal the header CRC so *only* the alignment
-    // check can object. ARENA_FIXED_HEADER is 48; the section table's
-    // first entry is its offset at byte 48.
+    // check can object. The section table's first entry is its offset,
+    // right behind the fixed header.
     let mut warped = pristine.clone();
-    let off = u64::from_le_bytes(warped[48..56].try_into().expect("8 bytes"));
-    warped[48..56].copy_from_slice(&(off + 8).to_le_bytes());
+    let entry = ARENA_FIXED_HEADER..ARENA_FIXED_HEADER + 8;
+    let off = u64::from_le_bytes(warped[entry.clone()].try_into().expect("8 bytes"));
+    warped[entry].copy_from_slice(&(off + 8).to_le_bytes());
     let table_end = (1usize..1024)
         .find(|&e| {
             // Recover the header-CRC position: fixed header + (targets+1)
             // section entries; scanning is cheap and avoids hardcoding
             // the target count.
-            let end = 48 + e * 16;
+            let end = ARENA_FIXED_HEADER + e * 16;
             end + 4 <= pristine.len()
                 && crc32(&pristine[..end])
                     == u32::from_le_bytes(pristine[end..end + 4].try_into().expect("4 bytes"))
         })
-        .map(|e| 48 + e * 16)
+        .map(|e| ARENA_FIXED_HEADER + e * 16)
         .expect("header CRC located");
     let seal = crc32(&warped[..table_end]);
     warped[table_end..table_end + 4].copy_from_slice(&seal.to_le_bytes());

@@ -703,6 +703,79 @@ fn windowed_engine_keeps_its_backing_across_a_delta() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A windowed store under a budget exports what its window pool and the
+/// budget do: `store.window.*` counters and resident bytes and the
+/// `memory.budget.*` gauges in `/metrics`, and the budget's headroom in
+/// `/healthz`.
+#[test]
+fn windowed_serve_exports_window_and_budget_metrics() {
+    use tind_core::{pack_store, OpenOptions, PackOptions, StoreBacking};
+
+    let dataset = Arc::new(generate(&GeneratorConfig::small(200, 29)).dataset);
+    let dir = std::env::temp_dir().join("tind-serve-faults-window-metrics.store");
+    let _ = std::fs::remove_dir_all(&dir);
+    let index_bytes = {
+        let built = Engine::build(dataset.clone(), 3.0, 7, None, 0);
+        pack_store(&built.forward(), &dir, &PackOptions { shards: 4, ..Default::default() })
+            .expect("pack");
+        built.forward().bloom_bytes()
+    };
+    let budget = MemoryBudget::new(64 * index_bytes);
+    let config = ServeConfig { memory_budget: Some(budget.clone()), ..ServeConfig::default() };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let shutdown = CancelToken::new();
+    let handle = {
+        let (shutdown, dataset, dir) = (shutdown.clone(), dataset.clone(), dir.clone());
+        let open = OpenOptions { backing: StoreBacking::Windowed, memory_budget: Some(budget) };
+        std::thread::spawn(move || {
+            let load = || Engine::from_store_with(&dir, dataset, 3.0, 7, None, 0, &open);
+            server.run(|| load().map(|(e, _)| e), shutdown)
+        })
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !request(addr, "GET", "/healthz", "").1.contains("\"serving\"") {
+        assert!(Instant::now() < deadline, "server never became ready");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let (status, body) = request(addr, "POST", "/search", "{\"query\":\"5\"}");
+    assert_eq!(status, 200, "{body}");
+
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    let metrics = tind_obs::json::parse(&metrics).expect("metrics JSON");
+    let value = |name: &str| -> f64 {
+        let (family, field) = if name.starts_with("store.window.resident")
+            || name.starts_with("memory.")
+        {
+            ("gauges", "value")
+        } else {
+            ("counters", "total")
+        };
+        let entries = metrics.get(family).and_then(|f| f.as_arr()).expect("family");
+        let entry = entries
+            .iter()
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some(name))
+            .unwrap_or_else(|| panic!("{name} missing from /metrics"));
+        entry.get(field).and_then(|v| v.as_f64()).expect("numeric value")
+    };
+    assert!(value("store.window.loads") >= 1.0, "the search loaded windows");
+    assert!(value("store.window.bytes_loaded") >= value("store.window.loads"));
+    assert!(value("store.window.resident_bytes") > 0.0);
+    for name in ["store.window.evictions", "store.window.overcommits"] {
+        value(name);
+    }
+    let limit = value("memory.budget.limit_bytes");
+    assert_eq!(limit, (64 * index_bytes) as f64);
+    assert!(value("memory.budget.used_bytes") > 0.0, "windows and the engine are charged");
+    assert!(value("memory.budget.peak_bytes") >= value("memory.budget.used_bytes"));
+
+    let (_, health) = request(addr, "GET", "/healthz", "");
+    assert!(health.contains("\"memory_headroom_bytes\":"), "{health}");
+    shutdown.cancel();
+    handle.join().expect("thread").expect("outcome");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Degraded serving: a store with one quarantined shard still comes up,
 /// answers everything outside the lost attribute range, returns typed
 /// `shard_unavailable` 503s inside it, and the background re-verify

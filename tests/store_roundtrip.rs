@@ -14,14 +14,15 @@ mod common;
 
 use std::sync::Arc;
 
+use tind_core::store::tile_words;
 use tind_core::{
-    discover_all_pairs, open_store, pack_store, repair_store, verify_store, AllPairsOptions,
-    BatchOptions, DatasetDelta, DeltaError, IndexConfig, PackOptions, RepairOptions, StoreError,
-    TindIndex,
+    discover_all_pairs, open_store, open_store_with, pack_store, repair_store, verify_store,
+    AllPairsOptions, BatchOptions, DatasetDelta, DeltaError, IndexConfig, OpenOptions, PackOptions,
+    RepairOptions, StoreBacking, StoreError, TindIndex,
 };
 use tind_datagen::{generate, GeneratorConfig};
 use tind_model::rng::cases;
-use tind_model::Dataset;
+use tind_model::{Dataset, MemoryBudget};
 
 use common::strategies::{shard_files, world};
 
@@ -29,9 +30,21 @@ fn store_dir(name: &str) -> std::path::PathBuf {
     common::strategies::store_dir("store-roundtrip", name)
 }
 
+/// Both backings: mmap, and `pread` windows under a budget of an eighth
+/// of the index, so windows evict while the oracle runs.
+fn backings(index: &TindIndex) -> [OpenOptions; 2] {
+    let budget = MemoryBudget::new(index.bloom_bytes() / 8);
+    [
+        OpenOptions { backing: StoreBacking::Mmap, memory_budget: None },
+        OpenOptions { backing: StoreBacking::Windowed, memory_budget: Some(budget) },
+    ]
+}
+
 /// Every `m` an artifact may have been written at — the fixture's 256,
-/// the paper's forward 4096 and today's default — opens at its own `m`,
-/// round-trips byte-identically and answers exactly as a default build.
+/// the paper's forward 4096 and today's default — opens at its own `m`
+/// under either backing, round-trips byte-identically and answers
+/// exactly as a default build; and a shard whose width is not a whole
+/// number of tiles (a ragged last tile) round-trips too.
 #[test]
 fn roundtrip_is_byte_identical_at_every_shard_count() {
     let (dataset, small, params) = world(3);
@@ -85,17 +98,53 @@ fn roundtrip_is_byte_identical_at_every_shard_count() {
             if shards != 0 {
                 assert_eq!(report.shards, shards, "requested shard count honored");
             }
-            let (loaded, load) = open_store(&dir, dataset.clone()).expect("open");
-            assert!(load.is_clean(), "clean store loads without quarantine: {load:?}");
-            assert_eq!(load.shards_total, report.shards);
+            for open in backings(&index) {
+                let backing = open.backing;
+                let (loaded, load) = open_store_with(&dir, dataset.clone(), &open).expect("open");
+                assert!(load.is_clean(), "clean store loads without quarantine: {load:?}");
+                assert_eq!(load.shards_total, report.shards);
+                assert_eq!(
+                    tind_core::persist::encode_index(&loaded),
+                    baseline,
+                    "{shards}-shard store at m = {m} via {backing} must round-trip byte-identically"
+                );
+                answers_as_default(&loaded, &format!("m = {m}, {shards}-shard store, {backing}"));
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    // Two whole tiles and a ragged third of one word, whose last lanes
+    // are padding: one shard holds all of it, two shards cut a tile. A
+    // small `m` makes tiles several words wide.
+    let config = IndexConfig { m: 128, ..IndexConfig::default() };
+    let tile = tile_words(config.m);
+    let dataset = Arc::new(generate(&GeneratorConfig::small(2 * tile * 64 + 40, 3)).dataset);
+    let blocks = dataset.len().div_ceil(64);
+    assert!(blocks > tile && !blocks.is_multiple_of(tile), "{blocks} blocks end in a ragged tile of {tile}");
+    let index = TindIndex::build(dataset.clone(), config);
+    let baseline = tind_core::persist::encode_index(&index);
+    for shards in [1usize, 2] {
+        let dir = store_dir(&format!("roundtrip-ragged-{shards}"));
+        pack_store(&index, &dir, &PackOptions { shards, ..Default::default() }).expect("pack");
+        for open in backings(&index) {
+            let backing = open.backing;
+            let (loaded, load) = open_store_with(&dir, dataset.clone(), &open).expect("open");
+            assert!(load.is_clean(), "{backing}: {load:?}");
             assert_eq!(
                 tind_core::persist::encode_index(&loaded),
                 baseline,
-                "{shards}-shard store at m = {m} must round-trip byte-identically"
+                "ragged tiles, {shards} shard(s) via {backing}"
             );
-            answers_as_default(&loaded, &format!("m = {m}, {shards}-shard store"));
-            std::fs::remove_dir_all(&dir).ok();
+            for q in (0..dataset.len() as u32).step_by(11) {
+                assert_eq!(
+                    loaded.search(q, &params).results,
+                    index.search(q, &params).results,
+                    "ragged tiles via {backing}: query {q}"
+                );
+            }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
