@@ -25,6 +25,8 @@
 //! [`BloomMatrix::grow_cols`] re-lays the whole matrix out as one heap
 //! segment.
 
+use std::cell::{RefCell, RefMut};
+
 use crate::bitvec::BitVec;
 use crate::filter::BloomFilter;
 use crate::region::{RegionGuard, WordRegion};
@@ -338,31 +340,34 @@ impl BloomMatrix {
 
     /// [`BloomMatrix::narrow_to_supersets`] of `query_filter(values)`,
     /// without building the filter: the same rows in value order, each
-    /// value hashed only once candidates still need its rows, and then
-    /// kept for the following strips of the sweep. A probe whose
-    /// candidates die after the first few values never hashes the rest,
-    /// and the row buffer is the calling thread's, so nothing allocates
-    /// once it has grown.
+    /// value hashed only once candidates still need its rows, and at most
+    /// once per call — a sweep of several strips keeps the rows it hashed
+    /// for the strips after. A probe whose candidates die after the first
+    /// few values never hashes the rest, and a one-strip sweep (a probe of
+    /// a few hundred columns) allocates nothing.
     pub fn narrow_to_supersets_of_values(&self, values: &[ValueId], candidates: &mut BitVec) {
-        thread_local! {
-            static ROWS: std::cell::RefCell<Vec<usize>> = const { std::cell::RefCell::new(Vec::new()) };
-        }
         assert_eq!(candidates.len(), self.num_cols, "candidate set must cover all columns");
-        let (m, k) = (self.m, self.k_hashes);
-        ROWS.with(|rows| {
-            rows.borrow_mut().clear();
-            let row = |i: usize| {
-                let mut rows = rows.borrow_mut();
-                while rows.len() <= i {
-                    let &v = values.get(rows.len() / k as usize)?;
-                    let h = Hash128::of_key(u64::from(v));
-                    rows.extend((0..k).map(|j| h.probe(j, m) as usize));
-                }
-                Some(rows[i])
-            };
-            let one = std::slice::from_mut(candidates);
-            self.sweep(one, |_| (0..).map_while(row), BitVec::and_assign_words_at);
-        });
+        let strips: usize = self.segments.iter().map(|s| s.width.div_ceil(STRIP_WORDS)).sum();
+        let kept = RefCell::new(Vec::new());
+        let strip_rows = |_| {
+            let kept = kept.borrow_mut();
+            // `kept` holds whole values: hashing resumes after them (no
+            // division on the one-strip path, where it is always empty).
+            let value = if kept.is_empty() { 0 } else { kept.len() / self.k_hashes as usize };
+            ValueRows {
+                kept,
+                keep: strips > 1,
+                next: 0,
+                values,
+                value,
+                hash: Hash128::of_key(0),
+                j: self.k_hashes,
+                m: self.m,
+                k: self.k_hashes,
+            }
+        };
+        let one = std::slice::from_mut(candidates);
+        self.sweep(one, strip_rows, BitVec::and_assign_words_at);
     }
 
     /// Narrows `candidates` to columns that may be **subsets** of the
@@ -376,8 +381,9 @@ impl BloomMatrix {
     /// Batched [`BloomMatrix::narrow_to_supersets`]: narrows one candidate
     /// set per query in one word-blocked sweep of the matrix, strip by
     /// strip, so a strip's column slice is fetched once per batch.
-    /// Produces bit-identical candidate sets to the per-query calls (a query whose filter has no set rows — e.g. an
-    /// empty value set — narrows nothing, as there).
+    /// Produces bit-identical candidate sets to the per-query calls (a
+    /// query whose filter has no set rows — e.g. an empty value set —
+    /// narrows nothing, as there).
     pub fn narrow_batch_to_supersets(&self, queries: &[BloomFilter], candidates: &mut [BitVec]) {
         self.check_batch(queries, candidates);
         self.sweep(candidates, |i| queries[i].set_rows(), BitVec::and_assign_words_at);
@@ -393,11 +399,10 @@ impl BloomMatrix {
     /// The one sweep kernel: combines each query `i`'s `rows(i)` into its
     /// candidate set `candidates[i]`, strip by strip.
     ///
-    /// The candidate width is walked in strips of eight words (one 64-byte
-    /// cache line of candidate bits) that never straddle a segment, and
-    /// every query narrows its strip before the sweep advances, so all row
-    /// and candidate traffic stays within one column slice of the matrix at
-    /// a time — the batch amortization of §4.2.2: on matrices too large for
+    /// The candidate width is walked in strips of [`STRIP_WORDS`] that
+    /// never straddle a segment, and every query narrows its strip before
+    /// the sweep advances, so all row and candidate traffic stays within
+    /// one column slice of the matrix at a time — the batch amortization of §4.2.2: on matrices too large for
     /// cache, a strip's column slice is fetched once per batch instead of
     /// re-streamed per query. AND and AND-NOT keep zero words zero, so a
     /// query skips a strip with no live candidate word and stops once its
@@ -410,7 +415,6 @@ impl BloomMatrix {
         rows: impl Fn(usize) -> R,
         combine: impl Fn(&mut BitVec, usize, &[u64]),
     ) {
-        const STRIP_WORDS: usize = 8;
         for seg in &self.segments {
             let (start, width) = (seg.word_start, seg.width);
             if !candidates.iter().any(|c| live(c, start, width)) {
@@ -670,6 +674,56 @@ impl BloomMatrix {
             .map(|w| u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
             .collect();
         Ok(BloomMatrix::from_rows(m, num_cols, k_hashes, rows))
+    }
+}
+
+/// Candidate words per strip of [`BloomMatrix::sweep`]: one 64-byte cache
+/// line of candidate bits.
+const STRIP_WORDS: usize = 8;
+
+/// The rows of a value probe for one strip of the sweep, in value order:
+/// first those an earlier strip hashed into `kept`, then the rest, hashed
+/// a value at a time — into `kept` too when `keep` (more strips follow),
+/// else streamed from `hash`.
+struct ValueRows<'a> {
+    kept: RefMut<'a, Vec<usize>>,
+    keep: bool,
+    /// Rows of `kept` this strip has yielded.
+    next: usize,
+    values: &'a [ValueId],
+    /// Index of the next value to hash.
+    value: usize,
+    hash: Hash128,
+    /// Rows of `hash` yielded; `k` when it has none left.
+    j: u32,
+    m: u32,
+    k: u32,
+}
+
+impl Iterator for ValueRows<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        loop {
+            if let Some(&row) = self.kept.get(self.next) {
+                self.next += 1;
+                return Some(row);
+            }
+            if self.j < self.k {
+                self.j += 1;
+                return Some(self.hash.probe(self.j - 1, self.m) as usize);
+            }
+            let &v = self.values.get(self.value)?;
+            self.value += 1;
+            self.hash = Hash128::of_key(u64::from(v));
+            if self.keep {
+                let (hash, m) = (self.hash, self.m);
+                self.kept.extend((0..self.k).map(|j| hash.probe(j, m) as usize));
+            } else {
+                self.j = 0;
+            }
+        }
     }
 }
 

@@ -25,9 +25,10 @@
 //! windows. Each matrix section is tile-major: a run of column tiles of
 //! [`TILE_BYTES`] each, every tile the row-major words of its columns, so
 //! a tile is one [`Segment`] of the opened matrix and one `pread` window —
-//! probing a candidate column reads its tile, not the shard's width. An open checks each shard's header CRC, section bounds and
-//! manifest binding only; [`verify_store`] and [`repair_store`] run the
-//! deep check (manifest digest, file trailer, header, universes).
+//! probing a candidate column reads its tile, not the shard's width. An
+//! open checks each shard's header CRC, section bounds and manifest
+//! binding only; [`verify_store`] and [`repair_store`] run the deep
+//! check (manifest digest, file trailer, header, universes).
 //!
 //! On the read side the store degrades instead of dying: a shard that is
 //! missing or fails its checks is **quarantined** with a typed
@@ -553,9 +554,9 @@ fn tiles(width: usize, tile: usize) -> impl Iterator<Item = std::ops::Range<usiz
 /// `universe` is called once per attribute in the shard's range. Shared
 /// by pack (the built matrices, streamed to the file) and repair (the
 /// range re-rendered from the dataset) so the two paths are byte-equal by
-/// construction. Each
-/// target's section is 64-byte aligned behind an offset table, so an open
-/// can borrow any tile as `&[u64]` without decoding. The caller finishes
+/// construction. Each target's section is 64-byte aligned behind an
+/// offset table, so an open can borrow any tile as `&[u64]` without
+/// decoding. The caller finishes
 /// `w`; its trailer is the shard's digest (see [`ShardEntry::digest`]).
 fn write_shard<W: Write, M: std::borrow::Borrow<BloomMatrix>>(
     w: &mut Writer<W>,
