@@ -402,13 +402,14 @@ impl BloomMatrix {
     /// The candidate width is walked in strips of [`STRIP_WORDS`] that
     /// never straddle a segment, and every query narrows its strip before
     /// the sweep advances, so all row and candidate traffic stays within
-    /// one column slice of the matrix at a time — the batch amortization of §4.2.2: on matrices too large for
-    /// cache, a strip's column slice is fetched once per batch instead of
-    /// re-streamed per query. AND and AND-NOT keep zero words zero, so a
-    /// query skips a strip with no live candidate word and stops once its
-    /// strip dies, and a segment is not even pinned (or loaded) when no
-    /// query has a live candidate word in it. Combines commute, so the
-    /// result is the same as any row order over the whole width.
+    /// one column slice of the matrix at a time — the batch amortization
+    /// of §4.2.2: on matrices too large for cache, a strip's column slice
+    /// is fetched once per batch instead of re-streamed per query. AND and
+    /// AND-NOT keep zero words zero, so a query skips a strip with no live
+    /// candidate word and stops once its strip dies, and a segment is not
+    /// even pinned (or loaded) when no query has a live candidate word in
+    /// it. Combines commute, so the result is the same as any row order
+    /// over the whole width.
     fn sweep<R: Iterator<Item = usize>>(
         &self,
         candidates: &mut [BitVec],

@@ -1343,7 +1343,9 @@ mod tests {
                 );
                 assert_eq!(
                     e.to_string(),
-                    format!("TINDSH v{version} is no longer supported; re-pack with `tind store pack`")
+                    format!(
+                        "TINDSH v{version} is no longer supported; re-pack with `tind store pack`"
+                    )
                 );
             };
             for backing in [StoreBacking::Mmap, StoreBacking::Windowed] {
@@ -1356,7 +1358,8 @@ mod tests {
             let verify = verify_store(&dir).expect("verify runs");
             assert_eq!(verify.faults.len(), 1);
             refused(&verify.faults[0].error);
-            refused(&repair_store(&dir, &d, &RepairOptions::default()).expect_err("repair refuses"));
+            let repair = repair_store(&dir, &d, &RepairOptions::default());
+            refused(&repair.expect_err("repair refuses"));
             assert_eq!(std::fs::read(&path).expect("reread"), raw, "refusal rewrites nothing");
             std::fs::remove_dir_all(&dir).ok();
         }

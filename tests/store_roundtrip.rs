@@ -121,7 +121,10 @@ fn roundtrip_is_byte_identical_at_every_shard_count() {
     let tile = tile_words(config.m);
     let dataset = Arc::new(generate(&GeneratorConfig::small(2 * tile * 64 + 40, 3)).dataset);
     let blocks = dataset.len().div_ceil(64);
-    assert!(blocks > tile && !blocks.is_multiple_of(tile), "{blocks} blocks end in a ragged tile of {tile}");
+    assert!(
+        blocks > tile && !blocks.is_multiple_of(tile),
+        "{blocks} blocks end in a ragged tile of {tile}"
+    );
     let index = TindIndex::build(dataset.clone(), config);
     let baseline = tind_core::persist::encode_index(&index);
     for shards in [1usize, 2] {
